@@ -15,6 +15,7 @@ from .core import (
     Game,
     LossVector,
     OutcomeSpace,
+    Session,
     domination_gap,
     exp_mix,
     expected_loss,

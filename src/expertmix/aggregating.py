@@ -6,7 +6,6 @@ onto minimal elements.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -14,11 +13,14 @@ import numpy as np
 from .core import (
     MEMBERSHIP_TOL,
     Game,
+    Proposal,
+    Session,
     as_losses,
     dominated_by,
     domination_gap,
     hull_membership_gap,
     log_sum_exp,
+    start_session,
 )
 from .errors import DimensionMismatch, NotRealizable, SubstitutionFailure
 
@@ -35,55 +37,19 @@ def _advice_matrix(advice, m: int) -> np.ndarray:
     return A
 
 
-@dataclass(frozen=True, eq=False)
-class AAState:
-    """Posterior weights and cumulative losses for one mixing session.
-
-    Weights are kept unnormalized in log space: ``log_weights[t] =
-    ln P0(t) - eta * L_t`` where ``L_t`` is expert ``t``'s cumulative loss,
-    so experts with infinite loss carry weight exactly zero.
-    """
-
-    game: Game
-    c: float
-    eta: float
-    prior: np.ndarray
-    log_weights: np.ndarray
-    step_count: int = 0
-    cumulative_loss: float = 0.0
-    per_expert_loss: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.per_expert_loss is None:
-            object.__setattr__(self, "per_expert_loss", np.zeros(len(self.prior)))
-
-    @property
-    def n_experts(self) -> int:
-        return len(self.prior)
-
-
-def uniform_prior(k: int) -> np.ndarray:
-    return np.full(k, 1.0 / k)
+#: A mixing session: weights are kept unnormalized in log space,
+#: ``log_weights[t] = ln P0(t) - eta * L_t`` where ``L_t`` is expert ``t``'s
+#: cumulative loss, so experts with infinite loss carry weight exactly zero.
+AAState = Session
 
 
 def aa_start(game: Game, *, eta: float, c: float = 1.0,
              prior: Sequence[float] | np.ndarray | None = None,
-             n_experts: int | None = None) -> AAState:
-    if prior is None:
-        if n_experts is None:
-            raise ValueError("need prior or n_experts")
-        prior = uniform_prior(n_experts)
-    prior = np.asarray(prior, dtype=float)
-    if np.any(prior < 0) or abs(prior.sum() - 1.0) > 1e-9:
-        raise ValueError("prior must be a probability vector")
-    if c < 1.0 or eta <= 0.0:
-        raise ValueError("need c >= 1 and eta > 0")
-    with np.errstate(divide="ignore"):
-        lw = np.where(prior > 0, np.log(np.where(prior > 0, prior, 1.0)), -np.inf)
-    return AAState(game=game, c=c, eta=eta, prior=prior, log_weights=lw)
+             n_experts: int | None = None) -> Session:
+    return start_session(game, prior, n_experts, c=c, eta=eta)
 
 
-def aa_mix(state: AAState, advice) -> np.ndarray:
+def aa_mix(state: Session, advice) -> np.ndarray:
     """Mixed superprediction
     ``g(w) = -(c/eta) ln sum_t wbar_t exp(-eta * advice_t(w))``."""
     A = _advice_matrix(advice, state.game.m)
@@ -91,10 +57,9 @@ def aa_mix(state: AAState, advice) -> np.ndarray:
         raise DimensionMismatch(
             f"{A.shape[0]} advice rows for {state.n_experts} experts"
         )
-    total = log_sum_exp(state.log_weights)
-    if np.isneginf(total):
+    if np.isneginf(state.log_value):
         raise ZeroDivisionError("all experts carry zero weight (infinite loss)")
-    lwn = state.log_weights - total
+    lwn = state.log_weights - state.log_value
     with np.errstate(invalid="ignore"):
         shifted = np.where(np.isinf(A), -np.inf, lwn[:, None] - state.eta * np.where(np.isinf(A), 0.0, A))
     logs = log_sum_exp(shifted, axis=0)
@@ -102,9 +67,10 @@ def aa_mix(state: AAState, advice) -> np.ndarray:
     return np.maximum(g, 0.0)
 
 
-def aa_propose(state: AAState, advice,
-               *, substitution_tol: float = 1e-7) -> tuple[np.ndarray, np.ndarray]:
-    """Mix the advice and substitute; returns (decision, mixed vector).
+def aa_proposal(state: Session, advice,
+                *, substitution_tol: float = 1e-7) -> Proposal:
+    """Mix the advice and substitute a decision; the proposal's forecast is
+    the mixed vector.
 
     Raises :class:`SubstitutionFailure` when the mixed vector is not
     dominated by the substituted decision's losses, i.e. when (c, eta) is
@@ -120,49 +86,32 @@ def aa_propose(state: AAState, advice,
             f"{float(np.max(np.where(np.isfinite(g), lv - g, -np.inf))):.3e}; "
             f"(c={state.c}, eta={state.eta}) is not realizable for {state.game.name!r}"
         )
-    return decision, g
+    return Proposal(decision, lv, 0.0, lambda w: (0.0, float(lv[w]), A[:, w]), g)
 
 
-def aa_step(state: AAState, advice, outcome: int,
-            *, substitution_tol: float = 1e-7) -> tuple[np.ndarray, AAState]:
+def aa_propose(state: Session, advice,
+               *, substitution_tol: float = 1e-7) -> tuple[np.ndarray, np.ndarray]:
+    """Mix the advice and substitute; returns (decision, mixed vector)."""
+    p = aa_proposal(state, advice, substitution_tol=substitution_tol)
+    return p.decision, p.forecast
+
+
+def aa_step(state: Session, advice, outcome: int,
+            *, substitution_tol: float = 1e-7) -> tuple[np.ndarray, Session]:
     """One protocol round: mix, substitute, observe, reweigh."""
-    A = _advice_matrix(advice, state.game.m)
-    decision, _g = aa_propose(state, A, substitution_tol=substitution_tol)
-    lv = state.game.loss_vector(decision)
-    realized = A[:, outcome]
-    new_lw = np.where(
-        np.isinf(realized), -np.inf, state.log_weights - state.eta * np.where(np.isinf(realized), 0.0, realized)
-    )
-    new_state = replace(
-        state,
-        log_weights=new_lw,
-        step_count=state.step_count + 1,
-        cumulative_loss=state.cumulative_loss + float(lv[outcome]),
-        per_expert_loss=state.per_expert_loss + realized,
-    )
-    return decision, new_state
+    p = aa_proposal(state, advice, substitution_tol=substitution_tol)
+    return p.decision, state.advance(*p.score(outcome))
 
 
-def log_semi_invariant(state: AAState) -> float:
+def log_semi_invariant(state: Session) -> float:
     """ln of ``sum_t P0(t) exp(eta (L_N / c - L_N^t))``; never increases
     along a realizable run."""
-    return float(state.eta * state.cumulative_loss / state.c + log_sum_exp(state.log_weights))
+    return float(state.eta * state.cumulative_loss / state.c + state.log_value)
 
 
-def theorem_bound_margins(state: AAState) -> np.ndarray:
-    """``L_N - c L_N^theta - (c/eta) ln(1/P0(theta))`` for every theta;
-    nonpositive entries mean the mixing-bound guarantee holds."""
-    with np.errstate(divide="ignore"):
-        penalty = (state.c / state.eta) * np.where(
-            state.prior > 0, -np.log(np.where(state.prior > 0, state.prior, 1.0)), np.inf
-        )
-    rhs = state.c * state.per_expert_loss + penalty
-    safe = np.where(np.isinf(rhs), 0.0, rhs)
-    return np.where(np.isinf(rhs), -np.inf, state.cumulative_loss - safe)
-
-
-def theorem_bound_margin(state: AAState, theta: int) -> float:
-    return float(theorem_bound_margins(state)[theta])
+#: ``L_N - c L_N^theta - (c/eta) ln(1/P0(theta))`` for every theta;
+#: nonpositive entries mean the mixing-bound guarantee holds.
+theorem_bound_margins = Session.bound_margins
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
-"""Outcome spaces, probability vectors, extended-real loss vectors, and the
-shared geometry of prediction games.
+"""Outcome spaces, probability vectors, extended-real loss vectors, the
+shared geometry of prediction games, and the session every protocol runs.
 
 A game is a finite outcome set together with a parametric decision domain
 and a loss map; every decision is identified with its per-outcome loss
@@ -11,8 +11,9 @@ probability is zero (so ``0 * inf == 0`` inside an expectation).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Callable
+import math
+from dataclasses import dataclass, replace
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -170,6 +171,10 @@ def dominated_by(candidate, g, tol: float = 0.0) -> bool:
 def log_sum_exp(a: np.ndarray, axis: int | None = None):
     """Lean log-sum-exp for small arrays; all-(-inf) slices give -inf."""
     a = np.asarray(a, dtype=float)
+    if axis is None:
+        top = a.max()
+        if math.isfinite(top):  # the common case, in the general path's bits
+            return float(np.log(np.exp(a - top).sum()) + top)
     hi = np.max(a, axis=axis, keepdims=True)
     safe_hi = np.where(np.isfinite(hi), hi, 0.0)
     with np.errstate(divide="ignore", over="ignore"):
@@ -424,3 +429,138 @@ def hull_membership_gap(game: Game, g, eta: float) -> float:
         f"game {game.name!r} has no hull membership rule at eta={eta} "
         "(not asserted mixable and no closed form supplied)"
     )
+
+
+# ---------------------------------------------------------------------------
+# Sessions: the prior-weighted product of pair-exponent factors
+
+
+def pair_exponent(lam, g, c, eta):
+    """Exponent ``eta (lam/c - g)`` under the extended-real conventions:
+    both infinite -> 0 (the factors cancel), ``g`` infinite alone -> -inf
+    (the factor vanishes), ``lam`` infinite alone -> +inf.  ``c`` and
+    ``eta`` are scalars or per-expert arrays."""
+    with np.errstate(invalid="ignore"):
+        out = eta * (np.divide(lam, c) - g)
+    # NaN arises only from inf - inf, where the two factors cancel
+    return np.where(np.isnan(out), 0.0, out)
+
+
+class Proposal(NamedTuple):
+    """Learner's move in one round, made before Reality's.
+
+    ``loss_vector`` is the decision's loss per outcome (what an adversarial
+    Reality looks at; None where the protocol has no single one), and
+    ``score(outcome)`` returns the arguments of :meth:`Session.advance`:
+    the learner term of the reweigh, Learner's loss and the experts'
+    losses.  ``forecast`` is what the decision was substituted from: the
+    mixed superprediction for mixing sessions, the forecast distribution
+    for forecasting sessions.
+    """
+
+    decision: np.ndarray
+    loss_vector: np.ndarray | None
+    slack: float
+    score: Callable[[Any], tuple]
+    forecast: Any = None
+
+
+@dataclass(frozen=True, eq=False)
+class Session:
+    """One session of any protocol: the paper's prior-weighted product of
+    factors ``exp(eta (l/c - g))``, kept in log space.
+
+    ``log_weights[t] = ln P0(t) + sum_n eta_t (l_n / c_t - g_n^t)`` and
+    ``log_value`` is their log-sum-exp.  Forecasting sessions put the
+    forecast's loss ``lambda(pi_n, w_n)`` in the learner term ``l_n``, so
+    ``log_value`` is the log supermartingale; mixing sessions (no
+    ``proper``) put zero there, so their weights are the posterior and the
+    learner's share enters the semi-invariant when it is read
+    (:func:`expertmix.aggregating.log_semi_invariant`).
+
+    ``c`` and ``eta`` are scalars, or per-expert arrays for evaluator
+    sessions, whose ``proper`` is then one proper loss per expert and whose
+    ``cumulative_loss`` holds Learner's loss under each expert's evaluator.
+    ``game`` is the scored game (a simplex game for simplex sessions, None
+    for evaluator sessions).  A session whose preconditions were not
+    checked has ``verified`` False and refuses to step.
+    """
+
+    game: Any
+    c: Any
+    eta: Any
+    prior: np.ndarray
+    log_weights: np.ndarray
+    log_value: float | None = None
+    step_count: int = 0
+    cumulative_loss: Any = 0.0
+    per_expert_loss: np.ndarray | None = None
+    slack_log_total: float = 0.0
+    proper: Any = None
+    verified: bool = True
+
+    def __post_init__(self):
+        if self.log_value is None:
+            object.__setattr__(self, "log_value", log_sum_exp(self.log_weights))
+        if self.per_expert_loss is None:
+            object.__setattr__(self, "per_expert_loss", np.zeros(len(self.prior)))
+
+    @property
+    def n_experts(self) -> int:
+        return len(self.prior)
+
+    @property
+    def learner_losses(self):
+        return self.cumulative_loss
+
+    @property
+    def expert_losses(self) -> np.ndarray:
+        return self.per_expert_loss
+
+    def advance(self, learner_term, learner_loss, expert_losses,
+                slack: float = 0.0) -> "Session":
+        """The one reweigh: multiply expert ``t``'s factor by
+        ``exp(eta_t (learner_term / c_t - expert_losses[t]))`` and add the
+        round's losses and its solver slack ``ln(1 + slack)``."""
+        lw = self.log_weights + pair_exponent(learner_term, expert_losses,
+                                              self.c, self.eta)
+        return replace(
+            self,
+            log_weights=lw,
+            log_value=log_sum_exp(lw),
+            step_count=self.step_count + 1,
+            cumulative_loss=self.cumulative_loss + learner_loss,
+            per_expert_loss=self.per_expert_loss + expert_losses,
+            slack_log_total=self.slack_log_total + float(np.log1p(slack))
+            if slack else self.slack_log_total,
+        )
+
+    def bound_margins(self) -> np.ndarray:
+        """``L - c L^t - (c/eta)(ln(1/P0(t)) + slack)`` for every expert
+        ``t``; nonpositive entries mean the guarantee holds."""
+        with np.errstate(divide="ignore", invalid="ignore"):
+            penalty = -np.log(self.prior)
+            rhs = self.c * self.per_expert_loss \
+                + (self.c / self.eta) * (penalty + self.slack_log_total)
+            return np.where(np.isinf(rhs), -np.inf, self.cumulative_loss - rhs)
+
+
+def start_session(game, prior=None, n_experts: int | None = None, *,
+                  c=1.0, eta=1.0, **fields) -> Session:
+    """Open a session with prior ``prior`` (uniform over ``n_experts`` when
+    omitted).  Raises ``ValueError`` unless the prior is a probability
+    vector and, for scalar constants, ``c >= 1`` and ``eta > 0`` (per-expert
+    constants are checked by their evaluators' contract)."""
+    if prior is None:
+        if n_experts is None:
+            raise ValueError("need prior or n_experts")
+        prior = np.full(n_experts, 1.0 / n_experts)
+    prior = np.asarray(prior, dtype=float)
+    if np.any(prior < 0) or abs(prior.sum() - 1.0) > 1e-9:
+        raise ValueError("prior must be a probability vector")
+    if not isinstance(c, np.ndarray) and (c < 1.0 or eta <= 0.0):
+        raise ValueError("need c >= 1 and eta > 0")
+    with np.errstate(divide="ignore"):
+        log_weights = np.log(prior)
+    return Session(game=game, c=c, eta=eta, prior=prior,
+                   log_weights=log_weights, **fields)

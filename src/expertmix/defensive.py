@@ -10,42 +10,16 @@ surfaced and accumulated into the regret audit instead of being ignored.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .aggregating import _advice_matrix, project_boundary
-from .core import Game, as_losses, as_probs, log_sum_exp, simplex_grid
-from .errors import ContractViolation, SlackExceeded
+from .core import (Game, Proposal, Session, as_losses, as_probs, dominated_by,
+                   log_sum_exp, pair_exponent, simplex_grid, start_session)
+from .errors import ContractViolation, SlackExceeded, SubstitutionFailure
 from .losses import ProperLoss, proper_loss_from_entropy
-
-__all__ = [
-    "DFAState",
-    "default_proper_loss",
-    "q_term",
-    "supermartingale_property_check",
-    "dfa_solve_binary",
-    "binary_admissible_interval",
-    "dfa_solve_simplex",
-    "interior_delta",
-    "dfa_start",
-    "dfa_step",
-]
-
-
-def pair_exponent(lam: np.ndarray, g: np.ndarray, c: float, eta: float) -> np.ndarray:
-    """Exponent ``eta (lam/c - g)`` under the extended-real conventions:
-    both infinite -> 0 (the factors cancel), ``g`` infinite alone -> -inf
-    (the factor vanishes), ``lam`` infinite alone -> +inf."""
-    lam = np.asarray(lam, dtype=float)
-    g = np.asarray(g, dtype=float)
-    lam_inf = np.isinf(lam)
-    g_inf = np.isinf(g)
-    safe = eta * (np.where(lam_inf, 0.0, lam) / c - np.where(g_inf, 0.0, g))
-    out = np.where(g_inf & ~lam_inf, -np.inf, safe)
-    out = np.where(lam_inf & ~g_inf, np.inf, out)
-    return np.where(lam_inf & g_inf, 0.0, out)
 
 
 def q_term(proper: ProperLoss, c: float, eta: float, g, pi, omega: int) -> float:
@@ -161,6 +135,17 @@ def supermartingale_property_check(proper: ProperLoss, c: float, eta: float,
                                  worst_decision=worst_dec)
 
 
+def require_supermartingale(proper: ProperLoss, c, eta, game: Game, samples: int,
+                            seed: int, tol: float, what: str) -> None:
+    """Raise :class:`ContractViolation` unless the sampled supermartingale
+    property holds for ``(proper, c, eta)`` up to ``tol``."""
+    rep = supermartingale_property_check(proper, c, eta, game, samples, seed=seed)
+    if rep.max_excess > tol:
+        raise ContractViolation(
+            f"{what} fails the supermartingale property "
+            f"(excess {rep.max_excess:.3e} at c={c}, eta={eta})")
+
+
 # ---------------------------------------------------------------------------
 # Solvers
 
@@ -208,45 +193,51 @@ def dfa_solve_binary(qfun: Callable[[float], np.ndarray], C: float,
     )
 
 
-def binary_admissible_interval(qfun: Callable[[float], np.ndarray], C: float,
-                               tol: float = 1e-9) -> tuple[float, float]:
+def _admissible_interval(qbatch, C: float, tol: float) -> tuple[float, float]:
     """Endpoints of ``{p : max_w q(p, w) <= C}`` for a binary q whose
     coordinate 1 is nonincreasing and coordinate 0 nondecreasing in p
     (true for the canonical parameterizations of the built-in games).
 
-    Bisections land on the feasible side of each crossing, so the returned
-    interval is inner-approximate up to ``tol``.
+    Both endpoint bisections run together on batched candidates ``(1-p, p)``
+    and land on the feasible side of each crossing, so the interval is
+    inner-approximate up to ``tol``; when the crossings pass each other the
+    interval collapses to its midpoint.
     """
-    q0 = np.asarray(qfun(0.0), dtype=float)
-    q1 = np.asarray(qfun(1.0), dtype=float)
+    ends = np.asarray(qbatch(np.array([[1.0, 0.0], [0.0, 1.0]])), dtype=float)
+    q0, q1 = ends[0], ends[1]
     if q0[0] > C * (1.0 + 1e-9) + 1e-12 or q1[1] > C * (1.0 + 1e-9) + 1e-12:
         raise ContractViolation("expectation bound fails at an endpoint")
-    if q0[1] <= C:
-        lo = 0.0
-    else:
-        a, b = 0.0, 1.0
-        while b - a > tol:
-            mid = 0.5 * (a + b)
-            if np.asarray(qfun(mid), dtype=float)[1] <= C:
-                b = mid
+    lo_done = q0[1] <= C
+    hi_done = q1[0] <= C
+    a_lo, b_lo = 0.0, 1.0  # crossing of q(., 1)
+    a_hi, b_hi = 0.0, 1.0  # crossing of q(., 0)
+    while (not lo_done and b_lo - a_lo > tol) or (not hi_done and b_hi - a_hi > tol):
+        m_lo = 0.5 * (a_lo + b_lo)
+        m_hi = 0.5 * (a_hi + b_hi)
+        P = np.array([[1.0 - m_lo, m_lo], [1.0 - m_hi, m_hi]])
+        q = np.asarray(qbatch(P), dtype=float)
+        if not lo_done:
+            if q[0, 1] <= C:
+                b_lo = m_lo
             else:
-                a = mid
-        lo = b
-    if q1[0] <= C:
-        hi = 1.0
-    else:
-        a, b = 0.0, 1.0
-        while b - a > tol:
-            mid = 0.5 * (a + b)
-            if np.asarray(qfun(mid), dtype=float)[0] <= C:
-                a = mid
+                a_lo = m_lo
+        if not hi_done:
+            if q[1, 0] <= C:
+                a_hi = m_hi
             else:
-                b = mid
-        hi = a
+                b_hi = m_hi
+    lo, hi = (0.0 if lo_done else b_lo), (1.0 if hi_done else a_hi)
     if hi < lo:
-        mid = 0.5 * (lo + hi)
-        lo = hi = mid
+        lo = hi = 0.5 * (lo + hi)
     return lo, hi
+
+
+def binary_admissible_interval(qfun: Callable[[float], np.ndarray], C: float,
+                               tol: float = 1e-9) -> tuple[float, float]:
+    """:func:`_admissible_interval` for a scalar ``qfun(p)`` returning
+    ``(q(p, 0), q(p, 1))``."""
+    return _admissible_interval(
+        lambda P: np.array([qfun(p) for p in P[:, 1]]), C, tol)
 
 
 def interior_delta(epsilon: float, m: int) -> float:
@@ -341,71 +332,30 @@ def dfa_solve_simplex(qfun: Callable[[np.ndarray], np.ndarray], C: float,
 # The forecasting protocol step
 
 
-@dataclass(frozen=True, eq=False)
-class DFAState:
-    """State of one defensive forecasting session.
-
-    ``log_weights[t]`` tracks ``ln P0(t) + eta sum_n (lambda(pi_n, w_n)/c -
-    g_n^t(w_n))`` and ``log_value`` is their log-sum-exp, the log of the
-    prior-weighted supermartingale; it never rises above the accumulated
-    solver slack ``slack_log_total = sum_n ln(1 + s_n)``.
-    """
-
-    game: Game
-    c: float
-    eta: float
-    proper: ProperLoss
-    prior: np.ndarray
-    log_weights: np.ndarray
-    log_value: float = 0.0
-    step_count: int = 0
-    cumulative_loss: float = 0.0
-    learner_lambda_loss: float = 0.0
-    per_expert_loss: np.ndarray | None = None
-    slack_log_total: float = 0.0
-
-    def __post_init__(self):
-        if self.per_expert_loss is None:
-            object.__setattr__(self, "per_expert_loss", np.zeros(len(self.prior)))
-
-    @property
-    def n_experts(self) -> int:
-        return len(self.prior)
+#: A forecasting session: ``log_weights[t]`` tracks ``ln P0(t) + eta sum_n
+#: (lambda(pi_n, w_n)/c - g_n^t(w_n))`` and ``log_value``, their log-sum-exp,
+#: is the log of the prior-weighted supermartingale; it never rises above the
+#: accumulated solver slack ``slack_log_total = sum_n ln(1 + s_n)``.
+DFAState = Session
 
 
 def dfa_start(game: Game, *, eta: float, c: float = 1.0,
               prior: Sequence[float] | np.ndarray | None = None,
               n_experts: int | None = None,
-              proper: ProperLoss | None = None) -> DFAState:
-    if prior is None:
-        if n_experts is None:
-            raise ValueError("need prior or n_experts")
-        prior = np.full(n_experts, 1.0 / n_experts)
-    prior = np.asarray(prior, dtype=float)
-    if np.any(prior < 0) or abs(prior.sum() - 1.0) > 1e-9:
-        raise ValueError("prior must be a probability vector")
-    if c < 1.0 or eta <= 0.0:
-        raise ValueError("need c >= 1 and eta > 0")
-    if proper is None:
-        proper = default_proper_loss(game, c, eta)
-    with np.errstate(divide="ignore"):
-        lw = np.where(prior > 0, np.log(np.where(prior > 0, prior, 1.0)), -np.inf)
-    return DFAState(game=game, c=c, eta=eta, proper=proper, prior=prior,
-                    log_weights=lw, log_value=float(log_sum_exp(lw)))
+              proper: ProperLoss | None = None) -> Session:
+    return start_session(
+        game, prior, n_experts, c=c, eta=eta,
+        proper=default_proper_loss(game, c, eta) if proper is None else proper)
 
 
-def _normalized_log_weights(state: DFAState) -> np.ndarray:
-    return state.log_weights - state.log_value
-
-
-def standard_qfun(state: DFAState, advice_matrix: np.ndarray):
+def standard_qfun(state: Session, advice_matrix: np.ndarray):
     """q for fixed (standard) advice; the per-expert sum factors into
     per-outcome constants ``a_w = sum_t wbar_t exp(-eta g_t(w))`` so each
     candidate costs one proper-loss evaluation.
 
     Returns ``(qrow, qbatch)``: single-point and batched evaluators.
     """
-    lwn = _normalized_log_weights(state)
+    lwn = state.log_weights - state.log_value
     A = advice_matrix
     with np.errstate(invalid="ignore"):
         shifted = np.where(np.isinf(A), -np.inf,
@@ -431,47 +381,20 @@ def standard_qfun(state: DFAState, advice_matrix: np.ndarray):
     return qrow, qbatch
 
 
-def _binary_interval_midpoint(qbatch, C: float, tol: float) -> float:
-    """Midpoint of the admissible interval, running both endpoint
-    bisections simultaneously on batched candidates."""
-    ends = np.asarray(qbatch(np.array([[1.0, 0.0], [0.0, 1.0]])), dtype=float)
-    q0, q1 = ends[0], ends[1]
-    if q0[0] > C * (1.0 + 1e-9) + 1e-12 or q1[1] > C * (1.0 + 1e-9) + 1e-12:
-        raise ContractViolation("expectation bound fails at an endpoint")
-    lo_done = q0[1] <= C
-    hi_done = q1[0] <= C
-    a_lo, b_lo = 0.0, 1.0  # crossing of q(., 1)
-    a_hi, b_hi = 0.0, 1.0  # crossing of q(., 0)
-    while (not lo_done and b_lo - a_lo > tol) or (not hi_done and b_hi - a_hi > tol):
-        m_lo = 0.5 * (a_lo + b_lo)
-        m_hi = 0.5 * (a_hi + b_hi)
-        P = np.array([[1.0 - m_lo, m_lo], [1.0 - m_hi, m_hi]])
-        q = np.asarray(qbatch(P), dtype=float)
-        if not lo_done:
-            if q[0, 1] <= C:
-                b_lo = m_lo
-            else:
-                a_lo = m_lo
-        if not hi_done:
-            if q[1, 0] <= C:
-                a_hi = m_hi
-            else:
-                b_hi = m_hi
-    lo = 0.0 if lo_done else b_lo
-    hi = 1.0 if hi_done else a_hi
-    if hi < lo:
-        return 0.5 * (lo + hi)
-    return 0.5 * (lo + hi)
-
-
 def choose_forecast(qrow, qbatch, m: int, *, C: float = 1.0,
                     epsilon: float = 1e-6, tol: float = 1e-9,
                     select: str = "midpoint") -> tuple[np.ndarray, float]:
     """Pick a forecast distribution keeping every coordinate of q under C
-    (up to the documented slack); returns (pi, slack)."""
+    (up to the documented slack); returns (pi, slack).
+
+    A binary forecast is the midpoint of the admissible interval
+    (``select="midpoint"``) or the coordinate-equalizing root
+    (``select="root"``); larger outcome spaces run the simplex solver.
+    """
     if m == 2:
         if select == "midpoint":
-            p = _binary_interval_midpoint(qbatch, C, tol)
+            lo, hi = _admissible_interval(qbatch, C, tol)
+            p = 0.5 * (lo + hi)
         elif select == "root":
             def qp(pp: float) -> np.ndarray:
                 return qrow(np.array([1.0 - pp, pp]))
@@ -486,11 +409,16 @@ def choose_forecast(qrow, qbatch, m: int, *, C: float = 1.0,
     return pi, slack
 
 
-def dfa_propose(state: DFAState, advice, *, epsilon: float = 1e-6,
-                tol: float = 1e-9, select: str = "midpoint",
-                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """Choose the forecast for the given advice; returns
-    ``(decision, pi, lambda(pi), slack)`` without touching the state."""
+def dfa_proposal(state: Session, advice, *, epsilon: float = 1e-6,
+                 tol: float = 1e-9, select: str = "midpoint",
+                 substitution_tol: float = 1e-7) -> Proposal:
+    """Choose the forecast pi for the given advice and substitute a
+    decision; the learner term is ``lambda(pi)``.
+
+    Raises :class:`SubstitutionFailure` when the loss parameterization's
+    value cannot be dominated by a legal decision; with the default
+    parameterizations that means (c, eta) violates the game's contract.
+    """
     A = _advice_matrix(advice, state.game.m)
     if A.shape[0] != state.n_experts:
         raise ValueError(f"{A.shape[0]} advice rows for {state.n_experts} experts")
@@ -499,31 +427,6 @@ def dfa_propose(state: DFAState, advice, *, epsilon: float = 1e-6,
                                 epsilon=epsilon, tol=tol, select=select)
     lam = state.proper(pi)
     decision = np.asarray(state.game.substitution(lam), dtype=float)
-    return decision, pi, lam, slack
-
-
-def dfa_step(state: DFAState, advice, outcome: int, *,
-             epsilon: float = 1e-6, tol: float = 1e-9,
-             select: str = "midpoint",
-             substitution_tol: float = 1e-7) -> tuple[np.ndarray, DFAState, float]:
-    """One forecasting round: choose pi, substitute, observe, reweigh.
-
-    Binary games default to the midpoint of the admissible interval (the
-    same selection the midpoint substitution makes on the mixing side);
-    pass ``select="root"`` for the coordinate-equalizing bisection point.
-    Returns ``(decision, new_state, slack)`` where ``slack`` is the step's
-    worst-case excess of q over 1 across outcomes.
-
-    Raises :class:`SubstitutionFailure` when the loss parameterization's
-    value cannot be dominated by a legal decision; with the default
-    parameterizations that means (c, eta) violates the game's contract.
-    """
-    from .core import dominated_by
-    from .errors import SubstitutionFailure
-
-    A = _advice_matrix(advice, state.game.m)
-    decision, pi, lam, slack = dfa_propose(state, A, epsilon=epsilon,
-                                           tol=tol, select=select)
     lv = state.game.loss_vector(decision)
     if not dominated_by(lv, lam, substitution_tol):
         raise SubstitutionFailure(
@@ -532,34 +435,35 @@ def dfa_step(state: DFAState, advice, outcome: int, *,
             f"(c={state.c}, eta={state.eta}) is outside the contract for "
             f"{state.game.name!r}"
         )
-    new_lw = state.log_weights + pair_exponent(
-        np.full(state.n_experts, lam[outcome]), A[:, outcome], state.c, state.eta
-    )
-    new_state = replace(
-        state,
-        log_weights=new_lw,
-        log_value=float(log_sum_exp(new_lw)),
-        step_count=state.step_count + 1,
-        cumulative_loss=state.cumulative_loss + float(lv[outcome]),
-        learner_lambda_loss=state.learner_lambda_loss + float(lam[outcome]),
-        per_expert_loss=state.per_expert_loss + A[:, outcome],
-        slack_log_total=state.slack_log_total + float(np.log1p(slack)),
-    )
-    return decision, new_state, slack
+    return Proposal(decision, lv, slack, lambda w: (lam[w], float(lv[w]), A[:, w]), pi)
 
 
-def dfa_bound_margins(state: DFAState) -> np.ndarray:
-    """``L_N - c L_N^theta - (c/eta)(ln(1/P0) + slack allowance)`` per
-    theta; nonpositive entries mean the guarantee holds."""
-    with np.errstate(divide="ignore"):
-        penalty = np.where(
-            state.prior > 0, -np.log(np.where(state.prior > 0, state.prior, 1.0)), np.inf
-        )
-    allowance = (state.c / state.eta) * (penalty + state.slack_log_total)
-    rhs = state.c * state.per_expert_loss + allowance
-    safe = np.where(np.isinf(rhs), 0.0, rhs)
-    return np.where(np.isinf(rhs), -np.inf, state.cumulative_loss - safe)
+def dfa_propose(state: Session, advice, *, epsilon: float = 1e-6,
+                tol: float = 1e-9, select: str = "midpoint",
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """Choose the forecast for the given advice; returns
+    ``(decision, pi, lambda(pi), slack)`` without touching the state."""
+    p = dfa_proposal(state, advice, epsilon=epsilon, tol=tol, select=select)
+    return p.decision, p.forecast, state.proper(p.forecast), p.slack
 
 
-def dfa_bound_margin(state: DFAState, theta: int) -> float:
-    return float(dfa_bound_margins(state)[theta])
+def dfa_step(state: Session, advice, outcome: int, *,
+             epsilon: float = 1e-6, tol: float = 1e-9,
+             select: str = "midpoint",
+             substitution_tol: float = 1e-7) -> tuple[np.ndarray, Session, float]:
+    """One forecasting round: choose pi, substitute, observe, reweigh.
+
+    Binary games default to the midpoint of the admissible interval (the
+    same selection the midpoint substitution makes on the mixing side);
+    pass ``select="root"`` for the coordinate-equalizing bisection point.
+    Returns ``(decision, new_state, slack)`` where ``slack`` is the step's
+    worst-case excess of q over 1 across outcomes.
+    """
+    p = dfa_proposal(state, advice, epsilon=epsilon, tol=tol, select=select,
+                     substitution_tol=substitution_tol)
+    return p.decision, state.advance(*p.score(outcome), p.slack), p.slack
+
+
+#: ``L_N - c L_N^theta - (c/eta)(ln(1/P0) + slack allowance)`` per theta;
+#: nonpositive entries mean the guarantee holds.
+dfa_bound_margins = Session.bound_margins

@@ -8,17 +8,17 @@ solver and transfer the guarantee through relative exp-convexity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import Game, as_probs, log_sum_exp
+from .core import Game, Proposal, Session, as_probs, pair_exponent, start_session
 from .defensive import (
-    dfa_solve_binary,
-    dfa_solve_simplex,
-    pair_exponent,
-    supermartingale_property_check,
+    choose_forecast,
+    default_proper_loss,
+    require_supermartingale,
+    standard_qfun,
 )
 from .errors import ContractViolation, PreconditionUnverified
 from .losses import ProperLoss, builtin_game
@@ -39,36 +39,26 @@ class EvaluatedExpert:
     name: str = ""
 
 
-@dataclass(frozen=True, eq=False)
-class MLState:
-    experts: tuple[EvaluatedExpert, ...]
-    log_weights: np.ndarray
-    log_value: float
-    m: int
-    step_count: int = 0
-    learner_losses: np.ndarray | None = None   # Learner scored by each evaluator
-    expert_losses: np.ndarray | None = None    # each expert by its own loss
-    slack_log_total: float = 0.0
-
-    def __post_init__(self):
-        k = len(self.experts)
-        if self.learner_losses is None:
-            object.__setattr__(self, "learner_losses", np.zeros(k))
-        if self.expert_losses is None:
-            object.__setattr__(self, "expert_losses", np.zeros(k))
+#: Evaluator and simplex-outcome sessions are the shared session type.
+MLState = SimplexState = Session
 
 
 def ml_dfa_start(experts: Sequence[EvaluatedExpert], m: int, *,
                  verify: bool = True, samples: int = 2000, seed: int = 0,
-                 check_tol: float = 1e-7) -> MLState:
-    """Validate the evaluator triples and open a session.
+                 check_tol: float = 1e-7) -> Session:
+    """Validate the evaluator triples and open a session with per-expert
+    ``(c, eta)`` and one proper loss per expert.
 
     Each distinct (loss, c, eta) triple must pass the supermartingale
     property check; failures raise :class:`ContractViolation`.
     """
-    priors = np.array([e.prior for e in experts], dtype=float)
-    if np.any(priors < 0) or abs(priors.sum() - 1.0) > 1e-9:
-        raise ValueError("evaluator priors must form a probability vector")
+    if any(e.proper.game.m != m for e in experts):
+        raise ValueError(f"every evaluator must score {m} outcomes")
+    session = start_session(
+        None, [e.prior for e in experts], c=np.array([e.c for e in experts]),
+        eta=np.array([e.eta for e in experts]),
+        proper=tuple(e.proper for e in experts),
+        cumulative_loss=np.zeros(len(experts)))
     if verify:
         seen: set[tuple[int, float, float]] = set()
         for e in experts:
@@ -76,99 +66,49 @@ def ml_dfa_start(experts: Sequence[EvaluatedExpert], m: int, *,
             if key in seen:
                 continue
             seen.add(key)
-            rep = supermartingale_property_check(
-                e.proper, e.c, e.eta, e.proper.game, samples, seed=seed
-            )
-            if rep.max_excess > check_tol:
-                raise ContractViolation(
-                    f"evaluator {e.name!r} fails the supermartingale property "
-                    f"(excess {rep.max_excess:.3e} at c={e.c}, eta={e.eta})"
-                )
-    with np.errstate(divide="ignore"):
-        lw = np.where(priors > 0, np.log(np.where(priors > 0, priors, 1.0)), -np.inf)
-    return MLState(experts=tuple(experts), log_weights=lw,
-                   log_value=float(log_sum_exp(lw)), m=m)
+            require_supermartingale(e.proper, e.c, e.eta, e.proper.game, samples,
+                                    seed, check_tol, f"evaluator {e.name!r}")
+    return session
 
 
-def _ml_qrow(state: MLState, advice: np.ndarray):
-    lwn = state.log_weights - state.log_value
-    wbar = np.exp(lwn)
-    experts = state.experts
-    m = state.m
+def ml_dfa_proposal(state: Session, advice, *, epsilon: float = 1e-6,
+                    tol: float = 1e-9) -> Proposal:
+    """Learner announces a distribution (the root selection for binary
+    outcomes); every party is then scored by each evaluator's own loss."""
+    adv = np.stack([as_probs(a) for a in advice])
+    m = state.proper[0].game.m
+    if adv.shape != (state.n_experts, m):
+        raise ValueError(f"advice shape {adv.shape}, expected "
+                         f"({state.n_experts}, {m})")
+    G = np.stack([proper(a) for proper, a in zip(state.proper, adv)])
+    wbar = np.exp(state.log_weights - state.log_value)
+    live = [row for row in zip(wbar, state.proper, G, state.c, state.eta)
+            if row[0] != 0.0]
 
     def qrow(pi: np.ndarray) -> np.ndarray:
         total = np.zeros(m)
-        for w_t, ex, adv in zip(wbar, experts, advice):
-            if w_t == 0.0:
-                continue
-            lam = ex.proper(pi)
-            g = ex.proper(adv)
-            total += w_t * np.exp(pair_exponent(lam, g, ex.c, ex.eta))
+        for w_t, proper, g_t, c_t, eta_t in live:
+            total += w_t * np.exp(pair_exponent(proper(pi), g_t, c_t, eta_t))
         return total
 
-    return qrow
+    pi, slack = choose_forecast(
+        qrow, lambda P: np.stack([qrow(row) for row in P]), m,
+        epsilon=epsilon, tol=tol, select="root")
+    lam = np.stack([proper(pi) for proper in state.proper])
+    return Proposal(pi, None, slack, lambda w: (lam[:, w], lam[:, w], G[:, w]), pi)
 
 
-def ml_dfa_step(state: MLState, advice, outcome: int, *,
+def ml_dfa_step(state: Session, advice, outcome: int, *,
                 epsilon: float = 1e-6, tol: float = 1e-9,
-                ) -> tuple[np.ndarray, MLState, float]:
-    """One evaluator round: Learner announces a distribution; every party
-    is scored by each evaluator's own loss at the realized outcome."""
-    adv = np.stack([as_probs(a) for a in advice])
-    if adv.shape != (len(state.experts), state.m):
-        raise ValueError(f"advice shape {adv.shape}, expected "
-                         f"({len(state.experts)}, {state.m})")
-    qrow = _ml_qrow(state, adv)
-    m = state.m
-    if m == 2:
-        def qp(p: float) -> np.ndarray:
-            return qrow(np.array([1.0 - p, p]))
-
-        p = dfa_solve_binary(qp, 1.0, tol)
-        pi = np.array([1.0 - p, p])
-    else:
-        def qbatch(P: np.ndarray) -> np.ndarray:
-            return np.stack([qrow(row) for row in P])
-
-        pi = dfa_solve_simplex(qbatch, 1.0, m, epsilon, tol)
-    slack = max(0.0, float(np.max(qrow(pi))) - 1.0)
-    learner_inst = np.array([e.proper(pi)[outcome] for e in state.experts])
-    expert_inst = np.array(
-        [e.proper(a)[outcome] for e, a in zip(state.experts, adv)]
-    )
-    shifts = np.array([
-        float(pair_exponent(np.array(li), np.array(ei), e.c, e.eta))
-        for li, ei, e in zip(learner_inst, expert_inst, state.experts)
-    ])
-    new_lw = state.log_weights + shifts
-    new_state = replace(
-        state,
-        log_weights=new_lw,
-        log_value=float(log_sum_exp(new_lw)),
-        step_count=state.step_count + 1,
-        learner_losses=state.learner_losses + learner_inst,
-        expert_losses=state.expert_losses + expert_inst,
-        slack_log_total=state.slack_log_total + float(np.log1p(slack)),
-    )
-    return pi, new_state, slack
+                ) -> tuple[np.ndarray, Session, float]:
+    """One evaluator round (see :func:`ml_dfa_proposal`)."""
+    p = ml_dfa_proposal(state, advice, epsilon=epsilon, tol=tol)
+    return p.decision, state.advance(*p.score(outcome), p.slack), p.slack
 
 
-def ml_bound_margins(state: MLState) -> np.ndarray:
-    """Per-evaluator guarantee margins
-    ``L^(t) - c_t L^t - (c_t/eta_t)(ln(1/P0) + slack)``."""
-    cs = np.array([e.c for e in state.experts])
-    etas = np.array([e.eta for e in state.experts])
-    priors = np.array([e.prior for e in state.experts])
-    with np.errstate(divide="ignore"):
-        penalty = np.where(priors > 0, -np.log(np.where(priors > 0, priors, 1.0)), np.inf)
-    allowance = (cs / etas) * (penalty + state.slack_log_total)
-    rhs = cs * state.expert_losses + allowance
-    safe = np.where(np.isinf(rhs), 0.0, rhs)
-    return np.where(np.isinf(rhs), -np.inf, state.learner_losses - safe)
-
-
-def ml_bound_margin(state: MLState, theta: int) -> float:
-    return float(ml_bound_margins(state)[theta])
+#: Per-evaluator guarantee margins
+#: ``L^(t) - c_t L^t - (c_t/eta_t)(ln(1/P0) + slack)``.
+ml_bound_margins = Session.bound_margins
 
 
 def duplicate_evaluators(specs: Sequence[tuple[ProperLoss, float, float]],
@@ -311,31 +251,7 @@ def check_relative_exp_convexity(sg: SimplexGame, c: float, eta: float,
             witness = (d1, d2, p, lhs, rhs)
     return RelExpConvexityReport(holds=bool(worst <= tol),
                                  worst_violation=float(worst),
-                                 witness=witness if worst > tol else witness)
-
-
-@dataclass(frozen=True, eq=False)
-class SimplexState:
-    sg: SimplexGame
-    c: float
-    eta: float
-    proper: ProperLoss
-    prior: np.ndarray
-    log_weights: np.ndarray
-    log_value: float = 0.0
-    step_count: int = 0
-    cumulative_loss: float = 0.0
-    per_expert_loss: np.ndarray | None = None
-    slack_log_total: float = 0.0
-    verified: bool = False
-
-    def __post_init__(self):
-        if self.per_expert_loss is None:
-            object.__setattr__(self, "per_expert_loss", np.zeros(len(self.prior)))
-
-    @property
-    def n_experts(self) -> int:
-        return len(self.prior)
+                                 witness=witness)
 
 
 def simplex_dfa_start(sg: SimplexGame, *, eta: float, c: float = 1.0,
@@ -343,20 +259,13 @@ def simplex_dfa_start(sg: SimplexGame, *, eta: float, c: float = 1.0,
                       n_experts: int | None = None,
                       proper: ProperLoss | None = None,
                       verify: bool = True, samples: int = 800, seed: int = 0,
-                      check_tol: float = 1e-7) -> SimplexState:
+                      check_tol: float = 1e-7) -> Session:
     """Open a simplex-outcome session, verifying relative exp-convexity and
     the vertex supermartingale property unless explicitly skipped (a step
     on an unverified state raises)."""
-    if prior is None:
-        if n_experts is None:
-            raise ValueError("need prior or n_experts")
-        prior = np.full(n_experts, 1.0 / n_experts)
-    prior = np.asarray(prior, dtype=float)
-    if proper is None:
-        from .defensive import default_proper_loss
-
-        proper = default_proper_loss(sg.base, c, eta)
-    verified = False
+    session = start_session(
+        sg, prior, n_experts, c=c, eta=eta, verified=verify,
+        proper=default_proper_loss(sg.base, c, eta) if proper is None else proper)
     if verify:
         rec = check_relative_exp_convexity(sg, c, eta, samples, seed=seed)
         if not rec.holds:
@@ -364,75 +273,47 @@ def simplex_dfa_start(sg: SimplexGame, *, eta: float, c: float = 1.0,
                 f"{sg.name} lacks relative exp-convexity at c={c}, eta={eta}: "
                 f"violation {rec.worst_violation:.3e} at {rec.witness!r}"
             )
-        rep = supermartingale_property_check(proper, c, eta, sg.base,
-                                             samples, seed=seed)
-        if rep.max_excess > check_tol:
-            raise ContractViolation(
-                f"vertex supermartingale property fails "
-                f"(excess {rep.max_excess:.3e})"
-            )
-        verified = True
-    with np.errstate(divide="ignore"):
-        lw = np.where(prior > 0, np.log(np.where(prior > 0, prior, 1.0)), -np.inf)
-    return SimplexState(sg=sg, c=c, eta=eta, proper=proper, prior=prior,
-                        log_weights=lw, log_value=float(log_sum_exp(lw)),
-                        verified=verified)
+        require_supermartingale(session.proper, c, eta, sg.base, samples, seed,
+                                check_tol, "the vertex loss")
+    return session
 
 
-def simplex_dfa_step(state: SimplexState, advice, p_outcome, *,
-                     epsilon: float = 1e-6, tol: float = 1e-9,
-                     select: str = "midpoint",
-                     ) -> tuple[np.ndarray, SimplexState, float]:
-    """One simplex-outcome round: run the vertex solver on the restricted
-    advice, extend the substituted decision to the whole simplex, and score
-    every party at the realized point."""
+def simplex_dfa_proposal(state: Session, advice, *, epsilon: float = 1e-6,
+                         tol: float = 1e-9, select: str = "midpoint") -> Proposal:
+    """Run the vertex solver on the restricted advice and substitute a
+    decision; the outcome scored later is a point of the simplex, at which
+    every party's decision is extended."""
     if not state.verified:
         raise PreconditionUnverified(
             "simplex session was started with verify=False; "
             "re-create it with verification to run steps"
         )
-    base = state.sg.base
-    p_out = as_probs(p_outcome)
+    sg = state.game
     decisions = [np.asarray(a, dtype=float) for a in advice]
-    vertex_advice = np.stack([base.loss_vector(d) for d in decisions])
-    # vertex solve reuses the standard-session machinery
-    from .defensive import DFAState, choose_forecast, standard_qfun
-
-    inner = DFAState(game=base, c=state.c, eta=state.eta, proper=state.proper,
-                     prior=state.prior, log_weights=state.log_weights,
-                     log_value=state.log_value)
-    qrow, qbatch = standard_qfun(inner, vertex_advice)
-    pi, slack = choose_forecast(qrow, qbatch, base.m, epsilon=epsilon, tol=tol,
+    vertex_advice = np.stack([sg.base.loss_vector(d) for d in decisions])
+    qrow, qbatch = standard_qfun(state, vertex_advice)
+    pi, slack = choose_forecast(qrow, qbatch, sg.m, epsilon=epsilon, tol=tol,
                                 select=select)
-    lam = state.proper(pi)
-    decision = np.asarray(base.substitution(lam), dtype=float)
-    learner_inst = state.sg.loss_on_simplex(decision, p_out)
-    expert_inst = np.array([state.sg.loss_on_simplex(d, p_out) for d in decisions])
-    shift = pair_exponent(np.full(state.n_experts, learner_inst),
-                          expert_inst, state.c, state.eta)
-    new_lw = state.log_weights + shift
-    new_state = replace(
-        state,
-        log_weights=new_lw,
-        log_value=float(log_sum_exp(new_lw)),
-        step_count=state.step_count + 1,
-        cumulative_loss=state.cumulative_loss + float(learner_inst),
-        per_expert_loss=state.per_expert_loss + expert_inst,
-        slack_log_total=state.slack_log_total + float(np.log1p(slack)),
-    )
-    return decision, new_state, slack
+    decision = np.asarray(sg.base.substitution(state.proper(pi)), dtype=float)
+
+    def score(p_outcome):
+        p = as_probs(p_outcome)
+        learner = sg.loss_on_simplex(decision, p)
+        return (learner, float(learner),
+                np.array([sg.loss_on_simplex(d, p) for d in decisions]))
+
+    return Proposal(decision, None, slack, score, pi)
 
 
-def simplex_bound_margins(state: SimplexState) -> np.ndarray:
-    with np.errstate(divide="ignore"):
-        penalty = np.where(
-            state.prior > 0, -np.log(np.where(state.prior > 0, state.prior, 1.0)), np.inf
-        )
-    allowance = (state.c / state.eta) * (penalty + state.slack_log_total)
-    rhs = state.c * state.per_expert_loss + allowance
-    safe = np.where(np.isinf(rhs), 0.0, rhs)
-    return np.where(np.isinf(rhs), -np.inf, state.cumulative_loss - safe)
+def simplex_dfa_step(state: Session, advice, p_outcome, *,
+                     epsilon: float = 1e-6, tol: float = 1e-9,
+                     select: str = "midpoint",
+                     ) -> tuple[np.ndarray, Session, float]:
+    """One simplex-outcome round (see :func:`simplex_dfa_proposal`), scored
+    at the realized point ``p_outcome``."""
+    p = simplex_dfa_proposal(state, advice, epsilon=epsilon, tol=tol,
+                             select=select)
+    return p.decision, state.advance(*p.score(p_outcome), p.slack), p.slack
 
 
-def simplex_bound_margin(state: SimplexState, theta: int) -> float:
-    return float(simplex_bound_margins(state)[theta])
+simplex_bound_margins = Session.bound_margins

@@ -83,28 +83,16 @@ def verify_all(meta: dict, steps: list[dict], *, strict: bool = False,
     """Audit every expert of a recorded run using the constants echoed in
     its meta line."""
     config = meta.get("config", {})
-    algo = config.get("algorithm")
-    if algo == "ml-dfa":
-        # constants vary per evaluator; derive them the same way the runner does
-        evaluators = config.get("evaluators", [])
-        k = len(config.get("experts", []))
-        total = len(evaluators) * k
-        reports = []
-        for s_idx, ev in enumerate(evaluators):
-            for j in range(k):
-                t = s_idx * k + j
-                reports.append(verify_bound(
-                    steps, t, float(ev.get("c", 1.0)), float(ev.get("eta", 1.0)),
-                    1.0 / total, strict=strict, margin_tol=margin_tol,
-                ))
-        return reports
-    c = float(config.get("c", 1.0))
-    eta = float(config.get("eta", 1.0))
     k = len(config.get("experts", []))
-    prior = config.get("prior")
-    reports = []
-    for t in range(k):
-        p0 = (1.0 / k) if prior in (None, "uniform") else float(prior[t])
-        reports.append(verify_bound(steps, t, c, eta, p0, strict=strict,
-                                    margin_tol=margin_tol))
-    return reports
+    if config.get("algorithm") == "ml-dfa":
+        # each base expert once per evaluator, equal priors (as the runner does)
+        evaluators = config.get("evaluators", [])
+        constants = [(float(ev.get("c", 1.0)), float(ev.get("eta", 1.0)),
+                      1.0 / (len(evaluators) * k)) for ev in evaluators for _ in range(k)]
+    else:
+        prior = config.get("prior")
+        constants = [(float(config.get("c", 1.0)), float(config.get("eta", 1.0)),
+                      (1.0 / k) if prior in (None, "uniform") else float(prior[t]))
+                     for t in range(k)]
+    return [verify_bound(steps, t, c, eta, p0, strict=strict, margin_tol=margin_tol)
+            for t, (c, eta, p0) in enumerate(constants)]

@@ -5,10 +5,13 @@ Top-level keys (see README for the full schema):
     game        {"name": str, "m": int}
     algorithm   "aa" | "dfa" | "sg-dfa" | "sg-aa" | "ml-dfa" | "simplex-dfa"
     c, eta      floats (ml-dfa uses per-evaluator values instead)
-    prior       list of floats, or "uniform" (default)
-    experts     list of strategy specs, e.g. {"kind": "constant", "value": 0.3}
+    prior       probability vector, one entry per expert, or "uniform"
+                (default; the only choice for ml-dfa)
+    experts     non-empty list of strategy specs, e.g.
+                {"kind": "constant", "value": 0.3}
     evaluators  (ml-dfa only) list of {"loss": str, "eta": float, "c": float}
-    reality     outcome spec, e.g. {"kind": "iid", "probs": [0.5, 0.5]}
+    reality     outcome spec, e.g. {"kind": "iid", "probs": [0.5, 0.5]};
+                the kinds each algorithm takes are in SUPPORTED_REALITIES
     horizon     int
     seed        int (64-bit); fully determines the run
     solver      {"epsilon": float, "tol": float}
@@ -27,7 +30,18 @@ from pathlib import Path
 
 from ..errors import ConfigError
 
-ALGORITHMS = ("aa", "dfa", "sg-dfa", "sg-aa", "ml-dfa", "simplex-dfa")
+#: algorithm -> the reality kinds its runner serves; every other pair is
+#: refused at parse time
+SUPPORTED_REALITIES = {
+    "aa": ("iid", "fixed", "adversarial"),
+    "dfa": ("iid", "fixed", "adversarial"),
+    "sg-dfa": ("iid", "fixed"),
+    "sg-aa": ("iid", "fixed"),
+    "ml-dfa": ("iid", "fixed"),
+    "simplex-dfa": ("dirichlet",),
+}
+
+ALGORITHMS = tuple(SUPPORTED_REALITIES)
 
 EXPERT_KINDS = (
     "constant",
@@ -99,15 +113,26 @@ def parse_config(doc: dict) -> ScenarioConfig:
     for e in experts:
         _require(e.get("kind") in EXPERT_KINDS,
                  f"unknown expert kind {e.get('kind')!r}; choose from {EXPERT_KINDS}")
+    _require(len(experts) > 0, "scenario needs at least one expert")
     reality = doc.get("reality")
     _require(isinstance(reality, dict) and reality.get("kind") in REALITY_KINDS,
              f"reality.kind must be one of {REALITY_KINDS}")
+    served = SUPPORTED_REALITIES[algorithm]
+    _require(reality["kind"] in served,
+             f"{algorithm} runs with reality {' | '.join(served)}, "
+             f"not {reality['kind']!r}")
     prior = doc.get("prior")
     if prior == "uniform":
         prior = None
     if prior is not None:
-        _require(isinstance(prior, list) and len(prior) > 0,
-                 "prior must be a list of floats or 'uniform'")
+        _require(algorithm != "ml-dfa",
+                 "ml-dfa gives every evaluator copy the same prior; "
+                 "drop 'prior' or set it to 'uniform'")
+        _require(isinstance(prior, list) and len(prior) == len(experts)
+                 and all(isinstance(p, (int, float)) and p >= 0 for p in prior)
+                 and abs(sum(prior) - 1.0) <= 1e-9,
+                 f"prior must be 'uniform' or a probability vector with one "
+                 f"entry per expert ({len(experts)}), got {prior!r}")
     solver = dict(doc.get("solver", {}))
     solver.setdefault("epsilon", 1e-6)
     solver.setdefault("tol", 1e-9)

@@ -11,53 +11,30 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
 
-from ..aggregating import (aa_propose, aa_start, aa_step, log_semi_invariant,
-                            theorem_bound_margins)
+from ..aggregating import aa_proposal, aa_start, log_semi_invariant
 from ..core import Game
-from ..defensive import (
-    dfa_bound_margins,
-    dfa_propose,
-    dfa_start,
-    dfa_step,
-)
+from ..defensive import default_proper_loss, dfa_proposal, dfa_start
 from ..errors import ConfigError
 from ..extensions import (
-    EvaluatedExpert,
     brier_simplex,
+    duplicate_evaluators,
     kl_simplex,
-    ml_bound_margins,
+    ml_dfa_proposal,
     ml_dfa_start,
-    ml_dfa_step,
-    simplex_bound_margins,
+    simplex_dfa_proposal,
     simplex_dfa_start,
-    simplex_dfa_step,
+    tile_advice,
 )
 from ..losses import builtin_game
-from ..secondguess import sg_aa_step, sg_dfa_step
+from ..secondguess import sg_aa_proposal, sg_dfa_proposal
 from .config import ScenarioConfig
 from .strategies import build_reality, build_sg_expert, build_standard_expert
-
-RECORD_KEYS = (
-    "step",
-    "advice",
-    "learner_pi",
-    "learner_decision",
-    "outcome",
-    "learner_loss",
-    "expert_losses",
-    "cumulative_learner_loss",
-    "cumulative_expert_losses",
-    "log_supermartingale",
-    "slack",
-    "slack_total",
-    "bound_margins",
-)
-
 
 def _jsonable(x):
     if isinstance(x, np.ndarray):
@@ -98,6 +75,10 @@ class StepRecord:
         return data
 
 
+#: the step record's keys in their serialized order
+RECORD_KEYS = tuple(f.name for f in fields(StepRecord))
+
+
 @dataclass
 class RunResult:
     config: ScenarioConfig
@@ -118,15 +99,6 @@ def _spawn_rngs(seed: int, k: int):
     return expert_rngs, reality_rng
 
 
-def _prior(config: ScenarioConfig, k: int) -> np.ndarray:
-    if config.prior is None:
-        return np.full(k, 1.0 / k)
-    prior = np.asarray(config.prior, dtype=float)
-    if prior.shape != (k,):
-        raise ConfigError(f"prior of length {len(prior)} for {k} experts")
-    return prior
-
-
 def _binary_pi_from_decision(game: Game, decision: np.ndarray) -> list | None:
     if game.m == 2 and game.decision_kind == "box":
         p = float(decision[0])
@@ -136,296 +108,183 @@ def _binary_pi_from_decision(game: Game, decision: np.ndarray) -> list | None:
     return None
 
 
-def _evaluator_specs(config: ScenarioConfig):
-    from ..defensive import default_proper_loss
+# ---------------------------------------------------------------------------
+# Protocols.  Each opener starts the session and returns it with a ``play``
+# function for one round's first moves: the experts advise and Learner
+# proposes.  ``play(state, n, outcomes)`` returns the proposal, the advice
+# as recorded, and the recorded ``learner_pi``.
 
+
+def _standard_experts(config: ScenarioConfig, game: Game, rngs):
+    strategies = [build_standard_expert(game, s, r)
+                  for s, r in zip(config.experts, rngs)]
+    return lambda n, outcomes: [s.advise(n, outcomes) for s in strategies]
+
+
+def _open_fixed_advice(start, propose):
+    def open_protocol(config: ScenarioConfig, rngs, eps: float, tol: float):
+        game = builtin_game(config.game, config.m)
+        advise = _standard_experts(config, game, rngs)
+        state = start(game, eta=config.eta, c=config.c, prior=config.prior,
+                      n_experts=len(config.experts))
+
+        def play(state, n, outcomes):
+            decisions = advise(n, outcomes)
+            A = np.asarray(game.loss(np.stack(decisions)), dtype=float)
+            p = propose(state, A, eps, tol)
+            return p, decisions, _binary_pi_from_decision(game, p.decision)
+
+        return state, play
+
+    return open_protocol
+
+
+def _open_second_guess(start, propose, records_pi: bool):
+    def open_protocol(config: ScenarioConfig, rngs, eps: float, tol: float):
+        game = builtin_game(config.game, config.m)
+        experts = [build_sg_expert(game, s) for s in config.experts]
+        state = start(game, eta=config.eta, c=config.c, prior=config.prior,
+                      n_experts=len(experts))
+
+        def play(state, n, outcomes):
+            p = propose(state, experts, eps, tol)
+            gamma = p.decision
+            pi = _binary_pi_from_decision(
+                game, np.asarray(game.substitution(gamma), dtype=float)
+            ) if records_pi else None
+            return p, [ex(gamma) for ex in experts], pi
+
+        return state, play
+
+    return open_protocol
+
+
+def _open_evaluators(config: ScenarioConfig, rngs, eps: float, tol: float):
+    game = builtin_game(config.game, config.m)  # the base experts' game
+    advise = _standard_experts(config, game, rngs)
     specs = []
-    for ev in config.evaluators or []:
-        game = builtin_game(ev["loss"], config.m)
-        eta = float(ev.get("eta", 1.0))
-        c = float(ev.get("c", 1.0))
-        specs.append((default_proper_loss(game, c, eta), c, eta, ev["loss"]))
-    return specs
+    for ev in config.evaluators:
+        c, eta = float(ev.get("c", 1.0)), float(ev.get("eta", 1.0))
+        specs.append((default_proper_loss(builtin_game(ev["loss"], config.m), c, eta),
+                      c, eta))
+    state = ml_dfa_start(duplicate_evaluators(specs, len(config.experts)),
+                         config.m, verify=True)
+
+    def play(state, n, outcomes):
+        base = [np.array([1.0 - d[0], d[0]]) if game.decision_kind == "box"
+                else np.asarray(d, dtype=float) for d in advise(n, outcomes)]
+        advice = tile_advice(np.stack(base), len(specs))
+        p = ml_dfa_proposal(state, advice, epsilon=eps, tol=tol)
+        return p, advice, [float(v) for v in p.decision]
+
+    return state, play
+
+
+def _open_simplex(config: ScenarioConfig, rngs, eps: float, tol: float):
+    if config.game not in _SIMPLEX_GAMES:
+        raise ConfigError(f"no simplex extension for game {config.game!r}")
+    sg = _SIMPLEX_GAMES[config.game](config.m)
+    advise = _standard_experts(config, sg.base, rngs)
+    state = simplex_dfa_start(sg, eta=config.eta, c=config.c, prior=config.prior,
+                              n_experts=len(config.experts), verify=True)
+
+    def play(state, n, outcomes):
+        decisions = advise(n, outcomes)
+        p = simplex_dfa_proposal(state, decisions, epsilon=eps, tol=tol)
+        return p, decisions, [float(v) for v in p.decision]
+
+    return state, play
+
+
+_SIMPLEX_GAMES = {"brier": brier_simplex, "kl": kl_simplex}
+
+
+#: algorithm -> (opener, reading of the log supermartingale); mixing
+#: sessions report the semi-invariant, which is the same quantity
+PROTOCOLS = {
+    "aa": (_open_fixed_advice(
+        aa_start, lambda s, A, eps, tol: aa_proposal(s, A)), log_semi_invariant),
+    "dfa": (_open_fixed_advice(
+        dfa_start, lambda s, A, eps, tol: dfa_proposal(s, A, epsilon=eps, tol=tol)),
+        attrgetter("log_value")),
+    "sg-dfa": (_open_second_guess(
+        dfa_start, lambda s, ex, eps, tol: sg_dfa_proposal(s, ex, epsilon=eps, tol=tol),
+        records_pi=True), attrgetter("log_value")),
+    "sg-aa": (_open_second_guess(
+        aa_start, lambda s, ex, eps, tol: sg_aa_proposal(s, ex, tol=tol),
+        records_pi=False), log_semi_invariant),
+    "ml-dfa": (_open_evaluators, attrgetter("log_value")),
+    "simplex-dfa": (_open_simplex, attrgetter("log_value")),
+}
 
 
 def run_scenario(config: ScenarioConfig) -> RunResult:
-    """Execute a scenario and return its trajectory plus summary."""
-    algo = config.algorithm
-    if algo in ("aa", "dfa", "sg-dfa", "sg-aa", "simplex-dfa"):
-        game = builtin_game(config.game, config.m)
-    else:
-        game = builtin_game(config.game, config.m)  # base game for evaluators
-    k = len(config.experts)
-    if k == 0:
-        raise ConfigError("scenario needs at least one expert")
-    expert_rngs, reality_rng = _spawn_rngs(config.seed, k)
-    reality = build_reality(config.reality, config.m, reality_rng)
-    eps = float(config.solver["epsilon"])
-    tol = float(config.solver["tol"])
+    """Execute a scenario and return its trajectory plus summary.
 
-    if algo in ("sg-dfa", "sg-aa") and reality.depends_on_prediction:
-        raise ConfigError("adversarial reality is not wired for sg algorithms")
+    Each round follows the protocol's move order: the experts advise,
+    Learner proposes, Reality picks the outcome (seeing the proposal's loss
+    vector only when it depends on the prediction), and the session
+    advances once.
+    """
+    if config.algorithm not in PROTOCOLS:
+        raise ConfigError(f"unknown algorithm {config.algorithm!r}")
+    open_protocol, log_supermartingale = PROTOCOLS[config.algorithm]
+    expert_rngs, reality_rng = _spawn_rngs(config.seed, len(config.experts))
+    reality = build_reality(config.reality, config.m, reality_rng)
+    state, play = open_protocol(config, expert_rngs, float(config.solver["epsilon"]),
+                                float(config.solver["tol"]))
 
     records: list[StepRecord] = []
     outcomes: list = []
     max_margin = -np.inf
     worst_step = -1
+    for n in range(config.horizon):
+        p, advice, learner_pi = play(state, n, outcomes)
+        w = reality.pick(n, p.loss_vector if reality.depends_on_prediction else None)
+        learner_term, learner_loss, expert_losses = p.score(w)
+        state = state.advance(learner_term, learner_loss, expert_losses, p.slack)
+        outcomes.append(w)
+        margins = list(state.bound_margins())
+        worst = max(margins) if margins else -np.inf
+        if worst > max_margin:
+            max_margin, worst_step = worst, n
+        cum_learner = state.cumulative_loss
+        records.append(StepRecord(
+            step=n,
+            advice=[[float(v) for v in row] for row in advice],
+            learner_pi=learner_pi,
+            learner_decision=[float(v) for v in p.decision],
+            outcome=[float(v) for v in w] if isinstance(w, np.ndarray) else w,
+            learner_loss=learner_loss.tolist()
+            if isinstance(learner_loss, np.ndarray) else learner_loss,
+            expert_losses=expert_losses.tolist(),
+            cumulative_learner_loss=list(cum_learner)
+            if isinstance(cum_learner, np.ndarray) else cum_learner,
+            cumulative_expert_losses=list(state.per_expert_loss),
+            log_supermartingale=log_supermartingale(state),
+            slack=p.slack,
+            slack_total=state.slack_log_total,
+            bound_margins=margins,
+        ))
 
-    def track(margins: list[float], step: int) -> None:
-        nonlocal max_margin, worst_step
-        m = max(margins) if margins else -np.inf
-        if m > max_margin:
-            max_margin = m
-            worst_step = step
-
-    if algo == "aa":
-        prior = _prior(config, k)
-        state = aa_start(game, eta=config.eta, c=config.c, prior=prior)
-        strategies = [build_standard_expert(game, s, r)
-                      for s, r in zip(config.experts, expert_rngs)]
-        for n in range(config.horizon):
-            decisions = [s.advise(n, outcomes) for s in strategies]
-            A = np.asarray(game.loss(np.stack(decisions)), dtype=float)
-            if reality.depends_on_prediction:
-                dec, _g = aa_propose(state, A)
-                w = reality.pick(n, game.loss_vector(dec))
-                dec, state = aa_step(state, A, w)
-            else:
-                w = reality.pick(n, None)
-                dec, state = aa_step(state, A, w)
-            lv = game.loss_vector(dec)
-            outcomes.append(w)
-            margins = list(theorem_bound_margins(state))
-            track(margins, n)
-            records.append(StepRecord(
-                step=n,
-                advice=[list(map(float, d)) for d in decisions],
-                learner_pi=_binary_pi_from_decision(game, dec),
-                learner_decision=[float(v) for v in dec],
-                outcome=w,
-                learner_loss=float(lv[w]),
-                expert_losses=[float(v) for v in A[:, w]],
-                cumulative_learner_loss=state.cumulative_loss,
-                cumulative_expert_losses=list(state.per_expert_loss),
-                log_supermartingale=log_semi_invariant(state),
-                slack=0.0,
-                slack_total=0.0,
-                bound_margins=margins,
-            ))
-        final_learner = state.cumulative_loss
-        final_experts = list(state.per_expert_loss)
-        slack_allowance = 0.0
-        constants = [{"c": config.c, "eta": config.eta, "prior": float(prior[t])}
-                     for t in range(k)]
-
-    elif algo == "dfa":
-        prior = _prior(config, k)
-        state = dfa_start(game, eta=config.eta, c=config.c, prior=prior)
-        strategies = [build_standard_expert(game, s, r)
-                      for s, r in zip(config.experts, expert_rngs)]
-        for n in range(config.horizon):
-            decisions = [s.advise(n, outcomes) for s in strategies]
-            A = np.asarray(game.loss(np.stack(decisions)), dtype=float)
-            if reality.depends_on_prediction:
-                dec, pi, lam, _s = dfa_propose(state, A, epsilon=eps, tol=tol)
-                w = reality.pick(n, game.loss_vector(dec))
-            else:
-                w = reality.pick(n, None)
-            dec, state, slack = dfa_step(state, A, w, epsilon=eps, tol=tol)
-            lv = game.loss_vector(dec)
-            pi_rec = _binary_pi_from_decision(game, dec)
-            outcomes.append(w)
-            margins = list(dfa_bound_margins(state))
-            track(margins, n)
-            records.append(StepRecord(
-                step=n,
-                advice=[list(map(float, d)) for d in decisions],
-                learner_pi=pi_rec,
-                learner_decision=[float(v) for v in dec],
-                outcome=w,
-                learner_loss=float(lv[w]),
-                expert_losses=[float(v) for v in A[:, w]],
-                cumulative_learner_loss=state.cumulative_loss,
-                cumulative_expert_losses=list(state.per_expert_loss),
-                log_supermartingale=state.log_value,
-                slack=slack,
-                slack_total=state.slack_log_total,
-                bound_margins=margins,
-            ))
-        final_learner = state.cumulative_loss
-        final_experts = list(state.per_expert_loss)
-        slack_allowance = (config.c / config.eta) * state.slack_log_total
-        constants = [{"c": config.c, "eta": config.eta, "prior": float(prior[t])}
-                     for t in range(k)]
-
-    elif algo == "sg-dfa":
-        prior = _prior(config, k)
-        state = dfa_start(game, eta=config.eta, c=config.c, prior=prior)
-        experts = [build_sg_expert(game, s) for s in config.experts]
-        for n in range(config.horizon):
-            w = reality.pick(n, None)
-            gamma, state, slack = sg_dfa_step(state, experts, w,
-                                              epsilon=eps, tol=tol)
-            outcomes.append(w)
-            dec = np.asarray(game.substitution(gamma), dtype=float)
-            realized = [float(ex(gamma)[w]) for ex in experts]
-            margins = list(dfa_bound_margins(state))
-            track(margins, n)
-            records.append(StepRecord(
-                step=n,
-                advice=[[float(v) for v in ex(gamma)] for ex in experts],
-                learner_pi=_binary_pi_from_decision(game, dec),
-                learner_decision=[float(v) for v in gamma],
-                outcome=w,
-                learner_loss=float(gamma[w]),
-                expert_losses=realized,
-                cumulative_learner_loss=state.cumulative_loss,
-                cumulative_expert_losses=list(state.per_expert_loss),
-                log_supermartingale=state.log_value,
-                slack=slack,
-                slack_total=state.slack_log_total,
-                bound_margins=margins,
-            ))
-        final_learner = state.cumulative_loss
-        final_experts = list(state.per_expert_loss)
-        slack_allowance = (config.c / config.eta) * state.slack_log_total
-        constants = [{"c": config.c, "eta": config.eta, "prior": float(prior[t])}
-                     for t in range(k)]
-
-    elif algo == "sg-aa":
-        prior = _prior(config, k)
-        state = aa_start(game, eta=config.eta, c=config.c, prior=prior)
-        experts = [build_sg_expert(game, s) for s in config.experts]
-        for n in range(config.horizon):
-            w = reality.pick(n, None)
-            gamma, state = sg_aa_step(state, experts, w, tol=tol)
-            outcomes.append(w)
-            realized = [float(ex(gamma)[w]) for ex in experts]
-            margins = list(theorem_bound_margins(state))
-            track(margins, n)
-            records.append(StepRecord(
-                step=n,
-                advice=[[float(v) for v in ex(gamma)] for ex in experts],
-                learner_pi=None,
-                learner_decision=[float(v) for v in gamma],
-                outcome=w,
-                learner_loss=float(gamma[w]),
-                expert_losses=realized,
-                cumulative_learner_loss=state.cumulative_loss,
-                cumulative_expert_losses=list(state.per_expert_loss),
-                log_supermartingale=log_semi_invariant(state),
-                slack=0.0,
-                slack_total=0.0,
-                bound_margins=margins,
-            ))
-        final_learner = state.cumulative_loss
-        final_experts = list(state.per_expert_loss)
-        slack_allowance = 0.0
-        constants = [{"c": config.c, "eta": config.eta, "prior": float(prior[t])}
-                     for t in range(k)]
-
-    elif algo == "ml-dfa":
-        specs = _evaluator_specs(config)
-        n_specs = len(specs)
-        evaluators = []
-        total = n_specs * k
-        for proper, c_t, eta_t, loss_name in specs:
-            for j in range(k):
-                evaluators.append(EvaluatedExpert(
-                    proper=proper, c=c_t, eta=eta_t, prior=1.0 / total,
-                    name=f"{loss_name}#{j}",
-                ))
-        state = ml_dfa_start(evaluators, config.m, verify=True)
-        strategies = [build_standard_expert(game, s, r)
-                      for s, r in zip(config.experts, expert_rngs)]
-        for n in range(config.horizon):
-            base = [s.advise(n, outcomes) for s in strategies]
-            base_pi = [np.array([1.0 - d[0], d[0]]) if game.decision_kind == "box"
-                       else np.asarray(d, dtype=float) for d in base]
-            advice = [base_pi[j % k] for j in range(total)]
-            w = reality.pick(n, None)
-            pi, state, slack = ml_dfa_step(state, advice, w, epsilon=eps, tol=tol)
-            outcomes.append(w)
-            margins = list(ml_bound_margins(state))
-            track(margins, n)
-            records.append(StepRecord(
-                step=n,
-                advice=[[float(v) for v in a] for a in advice],
-                learner_pi=[float(v) for v in pi],
-                learner_decision=[float(v) for v in pi],
-                outcome=w,
-                learner_loss=[float(e.proper(pi)[w]) for e in state.experts],
-                expert_losses=[float(e.proper(a)[w])
-                               for e, a in zip(state.experts, advice)],
-                cumulative_learner_loss=list(state.learner_losses),
-                cumulative_expert_losses=list(state.expert_losses),
-                log_supermartingale=state.log_value,
-                slack=slack,
-                slack_total=state.slack_log_total,
-                bound_margins=margins,
-            ))
-        final_learner = list(state.learner_losses)
-        final_experts = list(state.expert_losses)
-        slack_allowance = state.slack_log_total
-        constants = [{"c": e.c, "eta": e.eta, "prior": e.prior}
-                     for e in state.experts]
-
-    elif algo == "simplex-dfa":
-        if config.game == "brier":
-            sg = brier_simplex(config.m)
-        elif config.game == "kl":
-            sg = kl_simplex(config.m)
-        else:
-            raise ConfigError(f"no simplex extension for game {config.game!r}")
-        prior = _prior(config, k)
-        state = simplex_dfa_start(sg, eta=config.eta, c=config.c, prior=prior,
-                                  verify=True)
-        strategies = [build_standard_expert(sg.base, s, r)
-                      for s, r in zip(config.experts, expert_rngs)]
-        for n in range(config.horizon):
-            decisions = [s.advise(n, outcomes) for s in strategies]
-            p = reality.pick(n, None)
-            dec, state, slack = simplex_dfa_step(state, decisions, p,
-                                                 epsilon=eps, tol=tol)
-            outcomes.append(p)
-            inst_learner = sg.loss_on_simplex(dec, p)
-            margins = list(simplex_bound_margins(state))
-            track(margins, n)
-            records.append(StepRecord(
-                step=n,
-                advice=[[float(v) for v in d] for d in decisions],
-                learner_pi=[float(v) for v in dec],
-                learner_decision=[float(v) for v in dec],
-                outcome=[float(v) for v in p],
-                learner_loss=float(inst_learner),
-                expert_losses=[float(sg.loss_on_simplex(d, p)) for d in decisions],
-                cumulative_learner_loss=state.cumulative_loss,
-                cumulative_expert_losses=list(state.per_expert_loss),
-                log_supermartingale=state.log_value,
-                slack=slack,
-                slack_total=state.slack_log_total,
-                bound_margins=margins,
-            ))
-        final_learner = state.cumulative_loss
-        final_experts = list(state.per_expert_loss)
-        slack_allowance = (config.c / config.eta) * state.slack_log_total
-        constants = [{"c": config.c, "eta": config.eta, "prior": float(prior[t])}
-                     for t in range(k)]
-
-    else:
-        raise ConfigError(f"unknown algorithm {algo!r}")
-
+    k = state.n_experts
+    evaluators = isinstance(state.c, np.ndarray)  # per-expert (c, eta)
+    cs, etas = (state.c, state.eta) if evaluators else ([state.c] * k, [state.eta] * k)
     summary = {
         "name": config.name,
-        "algorithm": algo,
+        "algorithm": config.algorithm,
         "game": config.game,
         "m": config.m,
         "horizon": config.horizon,
         "seed": config.seed,
-        "final_learner_loss": _jsonable(final_learner),
-        "final_expert_losses": _jsonable(final_experts),
-        "bound_constants": constants,
-        "slack_allowance": _jsonable(slack_allowance),
+        "final_learner_loss": _jsonable(
+            list(state.cumulative_loss) if evaluators else state.cumulative_loss),
+        "final_expert_losses": _jsonable(list(state.per_expert_loss)),
+        "bound_constants": [{"c": float(c), "eta": float(eta), "prior": float(p0)}
+                            for c, eta, p0 in zip(cs, etas, state.prior)],
+        # evaluators' allowances differ; their summary carries the raw total
+        "slack_allowance": _jsonable(
+            (1.0 if evaluators else state.c / state.eta) * state.slack_log_total),
         "max_bound_margin": _jsonable(max_margin if records else 0.0),
         "worst_margin_step": worst_step,
         "bound_ok": bool((max_margin if records else 0.0) <= 1e-7),

@@ -144,8 +144,9 @@ class AdversarialReality(Reality):
     depends_on_prediction = True
 
     def pick(self, step, learner_loss_vector) -> int:
-        lv = np.asarray(learner_loss_vector, dtype=float)
-        return int(np.argmax(lv))
+        if learner_loss_vector is None:
+            raise ValueError("adversarial reality needs the learner's loss vector")
+        return int(np.argmax(np.asarray(learner_loss_vector, dtype=float)))
 
 
 class DirichletReality(Reality):

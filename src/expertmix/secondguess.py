@@ -9,19 +9,14 @@ radial projection for non-mixable games run with c > 1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .aggregating import AAState, project_boundary, retraction_F
-from .core import Game, domination_gap, exp_mix, log_sum_exp
-from .defensive import (
-    DFAState,
-    dfa_solve_binary,
-    dfa_solve_simplex,
-    pair_exponent,
-)
+from .aggregating import project_boundary, retraction_F
+from .core import Game, Proposal, Session, domination_gap, exp_mix, pair_exponent
+from .defensive import choose_forecast
 from .errors import DomainError, NoConvergence
 
 
@@ -57,9 +52,19 @@ class SecondGuessExpert:
         return cls(fn=lambda g: g[::-1].copy(), name=name, lipschitz=1.0)
 
 
-def _sg_qrow(state: DFAState, experts: Sequence[SecondGuessExpert]):
-    lwn = state.log_weights - state.log_value
-    wbar = np.exp(lwn)
+def sg_dfa_proposal(state: Session, experts: Sequence[SecondGuessExpert], *,
+                    epsilon: float = 1e-6, tol: float = 1e-9,
+                    codomain_tol: float = 1e-7) -> Proposal:
+    """Forecast against second-guessing experts with the root selection.
+
+    Learner announces the loss parameterization's value ``gamma`` directly
+    (its range is already inside the prediction set), so the decision is a
+    loss vector.  Raises :class:`DomainError` when an expert map leaves the
+    superprediction set at the announced prediction.
+    """
+    if len(experts) != state.n_experts:
+        raise ValueError(f"{len(experts)} experts for {state.n_experts} weights")
+    wbar = np.exp(state.log_weights - state.log_value)
     c, eta, proper = state.c, state.eta, state.proper
 
     def qrow(pi: np.ndarray) -> np.ndarray:
@@ -68,39 +73,12 @@ def _sg_qrow(state: DFAState, experts: Sequence[SecondGuessExpert]):
         for w_t, ex in zip(wbar, experts):
             if w_t == 0.0:
                 continue
-            g_t = ex(lam)
-            total += w_t * np.exp(pair_exponent(lam, g_t, c, eta))
+            total += w_t * np.exp(pair_exponent(lam, ex(lam), c, eta))
         return total
 
-    return qrow
-
-
-def sg_dfa_step(state: DFAState, experts: Sequence[SecondGuessExpert],
-                outcome: int, *, epsilon: float = 1e-6, tol: float = 1e-9,
-                codomain_tol: float = 1e-7) -> tuple[np.ndarray, DFAState, float]:
-    """One round against second-guessing experts.
-
-    Learner announces the loss parameterization's value directly (its range
-    is already inside the prediction set), so the returned prediction is a
-    loss vector.  Raises :class:`DomainError` when an expert map leaves the
-    superprediction set at the realized prediction.
-    """
-    if len(experts) != state.n_experts:
-        raise ValueError(f"{len(experts)} experts for {state.n_experts} weights")
-    qrow = _sg_qrow(state, experts)
-    m = state.game.m
-    if m == 2:
-        def qp(p: float) -> np.ndarray:
-            return qrow(np.array([1.0 - p, p]))
-
-        p = dfa_solve_binary(qp, 1.0, tol)
-        pi = np.array([1.0 - p, p])
-    else:
-        def qbatch(P: np.ndarray) -> np.ndarray:
-            return np.stack([qrow(row) for row in P])
-
-        pi = dfa_solve_simplex(qbatch, 1.0, m, epsilon, tol)
-    slack = max(0.0, float(np.max(qrow(pi))) - 1.0)
+    pi, slack = choose_forecast(
+        qrow, lambda P: np.stack([qrow(row) for row in P]), state.game.m,
+        epsilon=epsilon, tol=tol, select="root")
     gamma = state.proper(pi)
     advice = np.stack([ex(gamma) for ex in experts])
     for ex, g_t in zip(experts, advice):
@@ -109,35 +87,31 @@ def sg_dfa_step(state: DFAState, experts: Sequence[SecondGuessExpert],
             raise DomainError(
                 f"expert {ex.name!r} returned {g_t}, outside the superprediction set"
             )
-    new_lw = state.log_weights + pair_exponent(
-        np.full(state.n_experts, gamma[outcome]), advice[:, outcome],
-        state.c, state.eta,
-    )
-    new_state = replace(
-        state,
-        log_weights=new_lw,
-        log_value=float(log_sum_exp(new_lw)),
-        step_count=state.step_count + 1,
-        cumulative_loss=state.cumulative_loss + float(gamma[outcome]),
-        learner_lambda_loss=state.learner_lambda_loss + float(gamma[outcome]),
-        per_expert_loss=state.per_expert_loss + advice[:, outcome],
-        slack_log_total=state.slack_log_total + float(np.log1p(slack)),
-    )
-    return gamma, new_state, slack
+    return Proposal(gamma, gamma, slack,
+                    lambda w: (gamma[w], float(gamma[w]), advice[:, w]), pi)
+
+
+def sg_dfa_step(state: Session, experts: Sequence[SecondGuessExpert],
+                outcome: int, *, epsilon: float = 1e-6, tol: float = 1e-9,
+                codomain_tol: float = 1e-7) -> tuple[np.ndarray, Session, float]:
+    """One round against second-guessing experts (see
+    :func:`sg_dfa_proposal`); the returned prediction is a loss vector."""
+    p = sg_dfa_proposal(state, experts, epsilon=epsilon, tol=tol,
+                        codomain_tol=codomain_tol)
+    return p.decision, state.advance(*p.score(outcome), p.slack), p.slack
 
 
 # ---------------------------------------------------------------------------
 # Fixed-point mixing
 
 
-def _posterior(state: AAState) -> np.ndarray:
-    total = log_sum_exp(state.log_weights)
-    if np.isneginf(total):
+def _posterior(state: Session) -> np.ndarray:
+    if np.isneginf(state.log_value):
         raise ZeroDivisionError("all experts carry zero weight")
-    return np.exp(state.log_weights - total)
+    return np.exp(state.log_weights - state.log_value)
 
 
-def _sg_transform(state: AAState, experts: Sequence[SecondGuessExpert]):
+def _sg_transform(state: Session, experts: Sequence[SecondGuessExpert]):
     """gamma -> F(eta-mix of the experts' conditional advice), composed
     with the radial projection when running with c > 1."""
     wbar = _posterior(state)
@@ -160,7 +134,7 @@ def _decision_parameter(game: Game, gamma: np.ndarray) -> float:
     return float(dec[0])
 
 
-def sg_fixed_point(state: AAState, experts: Sequence[SecondGuessExpert],
+def sg_fixed_point(state: Session, experts: Sequence[SecondGuessExpert],
                    *, tol: float = 1e-10, max_iter: int = 10_000,
                    damping: float = 0.5) -> np.ndarray:
     """Solve ``gamma = F(mix(Gamma(gamma)))`` for the current posterior.
@@ -220,29 +194,26 @@ def sg_fixed_point(state: AAState, experts: Sequence[SecondGuessExpert],
     )
 
 
-def sg_fixed_point_residual(state: AAState, experts: Sequence[SecondGuessExpert],
+def sg_fixed_point_residual(state: Session, experts: Sequence[SecondGuessExpert],
                             gamma: np.ndarray) -> float:
     """sup-norm residual of the fixed-point equation at ``gamma``."""
     transform = _sg_transform(state, experts)
     return float(np.max(np.abs(transform(gamma) - gamma)))
 
 
-def sg_aa_step(state: AAState, experts: Sequence[SecondGuessExpert],
-               outcome: int, *, tol: float = 1e-10) -> tuple[np.ndarray, AAState]:
-    """Fixed-point mixing round: announce the solution, observe, reweigh
-    with the experts' realized conditional losses."""
+def sg_aa_proposal(state: Session, experts: Sequence[SecondGuessExpert],
+                   *, tol: float = 1e-10) -> Proposal:
+    """Fixed-point mixing: announce the solution ``gamma``; the experts are
+    scored by their conditional advice at it."""
     gamma = sg_fixed_point(state, experts, tol=tol)
     advice = np.stack([ex(gamma) for ex in experts])
-    realized = advice[:, outcome]
-    new_lw = np.where(
-        np.isinf(realized), -np.inf,
-        state.log_weights - state.eta * np.where(np.isinf(realized), 0.0, realized),
-    )
-    new_state = replace(
-        state,
-        log_weights=new_lw,
-        step_count=state.step_count + 1,
-        cumulative_loss=state.cumulative_loss + float(gamma[outcome]),
-        per_expert_loss=state.per_expert_loss + realized,
-    )
-    return gamma, new_state
+    return Proposal(gamma, gamma, 0.0,
+                    lambda w: (0.0, float(gamma[w]), advice[:, w]))
+
+
+def sg_aa_step(state: Session, experts: Sequence[SecondGuessExpert],
+               outcome: int, *, tol: float = 1e-10) -> tuple[np.ndarray, Session]:
+    """Fixed-point mixing round: announce the solution, observe, reweigh
+    with the experts' realized conditional losses."""
+    p = sg_aa_proposal(state, experts, tol=tol)
+    return p.decision, state.advance(*p.score(outcome))

@@ -1,0 +1,80 @@
+"""Parse-time rejection of configurations the runner cannot serve, and one
+short run of every (algorithm, reality) pair it accepts."""
+
+import pytest
+
+from expertmix.errors import ConfigError
+from expertmix.harness.config import SUPPORTED_REALITIES, parse_config
+from expertmix.harness.runner import run_scenario
+from expertmix.harness.strategies import AdversarialReality
+
+REALITIES = {
+    "iid": {"kind": "iid", "probs": [0.5, 0.5]},
+    "fixed": {"kind": "fixed", "sequence": [0, 1, 1]},
+    "adversarial": {"kind": "adversarial"},
+    "dirichlet": {"kind": "dirichlet", "alpha": 1.0},
+}
+
+SG_EXPERTS = [{"kind": "sg-contrarian"}, {"kind": "sg-constant", "value": 0.5}]
+IID_EXPERTS = [{"kind": "iid-random"}, {"kind": "iid-random"}]
+SETUPS = {
+    "aa": {"experts": IID_EXPERTS},
+    "dfa": {"experts": IID_EXPERTS},
+    "sg-dfa": {"experts": SG_EXPERTS},
+    "sg-aa": {"experts": SG_EXPERTS},
+    "ml-dfa": {"experts": IID_EXPERTS,
+               "evaluators": [{"loss": "log", "eta": 1.0, "c": 1.0},
+                              {"loss": "square", "eta": 2.0, "c": 1.0}]},
+    "simplex-dfa": {"game": {"name": "brier", "m": 3},
+                    "experts": [{"kind": "constant", "value": [1 / 3, 1 / 3, 1 / 3]},
+                                {"kind": "constant", "value": [1.0, 0.0, 0.0]}]},
+}
+
+
+def doc(algorithm: str, reality: str, **overrides) -> dict:
+    out = {"name": "pair", "game": {"name": "log", "m": 2}, "algorithm": algorithm,
+           "reality": REALITIES[reality], "horizon": 4, "seed": 3}
+    out.update(SETUPS[algorithm])
+    out.update(overrides)
+    return out
+
+
+PAIRS = [(a, r) for a in SUPPORTED_REALITIES for r in REALITIES]
+SERVED = [(a, r) for a, r in PAIRS if r in SUPPORTED_REALITIES[a]]
+REFUSED = [(a, r) for a, r in PAIRS if r not in SUPPORTED_REALITIES[a]]
+
+
+@pytest.mark.parametrize("algorithm,reality", REFUSED)
+def test_unserved_reality_rejected_at_parse_time(algorithm, reality):
+    with pytest.raises(ConfigError, match="runs with reality"):
+        parse_config(doc(algorithm, reality))
+
+
+@pytest.mark.parametrize("algorithm,reality", SERVED)
+def test_served_pair_runs(algorithm, reality):
+    res = run_scenario(parse_config(doc(algorithm, reality)))
+    assert len(res.records) == 4
+    assert res.summary["bound_ok"]
+
+
+def test_adversarial_reality_needs_the_prediction():
+    with pytest.raises(ValueError):
+        AdversarialReality().pick(0, None)
+
+
+def test_ml_prior_rejected():
+    with pytest.raises(ConfigError, match="ml-dfa"):
+        parse_config(doc("ml-dfa", "iid", prior=[0.7, 0.3]))
+    assert parse_config(doc("ml-dfa", "iid", prior="uniform")).prior is None
+
+
+@pytest.mark.parametrize("prior", [[1.0], [0.5, 0.25, 0.25], [1.2, -0.2],
+                                   [0.5, 0.4], ["a", "b"]])
+def test_bad_prior_rejected(prior):
+    with pytest.raises(ConfigError, match="prior"):
+        parse_config(doc("aa", "iid", prior=prior))
+
+
+def test_prior_with_zero_entry_accepted():
+    cfg = parse_config(doc("dfa", "iid", prior=[0.0, 1.0]))
+    assert run_scenario(cfg).summary["bound_ok"]

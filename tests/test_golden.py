@@ -1,0 +1,52 @@
+"""Golden bytes: the JSONL trajectory and CSV summary of every shipped
+scenario at a short horizon, pinned by sha256.
+
+Criterion 13 compares two runs made in one process; these hashes also
+catch a byte change between versions of the code.  A change that moves
+any of them must explain each changed field and update the hash on
+purpose.
+"""
+
+import hashlib
+
+import pytest
+
+from expertmix.harness.runner import run_scenario, write_outputs
+from expertmix.harness.scenarios import SCENARIOS, builtin_scenario
+
+HORIZON = 200
+
+#: scenario -> (sha256 of the JSONL trajectory, sha256 of the CSV summary)
+GOLDEN = {
+    "aa-log-k10": ("19e781181a66e0abf89df8c2fe271737c686e8cb57f801a589658f80508d9bdb",
+                   "70c32a827d6eb73ae62518bb843ad05455195c3a4f132df73c3a0d514f0c65be"),
+    "absolute-aa": ("173830aa37c7fc6f04d9effd7ba0a99c70bcc94604cdea1c8bb20e69aac59719",
+                    "69ac7255ca409d8ffa45d6e5c43b786708fb7aa2281907d77619e7d2b11be085"),
+    "absolute-dfa": ("53fbedf1e1b6d05a4d859ab330f273dabf1e52bb1cdf8333d380381bfaccfd17",
+                     "ec8660c75efe1ed486d353c4dc50d290850cad6e4a774dc2a16e6c4fe7c03f70"),
+    "brier-simplex": ("a66b3fa264d96f33d5875638d1642a6f547365551cd4d4e8f5388b3a7fb8620a",
+                      "b74a1d3d7682a066a07809379a78e92e30cec28fae31c0d906df00a7920c3bce"),
+    "dfa-log-k10": ("7a18fadf10e86dcb537b5c7082d9cc9d85b52d9804c674a1da85e517877f994e",
+                    "b03e45c594ab6614d6d2982aa4f2dc60d02b519ccef1489545e2c4276ba31e17"),
+    "kl-simplex": ("810381b99204066568ae7d669383d48013777baf312a2e1ebb95aab4a4b045d9",
+                   "c4b33f5429076b3128b687de05a09f3e88ee18116fc3524a30e19dc3af3adc43"),
+    "ml-log-square-k4": ("89a73d407969ad61a15b8065d7554fba66ecc50c9dfbfa1b304d9f4b7bb25ab4",
+                         "ca1b3ac02b232207f6ebfe8f89c276f213742bc0efcd044e6274701fab4fdf23"),
+    "sg-contrarian-log": ("0f1ebd94024eae173beb52367b54b2c9dfd7d991bff33a1d7cd510d58199d724",
+                          "c7038a61d6d0735fc82c180d65533c1e2b1948fb334ef18303dfc731dddfd868"),
+    "sg-contrarian-log-aa": ("10ad21cf90b5b0dd97956899aaab7848950efc9916bf9633de751c024424873e",
+                             "c7038a61d6d0735fc82c180d65533c1e2b1948fb334ef18303dfc731dddfd868"),
+}
+
+
+def test_every_shipped_scenario_is_pinned():
+    assert sorted(GOLDEN) == sorted(SCENARIOS)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_scenario_bytes_match_golden(name, tmp_path):
+    paths = write_outputs(run_scenario(builtin_scenario(name, horizon=HORIZON)),
+                          tmp_path, fmt="both")
+    got = tuple(hashlib.sha256(paths[kind].read_bytes()).hexdigest()
+                for kind in ("jsonl", "csv"))
+    assert got == GOLDEN[name]
