@@ -19,7 +19,7 @@ from .core import (
     dominated_by,
     domination_gap,
     hull_membership_gap,
-    log_sum_exp,
+    log_mix,
     start_session,
 )
 from .errors import DimensionMismatch, NotRealizable, SubstitutionFailure
@@ -57,14 +57,26 @@ def aa_mix(state: Session, advice) -> np.ndarray:
         raise DimensionMismatch(
             f"{A.shape[0]} advice rows for {state.n_experts} experts"
         )
-    if np.isneginf(state.log_value):
-        raise ZeroDivisionError("all experts carry zero weight (infinite loss)")
-    lwn = state.log_weights - state.log_value
-    with np.errstate(invalid="ignore"):
-        shifted = np.where(np.isinf(A), -np.inf, lwn[:, None] - state.eta * np.where(np.isinf(A), 0.0, A))
-    logs = log_sum_exp(shifted, axis=0)
+    logs = log_mix(state.log_posterior(), state.eta, A)
     g = np.where(np.isneginf(logs), np.inf, -(state.c / state.eta) * logs)
     return np.maximum(g, 0.0)
+
+
+def substitute(state: Session, g: np.ndarray,
+               tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """The game's substituted decision for the prediction ``g`` and its loss
+    vector.  Raises :class:`SubstitutionFailure` unless that loss vector is
+    dominated by ``g`` up to ``tol``, i.e. when (c, eta) is outside the
+    game's realizability contract."""
+    decision = np.asarray(state.game.substitution(g), dtype=float)
+    lv = state.game.loss_vector(decision)
+    if not dominated_by(lv, g, tol):
+        raise SubstitutionFailure(
+            f"substituted decision exceeds the prediction by "
+            f"{float(np.max(np.where(np.isfinite(g), lv - g, -np.inf))):.3e}; "
+            f"(c={state.c}, eta={state.eta}) is not realizable for {state.game.name!r}"
+        )
+    return decision, lv
 
 
 def aa_proposal(state: Session, advice,
@@ -78,22 +90,8 @@ def aa_proposal(state: Session, advice,
     """
     A = _advice_matrix(advice, state.game.m)
     g = aa_mix(state, A)
-    decision = np.asarray(state.game.substitution(g), dtype=float)
-    lv = state.game.loss_vector(decision)
-    if not dominated_by(lv, g, substitution_tol):
-        raise SubstitutionFailure(
-            f"substituted decision exceeds the mix by "
-            f"{float(np.max(np.where(np.isfinite(g), lv - g, -np.inf))):.3e}; "
-            f"(c={state.c}, eta={state.eta}) is not realizable for {state.game.name!r}"
-        )
+    decision, lv = substitute(state, g, substitution_tol)
     return Proposal(decision, lv, 0.0, lambda w: (0.0, float(lv[w]), A[:, w]), g)
-
-
-def aa_propose(state: Session, advice,
-               *, substitution_tol: float = 1e-7) -> tuple[np.ndarray, np.ndarray]:
-    """Mix the advice and substitute; returns (decision, mixed vector)."""
-    p = aa_proposal(state, advice, substitution_tol=substitution_tol)
-    return p.decision, p.forecast
 
 
 def aa_step(state: Session, advice, outcome: int,

@@ -18,6 +18,7 @@ from typing import Any, Callable, NamedTuple
 import numpy as np
 
 from .errors import (
+    AllExpertsDead,
     DimensionMismatch,
     InvalidDistribution,
     InvalidLossVector,
@@ -181,6 +182,17 @@ def log_sum_exp(a: np.ndarray, axis: int | None = None):
         out = np.log(np.sum(np.exp(a - safe_hi), axis=axis)) + np.squeeze(safe_hi, axis=axis)
     out = np.where(np.isneginf(np.squeeze(hi, axis=axis)), -np.inf, out)
     return out if axis is not None else float(out)
+
+
+def log_mix(lwn: np.ndarray, eta, A: np.ndarray) -> np.ndarray:
+    """``ln sum_t exp(lwn_t - eta A_t(w))`` for every outcome ``w``: the log
+    of the weighted exponential mix of the advice rows ``A``.  Infinite
+    advice entries contribute nothing, so a coordinate is ``-inf`` exactly
+    when every positively-weighted row is infinite there."""
+    with np.errstate(invalid="ignore"):
+        shifted = np.where(np.isinf(A), -np.inf,
+                           lwn[:, None] - eta * np.where(np.isinf(A), 0.0, A))
+    return log_sum_exp(shifted, axis=0)
 
 
 def expected_loss(pi, g) -> float:
@@ -446,6 +458,16 @@ def pair_exponent(lam, g, c, eta):
     return np.where(np.isnan(out), 0.0, out)
 
 
+def expected_factor(pi: np.ndarray, lam, g, c, eta) -> float:
+    """``E_pi exp(pair_exponent(lam, g, c, eta))``, skipping outcomes of
+    zero probability; ``inf`` when a live factor is infinite."""
+    expo = pair_exponent(lam, g, c, eta)
+    live = pi > 0
+    if np.any(np.isposinf(expo[live])):
+        return np.inf
+    return float(np.dot(pi[live], np.exp(expo[live])))
+
+
 class Proposal(NamedTuple):
     """Learner's move in one round, made before Reality's.
 
@@ -508,6 +530,13 @@ class Session:
     @property
     def n_experts(self) -> int:
         return len(self.prior)
+
+    def log_posterior(self) -> np.ndarray:
+        """Normalized log weights ``ln wbar_t``; raises
+        :class:`AllExpertsDead` when every expert carries zero weight."""
+        if self.log_value == -math.inf:
+            raise AllExpertsDead("all experts carry zero weight (infinite loss)")
+        return self.log_weights - self.log_value
 
     @property
     def learner_losses(self):

@@ -15,10 +15,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .aggregating import _advice_matrix, project_boundary
-from .core import (Game, Proposal, Session, as_losses, as_probs, dominated_by,
-                   log_sum_exp, pair_exponent, simplex_grid, start_session)
-from .errors import ContractViolation, SlackExceeded, SubstitutionFailure
+from .aggregating import _advice_matrix, aa_mix, project_boundary, substitute
+from .core import (Game, Proposal, Session, as_losses, as_probs, expected_factor,
+                   log_mix, pair_exponent, simplex_grid, start_session)
+from .errors import ContractViolation, SlackExceeded
 from .losses import ProperLoss, proper_loss_from_entropy
 
 
@@ -75,17 +75,6 @@ class SupermartingaleReport:
         return self.max_excess <= 1e-9
 
 
-def _expected_q(proper: ProperLoss, c: float, eta: float,
-                g: np.ndarray, pi: np.ndarray) -> float:
-    lam = proper(pi)
-    expo = pair_exponent(lam, g, c, eta)
-    live = pi > 0
-    if np.any(np.isposinf(expo[live])):
-        return np.inf
-    vals = np.exp(expo[live])
-    return float(np.dot(pi[live], vals))
-
-
 def supermartingale_property_check(proper: ProperLoss, c: float, eta: float,
                                    game: Game, samples: int = 2000,
                                    *, seed: int = 0,
@@ -128,7 +117,7 @@ def supermartingale_property_check(proper: ProperLoss, c: float, eta: float,
     worst_pi = worst_dec = None
     for pi, dec in zip(pis, decs):
         g = game.loss_vector(dec)
-        e = _expected_q(proper, c, eta, g, pi) - 1.0
+        e = expected_factor(pi, proper(pi), g, c, eta) - 1.0
         if e > worst:
             worst, worst_pi, worst_dec = e, pi, dec
     return SupermartingaleReport(max_excess=float(worst), worst_pi=worst_pi,
@@ -150,21 +139,21 @@ def require_supermartingale(proper: ProperLoss, c, eta, game: Game, samples: int
 # Solvers
 
 
-def dfa_solve_binary(qfun: Callable[[float], np.ndarray], C: float,
+def dfa_solve_binary(q: Callable[[np.ndarray], np.ndarray], C: float,
                      tol: float = 1e-9, max_iter: int = 200) -> float:
     """Find p with ``q(p, 0) <= C + tol`` and ``q(p, 1) <= C + tol``.
 
-    ``qfun(p)`` returns the pair ``(q(p, 0), q(p, 1))``.  Caller's
-    contract: q is forecast-continuous and ``E_p q(p, .) <= C`` for all p.
-    Early exits: p = 0 when ``q(0, 1) <= C``, then p = 1 when
-    ``q(1, 0) <= C``; otherwise the difference ``h(p) = q(p,1) - q(p,0)``
-    has a sign change and is bisected to ``|h| <= tol``, which together
-    with the expectation bound forces both coordinates under ``C + tol``.
+    ``q`` maps a batch of forecasts ``(1 - p, p)``, shape (n, 2), to the
+    rows ``(q(p, 0), q(p, 1))``.  Caller's contract: q is forecast-
+    continuous and ``E_p q(p, .) <= C`` for all p.  Early exits: p = 0 when
+    ``q(0, 1) <= C``, then p = 1 when ``q(1, 0) <= C``; otherwise the
+    difference ``h(p) = q(p,1) - q(p,0)`` has a sign change and is bisected
+    to ``|h| <= tol``, which together with the expectation bound forces
+    both coordinates under ``C + tol``.
     """
-    q0 = np.asarray(qfun(0.0), dtype=float)
+    q0, q1 = np.asarray(q(np.eye(2)), dtype=float)
     if q0[1] <= C:
         return 0.0
-    q1 = np.asarray(qfun(1.0), dtype=float)
     if q1[0] <= C:
         return 1.0
     h0 = q0[1] - q0[0]
@@ -178,7 +167,7 @@ def dfa_solve_binary(qfun: Callable[[float], np.ndarray], C: float,
     mid = 0.5
     for _ in range(max_iter):
         mid = 0.5 * (lo + hi)
-        qm = np.asarray(qfun(mid), dtype=float)
+        qm = np.asarray(q(np.array([[1.0 - mid, mid]])), dtype=float)[0]
         h = qm[1] - qm[0]
         if abs(h) <= tol:
             return mid
@@ -193,18 +182,18 @@ def dfa_solve_binary(qfun: Callable[[float], np.ndarray], C: float,
     )
 
 
-def _admissible_interval(qbatch, C: float, tol: float) -> tuple[float, float]:
+def admissible_interval(q: Callable[[np.ndarray], np.ndarray], C: float,
+                        tol: float = 1e-9) -> tuple[float, float]:
     """Endpoints of ``{p : max_w q(p, w) <= C}`` for a binary q whose
     coordinate 1 is nonincreasing and coordinate 0 nondecreasing in p
     (true for the canonical parameterizations of the built-in games).
 
-    Both endpoint bisections run together on batched candidates ``(1-p, p)``
-    and land on the feasible side of each crossing, so the interval is
-    inner-approximate up to ``tol``; when the crossings pass each other the
-    interval collapses to its midpoint.
+    ``q`` takes batches as in :func:`dfa_solve_binary`; both endpoint
+    bisections share one batch per round and land on the feasible side of
+    each crossing, so the interval is inner-approximate up to ``tol``;
+    when the crossings pass each other it collapses to its midpoint.
     """
-    ends = np.asarray(qbatch(np.array([[1.0, 0.0], [0.0, 1.0]])), dtype=float)
-    q0, q1 = ends[0], ends[1]
+    q0, q1 = np.asarray(q(np.eye(2)), dtype=float)
     if q0[0] > C * (1.0 + 1e-9) + 1e-12 or q1[1] > C * (1.0 + 1e-9) + 1e-12:
         raise ContractViolation("expectation bound fails at an endpoint")
     lo_done = q0[1] <= C
@@ -215,14 +204,14 @@ def _admissible_interval(qbatch, C: float, tol: float) -> tuple[float, float]:
         m_lo = 0.5 * (a_lo + b_lo)
         m_hi = 0.5 * (a_hi + b_hi)
         P = np.array([[1.0 - m_lo, m_lo], [1.0 - m_hi, m_hi]])
-        q = np.asarray(qbatch(P), dtype=float)
+        qv = np.asarray(q(P), dtype=float)
         if not lo_done:
-            if q[0, 1] <= C:
+            if qv[0, 1] <= C:
                 b_lo = m_lo
             else:
                 a_lo = m_lo
         if not hi_done:
-            if q[1, 0] <= C:
+            if qv[1, 0] <= C:
                 a_hi = m_hi
             else:
                 b_hi = m_hi
@@ -230,14 +219,6 @@ def _admissible_interval(qbatch, C: float, tol: float) -> tuple[float, float]:
     if hi < lo:
         lo = hi = 0.5 * (lo + hi)
     return lo, hi
-
-
-def binary_admissible_interval(qfun: Callable[[float], np.ndarray], C: float,
-                               tol: float = 1e-9) -> tuple[float, float]:
-    """:func:`_admissible_interval` for a scalar ``qfun(p)`` returning
-    ``(q(p, 0), q(p, 1))``."""
-    return _admissible_interval(
-        lambda P: np.array([qfun(p) for p in P[:, 1]]), C, tol)
 
 
 def interior_delta(epsilon: float, m: int) -> float:
@@ -257,13 +238,13 @@ def _local_simplex_points(center: np.ndarray, radius: float, delta: float,
     return pts
 
 
-def dfa_solve_simplex(qfun: Callable[[np.ndarray], np.ndarray], C: float,
+def dfa_solve_simplex(q: Callable[[np.ndarray], np.ndarray], C: float,
                       m: int, epsilon: float = 1e-6, tol: float = 1e-9,
                       *, subdiv: int = 24, pair_sweeps: int = 60) -> np.ndarray:
     """Find pi on the delta-interior of the simplex with
     ``max_w q(pi, w) <= (1+epsilon) C + tol``.
 
-    ``qfun`` accepts a batch of distributions, shape (n, m), and returns
+    ``q`` accepts a batch of distributions, shape (n, m), and returns
     the per-outcome values, shape (n, m).  The search is a three-level
     barycentric grid refinement followed by pairwise-exchange descent,
     accepting the first point under the target (the barycenter is tried
@@ -274,7 +255,7 @@ def dfa_solve_simplex(qfun: Callable[[np.ndarray], np.ndarray], C: float,
     target = (1.0 + epsilon) * C + tol
 
     def f_batch(P: np.ndarray) -> np.ndarray:
-        vals = np.asarray(qfun(P), dtype=float)
+        vals = np.asarray(q(P), dtype=float)
         return vals.max(axis=1)
 
     center = np.full(m, 1.0 / m)
@@ -348,64 +329,68 @@ def dfa_start(game: Game, *, eta: float, c: float = 1.0,
         proper=default_proper_loss(game, c, eta) if proper is None else proper)
 
 
-def standard_qfun(state: Session, advice_matrix: np.ndarray):
-    """q for fixed (standard) advice; the per-expert sum factors into
-    per-outcome constants ``a_w = sum_t wbar_t exp(-eta g_t(w))`` so each
-    candidate costs one proper-loss evaluation.
+def fixed_advice_q(state: Session, G: np.ndarray):
+    """The supermartingale factor
+    ``q(pi, w) = sum_t wbar_t exp(eta_t (lambda_t(pi, w)/c_t - G_t(w)))``
+    for advice ``G`` (one loss row per expert) that does not depend on pi.
 
-    Returns ``(qrow, qbatch)``: single-point and batched evaluators.
+    Experts sharing (proper loss, c, eta) form one group, whose sum factors
+    into per-outcome constants ``ln a_w = log_mix(...)``, AA's mix, so each
+    candidate costs one proper-loss call per group.  A standard session is
+    the one-group case.  The returned q takes one distribution, shape
+    (m,), or a batch, shape (n, m).
     """
-    lwn = state.log_weights - state.log_value
-    A = advice_matrix
-    with np.errstate(invalid="ignore"):
-        shifted = np.where(np.isinf(A), -np.inf,
-                           lwn[:, None] - state.eta * np.where(np.isinf(A), 0.0, A))
-    log_a = log_sum_exp(shifted, axis=0)  # (m,)
-    c, eta, proper = state.c, state.eta, state.proper
-    dead = np.isneginf(log_a)  # every positively-weighted expert is infinite there
+    lwn = state.log_posterior()
 
-    def _q_from_lam(lam: np.ndarray, la: np.ndarray, dd: np.ndarray) -> np.ndarray:
-        lam_inf = np.isinf(lam)
-        vals = np.exp(eta * np.where(lam_inf, 0.0, lam) / c + la)
-        # lam infinite: q blows up against any finite advice, but cancels
-        # (factor 1 per expert) when every weighted expert is infinite too
-        vals = np.where(lam_inf & ~dd, np.inf, vals)
-        return np.where(lam_inf & dd, 1.0, vals)
+    def group_q(proper, c, eta, lwn_g, G_g, mass):
+        log_a = log_mix(lwn_g, eta, G_g)
+        # where every weighted expert is infinite, an infinite lam cancels
+        # each factor to 1: the group contributes its posterior mass
+        dead = np.isneginf(log_a)
 
-    def qrow(pi: np.ndarray) -> np.ndarray:
-        return _q_from_lam(proper(pi), log_a, dead)
+        def q(P: np.ndarray) -> np.ndarray:
+            lam = proper(P)
+            lam_inf = np.isinf(lam)
+            vals = np.exp(eta * np.where(lam_inf, 0.0, lam) / c + log_a)
+            vals = np.where(lam_inf & ~dead, np.inf, vals)
+            return np.where(lam_inf & dead, mass, vals)
 
-    def qbatch(P: np.ndarray) -> np.ndarray:
-        return _q_from_lam(proper(P), log_a[None, :], dead[None, :])
+        return q
 
-    return qrow, qbatch
+    if not isinstance(state.proper, tuple):
+        return group_q(state.proper, state.c, state.eta, lwn, G, 1.0)
+    keys = list(zip(state.proper, state.c.tolist(), state.eta.tolist()))
+    groups = [np.array([t for t, k in enumerate(keys) if k == key])
+              for key in dict.fromkeys(keys)]
+    qs = [group_q(*keys[idx[0]], lwn[idx], G[idx],
+                  1.0 if len(groups) == 1 else float(np.exp(lwn[idx]).sum()))
+          for idx in groups]
+    return qs[0] if len(qs) == 1 else lambda P: sum(qg(P) for qg in qs)
 
 
-def choose_forecast(qrow, qbatch, m: int, *, C: float = 1.0,
-                    epsilon: float = 1e-6, tol: float = 1e-9,
+def choose_forecast(q, m: int, *, C: float = 1.0, epsilon: float = 1e-6,
+                    tol: float = 1e-9,
                     select: str = "midpoint") -> tuple[np.ndarray, float]:
     """Pick a forecast distribution keeping every coordinate of q under C
     (up to the documented slack); returns (pi, slack).
 
-    A binary forecast is the midpoint of the admissible interval
+    ``q`` maps a batch of distributions, shape (n, m), to its values, shape
+    (n, m).  A binary forecast is the midpoint of the admissible interval
     (``select="midpoint"``) or the coordinate-equalizing root
     (``select="root"``); larger outcome spaces run the simplex solver.
     """
     if m == 2:
         if select == "midpoint":
-            lo, hi = _admissible_interval(qbatch, C, tol)
+            lo, hi = admissible_interval(q, C, tol)
             p = 0.5 * (lo + hi)
         elif select == "root":
-            def qp(pp: float) -> np.ndarray:
-                return qrow(np.array([1.0 - pp, pp]))
-
-            p = dfa_solve_binary(qp, C, tol)
+            p = dfa_solve_binary(q, C, tol)
         else:
             raise ValueError(f"unknown selection rule {select!r}")
         pi = np.array([1.0 - p, p])
     else:
-        pi = dfa_solve_simplex(qbatch, C, m, epsilon, tol)
-    slack = max(0.0, float(np.max(qrow(pi))) - C)
+        pi = dfa_solve_simplex(q, C, m, epsilon, tol)
+    slack = max(0.0, float(np.max(q(pi[None, :]))) - C)
     return pi, slack
 
 
@@ -415,6 +400,9 @@ def dfa_proposal(state: Session, advice, *, epsilon: float = 1e-6,
     """Choose the forecast pi for the given advice and substitute a
     decision; the learner term is ``lambda(pi)``.
 
+    When the simplex search stalls, AA's substituted mix is taken as the
+    forecast if it keeps q under the same target (the two protocols make
+    the same prediction); otherwise :class:`SlackExceeded` propagates.
     Raises :class:`SubstitutionFailure` when the loss parameterization's
     value cannot be dominated by a legal decision; with the default
     parameterizations that means (c, eta) violates the game's contract.
@@ -422,29 +410,19 @@ def dfa_proposal(state: Session, advice, *, epsilon: float = 1e-6,
     A = _advice_matrix(advice, state.game.m)
     if A.shape[0] != state.n_experts:
         raise ValueError(f"{A.shape[0]} advice rows for {state.n_experts} experts")
-    qrow, qbatch = standard_qfun(state, A)
-    pi, slack = choose_forecast(qrow, qbatch, state.game.m,
-                                epsilon=epsilon, tol=tol, select=select)
+    q = fixed_advice_q(state, A)
+    try:
+        pi, slack = choose_forecast(q, state.game.m, epsilon=epsilon, tol=tol,
+                                    select=select)
+    except SlackExceeded:
+        pi = np.asarray(state.game.substitution(aa_mix(state, A)), dtype=float)
+        top = float(np.max(q(pi)))
+        if top > 1.0 + epsilon + tol:
+            raise
+        slack = max(0.0, top - 1.0)
     lam = state.proper(pi)
-    decision = np.asarray(state.game.substitution(lam), dtype=float)
-    lv = state.game.loss_vector(decision)
-    if not dominated_by(lv, lam, substitution_tol):
-        raise SubstitutionFailure(
-            f"decision losses exceed the parameterized prediction by "
-            f"{float(np.max(np.where(np.isfinite(lam), lv - lam, -np.inf))):.3e}; "
-            f"(c={state.c}, eta={state.eta}) is outside the contract for "
-            f"{state.game.name!r}"
-        )
+    decision, lv = substitute(state, lam, substitution_tol)
     return Proposal(decision, lv, slack, lambda w: (lam[w], float(lv[w]), A[:, w]), pi)
-
-
-def dfa_propose(state: Session, advice, *, epsilon: float = 1e-6,
-                tol: float = 1e-9, select: str = "midpoint",
-                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """Choose the forecast for the given advice; returns
-    ``(decision, pi, lambda(pi), slack)`` without touching the state."""
-    p = dfa_proposal(state, advice, epsilon=epsilon, tol=tol, select=select)
-    return p.decision, p.forecast, state.proper(p.forecast), p.slack
 
 
 def dfa_step(state: Session, advice, outcome: int, *,

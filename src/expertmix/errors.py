@@ -74,5 +74,10 @@ class PreconditionUnverified(ExpertmixError):
     """A protocol step ran on a state whose preconditions were skipped."""
 
 
+class AllExpertsDead(ExpertmixError, ZeroDivisionError):
+    """Every expert carries zero weight (each has suffered infinite loss),
+    so there is no posterior to mix or forecast with."""
+
+
 class ConfigError(ExpertmixError):
     """Scenario configuration failed to resolve."""

@@ -13,12 +13,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import Game, Proposal, Session, as_probs, pair_exponent, start_session
+from .core import Game, Proposal, Session, as_probs, expected_factor, start_session
 from .defensive import (
     choose_forecast,
     default_proper_loss,
+    fixed_advice_q,
     require_supermartingale,
-    standard_qfun,
 )
 from .errors import ContractViolation, PreconditionUnverified
 from .losses import ProperLoss, builtin_game
@@ -81,19 +81,8 @@ def ml_dfa_proposal(state: Session, advice, *, epsilon: float = 1e-6,
         raise ValueError(f"advice shape {adv.shape}, expected "
                          f"({state.n_experts}, {m})")
     G = np.stack([proper(a) for proper, a in zip(state.proper, adv)])
-    wbar = np.exp(state.log_weights - state.log_value)
-    live = [row for row in zip(wbar, state.proper, G, state.c, state.eta)
-            if row[0] != 0.0]
-
-    def qrow(pi: np.ndarray) -> np.ndarray:
-        total = np.zeros(m)
-        for w_t, proper, g_t, c_t, eta_t in live:
-            total += w_t * np.exp(pair_exponent(proper(pi), g_t, c_t, eta_t))
-        return total
-
-    pi, slack = choose_forecast(
-        qrow, lambda P: np.stack([qrow(row) for row in P]), m,
-        epsilon=epsilon, tol=tol, select="root")
+    pi, slack = choose_forecast(fixed_advice_q(state, G), m, epsilon=epsilon,
+                                tol=tol, select="root")
     lam = np.stack([proper(pi) for proper in state.proper])
     return Proposal(pi, None, slack, lambda w: (lam[:, w], lam[:, w], G[:, w]), pi)
 
@@ -195,6 +184,10 @@ def absolute_simplex() -> SimplexGame:
     return SimplexGame(base=base, loss_on_simplex=loss, name="absolute-simplex")
 
 
+#: game name -> its simplex-outcome extension
+SIMPLEX_GAMES = {"brier": brier_simplex, "kl": kl_simplex}
+
+
 @dataclass(frozen=True)
 class RelExpConvexityReport:
     holds: bool
@@ -238,13 +231,9 @@ def check_relative_exp_convexity(sg: SimplexGame, c: float, eta: float,
         if not (np.isfinite(g1p) and np.isfinite(g2p)):
             continue
         lhs = float(np.exp(eta * (g1p / c - g2p)))
-        v1 = base.loss_vector(d1)
-        v2 = base.loss_vector(d2)
-        expo = pair_exponent(v1, v2, c, eta)
-        live = p > 0
-        if np.any(np.isposinf(expo[live])):
+        rhs = expected_factor(p, base.loss_vector(d1), base.loss_vector(d2), c, eta)
+        if np.isinf(rhs):
             continue  # infinite right-hand side dominates trivially
-        rhs = float(np.dot(p[live], np.exp(expo[live])))
         excess = lhs - rhs
         if excess > worst:
             worst = excess
@@ -291,9 +280,8 @@ def simplex_dfa_proposal(state: Session, advice, *, epsilon: float = 1e-6,
     sg = state.game
     decisions = [np.asarray(a, dtype=float) for a in advice]
     vertex_advice = np.stack([sg.base.loss_vector(d) for d in decisions])
-    qrow, qbatch = standard_qfun(state, vertex_advice)
-    pi, slack = choose_forecast(qrow, qbatch, sg.m, epsilon=epsilon, tol=tol,
-                                select=select)
+    pi, slack = choose_forecast(fixed_advice_q(state, vertex_advice), sg.m,
+                                epsilon=epsilon, tol=tol, select=select)
     decision = np.asarray(sg.base.substitution(state.proper(pi)), dtype=float)
 
     def score(p_outcome):

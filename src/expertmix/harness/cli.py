@@ -14,12 +14,7 @@ import sys
 from pathlib import Path
 
 from ..defensive import default_proper_loss, supermartingale_property_check
-from ..extensions import (
-    absolute_simplex,
-    brier_simplex,
-    check_relative_exp_convexity,
-    kl_simplex,
-)
+from ..extensions import SIMPLEX_GAMES, absolute_simplex, check_relative_exp_convexity
 from ..losses import builtin_game, check_mixability, check_proper
 from .audit import read_trajectory, verify_all
 from .config import load_config, parse_config
@@ -103,7 +98,7 @@ def _cmd_check(args) -> int:
         print(f"supermartingale[{game.name}, c={c}, eta={eta}]: "
               f"max_excess {rep.max_excess:.3e}")
     if "expconvexity" in which:
-        sg = {"brier": brier_simplex, "kl": kl_simplex}.get(args.game)
+        sg = SIMPLEX_GAMES.get(args.game)
         sgame = sg(args.m) if sg else absolute_simplex()
         rep = check_relative_exp_convexity(sgame, c, eta, samples=args.samples,
                                            seed=args.seed)

@@ -29,6 +29,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..errors import ConfigError
+from ..extensions import SIMPLEX_GAMES
+from ..losses import builtin_game
 
 #: algorithm -> the reality kinds its runner serves; every other pair is
 #: refused at parse time
@@ -43,15 +45,10 @@ SUPPORTED_REALITIES = {
 
 ALGORITHMS = tuple(SUPPORTED_REALITIES)
 
-EXPERT_KINDS = (
-    "constant",
-    "iid-random",
-    "trailing-average",
-    "sg-contrarian",
-    "sg-identity",
-    "sg-constant",
-    "callback",
-)
+#: expert kinds the fixed-advice algorithms build, and those the
+#: second-guessing ones (``sg-*``) build
+STANDARD_KINDS = ("constant", "iid-random", "trailing-average", "callback")
+SG_KINDS = ("sg-contrarian", "sg-identity", "sg-constant", "constant", "callback")
 
 REALITY_KINDS = ("iid", "adversarial", "fixed", "dirichlet")
 
@@ -94,6 +91,13 @@ def _require(cond: bool, msg: str) -> None:
         raise ConfigError(msg)
 
 
+def _require_game(name, m: int, what: str) -> None:
+    try:
+        builtin_game(name, m)
+    except ValueError as exc:
+        raise ConfigError(f"{what}: {exc}") from exc
+
+
 def parse_config(doc: dict) -> ScenarioConfig:
     _require(isinstance(doc, dict), "config document must be a JSON object")
     game = doc.get("game")
@@ -110,9 +114,11 @@ def parse_config(doc: dict) -> ScenarioConfig:
     experts = doc.get("experts", [])
     _require(isinstance(experts, list) and all(isinstance(e, dict) for e in experts),
              "experts must be a list of strategy objects")
+    kinds = SG_KINDS if algorithm.startswith("sg-") else STANDARD_KINDS
     for e in experts:
-        _require(e.get("kind") in EXPERT_KINDS,
-                 f"unknown expert kind {e.get('kind')!r}; choose from {EXPERT_KINDS}")
+        _require(e.get("kind") in kinds,
+                 f"{algorithm} cannot build {e.get('kind')!r} experts; "
+                 f"choose from {kinds}")
     _require(len(experts) > 0, "scenario needs at least one expert")
     reality = doc.get("reality")
     _require(isinstance(reality, dict) and reality.get("kind") in REALITY_KINDS,
@@ -121,6 +127,28 @@ def parse_config(doc: dict) -> ScenarioConfig:
     _require(reality["kind"] in served,
              f"{algorithm} runs with reality {' | '.join(served)}, "
              f"not {reality['kind']!r}")
+    m = game["m"]
+    _require(isinstance(m, int) and m >= 2,
+             f"game.m must be an integer of at least 2, got {m!r}")
+    _require_game(game["name"], m, "game")
+    _require(m == 2 or all(e["kind"] != "sg-contrarian" for e in experts),
+             "sg-contrarian is a binary strategy (m = 2)")
+    if algorithm == "simplex-dfa":
+        _require(game["name"] in SIMPLEX_GAMES,
+                 f"no simplex extension for game {game['name']!r}; "
+                 f"choose from {tuple(SIMPLEX_GAMES)}")
+    c, eta = doc.get("c", 1.0), doc.get("eta", 1.0)
+    _require(isinstance(c, (int, float)) and isinstance(eta, (int, float)),
+             "c and eta must be numbers")
+    _require(algorithm == "ml-dfa" or (c >= 1.0 and eta > 0.0),
+             f"{algorithm} needs c >= 1 and eta > 0, got c={c!r}, eta={eta!r}")
+    evaluators = doc.get("evaluators")
+    if algorithm == "ml-dfa":
+        _require(isinstance(evaluators, list) and len(evaluators) > 0
+                 and all(isinstance(ev, dict) for ev in evaluators),
+                 "ml-dfa needs a non-empty evaluators list")
+        for ev in evaluators:
+            _require_game(ev.get("loss"), m, "evaluator loss")
     prior = doc.get("prior")
     if prior == "uniform":
         prior = None
@@ -136,25 +164,21 @@ def parse_config(doc: dict) -> ScenarioConfig:
     solver = dict(doc.get("solver", {}))
     solver.setdefault("epsilon", 1e-6)
     solver.setdefault("tol", 1e-9)
-    cfg = ScenarioConfig(
+    return ScenarioConfig(
         game=str(game["name"]),
-        m=int(game["m"]),
+        m=m,
         algorithm=str(algorithm),
         horizon=int(horizon),
         seed=int(seed),
         experts=experts,
         reality=reality,
-        c=float(doc.get("c", 1.0)),
-        eta=float(doc.get("eta", 1.0)),
+        c=float(c),
+        eta=float(eta),
         prior=prior,
-        evaluators=doc.get("evaluators"),
+        evaluators=evaluators,
         solver=solver,
         name=str(doc.get("name", "scenario")),
     )
-    if cfg.algorithm == "ml-dfa":
-        _require(isinstance(cfg.evaluators, list) and len(cfg.evaluators) > 0,
-                 "ml-dfa needs a non-empty evaluators list")
-    return cfg
 
 
 def load_config(path: str | Path) -> ScenarioConfig:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, fields
 from operator import attrgetter
 from pathlib import Path
@@ -22,9 +23,8 @@ from ..core import Game
 from ..defensive import default_proper_loss, dfa_proposal, dfa_start
 from ..errors import ConfigError
 from ..extensions import (
-    brier_simplex,
+    SIMPLEX_GAMES,
     duplicate_evaluators,
-    kl_simplex,
     ml_dfa_proposal,
     ml_dfa_start,
     simplex_dfa_proposal,
@@ -39,12 +39,10 @@ from .strategies import build_reality, build_sg_expert, build_standard_expert
 def _jsonable(x):
     if isinstance(x, np.ndarray):
         return [_jsonable(v) for v in x.tolist()]
-    if isinstance(x, (np.floating,)):
-        return float(x)
+    if isinstance(x, (float, np.floating)):
+        return ("inf" if x > 0 else "-inf") if math.isinf(x) else float(x)
     if isinstance(x, (np.integer,)):
         return int(x)
-    if isinstance(x, float) and np.isinf(x):
-        return "inf" if x > 0 else "-inf"
     if isinstance(x, (list, tuple)):
         return [_jsonable(v) for v in x]
     if isinstance(x, dict):
@@ -181,9 +179,7 @@ def _open_evaluators(config: ScenarioConfig, rngs, eps: float, tol: float):
 
 
 def _open_simplex(config: ScenarioConfig, rngs, eps: float, tol: float):
-    if config.game not in _SIMPLEX_GAMES:
-        raise ConfigError(f"no simplex extension for game {config.game!r}")
-    sg = _SIMPLEX_GAMES[config.game](config.m)
+    sg = SIMPLEX_GAMES[config.game](config.m)
     advise = _standard_experts(config, sg.base, rngs)
     state = simplex_dfa_start(sg, eta=config.eta, c=config.c, prior=config.prior,
                               n_experts=len(config.experts), verify=True)
@@ -194,9 +190,6 @@ def _open_simplex(config: ScenarioConfig, rngs, eps: float, tol: float):
         return p, decisions, [float(v) for v in p.decision]
 
     return state, play
-
-
-_SIMPLEX_GAMES = {"brier": brier_simplex, "kl": kl_simplex}
 
 
 #: algorithm -> (opener, reading of the log supermartingale); mixing

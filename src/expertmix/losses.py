@@ -33,9 +33,48 @@ def _safe_neg_log(x: np.ndarray) -> np.ndarray:
     return np.where(x > 0, -np.log(np.where(x > 0, x, 1.0)), np.inf)
 
 
-def _stack_binary(l0: np.ndarray, l1: np.ndarray, batched: bool) -> np.ndarray:
-    out = np.stack([l0, l1], axis=-1)
-    return out if batched else out[0]
+def _log_gap(g) -> float:
+    s = float(np.sum(np.exp(-np.where(np.isinf(g), np.inf, g))))
+    return -np.inf if s == 0.0 else float(np.log(s))
+
+
+def _shannon(pi) -> float:
+    pi = np.asarray(pi, dtype=float)
+    live = pi > 0
+    return float(-np.sum(pi[live] * np.log(pi[live])))
+
+
+def _equalizer_gap(l0, l1):
+    """Membership gap of a binary game whose loss curves cross at the
+    decision ``p = (1 + g0 - g1) / 2`` (square and absolute loss)."""
+    def gap(g):
+        g0, g1 = float(g[0]), float(g[1])
+        if np.isinf(g0) and np.isinf(g1):
+            return -np.inf
+        p = min(max(0.5 * (1.0 + g0 - g1), 0.0), 1.0)
+        return float(max(l0(p) - g0, l1(p) - g1))
+
+    return gap
+
+
+def _binary_box(name: str, l0, l1, feasible_interval, **closed_forms) -> Game:
+    """A binary game with decisions ``p`` in [0, 1] and losses
+    ``(l0(p), l1(p))``.  Its substitution is the midpoint of the feasible
+    interval ``{p : loss(p) <= g}``, the same rule as DFA's midpoint
+    selection."""
+    def loss(dec):
+        dec = np.asarray(dec, dtype=float)
+        p = dec[:, 0] if dec.ndim == 2 else np.atleast_1d(dec)
+        out = np.stack([l0(p), l1(p)], axis=-1)
+        return out if dec.ndim == 2 else out[0]
+
+    def substitution(g):
+        lo, hi = feasible_interval(g)
+        return np.array([min(max(0.5 * (max(lo, 0.0) + min(hi, 1.0)), 0.0), 1.0)])
+
+    return Game(name=name, outcomes=OutcomeSpace.of(2), decision_kind="box",
+                decision_dim=1, loss=loss, substitution=substitution,
+                feasible_interval=feasible_interval, **closed_forms)
 
 
 # ---------------------------------------------------------------------------
@@ -43,55 +82,16 @@ def _stack_binary(l0: np.ndarray, l1: np.ndarray, batched: bool) -> np.ndarray:
 
 
 def _log_binary() -> Game:
-    def loss(dec):
-        dec = np.asarray(dec, dtype=float)
-        batched = dec.ndim == 2
-        p = dec[:, 0] if batched else np.atleast_1d(dec)
-        return _stack_binary(_safe_neg_log(1.0 - p), _safe_neg_log(p), batched)
-
-    def membership_gap(g):
-        s = float(np.sum(np.exp(-np.where(np.isinf(g), np.inf, g))))
-        return -np.inf if s == 0.0 else float(np.log(s))
-
     def feasible_interval(g):
         return float(np.exp(-g[1])), float(1.0 - np.exp(-g[0]))
 
-    def substitution(g):
-        lo, hi = feasible_interval(g)
-        return np.array([min(max(0.5 * (lo + hi), 0.0), 1.0)])
-
-    def proper(pi):
-        pi = np.asarray(pi, dtype=float)
-        return _safe_neg_log(pi)
-
-    def entropy(pi):
-        pi = np.asarray(pi, dtype=float)
-        live = pi > 0
-        return float(-np.sum(pi[live] * np.log(pi[live])))
-
-    return Game(
-        name="log",
-        outcomes=OutcomeSpace.of(2),
-        decision_kind="box",
-        decision_dim=1,
-        loss=loss,
-        substitution=substitution,
-        eta_mixable_range=(0.0, 1.0),
-        proper_loss=proper,
-        membership_gap=membership_gap,
-        entropy=entropy,
-        feasible_interval=feasible_interval,
-    )
+    return _binary_box(
+        "log", lambda p: _safe_neg_log(1.0 - p), _safe_neg_log, feasible_interval,
+        eta_mixable_range=(0.0, 1.0), proper_loss=_safe_neg_log,
+        membership_gap=_log_gap, entropy=_shannon)
 
 
 def _log_simplex(m: int, name: str = "log") -> Game:
-    def loss(dec):
-        return _safe_neg_log(np.asarray(dec, dtype=float))
-
-    def membership_gap(g):
-        s = float(np.sum(np.exp(-np.where(np.isinf(g), np.inf, g))))
-        return -np.inf if s == 0.0 else float(np.log(s))
-
     def substitution(g):
         q = np.exp(-np.where(np.isinf(g), np.inf, np.asarray(g, dtype=float)))
         s = q.sum()
@@ -99,46 +99,23 @@ def _log_simplex(m: int, name: str = "log") -> Game:
             return np.full(m, 1.0 / m)
         return q / s
 
-    def entropy(pi):
-        pi = np.asarray(pi, dtype=float)
-        live = pi > 0
-        return float(-np.sum(pi[live] * np.log(pi[live])))
-
     return Game(
         name=name,
         outcomes=OutcomeSpace.of(m),
         decision_kind="simplex",
         decision_dim=m,
-        loss=loss,
+        loss=_safe_neg_log,
         substitution=substitution,
         eta_mixable_range=(0.0, 1.0),
-        proper_loss=loss,
-        membership_gap=membership_gap,
-        entropy=entropy,
+        proper_loss=_safe_neg_log,
+        membership_gap=_log_gap,
+        entropy=_shannon,
     )
 
 
 def _square_binary() -> Game:
-    def loss(dec):
-        dec = np.asarray(dec, dtype=float)
-        batched = dec.ndim == 2
-        p = dec[:, 0] if batched else np.atleast_1d(dec)
-        return _stack_binary(p**2, (1.0 - p) ** 2, batched)
-
-    def membership_gap(g):
-        g0, g1 = float(g[0]), float(g[1])
-        if np.isinf(g0) and np.isinf(g1):
-            return -np.inf
-        p = min(max(0.5 * (1.0 + g0 - g1), 0.0), 1.0)
-        return float(max(p**2 - g0, (1.0 - p) ** 2 - g1))
-
     def feasible_interval(g):
         return float(1.0 - np.sqrt(g[1])), float(np.sqrt(g[0]))
-
-    def substitution(g):
-        lo, hi = feasible_interval(g)
-        lo, hi = max(lo, 0.0), min(hi, 1.0)
-        return np.array([min(max(0.5 * (lo + hi), 0.0), 1.0)])
 
     def proper(pi):
         pi = np.asarray(pi, dtype=float)
@@ -149,42 +126,15 @@ def _square_binary() -> Game:
         p = float(np.asarray(pi, dtype=float)[1])
         return p * (1.0 - p)
 
-    return Game(
-        name="square",
-        outcomes=OutcomeSpace.of(2),
-        decision_kind="box",
-        decision_dim=1,
-        loss=loss,
-        substitution=substitution,
-        eta_mixable_range=(0.0, 2.0),
-        proper_loss=proper,
-        membership_gap=membership_gap,
-        entropy=entropy,
-        feasible_interval=feasible_interval,
-    )
+    l0, l1 = (lambda p: p**2), (lambda p: (1.0 - p) ** 2)
+    return _binary_box(
+        "square", l0, l1, feasible_interval, eta_mixable_range=(0.0, 2.0),
+        proper_loss=proper, membership_gap=_equalizer_gap(l0, l1), entropy=entropy)
 
 
 def _absolute_binary() -> Game:
-    def loss(dec):
-        dec = np.asarray(dec, dtype=float)
-        batched = dec.ndim == 2
-        p = dec[:, 0] if batched else np.atleast_1d(dec)
-        return _stack_binary(p, 1.0 - p, batched)
-
-    def membership_gap(g):
-        g0, g1 = float(g[0]), float(g[1])
-        if np.isinf(g0) and np.isinf(g1):
-            return -np.inf
-        p = min(max(0.5 * (1.0 + g0 - g1), 0.0), 1.0)
-        return float(max(p - g0, 1.0 - p - g1))
-
     def feasible_interval(g):
         return float(1.0 - g[1]), float(g[0])
-
-    def substitution(g):
-        lo, hi = feasible_interval(g)
-        lo, hi = max(lo, 0.0), min(hi, 1.0)
-        return np.array([min(max(0.5 * (lo + hi), 0.0), 1.0)])
 
     def hull_gap(g, eta):
         # exp(-eta * Sigma) has convex hull {u + v <= 1 + e^(-eta)} in the
@@ -213,22 +163,12 @@ def _absolute_binary() -> Game:
         p = float(np.asarray(pi, dtype=float)[1])
         return min(p, 1.0 - p)
 
-    return Game(
-        name="absolute",
-        outcomes=OutcomeSpace.of(2),
-        decision_kind="box",
-        decision_dim=1,
-        loss=loss,
-        substitution=substitution,
-        eta_mixable_range=None,
-        proper_loss=None,
-        membership_gap=membership_gap,
-        hull_membership_gap=hull_gap,
-        hull_proper_loss=hull_proper,
-        boundary_proper_loss=boundary_proper,
-        entropy=entropy,
-        feasible_interval=feasible_interval,
-    )
+    l0, l1 = (lambda p: p), (lambda p: 1.0 - p)
+    return _binary_box(
+        "absolute", l0, l1, feasible_interval,
+        membership_gap=_equalizer_gap(l0, l1), hull_membership_gap=hull_gap,
+        hull_proper_loss=hull_proper, boundary_proper_loss=boundary_proper,
+        entropy=entropy)
 
 
 def _brier(m: int) -> Game:
@@ -497,13 +437,15 @@ def entropy_surface(game: Game, eta: float, *, mixture_samples: int = 256,
     )
 
 
-def _min_expected_loss(game: Game, pi: np.ndarray) -> float:
-    """Minimum of E_pi loss(dec) over the decision domain (numeric)."""
+def _argmin_decision(game: Game, pi: np.ndarray) -> tuple[np.ndarray, float]:
+    """A decision minimizing E_pi loss over the decision domain, with its
+    expected loss (numeric: grid plus golden section on the unit interval,
+    two-start SLSQP on the simplex, scored at feasible points only)."""
     pi = np.asarray(pi, dtype=float)
+    live = pi > 0
 
     def expect(dec):
         lv = game.loss_vector(dec)
-        live = pi > 0
         if np.any(np.isinf(lv[live])):
             return np.inf
         return float(np.dot(pi[live], lv[live]))
@@ -512,29 +454,30 @@ def _min_expected_loss(game: Game, pi: np.ndarray) -> float:
         grid = np.linspace(0.0, 1.0, 513)
         vals = [expect(np.array([p])) for p in grid]
         i = int(np.argmin(vals))
-        lo = grid[max(i - 1, 0)]
-        hi = grid[min(i + 1, len(grid) - 1)]
+        lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]
         x, val = golden_min(lambda p: expect(np.array([p])), lo, hi, tol=1e-14)
-        return min(val, vals[i])
+        return (np.array([x]), val) if val <= vals[i] else (grid[i:i + 1], vals[i])
 
     m = game.decision_dim
     cons = [{"type": "eq", "fun": lambda x: np.sum(x) - 1.0}]
-    bounds = [(1e-12, 1.0)] * m
-    best = np.inf
+    best, best_val = None, np.inf
     for start in (np.full(m, 1.0 / m), np.clip(pi, 1e-9, None) / np.clip(pi, 1e-9, None).sum()):
         res = optimize.minimize(
-            lambda x: expect(x),
+            expect,
             start,
-            bounds=bounds,
+            bounds=[(1e-12, 1.0)] * m,
             constraints=cons,
             method="SLSQP",
             options={"maxiter": 400, "ftol": 1e-15},
         )
-        # evaluate at the feasible projection so constraint drift cannot
-        # produce a value below the true minimum
+        # score the feasible projection so constraint drift cannot produce
+        # a value below the true minimum
         x = np.clip(res.x, 1e-15, None)
-        best = min(best, expect(x / x.sum()))
-    return best
+        x = x / x.sum()
+        val = expect(x)
+        if best is None or val < best_val:
+            best, best_val = x, val
+    return best, best_val
 
 
 def _mixture_min(game: Game, pi: np.ndarray, eta: float,
@@ -575,7 +518,7 @@ def generalized_entropy(game: Game, pi, eta: float, *, full_output: bool = False
     if mixable and game.entropy is not None:
         res = EntropyResult(float(game.entropy(p)), exact=True, used_mixtures=False)
         return res if full_output else res.value
-    value = _min_expected_loss(game, p)
+    value = _argmin_decision(game, p)[1]
     exact = mixable
     used_mixtures = False
     if not mixable:
@@ -723,38 +666,7 @@ def proper_loss_from_entropy(game: Game, eta: float, *, fd_step: float = 1e-6,
 def direct_argmin_loss(game: Game, pi, eta: float) -> np.ndarray:
     """Loss vector of the decision minimizing E_pi over the decision domain;
     the independent cross-check for the Savage-formula construction."""
-    p = as_probs(pi)
-
-    def expect(dec):
-        lv = game.loss_vector(dec)
-        live = p > 0
-        if np.any(np.isinf(lv[live])):
-            return np.inf
-        return float(np.dot(p[live], lv[live]))
-
-    if game.decision_kind == "box" and game.decision_dim == 1:
-        grid = np.linspace(0.0, 1.0, 513)
-        vals = [expect(np.array([x])) for x in grid]
-        i = int(np.argmin(vals))
-        lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]
-        x, _ = golden_min(lambda t: expect(np.array([t])), lo, hi, tol=1e-14)
-        return game.loss_vector(np.array([x]))
-    m = game.decision_dim
-    cons = [{"type": "eq", "fun": lambda x: np.sum(x) - 1.0}]
-    best_dec, best_val = None, np.inf
-    for start in (np.full(m, 1.0 / m), np.clip(p, 1e-9, None) / np.clip(p, 1e-9, None).sum()):
-        res = optimize.minimize(
-            lambda x: expect(x),
-            start,
-            bounds=[(1e-12, 1.0)] * m,
-            constraints=cons,
-            method="SLSQP",
-            options={"maxiter": 400, "ftol": 1e-15},
-        )
-        if float(res.fun) < best_val:
-            best_val = float(res.fun)
-            best_dec = res.x
-    return game.loss_vector(best_dec)
+    return game.loss_vector(_argmin_decision(game, as_probs(pi))[0])
 
 
 # ---------------------------------------------------------------------------

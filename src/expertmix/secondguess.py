@@ -64,20 +64,18 @@ def sg_dfa_proposal(state: Session, experts: Sequence[SecondGuessExpert], *,
     """
     if len(experts) != state.n_experts:
         raise ValueError(f"{len(experts)} experts for {state.n_experts} weights")
-    wbar = np.exp(state.log_weights - state.log_value)
-    c, eta, proper = state.c, state.eta, state.proper
+    wbar = np.exp(state.log_posterior())
+    live = np.flatnonzero(wbar)
+    w_live, live_experts = wbar[live, None], [experts[t] for t in live]
+    c, eta = state.c, state.eta
 
-    def qrow(pi: np.ndarray) -> np.ndarray:
-        lam = proper(pi)
-        total = np.zeros(state.game.m)
-        for w_t, ex in zip(wbar, experts):
-            if w_t == 0.0:
-                continue
-            total += w_t * np.exp(pair_exponent(lam, ex(lam), c, eta))
-        return total
+    def q_at(lam: np.ndarray) -> np.ndarray:
+        G = np.stack([ex(lam) for ex in live_experts])
+        return np.sum(w_live * np.exp(pair_exponent(lam, G, c, eta)), axis=0)
 
+    # the advice depends on lambda, so q is a direct per-expert sum
     pi, slack = choose_forecast(
-        qrow, lambda P: np.stack([qrow(row) for row in P]), state.game.m,
+        lambda P: np.stack([q_at(lam) for lam in state.proper(P)]), state.game.m,
         epsilon=epsilon, tol=tol, select="root")
     gamma = state.proper(pi)
     advice = np.stack([ex(gamma) for ex in experts])
@@ -105,16 +103,10 @@ def sg_dfa_step(state: Session, experts: Sequence[SecondGuessExpert],
 # Fixed-point mixing
 
 
-def _posterior(state: Session) -> np.ndarray:
-    if np.isneginf(state.log_value):
-        raise ZeroDivisionError("all experts carry zero weight")
-    return np.exp(state.log_weights - state.log_value)
-
-
 def _sg_transform(state: Session, experts: Sequence[SecondGuessExpert]):
     """gamma -> F(eta-mix of the experts' conditional advice), composed
     with the radial projection when running with c > 1."""
-    wbar = _posterior(state)
+    wbar = np.exp(state.log_posterior())
     game, eta, c = state.game, state.eta, state.c
 
     def transform(gamma: np.ndarray) -> np.ndarray:

@@ -8,7 +8,7 @@ import time
 
 import numpy as np
 
-from expertmix.aggregating import aa_propose, aa_start, aa_step
+from expertmix.aggregating import aa_proposal, aa_start, aa_step
 from expertmix.core import Game, OutcomeSpace
 from expertmix.defensive import (
     default_proper_loss,
@@ -16,7 +16,7 @@ from expertmix.defensive import (
     dfa_solve_simplex,
     dfa_start,
     dfa_step,
-    standard_qfun,
+    fixed_advice_q,
     supermartingale_property_check,
 )
 from expertmix.errors import ContractViolation, NonExtendable, NotRealizable, SubstitutionFailure
@@ -85,7 +85,7 @@ def test_criterion_03_mixing_forecasting_equivalence():
         w_max = 0.0
         for _ in range(200):
             adv = advice_rows(game, rng.random(K))
-            da, _ = aa_propose(sa, adv)
+            da = aa_proposal(sa, adv).decision
             w = int(rng.integers(0, 2))
             dd, sd, _ = dfa_step(sd, adv, w)
             _, sa = aa_step(sa, adv, w)
@@ -297,16 +297,16 @@ def test_criterion_12_solver_oracle_equivalence():
     # binary: log two point experts -> the half point
     g = builtin_game("log", 2)
     st = dfa_start(g, eta=1.0, n_experts=2)
-    qrow, _ = standard_qfun(st, advice_rows(g, [0.0, 1.0]))
+    qrow = fixed_advice_q(st, advice_rows(g, [0.0, 1.0]))
     grid = 10_000
     pi_star = oracle_dfa_solve(lambda pi: qrow(pi), 1.0, 2, grid)
-    p = dfa_solve_binary(lambda p: qrow(np.array([1 - p, p])), 1.0, tol=1e-12)
+    p = dfa_solve_binary(qrow, 1.0, tol=1e-12)
     checks.append(abs(p - pi_star[1]) <= 2.0 / grid)
     # binary: asymmetric square mixture, compare objective values
     gs = builtin_game("square", 2)
     sts = dfa_start(gs, eta=2.0, n_experts=2)
-    qrow_s, _ = standard_qfun(sts, advice_rows(gs, [0.3, 0.9]))
-    p = dfa_solve_binary(lambda p: qrow_s(np.array([1 - p, p])), 1.0, tol=1e-12)
+    qrow_s = fixed_advice_q(sts, advice_rows(gs, [0.3, 0.9]))
+    p = dfa_solve_binary(qrow_s, 1.0, tol=1e-12)
     pi_star = oracle_dfa_solve(lambda pi: qrow_s(pi), 1.0, 2, 4000)
     checks.append(float(np.max(qrow_s(np.array([1 - p, p]))))
                   <= float(np.max(qrow_s(pi_star))) + 1e-9)
@@ -314,15 +314,15 @@ def test_criterion_12_solver_oracle_equivalence():
     ga = builtin_game("absolute", 2)
     c = realizability_constant("absolute", 1.0)
     sta = dfa_start(ga, eta=1.0, c=c, n_experts=2)
-    qrow_a, _ = standard_qfun(sta, advice_rows(ga, [0.0, 1.0]))
-    p = dfa_solve_binary(lambda p: qrow_a(np.array([1 - p, p])), 1.0, tol=1e-12)
+    qrow_a = fixed_advice_q(sta, advice_rows(ga, [0.0, 1.0]))
+    p = dfa_solve_binary(qrow_a, 1.0, tol=1e-12)
     pi_star = oracle_dfa_solve(lambda pi: qrow_a(pi), 1.0, 2, 4000)
     checks.append(float(np.max(qrow_a(np.array([1 - p, p]))))
                   <= float(np.max(qrow_a(pi_star))) + 1e-9)
     # m=3: single barycenter expert under the quadratic score
     gb = builtin_game("brier", 3)
     stb = dfa_start(gb, eta=1.0, n_experts=1)
-    qrow_b, qbatch_b = standard_qfun(stb, np.stack([gb.loss_vector(np.full(3, 1 / 3))]))
+    qrow_b = qbatch_b = fixed_advice_q(stb, np.stack([gb.loss_vector(np.full(3, 1 / 3))]))
     eps, tol = 1e-6, 1e-9
     pi = dfa_solve_simplex(qbatch_b, 1.0, 3, eps, tol)
     pi_star = oracle_dfa_solve(lambda x: qrow_b(x), 1.0, 3, grid=60)
@@ -333,7 +333,7 @@ def test_criterion_12_solver_oracle_equivalence():
     stl = dfa_start(gl3, eta=1.0, n_experts=2)
     adv = np.stack([gl3.loss_vector(np.array([0.6, 0.2, 0.2])),
                     gl3.loss_vector(np.array([0.1, 0.3, 0.6]))])
-    qrow_l, qbatch_l = standard_qfun(stl, adv)
+    qrow_l = qbatch_l = fixed_advice_q(stl, adv)
     pi = dfa_solve_simplex(qbatch_l, 1.0, 3, eps, tol)
     pi_star = oracle_dfa_solve(lambda x: qrow_l(x), 1.0, 3, grid=100)
     v_solver = float(np.max(qrow_l(pi)))

@@ -3,7 +3,6 @@ import pytest
 
 from expertmix.aggregating import (
     aa_mix,
-    aa_propose,
     aa_start,
     aa_step,
     log_semi_invariant,

@@ -78,3 +78,40 @@ def test_bad_prior_rejected(prior):
 def test_prior_with_zero_entry_accepted():
     cfg = parse_config(doc("dfa", "iid", prior=[0.0, 1.0]))
     assert run_scenario(cfg).summary["bound_ok"]
+
+
+#: configs the runner cannot build, each refused by parse_config
+UNBUILDABLE = [
+    ("aa", {"game": {"name": "square", "m": 3}}),
+    ("aa", {"game": {"name": "psychic", "m": 2}}),
+    ("aa", {"game": {"name": "log", "m": 1}}),
+    ("dfa", {"game": {"name": "log", "m": 2.0}}),
+    ("dfa", {"game": {"name": "log", "m": "2"}}),
+    ("ml-dfa", {"evaluators": [{"loss": "psychic", "eta": 1.0, "c": 1.0}]}),
+    ("ml-dfa", {"game": {"name": "log", "m": 3},
+                "evaluators": [{"loss": "square", "eta": 2.0, "c": 1.0}]}),
+    ("simplex-dfa", {"game": {"name": "log", "m": 3}}),
+    ("aa", {"experts": SG_EXPERTS}),
+    ("dfa", {"experts": SG_EXPERTS}),
+    ("ml-dfa", {"experts": SG_EXPERTS}),
+    ("simplex-dfa", {"experts": [{"kind": "sg-identity"}]}),
+    ("sg-dfa", {"experts": IID_EXPERTS}),
+    ("sg-aa", {"experts": [{"kind": "iid-random"}, {"kind": "sg-identity"}]}),
+    ("sg-dfa", {"game": {"name": "log", "m": 3}}),
+    ("aa", {"c": 0.5}),
+    ("dfa", {"eta": 0.0}),
+    ("sg-aa", {"eta": -1.0}),
+    ("sg-dfa", {"c": 0.99}),
+    ("simplex-dfa", {"c": 0.9}),
+]
+
+
+@pytest.mark.parametrize("algorithm,overrides", UNBUILDABLE)
+def test_unbuildable_config_rejected_at_parse_time(algorithm, overrides):
+    reality = SUPPORTED_REALITIES[algorithm][0]
+    with pytest.raises(ConfigError):
+        parse_config(doc(algorithm, reality, **overrides))
+
+
+def test_ml_constants_live_on_the_evaluators():
+    assert parse_config(doc("ml-dfa", "iid", c=0.5, eta=0.0)).algorithm == "ml-dfa"

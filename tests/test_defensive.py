@@ -1,19 +1,20 @@
 import numpy as np
 import pytest
 
-from expertmix.aggregating import aa_propose, aa_start, aa_step
+from expertmix.aggregating import aa_proposal, aa_start, aa_step
 from expertmix.defensive import (
-    binary_admissible_interval,
+    admissible_interval,
     default_proper_loss,
     dfa_bound_margins,
     dfa_solve_binary,
     dfa_solve_simplex,
+    dfa_proposal,
     dfa_start,
     dfa_step,
+    fixed_advice_q,
     interior_delta,
     pair_exponent,
     q_term,
-    standard_qfun,
     supermartingale_property_check,
 )
 from expertmix.errors import ContractViolation, SlackExceeded, SubstitutionFailure
@@ -98,31 +99,30 @@ class TestBinarySolver:
     def test_single_certain_expert(self):
         g = builtin_game("log", 2)
         state = dfa_start(g, eta=1.0, n_experts=1)
-        qrow, _ = standard_qfun(state, advice_rows(g, [1.0]))
-        p = dfa_solve_binary(lambda p: qrow(np.array([1 - p, p])), 1.0)
+        q = fixed_advice_q(state, advice_rows(g, [1.0]))
+        p = dfa_solve_binary(q, 1.0)
         assert p == 1.0
 
     def test_two_point_experts_meet_at_half(self):
         g = builtin_game("log", 2)
         state = dfa_start(g, eta=1.0, n_experts=2)
-        qrow, _ = standard_qfun(state, advice_rows(g, [0.0, 1.0]))
-        p = dfa_solve_binary(lambda p: qrow(np.array([1 - p, p])), 1.0, tol=1e-12)
+        q = fixed_advice_q(state, advice_rows(g, [0.0, 1.0]))
+        p = dfa_solve_binary(q, 1.0, tol=1e-12)
         assert p == pytest.approx(0.5, abs=1e-9)
 
     def test_constant_q_early_exit(self):
-        assert dfa_solve_binary(lambda p: np.array([1.0, 1.0]), 1.0) == 0.0
+        assert dfa_solve_binary(lambda P: np.ones((len(P), 2)), 1.0) == 0.0
 
     def test_deterministic(self):
         g = builtin_game("square", 2)
         state = dfa_start(g, eta=2.0, n_experts=2)
-        qrow, _ = standard_qfun(state, advice_rows(g, [0.3, 0.9]))
-        qp = lambda p: qrow(np.array([1 - p, p]))
-        assert dfa_solve_binary(qp, 1.0) == dfa_solve_binary(qp, 1.0)
+        q = fixed_advice_q(state, advice_rows(g, [0.3, 0.9]))
+        assert dfa_solve_binary(q, 1.0) == dfa_solve_binary(q, 1.0)
 
     def test_contract_violation_detected(self):
         # q(0,1) > C but q(0,0) even larger: not a supermartingale term
-        def bad(p):
-            return np.array([3.0 - p, 2.0 + p])
+        def bad(P):
+            return np.column_stack([3.0 - P[:, 1], 2.0 + P[:, 1]])
 
         with pytest.raises(ContractViolation):
             dfa_solve_binary(bad, 1.0)
@@ -130,13 +130,12 @@ class TestBinarySolver:
     def test_interval_contains_root_and_midpoint(self):
         g = builtin_game("square", 2)
         state = dfa_start(g, eta=2.0, n_experts=2)
-        qrow, _ = standard_qfun(state, advice_rows(g, [0.3, 0.9]))
-        qp = lambda p: qrow(np.array([1 - p, p]))
-        lo, hi = binary_admissible_interval(qp, 1.0, tol=1e-10)
-        root = dfa_solve_binary(qp, 1.0, tol=1e-12)
+        q = fixed_advice_q(state, advice_rows(g, [0.3, 0.9]))
+        lo, hi = admissible_interval(q, 1.0, tol=1e-10)
+        root = dfa_solve_binary(q, 1.0, tol=1e-12)
         assert lo - 1e-9 <= root <= hi + 1e-9
         mid = 0.5 * (lo + hi)
-        assert np.max(qp(mid)) <= 1.0 + 1e-9
+        assert np.max(q(np.array([1 - mid, mid]))) <= 1.0 + 1e-9
 
 
 class TestSimplexSolver:
@@ -153,7 +152,7 @@ class TestSimplexSolver:
         g = builtin_game("brier", 3)
         state = dfa_start(g, eta=1.0, n_experts=1)
         adv = np.stack([g.loss_vector(np.full(3, 1 / 3))])
-        _, qbatch = standard_qfun(state, adv)
+        qbatch = fixed_advice_q(state, adv)
         out = dfa_solve_simplex(qbatch, 1.0, 3)
         assert np.allclose(out, 1.0 / 3.0)
 
@@ -161,7 +160,7 @@ class TestSimplexSolver:
         g = builtin_game("kl", 2)  # simplex-kind binary game
         state = dfa_start(g, eta=1.0, n_experts=2)
         adv = np.stack([g.loss_vector([1.0, 0.0]), g.loss_vector([0.0, 1.0])])
-        qrow, qbatch = standard_qfun(state, adv)
+        qbatch = fixed_advice_q(state, adv)
         eps = 1e-6
         out = dfa_solve_simplex(qbatch, 1.0, 2, epsilon=eps)
         delta = interior_delta(eps, 2)
@@ -177,20 +176,20 @@ class TestOracleAgreement:
     def test_binary_log_two_experts(self):
         g = builtin_game("log", 2)
         state = dfa_start(g, eta=1.0, n_experts=2)
-        qrow, _ = standard_qfun(state, advice_rows(g, [0.0, 1.0]))
+        qrow = fixed_advice_q(state, advice_rows(g, [0.0, 1.0]))
         grid = 10_000
         pi_star = oracle_dfa_solve(lambda pi: qrow(pi), 1.0, 2, grid)
         assert abs(pi_star[1] - 0.5) <= 2.0 / grid
-        p = dfa_solve_binary(lambda p: qrow(np.array([1 - p, p])), 1.0, tol=1e-12)
+        p = dfa_solve_binary(qrow, 1.0, tol=1e-12)
         assert abs(p - pi_star[1]) <= 2.0 / grid
 
     def test_binary_square_asymmetric(self):
         g = builtin_game("square", 2)
         state = dfa_start(g, eta=2.0, n_experts=2)
-        qrow, _ = standard_qfun(state, advice_rows(g, [0.3, 0.9]))
+        qrow = fixed_advice_q(state, advice_rows(g, [0.3, 0.9]))
         grid = 4000
         pi_star = oracle_dfa_solve(lambda pi: qrow(pi), 1.0, 2, grid)
-        p = dfa_solve_binary(lambda p: qrow(np.array([1 - p, p])), 1.0, tol=1e-12)
+        p = dfa_solve_binary(qrow, 1.0, tol=1e-12)
         v_solver = float(np.max(qrow(np.array([1 - p, p]))))
         v_oracle = float(np.max(qrow(pi_star)))
         assert v_solver <= v_oracle + 1e-9
@@ -199,7 +198,7 @@ class TestOracleAgreement:
         g = builtin_game("brier", 3)
         state = dfa_start(g, eta=1.0, n_experts=1)
         adv = np.stack([g.loss_vector(np.full(3, 1 / 3))])
-        qrow, qbatch = standard_qfun(state, adv)
+        qrow = qbatch = fixed_advice_q(state, adv)
         pi = dfa_solve_simplex(qbatch, 1.0, 3, epsilon=1e-6, tol=1e-9)
         pi_star = oracle_dfa_solve(lambda x: qrow(x), 1.0, 3, grid=60)
         v_solver = float(np.max(qrow(pi)))
@@ -238,9 +237,7 @@ class TestDFAStep:
         state = dfa_start(g, eta=2.0, n_experts=3)
         adv = advice_rows(g, [0.1, 0.5, 0.9])
         for n in range(500):
-            from expertmix.defensive import dfa_propose
-
-            dec, _, _, _ = dfa_propose(state, adv)
+            dec = dfa_proposal(state, adv).decision
             w = 1 if dec[0] < 0.5 else 0
             _, state, _ = dfa_step(state, adv, w)
         best = float(np.min(state.per_expert_loss))
@@ -287,7 +284,7 @@ class TestEquivalenceWithMixing:
         worst = 0.0
         for _ in range(200):
             adv = advice_rows(game, rng.random(K))
-            da, _ = aa_propose(sa, adv)
+            da = aa_proposal(sa, adv).decision
             w = int(rng.integers(0, 2))
             dd, sd, _ = dfa_step(sd, adv, w)
             _, sa = aa_step(sa, adv, w)

@@ -111,6 +111,15 @@ class TestRunner:
                                       reality={"kind": "adversarial"}))
 
 
+    @pytest.mark.parametrize("seed", [2, 5])
+    def test_brier_dfa_simplex_solve_does_not_stall(self, seed):
+        cfg = small_config(algorithm="dfa", game={"name": "brier", "m": 3},
+                           experts=[{"kind": "iid-random"}, {"kind": "trailing-average"}],
+                           reality={"kind": "iid", "probs": [0.2, 0.3, 0.5]},
+                           horizon=30, seed=seed)
+        assert run_scenario(cfg).bound_ok
+
+
 class TestAudit:
     def test_verify_matches_runner_margins(self):
         res = run_scenario(small_config())
@@ -144,6 +153,16 @@ class TestAudit:
         assert paths["csv"].exists()
         header = paths["csv"].read_text().splitlines()[0]
         assert header.startswith("theta,prior,c,eta")
+
+    def test_infinite_losses_serialize_as_strings(self, tmp_path):
+        cfg = small_config(experts=[{"kind": "constant", "value": 1.0},
+                                    {"kind": "constant", "value": 0.5}],
+                           reality={"kind": "fixed", "sequence": [0]}, horizon=5)
+        paths = write_outputs(run_scenario(cfg), tmp_path, fmt="jsonl")
+        text = paths["jsonl"].read_text()
+        assert "Infinity" not in text and '"inf"' in text
+        meta, steps = read_trajectory(paths["jsonl"])
+        assert all(r.ok for r in verify_all(meta, steps))
 
     def test_strict_mode_zeroes_allowance(self):
         res = run_scenario(small_config(algorithm="dfa"))

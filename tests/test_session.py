@@ -1,15 +1,21 @@
 """Property tests for the update every protocol shares: the extended-real
-table of ``pair_exponent``, the log-sum-exp fast path, and the guarantee
-margins of sessions run on random advice under priors that include zeros."""
+table of ``pair_exponent``, the log-sum-exp fast path, the grouped
+fixed-advice q, the all-experts-dead error, and the guarantee margins of
+sessions run on random advice under priors that include zeros."""
+
+from dataclasses import replace
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from expertmix.aggregating import aa_start, aa_step
-from expertmix.core import log_sum_exp, pair_exponent
-from expertmix.defensive import dfa_start, dfa_step
+from expertmix.aggregating import aa_mix, aa_start, aa_step
+from expertmix.core import Session, log_sum_exp, pair_exponent
+from expertmix.defensive import default_proper_loss, dfa_start, dfa_step, fixed_advice_q
+from expertmix.errors import AllExpertsDead
 from expertmix.losses import builtin_game, realizability_constant
+from expertmix.secondguess import SecondGuessExpert, sg_aa_step
 
 INF = np.inf
 
@@ -82,3 +88,70 @@ def test_margins_stay_nonpositive_with_zero_priors(weights, name, seed):
         assert np.all(forecast.bound_margins() <= 1e-7)
     # a zero-prior expert carries no guarantee, so its margin is -inf
     assert np.all(np.isneginf(forecast.bound_margins()[prior == 0]))
+
+
+#: evaluator (loss, c, eta) triples; log's proper loss is infinite on the
+#: boundary of the simplex
+TRIPLES = [("log", 1.0, 1.0), ("square", 1.0, 2.0), ("log", 1.0, 0.5),
+           ("absolute", realizability_constant("absolute", 1.0), 1.0)]
+PROPERS = [default_proper_loss(builtin_game(name, 2), c, eta) for name, c, eta in TRIPLES]
+experts = st.tuples(st.integers(0, len(TRIPLES) - 1),
+                    st.one_of(st.just(0.0), st.floats(0.05, 1.0)),
+                    st.floats(-20.0, 20.0), losses, losses)
+
+
+def direct_q(state: Session, G: np.ndarray, pi: np.ndarray) -> np.ndarray:
+    """sum_t w_t exp(pair_exponent(lambda_t(pi), g_t, c_t, eta_t))."""
+    w = np.exp(state.log_weights - state.log_value)
+    total = np.zeros(2)
+    for t in np.flatnonzero(w):
+        total += w[t] * np.exp(pair_exponent(state.proper[t](pi), G[t],
+                                             state.c[t], state.eta[t]))
+    return total
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.lists(experts, min_size=2, max_size=8).filter(
+           lambda rows: len({r[0] for r in rows}) >= 2 and sum(r[1] for r in rows) > 0),
+       dead_outcome=st.one_of(st.none(), st.integers(0, 1)),
+       ps=st.lists(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(1e-3, 1 - 1e-3)),
+                   min_size=1, max_size=5))
+def test_grouped_q_matches_the_per_expert_sum(rows, dead_outcome, ps):
+    spec, weight, offset, g0, g1 = (np.array(col) for col in zip(*rows))
+    prior = weight / weight.sum()
+    with np.errstate(divide="ignore"):
+        log_weights = np.log(prior) + offset
+    state = Session(game=None, c=np.array([TRIPLES[i][1] for i in spec]),
+                    eta=np.array([TRIPLES[i][2] for i in spec]), prior=prior,
+                    log_weights=log_weights, proper=tuple(PROPERS[i] for i in spec),
+                    cumulative_loss=np.zeros(len(rows)))
+    G = np.column_stack([g0, g1])
+    if dead_outcome is not None:  # one group's experts all infinite there
+        G[spec == spec[0], dead_outcome] = INF
+    P = np.column_stack([1.0 - np.array(ps), ps])
+    q = fixed_advice_q(state, G)
+    want = np.stack([direct_q(state, G, pi) for pi in P])
+    np.testing.assert_allclose(q(P), want, rtol=1e-9)
+    np.testing.assert_allclose(q(P[0]), want[0], rtol=1e-9)
+
+
+def test_one_group_dead_outcome_gives_exactly_one():
+    g = builtin_game("log", 2)
+    q = fixed_advice_q(dfa_start(g, eta=1.0, n_experts=1),
+                       np.stack([g.loss_vector([1.0])]))
+    assert q(np.array([0.0, 1.0]))[0] == 1.0
+
+
+def test_all_dead_sessions_raise_the_named_error():
+    g = builtin_game("log", 2)
+    advice = np.stack([g.loss_vector([0.2]), g.loss_vector([0.5])])
+    for start in (aa_start, dfa_start):
+        dead = replace(start(g, eta=1.0, n_experts=2), log_value=None,
+                       log_weights=np.array([-INF, -INF]))
+        with pytest.raises(AllExpertsDead):
+            aa_mix(dead, advice)
+        with pytest.raises(AllExpertsDead):
+            fixed_advice_q(dead, advice)
+    with pytest.raises(AllExpertsDead):
+        sg_aa_step(dead, [SecondGuessExpert.identity(),
+                          SecondGuessExpert.coordinate_swap()], 0)
