@@ -14,7 +14,7 @@ Top-level keys (see README for the full schema):
                 the kinds each algorithm takes are in SUPPORTED_REALITIES
     horizon     int
     seed        int (64-bit); fully determines the run
-    solver      {"epsilon": float, "tol": float}
+    solver      {"epsilon": float >= 0, "tol": float >= 2**-52}
 
 Seeds derive from one master ``numpy.random.SeedSequence(seed)``: child 0
 feeds the expert strategies (one grandchild per expert), child 1 feeds
@@ -25,6 +25,7 @@ identical trajectories on any platform.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -161,9 +162,20 @@ def parse_config(doc: dict) -> ScenarioConfig:
                  and abs(sum(prior) - 1.0) <= 1e-9,
                  f"prior must be 'uniform' or a probability vector with one "
                  f"entry per expert ({len(experts)}), got {prior!r}")
-    solver = dict(doc.get("solver", {}))
-    solver.setdefault("epsilon", 1e-6)
-    solver.setdefault("tol", 1e-9)
+    solver = doc.get("solver", {})
+    _require(isinstance(solver, dict) and set(solver) <= {"epsilon", "tol"},
+             f"solver takes only epsilon and tol, got {solver!r}")
+    solver = dict(solver)
+    for key, default in (("epsilon", 1e-6), ("tol", 1e-9)):
+        value = solver.setdefault(key, default)
+        try:  # an int past the float range overflows
+            finite = math.isfinite(value)
+        except (TypeError, OverflowError):
+            finite = False
+        _require(not isinstance(value, bool) and isinstance(value, (int, float)) and finite,
+                 f"solver.{key} must be a finite number, got {value!r}")
+    _require(solver["epsilon"] >= 0 and solver["tol"] >= 2.0 ** -52,
+             f"solver needs epsilon >= 0 and tol >= 2**-52, got {solver!r}")
     return ScenarioConfig(
         game=str(game["name"]),
         m=m,

@@ -115,3 +115,20 @@ def test_unbuildable_config_rejected_at_parse_time(algorithm, overrides):
 
 def test_ml_constants_live_on_the_evaluators():
     assert parse_config(doc("ml-dfa", "iid", c=0.5, eta=0.0)).algorithm == "ml-dfa"
+
+
+@pytest.mark.parametrize("solver", [
+    {"tol": 0}, {"tol": -1e-9}, {"tol": 1e-17}, {"tol": float("nan")},
+    {"tol": float("inf")}, {"tol": "nan"}, {"tol": True}, {"epsilon": -1e-6},
+    {"epsilon": float("nan")}, {"epsilon": None}, {"tolerance": 1e-9},
+    {"tol": 10 ** 400}, {"epsilon": -(10 ** 400)},
+])
+def test_bad_solver_settings_rejected(solver):
+    with pytest.raises(ConfigError, match="solver"):
+        parse_config(doc("dfa", "iid", solver=solver))
+
+
+def test_solver_settings_at_their_floors_accepted():
+    cfg = parse_config(doc("dfa", "iid", solver={"tol": 2.0 ** -52, "epsilon": 0}))
+    assert cfg.solver == {"tol": 2.0 ** -52, "epsilon": 0}
+    assert run_scenario(cfg).summary["bound_ok"]

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from expertmix.aggregating import aa_proposal, aa_start, aa_step
 from expertmix.defensive import (
@@ -136,6 +138,104 @@ class TestBinarySolver:
         assert lo - 1e-9 <= root <= hi + 1e-9
         mid = 0.5 * (lo + hi)
         assert np.max(q(np.array([1 - mid, mid]))) <= 1.0 + 1e-9
+
+
+def reference_interval(q, C, tol):
+    """The one-level-per-call bisection (two q points per call) whose
+    endpoints ``admissible_interval`` reproduces bit for bit."""
+    q0, q1 = np.asarray(q(np.eye(2)), dtype=float)
+    if q0[0] > C * (1.0 + 1e-9) + 1e-12 or q1[1] > C * (1.0 + 1e-9) + 1e-12:
+        raise ContractViolation("expectation bound fails at an endpoint")
+    lo_done = q0[1] <= C
+    hi_done = q1[0] <= C
+    a_lo, b_lo = 0.0, 1.0  # crossing of q(., 1)
+    a_hi, b_hi = 0.0, 1.0  # crossing of q(., 0)
+    while (not lo_done and b_lo - a_lo > tol) or (not hi_done and b_hi - a_hi > tol):
+        m_lo = 0.5 * (a_lo + b_lo)
+        m_hi = 0.5 * (a_hi + b_hi)
+        P = np.array([[1.0 - m_lo, m_lo], [1.0 - m_hi, m_hi]])
+        qv = np.asarray(q(P), dtype=float)
+        if not lo_done:
+            if qv[0, 1] <= C:
+                b_lo = m_lo
+            else:
+                a_lo = m_lo
+        if not hi_done:
+            if qv[1, 0] <= C:
+                a_hi = m_hi
+            else:
+                b_hi = m_hi
+    lo, hi = (0.0 if lo_done else b_lo), (1.0 if hi_done else a_hi)
+    if hi < lo:
+        lo = hi = 0.5 * (lo + hi)
+    return lo, hi
+
+
+#: binary games with the (c, eta) at which their fixed-advice q is a
+#: supermartingale term
+BINARY = {"log": (1.0, 1.0), "square": (1.0, 2.0),
+          "absolute": (realizability_constant("absolute", 1.0), 1.0)}
+
+
+class TestBatchedBisection:
+    @settings(max_examples=150, deadline=None)
+    @given(name=st.sampled_from(sorted(BINARY)),
+           rows=st.lists(st.tuples(st.one_of(st.just(0.0), st.floats(0.05, 1.0)),
+                                   st.one_of(st.sampled_from([0.0, 1.0]),
+                                             st.floats(0.0, 1.0))),
+                         min_size=1, max_size=6).filter(
+               lambda rows: sum(w for w, _ in rows) > 0),
+           tol=st.sampled_from([1e-9, 1e-12, 2.0 ** -52, 0.3, 2.0]))
+    def test_endpoints_equal_the_reference_bisection(self, name, rows, tol):
+        # log advice at decision 0 or 1 has an infinite entry
+        game = builtin_game(name, 2)
+        c, eta = BINARY[name]
+        weights, decisions = (np.array(col) for col in zip(*rows))
+        state = dfa_start(game, eta=eta, c=c, prior=weights / weights.sum())
+        q = fixed_advice_q(state, advice_rows(game, decisions))
+        seen = {admissible_interval: set(), reference_interval: set()}
+
+        def run(solve):
+            def q_seen(P):
+                seen[solve].update(map(tuple, P.tolist()))
+                return q(P)
+            return solve(q_seen, 1.0, tol)
+
+        assert run(admissible_interval) == run(reference_interval)
+        # every forecast the reference reads is among the batched nodes
+        assert seen[reference_interval] <= seen[admissible_interval]
+
+    @pytest.mark.parametrize("solve", [admissible_interval, reference_interval])
+    def test_contract_violation_detected(self, solve):
+        # q(0, 0) = 2 > C: the expectation bound fails at p = 0
+        def bad(P):
+            return np.column_stack([2.0 + P[:, 1], 2.0 - P[:, 1]])
+
+        with pytest.raises(ContractViolation):
+            solve(bad, 1.0, 1e-9)
+
+    def test_six_q_calls_per_interval(self):
+        g = builtin_game("log", 2)
+        q = fixed_advice_q(dfa_start(g, eta=1.0, n_experts=3),
+                           advice_rows(g, [0.2, 0.5, 0.9]))
+        calls = {admissible_interval: 0, reference_interval: 0}
+
+        def counted(solve):
+            def q_counted(P):
+                calls[solve] += 1
+                return q(P)
+            return solve(q_counted, 1.0, 1e-9)
+
+        assert counted(admissible_interval) == counted(reference_interval)
+        assert calls[admissible_interval] <= 6 and calls[reference_interval] == 31
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-9, 1e-17, 2.0 ** -53, np.nan, np.inf])
+    @pytest.mark.parametrize("solve", [admissible_interval, dfa_solve_binary])
+    def test_unreachable_tol_refused(self, solve, tol):
+        g = builtin_game("square", 2)
+        q = fixed_advice_q(dfa_start(g, eta=2.0, n_experts=2), advice_rows(g, [0.3, 0.9]))
+        with pytest.raises(ValueError, match="tol"):
+            solve(q, 1.0, tol)
 
 
 class TestSimplexSolver:
