@@ -6,7 +6,7 @@ onto minimal elements.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -122,6 +122,19 @@ def _membership_tol(game: Game) -> float:
     return 0.0 if game.membership_gap is not None else MEMBERSHIP_TOL
 
 
+def _gap_rule(game: Game, eta: float | None = None) -> Callable[[np.ndarray], float]:
+    """The gap that :func:`domination_gap` (``eta`` None) or
+    :func:`hull_membership_gap` at ``eta`` computes, picked once for the
+    probes of a boundary search, whose points are validated loss vectors
+    of the game's size: the game's closed form, its hull closed form, or
+    the numeric search."""
+    if eta is not None and not game.mixable_at(eta):
+        return lambda v: game.hull_membership_gap(v, eta)
+    if game.membership_gap is not None:
+        return game.membership_gap
+    return lambda v: domination_gap(game, v)
+
+
 def project_boundary(game: Game, g, c: float, eta: float,
                      tol: float = 1e-10) -> np.ndarray:
     """Radial projection ``V(g) = R(g) g`` with
@@ -135,21 +148,18 @@ def project_boundary(game: Game, g, c: float, eta: float,
     # the gap is locally linear in r, so a tiny slack costs ~nothing in R
     # but absorbs rounding at an exactly-critical scaling constant
     mtol = max(_membership_tol(game), 1e-12)
-    if domination_gap(game, np.zeros(game.m)) <= mtol:
+    gap = _gap_rule(game)
+    if gap(np.zeros(game.m)) <= mtol:
         return np.zeros(game.m)
-
-    def member(r: float) -> bool:
-        return domination_gap(game, r * arr) <= mtol
-
-    if not member(c):
+    c_gap = domination_gap(game, c * arr)
+    if not c_gap <= mtol:
         raise NotRealizable(
-            f"{c} * g is not a superprediction of {game.name!r} "
-            f"(gap {domination_gap(game, c * arr):.3e})"
+            f"{c} * g is not a superprediction of {game.name!r} (gap {c_gap:.3e})"
         )
     lo, hi = 0.0, float(c)
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if member(mid):
+        if gap(mid * arr) <= mtol:
             hi = mid
         else:
             lo = mid
@@ -171,16 +181,10 @@ def retraction_F(game: Game, g, *, eta: float | None = None,
     """
     cur = as_losses(g).copy()
     mtol = _membership_tol(game)
-
-    if eta is None:
-        def gap(v: np.ndarray) -> float:
-            return domination_gap(game, v)
-    else:
-        def gap(v: np.ndarray) -> float:
-            return hull_membership_gap(game, v, eta)
-
-    if gap(cur) > max(mtol, MEMBERSHIP_TOL):
+    entry = domination_gap(game, cur) if eta is None else hull_membership_gap(game, cur, eta)
+    if entry > max(mtol, MEMBERSHIP_TOL):
         raise ValueError("input is not a superprediction (or hull member)")
+    gap = _gap_rule(game, eta)
 
     def member(v: np.ndarray) -> bool:
         return gap(v) <= mtol

@@ -550,9 +550,10 @@ class Session:
                 slack: float = 0.0) -> "Session":
         """The one reweigh: multiply expert ``t``'s factor by
         ``exp(eta_t (learner_term / c_t - expert_losses[t]))`` and add the
-        round's losses and its solver slack ``ln(1 + slack)``."""
-        lw = self.log_weights + pair_exponent(learner_term, expert_losses,
-                                              self.c, self.eta)
+        round's losses and its solver slack ``ln(1 + slack)``.  An expert of
+        weight zero keeps weight zero, even where its factor is infinite."""
+        expo = pair_exponent(learner_term, expert_losses, self.c, self.eta)
+        lw = self.log_weights + np.where(np.isneginf(self.log_weights), 0.0, expo)
         return replace(
             self,
             log_weights=lw,

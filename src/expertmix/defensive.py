@@ -2,11 +2,13 @@
 
 The per-step factor is ``q_g(pi, w) = exp(eta (lambda(pi, w)/c - g(w)))``;
 a forecast distribution is chosen so that the prior-weighted product of
-these factors cannot grow, whatever the outcome.  The binary solver
-bisects both ends of the admissible interval six levels per batched q
-call; for three or more outcomes the solve runs on the delta-interior of
-the simplex with an explicit epsilon slack that is surfaced and
-accumulated into the regret audit instead of being ignored.
+these factors cannot grow, whatever the outcome.  The binary solver is
+one bisection with two selection rules, the midpoint of the admissible
+interval and the root of ``h(p) = q(p, 1) - q(p, 0)``: each q call holds
+the nodes of the next six levels of every bracket, and the bisection
+replays over their values.  For three or more outcomes the solve runs on
+the delta-interior of the simplex with an explicit epsilon slack that is
+surfaced and accumulated into the regret audit instead of being ignored.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .aggregating import _advice_matrix, aa_mix, project_boundary, substitute
-from .core import (Game, Proposal, Session, as_losses, as_probs, expected_factor,
+from .core import (Game, Proposal, Session, _batch_losses, as_losses, as_probs,
                    log_mix, pair_exponent, simplex_grid, start_session)
 from .errors import ContractViolation, SlackExceeded
 from .losses import ProperLoss, proper_loss_from_entropy
@@ -69,8 +71,8 @@ def default_proper_loss(game: Game, c: float, eta: float) -> ProperLoss:
 @dataclass(frozen=True)
 class SupermartingaleReport:
     max_excess: float
-    worst_pi: np.ndarray | None
-    worst_decision: np.ndarray | None
+    worst_pi: np.ndarray
+    worst_decision: np.ndarray
 
     @property
     def holds(self) -> bool:
@@ -91,39 +93,31 @@ def supermartingale_property_check(proper: ProperLoss, c: float, eta: float,
         raise ValueError("samples must be positive")
     m = game.m
     rng = np.random.default_rng(seed)
-    pis: list[np.ndarray] = []
-    decs: list[np.ndarray] = []
-    # deterministic grid part
+    # deterministic grid part: every (pi, decision) pair of a coarse grid
     if m == 2:
         ps = np.linspace(0.0, 1.0, grid)
-        for p in ps:
-            for q in ps:
-                pis.append(np.array([1.0 - p, p]))
-                decs.append(np.array([q]) if game.decision_kind == "box"
-                            else np.array([1.0 - q, q]))
+        pis = np.column_stack([1.0 - ps, ps])
+        decs = ps[:, None] if game.decision_kind == "box" else pis
     else:
-        G = simplex_grid(m, min(grid, 8))
-        for pi in G:
-            for dec in G:
-                pis.append(pi)
-                decs.append(dec)
+        pis = decs = simplex_grid(m, min(grid, 8))
+    P = [np.repeat(pis, len(decs), axis=0)]
+    D = [np.tile(decs, (len(pis), 1))]
     # random part
-    n_random = max(0, samples - len(pis))
-    for _ in range(n_random):
-        pis.append(rng.dirichlet(np.ones(m)))
-        if game.decision_kind == "box":
-            decs.append(rng.random(game.decision_dim))
-        else:
-            decs.append(rng.dirichlet(np.ones(game.decision_dim)))
-    worst = -np.inf
-    worst_pi = worst_dec = None
-    for pi, dec in zip(pis, decs):
-        g = game.loss_vector(dec)
-        e = expected_factor(pi, proper(pi), g, c, eta) - 1.0
-        if e > worst:
-            worst, worst_pi, worst_dec = e, pi, dec
-    return SupermartingaleReport(max_excess=float(worst), worst_pi=worst_pi,
-                                 worst_decision=worst_dec)
+    ones, dec_ones = np.ones(m), np.ones(game.decision_dim)
+    for _ in range(max(0, samples - len(P[0]))):
+        P.append(rng.dirichlet(ones))
+        D.append(rng.random(game.decision_dim) if game.decision_kind == "box"
+                 else rng.dirichlet(dec_ones))
+    P, D = np.vstack(P), np.vstack(D)
+    expo = pair_exponent(proper(P), _batch_losses(game, D), c, eta)
+    # expected_factor row by row: outcomes of zero probability are skipped,
+    # and each row is a dot product, as there
+    with np.errstate(over="ignore"):
+        factors = np.where(P > 0, np.exp(expo), 0.0)
+    excess = (P[:, None, :] @ factors[:, :, None])[:, 0, 0] - 1.0
+    i = int(np.argmax(excess))
+    return SupermartingaleReport(max_excess=float(excess[i]), worst_pi=P[i],
+                                 worst_decision=D[i])
 
 
 def require_supermartingale(proper: ProperLoss, c, eta, game: Game, samples: int,
@@ -147,6 +141,51 @@ def _require_tol(tol: float) -> None:
         raise ValueError(f"tol must be finite and at least 2**-52, got {tol!r}")
 
 
+#: bisection levels per batched q call after the first
+_BATCH_LEVELS = 6
+_RAMP = np.arange(2.0 ** _BATCH_LEVELS + 1)
+
+
+def _nodes(a: float, b: float, depth: int) -> np.ndarray:
+    """The ``2**depth + 1`` points that bisecting [a, b] for ``depth``
+    levels can visit, endpoints included, each the value the bisection's
+    ``0.5 * (lo + hi)`` gives it, so they match one-level-per-call bisection
+    bit for bit, also past the levels where dyadic points stop being
+    representable."""
+    n = 2 ** depth
+    step = (b - a) / n
+    u = math.ulp(b)
+    if a % u == 0.0 and step % u == 0.0:
+        # every node is a multiple of ulp(b) in [a, b]: exact, like each midpoint
+        return a + step * _RAMP[:n + 1]
+    x = np.empty(n + 1)
+    x[0], x[-1] = a, b
+    while n > 1:  # level by level: node j is the midpoint of j - n/2 and j + n/2
+        h = n // 2
+        x[h::n] = 0.5 * (x[:-h:n] + x[n::n])
+        n = h
+    return x
+
+
+def _bisect(left: np.ndarray):
+    """Replay a bisection over the interior nodes of :func:`_nodes`,
+    ``left[k - 1]`` saying the crossing lies left of node ``k``: yield, one
+    level at a time, the node ``k`` visited and the bracket ``(i, j)`` of
+    node indices it leaves."""
+    i, j = 0, len(left) + 1
+    while j - i > 1:
+        k = (i + j) // 2
+        if left[k - 1]:
+            j = k
+        else:
+            i = k
+        yield k, i, j
+
+
+def _q_at(q: Callable[[np.ndarray], np.ndarray], p: np.ndarray) -> np.ndarray:
+    return np.asarray(q(np.column_stack([1.0 - p, p])), dtype=float)
+
+
 def dfa_solve_binary(q: Callable[[np.ndarray], np.ndarray], C: float,
                      tol: float = 1e-9, max_iter: int = 200) -> float:
     """Find p with ``q(p, 0) <= C + tol`` and ``q(p, 1) <= C + tol``.
@@ -156,12 +195,17 @@ def dfa_solve_binary(q: Callable[[np.ndarray], np.ndarray], C: float,
     continuous and ``E_p q(p, .) <= C`` for all p.  Early exits: p = 0 when
     ``q(0, 1) <= C``, then p = 1 when ``q(1, 0) <= C``; otherwise the
     difference ``h(p) = q(p,1) - q(p,0)`` has a sign change and is bisected
-    to ``|h| <= tol``, which together with the expectation bound forces
-    both coordinates under ``C + tol``.  ``tol`` must be finite and at
-    least ``2**-52``.
+    (at most ``max_iter`` levels, until the bracket is ``1e-17`` wide) to
+    the first node with ``|h| <= tol``, which together with the expectation
+    bound forces both coordinates under ``C + tol``.  The first q call
+    holds ``p = 0, 1, 1/2``, each later one the ``2**6 - 1`` nodes of the
+    next six levels, and the bisection replays over their values: the same
+    root, bit for bit, as one level per call, from 6 q calls instead of 31
+    at ``tol = 1e-9``.  ``tol`` must be finite and at least ``2**-52``.
     """
     _require_tol(tol)
-    q0, q1 = np.asarray(q(np.eye(2)), dtype=float)
+    qv = _q_at(q, np.array([0.0, 1.0, 0.5]))
+    (q0, q1), qv = qv[:2], qv[2:]
     if q0[1] <= C:
         return 0.0
     if q1[0] <= C:
@@ -173,41 +217,23 @@ def dfa_solve_binary(q: Callable[[np.ndarray], np.ndarray], C: float,
             f"endpoint analysis failed (h(0)={h0:.3e}, h(1)={h1:.3e}); "
             "the supplied q is not a supermartingale term"
         )
-    lo, hi = 0.0, 1.0
-    mid = 0.5
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        qm = np.asarray(q(np.array([[1.0 - mid, mid]])), dtype=float)[0]
-        h = qm[1] - qm[0]
-        if abs(h) <= tol:
-            return mid
-        if h > 0.0:
-            lo = mid
+    x, levels = _nodes(0.0, 1.0, 1), max_iter
+    while levels > 0:
+        h = qv[:, 1] - qv[:, 0]
+        for k, i, j in _bisect(~(h > 0.0)):  # a NaN h moves left, like h <= 0
+            if abs(h[k - 1]) <= tol:
+                return float(x[k])
+            if x[j] - x[i] <= 1e-17:
+                levels = 0
+                break
         else:
-            hi = mid
-        if hi - lo <= 1e-17:
-            break
+            levels -= len(h).bit_length()  # the batch's depth
+        if levels > 0:
+            x = _nodes(x[i], x[j], min(levels, _BATCH_LEVELS))
+            qv = _q_at(q, x[1:-1])
     raise ContractViolation(
         "bisection failed to equalize the coordinates; q appears discontinuous"
     )
-
-
-#: bisection levels per batched q call in :func:`admissible_interval`
-_BATCH_LEVELS = 6
-
-
-def _replay(a: float, b: float, left: np.ndarray, depth: int) -> tuple[float, float]:
-    """Bisect [a, b] ``depth`` levels, reading at node ``a + j (b - a) /
-    2**depth`` the verdict ``left[j - 1]`` (the crossing lies left of it)."""
-    i, j = 0, 2 ** depth
-    while j - i > 1:
-        mid = (i + j) // 2
-        if left[mid - 1]:
-            j = mid
-        else:
-            i = mid
-    step = (b - a) / 2 ** depth
-    return a + i * step, a + j * step
 
 
 def admissible_interval(q: Callable[[np.ndarray], np.ndarray], C: float,
@@ -228,28 +254,31 @@ def admissible_interval(q: Callable[[np.ndarray], np.ndarray], C: float,
     _require_tol(tol)
     levels = max(0, 1 - math.frexp(tol)[1])  # the smallest L with 2**-L <= tol
     depth = min(levels, _BATCH_LEVELS)
-    p = np.concatenate([[0.0, 1.0], np.arange(1, 2 ** depth) / 2 ** depth])
-    qv = np.asarray(q(np.column_stack([1.0 - p, p])), dtype=float)
+    x = _nodes(0.0, 1.0, depth)
+    qv = _q_at(q, np.concatenate([[0.0, 1.0], x[1:-1]]))
     (q0, q1), qv = qv[:2], qv[2:]
     if q0[0] > C * (1.0 + 1e-9) + 1e-12 or q1[1] > C * (1.0 + 1e-9) + 1e-12:
         raise ContractViolation("expectation bound fails at an endpoint")
     # bracket 0 holds the crossing of q(., 1), bracket 1 that of q(., 0);
     # one whose endpoint already holds is not bisected
-    brackets = {side: (0.0, 1.0) for side, done in enumerate((q0[1] <= C, q1[0] <= C))
-                if not done}
-    vals = dict.fromkeys(brackets, qv)  # the first call's nodes serve both
+    nodes = {side: x for side, done in enumerate((q0[1] <= C, q1[0] <= C)) if not done}
+    vals = dict.fromkeys(nodes, qv)  # the first call's nodes serve both
+    brackets = {}
     while True:
-        for side, (a, b) in brackets.items():
+        for side, x in nodes.items():
             ok = vals[side][:, 1 - side] <= C
-            brackets[side] = _replay(a, b, ok if side == 0 else ~ok, depth)
+            i, j = 0, len(x) - 1
+            for _, i, j in _bisect(ok if side == 0 else ~ok):
+                pass
+            brackets[side] = float(x[i]), float(x[j])
         levels -= depth
         depth = min(levels, _BATCH_LEVELS)
         if not (brackets and depth):
             break
-        nodes = np.arange(1, 2 ** depth) / 2 ** depth
-        p = np.concatenate([a + (b - a) * nodes for a, b in brackets.values()])
-        qv = np.asarray(q(np.column_stack([1.0 - p, p])), dtype=float)
-        vals = {s: qv[k * len(nodes):(k + 1) * len(nodes)] for k, s in enumerate(brackets)}
+        nodes = {side: _nodes(a, b, depth) for side, (a, b) in brackets.items()}
+        qv = _q_at(q, np.concatenate([x[1:-1] for x in nodes.values()]))
+        n = 2 ** depth - 1
+        vals = {side: qv[k * n:(k + 1) * n] for k, side in enumerate(nodes)}
     lo = brackets[0][1] if 0 in brackets else 0.0
     hi = brackets[1][0] if 1 in brackets else 1.0
     if hi < lo:

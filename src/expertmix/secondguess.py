@@ -69,14 +69,15 @@ def sg_dfa_proposal(state: Session, experts: Sequence[SecondGuessExpert], *,
     w_live, live_experts = wbar[live, None], [experts[t] for t in live]
     c, eta = state.c, state.eta
 
-    def q_at(lam: np.ndarray) -> np.ndarray:
-        G = np.stack([ex(lam) for ex in live_experts])
-        return np.sum(w_live * np.exp(pair_exponent(lam, G, c, eta)), axis=0)
+    def q(P: np.ndarray) -> np.ndarray:
+        # the advice depends on lambda, so q is a direct per-expert sum;
+        # G[n, t] is expert t's advice at the forecast P[n]
+        L = state.proper(P)
+        G = np.stack([np.stack([ex(lam) for lam in L]) for ex in live_experts], axis=1)
+        return np.sum(w_live * np.exp(pair_exponent(L[:, None, :], G, c, eta)), axis=1)
 
-    # the advice depends on lambda, so q is a direct per-expert sum
-    pi, slack = choose_forecast(
-        lambda P: np.stack([q_at(lam) for lam in state.proper(P)]), state.game.m,
-        epsilon=epsilon, tol=tol, select="root")
+    pi, slack = choose_forecast(q, state.game.m, epsilon=epsilon, tol=tol,
+                                select="root")
     gamma = state.proper(pi)
     advice = np.stack([ex(gamma) for ex in experts])
     for ex, g_t in zip(experts, advice):

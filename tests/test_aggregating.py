@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from expertmix.aggregating import (
     retraction_F,
     theorem_bound_margins,
 )
-from expertmix.core import hull_membership_gap, is_superprediction
+from expertmix.core import domination_gap, hull_membership_gap, is_superprediction
 from expertmix.errors import NotRealizable, SubstitutionFailure
 from expertmix.losses import builtin_game, realizability_constant
 
@@ -207,3 +209,74 @@ class TestRetraction:
         g = builtin_game("absolute", 2)
         with pytest.raises(ValueError):
             retraction_F(g, [0.2, 0.2])
+
+
+def reference_retraction(game, g, eta=None, tol=1e-10):
+    """The retraction that validates every probe through ``domination_gap``
+    or ``hull_membership_gap``; ``retraction_F`` makes the same probes and
+    returns the same bits."""
+    cur = np.asarray(g, dtype=float).copy()
+    mtol = 0.0 if game.membership_gap is not None else 1e-9
+
+    def gap(v):
+        return domination_gap(game, v) if eta is None else hull_membership_gap(game, v, eta)
+
+    if gap(cur) > max(mtol, 1e-9):
+        raise ValueError("input is not a superprediction (or hull member)")
+    for w in range(game.m):
+        probe = cur.copy()
+        probe[w] = 0.0
+        if gap(probe) <= mtol:
+            cur[w] = 0.0
+            continue
+        hi = cur[w]
+        if not np.isfinite(hi):
+            hi = 1.0
+            probe[w] = hi
+            while not gap(probe) <= mtol and hi < 1e12:
+                hi *= 2.0
+                probe[w] = hi
+            if not gap(probe) <= mtol:
+                continue
+        lo = 0.0
+        while hi - lo > tol:
+            mid = 0.5 * (lo + hi)
+            probe[w] = mid
+            if gap(probe) <= mtol:
+                hi = mid
+            else:
+                lo = mid
+        cur[w] = hi
+    return cur
+
+
+class TestMembershipRulePickedOnce:
+    @pytest.mark.parametrize("name,eta", [("log", None), ("log", 1.0), ("square", None),
+                                          ("square", 2.0), ("absolute", None),
+                                          ("absolute", 1.0)])
+    def test_retraction_probes_like_the_validating_reference(self, name, eta):
+        probes = []
+
+        def recorded(fn):
+            def gap(v, *args):
+                probes.append(tuple(np.asarray(v).tolist()))
+                return fn(v, *args)
+            return gap if fn is not None else None
+
+        base = builtin_game(name, 2)
+        g = replace(base, membership_gap=recorded(base.membership_gap),
+                    hull_membership_gap=recorded(base.hull_membership_gap))
+        rng = np.random.default_rng(8)
+        points = [g.loss_vector([p]) + rng.uniform(0.0, 1.0, 2) for p in rng.random(4)]
+        for v in points + [np.array([INF, 2.0])]:
+            probes.clear()
+            want = reference_retraction(g, v, eta)
+            seen = list(probes)
+            probes.clear()
+            assert retraction_F(g, v, eta=eta).tolist() == want.tolist()
+            assert probes == seen
+
+    def test_no_hull_rule_at_eta_refused(self):
+        # square loss is not mixable at eta = 3 and has no hull closed form
+        with pytest.raises(ValueError, match="no hull membership rule"):
+            retraction_F(builtin_game("square", 2), [1.0, 1.0], eta=3.0)

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from expertmix.aggregating import aa_proposal, aa_start, aa_step
 from expertmix.defensive import (
     admissible_interval,
+    choose_forecast,
     default_proper_loss,
     dfa_bound_margins,
     dfa_solve_binary,
@@ -19,7 +20,9 @@ from expertmix.defensive import (
     q_term,
     supermartingale_property_check,
 )
+from expertmix.core import expected_factor, simplex_grid
 from expertmix.errors import ContractViolation, SlackExceeded, SubstitutionFailure
+from expertmix.extensions import EvaluatedExpert, ml_dfa_start
 from expertmix.harness.oracle import oracle_dfa_solve
 from expertmix.losses import builtin_game, realizability_constant
 
@@ -171,6 +174,34 @@ def reference_interval(q, C, tol):
     return lo, hi
 
 
+def reference_root(q, C, tol, max_iter=200):
+    """The one-level-per-call bisection (one q point per call) whose root
+    ``dfa_solve_binary`` reproduces bit for bit."""
+    q0, q1 = np.asarray(q(np.eye(2)), dtype=float)
+    if q0[1] <= C:
+        return 0.0
+    if q1[0] <= C:
+        return 1.0
+    h0 = q0[1] - q0[0]
+    h1 = q1[1] - q1[0]
+    if not (h0 > 0.0 and h1 < 0.0):
+        raise ContractViolation("endpoint analysis failed")
+    lo, hi = 0.0, 1.0
+    for _ in range(max_iter):
+        mid = 0.5 * (lo + hi)
+        qm = np.asarray(q(np.array([[1.0 - mid, mid]])), dtype=float)[0]
+        h = qm[1] - qm[0]
+        if abs(h) <= tol:
+            return mid
+        if h > 0.0:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= 1e-17:
+            break
+    raise ContractViolation("bisection failed to equalize the coordinates")
+
+
 #: binary games with the (c, eta) at which their fixed-advice q is a
 #: supermartingale term
 BINARY = {"log": (1.0, 1.0), "square": (1.0, 2.0),
@@ -236,6 +267,153 @@ class TestBatchedBisection:
         q = fixed_advice_q(dfa_start(g, eta=2.0, n_experts=2), advice_rows(g, [0.3, 0.9]))
         with pytest.raises(ValueError, match="tol"):
             solve(q, 1.0, tol)
+
+
+#: evaluator (loss, c, eta) groups of the root's property test
+EVALUATORS = [default_proper_loss(builtin_game(name, 2), 1.0, eta)
+              for name, eta in (("log", 1.0), ("square", 2.0))]
+weights = st.one_of(st.just(0.0), st.floats(0.05, 1.0))
+forecasts = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+
+@st.composite
+def root_problems(draw):
+    """A binary q for the root: a standard or an evaluator fixed-advice
+    session (priors with zeros; log advice at 0 or 1 is infinite), a step
+    in h that never gets under tol (NaN on a window after the step), or a
+    line h so steep that the bracket gets 1e-17 wide first near 0."""
+    kind = draw(st.sampled_from(["standard", "evaluator", "step", "steep"]))
+    if kind in ("step", "steep"):
+        a = draw(st.one_of(st.floats(0.0, 1.0), st.floats(0.0, 1e-15)))
+        w, slope = draw(st.sampled_from([0.0, 0.1])), draw(st.sampled_from([1e3, 1e12, 1e20]))
+
+        def q(P):
+            p = P[:, 1]
+            if kind == "steep":
+                h = slope * (a - p)
+            else:
+                h = np.where(p < a, 1.0, np.where(p < a + w, np.nan, -1.0))
+            return np.column_stack([1.0 - 0.5 * h, 1.0 + 0.5 * h])
+        return q
+    if kind == "standard":
+        name = draw(st.sampled_from(sorted(BINARY)))
+        game, (c, eta) = builtin_game(name, 2), BINARY[name]
+        rows = draw(st.lists(st.tuples(weights, forecasts), min_size=1, max_size=6).filter(
+            lambda rows: sum(w for w, _ in rows) > 0))
+        w, decisions = (np.array(col) for col in zip(*rows))
+        state = dfa_start(game, eta=eta, c=c, prior=w / w.sum())
+        return fixed_advice_q(state, advice_rows(game, decisions))
+    rows = draw(st.lists(st.tuples(st.integers(0, 1), weights, forecasts),
+                         min_size=1, max_size=6).filter(
+        lambda rows: sum(w for _, w, _ in rows) > 0))
+    spec, w, ps = (np.array(col) for col in zip(*rows))
+    experts = [EvaluatedExpert(EVALUATORS[i], 1.0, EVALUATORS[i].eta, wt)
+               for i, wt in zip(spec, w / w.sum())]
+    state = ml_dfa_start(experts, 2, verify=False)
+    G = np.stack([EVALUATORS[i](np.array([1.0 - p, p])) for i, p in zip(spec, ps)])
+    return fixed_advice_q(state, G)
+
+
+def outcome(solve, *args):
+    try:
+        return solve(*args)
+    except ContractViolation as exc:
+        return type(exc)
+
+
+class TestBatchedRoot:
+    @settings(max_examples=200, deadline=None)
+    @given(q=root_problems(), tol=st.sampled_from([1e-9, 1e-12, 2.0 ** -52, 0.3]),
+           max_iter=st.sampled_from([0, 1, 7, 13, 200]))
+    def test_root_equals_the_reference_bisection(self, q, tol, max_iter):
+        seen = {dfa_solve_binary: set(), reference_root: set()}
+
+        def run(solve):
+            def q_seen(P):
+                seen[solve].update(map(tuple, P.tolist()))
+                return q(P)
+            return outcome(solve, q_seen, 1.0, tol, max_iter)
+
+        root = run(dfa_solve_binary)
+        want = run(reference_root)
+        assert root == want and type(root) is type(want)
+        # every forecast the reference reads is among the batched nodes
+        assert seen[reference_root] <= seen[dfa_solve_binary]
+
+    def test_q_calls_per_root(self):
+        g = builtin_game("log", 2)
+        q = fixed_advice_q(dfa_start(g, eta=1.0, n_experts=3),
+                           advice_rows(g, [0.2, 0.5, 0.9]))
+        calls = []
+
+        def counted(P):
+            calls.append(len(P))
+            return q(P)
+
+        def count(solve, *args, **kwargs):
+            calls.clear()
+            return solve(counted, *args, **kwargs), len(calls)
+
+        (root, n), (want, n_ref) = (count(dfa_solve_binary, 1.0, 1e-9),
+                                    count(reference_root, 1.0, 1e-9))
+        assert root == want and n <= 6 and n_ref == 30
+        # with its slack check, a forecast by the root makes at most 7 calls
+        assert count(choose_forecast, 2, select="root")[1] <= 7
+
+    def test_root_at_one_half_costs_one_call(self):
+        g = builtin_game("log", 2)
+        q = fixed_advice_q(dfa_start(g, eta=1.0, n_experts=2), advice_rows(g, [0.0, 1.0]))
+        calls = []
+        assert dfa_solve_binary(lambda P: calls.append(P) or q(P), 1.0) == 0.5
+        assert len(calls) == 1
+
+
+def reference_check(proper, c, eta, game, samples=2000, seed=0, grid=25):
+    """The per-sample loop whose worst sample
+    ``supermartingale_property_check`` reproduces with one batch."""
+    rng = np.random.default_rng(seed)
+    pis, decs = [], []
+    if game.m == 2:
+        ps = np.linspace(0.0, 1.0, grid)
+        for p in ps:
+            for q in ps:
+                pis.append(np.array([1.0 - p, p]))
+                decs.append(np.array([q]) if game.decision_kind == "box"
+                            else np.array([1.0 - q, q]))
+    else:
+        G = simplex_grid(game.m, min(grid, 8))
+        for pi in G:
+            for dec in G:
+                pis.append(pi)
+                decs.append(dec)
+    for _ in range(max(0, samples - len(pis))):
+        pis.append(rng.dirichlet(np.ones(game.m)))
+        decs.append(rng.random(game.decision_dim) if game.decision_kind == "box"
+                    else rng.dirichlet(np.ones(game.decision_dim)))
+    worst, worst_pi, worst_dec = -np.inf, None, None
+    for pi, dec in zip(pis, decs):
+        e = expected_factor(pi, proper(pi), game.loss_vector(dec), c, eta) - 1.0
+        if e > worst:
+            worst, worst_pi, worst_dec = e, pi, dec
+    return worst, worst_pi, worst_dec
+
+
+class TestBatchedPropertyCheck:
+    @pytest.mark.parametrize("name,m,c,eta,check_eta", [
+        ("log", 2, 1.0, 1.0, 1.0), ("log", 2, 1.0, 1.0, 1.3),
+        ("square", 2, 1.0, 2.0, 2.0), ("square", 2, 1.0, 2.0, 2.5),
+        ("absolute", 2, realizability_constant("absolute", 1.0), 1.0, 1.0),
+        ("brier", 3, 1.0, 1.0, 1.0)])
+    def test_batch_finds_the_per_sample_worst(self, name, m, c, eta, check_eta):
+        # check_eta above eta (past the mixability threshold) must be flagged
+        game = builtin_game(name, m)
+        lam = default_proper_loss(game, c, eta)
+        rep = supermartingale_property_check(lam, c, check_eta, game, samples=2000, seed=0)
+        worst, worst_pi, worst_dec = reference_check(lam, c, check_eta, game)
+        assert rep.max_excess == pytest.approx(worst, rel=0.0, abs=1e-12)
+        np.testing.assert_array_equal(rep.worst_pi, worst_pi)
+        np.testing.assert_array_equal(rep.worst_decision, worst_dec)
+        assert rep.holds is (check_eta == eta)
 
 
 class TestSimplexSolver:

@@ -200,6 +200,18 @@ def test_one_group_dead_outcome_gives_exactly_one():
     assert q(np.array([0.0, 1.0]))[0] == 1.0
 
 
+def test_zero_prior_expert_keeps_zero_weight():
+    # the forecast gives outcome 0 no mass, so the learner and both weighted
+    # experts lose inf there, and the zero-prior expert's factor is infinite
+    g = builtin_game("log", 2)
+    state = dfa_start(g, eta=1.0, prior=[0.5, 0.5, 0.0])
+    p = dfa_proposal(state, np.stack([g.loss_vector([d]) for d in (1.0, 1.0, 0.3)]))
+    state = state.advance(*p.score(0), p.slack)
+    assert state.log_weights[2] == -INF and np.isfinite(state.log_value)
+    advice = np.stack([g.loss_vector([d]) for d in (0.2, 0.2, 0.9)])
+    assert float(dfa_proposal(state, advice).decision[0]) == pytest.approx(0.2, abs=1e-6)
+
+
 def test_all_dead_sessions_raise_the_named_error():
     g = builtin_game("log", 2)
     advice = np.stack([g.loss_vector([0.2]), g.loss_vector([0.5])])
