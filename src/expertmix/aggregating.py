@@ -14,6 +14,7 @@ from .core import (
     MEMBERSHIP_TOL,
     Game,
     Proposal,
+    Rounds,
     Session,
     as_losses,
     dominated_by,
@@ -22,18 +23,18 @@ from .core import (
     log_mix,
     start_session,
 )
-from .errors import DimensionMismatch, NotRealizable, SubstitutionFailure
+from .errors import AllExpertsDead, DimensionMismatch, NotRealizable, SubstitutionFailure
 
 
 def _advice_matrix(advice, m: int) -> np.ndarray:
-    if isinstance(advice, np.ndarray) and advice.ndim == 2 and \
+    if isinstance(advice, np.ndarray) and advice.ndim in (2, 3) and \
             advice.dtype == np.float64:
         A = advice
     else:
         rows = [as_losses(g) for g in advice]
         A = np.stack(rows) if rows else np.empty((0, m))
-    if A.shape[1] != m:
-        raise DimensionMismatch(f"advice over {A.shape[1]} outcomes, game has {m}")
+    if A.shape[-1] != m:
+        raise DimensionMismatch(f"advice over {A.shape[-1]} outcomes, game has {m}")
     return A
 
 
@@ -49,15 +50,18 @@ def aa_start(game: Game, *, eta: float, c: float = 1.0,
     return start_session(game, prior, n_experts, c=c, eta=eta)
 
 
-def aa_mix(state: Session, advice) -> np.ndarray:
+def aa_mix(state: Session, advice, log_posterior: np.ndarray | None = None) -> np.ndarray:
     """Mixed superprediction
-    ``g(w) = -(c/eta) ln sum_t wbar_t exp(-eta * advice_t(w))``."""
+    ``g(w) = -(c/eta) ln sum_t wbar_t exp(-eta * advice_t(w))`` for the
+    advice rows (k, m) under the session's posterior, or for a block of
+    rounds, advice (B, k, m) under their ``log_posterior`` rows (B, k)."""
     A = _advice_matrix(advice, state.game.m)
-    if A.shape[0] != state.n_experts:
+    if A.shape[-2] != state.n_experts:
         raise DimensionMismatch(
-            f"{A.shape[0]} advice rows for {state.n_experts} experts"
+            f"{A.shape[-2]} advice rows for {state.n_experts} experts"
         )
-    logs = log_mix(state.log_posterior(), state.eta, A)
+    lwn = state.log_posterior() if log_posterior is None else log_posterior
+    logs = log_mix(lwn, state.eta, A)
     g = np.where(np.isneginf(logs), np.inf, -(state.c / state.eta) * logs)
     return np.maximum(g, 0.0)
 
@@ -65,17 +69,24 @@ def aa_mix(state: Session, advice) -> np.ndarray:
 def substitute(state: Session, g: np.ndarray,
                tol: float) -> tuple[np.ndarray, np.ndarray]:
     """The game's substituted decision for the prediction ``g`` and its loss
-    vector.  Raises :class:`SubstitutionFailure` unless that loss vector is
-    dominated by ``g`` up to ``tol``, i.e. when (c, eta) is outside the
-    game's realizability contract."""
+    vector, or for a block of predictions (B, m) the decisions and loss
+    vectors of each row.  Raises :class:`SubstitutionFailure`, at the first
+    failing row, unless that loss vector is dominated by ``g`` up to
+    ``tol``, i.e. when (c, eta) is outside the game's realizability
+    contract."""
     decision = np.asarray(state.game.substitution(g), dtype=float)
     lv = state.game.loss_vector(decision)
-    if not dominated_by(lv, g, tol):
-        raise SubstitutionFailure(
-            f"substituted decision exceeds the prediction by "
-            f"{float(np.max(np.where(np.isfinite(g), lv - g, -np.inf))):.3e}; "
-            f"(c={state.c}, eta={state.eta}) is not realizable for {state.game.name!r}"
-        )
+    # dominated_by row by row (an infinite g bounds nothing, and a NaN fails
+    # every comparison); a failing row is handed to it for its error
+    ok = np.all((lv <= g + tol) & (lv >= 0) & (g >= 0), axis=-1)
+    if not np.all(ok):
+        i = (np.flatnonzero(~ok)[0],) if ok.ndim else ()
+        if not dominated_by(lv[i], g[i], tol):
+            raise SubstitutionFailure(
+                f"substituted decision exceeds the prediction by "
+                f"{float(np.max(np.where(np.isfinite(g[i]), lv[i] - g[i], -np.inf))):.3e}; "
+                f"(c={state.c}, eta={state.eta}) is not realizable for {state.game.name!r}"
+            )
     return decision, lv
 
 
@@ -94,6 +105,37 @@ def aa_proposal(state: Session, advice,
     return Proposal(decision, lv, 0.0, lambda w: (0.0, float(lv[w]), A[:, w]), g)
 
 
+def aa_rounds(state: Session, advice: np.ndarray, outcomes: np.ndarray,
+              *, substitution_tol: float = 1e-7) -> tuple[np.ndarray, np.ndarray, Rounds]:
+    """Play a block of B rounds whose advice, shape (B, k, m), and outcomes,
+    shape (B,), do not depend on Learner's moves: one reweigh gives the
+    posterior before every round, one batched mix and substitution the
+    decisions.  Returns the decisions, their loss vectors and the session's
+    :class:`Rounds`, each row what :func:`aa_step` gives that round.
+    :class:`AllExpertsDead` and :class:`SubstitutionFailure` are raised for
+    the first round that meets them, as round by round."""
+    rows = np.arange(len(advice))
+    expert_losses = advice[rows, :, outcomes]
+    lw, lv = state.reweigh(0.0, expert_losses)
+    # the posterior before each round: the session's, then each round's
+    lw_before = np.concatenate([state.log_weights[None], lw[:-1]])
+    lv_before = np.concatenate([[state.log_value], lv[:-1]])
+    dead = np.isneginf(lv_before)
+    live = int(np.argmax(dead)) if dead.any() else len(rows)
+    g = aa_mix(state, advice[:live], lw_before[:live] - lv_before[:live, None])
+    decisions, lvs = substitute(state, g, substitution_tol)
+    if live < len(rows):
+        raise AllExpertsDead()
+
+    def running(start, steps):  # added in order, as round by round
+        return np.concatenate(([start], steps)).cumsum(axis=0)[1:]
+
+    return decisions, lvs, Rounds(
+        lw, lv, running(state.cumulative_loss, lvs[rows, outcomes]),
+        running(state.per_expert_loss, expert_losses),
+        np.full(len(rows), state.slack_log_total))
+
+
 def aa_step(state: Session, advice, outcome: int,
             *, substitution_tol: float = 1e-7) -> tuple[np.ndarray, Session]:
     """One protocol round: mix, substitute, observe, reweigh."""
@@ -101,10 +143,14 @@ def aa_step(state: Session, advice, outcome: int,
     return p.decision, state.advance(*p.score(outcome))
 
 
-def log_semi_invariant(state: Session) -> float:
-    """ln of ``sum_t P0(t) exp(eta (L_N / c - L_N^t))``; never increases
-    along a realizable run."""
-    return float(state.eta * state.cumulative_loss / state.c + state.log_value)
+def log_semi_invariant(state: Session, rounds: Rounds | None = None):
+    """ln of ``sum_t P0(t) exp(eta (L_N / c - L_N^t))``, now or, shape (B,),
+    after each round of ``rounds``; never increases along a realizable
+    run."""
+    if rounds is None:
+        return float(state.eta * state.cumulative_loss / state.c + state.log_value)
+    with np.errstate(invalid="ignore"):  # inf + -inf, as in float arithmetic
+        return state.eta * rounds.cumulative_loss / state.c + rounds.log_value
 
 
 #: ``L_N - c L_N^theta - (c/eta) ln(1/P0(theta))`` for every theta;

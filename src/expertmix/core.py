@@ -176,7 +176,9 @@ def log_sum_exp(a: np.ndarray, axis: int | None = None):
         top = a.max()
         if math.isfinite(top):  # the common case, in the general path's bits
             return float(np.log(np.exp(a - top).sum()) + top)
-    hi = np.max(a, axis=axis, keepdims=True)
+    hi = a.max(axis=axis, keepdims=True)
+    if np.isfinite(hi).all():  # the common case again
+        return np.log(np.exp(a - hi).sum(axis=axis)) + hi.squeeze(axis)
     safe_hi = np.where(np.isfinite(hi), hi, 0.0)
     with np.errstate(divide="ignore", over="ignore"):
         out = np.log(np.sum(np.exp(a - safe_hi), axis=axis)) + np.squeeze(safe_hi, axis=axis)
@@ -186,13 +188,14 @@ def log_sum_exp(a: np.ndarray, axis: int | None = None):
 
 def log_mix(lwn: np.ndarray, eta, A: np.ndarray) -> np.ndarray:
     """``ln sum_t exp(lwn_t - eta A_t(w))`` for every outcome ``w``: the log
-    of the weighted exponential mix of the advice rows ``A``.  Infinite
+    of the weighted exponential mix of the advice rows ``A``, shape (k, m),
+    or of a block of rounds, ``lwn`` (B, k) and ``A`` (B, k, m).  Infinite
     advice entries contribute nothing, so a coordinate is ``-inf`` exactly
     when every positively-weighted row is infinite there."""
     with np.errstate(invalid="ignore"):
         shifted = np.where(np.isinf(A), -np.inf,
-                           lwn[:, None] - eta * np.where(np.isinf(A), 0.0, A))
-    return log_sum_exp(shifted, axis=0)
+                           lwn[..., None] - eta * np.where(np.isinf(A), 0.0, A))
+    return log_sum_exp(shifted, axis=-2)
 
 
 def expected_loss(pi, g) -> float:
@@ -245,7 +248,8 @@ class Game:
 
     ``loss`` maps a decision (shape ``(decision_dim,)``, or a batch
     ``(n, decision_dim)``) to per-outcome losses.  ``substitution`` maps any
-    superprediction to a decision whose loss vector minorizes it.  Optional
+    superprediction (shape ``(m,)``, or a batch ``(n, m)``) to a decision
+    whose loss vector minorizes it.  Optional
     closed forms (membership gap, entropy, proper loss, hull machinery)
     override the generic numeric search where a game supplies them.
     """
@@ -535,7 +539,7 @@ class Session:
         """Normalized log weights ``ln wbar_t``; raises
         :class:`AllExpertsDead` when every expert carries zero weight."""
         if self.log_value == -math.inf:
-            raise AllExpertsDead("all experts carry zero weight (infinite loss)")
+            raise AllExpertsDead()
         return self.log_weights - self.log_value
 
     @property
@@ -546,14 +550,19 @@ class Session:
     def expert_losses(self) -> np.ndarray:
         return self.per_expert_loss
 
+    def _log_factors(self, learner_terms, expert_losses) -> np.ndarray:
+        """Each round's log factor ``eta_t (learner_term / c_t - expert_loss
+        [t])``, zero for an expert of weight zero, even where its factor is
+        infinite."""
+        expo = pair_exponent(learner_terms, expert_losses, self.c, self.eta)
+        return np.where(np.isneginf(self.log_weights), 0.0, expo)
+
     def advance(self, learner_term, learner_loss, expert_losses,
                 slack: float = 0.0) -> "Session":
-        """The one reweigh: multiply expert ``t``'s factor by
-        ``exp(eta_t (learner_term / c_t - expert_losses[t]))`` and add the
-        round's losses and its solver slack ``ln(1 + slack)``.  An expert of
-        weight zero keeps weight zero, even where its factor is infinite."""
-        expo = pair_exponent(learner_term, expert_losses, self.c, self.eta)
-        lw = self.log_weights + np.where(np.isneginf(self.log_weights), 0.0, expo)
+        """The reweigh of one round: multiply expert ``t``'s factor by
+        ``exp(eta_t (learner_term / c_t - expert_losses[t]))``, and add the
+        round's losses and its solver slack ``ln(1 + slack)``."""
+        lw = self.log_weights + self._log_factors(learner_term, expert_losses)
         return replace(
             self,
             log_weights=lw,
@@ -565,14 +574,55 @@ class Session:
             if slack else self.slack_log_total,
         )
 
-    def bound_margins(self) -> np.ndarray:
+    def reweigh(self, learner_terms, expert_losses) -> tuple[np.ndarray, np.ndarray]:
+        """The reweigh of a block of B rounds: the log weights after each
+        round, shape (B, k), and their log-sum-exps, shape (B,).
+        ``learner_terms`` is (B, 1), (B, k) for evaluator sessions, or one
+        scalar for every round (zero for mixing sessions).  The rows are one
+        cumulative sum of :meth:`advance`'s factors from the current
+        weights, so each holds the bits of advancing round by round."""
+        lw = np.concatenate([self.log_weights[None],
+                             self._log_factors(learner_terms, expert_losses)]).cumsum(axis=0)[1:]
+        # a weight that reaches zero inside the block keeps it
+        lw[np.logical_or.accumulate(np.isneginf(lw), axis=0)] = -np.inf
+        return lw, log_sum_exp(lw, axis=-1)
+
+    def after(self, rounds: "Rounds") -> "Session":
+        """The session after the last of ``rounds``."""
+        return replace(
+            self,
+            log_weights=rounds.log_weights[-1],
+            log_value=float(rounds.log_value[-1]),
+            step_count=self.step_count + len(rounds.log_value),
+            cumulative_loss=float(rounds.cumulative_loss[-1]),
+            per_expert_loss=rounds.per_expert_loss[-1],
+            slack_log_total=float(rounds.slack_log_total[-1]),
+        )
+
+    def bound_margins(self, rounds: "Rounds | None" = None) -> np.ndarray:
         """``L - c L^t - (c/eta)(ln(1/P0(t)) + slack)`` for every expert
-        ``t``; nonpositive entries mean the guarantee holds."""
+        ``t``, now or, shape (B, k), after each round of ``rounds``;
+        nonpositive entries mean the guarantee holds."""
+        if rounds is None:
+            per, cum, slack = self.per_expert_loss, self.cumulative_loss, self.slack_log_total
+        else:
+            per, cum, slack = rounds.per_expert_loss, rounds.cumulative_loss[:, None], \
+                rounds.slack_log_total[:, None]
         with np.errstate(divide="ignore", invalid="ignore"):
             penalty = -np.log(self.prior)
-            rhs = self.c * self.per_expert_loss \
-                + (self.c / self.eta) * (penalty + self.slack_log_total)
-            return np.where(np.isinf(rhs), -np.inf, self.cumulative_loss - rhs)
+            rhs = self.c * per + (self.c / self.eta) * (penalty + slack)
+            return np.where(np.isinf(rhs), -np.inf, cum - rhs)
+
+
+class Rounds(NamedTuple):
+    """A session's fields after each round of a block, one row per round;
+    the last row is :meth:`Session.after` the block."""
+
+    log_weights: np.ndarray  # (B, k)
+    log_value: np.ndarray  # (B,)
+    cumulative_loss: np.ndarray  # (B,)
+    per_expert_loss: np.ndarray  # (B, k)
+    slack_log_total: np.ndarray  # (B,)
 
 
 def start_session(game, prior=None, n_experts: int | None = None, *,

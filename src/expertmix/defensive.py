@@ -187,7 +187,8 @@ def _q_at(q: Callable[[np.ndarray], np.ndarray], p: np.ndarray) -> np.ndarray:
 
 
 def dfa_solve_binary(q: Callable[[np.ndarray], np.ndarray], C: float,
-                     tol: float = 1e-9, max_iter: int = 200) -> float:
+                     tol: float = 1e-9, max_iter: int = 200, *,
+                     full_output: bool = False):
     """Find p with ``q(p, 0) <= C + tol`` and ``q(p, 1) <= C + tol``.
 
     ``q`` maps a batch of forecasts ``(1 - p, p)``, shape (n, 2), to the
@@ -202,14 +203,16 @@ def dfa_solve_binary(q: Callable[[np.ndarray], np.ndarray], C: float,
     next six levels, and the bisection replays over their values: the same
     root, bit for bit, as one level per call, from 6 q calls instead of 31
     at ``tol = 1e-9``.  ``tol`` must be finite and at least ``2**-52``.
+    With ``full_output`` it returns ``(p, q row at p)``, the row its batch
+    already holds.
     """
     _require_tol(tol)
     qv = _q_at(q, np.array([0.0, 1.0, 0.5]))
     (q0, q1), qv = qv[:2], qv[2:]
     if q0[1] <= C:
-        return 0.0
+        return (0.0, q0) if full_output else 0.0
     if q1[0] <= C:
-        return 1.0
+        return (1.0, q1) if full_output else 1.0
     h0 = q0[1] - q0[0]
     h1 = q1[1] - q1[0]
     if not (h0 > 0.0 and h1 < 0.0):
@@ -222,7 +225,7 @@ def dfa_solve_binary(q: Callable[[np.ndarray], np.ndarray], C: float,
         h = qv[:, 1] - qv[:, 0]
         for k, i, j in _bisect(~(h > 0.0)):  # a NaN h moves left, like h <= 0
             if abs(h[k - 1]) <= tol:
-                return float(x[k])
+                return (float(x[k]), qv[k - 1]) if full_output else float(x[k])
             if x[j] - x[i] <= 1e-17:
                 levels = 0
                 break
@@ -444,18 +447,21 @@ def choose_forecast(q, m: int, *, C: float = 1.0, epsilon: float = 1e-6,
     (``select="midpoint"``) or the coordinate-equalizing root
     (``select="root"``); larger outcome spaces run the simplex solver.
     """
+    qpi = None  # q at pi, when the solve already has it
     if m == 2:
         if select == "midpoint":
             lo, hi = admissible_interval(q, C, tol)
             p = 0.5 * (lo + hi)
         elif select == "root":
-            p = dfa_solve_binary(q, C, tol)
+            p, qpi = dfa_solve_binary(q, C, tol, full_output=True)
         else:
             raise ValueError(f"unknown selection rule {select!r}")
         pi = np.array([1.0 - p, p])
     else:
         pi = dfa_solve_simplex(q, C, m, epsilon, tol)
-    slack = max(0.0, float(np.max(q(pi[None, :]))) - C)
+    if qpi is None:
+        qpi = q(pi[None, :])
+    slack = max(0.0, float(np.max(qpi)) - C)
     return pi, slack
 
 

@@ -78,6 +78,9 @@ class AllExpertsDead(ExpertmixError, ZeroDivisionError):
     """Every expert carries zero weight (each has suffered infinite loss),
     so there is no posterior to mix or forecast with."""
 
+    def __init__(self, message: str = "all experts carry zero weight (infinite loss)"):
+        super().__init__(message)
+
 
 class ConfigError(ExpertmixError):
     """Scenario configuration failed to resolve."""

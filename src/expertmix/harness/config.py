@@ -92,11 +92,57 @@ def _require(cond: bool, msg: str) -> None:
         raise ConfigError(msg)
 
 
-def _require_game(name, m: int, what: str) -> None:
+def _require_game(name, m: int, what: str):
     try:
-        builtin_game(name, m)
+        return builtin_game(name, m)
     except ValueError as exc:
         raise ConfigError(f"{what}: {exc}") from exc
+
+
+def _finite_number(x) -> bool:
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        return False
+    try:  # an int past the float range overflows
+        return math.isfinite(x)
+    except OverflowError:
+        return False
+
+
+def _is_distribution(values, m: int) -> bool:
+    return isinstance(values, list) and len(values) == m and \
+        all(_finite_number(v) and v >= 0 for v in values) and abs(sum(values) - 1.0) <= 1e-9
+
+
+def _require_reality(reality: dict, m: int) -> None:
+    if reality["kind"] == "fixed":
+        seq = reality.get("sequence")
+        _require(isinstance(seq, list) and len(seq) > 0 and all(
+            isinstance(w, int) and not isinstance(w, bool) and 0 <= w < m for w in seq),
+            f"reality.sequence must be a non-empty list of outcomes in [0, {m}), got {seq!r}")
+    elif reality["kind"] == "iid" and "probs" in reality:
+        _require(_is_distribution(reality["probs"], m),
+                 f"reality.probs must be a probability vector over {m} outcomes, "
+                 f"got {reality['probs']!r}")
+
+
+def _require_expert(spec: dict, game) -> None:
+    kind = spec["kind"]
+    if kind in ("constant", "sg-constant"):
+        value = spec.get("value")
+        d = game.decision_dim
+        values = [value] if d == 1 and not isinstance(value, list) else value
+        if game.decision_kind == "box":
+            ok = isinstance(values, list) and len(values) == d and \
+                all(_finite_number(v) and 0 <= v <= 1 for v in values)
+            domain = f"[0, 1]^{d}"
+        else:
+            ok = _is_distribution(values, d)
+            domain = f"a probability vector over {d} outcomes"
+        _require(ok, f"a {kind} expert's value must be a decision in {domain}, got {value!r}")
+    elif kind == "trailing-average":
+        smoothing = spec.get("smoothing", 1.0)
+        _require(_finite_number(smoothing) and smoothing > 0,
+                 f"trailing-average smoothing must be a finite number > 0, got {smoothing!r}")
 
 
 def parse_config(doc: dict) -> ScenarioConfig:
@@ -131,7 +177,10 @@ def parse_config(doc: dict) -> ScenarioConfig:
     m = game["m"]
     _require(isinstance(m, int) and m >= 2,
              f"game.m must be an integer of at least 2, got {m!r}")
-    _require_game(game["name"], m, "game")
+    base = _require_game(game["name"], m, "game")  # the experts' decisions live in it
+    _require_reality(reality, m)
+    for e in experts:
+        _require_expert(e, base)
     _require(m == 2 or all(e["kind"] != "sg-contrarian" for e in experts),
              "sg-contrarian is a binary strategy (m = 2)")
     if algorithm == "simplex-dfa":
@@ -157,9 +206,7 @@ def parse_config(doc: dict) -> ScenarioConfig:
         _require(algorithm != "ml-dfa",
                  "ml-dfa gives every evaluator copy the same prior; "
                  "drop 'prior' or set it to 'uniform'")
-        _require(isinstance(prior, list) and len(prior) == len(experts)
-                 and all(isinstance(p, (int, float)) and p >= 0 for p in prior)
-                 and abs(sum(prior) - 1.0) <= 1e-9,
+        _require(_is_distribution(prior, len(experts)),
                  f"prior must be 'uniform' or a probability vector with one "
                  f"entry per expert ({len(experts)}), got {prior!r}")
     solver = doc.get("solver", {})
@@ -168,12 +215,7 @@ def parse_config(doc: dict) -> ScenarioConfig:
     solver = dict(solver)
     for key, default in (("epsilon", 1e-6), ("tol", 1e-9)):
         value = solver.setdefault(key, default)
-        try:  # an int past the float range overflows
-            finite = math.isfinite(value)
-        except (TypeError, OverflowError):
-            finite = False
-        _require(not isinstance(value, bool) and isinstance(value, (int, float)) and finite,
-                 f"solver.{key} must be a finite number, got {value!r}")
+        _require(_finite_number(value), f"solver.{key} must be a finite number, got {value!r}")
     _require(solver["epsilon"] >= 0 and solver["tol"] >= 2.0 ** -52,
              f"solver needs epsilon >= 0 and tol >= 2**-52, got {solver!r}")
     return ScenarioConfig(

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..aggregating import aa_proposal, aa_start, log_semi_invariant
+from ..aggregating import aa_proposal, aa_rounds, aa_start, log_semi_invariant
 from ..core import Game
 from ..defensive import default_proper_loss, dfa_proposal, dfa_start
 from ..errors import ConfigError
@@ -97,67 +97,156 @@ def _spawn_rngs(seed: int, k: int):
     return expert_rngs, reality_rng
 
 
-def _binary_pi_from_decision(game: Game, decision: np.ndarray) -> list | None:
+def _learner_pi(game: Game, decisions: np.ndarray) -> list:
+    """The recorded forecast of each decision row: ``[1 - p, p]`` for a
+    binary box game, the decision for a simplex game, else None."""
     if game.m == 2 and game.decision_kind == "box":
-        p = float(decision[0])
-        return [1.0 - p, p]
+        return np.concatenate([1.0 - decisions, decisions], axis=1).tolist()
     if game.decision_kind == "simplex":
-        return [float(v) for v in decision]
-    return None
+        return decisions.tolist()
+    return [None] * len(decisions)
+
+
+#: rounds per block of a run in which nothing looks at Learner's move:
+#: mixing with ``iid`` or ``fixed`` Reality and experts of ``BLOCK_KINDS``.
+#: Its arrays stay in the tens of kilobytes, far below the records' memory.
+BLOCK_ROUNDS = 256
+
+#: expert kinds that advise a block of rounds in one call
+BLOCK_KINDS = ("constant", "iid-random", "trailing-average")
+
+
+def block_rounds(config: ScenarioConfig) -> int:
+    """Rounds per block: ``BLOCK_ROUNDS`` when the experts and Reality of
+    every round are fixed before Learner moves, else one."""
+    if config.algorithm == "aa" and config.reality["kind"] in ("iid", "fixed") \
+            and all(e["kind"] in BLOCK_KINDS for e in config.experts):
+        return BLOCK_ROUNDS
+    return 1
 
 
 # ---------------------------------------------------------------------------
 # Protocols.  Each opener starts the session and returns it with a ``play``
-# function for one round's first moves: the experts advise and Learner
-# proposes.  ``play(state, n, outcomes)`` returns the proposal, the advice
-# as recorded, and the recorded ``learner_pi``.
+# function for a block of rounds: ``play(state, n, size, outcomes)`` plays
+# rounds ``n .. n + size - 1``, appends their outcomes, and returns the
+# session after them, the columns of their step records in ``RECORD_KEYS``
+# order (from ``advice`` to ``slack_total``) and their bound margins,
+# shape (size, k).  Only mixing plays blocks of more than one round.
 
 
 def _standard_experts(config: ScenarioConfig, game: Game, rngs):
+    """The experts' decisions for rounds ``n .. n + size - 1``, shape
+    (size, k, decision_dim), from the outcomes before the last of them."""
     strategies = [build_standard_expert(game, s, r)
                   for s, r in zip(config.experts, rngs)]
-    return lambda n, outcomes: [s.advise(n, outcomes) for s in strategies]
+
+    def advise(n, size, outcomes):
+        if size == 1:  # any strategy, callbacks too, advises round by round
+            return np.array([s.advise(n, outcomes) for s in strategies], dtype=float)[None]
+        return np.stack([s.advise(n, outcomes, size) for s in strategies], axis=1)
+
+    return advise
 
 
-def _open_fixed_advice(start, propose):
-    def open_protocol(config: ScenarioConfig, rngs, eps: float, tol: float):
+def _round_by_round(propose, reality, read):
+    """``play`` for a protocol that plays one round at a time:
+    ``propose(state, n, outcomes)`` returns the proposal, the advice as
+    recorded and the recorded ``learner_pi``; Reality then picks, seeing
+    the proposal's loss vector only when it depends on the prediction.
+    ``read(state)`` is the session's log supermartingale."""
+    def play(state, n, size, outcomes):
+        p, advice, learner_pi = propose(state, n, outcomes)
+        w = reality.pick(n, p.loss_vector if reality.depends_on_prediction else None)
+        outcomes.append(w)
+        learner_term, learner_loss, expert_losses = p.score(w)
+        state = state.advance(learner_term, learner_loss, expert_losses, p.slack)
+        cum = state.cumulative_loss
+        columns = (
+            [[[float(v) for v in row] for row in advice]],
+            [learner_pi],
+            [[float(v) for v in p.decision]],
+            [[float(v) for v in w] if isinstance(w, np.ndarray) else w],
+            [learner_loss.tolist() if isinstance(learner_loss, np.ndarray) else learner_loss],
+            [expert_losses.tolist()],
+            [list(cum) if isinstance(cum, np.ndarray) else cum],
+            [list(state.per_expert_loss)],
+            [read(state)],
+            [p.slack],
+            [state.slack_log_total],
+        )
+        return state, columns, state.bound_margins()[None]
+
+    return play
+
+
+def _open_fixed_advice(start, propose, read):
+    def open_protocol(config: ScenarioConfig, rngs, reality, eps: float, tol: float):
         game = builtin_game(config.game, config.m)
         advise = _standard_experts(config, game, rngs)
         state = start(game, eta=config.eta, c=config.c, prior=config.prior,
                       n_experts=len(config.experts))
 
-        def play(state, n, outcomes):
-            decisions = advise(n, outcomes)
-            A = np.asarray(game.loss(np.stack(decisions)), dtype=float)
-            p = propose(state, A, eps, tol)
-            return p, decisions, _binary_pi_from_decision(game, p.decision)
+        def propose_round(state, n, outcomes):
+            decisions = advise(n, 1, outcomes)[0]
+            p = propose(state, np.asarray(game.loss(decisions), dtype=float), eps, tol)
+            return p, decisions, _learner_pi(game, p.decision[None])[0]
 
-        return state, play
+        return state, _round_by_round(propose_round, reality, read)
 
     return open_protocol
 
 
-def _open_second_guess(start, propose, records_pi: bool):
-    def open_protocol(config: ScenarioConfig, rngs, eps: float, tol: float):
+def _open_mixing(config: ScenarioConfig, rngs, reality, eps: float, tol: float):
+    """Mixing plays a block in one batch when Reality does not look at the
+    prediction; against Reality that does, it plays round by round."""
+    if reality.depends_on_prediction:
+        return _open_fixed_advice(
+            aa_start, lambda s, A, eps, tol: aa_proposal(s, A),
+            log_semi_invariant)(config, rngs, reality, eps, tol)
+    game = builtin_game(config.game, config.m)
+    advise = _standard_experts(config, game, rngs)
+    state = aa_start(game, eta=config.eta, c=config.c, prior=config.prior,
+                     n_experts=len(config.experts))
+    k, d, m = len(config.experts), game.decision_dim, game.m
+
+    def play(state, n, size, outcomes):
+        w = reality.pick(n, None, size)
+        outcomes.extend(w[:-1].tolist())
+        advice = advise(n, size, outcomes)
+        outcomes.append(int(w[-1]))
+        A = np.asarray(game.loss(advice.reshape(-1, d)), dtype=float).reshape(size, k, m)
+        decisions, lvs, rounds = aa_rounds(state, A, w)
+        rows = np.arange(size)
+        columns = (advice.tolist(), _learner_pi(game, decisions), decisions.tolist(),
+                   w.tolist(), lvs[rows, w].tolist(), A[rows, :, w].tolist(),
+                   rounds.cumulative_loss.tolist(), rounds.per_expert_loss.tolist(),
+                   log_semi_invariant(state, rounds).tolist(), [0.0] * size,
+                   rounds.slack_log_total.tolist())
+        return state.after(rounds), columns, state.bound_margins(rounds)
+
+    return state, play
+
+
+def _open_second_guess(start, propose, records_pi: bool, read):
+    def open_protocol(config: ScenarioConfig, rngs, reality, eps: float, tol: float):
         game = builtin_game(config.game, config.m)
         experts = [build_sg_expert(game, s) for s in config.experts]
         state = start(game, eta=config.eta, c=config.c, prior=config.prior,
                       n_experts=len(experts))
 
-        def play(state, n, outcomes):
+        def propose_round(state, n, outcomes):
             p = propose(state, experts, eps, tol)
             gamma = p.decision
-            pi = _binary_pi_from_decision(
-                game, np.asarray(game.substitution(gamma), dtype=float)
-            ) if records_pi else None
+            pi = _learner_pi(game, np.asarray(game.substitution(gamma), dtype=float)[None])[0] \
+                if records_pi else None
             return p, [ex(gamma) for ex in experts], pi
 
-        return state, play
+        return state, _round_by_round(propose_round, reality, read)
 
     return open_protocol
 
 
-def _open_evaluators(config: ScenarioConfig, rngs, eps: float, tol: float):
+def _open_evaluators(config: ScenarioConfig, rngs, reality, eps: float, tol: float):
     game = builtin_game(config.game, config.m)  # the base experts' game
     advise = _standard_experts(config, game, rngs)
     specs = []
@@ -168,46 +257,45 @@ def _open_evaluators(config: ScenarioConfig, rngs, eps: float, tol: float):
     state = ml_dfa_start(duplicate_evaluators(specs, len(config.experts)),
                          config.m, verify=True)
 
-    def play(state, n, outcomes):
+    def propose_round(state, n, outcomes):
         base = [np.array([1.0 - d[0], d[0]]) if game.decision_kind == "box"
-                else np.asarray(d, dtype=float) for d in advise(n, outcomes)]
+                else d for d in advise(n, 1, outcomes)[0]]
         advice = tile_advice(np.stack(base), len(specs))
         p = ml_dfa_proposal(state, advice, epsilon=eps, tol=tol)
         return p, advice, [float(v) for v in p.decision]
 
-    return state, play
+    return state, _round_by_round(propose_round, reality, attrgetter("log_value"))
 
 
-def _open_simplex(config: ScenarioConfig, rngs, eps: float, tol: float):
+def _open_simplex(config: ScenarioConfig, rngs, reality, eps: float, tol: float):
     sg = SIMPLEX_GAMES[config.game](config.m)
     advise = _standard_experts(config, sg.base, rngs)
     state = simplex_dfa_start(sg, eta=config.eta, c=config.c, prior=config.prior,
                               n_experts=len(config.experts), verify=True)
 
-    def play(state, n, outcomes):
-        decisions = advise(n, outcomes)
+    def propose_round(state, n, outcomes):
+        decisions = advise(n, 1, outcomes)[0]
         p = simplex_dfa_proposal(state, decisions, epsilon=eps, tol=tol)
         return p, decisions, [float(v) for v in p.decision]
 
-    return state, play
+    return state, _round_by_round(propose_round, reality, attrgetter("log_value"))
 
 
-#: algorithm -> (opener, reading of the log supermartingale); mixing
-#: sessions report the semi-invariant, which is the same quantity
+#: algorithm -> opener; mixing sessions read the semi-invariant as their
+#: log supermartingale, which is the same quantity
 PROTOCOLS = {
-    "aa": (_open_fixed_advice(
-        aa_start, lambda s, A, eps, tol: aa_proposal(s, A)), log_semi_invariant),
-    "dfa": (_open_fixed_advice(
-        dfa_start, lambda s, A, eps, tol: dfa_proposal(s, A, epsilon=eps, tol=tol)),
+    "aa": _open_mixing,
+    "dfa": _open_fixed_advice(
+        dfa_start, lambda s, A, eps, tol: dfa_proposal(s, A, epsilon=eps, tol=tol),
         attrgetter("log_value")),
-    "sg-dfa": (_open_second_guess(
+    "sg-dfa": _open_second_guess(
         dfa_start, lambda s, ex, eps, tol: sg_dfa_proposal(s, ex, epsilon=eps, tol=tol),
-        records_pi=True), attrgetter("log_value")),
-    "sg-aa": (_open_second_guess(
+        records_pi=True, read=attrgetter("log_value")),
+    "sg-aa": _open_second_guess(
         aa_start, lambda s, ex, eps, tol: sg_aa_proposal(s, ex, tol=tol),
-        records_pi=False), log_semi_invariant),
-    "ml-dfa": (_open_evaluators, attrgetter("log_value")),
-    "simplex-dfa": (_open_simplex, attrgetter("log_value")),
+        records_pi=False, read=log_semi_invariant),
+    "ml-dfa": _open_evaluators,
+    "simplex-dfa": _open_simplex,
 }
 
 
@@ -217,48 +305,32 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
     Each round follows the protocol's move order: the experts advise,
     Learner proposes, Reality picks the outcome (seeing the proposal's loss
     vector only when it depends on the prediction), and the session
-    advances once.
+    advances.  Rounds are played in blocks of :func:`block_rounds`; when
+    nothing in a round looks at Learner's move, a block's draws, mixes and
+    reweighs are each one batch, with the bytes of one round at a time.
     """
     if config.algorithm not in PROTOCOLS:
         raise ConfigError(f"unknown algorithm {config.algorithm!r}")
-    open_protocol, log_supermartingale = PROTOCOLS[config.algorithm]
     expert_rngs, reality_rng = _spawn_rngs(config.seed, len(config.experts))
     reality = build_reality(config.reality, config.m, reality_rng)
-    state, play = open_protocol(config, expert_rngs, float(config.solver["epsilon"]),
-                                float(config.solver["tol"]))
+    state, play = PROTOCOLS[config.algorithm](
+        config, expert_rngs, reality, float(config.solver["epsilon"]),
+        float(config.solver["tol"]))
 
     records: list[StepRecord] = []
     outcomes: list = []
     max_margin = -np.inf
     worst_step = -1
-    for n in range(config.horizon):
-        p, advice, learner_pi = play(state, n, outcomes)
-        w = reality.pick(n, p.loss_vector if reality.depends_on_prediction else None)
-        learner_term, learner_loss, expert_losses = p.score(w)
-        state = state.advance(learner_term, learner_loss, expert_losses, p.slack)
-        outcomes.append(w)
-        margins = list(state.bound_margins())
-        worst = max(margins) if margins else -np.inf
-        if worst > max_margin:
-            max_margin, worst_step = worst, n
-        cum_learner = state.cumulative_loss
-        records.append(StepRecord(
-            step=n,
-            advice=[[float(v) for v in row] for row in advice],
-            learner_pi=learner_pi,
-            learner_decision=[float(v) for v in p.decision],
-            outcome=[float(v) for v in w] if isinstance(w, np.ndarray) else w,
-            learner_loss=learner_loss.tolist()
-            if isinstance(learner_loss, np.ndarray) else learner_loss,
-            expert_losses=expert_losses.tolist(),
-            cumulative_learner_loss=list(cum_learner)
-            if isinstance(cum_learner, np.ndarray) else cum_learner,
-            cumulative_expert_losses=list(state.per_expert_loss),
-            log_supermartingale=log_supermartingale(state),
-            slack=p.slack,
-            slack_total=state.slack_log_total,
-            bound_margins=margins,
-        ))
+    block = block_rounds(config)
+    for n in range(0, config.horizon, block):
+        size = min(block, config.horizon - n)
+        state, columns, margins = play(state, n, size, outcomes)
+        worst = margins.max(axis=1)
+        i = int(worst.argmax())
+        if worst[i] > max_margin:
+            max_margin, worst_step = worst[i], n + i
+        records.extend(StepRecord(n + j, *row) for j, row in
+                       enumerate(zip(*columns, margins.tolist())))
 
     k = state.n_experts
     evaluators = isinstance(state.c, np.ndarray)  # per-expert (c, eta)
@@ -290,12 +362,22 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
 # Serialization
 
 
+_encode = json.JSONEncoder(separators=(",", ":")).encode
+
+
 def trajectory_lines(result: RunResult) -> list[str]:
+    """The meta line and one line per step record, each ``to_obj``'s JSON.
+    A step is encoded in one call on its fields: they hold numbers, lists
+    and None, never a string, so the encoder's ``Infinity`` on the line
+    can only be an infinite value, which ``to_obj`` writes as ``"inf"``."""
     meta = {"type": "meta", "format_version": 1,
             "config": result.config.to_jsonable()}
     lines = [json.dumps(meta, separators=(",", ":"))]
     for rec in result.records:
-        lines.append(json.dumps(rec.to_obj(), separators=(",", ":")))
+        line = _encode({"type": "step", **vars(rec)})
+        if "Infinity" in line:
+            line = line.replace("-Infinity", '"-inf"').replace("Infinity", '"inf"')
+        lines.append(line)
     return lines
 
 

@@ -1,7 +1,10 @@
 """Expert and reality strategies for scenario runs.
 
 Randomized strategies draw from independent PCG64 substreams spawned from
-the scenario's master seed, so trajectories replay exactly.
+the scenario's master seed, so trajectories replay exactly.  The built-in
+experts and the Reality kinds that do not look at Learner's move also
+serve a block of rounds in one call (``size=B``): the block's draws are
+the ``B`` single-round draws, in the same order from the same stream.
 """
 
 from __future__ import annotations
@@ -28,12 +31,20 @@ def _as_decision(game: Game, value) -> np.ndarray:
     return arr
 
 
+# ``advise(step, past_outcomes)`` is the decision for round ``step``, from
+# the outcomes before it; ``advise(step, past_outcomes, size=B)`` the
+# decisions of rounds ``step .. step + B - 1``, shape (B, decision_dim),
+# for which ``past_outcomes`` holds the outcomes before the last of them.
+
+
 class ConstantExpert:
     def __init__(self, game: Game, value):
         self.decision = _as_decision(game, value)
 
-    def advise(self, step: int, past_outcomes: list) -> np.ndarray:
-        return self.decision
+    def advise(self, step: int, past_outcomes: list, size: int | None = None) -> np.ndarray:
+        if size is None:
+            return self.decision
+        return np.broadcast_to(self.decision, (size, len(self.decision)))
 
 
 class IidRandomExpert:
@@ -41,32 +52,39 @@ class IidRandomExpert:
         self.game = game
         self.rng = rng
 
-    def advise(self, step: int, past_outcomes: list) -> np.ndarray:
+    def advise(self, step: int, past_outcomes: list, size: int | None = None) -> np.ndarray:
+        d = self.game.decision_dim
         if self.game.decision_kind == "box":
-            return self.rng.random(self.game.decision_dim)
-        return self.rng.dirichlet(np.ones(self.game.decision_dim))
+            return self.rng.random(d if size is None else (size, d))
+        return self.rng.dirichlet(np.ones(d), size=size)
 
 
 class TrailingAverageExpert:
     """Predicts the (Laplace-smoothed) empirical mean of past outcomes.
-    Counts update incrementally, so long horizons stay linear."""
+    Counts update incrementally, so long horizons stay linear; a block's
+    counts are one cumulative sum, which adds the outcomes in the order the
+    round-by-round update does."""
 
     def __init__(self, game: Game, smoothing: float = 1.0):
         self.game = game
         self.counts = np.full(game.m, float(smoothing))
         self._seen = 0
 
-    def advise(self, step: int, past_outcomes: list) -> np.ndarray:
-        for w in past_outcomes[self._seen:]:
-            if np.isscalar(w) or np.asarray(w).ndim == 0:
-                self.counts[int(w)] += 1.0
-            else:  # simplex outcome
-                self.counts += np.asarray(w, dtype=float)
-        self._seen = len(past_outcomes)
-        freq = self.counts / self.counts.sum()
+    def advise(self, step: int, past_outcomes: list, size: int | None = None) -> np.ndarray:
+        rounds = 1 if size is None else size
+        new = np.asarray(past_outcomes[self._seen:step + rounds - 1])
+        rows = np.zeros((len(new) + 1, self.game.m))
+        rows[0] = self.counts
+        if new.ndim == 2:  # simplex outcomes
+            rows[1:] = new
+        else:
+            rows[np.arange(1, len(rows)), new.astype(int)] = 1.0
+        counts = np.cumsum(rows, axis=0)[-rounds:]
+        self.counts, self._seen = counts[-1], step + rounds - 1
+        freq = counts / counts.sum(axis=1, keepdims=True)
         if self.game.decision_kind == "box":
-            return np.array([freq[1]])
-        return freq
+            freq = freq[:, 1:]
+        return freq if size is not None else freq[0]
 
 
 def build_standard_expert(game: Game, spec: dict, rng: np.random.Generator):
@@ -115,7 +133,10 @@ class Reality:
 
     depends_on_prediction = False
 
-    def pick(self, step: int, learner_loss_vector: np.ndarray | None):
+    def pick(self, step: int, learner_loss_vector: np.ndarray | None,
+             size: int | None = None):
+        """The outcome of round ``step``; one that does not depend on the
+        prediction also gives those of rounds ``step .. step + size - 1``."""
         raise NotImplementedError
 
 
@@ -124,16 +145,19 @@ class IidReality(Reality):
         self.probs = np.asarray(probs, dtype=float)
         self.rng = rng
 
-    def pick(self, step, learner_loss_vector=None) -> int:
-        return int(self.rng.choice(len(self.probs), p=self.probs))
+    def pick(self, step, learner_loss_vector=None, size=None):
+        w = self.rng.choice(len(self.probs), size=size, p=self.probs)
+        return int(w) if size is None else w
 
 
 class FixedReality(Reality):
     def __init__(self, sequence):
-        self.sequence = list(sequence)
+        self.sequence = np.asarray(sequence, dtype=int)
 
-    def pick(self, step, learner_loss_vector=None) -> int:
-        return int(self.sequence[step % len(self.sequence)])
+    def pick(self, step, learner_loss_vector=None, size=None):
+        if size is None:
+            return int(self.sequence[step % len(self.sequence)])
+        return self.sequence[np.arange(step, step + size) % len(self.sequence)]
 
 
 class AdversarialReality(Reality):
@@ -157,8 +181,8 @@ class DirichletReality(Reality):
         self.alpha = np.full(m, float(a)) if a.ndim == 0 else a
         self.rng = rng
 
-    def pick(self, step, learner_loss_vector=None) -> np.ndarray:
-        return self.rng.dirichlet(self.alpha)
+    def pick(self, step, learner_loss_vector=None, size=None) -> np.ndarray:
+        return self.rng.dirichlet(self.alpha, size=size)
 
 
 def build_reality(spec: dict, m: int, rng: np.random.Generator) -> Reality:

@@ -61,7 +61,7 @@ def _binary_box(name: str, l0, l1, feasible_interval, **closed_forms) -> Game:
     """A binary game with decisions ``p`` in [0, 1] and losses
     ``(l0(p), l1(p))``.  Its substitution is the midpoint of the feasible
     interval ``{p : loss(p) <= g}``, the same rule as DFA's midpoint
-    selection."""
+    selection; ``feasible_interval`` takes one ``g`` or a batch (n, 2)."""
     def loss(dec):
         dec = np.asarray(dec, dtype=float)
         p = dec[:, 0] if dec.ndim == 2 else np.atleast_1d(dec)
@@ -69,8 +69,11 @@ def _binary_box(name: str, l0, l1, feasible_interval, **closed_forms) -> Game:
         return out if dec.ndim == 2 else out[0]
 
     def substitution(g):
-        lo, hi = feasible_interval(g)
-        return np.array([min(max(0.5 * (max(lo, 0.0) + min(hi, 1.0)), 0.0), 1.0)])
+        lo, hi = feasible_interval(np.asarray(g, dtype=float))
+        # neither lo nor the midpoint is ever -0.0, so no tie of signed
+        # zeros sets these apart from the min and max of Python floats
+        p = np.minimum(np.maximum(0.5 * (np.maximum(lo, 0.0) + np.minimum(hi, 1.0)), 0.0), 1.0)
+        return p[..., None]
 
     return Game(name=name, outcomes=OutcomeSpace.of(2), decision_kind="box",
                 decision_dim=1, loss=loss, substitution=substitution,
@@ -83,7 +86,7 @@ def _binary_box(name: str, l0, l1, feasible_interval, **closed_forms) -> Game:
 
 def _log_binary() -> Game:
     def feasible_interval(g):
-        return float(np.exp(-g[1])), float(1.0 - np.exp(-g[0]))
+        return np.exp(-g[..., 1]), 1.0 - np.exp(-g[..., 0])
 
     return _binary_box(
         "log", lambda p: _safe_neg_log(1.0 - p), _safe_neg_log, feasible_interval,
@@ -94,10 +97,9 @@ def _log_binary() -> Game:
 def _log_simplex(m: int, name: str = "log") -> Game:
     def substitution(g):
         q = np.exp(-np.where(np.isinf(g), np.inf, np.asarray(g, dtype=float)))
-        s = q.sum()
-        if s == 0.0:
-            return np.full(m, 1.0 / m)
-        return q / s
+        s = q.sum(axis=-1, keepdims=True)
+        with np.errstate(invalid="ignore"):
+            return np.where(s == 0.0, 1.0 / m, q / s)
 
     return Game(
         name=name,
@@ -115,7 +117,7 @@ def _log_simplex(m: int, name: str = "log") -> Game:
 
 def _square_binary() -> Game:
     def feasible_interval(g):
-        return float(1.0 - np.sqrt(g[1])), float(np.sqrt(g[0]))
+        return 1.0 - np.sqrt(g[..., 1]), np.sqrt(g[..., 0])
 
     def proper(pi):
         pi = np.asarray(pi, dtype=float)
@@ -134,7 +136,7 @@ def _square_binary() -> Game:
 
 def _absolute_binary() -> Game:
     def feasible_interval(g):
-        return float(1.0 - g[1]), float(g[0])
+        return 1.0 - g[..., 1], g[..., 0]
 
     def hull_gap(g, eta):
         # exp(-eta * Sigma) has convex hull {u + v <= 1 + e^(-eta)} in the
@@ -230,15 +232,23 @@ def _brier(m: int) -> Game:
 
     def substitution(g):
         g = np.asarray(g, dtype=float)
-        if np.all(np.isfinite(g)):
-            # invert the standard form: g = 1 - 2 pi + ||pi||^2
-            s = (2.0 - m + g.sum()) / m
-            pi = 0.5 * (1.0 + s - g)
-            if np.all(pi >= -1e-12):
-                pi = np.clip(pi, 0.0, None)
-                pi = pi / pi.sum()
-                if np.all(loss(pi) <= g + 1e-9):
-                    return pi
+        G = np.atleast_2d(g)
+        # invert the standard form row by row, g = 1 - 2 pi + ||pi||^2 (a row
+        # with an infinite entry gets a NaN there); a row it does not serve
+        # goes to the numeric search
+        with np.errstate(invalid="ignore"):
+            s = (2.0 - m + G.sum(axis=1, keepdims=True)) / m
+            pi = 0.5 * (1.0 + s - G)
+            ok = (pi >= -1e-12).all(axis=1)
+            pi = np.maximum(pi, 0.0)
+            pi = pi / pi.sum(axis=1, keepdims=True)
+            ok &= (loss(pi) <= G + 1e-9).all(axis=1)
+        if not ok.all():
+            for i in np.flatnonzero(~ok):
+                pi[i] = search(G[i])
+        return pi if g.ndim == 2 else pi[0]
+
+    def search(g):
         finite = np.isfinite(g)
 
         def worst(pi):
@@ -297,13 +307,11 @@ def _hellinger(m: int) -> Game:
         return float(hi)
 
     def substitution(g):
-        g = np.asarray(g, dtype=float)
-        a = np.clip(1.0 - g, 0.0, None) ** 2
-        slack = 1.0 - a.sum()
-        if slack < 0:
-            a = a / a.sum()
-            slack = 0.0
-        return a + slack / m
+        a = np.clip(1.0 - np.asarray(g, dtype=float), 0.0, None) ** 2
+        total = a.sum(axis=-1, keepdims=True)
+        over = 1.0 - total < 0
+        with np.errstate(invalid="ignore"):
+            return np.where(over, a / total, a) + np.where(over, 0.0, 1.0 - total) / m
 
     def proper(pi):
         pi = np.asarray(pi, dtype=float)

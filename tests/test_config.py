@@ -132,3 +132,71 @@ def test_solver_settings_at_their_floors_accepted():
     cfg = parse_config(doc("dfa", "iid", solver={"tol": 2.0 ** -52, "epsilon": 0}))
     assert cfg.solver == {"tol": 2.0 ** -52, "epsilon": 0}
     assert run_scenario(cfg).summary["bound_ok"]
+
+
+#: reality specs each refused at parse time, with what goes wrong without
+#: the check: a crash deep in the run, or a run that scores the wrong thing
+BAD_REALITIES = [
+    {"kind": "fixed"},  # KeyError in the run
+    {"kind": "fixed", "sequence": []},  # ZeroDivisionError in the run
+    {"kind": "fixed", "sequence": [0, -1]},  # records -1, scores outcome 1
+    {"kind": "fixed", "sequence": [0, 2]},  # IndexError in the run
+    {"kind": "fixed", "sequence": [0.5, 1]},  # truncated to [0, 1]
+    {"kind": "fixed", "sequence": [True, 0]},
+    {"kind": "fixed", "sequence": "01"},
+    {"kind": "iid", "probs": [1.0]},
+    {"kind": "iid", "probs": [0.2, 0.3, 0.5]},
+    {"kind": "iid", "probs": [1.5, -0.5]},
+    {"kind": "iid", "probs": [0.5, 0.6]},
+    {"kind": "iid", "probs": [0.5, 0.5 + 1e-8]},
+    {"kind": "iid", "probs": ["a", "b"]},
+]
+
+
+@pytest.mark.parametrize("reality", BAD_REALITIES)
+def test_bad_reality_spec_rejected(reality):
+    bad = doc("aa", "iid") | {"reality": reality}
+    with pytest.raises(ConfigError, match="reality"):
+        parse_config(bad)
+
+
+#: (game, expert spec) pairs each refused at parse time
+BAD_EXPERTS = [
+    ({"name": "log", "m": 2}, {"kind": "constant"}),  # KeyError in the run
+    ({"name": "log", "m": 2}, {"kind": "constant", "value": [0.3, 0.4]}),
+    ({"name": "log", "m": 2}, {"kind": "constant", "value": 1.5}),  # AllExpertsDead
+    ({"name": "log", "m": 2}, {"kind": "constant", "value": -0.1}),
+    ({"name": "log", "m": 2}, {"kind": "constant", "value": "0.5"}),
+    ({"name": "log", "m": 3}, {"kind": "constant", "value": [0.5, 0.5]}),
+    ({"name": "log", "m": 3}, {"kind": "constant", "value": [0.5, 0.6, -0.1]}),
+    ({"name": "brier", "m": 3}, {"kind": "constant", "value": [0.5, 0.5, 0.5]}),
+    ({"name": "log", "m": 2}, {"kind": "trailing-average", "smoothing": 0}),  # NaN advice
+    ({"name": "log", "m": 2}, {"kind": "trailing-average", "smoothing": -1.0}),
+    ({"name": "log", "m": 2}, {"kind": "trailing-average", "smoothing": float("inf")}),
+]
+
+
+@pytest.mark.parametrize("game,expert", BAD_EXPERTS)
+def test_bad_expert_spec_rejected(game, expert):
+    m = game["m"]
+    bad = doc("aa", "iid", game=game, experts=[expert, {"kind": "iid-random"}]) | {
+        "reality": {"kind": "iid", "probs": [1.0 / m] * m}}
+    with pytest.raises(ConfigError, match=expert["kind"]):
+        parse_config(bad)
+
+
+def test_bad_sg_constant_rejected():
+    with pytest.raises(ConfigError, match="sg-constant"):
+        parse_config(doc("sg-aa", "iid",
+                         experts=[{"kind": "sg-contrarian"}, {"kind": "sg-constant", "value": 1.5}]))
+
+
+@pytest.mark.parametrize("reality,expert", [
+    ({"kind": "fixed", "sequence": [1, 0, 2]}, {"kind": "constant", "value": [0.2, 0.3, 0.5]}),
+    ({"kind": "iid", "probs": [0.0, 0.25, 0.75]}, {"kind": "trailing-average", "smoothing": 0.1}),
+    ({"kind": "iid"}, {"kind": "constant", "value": [1, 0, 0]}),
+])
+def test_good_specs_accepted(reality, expert):
+    cfg = parse_config(doc("aa", "iid", game={"name": "log", "m": 3},
+                           experts=[expert, {"kind": "iid-random"}]) | {"reality": reality})
+    assert run_scenario(cfg).summary["bound_ok"]

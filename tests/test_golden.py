@@ -1,5 +1,6 @@
 """Golden bytes: the JSONL trajectory and CSV summary of every shipped
-scenario at a short horizon, pinned by sha256.
+scenario at a short horizon, and of two mixing runs several blocks of
+rounds long, pinned by sha256.
 
 Criterion 13 compares two runs made in one process; these hashes also
 catch a byte change between versions of the code.  A change that moves
@@ -11,7 +12,8 @@ import hashlib
 
 import pytest
 
-from expertmix.harness.runner import run_scenario, write_outputs
+from expertmix.harness.config import parse_config
+from expertmix.harness.runner import BLOCK_ROUNDS, block_rounds, run_scenario, write_outputs
 from expertmix.harness.scenarios import SCENARIOS, builtin_scenario
 
 HORIZON = 200
@@ -39,6 +41,33 @@ GOLDEN = {
 }
 
 
+#: runs of several blocks of mixing rounds (the runner plays them in
+#: blocks of ``BLOCK_ROUNDS``), pinned by the hashes the round-by-round
+#: runner gave: name -> (config, sha256 of the JSONL, sha256 of the CSV)
+GOLDEN_BLOCKS = {
+    "aa-log-k10": (
+        builtin_scenario("aa-log-k10", horizon=1500),
+        "61a19568d7c24e6b8ab50bff857e98f0ebd76461bd6159afb48ce69ba39295c7",
+        "71fe78fd3a2540a11bb5ceb617b4e3acfb73d4df0f76cd0e8ff6c18473578580"),
+    "aa-mixed-fixed": (
+        parse_config({
+            "name": "aa-mixed-fixed",
+            "game": {"name": "log", "m": 2},
+            "algorithm": "aa",
+            "eta": 1.0,
+            "prior": [0.25, 0.25, 0.5],
+            "experts": [{"kind": "constant", "value": 0.3},
+                        {"kind": "trailing-average", "smoothing": 0.1},
+                        {"kind": "iid-random"}],
+            "reality": {"kind": "fixed", "sequence": [0, 1, 1, 0, 1]},
+            "horizon": 1000,
+            "seed": 17,
+        }),
+        "77a52aec3a4f66cf513586cf1d88711744cedfebfe0325be57260b12c4ae9fd8",
+        "5334d58f6645b46603b26d0b3dc2082c56bebf7715c6d85778ba4f0862be6fe3"),
+}
+
+
 def test_every_shipped_scenario_is_pinned():
     assert sorted(GOLDEN) == sorted(SCENARIOS)
 
@@ -50,3 +79,12 @@ def test_scenario_bytes_match_golden(name, tmp_path):
     got = tuple(hashlib.sha256(paths[kind].read_bytes()).hexdigest()
                 for kind in ("jsonl", "csv"))
     assert got == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_BLOCKS))
+def test_blocked_run_bytes_match_golden(name, tmp_path):
+    config, jsonl, csv = GOLDEN_BLOCKS[name]
+    assert block_rounds(config) == BLOCK_ROUNDS and config.horizon > 3 * BLOCK_ROUNDS
+    paths = write_outputs(run_scenario(config), tmp_path, fmt="both")
+    assert tuple(hashlib.sha256(paths[kind].read_bytes()).hexdigest()
+                 for kind in ("jsonl", "csv")) == (jsonl, csv)

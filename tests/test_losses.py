@@ -85,6 +85,20 @@ class TestBuiltinGames:
                 sub = game.loss_vector(game.substitution(g))
                 assert np.all(sub <= g + 1e-7), (name, m, g, sub)
 
+    def test_batch_substitution_is_row_by_row(self):
+        # superpredictions, ones no decision serves, and infinite entries
+        rng = np.random.default_rng(4)
+        for name, m in (("log", 2), ("log", 3), ("square", 2), ("absolute", 2),
+                        ("brier", 2), ("brier", 3), ("hellinger", 3), ("kl", 3)):
+            game = builtin_game(name, m)
+            G = rng.choice([0.0, 0.01, 0.3, 0.7, 1.0, 2.0, 5.0, np.inf], size=(40, m))
+            rows = np.stack([game.substitution(g) for g in G])
+            assert np.array_equal(game.substitution(G), rows, equal_nan=True), (name, m)
+            if game.feasible_interval is not None:
+                lo, hi = game.feasible_interval(G)
+                assert np.array_equal(np.column_stack([lo, hi]),
+                                      [game.feasible_interval(g) for g in G])
+
     def test_hellinger_loss_matches_half_squared_roots(self):
         # 0.5 * sum (sqrt(delta) - sqrt(pi))^2 == 1 - sqrt(pi(w))
         g = builtin_game("hellinger", 3)
