@@ -105,15 +105,43 @@ def aa_proposal(state: Session, advice,
     return Proposal(decision, lv, 0.0, lambda w: (0.0, float(lv[w]), A[:, w]), g)
 
 
+def substituted_rounds(state: Session, forecasts: np.ndarray, outcomes: np.ndarray,
+                       expert_losses: np.ndarray, log_weights: np.ndarray,
+                       log_value: np.ndarray, slack: np.ndarray,
+                       error: Exception | None = None, *, substitution_tol: float = 1e-7
+                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray, Rounds]:
+    """The tail of a block of rounds: one batched substitution of the
+    rounds' ``forecasts`` (B', m), then Learner's losses, the experts' and
+    the slack totals as running sums.  A block cut short by ``error`` in
+    round B' < B substitutes the rounds before it, so a
+    :class:`SubstitutionFailure` among them comes first, as round by round,
+    then raises ``error``.  Returns the decisions, their loss vectors, the
+    rounds' slack and their :class:`Rounds`."""
+    decisions, lvs = substitute(state, forecasts, substitution_tol)
+    if error is not None:
+        raise error
+    rows = np.arange(len(outcomes))
+
+    def running(start, steps):  # added in order, as round by round
+        return np.concatenate(([start], steps)).cumsum(axis=0)[1:]
+
+    return decisions, lvs, slack, Rounds(
+        log_weights, log_value, running(state.cumulative_loss, lvs[rows, outcomes]),
+        running(state.per_expert_loss, expert_losses),
+        running(state.slack_log_total, np.log1p(slack)))
+
+
 def aa_rounds(state: Session, advice: np.ndarray, outcomes: np.ndarray,
-              *, substitution_tol: float = 1e-7) -> tuple[np.ndarray, np.ndarray, Rounds]:
+              *, substitution_tol: float = 1e-7
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray, Rounds]:
     """Play a block of B rounds whose advice, shape (B, k, m), and outcomes,
     shape (B,), do not depend on Learner's moves: one reweigh gives the
     posterior before every round, one batched mix and substitution the
-    decisions.  Returns the decisions, their loss vectors and the session's
-    :class:`Rounds`, each row what :func:`aa_step` gives that round.
-    :class:`AllExpertsDead` and :class:`SubstitutionFailure` are raised for
-    the first round that meets them, as round by round."""
+    decisions.  Returns the decisions, their loss vectors, the rounds'
+    (zero) slack and the session's :class:`Rounds`, each row what
+    :func:`aa_step` gives that round.  :class:`AllExpertsDead` and
+    :class:`SubstitutionFailure` are raised for the first round that meets
+    them, as round by round."""
     rows = np.arange(len(advice))
     expert_losses = advice[rows, :, outcomes]
     lw, lv = state.reweigh(0.0, expert_losses)
@@ -123,17 +151,10 @@ def aa_rounds(state: Session, advice: np.ndarray, outcomes: np.ndarray,
     dead = np.isneginf(lv_before)
     live = int(np.argmax(dead)) if dead.any() else len(rows)
     g = aa_mix(state, advice[:live], lw_before[:live] - lv_before[:live, None])
-    decisions, lvs = substitute(state, g, substitution_tol)
-    if live < len(rows):
-        raise AllExpertsDead()
-
-    def running(start, steps):  # added in order, as round by round
-        return np.concatenate(([start], steps)).cumsum(axis=0)[1:]
-
-    return decisions, lvs, Rounds(
-        lw, lv, running(state.cumulative_loss, lvs[rows, outcomes]),
-        running(state.per_expert_loss, expert_losses),
-        np.full(len(rows), state.slack_log_total))
+    return substituted_rounds(state, g, outcomes, expert_losses, lw, lv,
+                              np.zeros(len(rows)),
+                              AllExpertsDead() if live < len(rows) else None,
+                              substitution_tol=substitution_tol)
 
 
 def aa_step(state: Session, advice, outcome: int,

@@ -14,14 +14,15 @@ surfaced and accumulated into the regret audit instead of being ignored.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .aggregating import _advice_matrix, aa_mix, project_boundary, substitute
-from .core import (Game, Proposal, Session, _batch_losses, as_losses, as_probs,
-                   log_mix, pair_exponent, simplex_grid, start_session)
+from .aggregating import (_advice_matrix, aa_mix, project_boundary, substitute,
+                          substituted_rounds)
+from .core import (Game, Proposal, Rounds, Session, _batch_losses, as_losses, as_probs,
+                   log_mix, log_sum_exp, pair_exponent, simplex_grid, start_session)
 from .errors import ContractViolation, SlackExceeded
 from .losses import ProperLoss, proper_loss_from_entropy
 
@@ -465,6 +466,24 @@ def choose_forecast(q, m: int, *, C: float = 1.0, epsilon: float = 1e-6,
     return pi, slack
 
 
+def _forecast(state: Session, A: np.ndarray, epsilon: float, tol: float,
+              select: str) -> tuple[np.ndarray, float]:
+    """The forecast pi for the advice ``A`` under the session's posterior,
+    and its slack.  When the simplex search stalls, AA's substituted mix is
+    taken as the forecast if it keeps q under the same target (the two
+    protocols make the same prediction); otherwise :class:`SlackExceeded`
+    propagates."""
+    q = fixed_advice_q(state, A)
+    try:
+        return choose_forecast(q, state.game.m, epsilon=epsilon, tol=tol, select=select)
+    except SlackExceeded:
+        pi = np.asarray(state.game.substitution(aa_mix(state, A)), dtype=float)
+        top = float(np.max(q(pi)))
+        if top > 1.0 + epsilon + tol:
+            raise
+        return pi, max(0.0, top - 1.0)
+
+
 def dfa_proposal(state: Session, advice, *, epsilon: float = 1e-6,
                  tol: float = 1e-9, select: str = "midpoint",
                  substitution_tol: float = 1e-7) -> Proposal:
@@ -481,19 +500,41 @@ def dfa_proposal(state: Session, advice, *, epsilon: float = 1e-6,
     A = _advice_matrix(advice, state.game.m)
     if A.shape[0] != state.n_experts:
         raise ValueError(f"{A.shape[0]} advice rows for {state.n_experts} experts")
-    q = fixed_advice_q(state, A)
-    try:
-        pi, slack = choose_forecast(q, state.game.m, epsilon=epsilon, tol=tol,
-                                    select=select)
-    except SlackExceeded:
-        pi = np.asarray(state.game.substitution(aa_mix(state, A)), dtype=float)
-        top = float(np.max(q(pi)))
-        if top > 1.0 + epsilon + tol:
-            raise
-        slack = max(0.0, top - 1.0)
+    pi, slack = _forecast(state, A, epsilon, tol, select)
     lam = state.proper(pi)
     decision, lv = substitute(state, lam, substitution_tol)
     return Proposal(decision, lv, slack, lambda w: (lam[w], float(lv[w]), A[:, w]), pi)
+
+
+def dfa_rounds(state: Session, advice: np.ndarray, outcomes: np.ndarray, *,
+               epsilon: float = 1e-6, tol: float = 1e-9, select: str = "midpoint",
+               substitution_tol: float = 1e-7
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray, Rounds]:
+    """Play a block of B rounds whose advice, shape (B, k, m), and outcomes,
+    shape (B,), do not depend on Learner's moves.  A round's forecast needs
+    the posterior after the rounds before it, so only the chain posterior
+    -> q -> forecast -> ``lambda(pi)`` -> reweigh runs round by round; the
+    substitution and the running sums are one batch each.  Returns what
+    :func:`aggregating.aa_rounds` returns, each row what :func:`dfa_step`
+    gives that round; an error is raised for the first round that meets
+    it, as round by round."""
+    rows = np.arange(len(advice))
+    expert_losses = advice[rows, :, outcomes]
+    lw, lv = np.empty(expert_losses.shape), np.empty(len(rows))
+    lam, slack = np.empty((len(rows), state.game.m)), np.zeros(len(rows))
+    played, error, cur = len(rows), None, state
+    for i, w in enumerate(outcomes.tolist()):
+        try:
+            pi, slack[i] = _forecast(cur, advice[i], epsilon, tol, select)
+            lam[i] = state.proper(pi)
+        except Exception as exc:  # raised once the rounds before it are substituted
+            played, error = i, exc
+            break
+        lw[i] = cur.log_weights + cur._log_factors(lam[i, w], expert_losses[i])
+        lv[i] = log_sum_exp(lw[i])
+        cur = replace(cur, log_weights=lw[i], log_value=lv[i])
+    return substituted_rounds(state, lam[:played], outcomes, expert_losses, lw, lv,
+                              slack, error, substitution_tol=substitution_tol)
 
 
 def dfa_step(state: Session, advice, outcome: int, *,

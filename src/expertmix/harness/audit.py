@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class BoundReport:
@@ -22,12 +24,52 @@ class BoundReport:
     theta: int
 
 
-def _num(x) -> float:
-    if x == "inf":
-        return math.inf
-    if x == "-inf":
-        return -math.inf
-    return float(x)
+def _columns(trajectory) -> tuple[list[int], np.ndarray, np.ndarray, np.ndarray]:
+    """The audited fields of every step record: the steps, Learner's
+    cumulative loss (N,), or (N, k) under each expert's evaluator, the
+    experts' (N, k) and the slack totals (N,), each read as floats once
+    (``"inf"``/``"-inf"`` as infinities, a ``null`` as NaN)."""
+    steps = [int(rec["step"]) for rec in trajectory]
+    learner = np.array([rec["cumulative_learner_loss"] for rec in trajectory], dtype=float)
+    experts = np.array([rec["cumulative_expert_losses"] for rec in trajectory], dtype=float)
+    slack = np.array([rec.get("slack_total", 0.0) for rec in trajectory], dtype=float)
+    return steps, learner, experts, slack
+
+
+def _reports(columns, thetas, constants, strict: bool,
+             margin_tol: float) -> list[BoundReport]:
+    """Every prefix margin ``L - (c L^t + (c/eta)(ln(1/P0) + slack))`` of
+    the experts ``thetas`` with their ``(c, eta, P0)``, and each expert's
+    worst: the first step with the largest margin.  An infinite right-hand
+    side bounds nothing (margin -inf).  A run records losses in [0, inf]
+    and slack totals >= 0, so a NaN or negative input makes the margin
+    NaN, which fails the audit at its step."""
+    steps, learner, experts, slack = columns
+    if not (steps and thetas):
+        return [BoundReport(ok=True, worst_margin=-math.inf, worst_step=-1, theta=theta)
+                for theta in thetas]
+    c, eta, prior = (np.array(v, dtype=float) for v in zip(*constants))
+    # ln with the float math of a per-record audit; a zero prior bounds nothing
+    log_inv = np.array([math.log(1.0 / p) if p > 0.0 else math.inf for p in prior])
+    cum_e = experts[:, thetas]
+    cum_l = learner[:, thetas] if learner.ndim == 2 else learner[:, None]
+    slack_log = 0.0 if strict else slack[:, None]
+    with np.errstate(invalid="ignore"):
+        rhs = c * cum_e + (c / eta) * log_inv + (c / eta) * slack_log
+        margins = np.where(np.isinf(rhs), -np.inf, cum_l - rhs)
+        broken = np.isnan(cum_l) | (cum_l < 0) | np.isnan(cum_e) | (cum_e < 0)
+        if not strict:
+            broken |= np.isnan(slack_log) | (slack_log < 0)
+    margins[broken] = np.nan
+    margins[:, prior <= 0.0] = -np.inf
+    worst_rows = np.argmax(margins, axis=0)  # the first maximum, or the first NaN
+    reports = []
+    for t, (theta, i) in enumerate(zip(thetas, worst_rows.tolist())):
+        worst = float(margins[i, t])
+        reports.append(BoundReport(ok=bool(worst <= margin_tol), worst_margin=worst,
+                                   worst_step=-1 if worst == -math.inf else steps[i],
+                                   theta=theta))
+    return reports
 
 
 def verify_bound(trajectory, theta: int, c: float, eta: float,
@@ -37,28 +79,11 @@ def verify_bound(trajectory, theta: int, c: float, eta: float,
 
     ``trajectory`` is a list of step-record dicts.  ``strict`` sets the
     slack allowance to zero (the bound must hold exactly).  ``ok`` iff the
-    worst margin is at most ``margin_tol``.
+    worst margin is at most ``margin_tol``; a NaN, ``null`` or negative
+    loss or slack total fails at its step.
     """
-    if prior <= 0.0:
-        return BoundReport(ok=True, worst_margin=-math.inf, worst_step=-1,
-                           theta=theta)
-    penalty = (c / eta) * math.log(1.0 / prior)
-    worst = -math.inf
-    worst_step = -1
-    for rec in trajectory:
-        cum_l = rec["cumulative_learner_loss"]
-        if isinstance(cum_l, list):
-            cum_l = cum_l[theta]
-        cum_l = _num(cum_l)
-        cum_e = _num(rec["cumulative_expert_losses"][theta])
-        slack_log = 0.0 if strict else _num(rec.get("slack_total", 0.0))
-        rhs = c * cum_e + penalty + (c / eta) * slack_log
-        margin = -math.inf if math.isinf(rhs) else cum_l - rhs
-        if margin > worst:
-            worst = margin
-            worst_step = int(rec["step"])
-    return BoundReport(ok=bool(worst <= margin_tol), worst_margin=worst,
-                       worst_step=worst_step, theta=theta)
+    return _reports(_columns(trajectory), [theta], [(c, eta, prior)],
+                    strict, margin_tol)[0]
 
 
 def read_trajectory(path: str | Path) -> tuple[dict, list[dict]]:
@@ -81,7 +106,8 @@ def read_trajectory(path: str | Path) -> tuple[dict, list[dict]]:
 def verify_all(meta: dict, steps: list[dict], *, strict: bool = False,
                margin_tol: float = 1e-7) -> list[BoundReport]:
     """Audit every expert of a recorded run using the constants echoed in
-    its meta line."""
+    its meta line.  The records are read into columns once, and every
+    expert's prefix margins are computed together."""
     config = meta.get("config", {})
     k = len(config.get("experts", []))
     if config.get("algorithm") == "ml-dfa":
@@ -94,5 +120,5 @@ def verify_all(meta: dict, steps: list[dict], *, strict: bool = False,
         constants = [(float(config.get("c", 1.0)), float(config.get("eta", 1.0)),
                       (1.0 / k) if prior in (None, "uniform") else float(prior[t]))
                      for t in range(k)]
-    return [verify_bound(steps, t, c, eta, p0, strict=strict, margin_tol=margin_tol)
-            for t, (c, eta, p0) in enumerate(constants)]
+    return _reports(_columns(steps), list(range(len(constants))), constants,
+                    strict, margin_tol)

@@ -13,14 +13,13 @@ import csv
 import json
 import math
 from dataclasses import dataclass, fields
-from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
 
 from ..aggregating import aa_proposal, aa_rounds, aa_start, log_semi_invariant
 from ..core import Game
-from ..defensive import default_proper_loss, dfa_proposal, dfa_start
+from ..defensive import default_proper_loss, dfa_proposal, dfa_rounds, dfa_start
 from ..errors import ConfigError
 from ..extensions import (
     SIMPLEX_GAMES,
@@ -108,7 +107,8 @@ def _learner_pi(game: Game, decisions: np.ndarray) -> list:
 
 
 #: rounds per block of a run in which nothing looks at Learner's move:
-#: mixing with ``iid`` or ``fixed`` Reality and experts of ``BLOCK_KINDS``.
+#: mixing or forecasting with ``iid`` or ``fixed`` Reality and experts of
+#: ``BLOCK_KINDS``.
 #: Its arrays stay in the tens of kilobytes, far below the records' memory.
 BLOCK_ROUNDS = 256
 
@@ -118,8 +118,11 @@ BLOCK_KINDS = ("constant", "iid-random", "trailing-average")
 
 def block_rounds(config: ScenarioConfig) -> int:
     """Rounds per block: ``BLOCK_ROUNDS`` when the experts and Reality of
-    every round are fixed before Learner moves, else one."""
-    if config.algorithm == "aa" and config.reality["kind"] in ("iid", "fixed") \
+    every round are fixed before Learner moves, else one.  Mixing (``aa``)
+    and forecasting (``dfa``) play such blocks; adversarial Reality, the
+    second-guessing, evaluator and simplex protocols play one round at a
+    time."""
+    if config.algorithm in ("aa", "dfa") and config.reality["kind"] in ("iid", "fixed") \
             and all(e["kind"] in BLOCK_KINDS for e in config.experts):
         return BLOCK_ROUNDS
     return 1
@@ -131,7 +134,8 @@ def block_rounds(config: ScenarioConfig) -> int:
 # rounds ``n .. n + size - 1``, appends their outcomes, and returns the
 # session after them, the columns of their step records in ``RECORD_KEYS``
 # order (from ``advice`` to ``slack_total``) and their bound margins,
-# shape (size, k).  Only mixing plays blocks of more than one round.
+# shape (size, k).  Only the fixed-advice openers, mixing and forecasting,
+# play blocks of more than one round.
 
 
 def _standard_experts(config: ScenarioConfig, game: Game, rngs):
@@ -146,6 +150,12 @@ def _standard_experts(config: ScenarioConfig, game: Game, rngs):
         return np.stack([s.advise(n, outcomes, size) for s in strategies], axis=1)
 
     return advise
+
+
+def _log_value(state, rounds=None):
+    """A forecasting session's log supermartingale, now or, shape (B,),
+    after each round of ``rounds``."""
+    return state.log_value if rounds is None else rounds.log_value
 
 
 def _round_by_round(propose, reality, read):
@@ -179,52 +189,45 @@ def _round_by_round(propose, reality, read):
     return play
 
 
-def _open_fixed_advice(start, propose, read):
+def _open_fixed_advice(start, propose, rounds, read):
+    """An opener for experts that advise before Learner moves.  Against
+    Reality that looks at the prediction, ``propose(state, advice, eps,
+    tol)`` plays round by round; otherwise a block is played in one batch:
+    ``rounds(state, advice, outcomes, eps, tol)`` gives the decisions, their
+    loss vectors, the slack and the :class:`~expertmix.core.Rounds` of a
+    block, and ``read(state, rounds)`` its log supermartingale."""
     def open_protocol(config: ScenarioConfig, rngs, reality, eps: float, tol: float):
         game = builtin_game(config.game, config.m)
         advise = _standard_experts(config, game, rngs)
         state = start(game, eta=config.eta, c=config.c, prior=config.prior,
                       n_experts=len(config.experts))
+        if reality.depends_on_prediction:
+            def propose_round(state, n, outcomes):
+                decisions = advise(n, 1, outcomes)[0]
+                p = propose(state, np.asarray(game.loss(decisions), dtype=float), eps, tol)
+                return p, decisions, _learner_pi(game, p.decision[None])[0]
 
-        def propose_round(state, n, outcomes):
-            decisions = advise(n, 1, outcomes)[0]
-            p = propose(state, np.asarray(game.loss(decisions), dtype=float), eps, tol)
-            return p, decisions, _learner_pi(game, p.decision[None])[0]
+            return state, _round_by_round(propose_round, reality, read)
+        k, d, m = len(config.experts), game.decision_dim, game.m
 
-        return state, _round_by_round(propose_round, reality, read)
+        def play(state, n, size, outcomes):
+            w = reality.pick(n, None, size)
+            outcomes.extend(w[:-1].tolist())
+            advice = advise(n, size, outcomes)
+            outcomes.append(int(w[-1]))
+            A = np.asarray(game.loss(advice.reshape(-1, d)), dtype=float).reshape(size, k, m)
+            decisions, lvs, slack, played = rounds(state, A, w, eps, tol)
+            rows = np.arange(size)
+            columns = (advice.tolist(), _learner_pi(game, decisions), decisions.tolist(),
+                       w.tolist(), lvs[rows, w].tolist(), A[rows, :, w].tolist(),
+                       played.cumulative_loss.tolist(), played.per_expert_loss.tolist(),
+                       read(state, played).tolist(), slack.tolist(),
+                       played.slack_log_total.tolist())
+            return state.after(played), columns, state.bound_margins(played)
+
+        return state, play
 
     return open_protocol
-
-
-def _open_mixing(config: ScenarioConfig, rngs, reality, eps: float, tol: float):
-    """Mixing plays a block in one batch when Reality does not look at the
-    prediction; against Reality that does, it plays round by round."""
-    if reality.depends_on_prediction:
-        return _open_fixed_advice(
-            aa_start, lambda s, A, eps, tol: aa_proposal(s, A),
-            log_semi_invariant)(config, rngs, reality, eps, tol)
-    game = builtin_game(config.game, config.m)
-    advise = _standard_experts(config, game, rngs)
-    state = aa_start(game, eta=config.eta, c=config.c, prior=config.prior,
-                     n_experts=len(config.experts))
-    k, d, m = len(config.experts), game.decision_dim, game.m
-
-    def play(state, n, size, outcomes):
-        w = reality.pick(n, None, size)
-        outcomes.extend(w[:-1].tolist())
-        advice = advise(n, size, outcomes)
-        outcomes.append(int(w[-1]))
-        A = np.asarray(game.loss(advice.reshape(-1, d)), dtype=float).reshape(size, k, m)
-        decisions, lvs, rounds = aa_rounds(state, A, w)
-        rows = np.arange(size)
-        columns = (advice.tolist(), _learner_pi(game, decisions), decisions.tolist(),
-                   w.tolist(), lvs[rows, w].tolist(), A[rows, :, w].tolist(),
-                   rounds.cumulative_loss.tolist(), rounds.per_expert_loss.tolist(),
-                   log_semi_invariant(state, rounds).tolist(), [0.0] * size,
-                   rounds.slack_log_total.tolist())
-        return state.after(rounds), columns, state.bound_margins(rounds)
-
-    return state, play
 
 
 def _open_second_guess(start, propose, records_pi: bool, read):
@@ -264,7 +267,7 @@ def _open_evaluators(config: ScenarioConfig, rngs, reality, eps: float, tol: flo
         p = ml_dfa_proposal(state, advice, epsilon=eps, tol=tol)
         return p, advice, [float(v) for v in p.decision]
 
-    return state, _round_by_round(propose_round, reality, attrgetter("log_value"))
+    return state, _round_by_round(propose_round, reality, _log_value)
 
 
 def _open_simplex(config: ScenarioConfig, rngs, reality, eps: float, tol: float):
@@ -278,19 +281,21 @@ def _open_simplex(config: ScenarioConfig, rngs, reality, eps: float, tol: float)
         p = simplex_dfa_proposal(state, decisions, epsilon=eps, tol=tol)
         return p, decisions, [float(v) for v in p.decision]
 
-    return state, _round_by_round(propose_round, reality, attrgetter("log_value"))
+    return state, _round_by_round(propose_round, reality, _log_value)
 
 
 #: algorithm -> opener; mixing sessions read the semi-invariant as their
 #: log supermartingale, which is the same quantity
 PROTOCOLS = {
-    "aa": _open_mixing,
+    "aa": _open_fixed_advice(
+        aa_start, lambda s, A, eps, tol: aa_proposal(s, A),
+        lambda s, A, w, eps, tol: aa_rounds(s, A, w), log_semi_invariant),
     "dfa": _open_fixed_advice(
         dfa_start, lambda s, A, eps, tol: dfa_proposal(s, A, epsilon=eps, tol=tol),
-        attrgetter("log_value")),
+        lambda s, A, w, eps, tol: dfa_rounds(s, A, w, epsilon=eps, tol=tol), _log_value),
     "sg-dfa": _open_second_guess(
         dfa_start, lambda s, ex, eps, tol: sg_dfa_proposal(s, ex, epsilon=eps, tol=tol),
-        records_pi=True, read=attrgetter("log_value")),
+        records_pi=True, read=_log_value),
     "sg-aa": _open_second_guess(
         aa_start, lambda s, ex, eps, tol: sg_aa_proposal(s, ex, tol=tol),
         records_pi=False, read=log_semi_invariant),
@@ -306,8 +311,10 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
     Learner proposes, Reality picks the outcome (seeing the proposal's loss
     vector only when it depends on the prediction), and the session
     advances.  Rounds are played in blocks of :func:`block_rounds`; when
-    nothing in a round looks at Learner's move, a block's draws, mixes and
-    reweighs are each one batch, with the bytes of one round at a time.
+    nothing in a round looks at Learner's move, a block's draws, advice
+    losses, substitutions and records are each one batch, and so are AA's
+    mixes and reweighs, while DFA solves and reweighs round by round, all
+    with the bytes of one round at a time.
     """
     if config.algorithm not in PROTOCOLS:
         raise ConfigError(f"unknown algorithm {config.algorithm!r}")

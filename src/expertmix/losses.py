@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import optimize
 
 from .core import (
     Game,
@@ -216,6 +215,9 @@ def _brier(m: int) -> Game:
             )
         x0 = np.concatenate([np.full(m, 1.0 / m), [1.0]])
         bounds = [(0.0, 1.0)] * m + [(None, None)]
+        # scipy is imported where a numeric fallback runs: importing it
+        # takes most of the package's import time
+        from scipy import optimize
         res = optimize.minimize(
             objective,
             x0,
@@ -255,6 +257,7 @@ def _brier(m: int) -> Game:
             lv = loss(pi)
             return float(np.max((lv - g)[finite])) if finite.any() else -1.0
 
+        from scipy import optimize  # imported only where it runs, as above
         res = optimize.minimize(
             lambda x: worst(np.clip(x, 0.0, None) / np.clip(x, 0.0, None).sum()),
             np.full(m, 1.0 / m),
@@ -469,6 +472,7 @@ def _argmin_decision(game: Game, pi: np.ndarray) -> tuple[np.ndarray, float]:
     m = game.decision_dim
     cons = [{"type": "eq", "fun": lambda x: np.sum(x) - 1.0}]
     best, best_val = None, np.inf
+    from scipy import optimize  # imported only where it runs, as above
     for start in (np.full(m, 1.0 / m), np.clip(pi, 1e-9, None) / np.clip(pi, 1e-9, None).sum()):
         res = optimize.minimize(
             expect,

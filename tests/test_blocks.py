@@ -1,14 +1,18 @@
 """Rounds played in blocks replay rounds played one at a time.
 
-``reference_run`` is the per-round mixing loop: each round the experts
-advise, Learner mixes and substitutes, Reality picks, and the session takes
-one round's reweigh.  The runner plays the same configs in blocks of
-rounds (one cumulative sum for the posterior path, one batched mix and
-substitution); its JSONL and summary must be byte-identical, and it must
-raise the same error at the same round.  The block draws of the experts
-and of Reality must be the single-round draws.
+``reference_run`` is the per-round loop of the fixed-advice protocols: each
+round the experts advise, Learner proposes (AA mixes and substitutes; DFA
+solves for its forecast and substitutes), Reality picks, and the session
+takes one round's reweigh.  The runner plays the same configs in blocks of
+rounds (AA: one cumulative sum for the posterior path, one batched mix;
+DFA: the posterior -> forecast -> reweigh chain round by round; both: one
+batched substitution and records from columns); its JSONL and summary must
+be byte-identical, and it must raise the same error at the same round.
+The block draws of the experts and of Reality must be the single-round
+draws.
 """
 
+import itertools
 import json
 from dataclasses import replace
 from unittest import mock
@@ -18,9 +22,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from expertmix import aggregating, defensive
 from expertmix.aggregating import aa_proposal, aa_start, log_semi_invariant
 from expertmix.core import log_sum_exp, pair_exponent
-from expertmix.errors import AllExpertsDead, SubstitutionFailure
+from expertmix.defensive import dfa_proposal, dfa_start
+from expertmix.errors import (AllExpertsDead, ContractViolation, ExpertmixError,
+                              SlackExceeded, SubstitutionFailure)
 from expertmix.harness import runner
 from expertmix.harness.config import parse_config
 from expertmix.harness.runner import (BLOCK_ROUNDS, StepRecord, _jsonable, _spawn_rngs,
@@ -32,50 +39,59 @@ from expertmix.losses import builtin_game, realizability_constant
 
 
 def reference_run(config):
-    """The mixing run round by round: its JSONL lines and its summary as
-    JSON.  An error is raised with the round it came in as ``step``."""
+    """The run round by round: its JSONL lines and its summary as JSON.
+    Mixing reweighs one round by hand; forecasting is the loop of
+    ``dfa_proposal`` and ``Session.advance``.  A library error raised in a
+    round carries that round as ``step``; one raised opening the session
+    carries None."""
+    dfa = config.algorithm == "dfa"
+    eps, tol = float(config.solver["epsilon"]), float(config.solver["tol"])
     expert_rngs, reality_rng = _spawn_rngs(config.seed, len(config.experts))
     reality = build_reality(config.reality, config.m, reality_rng)
     game = builtin_game(config.game, config.m)
     experts = [build_standard_expert(game, s, r) for s, r in zip(config.experts, expert_rngs)]
-    state = aa_start(game, eta=config.eta, c=config.c, prior=config.prior,
-                     n_experts=len(experts))
-    meta = {"type": "meta", "format_version": 1, "config": config.to_jsonable()}
-    lines = [json.dumps(meta, separators=(",", ":"))]
-    outcomes = []
-    max_margin, worst_step = -np.inf, -1
-    for n in range(config.horizon):
-        decisions = [s.advise(n, outcomes) for s in experts]
-        A = np.asarray(game.loss(np.stack(decisions)), dtype=float)
-        try:
-            p = aa_proposal(state, A)
-        except (AllExpertsDead, SubstitutionFailure) as exc:
-            exc.step = n
-            raise
-        w = reality.pick(n, None)
-        _, learner_loss, expert_losses = p.score(w)
-        # one round's reweigh
-        expo = pair_exponent(0.0, expert_losses, state.c, state.eta)
-        lw = state.log_weights + np.where(np.isneginf(state.log_weights), 0.0, expo)
-        state = replace(state, log_weights=lw, log_value=log_sum_exp(lw),
-                        step_count=state.step_count + 1,
-                        cumulative_loss=state.cumulative_loss + learner_loss,
-                        per_expert_loss=state.per_expert_loss + expert_losses)
-        outcomes.append(w)
-        margins = list(state.bound_margins())
-        if max(margins) > max_margin:
-            max_margin, worst_step = max(margins), n
-        d = p.decision
-        rec = StepRecord(
-            step=n, advice=[[float(v) for v in row] for row in decisions],
-            learner_pi=[1.0 - float(d[0]), float(d[0])] if game.decision_kind == "box"
-            else [float(v) for v in d],
-            learner_decision=[float(v) for v in d], outcome=w, learner_loss=learner_loss,
-            expert_losses=expert_losses.tolist(), cumulative_learner_loss=state.cumulative_loss,
-            cumulative_expert_losses=list(state.per_expert_loss),
-            log_supermartingale=log_semi_invariant(state), slack=0.0,
-            slack_total=state.slack_log_total, bound_margins=margins)
-        lines.append(json.dumps(rec.to_obj(), separators=(",", ":")))
+    n = None
+    try:
+        state = (dfa_start if dfa else aa_start)(game, eta=config.eta, c=config.c,
+                                                 prior=config.prior, n_experts=len(experts))
+        meta = {"type": "meta", "format_version": 1, "config": config.to_jsonable()}
+        lines = [json.dumps(meta, separators=(",", ":"))]
+        outcomes = []
+        max_margin, worst_step = -np.inf, -1
+        for n in range(config.horizon):
+            decisions = [s.advise(n, outcomes) for s in experts]
+            A = np.asarray(game.loss(np.stack(decisions)), dtype=float)
+            p = dfa_proposal(state, A, epsilon=eps, tol=tol) if dfa else aa_proposal(state, A)
+            w = reality.pick(n, None)
+            learner_term, learner_loss, expert_losses = p.score(w)
+            if dfa:
+                state = state.advance(learner_term, learner_loss, expert_losses, p.slack)
+            else:  # one round's reweigh
+                expo = pair_exponent(0.0, expert_losses, state.c, state.eta)
+                lw = state.log_weights + np.where(np.isneginf(state.log_weights), 0.0, expo)
+                state = replace(state, log_weights=lw, log_value=log_sum_exp(lw),
+                                step_count=state.step_count + 1,
+                                cumulative_loss=state.cumulative_loss + learner_loss,
+                                per_expert_loss=state.per_expert_loss + expert_losses)
+            outcomes.append(w)
+            margins = list(state.bound_margins())
+            if max(margins) > max_margin:
+                max_margin, worst_step = max(margins), n
+            d = p.decision
+            rec = StepRecord(
+                step=n, advice=[[float(v) for v in row] for row in decisions],
+                learner_pi=[1.0 - float(d[0]), float(d[0])] if game.decision_kind == "box"
+                else [float(v) for v in d],
+                learner_decision=[float(v) for v in d], outcome=w, learner_loss=learner_loss,
+                expert_losses=expert_losses.tolist(),
+                cumulative_learner_loss=state.cumulative_loss,
+                cumulative_expert_losses=list(state.per_expert_loss),
+                log_supermartingale=state.log_value if dfa else log_semi_invariant(state),
+                slack=p.slack, slack_total=state.slack_log_total, bound_margins=margins)
+            lines.append(json.dumps(rec.to_obj(), separators=(",", ":")))
+    except ExpertmixError as exc:
+        exc.step = n
+        raise
     top = max_margin if config.horizon else 0.0
     summary = {
         "name": config.name, "algorithm": config.algorithm, "game": config.game,
@@ -106,12 +122,17 @@ def _normalized(weights):
 
 
 @st.composite
-def configs(draw):
+def configs(draw, algorithm="aa"):
     name, m = draw(st.sampled_from(GAMES))
     if name == "absolute":  # c = 1 is not realizable: SubstitutionFailure
-        c, eta = draw(st.sampled_from([realizability_constant("absolute", 1.0), 1.0])), 1.0
-    else:  # brier at c > 1 sends most rows to its slow numeric search
-        c = draw(st.sampled_from([1.0] if name == "brier" else [1.0, 1.5]))
+        # (DFA's proper loss at c = 1 is the entropy-gradient construction,
+        # about 3 s per q call, so DFA runs absolute at its constant only)
+        c, eta = draw(st.sampled_from([realizability_constant("absolute", 1.0)]
+                                      + [1.0] * (algorithm == "aa"))), 1.0
+    else:  # brier at c > 1 sends most rows to its slow numeric search, and
+        # DFA refuses log and square at c > 1 when it opens the session
+        c = draw(st.sampled_from([1.0] if name == "brier" or algorithm == "dfa"
+                                 else [1.0, 1.5]))
         eta = draw(st.sampled_from([0.5, 1.0, 2.0] if name == "square" else [0.5, 1.0]))
     values = BOX_VALUES if m == 2 else SIMPLEX_VALUES
     expert = st.one_of(
@@ -128,28 +149,139 @@ def configs(draw):
             lambda seq: {"kind": "fixed", "sequence": seq}),
         st.lists(st.sampled_from([0, 1, 3]), min_size=m, max_size=m).filter(any).map(
             lambda w: {"kind": "iid", "probs": _normalized(w)})))
+    # DFA's simplex solve takes ~5-8 ms a round, so its m = 3 runs stay
+    # shorter, still past the edge of a block of 256
+    longest = 300 if algorithm == "dfa" and m == 3 else 600
     return parse_config({
-        "name": "blocks", "game": {"name": name, "m": m}, "algorithm": "aa", "c": c,
+        "name": "blocks", "game": {"name": name, "m": m}, "algorithm": algorithm, "c": c,
         "eta": eta, "prior": prior, "experts": experts, "reality": reality,
-        "horizon": draw(st.integers(0, 600)), "seed": draw(st.integers(0, 2 ** 32))})
+        "horizon": draw(st.integers(0, longest)), "seed": draw(st.integers(0, 2 ** 32))})
+
+
+def assert_blocks_replay_rounds(config, block):
+    with mock.patch.object(runner, "BLOCK_ROUNDS", block):
+        assert block_rounds(config) == block
+        try:
+            want = reference_run(config)
+        except ExpertmixError as exc:
+            # the same error, in the same round: a run through it raises,
+            # and every round before it plays through
+            opening = exc.step is None
+            for horizon in (config.horizon,) if opening else (config.horizon, exc.step + 1):
+                with pytest.raises(type(exc)) as got:
+                    blocked_run(replace(config, horizon=horizon))
+                assert str(got.value) == str(exc)
+            if not opening:
+                before = replace(config, horizon=exc.step)
+                assert blocked_run(before) == reference_run(before)
+            return
+        assert blocked_run(config) == want
 
 
 @settings(max_examples=40, deadline=None)
 @given(config=configs(), block=st.sampled_from([1, 2, 7, 64, BLOCK_ROUNDS]))
 def test_blocks_replay_rounds(config, block):
-    with mock.patch.object(runner, "BLOCK_ROUNDS", block):
-        assert block_rounds(config) == block
-        try:
-            want = reference_run(config)
-        except (AllExpertsDead, SubstitutionFailure) as exc:
-            with pytest.raises(type(exc)) as got:
-                blocked_run(config)
-            assert str(got.value) == str(exc)
-            # every round before the failing one plays through
-            before = replace(config, horizon=exc.step)
-            assert blocked_run(before) == reference_run(before)
-            return
-        assert blocked_run(config) == want
+    assert_blocks_replay_rounds(config, block)
+
+
+@settings(max_examples=30, deadline=None)
+@given(config=configs("dfa"), block=st.sampled_from([1, 2, 7, 64, BLOCK_ROUNDS]))
+def test_dfa_blocks_replay_rounds(config, block):
+    assert_blocks_replay_rounds(config, block)
+
+
+@pytest.mark.parametrize("seed", range(1, 7))
+def test_dfa_blocks_replay_the_aa_mix_fallback(seed):
+    """Brier DFA at m = 3 whose simplex search stalls in some rounds, which
+    then take AA's substituted mix, across the edges of blocks of 7."""
+    config = parse_config({
+        "game": {"name": "brier", "m": 3}, "algorithm": "dfa", "horizon": 30, "seed": seed,
+        "experts": [{"kind": "iid-random"}, {"kind": "trailing-average"}],
+        "reality": {"kind": "iid", "probs": [0.2, 0.3, 0.5]}})
+    assert_blocks_replay_rounds(config, 7)
+
+
+@pytest.mark.parametrize("block", [7, BLOCK_ROUNDS])
+def test_dfa_blocks_replay_a_stall_past_the_fallback(block):
+    """Brier DFA above its mixable eta: in round 23 neither the simplex
+    search nor AA's mix keeps q under target, so SlackExceeded ends the
+    run inside a block."""
+    config = parse_config({
+        "game": {"name": "brier", "m": 3}, "algorithm": "dfa", "eta": 1.3, "horizon": 150,
+        "seed": 2, "experts": [{"kind": "iid-random"}, {"kind": "trailing-average"},
+                               {"kind": "constant", "value": [0.2, 0.3, 0.5]}],
+        "reality": {"kind": "iid"}})
+    with pytest.raises(SlackExceeded) as err:
+        reference_run(config)
+    assert err.value.step == 23
+    assert_blocks_replay_rounds(config, block)
+
+
+@pytest.mark.parametrize("sequence", [[0, 0, 1], [1, 1, 0], [0, 1]])
+def test_dfa_blocks_keep_a_weight_dead(sequence):
+    """Log experts certain of 1 and of 0: the first outcome kills one, and
+    the forecast follows the other to a certain 0 or 1, so a later outcome
+    gives the dead expert an infinite factor, which must leave its weight
+    zero inside a block as across rounds."""
+    config = parse_config({
+        "game": {"name": "log", "m": 2}, "algorithm": "dfa", "horizon": 20, "seed": 1,
+        "prior": [0.5, 0.5, 0.0], "reality": {"kind": "fixed", "sequence": sequence},
+        "experts": [{"kind": "constant", "value": 1.0}, {"kind": "constant", "value": 0.0},
+                    {"kind": "trailing-average"}]})
+    for block in (7, BLOCK_ROUNDS):
+        assert_blocks_replay_rounds(config, block)
+
+
+@pytest.mark.parametrize("at", [0, 100, 255, 256, 299])
+def test_dfa_error_in_the_chain_comes_at_its_round(at):
+    """An error raised by a round's forecast ends a blocked run at that
+    round, after the rounds before it, as round by round."""
+    config = parse_config({
+        "game": {"name": "log", "m": 2}, "algorithm": "dfa", "horizon": 300, "seed": 3,
+        "experts": [{"kind": "iid-random"}, {"kind": "trailing-average"}],
+        "reality": {"kind": "iid"}})
+    forecast = defensive._forecast
+
+    def run(play, horizon):
+        calls = itertools.count()
+
+        def failing(*args):
+            if next(calls) == at:
+                raise ContractViolation(f"round {at}")
+            return forecast(*args)
+
+        with mock.patch.object(defensive, "_forecast", failing):
+            return play(replace(config, horizon=horizon))
+
+    for play in (reference_run, blocked_run):
+        with pytest.raises(ContractViolation, match=f"round {at}$"):
+            run(play, at + 1)
+    assert run(blocked_run, at) == run(reference_run, at)
+
+
+def test_dfa_blocks_substitute_before_a_later_chain_error():
+    """A round whose substitution fails comes before a chain error of any
+    type in a later round of the block, as round by round."""
+    config = parse_config({
+        "game": {"name": "log", "m": 2}, "algorithm": "dfa", "horizon": 20, "seed": 3,
+        "experts": [{"kind": "iid-random"}, {"kind": "trailing-average"}],
+        "reality": {"kind": "iid"}})
+    substitute, forecast, calls = aggregating.substitute, defensive._forecast, itertools.count()
+
+    def failing_substitute(state, forecasts, tol):
+        if len(forecasts) > 3:
+            raise SubstitutionFailure("round 3")
+        return substitute(state, forecasts, tol)
+
+    def failing_forecast(*args):
+        if next(calls) == 10:
+            raise ValueError("round 10")
+        return forecast(*args)
+
+    with mock.patch.object(aggregating, "substitute", failing_substitute), \
+            mock.patch.object(defensive, "_forecast", failing_forecast), \
+            pytest.raises(SubstitutionFailure, match="round 3$"):
+        blocked_run(config)
 
 
 def test_dead_and_unrealizable_runs_fail_at_their_round():
@@ -172,11 +304,19 @@ def test_dead_and_unrealizable_runs_fail_at_their_round():
 
 
 def test_rounds_that_look_at_learner_play_one_at_a_time():
-    base = {"game": {"name": "log", "m": 2}, "algorithm": "aa", "horizon": 5, "seed": 1,
+    base = {"game": {"name": "log", "m": 2}, "horizon": 5, "seed": 1,
             "experts": [{"kind": "iid-random"}], "reality": {"kind": "iid"}}
-    assert block_rounds(parse_config(base)) == BLOCK_ROUNDS
-    for change in ({"reality": {"kind": "adversarial"}}, {"algorithm": "dfa"},
-                   {"experts": [{"kind": "callback", "name": "x"}]}):
+    for algorithm in ("aa", "dfa"):
+        fixed = base | {"algorithm": algorithm}
+        assert block_rounds(parse_config(fixed)) == BLOCK_ROUNDS
+        for change in ({"reality": {"kind": "adversarial"}},
+                       {"experts": [{"kind": "callback", "name": "x"}]}):
+            assert block_rounds(parse_config(fixed | change)) == 1
+    for change in ({"algorithm": "sg-aa", "experts": [{"kind": "sg-identity"}]},
+                   {"algorithm": "sg-dfa", "experts": [{"kind": "sg-identity"}]},
+                   {"algorithm": "ml-dfa", "evaluators": [{"loss": "log"}]},
+                   {"algorithm": "simplex-dfa", "game": {"name": "brier", "m": 3},
+                    "experts": [{"kind": "iid-random"}], "reality": {"kind": "dirichlet"}}):
         assert block_rounds(parse_config(base | change)) == 1
 
 

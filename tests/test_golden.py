@@ -1,6 +1,6 @@
 """Golden bytes: the JSONL trajectory and CSV summary of every shipped
-scenario at a short horizon, and of two mixing runs several blocks of
-rounds long, pinned by sha256.
+scenario at a short horizon, and of mixing and forecasting runs several
+blocks of rounds long, pinned by sha256.
 
 Criterion 13 compares two runs made in one process; these hashes also
 catch a byte change between versions of the code.  A change that moves
@@ -41,9 +41,10 @@ GOLDEN = {
 }
 
 
-#: runs of several blocks of mixing rounds (the runner plays them in
-#: blocks of ``BLOCK_ROUNDS``), pinned by the hashes the round-by-round
-#: runner gave: name -> (config, sha256 of the JSONL, sha256 of the CSV)
+#: runs of several blocks of mixing or forecasting rounds (the runner plays
+#: them in blocks of ``BLOCK_ROUNDS``), pinned by the hashes the
+#: round-by-round runner gave: name -> (config, sha256 of the JSONL, sha256
+#: of the CSV)
 GOLDEN_BLOCKS = {
     "aa-log-k10": (
         builtin_scenario("aa-log-k10", horizon=1500),
@@ -65,6 +66,26 @@ GOLDEN_BLOCKS = {
         }),
         "77a52aec3a4f66cf513586cf1d88711744cedfebfe0325be57260b12c4ae9fd8",
         "5334d58f6645b46603b26d0b3dc2082c56bebf7715c6d85778ba4f0862be6fe3"),
+    "dfa-log-k10": (
+        builtin_scenario("dfa-log-k10", horizon=1000),
+        "f8026227a96a222545b627163f777c3f51ae6b840c9e96db148665e3cbe78d35",
+        "fc86b624386d7c47f03503347cb9c61fd6ae513673fa9bbada579f87c731376b"),
+    "dfa-mixed-fixed": (
+        parse_config({
+            "name": "dfa-mixed-fixed",
+            "game": {"name": "log", "m": 2},
+            "algorithm": "dfa",
+            "eta": 1.0,
+            "prior": [0.25, 0.25, 0.5],
+            "experts": [{"kind": "constant", "value": 0.3},
+                        {"kind": "trailing-average", "smoothing": 0.1},
+                        {"kind": "iid-random"}],
+            "reality": {"kind": "fixed", "sequence": [0, 1, 1, 0, 1]},
+            "horizon": 1000,
+            "seed": 17,
+        }),
+        "9b6a79d14337e6e4aa82e8710f15801f001cc98fca906798c3d306c04430b1b0",
+        "e125206072429867347554ae19c049c865bef144e753c88bdca59a6aba63b64d"),
 }
 
 

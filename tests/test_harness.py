@@ -1,10 +1,16 @@
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import expertmix
 from expertmix.errors import ConfigError
-from expertmix.harness.audit import read_trajectory, verify_all, verify_bound
+from expertmix.harness.audit import BoundReport, read_trajectory, verify_all, verify_bound
 from expertmix.harness.cli import main as cli_main
 from expertmix.harness.config import load_config, parse_config
 from expertmix.harness.runner import run_scenario, trajectory_lines, write_outputs
@@ -170,6 +176,127 @@ class TestAudit:
         loose = verify_bound(steps, 1, 1.0, 1.0, 1 / 3, strict=False)
         strict = verify_bound(steps, 1, 1.0, 1.0, 1 / 3, strict=True)
         assert strict.worst_margin >= loose.worst_margin
+
+
+def _num(x) -> float:
+    """A recorded number: ``"inf"``, ``"-inf"`` and ``"nan"`` as floats,
+    ``null`` as NaN."""
+    return math.nan if x is None else float(x)
+
+
+def reference_bound(trajectory, theta, c, eta, prior, *, strict=False, margin_tol=1e-7):
+    """The per-record audit of one expert: its prefix margins one record at
+    a time, the worst being the first step with the largest margin, or the
+    first whose inputs hold a NaN, a null or a negative value."""
+    if prior <= 0.0:
+        return BoundReport(ok=True, worst_margin=-math.inf, worst_step=-1, theta=theta)
+    penalty = (c / eta) * math.log(1.0 / prior)
+    worst, worst_step = -math.inf, -1
+    for rec in trajectory:
+        cum_l = rec["cumulative_learner_loss"]
+        cum_l = _num(cum_l[theta] if isinstance(cum_l, list) else cum_l)
+        cum_e = _num(rec["cumulative_expert_losses"][theta])
+        slack_log = 0.0 if strict else _num(rec.get("slack_total", 0.0))
+        if any(math.isnan(v) or v < 0 for v in (cum_l, cum_e, slack_log)):
+            return BoundReport(ok=False, worst_margin=math.nan,
+                               worst_step=int(rec["step"]), theta=theta)
+        rhs = c * cum_e + penalty + (c / eta) * slack_log
+        margin = -math.inf if math.isinf(rhs) else cum_l - rhs
+        if margin > worst:
+            worst, worst_step = margin, int(rec["step"])
+    return BoundReport(ok=bool(worst <= margin_tol), worst_margin=worst,
+                       worst_step=worst_step, theta=theta)
+
+
+def same_report(got, want):
+    return (got.ok, got.worst_step, got.theta) == (want.ok, want.worst_step, want.theta) \
+        and (got.worst_margin == want.worst_margin
+             or math.isnan(got.worst_margin) and math.isnan(want.worst_margin))
+
+
+def probe_reports(mutate):
+    """verify_all on a 50-step ``aa-log-k10`` trajectory after ``mutate``
+    edits every record."""
+    res = run_scenario(builtin_scenario("aa-log-k10", horizon=50))
+    meta, steps = {"config": res.config.to_jsonable()}, [r.to_obj() for r in res.records]
+    for rec in steps:
+        mutate(rec)
+    return verify_all(meta, steps)
+
+
+class TestColumnarAudit:
+    @pytest.mark.parametrize("cfg", [
+        builtin_scenario("aa-log-k10", horizon=300),
+        builtin_scenario("dfa-log-k10", horizon=100),
+        builtin_scenario("ml-log-square-k4", horizon=30),
+        small_config(prior=[0.5, 0.0, 0.5], experts=[
+            {"kind": "constant", "value": 1.0}, {"kind": "constant", "value": 0.0},
+            {"kind": "iid-random"}], reality={"kind": "fixed", "sequence": [0, 1]}),
+        small_config(horizon=0),
+    ], ids=["aa", "dfa", "ml-dfa", "zero-prior-inf", "empty"])
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_matches_the_per_record_audit(self, cfg, strict):
+        res = run_scenario(cfg)
+        meta = {"config": cfg.to_jsonable()}
+        steps = [json.loads(json.dumps(r.to_obj())) for r in res.records]
+        got = verify_all(meta, steps, strict=strict)
+        consts = [(c["c"], c["eta"], c["prior"]) for c in res.summary["bound_constants"]]
+        assert len(got) == len(consts)
+        for t, (rep, (c, eta, p0)) in enumerate(zip(got, consts)):
+            assert same_report(rep, reference_bound(steps, t, c, eta, p0, strict=strict))
+            assert same_report(verify_bound(steps, t, c, eta, p0, strict=strict), rep)
+
+    def test_matches_on_tampered_records(self):
+        res = run_scenario(small_config(horizon=80))
+        steps = [r.to_obj() for r in res.records]
+        rng = np.random.default_rng(0)
+        for i in rng.choice(80, 12, replace=False).tolist():
+            field = ["cumulative_learner_loss", "slack_total"][i % 2]
+            steps[i][field] = [None, "nan", "-inf", -1e-9, 1e6, "inf"][i % 6]
+        for t in range(3):
+            for strict in (False, True):
+                assert same_report(verify_bound(steps, t, 1.0, 1.0, 1 / 3, strict=strict),
+                                   reference_bound(steps, t, 1.0, 1.0, 1 / 3, strict=strict))
+
+    def test_nan_learner_loss_fails(self):
+        reports = probe_reports(lambda rec: rec.update(cumulative_learner_loss="nan"))
+        assert not any(r.ok for r in reports) and {r.worst_step for r in reports} == {0}
+
+    def test_nan_slack_total_fails(self):
+        reports = probe_reports(lambda rec: rec.update(slack_total="nan",
+                                                       cumulative_learner_loss=1e9))
+        assert not any(r.ok for r in reports) and {r.worst_step for r in reports} == {0}
+
+    def test_minus_inf_expert_losses_fail(self):
+        reports = probe_reports(lambda rec: rec.update(
+            cumulative_expert_losses=["-inf"] * len(rec["cumulative_expert_losses"])))
+        assert not any(r.ok for r in reports) and {r.worst_step for r in reports} == {0}
+
+    def test_null_and_negative_fail_at_their_step(self):
+        res = run_scenario(small_config())
+        for field, value in (("cumulative_learner_loss", None), ("slack_total", -1e-12),
+                             ("cumulative_learner_loss", -0.5)):
+            steps = [r.to_obj() for r in res.records]
+            steps[17][field] = value
+            reports = [verify_bound(steps, t, 1.0, 1.0, 1 / 3) for t in range(3)]
+            assert [(r.ok, r.worst_step) for r in reports] == [(False, 17)] * 3
+
+    def test_an_infinite_expert_loss_bounds_nothing(self):
+        reports = probe_reports(lambda rec: rec.update(
+            cumulative_expert_losses=["inf"] * len(rec["cumulative_expert_losses"])))
+        assert all(r.ok and r.worst_margin == -math.inf and r.worst_step == -1
+                   for r in reports)
+
+
+def test_import_does_not_load_scipy():
+    """scipy serves only numeric fallbacks, which import it when they run."""
+    src = str(Path(expertmix.__file__).parents[1])
+    env = os.environ | {"PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, expertmix.harness; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 class TestDisconnectedFlip:
