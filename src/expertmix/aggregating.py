@@ -102,18 +102,20 @@ def aa_proposal(state: Session, advice,
     A = _advice_matrix(advice, state.game.m)
     g = aa_mix(state, A)
     decision, lv = substitute(state, g, substitution_tol)
-    return Proposal(decision, lv, 0.0, lambda w: (0.0, float(lv[w]), A[:, w]), g)
+    return Proposal(decision, lv, 0.0, lambda w: (0.0, float(lv[w]), A[:, w], None), g)
 
 
 def substituted_rounds(state: Session, forecasts: np.ndarray, outcomes: np.ndarray,
                        expert_losses: np.ndarray, log_weights: np.ndarray,
                        log_value: np.ndarray, slack: np.ndarray,
-                       error: Exception | None = None, *, substitution_tol: float = 1e-7
+                       error: Exception | None = None, log_factors: np.ndarray | None = None,
+                       *, substitution_tol: float = 1e-7
                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray, Rounds]:
     """The tail of a block of rounds: one batched substitution of the
-    rounds' ``forecasts`` (B', m), then Learner's losses, the experts' and
-    the slack totals as running sums.  A block cut short by ``error`` in
-    round B' < B substitutes the rounds before it, so a
+    rounds' ``forecasts`` (B', m), then Learner's losses, the experts', the
+    slack totals and, for a forecasting session, the log supermartingale
+    (from the rounds' ``log_factors``) as running sums.  A block cut short
+    by ``error`` in round B' < B substitutes the rounds before it, so a
     :class:`SubstitutionFailure` among them comes first, as round by round,
     then raises ``error``.  Returns the decisions, their loss vectors, the
     rounds' slack and their :class:`Rounds`."""
@@ -128,7 +130,8 @@ def substituted_rounds(state: Session, forecasts: np.ndarray, outcomes: np.ndarr
     return decisions, lvs, slack, Rounds(
         log_weights, log_value, running(state.cumulative_loss, lvs[rows, outcomes]),
         running(state.per_expert_loss, expert_losses),
-        running(state.slack_log_total, np.log1p(slack)))
+        running(state.slack_log_total, np.log1p(slack)),
+        None if log_factors is None else running(state.log_supermartingale, log_factors))
 
 
 def aa_rounds(state: Session, advice: np.ndarray, outcomes: np.ndarray,

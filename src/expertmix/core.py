@@ -478,10 +478,11 @@ class Proposal(NamedTuple):
     ``loss_vector`` is the decision's loss per outcome (what an adversarial
     Reality looks at; None where the protocol has no single one), and
     ``score(outcome)`` returns the arguments of :meth:`Session.advance`:
-    the learner term of the reweigh, Learner's loss and the experts'
-    losses.  ``forecast`` is what the decision was substituted from: the
-    mixed superprediction for mixing sessions, the forecast distribution
-    for forecasting sessions.
+    the learner term of the reweigh, Learner's loss, the experts' losses
+    and the round's log factor (None for mixing and evaluator sessions).
+    ``forecast`` is what the decision was substituted from: the mixed
+    superprediction for mixing sessions, the forecast distribution for
+    forecasting sessions.
     """
 
     decision: np.ndarray
@@ -497,15 +498,24 @@ class Session:
     factors ``exp(eta (l/c - g))``, kept in log space.
 
     ``log_weights[t] = ln P0(t) + sum_n eta_t (l_n / c_t - g_n^t)`` and
-    ``log_value`` is their log-sum-exp.  Forecasting sessions put the
-    forecast's loss ``lambda(pi_n, w_n)`` in the learner term ``l_n``, so
-    ``log_value`` is the log supermartingale; mixing sessions (no
-    ``proper``) put zero there, so their weights are the posterior and the
-    learner's share enters the semi-invariant when it is read
-    (:func:`expertmix.aggregating.log_semi_invariant`).
+    ``log_value`` is their log-sum-exp.  With scalar ``(c, eta)`` the
+    learner term ``eta l_n / c`` adds the same amount to every expert, so
+    it leaves the posterior as it is: mixing and forecasting sessions keep
+    only the expert part ``ln P0 - eta sum g`` in their weights, and a
+    forecasting session's posterior is AA's, bit for bit.  A forecasting
+    session (scalar ``proper``) carries its log supermartingale apart, as
+    ``log_supermartingale = ln sum P0 + sum_n ln q(pi_n, w_n)``, each term
+    the log of the factor the solver bounded; a mixing session (no
+    ``proper``) reads its learner's share when the semi-invariant is read
+    (:func:`expertmix.aggregating.log_semi_invariant`).  A round whose
+    learner term is infinite keeps the extended-real rule of
+    :func:`pair_exponent` (an expert infinite there too keeps its weight),
+    where AA's posterior would lose every such expert.
 
     ``c`` and ``eta`` are scalars, or per-expert arrays for evaluator
-    sessions, whose ``proper`` is then one proper loss per expert and whose
+    sessions, whose ``proper`` is then one proper loss per expert, whose
+    learner terms ``lambda_t(pi_n, w_n)`` stay in the weights (they differ
+    by expert, so ``log_value`` is the log supermartingale), and whose
     ``cumulative_loss`` holds Learner's loss under each expert's evaluator.
     ``game`` is the scored game (a simplex game for simplex sessions, None
     for evaluator sessions).  A session whose preconditions were not
@@ -524,12 +534,16 @@ class Session:
     slack_log_total: float = 0.0
     proper: Any = None
     verified: bool = True
+    log_supermartingale: float | None = None
 
     def __post_init__(self):
         if self.log_value is None:
             object.__setattr__(self, "log_value", log_sum_exp(self.log_weights))
         if self.per_expert_loss is None:
             object.__setattr__(self, "per_expert_loss", np.zeros(len(self.prior)))
+        if self.log_supermartingale is None and self.proper is not None \
+                and not isinstance(self.proper, tuple):
+            object.__setattr__(self, "log_supermartingale", self.log_value)
 
     @property
     def n_experts(self) -> int:
@@ -558,10 +572,18 @@ class Session:
         return np.where(np.isneginf(self.log_weights), 0.0, expo)
 
     def advance(self, learner_term, learner_loss, expert_losses,
-                slack: float = 0.0) -> "Session":
+                log_factor: float | None = None, slack: float = 0.0) -> "Session":
         """The reweigh of one round: multiply expert ``t``'s factor by
         ``exp(eta_t (learner_term / c_t - expert_losses[t]))``, and add the
-        round's losses and its solver slack ``ln(1 + slack)``."""
+        round's losses and its solver slack ``ln(1 + slack)``.  A
+        forecasting session takes a finite learner term out of the weights
+        and adds ``log_factor``, the log of the round's factor
+        ``q(pi_n, w_n)``, to its log supermartingale."""
+        split = self.log_supermartingale is not None
+        if split and log_factor is None:
+            raise ValueError("a forecasting session's round needs its log factor")
+        if split and not math.isinf(learner_term):
+            learner_term = 0.0
         lw = self.log_weights + self._log_factors(learner_term, expert_losses)
         return replace(
             self,
@@ -572,6 +594,7 @@ class Session:
             per_expert_loss=self.per_expert_loss + expert_losses,
             slack_log_total=self.slack_log_total + float(np.log1p(slack))
             if slack else self.slack_log_total,
+            log_supermartingale=self.log_supermartingale + log_factor if split else None,
         )
 
     def reweigh(self, learner_terms, expert_losses) -> tuple[np.ndarray, np.ndarray]:
@@ -597,6 +620,8 @@ class Session:
             cumulative_loss=float(rounds.cumulative_loss[-1]),
             per_expert_loss=rounds.per_expert_loss[-1],
             slack_log_total=float(rounds.slack_log_total[-1]),
+            log_supermartingale=None if rounds.log_supermartingale is None
+            else float(rounds.log_supermartingale[-1]),
         )
 
     def bound_margins(self, rounds: "Rounds | None" = None) -> np.ndarray:
@@ -623,6 +648,7 @@ class Rounds(NamedTuple):
     cumulative_loss: np.ndarray  # (B,)
     per_expert_loss: np.ndarray  # (B, k)
     slack_log_total: np.ndarray  # (B,)
+    log_supermartingale: np.ndarray | None = None  # (B,), forecasting sessions
 
 
 def start_session(game, prior=None, n_experts: int | None = None, *,

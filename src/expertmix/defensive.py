@@ -382,9 +382,9 @@ def dfa_solve_simplex(q: Callable[[np.ndarray], np.ndarray], C: float,
 # The forecasting protocol step
 
 
-#: A forecasting session: ``log_weights[t]`` tracks ``ln P0(t) + eta sum_n
-#: (lambda(pi_n, w_n)/c - g_n^t(w_n))`` and ``log_value``, their log-sum-exp,
-#: is the log of the prior-weighted supermartingale; it never rises above the
+#: A forecasting session: ``log_weights[t]`` tracks AA's ``ln P0(t) - eta
+#: sum_n g_n^t(w_n)``, and ``log_supermartingale = sum_n ln q(pi_n, w_n)``, the
+#: log of the prior-weighted supermartingale, never rises above the
 #: accumulated solver slack ``slack_log_total = sum_n ln(1 + s_n)``.
 DFAState = Session
 
@@ -398,10 +398,11 @@ def dfa_start(game: Game, *, eta: float, c: float = 1.0,
         proper=default_proper_loss(game, c, eta) if proper is None else proper)
 
 
-def fixed_advice_q(state: Session, G: np.ndarray):
+def fixed_advice_q(state: Session, G: np.ndarray, log_posterior: np.ndarray | None = None):
     """The supermartingale factor
     ``q(pi, w) = sum_t wbar_t exp(eta_t (lambda_t(pi, w)/c_t - G_t(w)))``
-    for advice ``G`` (one loss row per expert) that does not depend on pi.
+    for advice ``G`` (one loss row per expert) that does not depend on pi,
+    under the session's posterior or the given ``log_posterior``.
 
     Experts sharing (proper loss, c, eta) form one group, whose sum factors
     into per-outcome constants ``ln a_w = log_mix(...)``, AA's mix, so each
@@ -409,7 +410,7 @@ def fixed_advice_q(state: Session, G: np.ndarray):
     the one-group case.  The returned q takes one distribution, shape
     (m,), or a batch, shape (n, m).
     """
-    lwn = state.log_posterior()
+    lwn = state.log_posterior() if log_posterior is None else log_posterior
 
     def group_q(proper, c, eta, lwn_g, G_g, mass):
         log_a = log_mix(lwn_g, eta, G_g)
@@ -438,10 +439,11 @@ def fixed_advice_q(state: Session, G: np.ndarray):
 
 
 def choose_forecast(q, m: int, *, C: float = 1.0, epsilon: float = 1e-6,
-                    tol: float = 1e-9,
-                    select: str = "midpoint") -> tuple[np.ndarray, float]:
+                    tol: float = 1e-9, select: str = "midpoint",
+                    full_output: bool = False):
     """Pick a forecast distribution keeping every coordinate of q under C
-    (up to the documented slack); returns (pi, slack).
+    (up to the documented slack); returns (pi, slack), and with
+    ``full_output`` also the row ``q(pi, .)``, shape (m,).
 
     ``q`` maps a batch of distributions, shape (n, m), to its values, shape
     (n, m).  A binary forecast is the midpoint of the admissible interval
@@ -461,34 +463,43 @@ def choose_forecast(q, m: int, *, C: float = 1.0, epsilon: float = 1e-6,
     else:
         pi = dfa_solve_simplex(q, C, m, epsilon, tol)
     if qpi is None:
-        qpi = q(pi[None, :])
+        qpi = q(pi[None, :])[0]
     slack = max(0.0, float(np.max(qpi)) - C)
-    return pi, slack
+    return (pi, slack, qpi) if full_output else (pi, slack)
 
 
-def _forecast(state: Session, A: np.ndarray, epsilon: float, tol: float,
-              select: str) -> tuple[np.ndarray, float]:
-    """The forecast pi for the advice ``A`` under the session's posterior,
-    and its slack.  When the simplex search stalls, AA's substituted mix is
-    taken as the forecast if it keeps q under the same target (the two
-    protocols make the same prediction); otherwise :class:`SlackExceeded`
-    propagates."""
-    q = fixed_advice_q(state, A)
+def _forecast(state: Session, lwn: np.ndarray, A: np.ndarray, epsilon: float,
+              tol: float, select: str) -> tuple[np.ndarray, float, np.ndarray]:
+    """The forecast pi for the advice ``A`` under the log posterior
+    ``lwn``, its slack and the row ``q(pi, .)``.  When the simplex search
+    stalls, AA's substituted mix is taken as the forecast if it keeps q
+    under the same target (the two protocols make the same prediction);
+    otherwise :class:`SlackExceeded` propagates."""
+    q = fixed_advice_q(state, A, lwn)
     try:
-        return choose_forecast(q, state.game.m, epsilon=epsilon, tol=tol, select=select)
+        return choose_forecast(q, state.game.m, epsilon=epsilon, tol=tol, select=select,
+                               full_output=True)
     except SlackExceeded:
-        pi = np.asarray(state.game.substitution(aa_mix(state, A)), dtype=float)
-        top = float(np.max(q(pi)))
+        pi = np.asarray(state.game.substitution(aa_mix(state, A, lwn)), dtype=float)
+        qpi = q(pi)
+        top = float(np.max(qpi))
         if top > 1.0 + epsilon + tol:
             raise
-        return pi, max(0.0, top - 1.0)
+        return pi, max(0.0, top - 1.0), qpi
+
+
+def _log_q(qpi: np.ndarray) -> np.ndarray:
+    """``ln q(pi, w)`` for each outcome: the log factor of the round."""
+    with np.errstate(divide="ignore"):
+        return np.log(qpi)
 
 
 def dfa_proposal(state: Session, advice, *, epsilon: float = 1e-6,
                  tol: float = 1e-9, select: str = "midpoint",
                  substitution_tol: float = 1e-7) -> Proposal:
     """Choose the forecast pi for the given advice and substitute a
-    decision; the learner term is ``lambda(pi)``.
+    decision; the learner term is ``lambda(pi)`` and the round's log factor
+    ``ln q(pi, w)``, read from the solver's row at pi.
 
     When the simplex search stalls, AA's substituted mix is taken as the
     forecast if it keeps q under the same target (the two protocols make
@@ -500,10 +511,12 @@ def dfa_proposal(state: Session, advice, *, epsilon: float = 1e-6,
     A = _advice_matrix(advice, state.game.m)
     if A.shape[0] != state.n_experts:
         raise ValueError(f"{A.shape[0]} advice rows for {state.n_experts} experts")
-    pi, slack = _forecast(state, A, epsilon, tol, select)
+    pi, slack, qpi = _forecast(state, state.log_posterior(), A, epsilon, tol, select)
     lam = state.proper(pi)
     decision, lv = substitute(state, lam, substitution_tol)
-    return Proposal(decision, lv, slack, lambda w: (lam[w], float(lv[w]), A[:, w]), pi)
+    log_q = _log_q(qpi)
+    return Proposal(decision, lv, slack,
+                    lambda w: (lam[w], float(lv[w]), A[:, w], log_q[w]), pi)
 
 
 def dfa_rounds(state: Session, advice: np.ndarray, outcomes: np.ndarray, *,
@@ -522,19 +535,23 @@ def dfa_rounds(state: Session, advice: np.ndarray, outcomes: np.ndarray, *,
     expert_losses = advice[rows, :, outcomes]
     lw, lv = np.empty(expert_losses.shape), np.empty(len(rows))
     lam, slack = np.empty((len(rows), state.game.m)), np.zeros(len(rows))
+    log_factors = np.empty(len(rows))
     played, error, cur = len(rows), None, state
     for i, w in enumerate(outcomes.tolist()):
         try:
-            pi, slack[i] = _forecast(cur, advice[i], epsilon, tol, select)
+            pi, slack[i], qpi = _forecast(cur, cur.log_posterior(), advice[i], epsilon,
+                                          tol, select)
             lam[i] = state.proper(pi)
         except Exception as exc:  # raised once the rounds before it are substituted
             played, error = i, exc
             break
-        lw[i] = cur.log_weights + cur._log_factors(lam[i, w], expert_losses[i])
+        log_factors[i] = _log_q(qpi)[w]
+        term = lam[i, w] if np.isinf(lam[i, w]) else 0.0
+        lw[i] = cur.log_weights + cur._log_factors(term, expert_losses[i])
         lv[i] = log_sum_exp(lw[i])
         cur = replace(cur, log_weights=lw[i], log_value=lv[i])
     return substituted_rounds(state, lam[:played], outcomes, expert_losses, lw, lv,
-                              slack, error, substitution_tol=substitution_tol)
+                              slack, error, log_factors, substitution_tol=substitution_tol)
 
 
 def dfa_step(state: Session, advice, outcome: int, *,

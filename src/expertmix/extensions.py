@@ -13,7 +13,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import Game, Proposal, Session, as_probs, expected_factor, start_session
+from .core import (Game, Proposal, Session, as_probs, expected_factor, log_sum_exp,
+                   start_session)
 from .defensive import (
     choose_forecast,
     default_proper_loss,
@@ -84,7 +85,7 @@ def ml_dfa_proposal(state: Session, advice, *, epsilon: float = 1e-6,
     pi, slack = choose_forecast(fixed_advice_q(state, G), m, epsilon=epsilon,
                                 tol=tol, select="root")
     lam = np.stack([proper(pi) for proper in state.proper])
-    return Proposal(pi, None, slack, lambda w: (lam[:, w], lam[:, w], G[:, w]), pi)
+    return Proposal(pi, None, slack, lambda w: (lam[:, w], lam[:, w], G[:, w], None), pi)
 
 
 def ml_dfa_step(state: Session, advice, outcome: int, *,
@@ -285,10 +286,13 @@ def simplex_dfa_proposal(state: Session, advice, *, epsilon: float = 1e-6,
     decision = np.asarray(sg.base.substitution(state.proper(pi)), dtype=float)
 
     def score(p_outcome):
+        # the factor at a point of the simplex, which relative
+        # exp-convexity bounds by the p-expectation of the vertex q
         p = as_probs(p_outcome)
         learner = sg.loss_on_simplex(decision, p)
-        return (learner, float(learner),
-                np.array([sg.loss_on_simplex(d, p) for d in decisions]))
+        g = np.array([sg.loss_on_simplex(d, p) for d in decisions])
+        log_factor = log_sum_exp(state.log_posterior() + state._log_factors(learner, g))
+        return learner, float(learner), g, log_factor
 
     return Proposal(decision, None, slack, score, pi)
 

@@ -113,6 +113,17 @@ def _is_distribution(values, m: int) -> bool:
         all(_finite_number(v) and v >= 0 for v in values) and abs(sum(values) - 1.0) <= 1e-9
 
 
+def _require_proper_loss(game, c, what: str) -> None:
+    """A forecasting session at ``c != 1`` scores with the game's hull
+    proper loss pushed to the boundary
+    (:func:`expertmix.defensive.default_proper_loss`); refuse a game that
+    supplies none."""
+    _require(c == 1.0 or game.boundary_proper_loss is not None
+             or game.hull_proper_loss is not None,
+             f"{what} at c={c!r} needs a hull proper loss, "
+             f"which game {game.name!r} does not supply")
+
+
 def _require_reality(reality: dict, m: int) -> None:
     if reality["kind"] == "fixed":
         seq = reality.get("sequence")
@@ -198,7 +209,13 @@ def parse_config(doc: dict) -> ScenarioConfig:
                  and all(isinstance(ev, dict) for ev in evaluators),
                  "ml-dfa needs a non-empty evaluators list")
         for ev in evaluators:
-            _require_game(ev.get("loss"), m, "evaluator loss")
+            loss = _require_game(ev.get("loss"), m, "evaluator loss")
+            ev_c, ev_eta = ev.get("c", 1.0), ev.get("eta", 1.0)
+            _require(_finite_number(ev_c) and _finite_number(ev_eta),
+                     f"evaluator c and eta must be finite numbers, got {ev!r}")
+            _require_proper_loss(loss, ev_c, f"the {ev['loss']} evaluator")
+    elif algorithm in ("dfa", "sg-dfa", "simplex-dfa"):
+        _require_proper_loss(base, c, algorithm)
     prior = doc.get("prior")
     if prior == "uniform":
         prior = None

@@ -152,10 +152,14 @@ def _standard_experts(config: ScenarioConfig, game: Game, rngs):
     return advise
 
 
-def _log_value(state, rounds=None):
+def _log_supermartingale(state, rounds=None):
     """A forecasting session's log supermartingale, now or, shape (B,),
-    after each round of ``rounds``."""
-    return state.log_value if rounds is None else rounds.log_value
+    after each round of ``rounds``: the running sum of the rounds' log
+    factors, or an evaluator session's ``log_value``."""
+    if rounds is not None:
+        return rounds.log_value if rounds.log_supermartingale is None \
+            else rounds.log_supermartingale
+    return state.log_value if state.log_supermartingale is None else state.log_supermartingale
 
 
 def _round_by_round(propose, reality, read):
@@ -168,8 +172,8 @@ def _round_by_round(propose, reality, read):
         p, advice, learner_pi = propose(state, n, outcomes)
         w = reality.pick(n, p.loss_vector if reality.depends_on_prediction else None)
         outcomes.append(w)
-        learner_term, learner_loss, expert_losses = p.score(w)
-        state = state.advance(learner_term, learner_loss, expert_losses, p.slack)
+        learner_term, learner_loss, expert_losses, log_factor = p.score(w)
+        state = state.advance(learner_term, learner_loss, expert_losses, log_factor, p.slack)
         cum = state.cumulative_loss
         columns = (
             [[[float(v) for v in row] for row in advice]],
@@ -267,7 +271,7 @@ def _open_evaluators(config: ScenarioConfig, rngs, reality, eps: float, tol: flo
         p = ml_dfa_proposal(state, advice, epsilon=eps, tol=tol)
         return p, advice, [float(v) for v in p.decision]
 
-    return state, _round_by_round(propose_round, reality, _log_value)
+    return state, _round_by_round(propose_round, reality, _log_supermartingale)
 
 
 def _open_simplex(config: ScenarioConfig, rngs, reality, eps: float, tol: float):
@@ -281,7 +285,7 @@ def _open_simplex(config: ScenarioConfig, rngs, reality, eps: float, tol: float)
         p = simplex_dfa_proposal(state, decisions, epsilon=eps, tol=tol)
         return p, decisions, [float(v) for v in p.decision]
 
-    return state, _round_by_round(propose_round, reality, _log_value)
+    return state, _round_by_round(propose_round, reality, _log_supermartingale)
 
 
 #: algorithm -> opener; mixing sessions read the semi-invariant as their
@@ -292,10 +296,11 @@ PROTOCOLS = {
         lambda s, A, w, eps, tol: aa_rounds(s, A, w), log_semi_invariant),
     "dfa": _open_fixed_advice(
         dfa_start, lambda s, A, eps, tol: dfa_proposal(s, A, epsilon=eps, tol=tol),
-        lambda s, A, w, eps, tol: dfa_rounds(s, A, w, epsilon=eps, tol=tol), _log_value),
+        lambda s, A, w, eps, tol: dfa_rounds(s, A, w, epsilon=eps, tol=tol),
+        _log_supermartingale),
     "sg-dfa": _open_second_guess(
         dfa_start, lambda s, ex, eps, tol: sg_dfa_proposal(s, ex, epsilon=eps, tol=tol),
-        records_pi=True, read=_log_value),
+        records_pi=True, read=_log_supermartingale),
     "sg-aa": _open_second_guess(
         aa_start, lambda s, ex, eps, tol: sg_aa_proposal(s, ex, tol=tol),
         records_pi=False, read=log_semi_invariant),

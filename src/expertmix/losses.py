@@ -257,9 +257,15 @@ def _brier(m: int) -> Game:
             lv = loss(pi)
             return float(np.max((lv - g)[finite])) if finite.any() else -1.0
 
+        def objective(x):
+            x = np.clip(x, 0.0, None)
+            total = x.sum()
+            # a probe that clips to the zero vector is no distribution
+            return worst(x / total) if total > 0 else np.inf
+
         from scipy import optimize  # imported only where it runs, as above
         res = optimize.minimize(
-            lambda x: worst(np.clip(x, 0.0, None) / np.clip(x, 0.0, None).sum()),
+            objective,
             np.full(m, 1.0 / m),
             method="Nelder-Mead",
             options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 4000},

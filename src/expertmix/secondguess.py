@@ -16,7 +16,7 @@ import numpy as np
 
 from .aggregating import project_boundary, retraction_F
 from .core import Game, Proposal, Session, domination_gap, exp_mix, pair_exponent
-from .defensive import choose_forecast
+from .defensive import _log_q, choose_forecast
 from .errors import DomainError, NoConvergence
 
 
@@ -76,8 +76,8 @@ def sg_dfa_proposal(state: Session, experts: Sequence[SecondGuessExpert], *,
         G = np.stack([np.stack([ex(lam) for lam in L]) for ex in live_experts], axis=1)
         return np.sum(w_live * np.exp(pair_exponent(L[:, None, :], G, c, eta)), axis=1)
 
-    pi, slack = choose_forecast(q, state.game.m, epsilon=epsilon, tol=tol,
-                                select="root")
+    pi, slack, qpi = choose_forecast(q, state.game.m, epsilon=epsilon, tol=tol,
+                                     select="root", full_output=True)
     gamma = state.proper(pi)
     advice = np.stack([ex(gamma) for ex in experts])
     for ex, g_t in zip(experts, advice):
@@ -86,8 +86,9 @@ def sg_dfa_proposal(state: Session, experts: Sequence[SecondGuessExpert], *,
             raise DomainError(
                 f"expert {ex.name!r} returned {g_t}, outside the superprediction set"
             )
+    log_q = _log_q(qpi)
     return Proposal(gamma, gamma, slack,
-                    lambda w: (gamma[w], float(gamma[w]), advice[:, w]), pi)
+                    lambda w: (gamma[w], float(gamma[w]), advice[:, w], log_q[w]), pi)
 
 
 def sg_dfa_step(state: Session, experts: Sequence[SecondGuessExpert],
@@ -201,7 +202,7 @@ def sg_aa_proposal(state: Session, experts: Sequence[SecondGuessExpert],
     gamma = sg_fixed_point(state, experts, tol=tol)
     advice = np.stack([ex(gamma) for ex in experts])
     return Proposal(gamma, gamma, 0.0,
-                    lambda w: (0.0, float(gamma[w]), advice[:, w]))
+                    lambda w: (0.0, float(gamma[w]), advice[:, w], None))
 
 
 def sg_aa_step(state: Session, experts: Sequence[SecondGuessExpert],

@@ -63,9 +63,10 @@ def reference_run(config):
             A = np.asarray(game.loss(np.stack(decisions)), dtype=float)
             p = dfa_proposal(state, A, epsilon=eps, tol=tol) if dfa else aa_proposal(state, A)
             w = reality.pick(n, None)
-            learner_term, learner_loss, expert_losses = p.score(w)
+            learner_term, learner_loss, expert_losses, log_factor = p.score(w)
             if dfa:
-                state = state.advance(learner_term, learner_loss, expert_losses, p.slack)
+                state = state.advance(learner_term, learner_loss, expert_losses, log_factor,
+                                      p.slack)
             else:  # one round's reweigh
                 expo = pair_exponent(0.0, expert_losses, state.c, state.eta)
                 lw = state.log_weights + np.where(np.isneginf(state.log_weights), 0.0, expo)
@@ -86,7 +87,7 @@ def reference_run(config):
                 expert_losses=expert_losses.tolist(),
                 cumulative_learner_loss=state.cumulative_loss,
                 cumulative_expert_losses=list(state.per_expert_loss),
-                log_supermartingale=state.log_value if dfa else log_semi_invariant(state),
+                log_supermartingale=state.log_supermartingale if dfa else log_semi_invariant(state),
                 slack=p.slack, slack_total=state.slack_log_total, bound_margins=margins)
             lines.append(json.dumps(rec.to_obj(), separators=(",", ":")))
     except ExpertmixError as exc:

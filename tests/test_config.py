@@ -200,3 +200,38 @@ def test_good_specs_accepted(reality, expert):
     cfg = parse_config(doc("aa", "iid", game={"name": "log", "m": 3},
                            experts=[expert, {"kind": "iid-random"}]) | {"reality": reality})
     assert run_scenario(cfg).summary["bound_ok"]
+
+
+#: forecasting configs at c != 1 on games that supply no hull proper loss;
+#: a c != 1 session scores with the hull proper loss pushed to the boundary
+NO_HULL_LOSS = [
+    ("dfa", "iid", {"c": 1.5}),
+    ("dfa", "iid", {"game": {"name": "square", "m": 2}, "c": 2.0}),
+    ("dfa", "fixed", {"game": {"name": "log", "m": 3}, "c": 1.5}),
+    ("dfa", "fixed", {"game": {"name": "brier", "m": 3}, "c": 1.5}),
+    ("sg-dfa", "iid", {"c": 1.5}),
+    ("ml-dfa", "iid", {"evaluators": [{"loss": "log", "eta": 1.0, "c": 1.5}]}),
+    ("ml-dfa", "iid", {"evaluators": [{"loss": "absolute", "eta": 1.0, "c": 1.5},
+                                      {"loss": "square", "eta": 2.0, "c": 1.2}]}),
+    ("simplex-dfa", "dirichlet", {"c": 1.5}),
+]
+
+
+@pytest.mark.parametrize("algorithm,reality,overrides", NO_HULL_LOSS)
+def test_forecasting_without_a_hull_proper_loss_refused(algorithm, reality, overrides):
+    with pytest.raises(ConfigError, match="hull proper loss"):
+        parse_config(doc(algorithm, reality, **overrides))
+
+
+def test_forecasting_with_a_hull_proper_loss_accepted():
+    absolute = {"game": {"name": "absolute", "m": 2}, "c": 1.5}
+    assert run_scenario(parse_config(doc("dfa", "iid", **absolute))).summary["bound_ok"]
+    evaluators = [{"loss": "absolute", "eta": 1.0, "c": 1.5}]
+    assert parse_config(doc("ml-dfa", "iid", evaluators=evaluators)).evaluators == evaluators
+
+
+@pytest.mark.parametrize("evaluator", [{"loss": "log", "c": "1.5"},
+                                       {"loss": "log", "eta": float("nan")}])
+def test_bad_evaluator_constants_rejected(evaluator):
+    with pytest.raises(ConfigError, match="evaluator c and eta"):
+        parse_config(doc("ml-dfa", "iid", evaluators=[evaluator]))

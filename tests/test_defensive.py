@@ -531,13 +531,13 @@ class TestDFAStep:
         g = builtin_game("log", 2)
         state = dfa_start(g, eta=1.0, n_experts=4)
         rng = np.random.default_rng(3)
-        prev = state.log_value
+        prev = state.log_supermartingale
         for _ in range(200):
             adv = advice_rows(g, rng.random(4))
             _, state, slack = dfa_step(state, adv, int(rng.integers(0, 2)))
-            assert state.log_value <= prev + np.log1p(slack) + 1e-9
-            prev = state.log_value
-        assert state.log_value <= state.slack_log_total + 1e-9
+            assert state.log_supermartingale <= prev + np.log1p(slack) + 1e-9
+            prev = state.log_supermartingale
+        assert state.log_supermartingale <= state.slack_log_total + 1e-9
 
     def test_unrealizable_absolute_raises(self):
         g = builtin_game("absolute", 2)

@@ -168,12 +168,12 @@ class TestSimplexSessions:
         state = simplex_dfa_start(sg, eta=1.0, n_experts=2, verify=True, samples=300)
         advice = [np.full(3, 1 / 3), np.array([1.0, 0.0, 0.0])]
         rng = np.random.default_rng(13)
-        prev = state.log_value
+        prev = state.log_supermartingale
         for _ in range(200):
             p = rng.dirichlet(np.ones(3))
             _, state, slack = simplex_dfa_step(state, advice, p)
-            assert state.log_value <= prev + np.log1p(slack) + 1e-9
-            prev = state.log_value
+            assert state.log_supermartingale <= prev + np.log1p(slack) + 1e-9
+            prev = state.log_supermartingale
         assert np.all(simplex_bound_margins(state) <= 1e-7)
 
     def test_kl_dirichlet_outcomes_bound(self):

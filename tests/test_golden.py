@@ -24,18 +24,18 @@ GOLDEN = {
                    "70c32a827d6eb73ae62518bb843ad05455195c3a4f132df73c3a0d514f0c65be"),
     "absolute-aa": ("173830aa37c7fc6f04d9effd7ba0a99c70bcc94604cdea1c8bb20e69aac59719",
                     "69ac7255ca409d8ffa45d6e5c43b786708fb7aa2281907d77619e7d2b11be085"),
-    "absolute-dfa": ("53fbedf1e1b6d05a4d859ab330f273dabf1e52bb1cdf8333d380381bfaccfd17",
-                     "ec8660c75efe1ed486d353c4dc50d290850cad6e4a774dc2a16e6c4fe7c03f70"),
-    "brier-simplex": ("a66b3fa264d96f33d5875638d1642a6f547365551cd4d4e8f5388b3a7fb8620a",
-                      "b74a1d3d7682a066a07809379a78e92e30cec28fae31c0d906df00a7920c3bce"),
-    "dfa-log-k10": ("7a18fadf10e86dcb537b5c7082d9cc9d85b52d9804c674a1da85e517877f994e",
-                    "b03e45c594ab6614d6d2982aa4f2dc60d02b519ccef1489545e2c4276ba31e17"),
+    "absolute-dfa": ("90818a1f78bde81f4bcfcc2ebbc7b9ce651d420c29f7c4511b14a25aaee48939",
+                     "9454d6c5edb1fcf69206bb7b36ebc103d8924410f9a0d1e893421c809e1cc41e"),
+    "brier-simplex": ("da7211d34060820b57174d749995fc766370a271450c03ef58bcf2f240ae6969",
+                      "5460b2e6a06f3bf9960166c59cea325a5457439e68e76aa296e6b77772ea67b9"),
+    "dfa-log-k10": ("f5cb87e498a2876c1322517970d2617aa2ec3e9073e1237411848791e610c6fb",
+                    "5e8dd1c04fba7ee4106273795074e33d4c551a563bd8dc62b6af5b29b789955e"),
     "kl-simplex": ("810381b99204066568ae7d669383d48013777baf312a2e1ebb95aab4a4b045d9",
                    "c4b33f5429076b3128b687de05a09f3e88ee18116fc3524a30e19dc3af3adc43"),
     "ml-log-square-k4": ("89a73d407969ad61a15b8065d7554fba66ecc50c9dfbfa1b304d9f4b7bb25ab4",
                          "ca1b3ac02b232207f6ebfe8f89c276f213742bc0efcd044e6274701fab4fdf23"),
-    "sg-contrarian-log": ("0f1ebd94024eae173beb52367b54b2c9dfd7d991bff33a1d7cd510d58199d724",
-                          "c7038a61d6d0735fc82c180d65533c1e2b1948fb334ef18303dfc731dddfd868"),
+    "sg-contrarian-log": ("e5a74a6a1093a36cb097eb15f6ba7fcc60737f3530435c871b7bf8cd53dca822",
+                          "91fbe63335c3a75e70e227ebf7c3d9f5d8a589d197297a49b03452753064c7f2"),
     "sg-contrarian-log-aa": ("10ad21cf90b5b0dd97956899aaab7848950efc9916bf9633de751c024424873e",
                              "c7038a61d6d0735fc82c180d65533c1e2b1948fb334ef18303dfc731dddfd868"),
 }
@@ -68,8 +68,8 @@ GOLDEN_BLOCKS = {
         "5334d58f6645b46603b26d0b3dc2082c56bebf7715c6d85778ba4f0862be6fe3"),
     "dfa-log-k10": (
         builtin_scenario("dfa-log-k10", horizon=1000),
-        "f8026227a96a222545b627163f777c3f51ae6b840c9e96db148665e3cbe78d35",
-        "fc86b624386d7c47f03503347cb9c61fd6ae513673fa9bbada579f87c731376b"),
+        "4e3b716a523eb5c6e169bbe74da19d8bb144fb1ea2d9ce989132bd9220648ccb",
+        "2fa7fdc39a3896398f62aaf45a9fd03fdc02665e92acb5b46bb29df81a473966"),
     "dfa-mixed-fixed": (
         parse_config({
             "name": "dfa-mixed-fixed",
@@ -84,8 +84,8 @@ GOLDEN_BLOCKS = {
             "horizon": 1000,
             "seed": 17,
         }),
-        "9b6a79d14337e6e4aa82e8710f15801f001cc98fca906798c3d306c04430b1b0",
-        "e125206072429867347554ae19c049c865bef144e753c88bdca59a6aba63b64d"),
+        "f59ac484825433130a87584fd922b95efe5979e6aa2b050bb333fcd15cb94c9d",
+        "cd773b31179395746be539266f0614380f4653b216c0bba916911bfb942a3c41"),
 }
 
 

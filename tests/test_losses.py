@@ -1,3 +1,6 @@
+import warnings
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -312,3 +315,37 @@ class TestCheckMixability:
     def test_brier_mixable_at_one(self):
         g = builtin_game("brier", 3)
         assert check_mixability(g, 1.0, samples=60, seed=0).mixable
+
+
+def test_brier_search_scores_a_zero_probe_as_infinite():
+    """A Nelder-Mead probe of brier's substitution search that clips to the
+    zero vector is no distribution: its objective is +inf, with no 0/0."""
+    from scipy import optimize
+    minimize, probes = optimize.minimize, []
+
+    def probing(fun, x0, **kwargs):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            probes.append(fun(-np.ones_like(x0)))
+        return minimize(fun, x0, **kwargs)
+
+    g = builtin_game("brier", 3)
+    with mock.patch.object(optimize, "minimize", probing):
+        pi = g.substitution(np.array([0.1, 3.0, 3.0]))  # outside the standard form
+    assert probes == [np.inf]
+    assert np.all(g.loss_vector(pi) <= np.array([0.1, 3.0, 3.0]) + 1e-7)
+
+
+def test_brier_mixing_above_c_one_runs_without_warnings():
+    from expertmix.harness.config import parse_config
+    from expertmix.harness.runner import run_scenario
+
+    config = parse_config({
+        "game": {"name": "brier", "m": 3}, "algorithm": "aa", "c": 1.5, "horizon": 200,
+        "seed": 0, "experts": [{"kind": "constant", "value": [1.0, 0.0, 0.0]},
+                               {"kind": "constant", "value": [0.2, 0.3, 0.5]},
+                               {"kind": "trailing-average"}],
+        "reality": {"kind": "iid"}})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_scenario(config).summary["bound_ok"]

@@ -5,6 +5,7 @@ sessions run on random advice under priors that include zeros, and the
 binary AA/DFA agreement on random advice with infinite entries."""
 
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,7 +16,11 @@ from expertmix.aggregating import aa_mix, aa_proposal, aa_start, aa_step
 from expertmix.core import Session, log_sum_exp, pair_exponent
 from expertmix.defensive import (default_proper_loss, dfa_proposal, dfa_start, dfa_step,
                                  fixed_advice_q)
-from expertmix.errors import AllExpertsDead, SubstitutionFailure
+from expertmix.errors import AllExpertsDead, ExpertmixError, SubstitutionFailure
+from expertmix.harness import runner
+from expertmix.harness.config import parse_config
+from expertmix.harness.runner import run_scenario
+from expertmix.harness.scenarios import builtin_scenario
 from expertmix.losses import builtin_game, realizability_constant
 from expertmix.secondguess import SecondGuessExpert, sg_aa_step
 
@@ -134,6 +139,96 @@ def test_aa_and_dfa_predict_alike_on_random_advice(run):
         aa, dfa = aa_proposal(mix, advice), dfa_proposal(forecast, advice)
         assert abs(float(aa.decision[0]) - float(dfa.decision[0])) <= 1e-6
         mix, forecast = mix.advance(*aa.score(w)), forecast.advance(*dfa.score(w))
+
+
+@settings(max_examples=60, deadline=None)
+@given(run=binary_runs(), absolute=st.booleans())
+def test_dfa_posterior_is_aa_posterior(run, absolute):
+    """With scalar (c, eta) the learner term adds the same amount to every
+    expert's log weight, so a forecasting session's posterior is AA's, bit
+    for bit (``-inf`` included), in every round of a fixed-advice run while
+    AA's is defined."""
+    name, weights, rounds = run
+    if absolute:
+        name = "absolute"
+    game = builtin_game(name, 2)
+    c, eta = GAMES[name]
+    prior = np.array(weights) / sum(weights)
+    mix = aa_start(game, eta=eta, c=c, prior=prior)
+    forecast = dfa_start(game, eta=eta, c=c, prior=prior)
+    for decisions, w in rounds:
+        assert np.array_equal(forecast.log_weights, mix.log_weights)
+        if mix.log_value == -INF:
+            return  # AA lost every expert: its posterior is undefined
+        assert np.array_equal(forecast.log_posterior(), mix.log_posterior())
+        advice = np.stack([game.loss_vector([p]) for p in decisions])
+        p = dfa_proposal(forecast, advice)
+        learner_term, learner_loss, expert_losses, log_factor = p.score(w)
+        forecast = forecast.advance(learner_term, learner_loss, expert_losses, log_factor,
+                                    p.slack)
+        if np.isinf(learner_term):
+            return  # its forecast gave w no mass: each weight infinite there is kept
+        mix = mix.advance(0.0, 0.0, expert_losses)
+
+
+#: DFA games with the c at which they are realizable and their etas
+NONINCREASE_GAMES = [("log", 2, 1.0, [0.5, 1.0]), ("square", 2, 1.0, [0.5, 1.0, 2.0]),
+                     ("absolute", 2, realizability_constant("absolute", 1.0), [1.0]),
+                     ("log", 3, 1.0, [0.5, 1.0]), ("brier", 3, 1.0, [0.5, 1.0])]
+
+
+@st.composite
+def dfa_configs(draw):
+    """A DFA run played in blocks (``iid`` or ``fixed`` Reality) or round
+    by round (adversarial Reality, or blocks of one round)."""
+    name, m, c, etas = draw(st.sampled_from(NONINCREASE_GAMES))
+    values = ([0.0, 0.3, 0.5, 1.0] if m == 2
+              else [[1.0, 0.0, 0.0], [0.2, 0.3, 0.5], [0.0, 0.5, 0.5]])
+    expert = st.one_of(st.sampled_from(values).map(lambda v: {"kind": "constant", "value": v}),
+                       st.just({"kind": "iid-random"}), st.just({"kind": "trailing-average"}))
+    experts = draw(st.lists(expert, min_size=1, max_size=4))
+    weights = st.lists(st.sampled_from([0, 1, 2, 5]), min_size=len(experts),
+                       max_size=len(experts)).filter(any)
+    reality = draw(st.one_of(
+        st.just({"kind": "adversarial"}),
+        st.lists(st.integers(0, m - 1), min_size=1, max_size=6).map(
+            lambda seq: {"kind": "fixed", "sequence": seq}),
+        st.just({"kind": "iid"})))
+    return parse_config({
+        "game": {"name": name, "m": m}, "algorithm": "dfa", "c": c,
+        "eta": draw(st.sampled_from(etas)), "experts": experts,
+        "prior": draw(st.one_of(st.just("uniform"),
+                                weights.map(lambda ws: [w / sum(ws) for w in ws]))),
+        "reality": reality, "horizon": draw(st.integers(1, 300 if m == 2 else 40)),
+        "seed": draw(st.integers(0, 2 ** 32))})
+
+
+def assert_never_increases(config):
+    """Each step of the log supermartingale is at most ``ln(1 + slack_n)``."""
+    game = builtin_game(config.game, config.m)
+    prev = dfa_start(game, eta=config.eta, c=config.c, prior=config.prior,
+                     n_experts=len(config.experts)).log_supermartingale
+    for rec in run_scenario(config).records:
+        if prev == -INF:
+            assert rec.log_supermartingale == -INF
+        else:
+            assert rec.log_supermartingale - prev <= np.log1p(rec.slack) + 1e-12
+        prev = rec.log_supermartingale
+
+
+@settings(max_examples=40, deadline=None)
+@given(config=dfa_configs(), block=st.sampled_from([1, 256]))
+def test_log_supermartingale_never_increases_past_its_slack(config, block):
+    with mock.patch.object(runner, "BLOCK_ROUNDS", block):
+        while config.horizon:
+            try:
+                return assert_never_increases(config)
+            except ExpertmixError:  # a run that fails (every expert dead, say)
+                config = replace(config, horizon=config.horizon // 2)  # is checked before
+
+
+def test_log_supermartingale_never_increases_along_dfa_log_k10():
+    assert_never_increases(builtin_scenario("dfa-log-k10", horizon=10_000))
 
 
 @pytest.mark.xfail(raises=SubstitutionFailure, strict=True,
