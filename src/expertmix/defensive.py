@@ -2,13 +2,19 @@
 
 The per-step factor is ``q_g(pi, w) = exp(eta (lambda(pi, w)/c - g(w)))``;
 a forecast distribution is chosen so that the prior-weighted product of
-these factors cannot grow, whatever the outcome.  The binary solver is
-one bisection with two selection rules, the midpoint of the admissible
-interval and the root of ``h(p) = q(p, 1) - q(p, 0)``: each q call holds
-the nodes of the next six levels of every bracket, and the bisection
-replays over their values.  For three or more outcomes the solve runs on
-the delta-interior of the simplex with an explicit epsilon slack that is
-surfaced and accumulated into the regret audit instead of being ignored.
+these factors cannot grow, whatever the outcome.  With scalar (c, eta)
+the learner's share of a factor is common to every expert, so a
+forecasting session's weights are AA's posterior, and its log
+supermartingale is the running sum of ``ln q(pi_n, w_n)``, read from the
+solver's q row at the forecast.  The binary solver is one bisection with
+two selection rules, the midpoint of the admissible interval and the root
+of ``h(p) = q(p, 1) - q(p, 0)``: each q call holds the nodes of the next
+six levels of every bracket, and the bisection replays over their values.
+A block of rounds with fixed advice solves all its admissible intervals in
+one batch (:func:`admissible_intervals`).  For three or more outcomes the
+solve runs on the delta-interior of the simplex with an explicit epsilon
+slack that is surfaced and accumulated into the regret audit instead of
+being ignored.
 """
 
 from __future__ import annotations
@@ -22,8 +28,8 @@ import numpy as np
 from .aggregating import (_advice_matrix, aa_mix, project_boundary, substitute,
                           substituted_rounds)
 from .core import (Game, Proposal, Rounds, Session, _batch_losses, as_losses, as_probs,
-                   log_mix, log_sum_exp, pair_exponent, simplex_grid, start_session)
-from .errors import ContractViolation, SlackExceeded
+                   log_mix, pair_exponent, simplex_grid, start_session)
+from .errors import AllExpertsDead, ContractViolation, SlackExceeded
 from .losses import ProperLoss, proper_loss_from_entropy
 
 
@@ -183,8 +189,11 @@ def _bisect(left: np.ndarray):
         yield k, i, j
 
 
-def _q_at(q: Callable[[np.ndarray], np.ndarray], p: np.ndarray) -> np.ndarray:
-    return np.asarray(q(np.column_stack([1.0 - p, p])), dtype=float)
+def _q_at(q: Callable, p: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
+    """q at the binary forecasts ``(1 - p, p)``, each of row ``rows[i]``
+    when given."""
+    P = np.column_stack([1.0 - p, p])
+    return np.asarray(q(P) if rows is None else q(P, rows), dtype=float)
 
 
 def dfa_solve_binary(q: Callable[[np.ndarray], np.ndarray], C: float,
@@ -238,6 +247,77 @@ def dfa_solve_binary(q: Callable[[np.ndarray], np.ndarray], C: float,
     raise ContractViolation(
         "bisection failed to equalize the coordinates; q appears discontinuous"
     )
+
+
+def _replay(left: np.ndarray, depth: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_bisect` for every row of ``left``, shape (N, 2**depth - 1),
+    at once: the bracket ``(i, j)`` of node indices each row leaves."""
+    rows = np.arange(len(left))
+    i, j = np.zeros(len(left), dtype=np.intp), np.full(len(left), left.shape[1] + 1)
+    for _ in range(depth):
+        k = (i + j) // 2
+        go_left = left[rows, k - 1]
+        i, j = np.where(go_left, i, k), np.where(go_left, k, j)
+    return i, j
+
+
+def _row_nodes(a: np.ndarray, b: np.ndarray, depth: int) -> np.ndarray:
+    """:func:`_nodes` of each bracket ``[a[r], b[r]]``, shape (N, 2**depth
+    + 1), built level by level: each node the midpoint the bisection gives."""
+    n = 2 ** depth
+    x = np.empty((len(a), n + 1))
+    x[:, 0], x[:, -1] = a, b
+    while n > 1:
+        h = n // 2
+        x[:, h::n] = 0.5 * (x[:, :-h:n] + x[:, n::n])
+        n = h
+    return x
+
+
+def admissible_intervals(q, C: float, tol: float, rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`admissible_interval` for ``rows`` binary q's at once: ``q(P,
+    r)`` maps forecasts ``P``, shape (n, 2), each of row ``r[i]``, to their
+    values ``(q_r(p, 0), q_r(p, 1))``.  Each q call holds the nodes of the
+    next six levels of every bracket still open in any row (the first call
+    also ``p = 0, 1`` of every row), and one replay walks all brackets at
+    once, so each row's endpoints are those :func:`admissible_interval`
+    gives it, bit for bit.  (That one-row call keeps its own replay: on one
+    row, numpy's per-call cost would double a round-by-round step.)
+    Returns the arrays ``lo`` and ``hi``; raises
+    :class:`ContractViolation` when the expectation bound fails at an
+    endpoint of any row."""
+    _require_tol(tol)
+    levels = max(0, 1 - math.frexp(tol)[1])  # the smallest L with 2**-L <= tol
+    depth = min(levels, _BATCH_LEVELS)
+    x = _nodes(0.0, 1.0, depth)
+    p = np.concatenate([[0.0, 1.0], x[1:-1]])
+    qv = _q_at(q, np.tile(p, rows), np.repeat(np.arange(rows), len(p))).reshape(rows, len(p), 2)
+    q0, q1 = qv[:, 0], qv[:, 1]
+    bound = C * (1.0 + 1e-9) + 1e-12
+    if np.any(q0[:, 0] > bound) or np.any(q1[:, 1] > bound):
+        raise ContractViolation("expectation bound fails at an endpoint")
+    # bracket (r, 0) holds the crossing of row r's q(., 1), (r, 1) that of
+    # its q(., 0); one whose endpoint already holds is not bisected
+    r, side = np.nonzero(np.column_stack([~(q0[:, 1] <= C), ~(q1[:, 0] <= C)]))
+    nodes, vals = np.broadcast_to(x, (len(r), len(x))), qv[r, 2:]  # the first nodes serve both
+    brackets = np.arange(len(r))
+    while True:
+        ok = np.where(side[:, None] == 0, vals[..., 1], vals[..., 0]) <= C
+        i, j = _replay(np.where(side[:, None] == 0, ok, ~ok), depth)
+        a, b = nodes[brackets, i], nodes[brackets, j]
+        levels -= depth
+        depth = min(levels, _BATCH_LEVELS)
+        if not (len(r) and depth):
+            break
+        nodes = _row_nodes(a, b, depth)
+        vals = _q_at(q, nodes[:, 1:-1].ravel(),
+                     np.repeat(r, nodes.shape[1] - 2)).reshape(len(r), -1, 2)
+    lo, hi = np.zeros(rows), np.ones(rows)
+    lo[r[side == 0]] = b[side == 0]
+    hi[r[side == 1]] = a[side == 1]
+    mid = 0.5 * (lo + hi)
+    collapsed = hi < lo  # crossings that pass each other collapse to their midpoint
+    return np.where(collapsed, mid, lo), np.where(collapsed, mid, hi)
 
 
 def admissible_interval(q: Callable[[np.ndarray], np.ndarray], C: float,
@@ -408,7 +488,9 @@ def fixed_advice_q(state: Session, G: np.ndarray, log_posterior: np.ndarray | No
     into per-outcome constants ``ln a_w = log_mix(...)``, AA's mix, so each
     candidate costs one proper-loss call per group.  A standard session is
     the one-group case.  The returned q takes one distribution, shape
-    (m,), or a batch, shape (n, m).
+    (m,), or a batch, shape (n, m).  A standard session's q can also hold a
+    block of B rounds, ``log_posterior`` (B, k) and ``G`` (B, k, m): it then
+    takes a batch and the round of each row, ``q(P, rows)``.
     """
     lwn = state.log_posterior() if log_posterior is None else log_posterior
 
@@ -418,12 +500,18 @@ def fixed_advice_q(state: Session, G: np.ndarray, log_posterior: np.ndarray | No
         # each factor to 1: the group contributes its posterior mass
         dead = np.isneginf(log_a)
 
-        def q(P: np.ndarray) -> np.ndarray:
+        def q(P: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
+            la, gone = (log_a, dead) if rows is None else (log_a[rows], dead[rows])
             lam = proper(P)
             lam_inf = np.isinf(lam)
-            vals = np.exp(eta * np.where(lam_inf, 0.0, lam) / c + log_a)
-            vals = np.where(lam_inf & ~dead, np.inf, vals)
-            return np.where(lam_inf & dead, mass, vals)
+            if not lam_inf.any():  # the common case, in the general path's bits,
+                out = np.multiply(eta, lam)  # in place: a block's batch is large
+                np.divide(out, c, out=out)
+                np.add(out, la, out=out)
+                return np.exp(out, out=out)
+            vals = np.exp(eta * np.where(lam_inf, 0.0, lam) / c + la)
+            vals = np.where(lam_inf & ~gone, np.inf, vals)
+            return np.where(lam_inf & gone, mass, vals)
 
         return q
 
@@ -519,14 +607,34 @@ def dfa_proposal(state: Session, advice, *, epsilon: float = 1e-6,
                     lambda w: (lam[w], float(lv[w]), A[:, w], log_q[w]), pi)
 
 
+def _midpoint_rounds(state: Session, lwn: np.ndarray, A: np.ndarray, tol: float):
+    """The binary midpoint forecasts of a block of rounds under their log
+    posteriors ``lwn`` (B, k): one batched log-mix, the admissible
+    intervals of all B rows in one batch, and one q call at the
+    forecasts.  Returns the forecasts (B, 2), their slack and ``q(pi, .)``
+    rows, each what :func:`_forecast` gives that round."""
+    q = fixed_advice_q(state, A, lwn)
+    lo, hi = admissible_intervals(q, 1.0, tol, len(lwn))
+    p = 0.5 * (lo + hi)
+    pi = np.column_stack([1.0 - p, p])
+    qpi = q(pi, np.arange(len(p)))
+    excess = qpi.max(axis=1) - 1.0
+    return pi, np.where(excess > 0.0, excess, 0.0), qpi
+
+
 def dfa_rounds(state: Session, advice: np.ndarray, outcomes: np.ndarray, *,
                epsilon: float = 1e-6, tol: float = 1e-9, select: str = "midpoint",
                substitution_tol: float = 1e-7
                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, Rounds]:
     """Play a block of B rounds whose advice, shape (B, k, m), and outcomes,
-    shape (B,), do not depend on Learner's moves.  A round's forecast needs
-    the posterior after the rounds before it, so only the chain posterior
-    -> q -> forecast -> ``lambda(pi)`` -> reweigh runs round by round; the
+    shape (B,), do not depend on Learner's moves.  The session's posterior
+    is AA's, so one reweigh gives the posterior before every round, and a
+    binary midpoint block solves all its admissible intervals in one batch
+    (:func:`_midpoint_rounds`).  Rounds the batch does not serve (three or
+    more outcomes, ``select="root"``, or a batch that raises) are solved
+    one at a time on the same posteriors.  A round whose ``lambda`` is
+    infinite on the realized outcome keeps weights that AA's posterior
+    drops, so the rounds after it are solved again from its weights.  The
     substitution and the running sums are one batch each.  Returns what
     :func:`aggregating.aa_rounds` returns, each row what :func:`dfa_step`
     gives that round; an error is raised for the first round that meets
@@ -536,21 +644,47 @@ def dfa_rounds(state: Session, advice: np.ndarray, outcomes: np.ndarray, *,
     lw, lv = np.empty(expert_losses.shape), np.empty(len(rows))
     lam, slack = np.empty((len(rows), state.game.m)), np.zeros(len(rows))
     log_factors = np.empty(len(rows))
-    played, error, cur = len(rows), None, state
-    for i, w in enumerate(outcomes.tolist()):
-        try:
-            pi, slack[i], qpi = _forecast(cur, cur.log_posterior(), advice[i], epsilon,
-                                          tol, select)
-            lam[i] = state.proper(pi)
-        except Exception as exc:  # raised once the rounds before it are substituted
-            played, error = i, exc
-            break
-        log_factors[i] = _log_q(qpi)[w]
-        term = lam[i, w] if np.isinf(lam[i, w]) else 0.0
-        lw[i] = cur.log_weights + cur._log_factors(term, expert_losses[i])
-        lv[i] = log_sum_exp(lw[i])
-        cur = replace(cur, log_weights=lw[i], log_value=lv[i])
-    return substituted_rounds(state, lam[:played], outcomes, expert_losses, lw, lv,
+    n, error, cur = 0, None, state
+    while n < len(rows) and error is None:
+        lw[n:], lv[n:] = cur.reweigh(0.0, expert_losses[n:])
+        # the posterior before each round: the session's, then each round's
+        lw_before = np.concatenate([cur.log_weights[None], lw[n:-1]])
+        lv_before = np.concatenate([[cur.log_value], lv[n:-1]])
+        dead = np.isneginf(lv_before)
+        live = int(np.argmax(dead)) if dead.any() else len(dead)
+        block = slice(n, n + live)
+        lwn, A, w = lw_before[:live] - lv_before[:live, None], advice[block], outcomes[block]
+        played = 0
+        if live and state.game.m == 2 and select == "midpoint":
+            try:
+                pi, slack[block], qpi = _midpoint_rounds(cur, lwn, A, tol)
+                lam[block] = state.proper(pi)
+                log_factors[block] = _log_q(qpi)[np.arange(live), w]
+                played = live
+            except Exception:  # the rounds one at a time find the one that raises
+                pass
+        for i in range(played, live):
+            try:
+                pi, slack[n + i], qpi = _forecast(cur, lwn[i], A[i], epsilon, tol, select)
+                lam[n + i] = state.proper(pi)
+            except Exception as exc:  # raised once the rounds before it are substituted
+                error = exc
+                break
+            log_factors[n + i] = _log_q(qpi)[w[i]]
+            played = i + 1
+            if np.isinf(lam[n + i, w[i]]):
+                break
+        if error is None and played == live < len(dead):
+            error = AllExpertsDead()
+        infinite = np.flatnonzero(np.isinf(lam[n + np.arange(played), w[:played]]))
+        if infinite.size:  # its weights by the extended-real rule; solve on from them
+            i = int(infinite[0])
+            cur = replace(cur, log_weights=lw_before[i], log_value=lv_before[i]).advance(
+                lam[n + i, w[i]], 0.0, expert_losses[n + i], log_factors[n + i])
+            lw[n + i], lv[n + i], n, error = cur.log_weights, cur.log_value, n + i + 1, None
+        else:
+            n += played
+    return substituted_rounds(state, lam[:n], outcomes, expert_losses, lw, lv,
                               slack, error, log_factors, substitution_tol=substitution_tol)
 
 

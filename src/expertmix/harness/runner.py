@@ -119,9 +119,10 @@ BLOCK_KINDS = ("constant", "iid-random", "trailing-average")
 def block_rounds(config: ScenarioConfig) -> int:
     """Rounds per block: ``BLOCK_ROUNDS`` when the experts and Reality of
     every round are fixed before Learner moves, else one.  Mixing (``aa``)
-    and forecasting (``dfa``) play such blocks; adversarial Reality, the
-    second-guessing, evaluator and simplex protocols play one round at a
-    time."""
+    and forecasting (``dfa``) play such blocks, whose posteriors are one
+    cumulative sum (a forecasting session's weights are AA's); adversarial
+    Reality, the second-guessing, evaluator and simplex protocols play one
+    round at a time."""
     if config.algorithm in ("aa", "dfa") and config.reality["kind"] in ("iid", "fixed") \
             and all(e["kind"] in BLOCK_KINDS for e in config.experts):
         return BLOCK_ROUNDS
@@ -154,12 +155,13 @@ def _standard_experts(config: ScenarioConfig, game: Game, rngs):
 
 def _log_supermartingale(state, rounds=None):
     """A forecasting session's log supermartingale, now or, shape (B,),
-    after each round of ``rounds``: the running sum of the rounds' log
-    factors, or an evaluator session's ``log_value``."""
-    if rounds is not None:
-        return rounds.log_value if rounds.log_supermartingale is None \
-            else rounds.log_supermartingale
-    return state.log_value if state.log_supermartingale is None else state.log_supermartingale
+    after each round of ``rounds``: the running sum of its log factors."""
+    return state.log_supermartingale if rounds is None else rounds.log_supermartingale
+
+
+def _log_value(state):
+    """An evaluator session's log supermartingale: its weights' log-sum-exp."""
+    return state.log_value
 
 
 def _round_by_round(propose, reality, read):
@@ -271,7 +273,7 @@ def _open_evaluators(config: ScenarioConfig, rngs, reality, eps: float, tol: flo
         p = ml_dfa_proposal(state, advice, epsilon=eps, tol=tol)
         return p, advice, [float(v) for v in p.decision]
 
-    return state, _round_by_round(propose_round, reality, _log_supermartingale)
+    return state, _round_by_round(propose_round, reality, _log_value)
 
 
 def _open_simplex(config: ScenarioConfig, rngs, reality, eps: float, tol: float):
@@ -317,8 +319,9 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
     vector only when it depends on the prediction), and the session
     advances.  Rounds are played in blocks of :func:`block_rounds`; when
     nothing in a round looks at Learner's move, a block's draws, advice
-    losses, substitutions and records are each one batch, and so are AA's
-    mixes and reweighs, while DFA solves and reweighs round by round, all
+    losses, reweighs, substitutions and records are each one batch, and so
+    are AA's mixes and DFA's admissible intervals (DFA's weights are AA's
+    posterior, and its log supermartingale sums the rounds' ``ln q``), all
     with the bytes of one round at a time.
     """
     if config.algorithm not in PROTOCOLS:

@@ -12,7 +12,6 @@ The block draws of the experts and of Reality must be the single-round
 draws.
 """
 
-import itertools
 import json
 from dataclasses import replace
 from unittest import mock
@@ -35,7 +34,8 @@ from expertmix.harness.runner import (BLOCK_ROUNDS, StepRecord, _jsonable, _spaw
 from expertmix.harness.strategies import (FixedReality, IidRandomExpert, IidReality,
                                           TrailingAverageExpert, build_reality,
                                           build_standard_expert)
-from expertmix.losses import builtin_game, realizability_constant
+from expertmix.harness.scenarios import builtin_scenario
+from expertmix.losses import ProperLoss, builtin_game, realizability_constant
 
 
 def reference_run(config):
@@ -87,7 +87,8 @@ def reference_run(config):
                 expert_losses=expert_losses.tolist(),
                 cumulative_learner_loss=state.cumulative_loss,
                 cumulative_expert_losses=list(state.per_expert_loss),
-                log_supermartingale=state.log_supermartingale if dfa else log_semi_invariant(state),
+                log_supermartingale=(state.log_supermartingale if dfa
+                                     else log_semi_invariant(state)),
                 slack=p.slack, slack_total=state.slack_log_total, bound_margins=margins)
             lines.append(json.dumps(rec.to_obj(), separators=(",", ":")))
     except ExpertmixError as exc:
@@ -233,30 +234,54 @@ def test_dfa_blocks_keep_a_weight_dead(sequence):
         assert_blocks_replay_rounds(config, block)
 
 
+def round_advice(config, at):
+    """The advice losses of round ``at`` of a fixed-advice run, (k, m)."""
+    expert_rngs, reality_rng = _spawn_rngs(config.seed, len(config.experts))
+    reality = build_reality(config.reality, config.m, reality_rng)
+    game = builtin_game(config.game, config.m)
+    experts = [build_standard_expert(game, s, r) for s, r in zip(config.experts, expert_rngs)]
+    outcomes = []
+    for n in range(at + 1):
+        decisions = [s.advise(n, outcomes) for s in experts]
+        outcomes.append(reality.pick(n, None))
+    return np.asarray(game.loss(np.stack(decisions)), dtype=float)
+
+
+def poisoned_log_mix(target, raises=None):
+    """``log_mix`` whose result for the advice ``target`` (one round's,
+    found in a block too) is raised by 10, so that the expectation bound
+    fails at ``p = 0`` and that round's solve raises
+    :class:`ContractViolation`; or that raises ``raises`` there."""
+    log_mix = defensive.log_mix
+
+    def poisoned(lwn, eta, A):
+        hit = np.all(A == target, axis=(-2, -1))
+        if raises is not None and np.any(hit):
+            raise raises
+        return log_mix(lwn, eta, A) + np.where(hit, 10.0, 0.0)[..., None]
+
+    return mock.patch.object(defensive, "log_mix", poisoned)
+
+
 @pytest.mark.parametrize("at", [0, 100, 255, 256, 299])
 def test_dfa_error_in_the_chain_comes_at_its_round(at):
-    """An error raised by a round's forecast ends a blocked run at that
+    """A ContractViolation in one round's solve ends a blocked run at that
     round, after the rounds before it, as round by round."""
     config = parse_config({
         "game": {"name": "log", "m": 2}, "algorithm": "dfa", "horizon": 300, "seed": 3,
         "experts": [{"kind": "iid-random"}, {"kind": "trailing-average"}],
         "reality": {"kind": "iid"}})
-    forecast = defensive._forecast
 
     def run(play, horizon):
-        calls = itertools.count()
-
-        def failing(*args):
-            if next(calls) == at:
-                raise ContractViolation(f"round {at}")
-            return forecast(*args)
-
-        with mock.patch.object(defensive, "_forecast", failing):
+        with poisoned_log_mix(round_advice(config, at)):
             return play(replace(config, horizon=horizon))
 
-    for play in (reference_run, blocked_run):
-        with pytest.raises(ContractViolation, match=f"round {at}$"):
-            run(play, at + 1)
+    with pytest.raises(ContractViolation, match="endpoint") as want:
+        run(reference_run, config.horizon)
+    assert want.value.step == at
+    for horizon in (at + 1, config.horizon):
+        with pytest.raises(ContractViolation, match=str(want.value)):
+            run(blocked_run, horizon)
     assert run(blocked_run, at) == run(reference_run, at)
 
 
@@ -267,22 +292,97 @@ def test_dfa_blocks_substitute_before_a_later_chain_error():
         "game": {"name": "log", "m": 2}, "algorithm": "dfa", "horizon": 20, "seed": 3,
         "experts": [{"kind": "iid-random"}, {"kind": "trailing-average"}],
         "reality": {"kind": "iid"}})
-    substitute, forecast, calls = aggregating.substitute, defensive._forecast, itertools.count()
+    substitute = aggregating.substitute
 
     def failing_substitute(state, forecasts, tol):
         if len(forecasts) > 3:
             raise SubstitutionFailure("round 3")
         return substitute(state, forecasts, tol)
 
-    def failing_forecast(*args):
-        if next(calls) == 10:
-            raise ValueError("round 10")
-        return forecast(*args)
+    with poisoned_log_mix(round_advice(config, 10), ValueError("round 10")):
+        with pytest.raises(ValueError, match="round 10$"):
+            blocked_run(config)
+        with mock.patch.object(aggregating, "substitute", failing_substitute), \
+                pytest.raises(SubstitutionFailure, match="round 3$"):
+            blocked_run(config)
 
-    with mock.patch.object(aggregating, "substitute", failing_substitute), \
-            mock.patch.object(defensive, "_forecast", failing_forecast), \
-            pytest.raises(SubstitutionFailure, match="round 3$"):
-        blocked_run(config)
+
+#: runs at the edges of the interval solve: name -> (config, the edge seen
+#: in some row's endpoints ``lo, hi``)
+SOLVER_EDGES = {
+    # all weight on a log expert certain of 1: q(1, 0) holds (hi = 1), the
+    # forecast is p = 1, and each outcome 0 is a round whose lambda is
+    # infinite there, inside the block
+    "certain-of-one": (
+        {"experts": [{"kind": "constant", "value": 1.0}, {"kind": "iid-random"}],
+         "prior": [1.0, 0.0], "reality": {"kind": "fixed", "sequence": [1, 1, 0, 1, 0, 0, 1]}},
+        lambda lo, hi: np.any(hi == 1.0) and np.any(0.5 * (lo + hi) == 1.0)),
+    "certain-of-zero": (
+        {"experts": [{"kind": "constant", "value": 0.0}, {"kind": "trailing-average"}],
+         "prior": [1.0, 0.0], "reality": {"kind": "fixed", "sequence": [0, 1, 1, 0]}},
+        lambda lo, hi: np.any(lo == 0.0) and np.any(0.5 * (lo + hi) == 0.0)),
+    # one log expert: the admissible interval is its point, and the two
+    # crossings pass each other
+    "collapsed": (
+        {"experts": [{"kind": "constant", "value": 0.3}], "reality": {"kind": "iid"}},
+        lambda lo, hi: np.any((lo == hi) & (lo > 0.0) & (hi < 1.0))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SOLVER_EDGES))
+def test_dfa_blocks_replay_the_solver_edges(name):
+    spec, seen = SOLVER_EDGES[name]
+    config = parse_config({"game": {"name": "log", "m": 2}, "algorithm": "dfa",
+                           "horizon": 40, "seed": 5, **spec})
+    intervals, endpoints = defensive.admissible_intervals, []
+
+    def recorded(*args):
+        endpoints.append(intervals(*args))
+        return endpoints[-1]
+
+    with mock.patch.object(defensive, "admissible_intervals", recorded):
+        records = run_scenario(config).records
+    lo, hi = (np.concatenate(col) for col in zip(*endpoints))
+    assert seen(lo, hi)
+    if name.startswith("certain"):  # an infinite lambda inside the block
+        assert any(np.isinf(r.learner_loss) for r in records[1:-1])
+    for block in (7, BLOCK_ROUNDS):
+        assert_blocks_replay_rounds(config, block)
+
+
+def test_forecast_binary_blocks_cost_few_q_calls():
+    """A block of 256 ``dfa-log-k10`` rounds (the ``forecast-binary``
+    workload) makes at most 7 q calls, and passes the proper loss no more
+    rows than the same rounds played one at a time."""
+    config = builtin_scenario("dfa-log-k10", horizon=2 * BLOCK_ROUNDS)
+    fixed_advice_q, proper_call = defensive.fixed_advice_q, ProperLoss.__call__
+    calls, rows = [], []
+
+    def counting_q(*args):
+        q = fixed_advice_q(*args)
+
+        def counted(P, *block_rows):
+            calls.append(len(P))
+            return q(P, *block_rows)
+        return counted
+
+    def counting_proper(self, P):
+        rows.append(len(P) if np.ndim(P) == 2 else 1)
+        return proper_call(self, P)
+
+    def work(play):
+        calls.clear()
+        rows.clear()
+        with mock.patch.object(defensive, "fixed_advice_q", counting_q), \
+                mock.patch.object(ProperLoss, "__call__", counting_proper):
+            out = play(config)
+        return out, len(calls), sum(rows)
+
+    (blocked, q_calls, blocked_rows), (want, _, round_rows) = work(blocked_run), \
+        work(reference_run)
+    assert blocked == want
+    assert q_calls <= 7 * 2
+    assert blocked_rows <= round_rows
 
 
 def test_dead_and_unrealizable_runs_fail_at_their_round():

@@ -1,0 +1,163 @@
+"""Alternated pairs of benchmark runs: a base commit against the working tree.
+
+Usage::
+
+    python3 tools/bench_pairs.py --label dfa_blocks --base <commit> \
+        --workload forecast-binary --seeds 123 9001 --pairs 10
+
+Each pair runs ``perfbench/run.py --workload W --seed S --trace 0`` once in
+an export of the base commit's committed files (``git archive`` into a
+temporary directory, which is removed afterwards) and once in the working
+tree.  The side that runs first alternates from pair to pair, so a slow
+phase of a shared host falls on both sides alike.
+
+The results go to ``BENCH_<label>.json`` at the repo root: both SHAs, the
+Python and numpy versions, each run's ``host_slowdown``, correctness and
+end-to-end metrics, and for each workload and seed the medians of both
+sides, the interquartile range of the base's runs and the number of pairs
+in which the working tree did better.  Runs already in the file are kept,
+so several invocations (one workload each, say) add up to one file.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import platform
+import shutil
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
+#: end-to-end metric -> True when higher is better
+HIGHER = {m["name"]: m["better"] == "higher" for m in SPEC["end_to_end"]}
+
+
+def git(*args: str) -> str:
+    return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True,
+                          text=True).stdout.strip()
+
+
+def export(sha: str, into: Path) -> None:
+    """The committed files of ``sha`` under ``into``."""
+    proc = subprocess.Popen(["git", "archive", "--format=tar", sha], cwd=ROOT,
+                            stdout=subprocess.PIPE)
+    with tarfile.open(fileobj=proc.stdout, mode="r|") as tar:
+        tar.extractall(into, filter="data")
+    if proc.wait() != 0:
+        raise RuntimeError(f"git archive {sha} failed")
+
+
+def bench(tree: Path, workload: str, seed: int, seconds: float | None) -> dict:
+    """One benchmark run in ``tree``: its record line and its result line."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
+           "--seed", str(seed), "--trace", "0"]
+    if seconds is not None:
+        cmd += ["--seconds", str(seconds)]
+    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, timeout=1800)
+    lines = proc.stdout.strip().splitlines()
+    if len(lines) < 2:
+        raise RuntimeError(f"{' '.join(cmd)} in {tree} printed no result:\n{proc.stderr}")
+    record, result = json.loads(lines[-2]), json.loads(lines[-1])
+    return {"host_slowdown": record.get("host_slowdown"),
+            "equivalence_max_gap": record.get("equivalence_max_gap"),
+            "correct": result["correct"], "failed": result["failed"],
+            "metrics": {k: v["value"] for k, v in result["metrics"].items()}}
+
+
+def quartiles(xs: list[float]) -> tuple[float, float]:
+    q = statistics.quantiles(xs, n=4, method="inclusive") if len(xs) > 1 else [xs[0]] * 3
+    return q[0], q[2]
+
+
+def summarize(runs: list[dict]) -> dict:
+    """Per workload and seed, per metric: medians, the base's IQR and the
+    working tree's wins over the pairs."""
+    out: dict = {}
+    keys = sorted({(r["workload"], r["seed"]) for r in runs})
+    for workload, seed in keys:
+        mine = [r for r in runs if (r["workload"], r["seed"]) == (workload, seed)]
+        pairs = sorted({r["pair"] for r in mine})
+        by = {(r["pair"], r["side"]): r["metrics"] for r in mine}
+        entry = {}
+        for metric, higher in HIGHER.items():
+            both = [(by[p, "base"][metric], by[p, "head"][metric]) for p in pairs
+                    if metric in by.get((p, "base"), {}) and metric in by.get((p, "head"), {})]
+            if not both:
+                continue
+            base, head = [b for b, _ in both], [h for _, h in both]
+            lo, hi = quartiles(base)
+            wins = sum((h > b) if higher else (h < b) for b, h in both)
+            entry[metric] = {
+                "base_median": statistics.median(base), "head_median": statistics.median(head),
+                "ratio": statistics.median(head) / statistics.median(base)
+                if statistics.median(base) else None,
+                "base_iqr": hi - lo, "head_wins": wins, "pairs": len(both),
+                "better": "higher" if higher else "lower"}
+        out[f"{workload}@{seed}"] = entry
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--label", required=True)
+    parser.add_argument("--base", required=True, help="the commit to compare against")
+    parser.add_argument("--workload", action="append", required=True)
+    parser.add_argument("--seeds", type=int, nargs="+", default=[123])
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seconds", type=float, default=None,
+                        help="measured seconds per run (default: the benchmark's)")
+    args = parser.parse_args(argv)
+
+    import numpy
+
+    path = ROOT / f"BENCH_{args.label}.json"
+    base_sha, head_sha = git("rev-parse", args.base), git("rev-parse", "HEAD")
+    doc = json.loads(path.read_text()) if path.exists() else {"runs": []}
+    if doc["runs"] and (doc["base"]["sha"], doc["head"]["src_tree"]) != (
+            base_sha, git("rev-parse", "HEAD:src")):
+        doc["runs"] = []  # runs of other commits are not comparable
+    doc.update({
+        "label": args.label,
+        "base": {"ref": args.base, "sha": base_sha,
+                 "src_tree": git("rev-parse", f"{base_sha}:src")},
+        "head": {"sha": head_sha, "src_tree": git("rev-parse", "HEAD:src"),
+                 "src_dirty": bool(git("status", "--porcelain", "--", "src"))},
+        "python": platform.python_version(), "numpy": numpy.__version__,
+        "protocol": "alternated pairs of perfbench/run.py --trace 0, base tree exported "
+                    "with git archive; host-adjusted end-to-end metrics",
+    })
+    tmp = Path(tempfile.mkdtemp(prefix="bench-base-"))
+    try:
+        export(base_sha, tmp)
+        trees = {"base": tmp, "head": ROOT}
+        for workload in args.workload:
+            for seed in args.seeds:
+                for pair in range(args.pairs):
+                    order = ("base", "head") if pair % 2 == 0 else ("head", "base")
+                    for position, side in enumerate(order):
+                        run = bench(trees[side], workload, seed, args.seconds)
+                        doc["runs"] = [r for r in doc["runs"] if (
+                            r["workload"], r["seed"], r["pair"], r["side"]) != (
+                            workload, seed, pair, side)]
+                        doc["runs"].append({"workload": workload, "seed": seed, "pair": pair,
+                                            "side": side, "first": position == 0, **run})
+                        print(json.dumps(doc["runs"][-1]), flush=True)
+                    doc["summary"] = summarize(doc["runs"])
+                    path.write_text(json.dumps(doc, indent=1) + "\n")
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
+    for key, entry in doc["summary"].items():
+        for metric, s in entry.items():
+            print(f"{key:28s} {metric:24s} base {s['base_median']:.6g} head "
+                  f"{s['head_median']:.6g} wins {s['head_wins']}/{s['pairs']}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
