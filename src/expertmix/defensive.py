@@ -165,13 +165,7 @@ def _nodes(a: float, b: float, depth: int) -> np.ndarray:
     if a % u == 0.0 and step % u == 0.0:
         # every node is a multiple of ulp(b) in [a, b]: exact, like each midpoint
         return a + step * _RAMP[:n + 1]
-    x = np.empty(n + 1)
-    x[0], x[-1] = a, b
-    while n > 1:  # level by level: node j is the midpoint of j - n/2 and j + n/2
-        h = n // 2
-        x[h::n] = 0.5 * (x[:-h:n] + x[n::n])
-        n = h
-    return x
+    return _row_nodes(np.array([a]), np.array([b]), depth)[0]
 
 
 def _bisect(left: np.ndarray):
@@ -267,7 +261,7 @@ def _row_nodes(a: np.ndarray, b: np.ndarray, depth: int) -> np.ndarray:
     n = 2 ** depth
     x = np.empty((len(a), n + 1))
     x[:, 0], x[:, -1] = a, b
-    while n > 1:
+    while n > 1:  # level by level: node j is the midpoint of j - n/2 and j + n/2
         h = n // 2
         x[:, h::n] = 0.5 * (x[:, :-h:n] + x[:, n::n])
         n = h
