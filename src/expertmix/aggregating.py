@@ -109,42 +109,32 @@ def substituted_rounds(state: Session, forecasts: np.ndarray, outcomes: np.ndarr
                        expert_losses: np.ndarray, log_weights: np.ndarray,
                        log_value: np.ndarray, slack: np.ndarray,
                        error: Exception | None = None, log_factors: np.ndarray | None = None,
-                       *, substitution_tol: float = 1e-7
-                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray, Rounds]:
+                       *, substitution_tol: float = 1e-7):
     """The tail of a block of rounds: one batched substitution of the
-    rounds' ``forecasts`` (B', m), then Learner's losses, the experts', the
-    slack totals and, for a forecasting session, the log supermartingale
-    (from the rounds' ``log_factors``) as running sums.  A block cut short
-    by ``error`` in round B' < B substitutes the rounds before it, so a
-    :class:`SubstitutionFailure` among them comes first, as round by round,
-    then raises ``error``.  Returns the decisions, their loss vectors, the
-    rounds' slack and their :class:`Rounds`."""
+    rounds' ``forecasts`` (B', m), then the session's :meth:`Session.rounds`.
+    A block cut short by ``error`` in round B' < B substitutes the rounds
+    before it, so a :class:`SubstitutionFailure` among them comes first, as
+    round by round, then raises ``error``.  Returns the decisions, Learner's
+    losses, the experts' losses, the rounds' slack and their
+    :class:`Rounds`."""
     decisions, lvs = substitute(state, forecasts, substitution_tol)
     if error is not None:
         raise error
-    rows = np.arange(len(outcomes))
-
-    def running(start, steps):  # added in order, as round by round
-        return np.concatenate(([start], steps)).cumsum(axis=0)[1:]
-
-    return decisions, lvs, slack, Rounds(
-        log_weights, log_value, running(state.cumulative_loss, lvs[rows, outcomes]),
-        running(state.per_expert_loss, expert_losses),
-        running(state.slack_log_total, np.log1p(slack)),
-        None if log_factors is None else running(state.log_supermartingale, log_factors))
+    learner_losses = lvs[np.arange(len(outcomes)), outcomes]
+    return decisions, learner_losses, expert_losses, slack, state.rounds(
+        log_weights, log_value, learner_losses, expert_losses, slack, log_factors)
 
 
 def aa_rounds(state: Session, advice: np.ndarray, outcomes: np.ndarray,
-              *, substitution_tol: float = 1e-7
-              ) -> tuple[np.ndarray, np.ndarray, np.ndarray, Rounds]:
+              *, substitution_tol: float = 1e-7):
     """Play a block of B rounds whose advice, shape (B, k, m), and outcomes,
     shape (B,), do not depend on Learner's moves: one reweigh gives the
     posterior before every round, one batched mix and substitution the
-    decisions.  Returns the decisions, their loss vectors, the rounds'
-    (zero) slack and the session's :class:`Rounds`, each row what
-    :func:`aa_step` gives that round.  :class:`AllExpertsDead` and
-    :class:`SubstitutionFailure` are raised for the first round that meets
-    them, as round by round."""
+    decisions.  Returns the decisions, Learner's losses, the experts'
+    losses, the rounds' (zero) slack and the session's :class:`Rounds`,
+    each row what :func:`aa_step` gives that round.  :class:`AllExpertsDead`
+    and :class:`SubstitutionFailure` are raised for the first round that
+    meets them, as round by round."""
     rows = np.arange(len(advice))
     expert_losses = advice[rows, :, outcomes]
     lw, lv = state.reweigh(0.0, expert_losses)

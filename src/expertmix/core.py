@@ -285,6 +285,13 @@ class Game:
         dec = np.atleast_1d(np.asarray(decision, dtype=float))
         return np.asarray(self.loss(dec), dtype=float)
 
+    def loss_rows(self, decisions) -> np.ndarray:
+        """The loss vectors of decisions of shape (..., decision_dim), shape
+        (..., m), from one batched loss call."""
+        dec = np.asarray(decisions, dtype=float)
+        rows = self.loss(dec.reshape(-1, self.decision_dim))
+        return np.asarray(rows, dtype=float).reshape(*dec.shape[:-1], self.m)
+
 
 def simplex_grid(m: int, n: int) -> np.ndarray:
     """All points ``k/n`` with ``k`` a composition of ``n`` into ``m``
@@ -609,6 +616,22 @@ class Session:
         # a weight that reaches zero inside the block keeps it
         lw[np.logical_or.accumulate(np.isneginf(lw), axis=0)] = -np.inf
         return lw, log_sum_exp(lw, axis=-1)
+
+    def rounds(self, log_weights, log_value, learner_losses, expert_losses, slack,
+               log_factors=None) -> "Rounds":
+        """The session's fields after each round of a block that reweighed
+        to ``log_weights`` (B, k) and ``log_value`` (B,): Learner's losses,
+        the experts' losses (B, k), the slack totals and, for a forecasting
+        session, the log supermartingale (from the rounds' ``log_factors``)
+        as running sums, added in order as round by round."""
+        def running(start, steps):
+            return np.concatenate(([start], steps)).cumsum(axis=0)[1:]
+
+        return Rounds(
+            log_weights, log_value, running(self.cumulative_loss, learner_losses),
+            running(self.per_expert_loss, expert_losses),
+            running(self.slack_log_total, np.log1p(slack)),
+            None if log_factors is None else running(self.log_supermartingale, log_factors))
 
     def after(self, rounds: "Rounds") -> "Session":
         """The session after the last of ``rounds``."""

@@ -11,14 +11,16 @@ two selection rules, the midpoint of the admissible interval and the root
 of ``h(p) = q(p, 1) - q(p, 0)``: each q call holds the nodes of the next
 six levels of every bracket, and the bisection replays over their values.
 A block of rounds with fixed advice solves all its admissible intervals in
-one batch (:func:`admissible_intervals`).  For three or more outcomes the
-solve runs on the delta-interior of the simplex with an explicit epsilon
-slack that is surfaced and accumulated into the regret audit instead of
-being ignored.
+one batch (:func:`admissible_intervals`), or with three or more outcomes
+checks every round's barycentre in one q call (:func:`forecast_rounds`).
+For three or more outcomes the solve runs on the delta-interior of the
+simplex with an explicit epsilon slack that is surfaced and accumulated
+into the regret audit instead of being ignored.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
@@ -27,7 +29,7 @@ import numpy as np
 
 from .aggregating import (_advice_matrix, aa_mix, project_boundary, substitute,
                           substituted_rounds)
-from .core import (Game, Proposal, Rounds, Session, _batch_losses, as_losses, as_probs,
+from .core import (Game, Proposal, Session, _batch_losses, as_losses, as_probs,
                    log_mix, pair_exponent, simplex_grid, start_session)
 from .errors import AllExpertsDead, ContractViolation, SlackExceeded
 from .losses import ProperLoss, proper_loss_from_entropy
@@ -276,7 +278,9 @@ def admissible_intervals(q, C: float, tol: float, rows: int) -> tuple[np.ndarray
     also ``p = 0, 1`` of every row), and one replay walks all brackets at
     once, so each row's endpoints are those :func:`admissible_interval`
     gives it, bit for bit.  (That one-row call keeps its own replay: on one
-    row, numpy's per-call cost would double a round-by-round step.)
+    row, numpy's per-call cost would double a round-by-round step, so a
+    block of one row takes it too.)  Each call's values are dropped before
+    the next call.
     Returns the arrays ``lo`` and ``hi``; raises
     :class:`ContractViolation` when the expectation bound fails at an
     endpoint of any row."""
@@ -294,6 +298,7 @@ def admissible_intervals(q, C: float, tol: float, rows: int) -> tuple[np.ndarray
     # its q(., 0); one whose endpoint already holds is not bisected
     r, side = np.nonzero(np.column_stack([~(q0[:, 1] <= C), ~(q1[:, 0] <= C)]))
     nodes, vals = np.broadcast_to(x, (len(r), len(x))), qv[r, 2:]  # the first nodes serve both
+    del qv, q0, q1  # each q call's values go before the next call
     brackets = np.arange(len(r))
     while True:
         ok = np.where(side[:, None] == 0, vals[..., 1], vals[..., 0]) <= C
@@ -303,6 +308,7 @@ def admissible_intervals(q, C: float, tol: float, rows: int) -> tuple[np.ndarray
         depth = min(levels, _BATCH_LEVELS)
         if not (len(r) and depth):
             break
+        del nodes, vals, ok
         nodes = _row_nodes(a, b, depth)
         vals = _q_at(q, nodes[:, 1:-1].ravel(),
                      np.repeat(r, nodes.shape[1] - 2)).reshape(len(r), -1, 2)
@@ -369,10 +375,17 @@ def interior_delta(epsilon: float, m: int) -> float:
     return epsilon / ((1.0 + epsilon) * (m - 1))
 
 
+@functools.lru_cache(maxsize=None)
+def _centred_grid(m: int, n: int) -> np.ndarray:
+    """``simplex_grid(m, n)`` less the barycentre, built once per ``(m, n)``."""
+    out = simplex_grid(m, n) - 1.0 / m
+    out.setflags(write=False)
+    return out
+
+
 def _local_simplex_points(center: np.ndarray, radius: float, delta: float,
                           n: int) -> np.ndarray:
-    base = simplex_grid(len(center), n)
-    pts = center[None, :] + radius * (base - 1.0 / len(center))
+    pts = center[None, :] + radius * _centred_grid(len(center), n)
     pts = np.clip(pts, delta, None)
     pts /= pts.sum(axis=1, keepdims=True)
     # renormalizing can re-violate the floor by rounding; push back once
@@ -495,7 +508,7 @@ def fixed_advice_q(state: Session, G: np.ndarray, log_posterior: np.ndarray | No
         dead = np.isneginf(log_a)
 
         def q(P: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
-            la, gone = (log_a, dead) if rows is None else (log_a[rows], dead[rows])
+            la = log_a if rows is None else log_a[rows]
             lam = proper(P)
             lam_inf = np.isinf(lam)
             if not lam_inf.any():  # the common case, in the general path's bits,
@@ -503,6 +516,7 @@ def fixed_advice_q(state: Session, G: np.ndarray, log_posterior: np.ndarray | No
                 np.divide(out, c, out=out)
                 np.add(out, la, out=out)
                 return np.exp(out, out=out)
+            gone = dead if rows is None else dead[rows]
             vals = np.exp(eta * np.where(lam_inf, 0.0, lam) / c + la)
             vals = np.where(lam_inf & ~gone, np.inf, vals)
             return np.where(lam_inf & gone, mass, vals)
@@ -601,85 +615,120 @@ def dfa_proposal(state: Session, advice, *, epsilon: float = 1e-6,
                     lambda w: (lam[w], float(lv[w]), A[:, w], log_q[w]), pi)
 
 
-def _midpoint_rounds(state: Session, lwn: np.ndarray, A: np.ndarray, tol: float):
-    """The binary midpoint forecasts of a block of rounds under their log
-    posteriors ``lwn`` (B, k): one batched log-mix, the admissible
-    intervals of all B rows in one batch, and one q call at the
-    forecasts.  Returns the forecasts (B, 2), their slack and ``q(pi, .)``
-    rows, each what :func:`_forecast` gives that round."""
-    q = fixed_advice_q(state, A, lwn)
-    lo, hi = admissible_intervals(q, 1.0, tol, len(lwn))
-    p = 0.5 * (lo + hi)
-    pi = np.column_stack([1.0 - p, p])
-    qpi = q(pi, np.arange(len(p)))
+def _block_forecasts(state: Session, lwn: np.ndarray, A: np.ndarray, epsilon: float,
+                     tol: float, select: str):
+    """The forecasts that one batch gives a block of B rounds under their
+    log posteriors ``lwn`` (B, k), from one batched log-mix: every binary
+    midpoint (:func:`admissible_intervals`), or for three or more outcomes
+    the barycentre wherever :func:`dfa_solve_simplex` takes it (one q call
+    for all rows, checked against its target ``(1 + epsilon) C + tol``).
+    Returns the forecasts (B, m), their slack, the rows ``q(pi, .)`` and
+    the mask of rounds served, each served row what :func:`choose_forecast`
+    gives that round.  A block of one row, the binary root selection and a
+    batch that raises serve none: those rounds are solved one at a time."""
+    B, m = A.shape[0], A.shape[-1]
+    pi, qpi, served = np.full((B, m), 1.0 / m), np.zeros((B, m)), np.zeros(B, dtype=bool)
+    if B > 1 and (m > 2 or select == "midpoint"):
+        try:
+            q = fixed_advice_q(state, A, lwn)
+            if m == 2:
+                lo, hi = admissible_intervals(q, 1.0, tol, B)
+                p = 0.5 * (lo + hi)
+                pi = np.column_stack([1.0 - p, p])
+            qpi = q(pi, np.arange(B))
+            served = (m == 2) | (qpi.max(axis=1) <= (1.0 + epsilon) * 1.0 + tol)
+        except Exception:  # the rounds one at a time find the one that raises
+            pass
     excess = qpi.max(axis=1) - 1.0
-    return pi, np.where(excess > 0.0, excess, 0.0), qpi
+    return pi, np.where(excess > 0.0, excess, 0.0), qpi, served
 
 
-def dfa_rounds(state: Session, advice: np.ndarray, outcomes: np.ndarray, *,
-               epsilon: float = 1e-6, tol: float = 1e-9, select: str = "midpoint",
-               substitution_tol: float = 1e-7
-               ) -> tuple[np.ndarray, np.ndarray, np.ndarray, Rounds]:
-    """Play a block of B rounds whose advice, shape (B, k, m), and outcomes,
-    shape (B,), do not depend on Learner's moves.  The session's posterior
-    is AA's, so one reweigh gives the posterior before every round, and a
-    binary midpoint block solves all its admissible intervals in one batch
-    (:func:`_midpoint_rounds`).  Rounds the batch does not serve (three or
-    more outcomes, ``select="root"``, or a batch that raises) are solved
-    one at a time on the same posteriors.  A round whose ``lambda`` is
-    infinite on the realized outcome keeps weights that AA's posterior
-    drops, so the rounds after it are solved again from its weights.  The
-    substitution and the running sums are one batch each.  Returns what
-    :func:`aggregating.aa_rounds` returns, each row what :func:`dfa_step`
-    gives that round; an error is raised for the first round that meets
-    it, as round by round."""
-    rows = np.arange(len(advice))
-    expert_losses = advice[rows, :, outcomes]
-    lw, lv = np.empty(expert_losses.shape), np.empty(len(rows))
-    lam, slack = np.empty((len(rows), state.game.m)), np.zeros(len(rows))
-    log_factors = np.empty(len(rows))
-    n, error, cur = 0, None, state
-    while n < len(rows) and error is None:
+def forecast_rounds(state: Session, A: np.ndarray, expert_losses: np.ndarray, solve, score,
+                    *, epsilon: float, tol: float, select: str):
+    """The solve of a block of B forecasting rounds whose advice ``A`` (B,
+    k, m) and experts' losses (B, k) do not depend on Learner's moves.
+
+    The session's posterior is AA's, so one reweigh gives the posterior
+    before every round.  One batch serves the rounds it can
+    (:func:`_block_forecasts`); ``solve(session, lwn, A[i])`` gives each
+    other round its forecast, slack and ``q(pi, .)`` row, one at a time on
+    the same posteriors.  ``score(block, pi, qpi, lwn, lw)`` gives the
+    rounds ``block`` (a slice), played at the forecasts ``pi`` under the
+    log posteriors ``lwn`` and log weights ``lw``, their learner terms, log
+    factors and moves.  A round whose learner term is infinite keeps
+    weights that AA's posterior drops, so the rounds after it are solved
+    again from its weights.  Returns the moves, slack, learner terms, log
+    weights, log values and log factors of the rounds played, and the error
+    of the first round that raised (None when all B were played)."""
+    B = len(A)
+    lw, lv = np.empty(expert_losses.shape), np.empty(B)
+    slack, terms, log_factors = np.zeros(B), np.empty(B), np.empty(B)
+    moves, n, error, cur = [], 0, None, state
+    while n < B and error is None:
         lw[n:], lv[n:] = cur.reweigh(0.0, expert_losses[n:])
         # the posterior before each round: the session's, then each round's
         lw_before = np.concatenate([cur.log_weights[None], lw[n:-1]])
         lv_before = np.concatenate([[cur.log_value], lv[n:-1]])
         dead = np.isneginf(lv_before)
         live = int(np.argmax(dead)) if dead.any() else len(dead)
-        block = slice(n, n + live)
-        lwn, A, w = lw_before[:live] - lv_before[:live, None], advice[block], outcomes[block]
-        played = 0
-        if live and state.game.m == 2 and select == "midpoint":
+        lwn = lw_before[:live] - lv_before[:live, None]
+        pi, s, qpi, served = _block_forecasts(cur, lwn, A[n:n + live], epsilon, tol, select)
+        played = live
+        for i in np.flatnonzero(~served):
             try:
-                pi, slack[block], qpi = _midpoint_rounds(cur, lwn, A, tol)
-                lam[block] = state.proper(pi)
-                log_factors[block] = _log_q(qpi)[np.arange(live), w]
-                played = live
-            except Exception:  # the rounds one at a time find the one that raises
-                pass
-        for i in range(played, live):
-            try:
-                pi, slack[n + i], qpi = _forecast(cur, lwn[i], A[i], epsilon, tol, select)
-                lam[n + i] = state.proper(pi)
-            except Exception as exc:  # raised once the rounds before it are substituted
-                error = exc
+                pi[i], s[i], qpi[i] = solve(cur, lwn[i], A[n + i])
+            except Exception as exc:  # raised once the rounds before it are played
+                error, played = exc, int(i)
                 break
-            log_factors[n + i] = _log_q(qpi)[w[i]]
-            played = i + 1
-            if np.isinf(lam[n + i, w[i]]):
-                break
-        if error is None and played == live < len(dead):
+        if error is None and live < len(dead):
             error = AllExpertsDead()
-        infinite = np.flatnonzero(np.isinf(lam[n + np.arange(played), w[:played]]))
+        if not played:
+            break
+        block = slice(n, n + played)
+        terms[block], log_factors[block], move = score(block, pi[:played], qpi[:played],
+                                                       lwn[:played], lw_before[:played])
+        slack[block] = s[:played]
+        infinite = np.flatnonzero(np.isinf(terms[block]))
         if infinite.size:  # its weights by the extended-real rule; solve on from them
-            i = int(infinite[0])
-            cur = replace(cur, log_weights=lw_before[i], log_value=lv_before[i]).advance(
-                lam[n + i, w[i]], 0.0, expert_losses[n + i], log_factors[n + i])
-            lw[n + i], lv[n + i], n, error = cur.log_weights, cur.log_value, n + i + 1, None
-        else:
-            n += played
-    return substituted_rounds(state, lam[:n], outcomes, expert_losses, lw, lv,
-                              slack, error, log_factors, substitution_tol=substitution_tol)
+            played = int(infinite[0]) + 1
+            i = n + played - 1
+            cur = replace(cur, log_weights=lw_before[played - 1],
+                          log_value=lv_before[played - 1]).advance(
+                terms[i], 0.0, expert_losses[i], log_factors[i])
+            lw[i], lv[i], error = cur.log_weights, cur.log_value, None
+        moves.append(move[:played])
+        n += played
+    moves = np.concatenate(moves) if moves else np.empty((0, A.shape[-1]))
+    return moves, slack[:n], terms[:n], lw[:n], lv[:n], log_factors[:n], error
+
+
+def dfa_rounds(state: Session, advice: np.ndarray, outcomes: np.ndarray, *,
+               epsilon: float = 1e-6, tol: float = 1e-9, select: str = "midpoint",
+               substitution_tol: float = 1e-7):
+    """Play a block of B rounds whose advice, shape (B, k, m), and outcomes,
+    shape (B,), do not depend on Learner's moves (:func:`forecast_rounds`):
+    one batch solves every binary midpoint round's admissible interval, or
+    takes the barycentre for every round with three or more outcomes whose
+    barycentre holds; the other rounds are solved one at a time, with AA's
+    mix as the fallback of a stalled simplex search, as in
+    :func:`dfa_proposal`.  The learner term is ``lambda(pi, w)``, the log
+    factor ``ln q(pi, w)``.  The substitution and the running sums are one
+    batch each.  Returns what :func:`aggregating.aa_rounds` returns, each
+    row what :func:`dfa_step` gives that round; an error is raised for the
+    first round that meets it, as round by round."""
+    expert_losses = advice[np.arange(len(advice)), :, outcomes]
+
+    def solve(cur, lwn, A):
+        return _forecast(cur, lwn, A, epsilon, tol, select)
+
+    def score(block, pi, qpi, lwn, lw):
+        lam, rows = state.proper(pi), np.arange(len(pi))
+        return lam[rows, outcomes[block]], _log_q(qpi)[rows, outcomes[block]], lam
+
+    lam, slack, _, lw, lv, log_factors, error = forecast_rounds(
+        state, advice, expert_losses, solve, score, epsilon=epsilon, tol=tol, select=select)
+    return substituted_rounds(state, lam, outcomes, expert_losses, lw, lv, slack, error,
+                              log_factors, substitution_tol=substitution_tol)
 
 
 def dfa_step(state: Session, advice, outcome: int, *,

@@ -3,7 +3,11 @@ functions, and outcomes drawn from the probability simplex.
 
 Evaluator sessions keep one supermartingale whose per-expert factors carry
 that expert's own (c, eta, loss); the simplex sessions run the vertex
-solver and transfer the guarantee through relative exp-convexity.
+solver and transfer the guarantee through relative exp-convexity.  A
+simplex session's weights are AA's posterior on the losses at the realized
+points, so a block of rounds whose advice and outcomes are fixed in advance
+is played from one reweigh, with one q call at the barycentre for every
+round (:func:`simplex_dfa_rounds`).
 """
 
 from __future__ import annotations
@@ -14,11 +18,12 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import (Game, Proposal, Session, as_probs, expected_factor, log_sum_exp,
-                   start_session)
+                   pair_exponent, start_session)
 from .defensive import (
     choose_forecast,
     default_proper_loss,
     fixed_advice_q,
+    forecast_rounds,
     require_supermartingale,
 )
 from .errors import ContractViolation, PreconditionUnverified
@@ -134,7 +139,10 @@ class SimplexGame:
     ``loss_on_simplex(decision, p)`` restricted to the vertices must equal
     the base game's loss; the canonical extension map for the built-in
     games is the same closed form evaluated at the simplex point, so the
-    inverse-of-restriction requirement holds by construction.
+    inverse-of-restriction requirement holds by construction.  It also
+    takes decisions (..., d) and points (..., m) that broadcast against
+    each other, and returns their losses (...), each the bits of its
+    one-pair call.
     """
 
     base: Game
@@ -146,13 +154,17 @@ class SimplexGame:
         return self.base.m
 
 
+def _scalar_or_rows(out: np.ndarray):
+    return float(out) if out.ndim == 0 else out
+
+
 def brier_simplex(m: int) -> SimplexGame:
     base = builtin_game("brier", m)
 
     def loss(dec, p):
         dec = np.asarray(dec, dtype=float)
         p = np.asarray(p, dtype=float)
-        return float(np.sum((p - dec) ** 2))
+        return _scalar_or_rows(np.sum((p - dec) ** 2, axis=-1))
 
     return SimplexGame(base=base, loss_on_simplex=loss, name="brier-simplex")
 
@@ -161,13 +173,15 @@ def kl_simplex(m: int) -> SimplexGame:
     base = builtin_game("kl", m)
 
     def loss(dec, p):
+        # sum over the outcomes p gives mass of p ln p - p ln dec: infinite
+        # where dec gives such an outcome none
         dec = np.asarray(dec, dtype=float)
         p = np.asarray(p, dtype=float)
         live = p > 0
-        if np.any(dec[live] <= 0):
-            return float("inf")
-        plogp = np.where(p[live] > 0, p[live] * np.log(p[live]), 0.0)
-        return float(np.sum(plogp - p[live] * np.log(dec[live])))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            terms = np.where(live, p * np.log(p) - p * np.log(dec), 0.0)
+        starved = np.any(live & (dec <= 0), axis=-1)
+        return _scalar_or_rows(np.where(starved, np.inf, terms.sum(axis=-1)))
 
     return SimplexGame(base=base, loss_on_simplex=loss, name="kl-simplex")
 
@@ -180,7 +194,7 @@ def absolute_simplex() -> SimplexGame:
     def loss(dec, p):
         dec = np.asarray(dec, dtype=float)
         p = np.asarray(p, dtype=float)
-        return float(abs(dec[0] - p[1]))
+        return _scalar_or_rows(np.abs(dec[..., 0] - p[..., 1]))
 
     return SimplexGame(base=base, loss_on_simplex=loss, name="absolute-simplex")
 
@@ -268,16 +282,20 @@ def simplex_dfa_start(sg: SimplexGame, *, eta: float, c: float = 1.0,
     return session
 
 
-def simplex_dfa_proposal(state: Session, advice, *, epsilon: float = 1e-6,
-                         tol: float = 1e-9, select: str = "midpoint") -> Proposal:
-    """Run the vertex solver on the restricted advice and substitute a
-    decision; the outcome scored later is a point of the simplex, at which
-    every party's decision is extended."""
+def _require_verified(state: Session) -> None:
     if not state.verified:
         raise PreconditionUnverified(
             "simplex session was started with verify=False; "
             "re-create it with verification to run steps"
         )
+
+
+def simplex_dfa_proposal(state: Session, advice, *, epsilon: float = 1e-6,
+                         tol: float = 1e-9, select: str = "midpoint") -> Proposal:
+    """Run the vertex solver on the restricted advice and substitute a
+    decision; the outcome scored later is a point of the simplex, at which
+    every party's decision is extended."""
+    _require_verified(state)
     sg = state.game
     decisions = [np.asarray(a, dtype=float) for a in advice]
     vertex_advice = np.stack([sg.base.loss_vector(d) for d in decisions])
@@ -295,6 +313,47 @@ def simplex_dfa_proposal(state: Session, advice, *, epsilon: float = 1e-6,
         return learner, float(learner), g, log_factor
 
     return Proposal(decision, None, slack, score, pi)
+
+
+def simplex_dfa_rounds(state: Session, advice: np.ndarray, outcomes: np.ndarray, *,
+                       epsilon: float = 1e-6, tol: float = 1e-9, select: str = "midpoint"):
+    """Play a block of B simplex-outcome rounds whose advice, decisions of
+    shape (B, k, d), and outcomes, points of shape (B, m), do not depend on
+    Learner's moves (:func:`expertmix.defensive.forecast_rounds`): one
+    ``game.loss`` call for the vertex advice, one batched
+    ``loss_on_simplex`` for the experts' losses, one q call at the
+    barycentre for every round, and the vertex solver one round at a time
+    for the rounds whose barycentre misses its target.  Each round's
+    learner term is Learner's loss at the realized point and its log factor
+    ``ln sum_t wbar_t exp(eta (l/c - g_t))``, as in
+    :func:`simplex_dfa_proposal`, which has no AA-mix fallback
+    (:class:`SlackExceeded` propagates) and no substitution check.  Returns
+    the decisions, Learner's losses, the experts' losses, the rounds' slack
+    and the session's :class:`~expertmix.core.Rounds`, each row what
+    :func:`simplex_dfa_step` gives that round; an error is raised for the
+    first round that meets it."""
+    _require_verified(state)
+    sg = state.game
+    expert_losses = sg.loss_on_simplex(advice, outcomes[:, None])
+
+    def solve(cur, lwn, A):
+        return choose_forecast(fixed_advice_q(cur, A, lwn), sg.m, epsilon=epsilon, tol=tol,
+                               select=select, full_output=True)
+
+    def score(block, pi, qpi, lwn, lw):  # Session._log_factors of each round
+        decisions = np.asarray(sg.base.substitution(state.proper(pi)), dtype=float)
+        learner = sg.loss_on_simplex(decisions, outcomes[block])
+        expo = pair_exponent(learner[:, None], expert_losses[block], state.c, state.eta)
+        return learner, log_sum_exp(lwn + np.where(np.isneginf(lw), 0.0, expo), axis=-1), \
+            decisions
+
+    decisions, slack, learner, lw, lv, log_factors, error = forecast_rounds(
+        state, sg.base.loss_rows(advice), expert_losses, solve, score, epsilon=epsilon,
+        tol=tol, select=select)
+    if error is not None:
+        raise error
+    return decisions, learner, expert_losses, slack, state.rounds(
+        lw, lv, learner, expert_losses, slack, log_factors)
 
 
 def simplex_dfa_step(state: Session, advice, p_outcome, *,

@@ -23,10 +23,12 @@ from ..defensive import default_proper_loss, dfa_proposal, dfa_rounds, dfa_start
 from ..errors import ConfigError
 from ..extensions import (
     SIMPLEX_GAMES,
+    SimplexGame,
     duplicate_evaluators,
     ml_dfa_proposal,
     ml_dfa_start,
     simplex_dfa_proposal,
+    simplex_dfa_rounds,
     simplex_dfa_start,
     tile_advice,
 )
@@ -107,8 +109,8 @@ def _learner_pi(game: Game, decisions: np.ndarray) -> list:
 
 
 #: rounds per block of a run in which nothing looks at Learner's move:
-#: mixing or forecasting with ``iid`` or ``fixed`` Reality and experts of
-#: ``BLOCK_KINDS``.
+#: mixing or forecasting (``aa``, ``dfa``, ``simplex-dfa``) with Reality
+#: that does not look at the prediction and experts of ``BLOCK_KINDS``.
 #: Its arrays stay in the tens of kilobytes, far below the records' memory.
 BLOCK_ROUNDS = 256
 
@@ -119,11 +121,13 @@ BLOCK_KINDS = ("constant", "iid-random", "trailing-average")
 def block_rounds(config: ScenarioConfig) -> int:
     """Rounds per block: ``BLOCK_ROUNDS`` when the experts and Reality of
     every round are fixed before Learner moves, else one.  Mixing (``aa``)
-    and forecasting (``dfa``) play such blocks, whose posteriors are one
-    cumulative sum (a forecasting session's weights are AA's); adversarial
-    Reality, the second-guessing, evaluator and simplex protocols play one
-    round at a time."""
-    if config.algorithm in ("aa", "dfa") and config.reality["kind"] in ("iid", "fixed") \
+    and forecasting (``dfa``, and ``simplex-dfa`` on Dirichlet outcomes)
+    play such blocks, whose posteriors are one cumulative sum (a
+    forecasting session's weights are AA's); adversarial Reality, callback
+    experts and the second-guessing and evaluator protocols play one round
+    at a time."""
+    if config.algorithm in ("aa", "dfa", "simplex-dfa") \
+            and config.reality["kind"] in ("iid", "fixed", "dirichlet") \
             and all(e["kind"] in BLOCK_KINDS for e in config.experts):
         return BLOCK_ROUNDS
     return 1
@@ -135,8 +139,8 @@ def block_rounds(config: ScenarioConfig) -> int:
 # rounds ``n .. n + size - 1``, appends their outcomes, and returns the
 # session after them, the columns of their step records in ``RECORD_KEYS``
 # order (from ``advice`` to ``slack_total``) and their bound margins,
-# shape (size, k).  Only the fixed-advice openers, mixing and forecasting,
-# play blocks of more than one round.
+# shape (size, k).  Only the fixed-advice opener (mixing, forecasting and
+# simplex-outcome forecasting) plays blocks of more than one round.
 
 
 def _standard_experts(config: ScenarioConfig, game: Game, rngs):
@@ -195,37 +199,40 @@ def _round_by_round(propose, reality, read):
     return play
 
 
-def _open_fixed_advice(start, propose, rounds, read):
-    """An opener for experts that advise before Learner moves.  Against
-    Reality that looks at the prediction, ``propose(state, advice, eps,
-    tol)`` plays round by round; otherwise a block is played in one batch:
-    ``rounds(state, advice, outcomes, eps, tol)`` gives the decisions, their
-    loss vectors, the slack and the :class:`~expertmix.core.Rounds` of a
-    block, and ``read(state, rounds)`` its log supermartingale."""
+def _open_fixed_advice(start, propose, rounds, read, scored=builtin_game):
+    """An opener for experts that advise before Learner moves, in the game
+    ``scored(name, m)`` that the session scores or, for a simplex game, in
+    its base game.  Against Reality that looks at the prediction,
+    ``propose(state, decisions, eps, tol)`` plays round by round; otherwise
+    a block is played in one batch: ``rounds(state, advice, outcomes, eps,
+    tol)`` gives the decisions, Learner's and the experts' losses, the
+    slack and the :class:`~expertmix.core.Rounds` of a block, and
+    ``read(state, rounds)`` its log supermartingale."""
     def open_protocol(config: ScenarioConfig, rngs, reality, eps: float, tol: float):
-        game = builtin_game(config.game, config.m)
-        advise = _standard_experts(config, game, rngs)
+        game = scored(config.game, config.m)
         state = start(game, eta=config.eta, c=config.c, prior=config.prior,
                       n_experts=len(config.experts))
+        if isinstance(game, SimplexGame):
+            game = game.base
+        advise = _standard_experts(config, game, rngs)
         if reality.depends_on_prediction:
             def propose_round(state, n, outcomes):
                 decisions = advise(n, 1, outcomes)[0]
-                p = propose(state, np.asarray(game.loss(decisions), dtype=float), eps, tol)
+                p = propose(state, decisions, eps, tol)
                 return p, decisions, _learner_pi(game, p.decision[None])[0]
 
             return state, _round_by_round(propose_round, reality, read)
-        k, d, m = len(config.experts), game.decision_dim, game.m
 
         def play(state, n, size, outcomes):
             w = reality.pick(n, None, size)
-            outcomes.extend(w[:-1].tolist())
+            picks = list(w) if w.ndim > 1 else w.tolist()  # points stay arrays
+            outcomes.extend(picks[:-1])
             advice = advise(n, size, outcomes)
-            outcomes.append(int(w[-1]))
-            A = np.asarray(game.loss(advice.reshape(-1, d)), dtype=float).reshape(size, k, m)
-            decisions, lvs, slack, played = rounds(state, A, w, eps, tol)
-            rows = np.arange(size)
+            outcomes.append(picks[-1])
+            decisions, learner_losses, expert_losses, slack, played = rounds(
+                state, advice, w, eps, tol)
             columns = (advice.tolist(), _learner_pi(game, decisions), decisions.tolist(),
-                       w.tolist(), lvs[rows, w].tolist(), A[rows, :, w].tolist(),
+                       w.tolist(), learner_losses.tolist(), expert_losses.tolist(),
                        played.cumulative_loss.tolist(), played.per_expert_loss.tolist(),
                        read(state, played).tolist(), slack.tolist(),
                        played.slack_log_total.tolist())
@@ -276,29 +283,18 @@ def _open_evaluators(config: ScenarioConfig, rngs, reality, eps: float, tol: flo
     return state, _round_by_round(propose_round, reality, _log_value)
 
 
-def _open_simplex(config: ScenarioConfig, rngs, reality, eps: float, tol: float):
-    sg = SIMPLEX_GAMES[config.game](config.m)
-    advise = _standard_experts(config, sg.base, rngs)
-    state = simplex_dfa_start(sg, eta=config.eta, c=config.c, prior=config.prior,
-                              n_experts=len(config.experts), verify=True)
-
-    def propose_round(state, n, outcomes):
-        decisions = advise(n, 1, outcomes)[0]
-        p = simplex_dfa_proposal(state, decisions, epsilon=eps, tol=tol)
-        return p, decisions, [float(v) for v in p.decision]
-
-    return state, _round_by_round(propose_round, reality, _log_supermartingale)
-
-
 #: algorithm -> opener; mixing sessions read the semi-invariant as their
 #: log supermartingale, which is the same quantity
 PROTOCOLS = {
     "aa": _open_fixed_advice(
-        aa_start, lambda s, A, eps, tol: aa_proposal(s, A),
-        lambda s, A, w, eps, tol: aa_rounds(s, A, w), log_semi_invariant),
+        aa_start, lambda s, d, eps, tol: aa_proposal(s, s.game.loss_rows(d)),
+        lambda s, advice, w, eps, tol: aa_rounds(s, s.game.loss_rows(advice), w),
+        log_semi_invariant),
     "dfa": _open_fixed_advice(
-        dfa_start, lambda s, A, eps, tol: dfa_proposal(s, A, epsilon=eps, tol=tol),
-        lambda s, A, w, eps, tol: dfa_rounds(s, A, w, epsilon=eps, tol=tol),
+        dfa_start,
+        lambda s, d, eps, tol: dfa_proposal(s, s.game.loss_rows(d), epsilon=eps, tol=tol),
+        lambda s, advice, w, eps, tol: dfa_rounds(s, s.game.loss_rows(advice), w,
+                                                  epsilon=eps, tol=tol),
         _log_supermartingale),
     "sg-dfa": _open_second_guess(
         dfa_start, lambda s, ex, eps, tol: sg_dfa_proposal(s, ex, epsilon=eps, tol=tol),
@@ -307,7 +303,11 @@ PROTOCOLS = {
         aa_start, lambda s, ex, eps, tol: sg_aa_proposal(s, ex, tol=tol),
         records_pi=False, read=log_semi_invariant),
     "ml-dfa": _open_evaluators,
-    "simplex-dfa": _open_simplex,
+    "simplex-dfa": _open_fixed_advice(
+        simplex_dfa_start,
+        lambda s, d, eps, tol: simplex_dfa_proposal(s, d, epsilon=eps, tol=tol),
+        lambda s, advice, w, eps, tol: simplex_dfa_rounds(s, advice, w, epsilon=eps, tol=tol),
+        _log_supermartingale, scored=lambda name, m: SIMPLEX_GAMES[name](m)),
 }
 
 
@@ -320,9 +320,11 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
     advances.  Rounds are played in blocks of :func:`block_rounds`; when
     nothing in a round looks at Learner's move, a block's draws, advice
     losses, reweighs, substitutions and records are each one batch, and so
-    are AA's mixes and DFA's admissible intervals (DFA's weights are AA's
-    posterior, and its log supermartingale sums the rounds' ``ln q``), all
-    with the bytes of one round at a time.
+    are AA's mixes, DFA's admissible intervals and, for three or more
+    outcomes and simplex outcomes, one q call at the barycentre of every
+    round (DFA's weights are AA's posterior, and its log supermartingale
+    sums the rounds' log factors), all with the bytes of one round at a
+    time.
     """
     if config.algorithm not in PROTOCOLS:
         raise ConfigError(f"unknown algorithm {config.algorithm!r}")

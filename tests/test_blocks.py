@@ -2,14 +2,15 @@
 
 ``reference_run`` is the per-round loop of the fixed-advice protocols: each
 round the experts advise, Learner proposes (AA mixes and substitutes; DFA
-solves for its forecast and substitutes), Reality picks, and the session
-takes one round's reweigh.  The runner plays the same configs in blocks of
-rounds (AA: one cumulative sum for the posterior path, one batched mix;
-DFA: the posterior -> forecast -> reweigh chain round by round; both: one
-batched substitution and records from columns); its JSONL and summary must
-be byte-identical, and it must raise the same error at the same round.
-The block draws of the experts and of Reality must be the single-round
-draws.
+and simplex DFA solve for the forecast and substitute), Reality picks, and
+the session takes one round's reweigh.  The runner plays the same configs
+in blocks of rounds (one cumulative sum for the posterior path; AA: one
+batched mix; DFA: one batched solve of the binary admissible intervals, or
+one q call at the barycentre of every round with three or more outcomes,
+and the other rounds one at a time; all: records from columns); its JSONL
+and summary must be byte-identical, and it must raise the same error at
+the same round.  The block draws of the experts and of Reality must be the
+single-round draws.
 """
 
 import json
@@ -27,13 +28,14 @@ from expertmix.core import log_sum_exp, pair_exponent
 from expertmix.defensive import dfa_proposal, dfa_start
 from expertmix.errors import (AllExpertsDead, ContractViolation, ExpertmixError,
                               SlackExceeded, SubstitutionFailure)
+from expertmix.extensions import SIMPLEX_GAMES, simplex_dfa_proposal, simplex_dfa_start
 from expertmix.harness import runner
 from expertmix.harness.config import parse_config
 from expertmix.harness.runner import (BLOCK_ROUNDS, StepRecord, _jsonable, _spawn_rngs,
                                       block_rounds, run_scenario, trajectory_lines)
-from expertmix.harness.strategies import (FixedReality, IidRandomExpert, IidReality,
-                                          TrailingAverageExpert, build_reality,
-                                          build_standard_expert)
+from expertmix.harness.strategies import (CALLBACK_REGISTRY, DirichletReality, FixedReality,
+                                          IidRandomExpert, IidReality, TrailingAverageExpert,
+                                          build_reality, build_standard_expert)
 from expertmix.harness.scenarios import builtin_scenario
 from expertmix.losses import ProperLoss, builtin_game, realizability_constant
 
@@ -41,30 +43,37 @@ from expertmix.losses import ProperLoss, builtin_game, realizability_constant
 def reference_run(config):
     """The run round by round: its JSONL lines and its summary as JSON.
     Mixing reweighs one round by hand; forecasting is the loop of
-    ``dfa_proposal`` and ``Session.advance``.  A library error raised in a
-    round carries that round as ``step``; one raised opening the session
-    carries None."""
-    dfa = config.algorithm == "dfa"
+    ``dfa_proposal`` (``simplex_dfa_proposal`` on simplex outcomes) and
+    ``Session.advance``.  A library error raised in a round carries that
+    round as ``step``; one raised opening the session carries None."""
+    simplex = config.algorithm == "simplex-dfa"
+    forecasting = config.algorithm in ("dfa", "simplex-dfa")
     eps, tol = float(config.solver["epsilon"]), float(config.solver["tol"])
     expert_rngs, reality_rng = _spawn_rngs(config.seed, len(config.experts))
     reality = build_reality(config.reality, config.m, reality_rng)
-    game = builtin_game(config.game, config.m)
+    sg = SIMPLEX_GAMES[config.game](config.m) if simplex else None
+    game = sg.base if simplex else builtin_game(config.game, config.m)
     experts = [build_standard_expert(game, s, r) for s, r in zip(config.experts, expert_rngs)]
     n = None
     try:
-        state = (dfa_start if dfa else aa_start)(game, eta=config.eta, c=config.c,
-                                                 prior=config.prior, n_experts=len(experts))
+        start = (simplex_dfa_start if simplex else dfa_start if forecasting else aa_start)
+        state = start(sg if simplex else game, eta=config.eta, c=config.c,
+                      prior=config.prior, n_experts=len(experts))
         meta = {"type": "meta", "format_version": 1, "config": config.to_jsonable()}
         lines = [json.dumps(meta, separators=(",", ":"))]
         outcomes = []
         max_margin, worst_step = -np.inf, -1
         for n in range(config.horizon):
             decisions = [s.advise(n, outcomes) for s in experts]
-            A = np.asarray(game.loss(np.stack(decisions)), dtype=float)
-            p = dfa_proposal(state, A, epsilon=eps, tol=tol) if dfa else aa_proposal(state, A)
+            if simplex:
+                p = simplex_dfa_proposal(state, decisions, epsilon=eps, tol=tol)
+            else:
+                A = np.asarray(game.loss(np.stack(decisions)), dtype=float)
+                p = dfa_proposal(state, A, epsilon=eps, tol=tol) if forecasting \
+                    else aa_proposal(state, A)
             w = reality.pick(n, None)
             learner_term, learner_loss, expert_losses, log_factor = p.score(w)
-            if dfa:
+            if forecasting:
                 state = state.advance(learner_term, learner_loss, expert_losses, log_factor,
                                       p.slack)
             else:  # one round's reweigh
@@ -83,11 +92,12 @@ def reference_run(config):
                 step=n, advice=[[float(v) for v in row] for row in decisions],
                 learner_pi=[1.0 - float(d[0]), float(d[0])] if game.decision_kind == "box"
                 else [float(v) for v in d],
-                learner_decision=[float(v) for v in d], outcome=w, learner_loss=learner_loss,
+                learner_decision=[float(v) for v in d],
+                outcome=[float(v) for v in w] if simplex else w, learner_loss=learner_loss,
                 expert_losses=expert_losses.tolist(),
                 cumulative_learner_loss=state.cumulative_loss,
                 cumulative_expert_losses=list(state.per_expert_loss),
-                log_supermartingale=(state.log_supermartingale if dfa
+                log_supermartingale=(state.log_supermartingale if forecasting
                                      else log_semi_invariant(state)),
                 slack=p.slack, slack_total=state.slack_log_total, bound_margins=margins)
             lines.append(json.dumps(rec.to_obj(), separators=(",", ":")))
@@ -192,6 +202,57 @@ def test_dfa_blocks_replay_rounds(config, block):
     assert_blocks_replay_rounds(config, block)
 
 
+@st.composite
+def simplex_configs(draw):
+    """Simplex-outcome DFA on brier or kl at m = 3 with Dirichlet outcomes,
+    and a block size: kl experts at a vertex or on a face lose inf wherever
+    the outcome gives their zeros mass, and priors may hold zeros.  A round
+    whose barycentre misses costs a vertex search of ~5-8 ms, so the runs
+    stay short, except that blocks of 256 run past their first edge."""
+    expert = st.one_of(
+        st.sampled_from(SIMPLEX_VALUES).map(lambda v: {"kind": "constant", "value": v}),
+        st.just({"kind": "iid-random"}),
+        st.sampled_from([0.1, 1.0, 2.5]).map(
+            lambda s: {"kind": "trailing-average", "smoothing": s}))
+    experts = draw(st.lists(expert, min_size=1, max_size=4))
+    weights = st.lists(st.sampled_from([0, 1, 2, 5]), min_size=len(experts),
+                       max_size=len(experts)).filter(any)
+    block = draw(st.sampled_from([1, 2, 7, BLOCK_ROUNDS]))
+    config = parse_config({
+        "name": "simplex-blocks", "game": {"name": draw(st.sampled_from(["brier", "kl"])),
+                                           "m": 3},
+        "algorithm": "simplex-dfa", "experts": experts,
+        "prior": draw(st.one_of(st.just("uniform"), weights.map(_normalized))),
+        "reality": {"kind": "dirichlet", "alpha": draw(st.sampled_from([0.3, 1.0, 5.0]))},
+        "horizon": draw(st.integers(BLOCK_ROUNDS + 1, BLOCK_ROUNDS + 8)
+                        if block == BLOCK_ROUNDS else st.integers(0, 40)),
+        "seed": draw(st.integers(0, 2 ** 32))})
+    return config, block
+
+
+@settings(max_examples=8, deadline=None)
+@given(case=simplex_configs())
+def test_simplex_blocks_replay_rounds(case):
+    assert_blocks_replay_rounds(*case)
+
+
+class _Tilted:
+    """A callback expert: a point that moves with the last outcome."""
+
+    def advise(self, step, past_outcomes):
+        last = np.asarray(past_outcomes[-1]) if past_outcomes else np.full(3, 1 / 3)
+        return 0.5 * last + 0.5 * np.array([0.2, 0.3, 0.5])
+
+
+def test_simplex_callback_experts_play_blocks_of_one():
+    config = parse_config({
+        "game": {"name": "kl", "m": 3}, "algorithm": "simplex-dfa", "horizon": 20, "seed": 4,
+        "experts": [{"kind": "callback", "name": "tilted"}, {"kind": "iid-random"}],
+        "reality": {"kind": "dirichlet", "alpha": 2.0}})
+    with mock.patch.dict(CALLBACK_REGISTRY, {"tilted": _Tilted()}):
+        assert_blocks_replay_rounds(config, 1)
+
+
 @pytest.mark.parametrize("seed", range(1, 7))
 def test_dfa_blocks_replay_the_aa_mix_fallback(seed):
     """Brier DFA at m = 3 whose simplex search stalls in some rounds, which
@@ -235,10 +296,12 @@ def test_dfa_blocks_keep_a_weight_dead(sequence):
 
 
 def round_advice(config, at):
-    """The advice losses of round ``at`` of a fixed-advice run, (k, m)."""
+    """The advice losses of round ``at`` of a fixed-advice run, (k, m); on
+    simplex outcomes, the losses at the vertices."""
     expert_rngs, reality_rng = _spawn_rngs(config.seed, len(config.experts))
     reality = build_reality(config.reality, config.m, reality_rng)
-    game = builtin_game(config.game, config.m)
+    game = SIMPLEX_GAMES[config.game](config.m).base if config.algorithm == "simplex-dfa" \
+        else builtin_game(config.game, config.m)
     experts = [build_standard_expert(game, s, r) for s, r in zip(config.experts, expert_rngs)]
     outcomes = []
     for n in range(at + 1):
@@ -282,6 +345,31 @@ def test_dfa_error_in_the_chain_comes_at_its_round(at):
     for horizon in (at + 1, config.horizon):
         with pytest.raises(ContractViolation, match=str(want.value)):
             run(blocked_run, horizon)
+    assert run(blocked_run, at) == run(reference_run, at)
+
+
+@pytest.mark.parametrize("at", [0, 100, 255, 256])
+def test_simplex_error_comes_at_its_round(at):
+    """A simplex round whose q is raised by e^10 misses the barycentre, and
+    its vertex search stalls: SlackExceeded (there is no AA-mix fallback)
+    ends a blocked run at that round, after the rounds before it, with the
+    message of the run round by round."""
+    config = parse_config({
+        "game": {"name": "brier", "m": 3}, "algorithm": "simplex-dfa", "horizon": 300,
+        "seed": 3, "prior": [0.2, 0.8], "reality": {"kind": "dirichlet"},
+        "experts": [{"kind": "iid-random"}, {"kind": "constant", "value": [1 / 3] * 3}]})
+
+    def run(play, horizon):
+        with poisoned_log_mix(round_advice(config, at)):
+            return play(replace(config, horizon=horizon))
+
+    with pytest.raises(SlackExceeded, match="stalled") as want:
+        run(reference_run, config.horizon)
+    assert want.value.step == at
+    for horizon in (at + 1, config.horizon):
+        with pytest.raises(SlackExceeded) as got:
+            run(blocked_run, horizon)
+        assert str(got.value) == str(want.value)
     assert run(blocked_run, at) == run(reference_run, at)
 
 
@@ -385,6 +473,28 @@ def test_forecast_binary_blocks_cost_few_q_calls():
     assert blocked_rows <= round_rows
 
 
+def test_rounds_of_one_row_take_the_scalar_interval():
+    """All prior weight on a log expert certain of 1, and Reality always 0:
+    every round's lambda is infinite on its outcome and AA's path loses the
+    expert after it, so each batch is one row, which the scalar
+    ``admissible_interval`` solves (no batched replay), with the same
+    bytes."""
+    config = parse_config({
+        "game": {"name": "log", "m": 2}, "algorithm": "dfa", "horizon": BLOCK_ROUNDS,
+        "seed": 1, "prior": [1.0, 0.0], "reality": {"kind": "fixed", "sequence": [0]},
+        "experts": [{"kind": "constant", "value": 1.0}, {"kind": "iid-random"}]})
+    replay, replays = defensive._replay, []
+
+    def counting_replay(*args):
+        replays.append(len(args[0]))
+        return replay(*args)
+
+    with mock.patch.object(defensive, "_replay", counting_replay):
+        blocked = blocked_run(config)
+    assert replays == []
+    assert blocked == reference_run(config)
+
+
 def test_dead_and_unrealizable_runs_fail_at_their_round():
     dead = parse_config({
         "game": {"name": "log", "m": 2}, "algorithm": "aa", "horizon": 300, "seed": 1,
@@ -413,11 +523,14 @@ def test_rounds_that_look_at_learner_play_one_at_a_time():
         for change in ({"reality": {"kind": "adversarial"}},
                        {"experts": [{"kind": "callback", "name": "x"}]}):
             assert block_rounds(parse_config(fixed | change)) == 1
+    simplex = base | {"algorithm": "simplex-dfa", "game": {"name": "brier", "m": 3},
+                      "reality": {"kind": "dirichlet"}}
+    assert block_rounds(parse_config(simplex)) == BLOCK_ROUNDS
+    assert block_rounds(parse_config(
+        simplex | {"experts": [{"kind": "callback", "name": "x"}]})) == 1
     for change in ({"algorithm": "sg-aa", "experts": [{"kind": "sg-identity"}]},
                    {"algorithm": "sg-dfa", "experts": [{"kind": "sg-identity"}]},
-                   {"algorithm": "ml-dfa", "evaluators": [{"loss": "log"}]},
-                   {"algorithm": "simplex-dfa", "game": {"name": "brier", "m": 3},
-                    "experts": [{"kind": "iid-random"}], "reality": {"kind": "dirichlet"}}):
+                   {"algorithm": "ml-dfa", "evaluators": [{"loss": "log"}]}):
         assert block_rounds(parse_config(base | change)) == 1
 
 
@@ -444,6 +557,15 @@ def test_iid_reality_block_is_the_single_round_draws():
         block = IidReality(probs, a).pick(0, None, size=64)
         one = IidReality(probs, b)
         assert block.tolist() == [one.pick(n, None) for n in range(64)]
+
+
+@pytest.mark.parametrize("alpha", [0.05, 0.3, 1.0, 5.0])
+def test_dirichlet_reality_block_is_the_single_round_draws(alpha):
+    a, b = twin_rngs(11)
+    block = DirichletReality(alpha, 3, a).pick(0, None, size=64)
+    one = DirichletReality(alpha, 3, b)
+    assert block.shape == (64, 3)
+    assert np.array_equal(block, np.stack([one.pick(n, None) for n in range(64)]))
 
 
 def test_fixed_reality_block_is_the_single_round_picks():

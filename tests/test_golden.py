@@ -41,9 +41,9 @@ GOLDEN = {
 }
 
 
-#: runs of several blocks of mixing or forecasting rounds (the runner plays
-#: them in blocks of ``BLOCK_ROUNDS``), pinned by the hashes the
-#: round-by-round runner gave: name -> (config, sha256 of the JSONL, sha256
+#: runs of several blocks of mixing or forecasting rounds, simplex outcomes
+#: included (the runner plays them in blocks of ``BLOCK_ROUNDS``), pinned by
+#: the hashes the round-by-round runner gave: name -> (config, sha256 of the JSONL, sha256
 #: of the CSV)
 GOLDEN_BLOCKS = {
     "aa-log-k10": (
@@ -86,6 +86,14 @@ GOLDEN_BLOCKS = {
         }),
         "f59ac484825433130a87584fd922b95efe5979e6aa2b050bb333fcd15cb94c9d",
         "cd773b31179395746be539266f0614380f4653b216c0bba916911bfb942a3c41"),
+    "brier-simplex": (
+        builtin_scenario("brier-simplex", horizon=1000),
+        "273716aa69737b4ec6e17fa106163e99e794b74e5ba18f6ef09489b25660db2f",
+        "63cb5c4bdff0c20d9c01e650778a2f4f1532b915253b01eda70fbb74d1ea7705"),
+    "kl-simplex": (
+        builtin_scenario("kl-simplex", horizon=1000),
+        "99c91bb08d46476d6e2576d4fa289dc872401159dfddbf297d97c15ccce8c65f",
+        "b2499bda8edc9ebe86d62df323d7c5f2e37cadd15f7f499277fa46818531e756"),
 }
 
 
