@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from expertmix.core import expected_factor
 from expertmix.defensive import default_proper_loss, dfa_start, dfa_step
 from expertmix.errors import ContractViolation, PreconditionUnverified
 from expertmix.extensions import (
@@ -129,6 +130,33 @@ class TestRelativeExpConvexity:
     def test_sample_validation(self):
         with pytest.raises(ValueError):
             check_relative_exp_convexity(brier_simplex(3), 1.0, 1.0, 0)
+
+    @pytest.mark.parametrize("sg, c, eta, probes", [
+        (brier_simplex(3), 1.0, 1.0, None), (brier_simplex(4), 1.5, 3.7, None),
+        (kl_simplex(3), 1.0, 0.5, [([1.0, 0.0, 0.0], [0.2, 0.3, 0.5], [0.0, 0.5, 0.5]),
+                                   ([0.0, 0.5, 0.5], [1.0, 0.0, 0.0], [0.3, 0.3, 0.4])]),
+        (absolute_simplex(), 1.0, 1.0, [([0.0], [0.5], [0.5, 0.5])])])
+    def test_batch_is_the_pair_by_pair_check(self, sg, c, eta, probes):
+        """The batched check gives the report of scoring each sampled pair
+        in turn with ``loss_on_simplex`` and ``expected_factor``."""
+        rng, base = np.random.default_rng(3), sg.base
+        pairs = [tuple(np.asarray(v, dtype=float) for v in probe) for probe in probes or ()]
+        for _ in range(300):
+            draw = (lambda: rng.random(base.decision_dim)) if base.decision_kind == "box" \
+                else (lambda: rng.dirichlet(np.ones(base.decision_dim)))
+            pairs.append((draw(), draw(), rng.dirichlet(np.ones(sg.m))))
+        worst, witness = -np.inf, None
+        for d1, d2, p in pairs:
+            g1p, g2p = sg.loss_on_simplex(d1, p), sg.loss_on_simplex(d2, p)
+            if not (np.isfinite(g1p) and np.isfinite(g2p)):
+                continue
+            lhs = float(np.exp(eta * (g1p / c - g2p)))
+            rhs = expected_factor(p, base.loss_vector(d1), base.loss_vector(d2), c, eta)
+            if not np.isinf(rhs) and lhs - rhs > worst:
+                worst, witness = lhs - rhs, (d1, d2, p, lhs, rhs)
+        rep = check_relative_exp_convexity(sg, c, eta, 300, seed=3, probes=probes)
+        assert rep.worst_violation == worst and rep.holds == (worst <= 1e-9)
+        assert all(np.array_equal(a, b) for a, b in zip(rep.witness, witness))
 
 
 class TestSimplexSessions:
