@@ -279,8 +279,7 @@ def admissible_intervals(q, C: float, tol: float, rows: int) -> tuple[np.ndarray
     once, so each row's endpoints are those :func:`admissible_interval`
     gives it, bit for bit.  (That one-row call keeps its own replay: on one
     row, numpy's per-call cost would double a round-by-round step, so a
-    block of one row takes it too.)  Each call's values are dropped before
-    the next call.
+    block of one row takes it too.)
     Returns the arrays ``lo`` and ``hi``; raises
     :class:`ContractViolation` when the expectation bound fails at an
     endpoint of any row."""
@@ -298,7 +297,7 @@ def admissible_intervals(q, C: float, tol: float, rows: int) -> tuple[np.ndarray
     # its q(., 0); one whose endpoint already holds is not bisected
     r, side = np.nonzero(np.column_stack([~(q0[:, 1] <= C), ~(q1[:, 0] <= C)]))
     nodes, vals = np.broadcast_to(x, (len(r), len(x))), qv[r, 2:]  # the first nodes serve both
-    del qv, q0, q1  # each q call's values go before the next call
+    del qv, q0, q1  # the first call's rows go once their brackets are drawn
     brackets = np.arange(len(r))
     while True:
         ok = np.where(side[:, None] == 0, vals[..., 1], vals[..., 0]) <= C
@@ -308,7 +307,6 @@ def admissible_intervals(q, C: float, tol: float, rows: int) -> tuple[np.ndarray
         depth = min(levels, _BATCH_LEVELS)
         if not (len(r) and depth):
             break
-        del nodes, vals, ok
         nodes = _row_nodes(a, b, depth)
         vals = _q_at(q, nodes[:, 1:-1].ravel(),
                      np.repeat(r, nodes.shape[1] - 2)).reshape(len(r), -1, 2)
