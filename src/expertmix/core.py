@@ -620,10 +620,11 @@ class Session:
     def rounds(self, log_weights, log_value, learner_losses, expert_losses, slack,
                log_factors=None) -> "Rounds":
         """The session's fields after each round of a block that reweighed
-        to ``log_weights`` (B, k) and ``log_value`` (B,): Learner's losses,
-        the experts' losses (B, k), the slack totals and, for a forecasting
-        session, the log supermartingale (from the rounds' ``log_factors``)
-        as running sums, added in order as round by round."""
+        to ``log_weights`` (B, k) and ``log_value`` (B,): Learner's losses
+        ((B, k) for an evaluator session), the experts' losses (B, k), the
+        slack totals and, for a forecasting session, the log
+        supermartingale (from the rounds' ``log_factors``) as running sums,
+        added in order as round by round."""
         def running(start, steps):
             return np.concatenate(([start], steps)).cumsum(axis=0)[1:]
 
@@ -635,12 +636,13 @@ class Session:
 
     def after(self, rounds: "Rounds") -> "Session":
         """The session after the last of ``rounds``."""
+        cum = rounds.cumulative_loss[-1]
         return replace(
             self,
             log_weights=rounds.log_weights[-1],
             log_value=float(rounds.log_value[-1]),
             step_count=self.step_count + len(rounds.log_value),
-            cumulative_loss=float(rounds.cumulative_loss[-1]),
+            cumulative_loss=float(cum) if cum.ndim == 0 else cum,
             per_expert_loss=rounds.per_expert_loss[-1],
             slack_log_total=float(rounds.slack_log_total[-1]),
             log_supermartingale=None if rounds.log_supermartingale is None
@@ -654,8 +656,8 @@ class Session:
         if rounds is None:
             per, cum, slack = self.per_expert_loss, self.cumulative_loss, self.slack_log_total
         else:
-            per, cum, slack = rounds.per_expert_loss, rounds.cumulative_loss[:, None], \
-                rounds.slack_log_total[:, None]
+            per, slack = rounds.per_expert_loss, rounds.slack_log_total[:, None]
+            cum = rounds.cumulative_loss.reshape(len(slack), -1)  # (B, 1), or (B, k)
         with np.errstate(divide="ignore", invalid="ignore"):
             penalty = -np.log(self.prior)
             rhs = self.c * per + (self.c / self.eta) * (penalty + slack)
@@ -668,7 +670,7 @@ class Rounds(NamedTuple):
 
     log_weights: np.ndarray  # (B, k)
     log_value: np.ndarray  # (B,)
-    cumulative_loss: np.ndarray  # (B,)
+    cumulative_loss: np.ndarray  # (B,), or (B, k) for evaluator sessions
     per_expert_loss: np.ndarray  # (B, k)
     slack_log_total: np.ndarray  # (B,)
     log_supermartingale: np.ndarray | None = None  # (B,), forecasting sessions

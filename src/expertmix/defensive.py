@@ -483,16 +483,35 @@ def dfa_start(game: Game, *, eta: float, c: float = 1.0,
         proper=default_proper_loss(game, c, eta) if proper is None else proper)
 
 
+@functools.lru_cache(maxsize=16)
+def _groups(proper: tuple, c: tuple, eta: tuple) -> tuple:
+    keys = list(zip(proper, c, eta))
+    groups = []
+    for key in dict.fromkeys(keys):
+        idx = np.array([t for t, k in enumerate(keys) if k == key])
+        idx.setflags(write=False)
+        groups.append((*key, idx))
+    return tuple(groups)
+
+
+def evaluator_groups(state: Session) -> tuple:
+    """The groups of an evaluator session's experts that share (proper
+    loss, c, eta), in the order first seen: ``(proper, c, eta, indices)``
+    each, worked out once per session's constants."""
+    return _groups(state.proper, tuple(state.c.tolist()), tuple(state.eta.tolist()))
+
+
 def fixed_advice_q(state: Session, G: np.ndarray, log_posterior: np.ndarray | None = None):
     """The supermartingale factor
     ``q(pi, w) = sum_t wbar_t exp(eta_t (lambda_t(pi, w)/c_t - G_t(w)))``
     for advice ``G`` (one loss row per expert) that does not depend on pi,
     under the session's posterior or the given ``log_posterior``.
 
-    Experts sharing (proper loss, c, eta) form one group, whose sum factors
-    into per-outcome constants ``ln a_w = log_mix(...)``, AA's mix, so each
-    candidate costs one proper-loss call per group.  A standard session is
-    the one-group case.  The returned q takes one distribution, shape
+    Experts sharing (proper loss, c, eta) form one group
+    (:func:`evaluator_groups`), whose sum factors into per-outcome
+    constants ``ln a_w = log_mix(...)``, AA's mix, so each candidate costs
+    one proper-loss call per group.  A standard session is the one-group
+    case.  The returned q takes one distribution, shape
     (m,), or a batch, shape (n, m).  A standard session's q can also hold a
     block of B rounds, ``log_posterior`` (B, k) and ``G`` (B, k, m): it then
     takes a batch and the round of each row, ``q(P, rows)``.
@@ -523,12 +542,10 @@ def fixed_advice_q(state: Session, G: np.ndarray, log_posterior: np.ndarray | No
 
     if not isinstance(state.proper, tuple):
         return group_q(state.proper, state.c, state.eta, lwn, G, 1.0)
-    keys = list(zip(state.proper, state.c.tolist(), state.eta.tolist()))
-    groups = [np.array([t for t, k in enumerate(keys) if k == key])
-              for key in dict.fromkeys(keys)]
-    qs = [group_q(*keys[idx[0]], lwn[idx], G[idx],
+    groups = evaluator_groups(state)
+    qs = [group_q(proper, c, eta, lwn[idx], G[idx],
                   1.0 if len(groups) == 1 else float(np.exp(lwn[idx]).sum()))
-          for idx in groups]
+          for proper, c, eta, idx in groups]
     return qs[0] if len(qs) == 1 else lambda P: sum(qg(P) for qg in qs)
 
 
@@ -568,13 +585,16 @@ def _forecast(state: Session, lwn: np.ndarray, A: np.ndarray, epsilon: float,
     ``lwn``, its slack and the row ``q(pi, .)``.  When the simplex search
     stalls, AA's substituted mix is taken as the forecast if it keeps q
     under the same target (the two protocols make the same prediction);
-    otherwise :class:`SlackExceeded` propagates."""
+    otherwise :class:`SlackExceeded` propagates.  A simplex-outcome
+    session substitutes in its game's ``base`` game, whose losses ``A``
+    are."""
     q = fixed_advice_q(state, A, lwn)
     try:
         return choose_forecast(q, state.game.m, epsilon=epsilon, tol=tol, select=select,
                                full_output=True)
     except SlackExceeded:
-        pi = np.asarray(state.game.substitution(aa_mix(state, A, lwn)), dtype=float)
+        game = getattr(state.game, "base", state.game)
+        pi = np.asarray(game.substitution(aa_mix(state, A, lwn)), dtype=float)
         qpi = q(pi)
         top = float(np.max(qpi))
         if top > 1.0 + epsilon + tol:
@@ -641,16 +661,17 @@ def _block_forecasts(state: Session, lwn: np.ndarray, A: np.ndarray, epsilon: fl
     return pi, np.where(excess > 0.0, excess, 0.0), qpi, served
 
 
-def forecast_rounds(state: Session, A: np.ndarray, expert_losses: np.ndarray, solve, score,
+def forecast_rounds(state: Session, A: np.ndarray, expert_losses: np.ndarray, score,
                     *, epsilon: float, tol: float, select: str):
     """The solve of a block of B forecasting rounds whose advice ``A`` (B,
     k, m) and experts' losses (B, k) do not depend on Learner's moves.
 
     The session's posterior is AA's, so one reweigh gives the posterior
     before every round.  One batch serves the rounds it can
-    (:func:`_block_forecasts`); ``solve(session, lwn, A[i])`` gives each
-    other round its forecast, slack and ``q(pi, .)`` row, one at a time on
-    the same posteriors.  ``score(block, pi, qpi, lwn, lw)`` gives the
+    (:func:`_block_forecasts`); :func:`_forecast` gives each other round
+    its forecast, slack and ``q(pi, .)`` row, one at a time on the same
+    posteriors, with AA's mix as the fallback of a stalled simplex
+    search.  ``score(block, pi, qpi, lwn, lw)`` gives the
     rounds ``block`` (a slice), played at the forecasts ``pi`` under the
     log posteriors ``lwn`` and log weights ``lw``, their learner terms, log
     factors and moves.  A round whose learner term is infinite keeps
@@ -674,7 +695,7 @@ def forecast_rounds(state: Session, A: np.ndarray, expert_losses: np.ndarray, so
         played = live
         for i in np.flatnonzero(~served):
             try:
-                pi[i], s[i], qpi[i] = solve(cur, lwn[i], A[n + i])
+                pi[i], s[i], qpi[i] = _forecast(cur, lwn[i], A[n + i], epsilon, tol, select)
             except Exception as exc:  # raised once the rounds before it are played
                 error, played = exc, int(i)
                 break
@@ -716,15 +737,12 @@ def dfa_rounds(state: Session, advice: np.ndarray, outcomes: np.ndarray, *,
     first round that meets it, as round by round."""
     expert_losses = advice[np.arange(len(advice)), :, outcomes]
 
-    def solve(cur, lwn, A):
-        return _forecast(cur, lwn, A, epsilon, tol, select)
-
     def score(block, pi, qpi, lwn, lw):
         lam, rows = state.proper(pi), np.arange(len(pi))
         return lam[rows, outcomes[block]], _log_q(qpi)[rows, outcomes[block]], lam
 
     lam, slack, _, lw, lv, log_factors, error = forecast_rounds(
-        state, advice, expert_losses, solve, score, epsilon=epsilon, tol=tol, select=select)
+        state, advice, expert_losses, score, epsilon=epsilon, tol=tol, select=select)
     return substituted_rounds(state, lam, outcomes, expert_losses, lw, lv, slack, error,
                               log_factors, substitution_tol=substitution_tol)
 

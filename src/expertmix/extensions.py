@@ -3,11 +3,14 @@ functions, and outcomes drawn from the probability simplex.
 
 Evaluator sessions keep one supermartingale whose per-expert factors carry
 that expert's own (c, eta, loss); the simplex sessions run the vertex
-solver and transfer the guarantee through relative exp-convexity.  A
-simplex session's weights are AA's posterior on the losses at the realized
-points, so a block of rounds whose advice and outcomes are fixed in advance
-is played from one reweigh, with one q call at the barycentre for every
-round (:func:`simplex_dfa_rounds`).
+solver and transfer the guarantee through relative exp-convexity.  Both
+play a block of rounds whose advice and outcomes are fixed in advance.  An
+evaluator block's learner terms differ by expert, so its posterior stays
+round by round, with one proper-loss call per evaluator group for the
+forecast (:func:`ml_dfa_rounds`).  A simplex session's weights
+are AA's posterior on the losses at the realized points, so its block is
+played from one reweigh, with one q call at the barycentre for every round
+(:func:`simplex_dfa_rounds`).
 """
 
 from __future__ import annotations
@@ -17,10 +20,13 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import Game, Proposal, Session, as_probs, log_sum_exp, pair_exponent, start_session
+from .core import (PROB_TOL, Game, Proposal, Session, as_probs, log_sum_exp, pair_exponent,
+                   start_session)
 from .defensive import (
+    _forecast,
     choose_forecast,
     default_proper_loss,
+    evaluator_groups,
     fixed_advice_q,
     forecast_rounds,
     require_supermartingale,
@@ -76,6 +82,28 @@ def ml_dfa_start(experts: Sequence[EvaluatedExpert], m: int, *,
     return session
 
 
+def _advice_losses(state: Session, advice: np.ndarray) -> np.ndarray:
+    """Each expert's own proper loss at its advice row, (k, m), each from a
+    one-row call: a batched call need not give a row's bits (the square
+    loss squares ``1 - p`` with ``pow`` in a one-row call, and by
+    multiplication in a batch)."""
+    return np.stack([proper(a) for proper, a in zip(state.proper, advice)])
+
+
+def _ml_forecast(state: Session, G: np.ndarray, epsilon: float, tol: float):
+    """The chain of one evaluator round: the forecast for the advice losses
+    ``G`` (k, m) under the session's posterior (the root selection for
+    binary outcomes), its slack and every expert's loss at it, (k, m), from
+    one proper-loss call per evaluator group
+    (:func:`~expertmix.defensive.evaluator_groups`)."""
+    pi, slack = choose_forecast(fixed_advice_q(state, G), G.shape[-1], epsilon=epsilon,
+                                tol=tol, select="root")
+    lam = np.empty(G.shape)
+    for proper, _, _, idx in evaluator_groups(state):
+        lam[idx] = proper(pi)
+    return pi, slack, lam
+
+
 def ml_dfa_proposal(state: Session, advice, *, epsilon: float = 1e-6,
                     tol: float = 1e-9) -> Proposal:
     """Learner announces a distribution (the root selection for binary
@@ -85,11 +113,46 @@ def ml_dfa_proposal(state: Session, advice, *, epsilon: float = 1e-6,
     if adv.shape != (state.n_experts, m):
         raise ValueError(f"advice shape {adv.shape}, expected "
                          f"({state.n_experts}, {m})")
-    G = np.stack([proper(a) for proper, a in zip(state.proper, adv)])
-    pi, slack = choose_forecast(fixed_advice_q(state, G), m, epsilon=epsilon,
-                                tol=tol, select="root")
-    lam = np.stack([proper(pi) for proper in state.proper])
+    G = _advice_losses(state, adv)
+    pi, slack, lam = _ml_forecast(state, G, epsilon, tol)
     return Proposal(pi, None, slack, lambda w: (lam[:, w], lam[:, w], G[:, w], None), pi)
+
+
+def ml_dfa_rounds(state: Session, advice: np.ndarray, outcomes: np.ndarray, *,
+                  epsilon: float = 1e-6, tol: float = 1e-9):
+    """Play a block of B evaluator rounds whose advice, distributions of
+    shape (B, k, m), and outcomes, shape (B,), do not depend on Learner's
+    moves: the advice is checked in one batch, and the records' columns
+    and running sums are built once.  Each expert's learner term
+    ``lambda_t / c_t`` differs, so the posterior is not AA's and is not one
+    cumulative sum: each round's chain stays round by round, as in
+    :func:`ml_dfa_proposal` (the advice losses, the q, its root, every
+    expert's loss at the forecast) and :meth:`Session.advance`.  Returns
+    the forecasts (B, m), Learner's losses and the experts' losses (B, k),
+    the slack and the session's :class:`~expertmix.core.Rounds`, each row
+    what :func:`ml_dfa_step` gives that round; an error is raised in the
+    first round that meets it, as round by round."""
+    B, k, m = advice.shape
+    if (k, m) != (state.n_experts, state.proper[0].game.m):
+        raise ValueError(f"advice shape {advice.shape}, expected "
+                         f"(B, {state.n_experts}, {state.proper[0].game.m})")
+    # rounds whose rows might fail as_probs' check are checked row by row
+    doubtful = ~((advice >= 0.0).all(axis=(1, 2))
+                 & (np.abs(advice.sum(axis=-1) - 1.0) <= 0.5 * PROB_TOL).all(axis=1))
+    pis, slack = np.empty((B, m)), np.zeros(B)
+    learner, expert_losses, lw, lv = np.empty((B, k)), np.empty((B, k)), np.empty((B, k)), \
+        np.empty(B)
+    cur = state
+    for i, w in enumerate(outcomes.tolist()):
+        if doubtful[i]:
+            for a in advice[i]:
+                as_probs(a)
+        G = _advice_losses(cur, advice[i])
+        pis[i], slack[i], lam = _ml_forecast(cur, G, epsilon, tol)
+        learner[i], expert_losses[i] = lam[:, w], G[:, w]
+        cur = cur.advance(learner[i], learner[i], expert_losses[i], None, slack[i])
+        lw[i], lv[i] = cur.log_weights, cur.log_value
+    return pis, learner, expert_losses, slack, state.rounds(lw, lv, learner, expert_losses, slack)
 
 
 def ml_dfa_step(state: Session, advice, outcome: int, *,
@@ -288,13 +351,14 @@ def simplex_dfa_proposal(state: Session, advice, *, epsilon: float = 1e-6,
                          tol: float = 1e-9, select: str = "midpoint") -> Proposal:
     """Run the vertex solver on the restricted advice and substitute a
     decision; the outcome scored later is a point of the simplex, at which
-    every party's decision is extended."""
+    every party's decision is extended.  When the vertex search stalls,
+    AA's substituted mix is the forecast if it keeps q under the same
+    target, as in :func:`~expertmix.defensive.dfa_proposal`."""
     _require_verified(state)
     sg = state.game
     decisions = [np.asarray(a, dtype=float) for a in advice]
     vertex_advice = np.stack([sg.base.loss_vector(d) for d in decisions])
-    pi, slack = choose_forecast(fixed_advice_q(state, vertex_advice), sg.m,
-                                epsilon=epsilon, tol=tol, select=select)
+    pi, slack, _ = _forecast(state, state.log_posterior(), vertex_advice, epsilon, tol, select)
     decision = np.asarray(sg.base.substitution(state.proper(pi)), dtype=float)
 
     def score(p_outcome):
@@ -320,8 +384,8 @@ def simplex_dfa_rounds(state: Session, advice: np.ndarray, outcomes: np.ndarray,
     for the rounds whose barycentre misses its target.  Each round's
     learner term is Learner's loss at the realized point and its log factor
     ``ln sum_t wbar_t exp(eta (l/c - g_t))``, as in
-    :func:`simplex_dfa_proposal`, which has no AA-mix fallback
-    (:class:`SlackExceeded` propagates) and no substitution check.  Returns
+    :func:`simplex_dfa_proposal`: a stalled vertex search falls back to
+    AA's mix, as ``dfa``'s does, and there is no substitution check.  Returns
     the decisions, Learner's losses, the experts' losses, the rounds' slack
     and the session's :class:`~expertmix.core.Rounds`, each row what
     :func:`simplex_dfa_step` gives that round; an error is raised for the
@@ -329,10 +393,6 @@ def simplex_dfa_rounds(state: Session, advice: np.ndarray, outcomes: np.ndarray,
     _require_verified(state)
     sg = state.game
     expert_losses = sg.loss_on_simplex(advice, outcomes[:, None])
-
-    def solve(cur, lwn, A):
-        return choose_forecast(fixed_advice_q(cur, A, lwn), sg.m, epsilon=epsilon, tol=tol,
-                               select=select, full_output=True)
 
     def score(block, pi, qpi, lwn, lw):  # Session._log_factors of each round
         decisions = np.asarray(sg.base.substitution(state.proper(pi)), dtype=float)
@@ -342,7 +402,7 @@ def simplex_dfa_rounds(state: Session, advice: np.ndarray, outcomes: np.ndarray,
             decisions
 
     decisions, slack, learner, lw, lv, log_factors, error = forecast_rounds(
-        state, sg.base.loss_rows(advice), expert_losses, solve, score, epsilon=epsilon,
+        state, sg.base.loss_rows(advice), expert_losses, score, epsilon=epsilon,
         tol=tol, select=select)
     if error is not None:
         raise error

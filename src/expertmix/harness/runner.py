@@ -25,7 +25,7 @@ from ..extensions import (
     SIMPLEX_GAMES,
     SimplexGame,
     duplicate_evaluators,
-    ml_dfa_proposal,
+    ml_dfa_rounds,
     ml_dfa_start,
     simplex_dfa_proposal,
     simplex_dfa_rounds,
@@ -109,9 +109,10 @@ def _learner_pi(game: Game, decisions: np.ndarray) -> list:
 
 
 #: rounds per block of a run in which nothing looks at Learner's move:
-#: mixing or forecasting (``aa``, ``dfa``, ``simplex-dfa``) with Reality
-#: that does not look at the prediction and experts of ``BLOCK_KINDS``.
-#: Its arrays stay in the tens of kilobytes, far below the records' memory.
+#: mixing, forecasting or evaluators (``aa``, ``dfa``, ``simplex-dfa``,
+#: ``ml-dfa``) with Reality that does not look at the prediction and
+#: experts of ``BLOCK_KINDS``.  Its arrays stay in the tens of kilobytes,
+#: far below the records' memory.
 BLOCK_ROUNDS = 256
 
 #: expert kinds that advise a block of rounds in one call
@@ -123,10 +124,12 @@ def block_rounds(config: ScenarioConfig) -> int:
     every round are fixed before Learner moves, else one.  Mixing (``aa``)
     and forecasting (``dfa``, and ``simplex-dfa`` on Dirichlet outcomes)
     play such blocks, whose posteriors are one cumulative sum (a
-    forecasting session's weights are AA's); adversarial Reality, callback
-    experts and the second-guessing and evaluator protocols play one round
-    at a time."""
-    if config.algorithm in ("aa", "dfa", "simplex-dfa") \
+    forecasting session's weights are AA's); so do evaluator sessions
+    (``ml-dfa``), whose draws, advice check and records are batched while
+    the posterior-dependent chain stays round by round.  Adversarial
+    Reality, callback experts and the second-guessing protocols play one
+    round at a time."""
+    if config.algorithm in ("aa", "dfa", "simplex-dfa", "ml-dfa") \
             and config.reality["kind"] in ("iid", "fixed", "dirichlet") \
             and all(e["kind"] in BLOCK_KINDS for e in config.experts):
         return BLOCK_ROUNDS
@@ -139,8 +142,9 @@ def block_rounds(config: ScenarioConfig) -> int:
 # rounds ``n .. n + size - 1``, appends their outcomes, and returns the
 # session after them, the columns of their step records in ``RECORD_KEYS``
 # order (from ``advice`` to ``slack_total``) and their bound margins,
-# shape (size, k).  Only the fixed-advice opener (mixing, forecasting and
-# simplex-outcome forecasting) plays blocks of more than one round.
+# shape (size, k).  Only the fixed-advice openers (mixing, forecasting,
+# simplex-outcome forecasting and evaluators) play blocks of more than one
+# round.
 
 
 def _standard_experts(config: ScenarioConfig, game: Game, rngs):
@@ -163,9 +167,10 @@ def _log_supermartingale(state, rounds=None):
     return state.log_supermartingale if rounds is None else rounds.log_supermartingale
 
 
-def _log_value(state):
-    """An evaluator session's log supermartingale: its weights' log-sum-exp."""
-    return state.log_value
+def _log_value(state, rounds):
+    """An evaluator session's log supermartingale after each round of
+    ``rounds``: its weights' log-sum-exp."""
+    return rounds.log_value
 
 
 def _round_by_round(propose, reality, read):
@@ -199,15 +204,40 @@ def _round_by_round(propose, reality, read):
     return play
 
 
+def _block_play(reality, advise, rounds, learner_pi, read):
+    """``play`` for a block of rounds in one batch, against Reality that
+    does not look at the prediction: ``advise(n, size, outcomes)`` gives
+    the block's advice as recorded, ``rounds(state, advice, outcomes)`` its
+    moves, Learner's and the experts' losses, the slack and the
+    :class:`~expertmix.core.Rounds`, ``learner_pi(moves)`` the recorded
+    forecasts and ``read(state, rounds)`` the log supermartingale."""
+    def play(state, n, size, outcomes):
+        w = reality.pick(n, None, size)
+        picks = list(w) if w.ndim > 1 else w.tolist()  # points stay arrays
+        outcomes.extend(picks[:-1])
+        advice = advise(n, size, outcomes)
+        outcomes.append(picks[-1])
+        moves, learner_losses, expert_losses, slack, played = rounds(state, advice, w)
+        columns = (advice.tolist(), learner_pi(moves), moves.tolist(),
+                   w.tolist(), learner_losses.tolist(), expert_losses.tolist(),
+                   played.cumulative_loss.tolist(), played.per_expert_loss.tolist(),
+                   read(state, played).tolist(), slack.tolist(),
+                   played.slack_log_total.tolist())
+        return state.after(played), columns, state.bound_margins(played)
+
+    return play
+
+
 def _open_fixed_advice(start, propose, rounds, read, scored=builtin_game):
     """An opener for experts that advise before Learner moves, in the game
     ``scored(name, m)`` that the session scores or, for a simplex game, in
     its base game.  Against Reality that looks at the prediction,
     ``propose(state, decisions, eps, tol)`` plays round by round; otherwise
-    a block is played in one batch: ``rounds(state, advice, outcomes, eps,
-    tol)`` gives the decisions, Learner's and the experts' losses, the
-    slack and the :class:`~expertmix.core.Rounds` of a block, and
-    ``read(state, rounds)`` its log supermartingale."""
+    a block is played in one batch (:func:`_block_play`):
+    ``rounds(state, advice, outcomes, eps, tol)`` gives the decisions,
+    Learner's and the experts' losses, the slack and the
+    :class:`~expertmix.core.Rounds` of a block, and ``read(state, rounds)``
+    its log supermartingale."""
     def open_protocol(config: ScenarioConfig, rngs, reality, eps: float, tol: float):
         game = scored(config.game, config.m)
         state = start(game, eta=config.eta, c=config.c, prior=config.prior,
@@ -223,22 +253,9 @@ def _open_fixed_advice(start, propose, rounds, read, scored=builtin_game):
 
             return state, _round_by_round(propose_round, reality, read)
 
-        def play(state, n, size, outcomes):
-            w = reality.pick(n, None, size)
-            picks = list(w) if w.ndim > 1 else w.tolist()  # points stay arrays
-            outcomes.extend(picks[:-1])
-            advice = advise(n, size, outcomes)
-            outcomes.append(picks[-1])
-            decisions, learner_losses, expert_losses, slack, played = rounds(
-                state, advice, w, eps, tol)
-            columns = (advice.tolist(), _learner_pi(game, decisions), decisions.tolist(),
-                       w.tolist(), learner_losses.tolist(), expert_losses.tolist(),
-                       played.cumulative_loss.tolist(), played.per_expert_loss.tolist(),
-                       read(state, played).tolist(), slack.tolist(),
-                       played.slack_log_total.tolist())
-            return state.after(played), columns, state.bound_margins(played)
-
-        return state, play
+        return state, _block_play(
+            reality, advise, lambda state, advice, w: rounds(state, advice, w, eps, tol),
+            lambda decisions: _learner_pi(game, decisions), read)
 
     return open_protocol
 
@@ -263,8 +280,13 @@ def _open_second_guess(start, propose, records_pi: bool, read):
 
 
 def _open_evaluators(config: ScenarioConfig, rngs, reality, eps: float, tol: float):
+    """The evaluator opener: each base expert's decision, as a distribution,
+    is entered once per evaluator (spec-major), and a block is played by
+    :func:`~expertmix.extensions.ml_dfa_rounds`; its records carry the
+    entered advice and the forecasts.  The config serves it only Reality
+    that does not look at the prediction."""
     game = builtin_game(config.game, config.m)  # the base experts' game
-    advise = _standard_experts(config, game, rngs)
+    decide = _standard_experts(config, game, rngs)
     specs = []
     for ev in config.evaluators:
         c, eta = float(ev.get("c", 1.0)), float(ev.get("eta", 1.0))
@@ -273,14 +295,15 @@ def _open_evaluators(config: ScenarioConfig, rngs, reality, eps: float, tol: flo
     state = ml_dfa_start(duplicate_evaluators(specs, len(config.experts)),
                          config.m, verify=True)
 
-    def propose_round(state, n, outcomes):
-        base = [np.array([1.0 - d[0], d[0]]) if game.decision_kind == "box"
-                else d for d in advise(n, 1, outcomes)[0]]
-        advice = tile_advice(np.stack(base), len(specs))
-        p = ml_dfa_proposal(state, advice, epsilon=eps, tol=tol)
-        return p, advice, [float(v) for v in p.decision]
+    def advise(n, size, outcomes):
+        d = decide(n, size, outcomes)
+        base = np.concatenate([1.0 - d, d], axis=-1) if game.decision_kind == "box" else d
+        return tile_advice(base, len(specs))
 
-    return state, _round_by_round(propose_round, reality, _log_value)
+    return state, _block_play(
+        reality, advise, lambda state, advice, w: ml_dfa_rounds(state, advice, w, epsilon=eps,
+                                                                  tol=tol),
+        lambda pi: pi.tolist(), _log_value)
 
 
 #: algorithm -> opener; mixing sessions read the semi-invariant as their
@@ -323,8 +346,10 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
     are AA's mixes, DFA's admissible intervals and, for three or more
     outcomes and simplex outcomes, one q call at the barycentre of every
     round (DFA's weights are AA's posterior, and its log supermartingale
-    sums the rounds' log factors), all with the bytes of one round at a
-    time.
+    sums the rounds' log factors).  An evaluator block batches its draws,
+    advice check and records; its advice losses, q, root, learner losses
+    and reweigh run round by round, since each expert's learner term
+    differs.  All give the bytes of one round at a time.
     """
     if config.algorithm not in PROTOCOLS:
         raise ConfigError(f"unknown algorithm {config.algorithm!r}")

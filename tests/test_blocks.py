@@ -2,15 +2,17 @@
 
 ``reference_run`` is the per-round loop of the fixed-advice protocols: each
 round the experts advise, Learner proposes (AA mixes and substitutes; DFA
-and simplex DFA solve for the forecast and substitute), Reality picks, and
-the session takes one round's reweigh.  The runner plays the same configs
-in blocks of rounds (one cumulative sum for the posterior path; AA: one
-batched mix; DFA: one batched solve of the binary admissible intervals, or
-one q call at the barycentre of every round with three or more outcomes,
-and the other rounds one at a time; all: records from columns); its JSONL
-and summary must be byte-identical, and it must raise the same error at
-the same round.  The block draws of the experts and of Reality must be the
-single-round draws.
+and simplex DFA solve for the forecast and substitute; evaluators solve
+for the root), Reality picks, and the session takes one round's reweigh.
+The runner plays the same configs in blocks of rounds (one cumulative sum
+for the posterior path; AA: one batched mix; DFA: one batched solve of the
+binary admissible intervals, or one q call at the barycentre of every
+round with three or more outcomes, and the other rounds one at a time;
+evaluators: one proper-loss call per evaluator group for the block's
+advice, and the posterior-dependent chain round by round; all: records
+from columns); its JSONL and summary must be byte-identical, and it must
+raise the same error at the same round.  The block draws of the experts
+and of Reality must be the single-round draws.
 """
 
 import json
@@ -22,13 +24,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from expertmix import aggregating, defensive
+from expertmix import aggregating, defensive, extensions
 from expertmix.aggregating import aa_proposal, aa_start, log_semi_invariant
 from expertmix.core import log_sum_exp, pair_exponent
-from expertmix.defensive import dfa_proposal, dfa_start
+from expertmix.defensive import default_proper_loss, dfa_proposal, dfa_start
 from expertmix.errors import (AllExpertsDead, ContractViolation, ExpertmixError,
                               SlackExceeded, SubstitutionFailure)
-from expertmix.extensions import SIMPLEX_GAMES, simplex_dfa_proposal, simplex_dfa_start
+from expertmix.extensions import (SIMPLEX_GAMES, duplicate_evaluators, ml_dfa_proposal,
+                                  ml_dfa_start, simplex_dfa_proposal, simplex_dfa_start,
+                                  tile_advice)
 from expertmix.harness import runner
 from expertmix.harness.config import parse_config
 from expertmix.harness.runner import (BLOCK_ROUNDS, StepRecord, _jsonable, _spawn_rngs,
@@ -40,14 +44,26 @@ from expertmix.harness.scenarios import builtin_scenario
 from expertmix.losses import ProperLoss, builtin_game, realizability_constant
 
 
+def evaluator_specs(config):
+    """The (proper loss, c, eta) of each evaluator of an ``ml-dfa`` config."""
+    specs = []
+    for ev in config.evaluators:
+        c, eta = float(ev.get("c", 1.0)), float(ev.get("eta", 1.0))
+        specs.append((default_proper_loss(builtin_game(ev["loss"], config.m), c, eta), c, eta))
+    return specs
+
+
 def reference_run(config):
     """The run round by round: its JSONL lines and its summary as JSON.
     Mixing reweighs one round by hand; forecasting is the loop of
     ``dfa_proposal`` (``simplex_dfa_proposal`` on simplex outcomes) and
+    ``Session.advance``, and evaluators the loop of ``ml_dfa_proposal`` on
+    each base expert's distribution entered once per evaluator and
     ``Session.advance``.  A library error raised in a round carries that
     round as ``step``; one raised opening the session carries None."""
     simplex = config.algorithm == "simplex-dfa"
-    forecasting = config.algorithm in ("dfa", "simplex-dfa")
+    evaluators = config.algorithm == "ml-dfa"
+    forecasting = config.algorithm in ("dfa", "simplex-dfa", "ml-dfa")
     eps, tol = float(config.solver["epsilon"]), float(config.solver["tol"])
     expert_rngs, reality_rng = _spawn_rngs(config.seed, len(config.experts))
     reality = build_reality(config.reality, config.m, reality_rng)
@@ -56,16 +72,25 @@ def reference_run(config):
     experts = [build_standard_expert(game, s, r) for s, r in zip(config.experts, expert_rngs)]
     n = None
     try:
-        start = (simplex_dfa_start if simplex else dfa_start if forecasting else aa_start)
-        state = start(sg if simplex else game, eta=config.eta, c=config.c,
-                      prior=config.prior, n_experts=len(experts))
+        if evaluators:
+            specs = evaluator_specs(config)
+            state = ml_dfa_start(duplicate_evaluators(specs, len(experts)), config.m)
+        else:
+            start = (simplex_dfa_start if simplex else dfa_start if forecasting else aa_start)
+            state = start(sg if simplex else game, eta=config.eta, c=config.c,
+                          prior=config.prior, n_experts=len(experts))
         meta = {"type": "meta", "format_version": 1, "config": config.to_jsonable()}
         lines = [json.dumps(meta, separators=(",", ":"))]
         outcomes = []
         max_margin, worst_step = -np.inf, -1
         for n in range(config.horizon):
             decisions = [s.advise(n, outcomes) for s in experts]
-            if simplex:
+            if evaluators:
+                base = [np.array([1.0 - d[0], d[0]]) if game.decision_kind == "box" else d
+                        for d in decisions]
+                decisions = tile_advice(np.stack(base), len(specs))
+                p = ml_dfa_proposal(state, decisions, epsilon=eps, tol=tol)
+            elif simplex:
                 p = simplex_dfa_proposal(state, decisions, epsilon=eps, tol=tol)
             else:
                 A = np.asarray(game.loss(np.stack(decisions)), dtype=float)
@@ -90,14 +115,15 @@ def reference_run(config):
             d = p.decision
             rec = StepRecord(
                 step=n, advice=[[float(v) for v in row] for row in decisions],
-                learner_pi=[1.0 - float(d[0]), float(d[0])] if game.decision_kind == "box"
-                else [float(v) for v in d],
+                learner_pi=[1.0 - float(d[0]), float(d[0])]
+                if game.decision_kind == "box" and not evaluators else [float(v) for v in d],
                 learner_decision=[float(v) for v in d],
                 outcome=[float(v) for v in w] if simplex else w, learner_loss=learner_loss,
                 expert_losses=expert_losses.tolist(),
                 cumulative_learner_loss=state.cumulative_loss,
                 cumulative_expert_losses=list(state.per_expert_loss),
-                log_supermartingale=(state.log_supermartingale if forecasting
+                log_supermartingale=(state.log_value if evaluators
+                                     else state.log_supermartingale if forecasting
                                      else log_semi_invariant(state)),
                 slack=p.slack, slack_total=state.slack_log_total, bound_margins=margins)
             lines.append(json.dumps(rec.to_obj(), separators=(",", ":")))
@@ -105,14 +131,17 @@ def reference_run(config):
         exc.step = n
         raise
     top = max_margin if config.horizon else 0.0
+    k = state.n_experts
+    cs, etas = (state.c, state.eta) if evaluators else ([state.c] * k, [state.eta] * k)
     summary = {
         "name": config.name, "algorithm": config.algorithm, "game": config.game,
         "m": config.m, "horizon": config.horizon, "seed": config.seed,
         "final_learner_loss": _jsonable(state.cumulative_loss),
         "final_expert_losses": _jsonable(list(state.per_expert_loss)),
-        "bound_constants": [{"c": float(state.c), "eta": float(state.eta), "prior": float(p0)}
-                            for p0 in state.prior],
-        "slack_allowance": _jsonable(state.c / state.eta * state.slack_log_total),
+        "bound_constants": [{"c": float(c), "eta": float(eta), "prior": float(p0)}
+                            for c, eta, p0 in zip(cs, etas, state.prior)],
+        "slack_allowance": _jsonable((1.0 if evaluators else state.c / state.eta)
+                                     * state.slack_log_total),
         "max_bound_margin": _jsonable(top), "worst_margin_step": worst_step,
         "bound_ok": bool(top <= 1e-7), "expected_failure": False,
     }
@@ -236,6 +265,64 @@ def test_simplex_blocks_replay_rounds(case):
     assert_blocks_replay_rounds(*case)
 
 
+#: evaluators by outcome count: binary log and square at two constants each
+#: (a spec drawn twice is a duplicate group), and kl at m = 3
+EVALUATORS = {2: [{"loss": "log", "eta": 1.0, "c": 1.0}, {"loss": "log", "eta": 0.5, "c": 1.0},
+                  {"loss": "square", "eta": 2.0, "c": 1.0}, {"loss": "square", "eta": 1.0}],
+              3: [{"loss": "kl", "eta": 1.0}, {"loss": "kl", "eta": 0.5}]}
+
+
+@st.composite
+def ml_configs(draw):
+    """Evaluator runs and a block size: binary log and square evaluators,
+    or kl at m = 3, whose rounds run the simplex search one at a time
+    (~5-8 ms a round when the barycentre misses), so those runs stay
+    short, except that blocks of 256 run past their first edge."""
+    m = draw(st.sampled_from([2, 2, 3]))
+    values = BOX_VALUES if m == 2 else SIMPLEX_VALUES
+    expert = st.one_of(
+        st.sampled_from(values).map(lambda v: {"kind": "constant", "value": v}),
+        st.just({"kind": "iid-random"}),
+        st.sampled_from([0.1, 1.0, 2.5]).map(
+            lambda s: {"kind": "trailing-average", "smoothing": s}))
+    reality = draw(st.one_of(
+        st.lists(st.integers(0, m - 1), min_size=1, max_size=6).map(
+            lambda seq: {"kind": "fixed", "sequence": seq}),
+        st.lists(st.sampled_from([0, 1, 3]), min_size=m, max_size=m).filter(any).map(
+            lambda w: {"kind": "iid", "probs": _normalized(w)})))
+    block = draw(st.sampled_from([1, 2, 7, BLOCK_ROUNDS]))
+    longest = (BLOCK_ROUNDS + 8 if block == BLOCK_ROUNDS else 30) if m == 3 else 600
+    config = parse_config({
+        "name": "ml-blocks", "game": {"name": "log" if m == 2 else "kl", "m": m},
+        "algorithm": "ml-dfa", "experts": draw(st.lists(expert, min_size=1, max_size=4)),
+        "evaluators": draw(st.lists(st.sampled_from(EVALUATORS[m]), min_size=1, max_size=3)),
+        "reality": reality, "seed": draw(st.integers(0, 2 ** 32)),
+        "horizon": draw(st.integers(BLOCK_ROUNDS + 1 if m == 3 and block == BLOCK_ROUNDS
+                                    else 0, longest))})
+    return config, block
+
+
+@settings(max_examples=20, deadline=None)
+@given(case=ml_configs())
+def test_ml_blocks_replay_rounds(case):
+    assert_blocks_replay_rounds(*case)
+
+
+@pytest.mark.parametrize("evaluators", [["log", "brier"], ["hellinger"]])
+@pytest.mark.parametrize("block", [7, BLOCK_ROUNDS])
+def test_ml_blocks_replay_a_simplex_stall(evaluators, block):
+    """Evaluators at m = 3 whose simplex search stalls (there is no AA-mix
+    fallback for evaluators): SlackExceeded ends the run at the round where
+    it does round by round."""
+    config = parse_config({
+        "game": {"name": "log", "m": 3}, "algorithm": "ml-dfa", "horizon": 40, "seed": 3,
+        "experts": [{"kind": "iid-random"}, {"kind": "iid-random"}],
+        "evaluators": [{"loss": loss} for loss in evaluators], "reality": {"kind": "iid"}})
+    with pytest.raises(SlackExceeded, match="stalled"):
+        reference_run(config)
+    assert_blocks_replay_rounds(config, block)
+
+
 class _Tilted:
     """A callback expert: a point that moves with the last outcome."""
 
@@ -251,6 +338,43 @@ def test_simplex_callback_experts_play_blocks_of_one():
         "reality": {"kind": "dirichlet", "alpha": 2.0}})
     with mock.patch.dict(CALLBACK_REGISTRY, {"tilted": _Tilted()}):
         assert_blocks_replay_rounds(config, 1)
+
+
+class _Leaning:
+    """A binary callback expert: leans towards the last outcome."""
+
+    def advise(self, step, past_outcomes):
+        return np.array([0.3 + 0.4 * past_outcomes[-1] if past_outcomes else 0.5])
+
+
+def test_ml_callback_experts_play_blocks_of_one():
+    config = parse_config({
+        "game": {"name": "log", "m": 2}, "algorithm": "ml-dfa", "horizon": 20, "seed": 4,
+        "experts": [{"kind": "callback", "name": "leaning"}, {"kind": "iid-random"}],
+        "evaluators": [{"loss": "log"}, {"loss": "square", "eta": 2.0}],
+        "reality": {"kind": "iid"}})
+    with mock.patch.dict(CALLBACK_REGISTRY, {"leaning": _Leaning()}):
+        assert_blocks_replay_rounds(config, 1)
+
+
+def simplex_stall(seed):
+    """A simplex-outcome brier run whose vertex search stalls in a few of
+    its 300 rounds (1 to 4 at seeds 1-4)."""
+    return parse_config({
+        "game": {"name": "brier", "m": 3}, "algorithm": "simplex-dfa", "horizon": 300,
+        "seed": seed, "experts": [{"kind": "iid-random"}, {"kind": "trailing-average"}],
+        "reality": {"kind": "dirichlet", "alpha": 1.0}})
+
+
+@pytest.mark.parametrize("seed", range(1, 5))
+def test_simplex_stalls_take_the_aa_mix_fallback(seed):
+    """A round whose vertex search stalls takes AA's substituted mix, as
+    ``dfa``'s rounds do, and the run keeps its bound."""
+    assert run_scenario(simplex_stall(seed)).bound_ok
+
+
+def test_simplex_blocks_replay_the_aa_mix_fallback():
+    assert_blocks_replay_rounds(simplex_stall(1), BLOCK_ROUNDS)
 
 
 @pytest.mark.parametrize("seed", range(1, 7))
@@ -297,7 +421,9 @@ def test_dfa_blocks_keep_a_weight_dead(sequence):
 
 def round_advice(config, at):
     """The advice losses of round ``at`` of a fixed-advice run, (k, m); on
-    simplex outcomes, the losses at the vertices."""
+    simplex outcomes, the losses at the vertices; for evaluators, the first
+    evaluator's losses of the base experts' distributions (the advice of
+    its group)."""
     expert_rngs, reality_rng = _spawn_rngs(config.seed, len(config.experts))
     reality = build_reality(config.reality, config.m, reality_rng)
     game = SIMPLEX_GAMES[config.game](config.m).base if config.algorithm == "simplex-dfa" \
@@ -307,21 +433,25 @@ def round_advice(config, at):
     for n in range(at + 1):
         decisions = [s.advise(n, outcomes) for s in experts]
         outcomes.append(reality.pick(n, None))
+    if config.algorithm == "ml-dfa":
+        return evaluator_specs(config)[0][0](np.concatenate([1.0 - np.stack(decisions),
+                                                             np.stack(decisions)], axis=1))
     return np.asarray(game.loss(np.stack(decisions)), dtype=float)
 
 
-def poisoned_log_mix(target, raises=None):
+def poisoned_log_mix(target, raises=None, by=10.0):
     """``log_mix`` whose result for the advice ``target`` (one round's,
-    found in a block too) is raised by 10, so that the expectation bound
+    found in a block too) is raised by ``by``: by 10, the expectation bound
     fails at ``p = 0`` and that round's solve raises
-    :class:`ContractViolation`; or that raises ``raises`` there."""
+    :class:`ContractViolation`, as a NaN does at the root's endpoints; or
+    that raises ``raises`` there."""
     log_mix = defensive.log_mix
 
     def poisoned(lwn, eta, A):
         hit = np.all(A == target, axis=(-2, -1))
         if raises is not None and np.any(hit):
             raise raises
-        return log_mix(lwn, eta, A) + np.where(hit, 10.0, 0.0)[..., None]
+        return log_mix(lwn, eta, A) + np.where(hit, by, 0.0)[..., None]
 
     return mock.patch.object(defensive, "log_mix", poisoned)
 
@@ -349,9 +479,34 @@ def test_dfa_error_in_the_chain_comes_at_its_round(at):
 
 
 @pytest.mark.parametrize("at", [0, 100, 255, 256])
+def test_ml_error_in_the_chain_comes_at_its_round(at):
+    """An evaluator round whose q is NaN fails the root's endpoint
+    analysis: the ContractViolation ends a blocked run at that round, after
+    the rounds before it, as round by round."""
+    config = parse_config({
+        "game": {"name": "log", "m": 2}, "algorithm": "ml-dfa", "horizon": 300, "seed": 3,
+        "experts": [{"kind": "iid-random"}, {"kind": "trailing-average"}],
+        "evaluators": [{"loss": "log"}, {"loss": "square", "eta": 2.0}],
+        "reality": {"kind": "iid"}})
+
+    def run(play, horizon):
+        with poisoned_log_mix(round_advice(config, at), by=np.nan):
+            return play(replace(config, horizon=horizon))
+
+    with pytest.raises(ContractViolation, match="endpoint") as want:
+        run(reference_run, config.horizon)
+    assert want.value.step == at
+    for horizon in (at + 1, config.horizon):
+        with pytest.raises(ContractViolation) as got:
+            run(blocked_run, horizon)
+        assert str(got.value) == str(want.value)
+    assert run(blocked_run, at) == run(reference_run, at)
+
+
+@pytest.mark.parametrize("at", [0, 100, 255, 256])
 def test_simplex_error_comes_at_its_round(at):
-    """A simplex round whose q is raised by e^10 misses the barycentre, and
-    its vertex search stalls: SlackExceeded (there is no AA-mix fallback)
+    """A simplex round whose q is raised by e^10 misses the barycentre, its
+    vertex search stalls and AA's mix misses the target too: SlackExceeded
     ends a blocked run at that round, after the rounds before it, with the
     message of the run round by round."""
     config = parse_config({
@@ -473,6 +628,47 @@ def test_forecast_binary_blocks_cost_few_q_calls():
     assert blocked_rows <= round_rows
 
 
+def test_evaluator_blocks_cost_few_proper_calls():
+    """``ml-log-square-k4`` enters 4 base experts under 2 evaluators: 8
+    experts in 2 groups.  A round makes the q calls of the root (6 in most
+    rounds, 7 where ``|h| <= tol`` needs more than 31 levels), each with
+    one proper-loss call per group, and scores the forecast with one call
+    per group, where it used one per expert.  Each expert's advice is
+    scored by its own one-row call, which alone gives that row's bits.  A
+    blocked round makes the calls of a round played alone."""
+    config = builtin_scenario("ml-log-square-k4", horizon=2 * BLOCK_ROUNDS)
+    fixed_advice_q, proper_call = extensions.fixed_advice_q, ProperLoss.__call__
+    q_calls, proper_calls = [0], [0]
+
+    def counting_q(*args):
+        q = fixed_advice_q(*args)
+
+        def counted(P):
+            q_calls[0] += 1
+            return q(P)
+        return counted
+
+    def counting_proper(self, P):
+        proper_calls[0] += 1
+        return proper_call(self, P)
+
+    def work(play):
+        q_calls[0] = proper_calls[0] = 0
+        with mock.patch.object(extensions, "fixed_advice_q", counting_q), \
+                mock.patch.object(ProperLoss, "__call__", counting_proper):
+            out = play(config)
+        return out, q_calls[0], proper_calls[0]
+
+    setup = work(lambda c: blocked_run(replace(c, horizon=0)))[2]  # the contract check
+    (blocked, q_blocked, p_blocked), (want, q_rounds, p_rounds) = work(blocked_run), \
+        work(reference_run)
+    n, experts, groups = config.horizon, 8, 2
+    assert blocked == want
+    assert q_blocked == q_rounds and 5 * n <= q_blocked <= 6.1 * n
+    assert p_blocked == p_rounds
+    assert p_blocked - setup == experts * n + groups * (q_blocked + n)
+
+
 def test_rounds_of_one_row_take_the_scalar_interval():
     """All prior weight on a log expert certain of 1, and Reality always 0:
     every round's lambda is infinite on its outcome and AA's path loses the
@@ -528,9 +724,12 @@ def test_rounds_that_look_at_learner_play_one_at_a_time():
     assert block_rounds(parse_config(simplex)) == BLOCK_ROUNDS
     assert block_rounds(parse_config(
         simplex | {"experts": [{"kind": "callback", "name": "x"}]})) == 1
+    evaluators = base | {"algorithm": "ml-dfa", "evaluators": [{"loss": "log"}]}
+    assert block_rounds(parse_config(evaluators)) == BLOCK_ROUNDS
+    assert block_rounds(parse_config(
+        evaluators | {"experts": [{"kind": "callback", "name": "x"}]})) == 1
     for change in ({"algorithm": "sg-aa", "experts": [{"kind": "sg-identity"}]},
-                   {"algorithm": "sg-dfa", "experts": [{"kind": "sg-identity"}]},
-                   {"algorithm": "ml-dfa", "evaluators": [{"loss": "log"}]}):
+                   {"algorithm": "sg-dfa", "experts": [{"kind": "sg-identity"}]}):
         assert block_rounds(parse_config(base | change)) == 1
 
 

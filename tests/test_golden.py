@@ -41,10 +41,10 @@ GOLDEN = {
 }
 
 
-#: runs of several blocks of mixing or forecasting rounds, simplex outcomes
-#: included (the runner plays them in blocks of ``BLOCK_ROUNDS``), pinned by
-#: the hashes the round-by-round runner gave: name -> (config, sha256 of the JSONL, sha256
-#: of the CSV)
+#: runs of several blocks of mixing, forecasting or evaluator rounds,
+#: simplex outcomes included (the runner plays them in blocks of
+#: ``BLOCK_ROUNDS``), pinned by the hashes the round-by-round runner gave:
+#: name -> (config, sha256 of the JSONL, sha256 of the CSV)
 GOLDEN_BLOCKS = {
     "aa-log-k10": (
         builtin_scenario("aa-log-k10", horizon=1500),
@@ -94,6 +94,10 @@ GOLDEN_BLOCKS = {
         builtin_scenario("kl-simplex", horizon=1000),
         "99c91bb08d46476d6e2576d4fa289dc872401159dfddbf297d97c15ccce8c65f",
         "b2499bda8edc9ebe86d62df323d7c5f2e37cadd15f7f499277fa46818531e756"),
+    "ml-log-square-k4": (
+        builtin_scenario("ml-log-square-k4", horizon=1000),
+        "9263822ab6ad95feaf6c4aafc6ce98c3e9bec7e1489dea9b571c38db30ae7f8e",
+        "d13fb341b0c535d5425ea3dde10d3b746fc06c5462f1d0a504505c89eb123931"),
 }
 
 

@@ -4,6 +4,7 @@ Usage::
 
     python3 tools/bench_pairs.py --label dfa_blocks --base <commit> \
         --workload forecast-binary --seeds 123 9001 --pairs 10
+    python3 tools/bench_pairs.py --label dfa_blocks --base <commit> --tier1
 
 Each pair runs ``perfbench/run.py --workload W --seed S --trace 0`` once in
 an export of the base commit's committed files (``git archive`` into a
@@ -17,6 +18,11 @@ end-to-end metrics, and for each workload and seed the medians of both
 sides, the interquartile range of the base's runs and the number of pairs
 in which the working tree did better.  Runs already in the file are kept,
 so several invocations (one workload each, say) add up to one file.
+
+``--tier1`` also runs the tier-1 suite once on each side, base first
+(``python -m pytest -q --continue-on-collection-errors --durations=5``),
+and records its wall time, its result line and its five slowest tests
+under ``tier1``.
 """
 
 from __future__ import annotations
@@ -30,6 +36,7 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -70,6 +77,29 @@ def bench(tree: Path, workload: str, seed: int, seconds: float | None) -> dict:
             "metrics": {k: v["value"] for k, v in result["metrics"].items()}}
 
 
+TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors", "--durations=5"]
+
+
+def tier1(tree: Path) -> dict:
+    """One run of the tier-1 suite in ``tree``: its wall time, its result
+    line and its five slowest tests (pytest's ``--durations`` lines)."""
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, *TIER1], cwd=tree, capture_output=True, text=True,
+                          timeout=3600)
+    wall = time.perf_counter() - start
+    lines = proc.stdout.strip().splitlines()
+    slowest = []
+    for line in lines[next((i for i, x in enumerate(lines) if "slowest" in x), len(lines)) + 1:]:
+        seconds, _, rest = line.partition("s ")
+        try:
+            slowest.append({"seconds": float(seconds), "test": rest.split()[-1]})
+        except (ValueError, IndexError):
+            break
+    return {"wall_s": wall, "exit_code": proc.returncode,
+            "result": lines[-1] if lines else proc.stderr.strip()[-200:],
+            "slowest": slowest}
+
+
 def quartiles(xs: list[float]) -> tuple[float, float]:
     q = statistics.quantiles(xs, n=4, method="inclusive") if len(xs) > 1 else [xs[0]] * 3
     return q[0], q[2]
@@ -107,12 +137,16 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--label", required=True)
     parser.add_argument("--base", required=True, help="the commit to compare against")
-    parser.add_argument("--workload", action="append", required=True)
+    parser.add_argument("--workload", action="append", default=[])
     parser.add_argument("--seeds", type=int, nargs="+", default=[123])
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=None,
                         help="measured seconds per run (default: the benchmark's)")
+    parser.add_argument("--tier1", action="store_true",
+                        help="also time one tier-1 test run on each side")
     args = parser.parse_args(argv)
+    if not (args.workload or args.tier1):
+        parser.error("give --workload, --tier1 or both")
 
     import numpy
 
@@ -122,6 +156,7 @@ def main(argv=None) -> int:
     if doc["runs"] and (doc["base"]["sha"], doc["head"]["src_tree"]) != (
             base_sha, git("rev-parse", "HEAD:src")):
         doc["runs"] = []  # runs of other commits are not comparable
+        doc.pop("tier1", None)
     doc.update({
         "label": args.label,
         "base": {"ref": args.base, "sha": base_sha,
@@ -136,6 +171,12 @@ def main(argv=None) -> int:
     try:
         export(base_sha, tmp)
         trees = {"base": tmp, "head": ROOT}
+        if args.tier1:
+            doc["tier1"] = {"command": " ".join(["python", *TIER1])}
+            for side in ("base", "head"):
+                doc["tier1"][side] = tier1(trees[side])
+                print(side, json.dumps(doc["tier1"][side]), flush=True)
+                path.write_text(json.dumps(doc, indent=1) + "\n")
         for workload in args.workload:
             for seed in args.seeds:
                 for pair in range(args.pairs):
@@ -152,7 +193,7 @@ def main(argv=None) -> int:
                     path.write_text(json.dumps(doc, indent=1) + "\n")
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
-    for key, entry in doc["summary"].items():
+    for key, entry in doc.get("summary", {}).items():
         for metric, s in entry.items():
             print(f"{key:28s} {metric:24s} base {s['base_median']:.6g} head "
                   f"{s['head_median']:.6g} wins {s['head_wins']}/{s['pairs']}")
