@@ -29,7 +29,7 @@ from expertmix.aggregating import aa_proposal, aa_start, log_semi_invariant
 from expertmix.core import log_sum_exp, pair_exponent
 from expertmix.defensive import default_proper_loss, dfa_proposal, dfa_start
 from expertmix.errors import (AllExpertsDead, ContractViolation, ExpertmixError,
-                              SlackExceeded, SubstitutionFailure)
+                              InvalidDistribution, SlackExceeded, SubstitutionFailure)
 from expertmix.extensions import (SIMPLEX_GAMES, duplicate_evaluators, ml_dfa_proposal,
                                   ml_dfa_start, simplex_dfa_proposal, simplex_dfa_start,
                                   tile_advice)
@@ -275,9 +275,9 @@ EVALUATORS = {2: [{"loss": "log", "eta": 1.0, "c": 1.0}, {"loss": "log", "eta": 
 @st.composite
 def ml_configs(draw):
     """Evaluator runs and a block size: binary log and square evaluators,
-    or kl at m = 3, whose rounds run the simplex search one at a time
-    (~5-8 ms a round when the barycentre misses), so those runs stay
-    short, except that blocks of 256 run past their first edge."""
+    or kl at m = 3, whose rounds run the simplex search (~5-8 ms a round
+    when the barycentre misses), so those runs stay short and take the
+    short blocks; binary runs go past the edge of a block of 256."""
     m = draw(st.sampled_from([2, 2, 3]))
     values = BOX_VALUES if m == 2 else SIMPLEX_VALUES
     expert = st.one_of(
@@ -290,15 +290,13 @@ def ml_configs(draw):
             lambda seq: {"kind": "fixed", "sequence": seq}),
         st.lists(st.sampled_from([0, 1, 3]), min_size=m, max_size=m).filter(any).map(
             lambda w: {"kind": "iid", "probs": _normalized(w)})))
-    block = draw(st.sampled_from([1, 2, 7, BLOCK_ROUNDS]))
-    longest = (BLOCK_ROUNDS + 8 if block == BLOCK_ROUNDS else 30) if m == 3 else 600
+    block = draw(st.sampled_from([1, 2, 7] + [BLOCK_ROUNDS] * (m == 2)))
     config = parse_config({
         "name": "ml-blocks", "game": {"name": "log" if m == 2 else "kl", "m": m},
         "algorithm": "ml-dfa", "experts": draw(st.lists(expert, min_size=1, max_size=4)),
         "evaluators": draw(st.lists(st.sampled_from(EVALUATORS[m]), min_size=1, max_size=3)),
         "reality": reality, "seed": draw(st.integers(0, 2 ** 32)),
-        "horizon": draw(st.integers(BLOCK_ROUNDS + 1 if m == 3 and block == BLOCK_ROUNDS
-                                    else 0, longest))})
+        "horizon": draw(st.integers(0, 300 if m == 2 else 30))})
     return config, block
 
 
@@ -338,6 +336,21 @@ def test_simplex_callback_experts_play_blocks_of_one():
         "reality": {"kind": "dirichlet", "alpha": 2.0}})
     with mock.patch.dict(CALLBACK_REGISTRY, {"tilted": _Tilted()}):
         assert_blocks_replay_rounds(config, 1)
+
+
+def test_ml_rounds_check_each_rounds_advice():
+    """A block's advice is checked as ``ml_dfa_proposal`` checks a round's:
+    a row off the simplex raises its error in its round."""
+    specs = [(default_proper_loss(builtin_game("log", 2), 1.0, 1.0), 1.0, 1.0)]
+    state = ml_dfa_start(duplicate_evaluators(specs, 2), 2)
+    advice, outcomes = np.full((5, 2, 2), 0.5), np.zeros(5, dtype=int)
+    advice[3, 1] = [0.7, 0.4]
+    with pytest.raises(InvalidDistribution) as want:
+        ml_dfa_proposal(state, advice[3])
+    with pytest.raises(InvalidDistribution) as got:
+        extensions.ml_dfa_rounds(state, advice, outcomes)
+    assert str(got.value) == str(want.value)
+    assert len(extensions.ml_dfa_rounds(state, advice[:3], outcomes[:3])[0]) == 3
 
 
 class _Leaning:
