@@ -195,6 +195,31 @@ def _gap_rule(game: Game, eta: float | None = None) -> Callable[[np.ndarray], fl
     return lambda v: domination_gap(game, v)
 
 
+def _check_tol(tol: float) -> None:
+    if not tol >= 0.0:
+        raise ValueError(f"tol must be a nonnegative number, got {tol!r}")
+
+
+def _bisect(member: Callable[[float], bool], hi: float, tol: float) -> tuple[float, float]:
+    """The bracket ``(lo, hi)`` that bisection of ``[0, hi]`` leaves around
+    the least ``x`` with ``member(x)``, for a member ``hi``: both boundary
+    searches' loop.  It halves until the bracket is at most ``tol`` wide,
+    or until a midpoint leaves the bracket unchanged (its ends are then
+    adjacent floats, which no ``tol`` below their distance could split)."""
+    lo = 0.0
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if member(mid):
+            if mid == hi:
+                break
+            hi = mid
+        else:
+            if mid == lo:
+                break
+            lo = mid
+    return lo, hi
+
+
 def project_boundary(game: Game, g, c: float, eta: float,
                      tol: float = 1e-10) -> np.ndarray:
     """Radial projection ``V(g) = R(g) g`` with
@@ -202,8 +227,10 @@ def project_boundary(game: Game, g, c: float, eta: float,
 
     Returns the zero vector when it is itself a superprediction.  Raises
     :class:`NotRealizable` when even ``r = c`` misses the superprediction
-    set (the scaling constant is too small for this game).
+    set (the scaling constant is too small for this game), and
+    ``ValueError`` for a negative or NaN ``tol``.
     """
+    _check_tol(tol)
     arr = as_losses(g)
     # the gap is locally linear in r, so a tiny slack costs ~nothing in R
     # but absorbs rounding at an exactly-critical scaling constant
@@ -216,17 +243,28 @@ def project_boundary(game: Game, g, c: float, eta: float,
         raise NotRealizable(
             f"{c} * g is not a superprediction of {game.name!r} (gap {c_gap:.3e})"
         )
-    lo, hi = 0.0, float(c)
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if gap(mid * arr) <= mtol:
-            hi = mid
-        else:
-            lo = mid
-    return hi * arr
+    return _bisect(lambda r: gap(r * arr) <= mtol, float(c), tol)[1] * arr
 
 
 _EXPAND_CAP = 1e12
+
+
+def _retraction_hint(game: Game, eta: float | None):
+    """The closed-form least value of coordinate ``w`` of ``cur``, as
+    ``hint(cur, w)``, when the membership rule at ``eta`` is a binary box
+    game's closed-form gap in its base set: ``loss(p)[0]`` at the feasible
+    interval's lower end for coordinate 0, ``loss(p)[1]`` at its upper end
+    for coordinate 1, each end clipped to [0, 1].  None for every other
+    rule (hull gaps, the numeric search, three or more outcomes)."""
+    if game.membership_gap is None or game.feasible_interval is None or game.m != 2 \
+            or (eta is not None and not game.mixable_at(eta)):
+        return None
+
+    def hint(cur: np.ndarray, w: int) -> float:
+        p = min(max(float(game.feasible_interval(cur)[w]), 0.0), 1.0)
+        return float(game.loss(np.array([p]))[w])
+
+    return hint
 
 
 def retraction_F(game: Game, g, *, eta: float | None = None,
@@ -238,39 +276,47 @@ def retraction_F(game: Game, g, *, eta: float | None = None,
     superprediction set (identical to the base set whenever mixability is
     asserted at that eta).  Different coordinate orders yield different,
     equally minimal points; ascending order is pinned here.
+
+    Each coordinate is the bisection of ``[0, g_w]`` for the least member.
+    On a binary box game's closed-form gap the bisection first walks its
+    path against the closed-form boundary, making no gap call, and then
+    checks the path's two ends: a last ``lo`` that is not a member and a
+    last ``hi`` that is.  The gap is monotone along the path, so when both
+    hold every midpoint would have gone the same way, and the result is
+    the plain bisection's bit for bit; when either fails, the plain
+    bisection runs.  Raises ``ValueError`` for a negative or NaN ``tol``.
     """
+    _check_tol(tol)
     cur = as_losses(g).copy()
     mtol = _membership_tol(game)
     entry = domination_gap(game, cur) if eta is None else hull_membership_gap(game, cur, eta)
     if entry > max(mtol, MEMBERSHIP_TOL):
         raise ValueError("input is not a superprediction (or hull member)")
     gap = _gap_rule(game, eta)
-
-    def member(v: np.ndarray) -> bool:
-        return gap(v) <= mtol
+    hint = _retraction_hint(game, eta)
 
     for w in range(game.m):
         probe = cur.copy()
-        probe[w] = 0.0
-        if member(probe):
+
+        def member(x: float) -> bool:
+            probe[w] = x
+            return gap(probe) <= mtol
+
+        if member(0.0):
             cur[w] = 0.0
             continue
-        hi = cur[w]
+        hi = float(cur[w])
         if not np.isfinite(hi):
             hi = 1.0
-            probe[w] = hi
-            while not member(probe) and hi < _EXPAND_CAP:
+            while not member(hi) and hi < _EXPAND_CAP:
                 hi *= 2.0
-                probe[w] = hi
-            if not member(probe):
+            if not member(hi):
                 continue  # no finite value restores membership
-        lo = 0.0
-        while hi - lo > tol:
-            mid = 0.5 * (lo + hi)
-            probe[w] = mid
-            if member(probe):
-                hi = mid
-            else:
-                lo = mid
-        cur[w] = hi
+        if hint is not None:
+            # the path of the test mid >= hint, checked at its two ends
+            lo, end = _bisect(hint(cur, w).__le__, hi, tol)
+            if (lo == 0.0 or not member(lo)) and (end == hi or member(end)):
+                cur[w] = end
+                continue
+        cur[w] = _bisect(member, hi, tol)[1]
     return cur

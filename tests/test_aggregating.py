@@ -2,6 +2,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from expertmix.aggregating import (
     aa_mix,
@@ -213,8 +215,9 @@ class TestRetraction:
 
 def reference_retraction(game, g, eta=None, tol=1e-10):
     """The retraction that validates every probe through ``domination_gap``
-    or ``hull_membership_gap``; ``retraction_F`` makes the same probes and
-    returns the same bits."""
+    or ``hull_membership_gap``; ``retraction_F`` returns the same bits, from
+    the same probes or, where it walks a closed-form path, from a few of
+    them."""
     cur = np.asarray(g, dtype=float).copy()
     mtol = 0.0 if game.membership_gap is not None else 1e-9
 
@@ -250,22 +253,26 @@ def reference_retraction(game, g, eta=None, tol=1e-10):
     return cur
 
 
+def recording(base, probes, **fields):
+    """``base`` with its membership closed forms appending each probe to
+    ``probes``, and ``fields`` replaced."""
+    def recorded(fn):
+        def gap(v, *args):
+            probes.append(tuple(np.asarray(v).tolist()))
+            return fn(v, *args)
+        return gap if fn is not None else None
+
+    return replace(base, membership_gap=recorded(base.membership_gap),
+                   hull_membership_gap=recorded(base.hull_membership_gap), **fields)
+
+
 class TestMembershipRulePickedOnce:
     @pytest.mark.parametrize("name,eta", [("log", None), ("log", 1.0), ("square", None),
                                           ("square", 2.0), ("absolute", None),
                                           ("absolute", 1.0)])
     def test_retraction_probes_like_the_validating_reference(self, name, eta):
         probes = []
-
-        def recorded(fn):
-            def gap(v, *args):
-                probes.append(tuple(np.asarray(v).tolist()))
-                return fn(v, *args)
-            return gap if fn is not None else None
-
-        base = builtin_game(name, 2)
-        g = replace(base, membership_gap=recorded(base.membership_gap),
-                    hull_membership_gap=recorded(base.hull_membership_gap))
+        g = recording(builtin_game(name, 2), probes)
         rng = np.random.default_rng(8)
         points = [g.loss_vector([p]) + rng.uniform(0.0, 1.0, 2) for p in rng.random(4)]
         for v in points + [np.array([INF, 2.0])]:
@@ -274,9 +281,78 @@ class TestMembershipRulePickedOnce:
             seen = list(probes)
             probes.clear()
             assert retraction_F(g, v, eta=eta).tolist() == want.tolist()
-            assert probes == seen
+            if (name, eta) == ("absolute", 1.0):
+                assert probes == seen  # a hull gap has no closed-form walk
+            else:
+                # the walk's checks are points of the reference's path
+                assert set(probes) <= set(seen) and len(probes) <= len(seen)
+
+    def test_wrong_hint_falls_back_to_the_plain_bisection(self):
+        base = builtin_game("log", 2)
+
+        def shifted(g):
+            lo, hi = base.feasible_interval(g)
+            return lo + 1e-6, hi + 1e-6
+
+        probes = []
+        g = recording(base, probes, feasible_interval=shifted)
+        for p in (0.2, 0.5, 0.7):
+            v = g.loss_vector([p]) + np.array([0.3, 0.2])
+            probes.clear()
+            want = reference_retraction(g, v)
+            seen = list(probes)
+            probes.clear()
+            assert retraction_F(g, v).tolist() == want.tolist()
+            rest = iter(probes)
+            assert all(probe in rest for probe in seen)  # the plain path, in order
 
     def test_no_hull_rule_at_eta_refused(self):
         # square loss is not mixable at eta = 3 and has no hull closed form
         with pytest.raises(ValueError, match="no hull membership rule"):
             retraction_F(builtin_game("square", 2), [1.0, 1.0], eta=3.0)
+
+
+OFFSETS = (0.0, 1e-12, 1e-9, 1e-6, 1e-3, 0.1, 1.0)
+#: eta None (the base set), mixable etas, and for absolute loss, which is
+#: mixable at no eta, its hull at eta = 1
+ETAS = {"log": (None, 0.5, 1.0), "square": (None, 1.0, 2.0), "absolute": (None, 1.0)}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([(name, eta) for name, etas in ETAS.items() for eta in etas]),
+       st.floats(0.0, 1.0), st.tuples(st.sampled_from(OFFSETS), st.sampled_from(OFFSETS)),
+       st.sampled_from([None, 0, 1]))
+def test_retraction_matches_the_validating_reference(game_eta, p, offsets, inf):
+    name, eta = game_eta
+    g = builtin_game(name, 2)
+    v = g.loss_vector([p]) + np.array(offsets)
+    if inf is not None:
+        v[inf] = INF
+    assert retraction_F(g, v, eta=eta).tolist() == reference_retraction(g, v, eta).tolist()
+
+
+class TestBisectionEnds:
+    @pytest.mark.parametrize("tol", [0.0, 1e-20])
+    def test_retraction_below_one_ulp_ends_at_adjacent_floats(self, tol):
+        g = builtin_game("log", 2)
+        out = retraction_F(g, [1.2, 0.5], tol=tol)
+        assert domination_gap(g, out) <= 0.0
+        for w in range(2):
+            below = out.copy()
+            below[w] = np.nextafter(out[w], 0.0)
+            assert domination_gap(g, below) > 0.0
+
+    @pytest.mark.parametrize("tol", [0.0, 1e-20])
+    def test_projection_below_one_ulp_ends_at_adjacent_floats(self, tol):
+        g = builtin_game("square", 2)
+        out = project_boundary(g, [1.0, 1.0], c=2.0, eta=1.0, tol=tol)
+        r = out[0]
+        assert out.tolist() == [r, r] and domination_gap(g, out) <= 1e-12
+        assert domination_gap(g, np.nextafter(r, 0.0) * np.ones(2)) > 1e-12
+
+    @pytest.mark.parametrize("tol", [-1.0, np.nan])
+    def test_negative_or_nan_tol_refused(self, tol):
+        with pytest.raises(ValueError, match="tol"):
+            retraction_F(builtin_game("log", 2), [1.2, 0.5], tol=tol)
+        with pytest.raises(ValueError, match="tol"):
+            project_boundary(builtin_game("square", 2), [1.0, 1.0], c=2.0, eta=1.0, tol=tol)

@@ -17,7 +17,10 @@ Python and numpy versions, each run's ``host_slowdown``, correctness and
 end-to-end metrics, and for each workload and seed the medians of both
 sides, the interquartile range of the base's runs and the number of pairs
 in which the working tree did better.  Runs already in the file are kept,
-so several invocations (one workload each, say) add up to one file.
+so several invocations (one workload each, say) add up to one file, as long
+as the base commit, the committed ``src`` tree and the sha256 of ``git diff
+--binary HEAD -- src`` (uncommitted edits to ``src``) are unchanged;
+otherwise the old runs are dropped.
 
 ``--tier1`` also runs the tier-1 suite once on each side, base first
 (``python -m pytest -q --continue-on-collection-errors --durations=5``),
@@ -28,6 +31,7 @@ under ``tier1``.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import platform
 import shutil
@@ -152,17 +156,20 @@ def main(argv=None) -> int:
 
     path = ROOT / f"BENCH_{args.label}.json"
     base_sha, head_sha = git("rev-parse", args.base), git("rev-parse", "HEAD")
+    src_tree = git("rev-parse", "HEAD:src")
+    src_diff = hashlib.sha256(git("diff", "--binary", "HEAD", "--", "src").encode()).hexdigest()
     doc = json.loads(path.read_text()) if path.exists() else {"runs": []}
-    if doc["runs"] and (doc["base"]["sha"], doc["head"]["src_tree"]) != (
-            base_sha, git("rev-parse", "HEAD:src")):
-        doc["runs"] = []  # runs of other commits are not comparable
+    if doc["runs"] and (doc["base"]["sha"], doc["head"]["src_tree"],
+                        doc["head"].get("src_diff_sha256")) != (base_sha, src_tree, src_diff):
+        doc["runs"] = []  # runs of other code are not comparable
         doc.pop("tier1", None)
     doc.update({
         "label": args.label,
         "base": {"ref": args.base, "sha": base_sha,
                  "src_tree": git("rev-parse", f"{base_sha}:src")},
-        "head": {"sha": head_sha, "src_tree": git("rev-parse", "HEAD:src"),
-                 "src_dirty": bool(git("status", "--porcelain", "--", "src"))},
+        "head": {"sha": head_sha, "src_tree": src_tree,
+                 "src_dirty": bool(git("status", "--porcelain", "--", "src")),
+                 "src_diff_sha256": src_diff},
         "python": platform.python_version(), "numpy": numpy.__version__,
         "protocol": "alternated pairs of perfbench/run.py --trace 0, base tree exported "
                     "with git archive; host-adjusted end-to-end metrics",
