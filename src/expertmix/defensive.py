@@ -13,6 +13,11 @@ six levels of every bracket, and the bisection replays over their values.
 A block of rounds with fixed advice solves all its admissible intervals in
 one batch (:func:`admissible_intervals`), or with three or more outcomes
 checks every round's barycentre in one q call (:func:`forecast_rounds`).
+Under the game's canonical proper loss, ``q(p, w) <= 1`` exactly where
+``lambda(p, w) <= gamma_w`` for AA's mix ``gamma``, so the admissible
+interval is AA's feasible interval: a binary block walks its bisection
+against that closed form and checks every midpoint of the walk in one q
+call, and only the rows whose check fails are bisected on q.
 For three or more outcomes the solve runs on the delta-interior of the
 simplex with an explicit epsilon slack that is surfaced and accumulated
 into the regret audit instead of being ignored.
@@ -270,32 +275,21 @@ def _row_nodes(a: np.ndarray, b: np.ndarray, depth: int) -> np.ndarray:
     return x
 
 
-def admissible_intervals(q, C: float, tol: float, rows: int) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`admissible_interval` for ``rows`` binary q's at once: ``q(P,
-    r)`` maps forecasts ``P``, shape (n, 2), each of row ``r[i]``, to their
-    values ``(q_r(p, 0), q_r(p, 1))``.  Each q call holds the nodes of the
-    next six levels of every bracket still open in any row (the first call
-    also ``p = 0, 1`` of every row), and one replay walks all brackets at
-    once, so each row's endpoints are those :func:`admissible_interval`
-    gives it, bit for bit.  (That one-row call keeps its own replay: on one
-    row, numpy's per-call cost would double a round-by-round step, so a
-    block of one row takes it too.)
-    Returns the arrays ``lo`` and ``hi``; raises
-    :class:`ContractViolation` when the expectation bound fails at an
-    endpoint of any row."""
-    _require_tol(tol)
-    levels = max(0, 1 - math.frexp(tol)[1])  # the smallest L with 2**-L <= tol
+def _bisected_intervals(q, C: float, levels: int, rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """The crossings ``lo, hi`` of :func:`admissible_intervals` bisected
+    for ``levels`` levels with no hint, not yet collapsed: each q call
+    holds the nodes of the next six levels of every bracket still open in
+    any row (the first call also ``p = 0, 1`` of every row), and one replay
+    walks all brackets at once."""
     depth = min(levels, _BATCH_LEVELS)
     x = _nodes(0.0, 1.0, depth)
     p = np.concatenate([[0.0, 1.0], x[1:-1]])
     qv = _q_at(q, np.tile(p, rows), np.repeat(np.arange(rows), len(p))).reshape(rows, len(p), 2)
     q0, q1 = qv[:, 0], qv[:, 1]
-    bound = C * (1.0 + 1e-9) + 1e-12
-    if np.any(q0[:, 0] > bound) or np.any(q1[:, 1] > bound):
-        raise ContractViolation("expectation bound fails at an endpoint")
+    _require_expectation_bound(q0, q1, C)
     # bracket (r, 0) holds the crossing of row r's q(., 1), (r, 1) that of
     # its q(., 0); one whose endpoint already holds is not bisected
-    r, side = np.nonzero(np.column_stack([~(q0[:, 1] <= C), ~(q1[:, 0] <= C)]))
+    r, side = np.nonzero(~_endpoints_hold(q0, q1, C))
     nodes, vals = np.broadcast_to(x, (len(r), len(x))), qv[r, 2:]  # the first nodes serve both
     del qv, q0, q1  # the first call's rows go once their brackets are drawn
     brackets = np.arange(len(r))
@@ -313,6 +307,100 @@ def admissible_intervals(q, C: float, tol: float, rows: int) -> tuple[np.ndarray
     lo, hi = np.zeros(rows), np.ones(rows)
     lo[r[side == 0]] = b[side == 0]
     hi[r[side == 1]] = a[side == 1]
+    return lo, hi
+
+
+def _require_expectation_bound(q0: np.ndarray, q1: np.ndarray, C: float) -> None:
+    """Raise :class:`ContractViolation` unless every row's ``q(0, 0)`` and
+    ``q(1, 1)`` keep the expectation bound."""
+    bound = C * (1.0 + 1e-9) + 1e-12
+    if np.any(q0[:, 0] > bound) or np.any(q1[:, 1] > bound):
+        raise ContractViolation("expectation bound fails at an endpoint")
+
+
+def _endpoints_hold(q0: np.ndarray, q1: np.ndarray, C: float) -> np.ndarray:
+    """Per row, whether ``q(0, 1) <= C`` (its lower end is 0) and whether
+    ``q(1, 0) <= C`` (its upper end is 1), shape (n, 2)."""
+    return np.column_stack([q0[:, 1] <= C, q1[:, 0] <= C])
+
+
+#: the sign that makes each bracket's test ``mid * sign >= hint * sign``
+_SIDE_SIGN = np.array([1.0, -1.0])
+#: bracket 0 turns left where its test holds, bracket 1 where it fails
+_TURN_FLIP = np.array([False, True])
+
+
+def _walk(hint: np.ndarray, levels: int):
+    """Bisect both brackets of every row of ``hint`` (n, 2) for ``levels``
+    levels with no q call, ``mid >= hint[r, 0]`` standing in for ``q_r(mid,
+    1) <= C`` and ``mid <= hint[r, 1]`` for ``q_r(mid, 0) <= C``.  Returns
+    the midpoints (n, 2, levels), the test's answer at each, and the last
+    brackets ``a, b`` (n, 2)."""
+    a, b = np.zeros(hint.shape), np.ones(hint.shape)
+    mids = np.empty((levels, *hint.shape))
+    holds = np.empty(mids.shape, dtype=bool)
+    signed = hint * _SIDE_SIGN
+    for mid, ok in zip(mids, holds):
+        np.add(a, b, out=mid)
+        mid *= 0.5  # the bisection's 0.5 * (lo + hi), in place
+        np.greater_equal(mid * _SIDE_SIGN, signed, out=ok)
+        left = ok ^ _TURN_FLIP
+        a, b = np.where(left, a, mid), np.where(left, mid, b)
+    return mids.transpose(1, 2, 0), holds.transpose(1, 2, 0), a, b
+
+
+def _walked_intervals(q, C: float, levels: int, hint: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The crossings of :func:`_bisected_intervals`, from one q call: the
+    bisection walks against ``hint`` (:func:`_walk`), and the call holds
+    every row's ``p = 0, 1`` and its ``2 levels`` midpoints.  A bracket
+    whose every real decision ``q(mid) <= C`` is the walked one is the one
+    the plain bisection leaves, which reads the same midpoints and turns the
+    same way at each; the rows with any other bracket are bisected with no
+    hint."""
+    rows = len(hint)
+    mids, holds, a, b = _walk(hint, levels)
+    p = np.concatenate([np.tile([0.0, 1.0], (rows, 1)), mids.reshape(rows, -1)], axis=1)
+    qv = _q_at(q, p.ravel(), np.repeat(np.arange(rows), p.shape[1])).reshape(*p.shape, 2)
+    q0, q1 = qv[:, 0], qv[:, 1]
+    _require_expectation_bound(q0, q1, C)
+    done = _endpoints_hold(q0, q1, C)
+    real = np.stack([qv[:, 2:levels + 2, 1], qv[:, levels + 2:, 0]], axis=1) <= C
+    lo = np.where(done[:, 0], 0.0, b[:, 0])
+    hi = np.where(done[:, 1], 1.0, a[:, 1])
+    missed = np.flatnonzero(~np.all(done | np.all(real == holds, axis=-1), axis=1))
+    if missed.size:
+        lo[missed], hi[missed] = _bisected_intervals(
+            lambda P, r: q(P, missed[r]), C, levels, len(missed))
+    return lo, hi
+
+
+def admissible_intervals(q, C: float, tol: float, rows: int,
+                         hint: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`admissible_interval` for ``rows`` binary q's at once: ``q(P,
+    r)`` maps forecasts ``P``, shape (n, 2), each of row ``r[i]``, to their
+    values ``(q_r(p, 0), q_r(p, 1))``.  Each row's endpoints are those
+    :func:`admissible_interval` gives it, bit for bit.  (That one-row call
+    keeps its own replay: on one row, numpy's per-call cost would double a
+    round-by-round step, so a block of one row takes it too.)
+
+    With no ``hint``, each q call holds the nodes of the next six levels of
+    every bracket still open in any row (the first call also ``p = 0, 1``
+    of every row), and one replay walks all brackets at once: 5 q calls at
+    ``tol = 1e-9``.  A ``hint`` (rows, 2) is a guess at each row's
+    crossings, such as AA's feasible interval, which is the admissible
+    interval at ``c = 1`` under the game's canonical proper loss: both
+    brackets of every row are bisected against it with no q call, and one
+    q call checks every midpoint of the path (:func:`_walked_intervals`).
+    A row whose real decisions differ anywhere from the walked ones is
+    bisected with no hint, so a wrong hint costs q calls, never bits.
+
+    Returns the arrays ``lo`` and ``hi``; raises
+    :class:`ContractViolation` when the expectation bound fails at an
+    endpoint of any row."""
+    _require_tol(tol)
+    levels = max(0, 1 - math.frexp(tol)[1])  # the smallest L with 2**-L <= tol
+    lo, hi = (_bisected_intervals(q, C, levels, rows) if hint is None
+              else _walked_intervals(q, C, levels, np.asarray(hint, dtype=float)))
     mid = 0.5 * (lo + hi)
     collapsed = hi < lo  # crossings that pass each other collapse to their midpoint
     return np.where(collapsed, mid, lo), np.where(collapsed, mid, hi)
@@ -633,13 +721,28 @@ def dfa_proposal(state: Session, advice, *, epsilon: float = 1e-6,
                     lambda w: (lam[w], float(lv[w]), A[:, w], log_q[w]), pi)
 
 
+def _interval_hint(state: Session, A: np.ndarray, lwn: np.ndarray) -> np.ndarray | None:
+    """AA's feasible interval for each round of a binary block, (B, 2),
+    when the session's proper loss is its game's canonical one: there
+    ``q(p, w) = exp(eta (lambda(p, w) - gamma_w) / c)`` for AA's mix
+    ``gamma``, so ``q(., 1) <= 1`` from the interval's lower end on and
+    ``q(., 0) <= 1`` up to its upper end, up to rounding, which the walk's
+    check catches.  None for any other session."""
+    game = state.game
+    if game.feasible_interval is None or getattr(state.proper, "fn", None) is not game.proper_loss:
+        return None
+    return np.column_stack(game.feasible_interval(aa_mix(state, A, lwn)))
+
+
 def _block_forecasts(state: Session, lwn: np.ndarray, A: np.ndarray, epsilon: float,
                      tol: float, select: str):
     """The forecasts that one batch gives a block of B rounds under their
     log posteriors ``lwn`` (B, k), from one batched log-mix: every binary
-    midpoint (:func:`admissible_intervals`), or for three or more outcomes
-    the barycentre wherever :func:`dfa_solve_simplex` takes it (one q call
-    for all rows, checked against its target ``(1 + epsilon) C + tol``).
+    midpoint (:func:`admissible_intervals`, walked against AA's feasible
+    interval where :func:`_interval_hint` gives one), or for three or more
+    outcomes the barycentre wherever :func:`dfa_solve_simplex` takes it
+    (one q call for all rows, checked against its target ``(1 + epsilon) C
+    + tol``).
     Returns the forecasts (B, m), their slack, the rows ``q(pi, .)`` and
     the mask of rounds served, each served row what :func:`choose_forecast`
     gives that round.  A block of one row, the binary root selection and a
@@ -650,7 +753,7 @@ def _block_forecasts(state: Session, lwn: np.ndarray, A: np.ndarray, epsilon: fl
         try:
             q = fixed_advice_q(state, A, lwn)
             if m == 2:
-                lo, hi = admissible_intervals(q, 1.0, tol, B)
+                lo, hi = admissible_intervals(q, 1.0, tol, B, _interval_hint(state, A, lwn))
                 p = 0.5 * (lo + hi)
                 pi = np.column_stack([1.0 - p, p])
             qpi = q(pi, np.arange(B))

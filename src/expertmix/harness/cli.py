@@ -3,7 +3,9 @@
 Subcommands: ``run`` executes a scenario and writes its trajectory,
 ``verify`` re-audits a recorded trajectory, ``check`` runs the property
 suites for a game, ``sweep`` grids a parameter and emits a CSV.  The exit
-code is nonzero iff an audited bound fails (expected-failure demos exempt).
+code is nonzero iff an audited bound fails (expected-failure demos exempt),
+or, for ``check``, iff a suite with a verdict (mixability, the
+supermartingale property, relative exp-convexity) fails.
 """
 
 from __future__ import annotations
@@ -91,12 +93,16 @@ def _cmd_check(args) -> int:
         rep = check_mixability(game, eta, samples=args.samples, seed=args.seed)
         print(f"mixability[{game.name}, eta={eta}]: mixable={rep.mixable} "
               f"worst_gap {rep.worst_gap:.3e}")
+        if not rep.mixable:
+            rc = 2
     if "supermartingale" in which:
         proper = default_proper_loss(game, c, eta)
         rep = supermartingale_property_check(proper, c, eta, game,
                                              samples=args.samples, seed=args.seed)
-        print(f"supermartingale[{game.name}, c={c}, eta={eta}]: "
+        print(f"supermartingale[{game.name}, c={c}, eta={eta}]: holds={rep.holds} "
               f"max_excess {rep.max_excess:.3e}")
+        if not rep.holds:
+            rc = 2
     if "expconvexity" in which:
         sg = SIMPLEX_GAMES.get(args.game)
         sgame = sg(args.m) if sg else absolute_simplex()
@@ -104,6 +110,8 @@ def _cmd_check(args) -> int:
                                            seed=args.seed)
         print(f"exp-convexity[{sgame.name}, c={c}, eta={eta}]: holds={rep.holds} "
               f"worst {rep.worst_violation:.3e}")
+        if not rep.holds:
+            rc = 2
     return rc
 
 

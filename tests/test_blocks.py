@@ -606,10 +606,39 @@ def test_dfa_blocks_replay_the_solver_edges(name):
         assert_blocks_replay_rounds(config, block)
 
 
+def test_dfa_blocks_replay_rounds_the_hint_misleads():
+    """One square expert at 0: ``q(p, 1) = exp(eta p^2)`` rounds to 1.0
+    for ``p`` below ~1e-8, so the real crossing is not AA's feasible
+    interval's end, and every row of every block is bisected again with
+    no hint, with the same bytes."""
+    config = parse_config({
+        "game": {"name": "square", "m": 2}, "algorithm": "dfa", "eta": 2.0, "horizon": 300,
+        "seed": 5, "experts": [{"kind": "constant", "value": 0.0}],
+        "reality": {"kind": "iid"}})
+    walked, bisected = defensive._walked_intervals, defensive._bisected_intervals
+    hinted, again = [], []
+
+    def walked_rows(q, C, levels, hint):
+        hinted.append(len(hint))
+        return walked(q, C, levels, hint)
+
+    def bisected_rows(q, C, levels, rows):
+        again.append(rows)
+        return bisected(q, C, levels, rows)
+
+    with mock.patch.object(defensive, "_walked_intervals", walked_rows), \
+            mock.patch.object(defensive, "_bisected_intervals", bisected_rows):
+        run_scenario(config)
+    assert hinted == again == [BLOCK_ROUNDS, config.horizon - BLOCK_ROUNDS]
+    assert_blocks_replay_rounds(config, BLOCK_ROUNDS)
+
+
 def test_forecast_binary_blocks_cost_few_q_calls():
     """A block of 256 ``dfa-log-k10`` rounds (the ``forecast-binary``
-    workload) makes at most 7 q calls, and passes the proper loss no more
-    rows than the same rounds played one at a time."""
+    workload) makes at most 2 q calls (one holds every midpoint that the
+    walk against AA's feasible interval visits, one the forecasts), and
+    passes the proper loss no more rows than the same rounds played one at
+    a time."""
     config = builtin_scenario("dfa-log-k10", horizon=2 * BLOCK_ROUNDS)
     fixed_advice_q, proper_call = defensive.fixed_advice_q, ProperLoss.__call__
     calls, rows = [], []
@@ -637,7 +666,7 @@ def test_forecast_binary_blocks_cost_few_q_calls():
     (blocked, q_calls, blocked_rows), (want, _, round_rows) = work(blocked_run), \
         work(reference_run)
     assert blocked == want
-    assert q_calls <= 7 * 2
+    assert q_calls <= 2 * 2
     assert blocked_rows <= round_rows
 
 

@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from expertmix.aggregating import aa_proposal, aa_start, aa_step
+from expertmix.aggregating import aa_mix, aa_proposal, aa_start, aa_step
 from expertmix.defensive import (
     admissible_interval,
+    admissible_intervals,
     choose_forecast,
     default_proper_loss,
     dfa_bound_margins,
@@ -370,6 +371,66 @@ class TestBatchedRoot:
         pi, slack = choose_forecast(lambda P: calls.append(P) or q(P), 2, select="root")
         assert pi.tolist() == [0.5, 0.5] and len(calls) == 1
         assert slack == max(0.0, float(np.max(q(pi[None, :]))) - 1.0)
+
+
+def reference_walk(q, C, tol, hint_lo, hint_hi):
+    """The endpoints that trusting the hint would give: ``reference_interval``
+    with ``mid >= hint_lo`` standing in for ``q(mid, 1) <= C`` and ``mid <=
+    hint_hi`` for ``q(mid, 0) <= C``."""
+    q0, q1 = np.asarray(q(np.eye(2)), dtype=float)
+    a_lo, b_lo, a_hi, b_hi = 0.0, 1.0, 0.0, 1.0
+    while b_lo - a_lo > tol:
+        m_lo, m_hi = 0.5 * (a_lo + b_lo), 0.5 * (a_hi + b_hi)
+        a_lo, b_lo = (a_lo, m_lo) if m_lo >= hint_lo else (m_lo, b_lo)
+        a_hi, b_hi = (m_hi, b_hi) if m_hi <= hint_hi else (a_hi, m_hi)
+    lo, hi = (0.0 if q0[1] <= C else b_lo), (1.0 if q1[0] <= C else a_hi)
+    if hi < lo:
+        lo = hi = 0.5 * (lo + hi)
+    return lo, hi
+
+
+@st.composite
+def interval_blocks(draw):
+    """A block of 1-8 rows of one binary game's fixed-advice q, each row
+    its own posterior over the same k experts and its own advice."""
+    name = draw(st.sampled_from(["log", "square"]))
+    k = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.lists(st.tuples(weights, forecasts), min_size=k, max_size=k).filter(
+        lambda row: sum(w for w, _ in row) > 0), min_size=1, max_size=8))
+    return name, rows
+
+
+class TestHintedIntervals:
+    @settings(max_examples=150, deadline=None)
+    @given(block=interval_blocks(), tol=st.sampled_from([1e-9, 1e-12, 2.0 ** -52, 0.3, 2.0]),
+           shift=st.sampled_from([0.0, 1e-12, -1e-12, 1e-6, -1e-6, np.nan]))
+    def test_hinted_endpoints_equal_the_reference_bisection(self, block, tol, shift):
+        # log advice at decision 0 or 1 has an infinite entry
+        name, rows = block
+        game = builtin_game(name, 2)
+        c, eta = BINARY[name]
+        w = np.array([[wt for wt, _ in row] for row in rows])
+        with np.errstate(divide="ignore"):
+            lwn = np.log(w / w.sum(axis=1, keepdims=True))
+        A = np.stack([advice_rows(game, [d for _, d in row]) for row in rows])
+        state = dfa_start(game, eta=eta, c=c, n_experts=A.shape[1])
+        q = fixed_advice_q(state, A, lwn)
+        hint = np.column_stack(game.feasible_interval(aa_mix(state, A, lwn))) + shift
+        calls = []
+
+        def counted(P, r):
+            calls.append(len(P))
+            return q(P, r)
+
+        lo, hi = admissible_intervals(counted, 1.0, tol, len(rows), hint)
+        row_qs = [lambda P, r=r: q(P, np.full(len(P), r)) for r in range(len(rows))]
+        want = [reference_interval(q_r, 1.0, tol) for q_r in row_qs]
+        assert list(zip(lo.tolist(), hi.tolist())) == want
+        # a hint that would lead the walk astray is caught: its rows are
+        # bisected again, in more q calls
+        trusted = [reference_walk(q_r, 1.0, tol, *row) for q_r, row in zip(row_qs, hint.tolist())]
+        if trusted != want:
+            assert len(calls) > 1
 
 
 def reference_check(proper, c, eta, game, samples=2000, seed=0, grid=25):

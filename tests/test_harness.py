@@ -345,6 +345,19 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "proper[log]" in out and "mixability[log" in out
 
+    @pytest.mark.parametrize("args, rc", [
+        (["--game", "log", "--eta", "3", "--which", "supermartingale,mixability"], 2),
+        (["--game", "log", "--eta", "3", "--which", "mixability"], 2),
+        (["--game", "log", "--eta", "3", "--which", "supermartingale"], 2),
+        # the absolute simplex lacks relative exp-convexity
+        (["--game", "hellinger", "--m", "3", "--which", "expconvexity"], 2),
+        # properness has no threshold: it only reports
+        (["--game", "log", "--eta", "3", "--which", "proper"], 0),
+    ])
+    def test_check_fails_with_its_suite(self, args, rc, capsys):
+        assert cli_main(["check", *args, "--samples", "200"]) == rc
+        assert ("=False" in capsys.readouterr().out) == (rc == 2)
+
     def test_sweep(self, tmp_path, capsys):
         cfg = small_config(horizon=20)
         cfg_path = tmp_path / "cfg.json"

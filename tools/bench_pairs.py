@@ -15,17 +15,21 @@ phase of a shared host falls on both sides alike.
 The results go to ``BENCH_<label>.json`` at the repo root: both SHAs, the
 Python and numpy versions, each run's ``host_slowdown``, correctness and
 end-to-end metrics, and for each workload and seed the medians of both
-sides, the interquartile range of the base's runs and the number of pairs
-in which the working tree did better.  Runs already in the file are kept,
-so several invocations (one workload each, say) add up to one file, as long
-as the base commit, the committed ``src`` tree and the sha256 of ``git diff
---binary HEAD -- src`` (uncommitted edits to ``src``) are unchanged;
-otherwise the old runs are dropped.
+sides, the interquartile range of the base's runs, the number of pairs
+in which the working tree did better, and the number of incorrect runs of
+each side (``correct`` false or ``failed`` above 0).  Runs already in the
+file are kept, so several invocations (one workload each, say) add up to
+one file, as long as the base commit, the committed ``src`` tree and the
+sha256 of ``git diff --binary HEAD -- src`` (uncommitted edits to ``src``)
+are unchanged; otherwise the old runs are dropped.
 
 ``--tier1`` also runs the tier-1 suite once on each side, base first
 (``python -m pytest -q --continue-on-collection-errors --durations=5``),
 and records its wall time, its result line and its five slowest tests
 under ``tier1``.
+
+Each incorrect run in the file is printed at the end, and the exit code is
+1 if there is any, since its timings measure a wrong program.
 """
 
 from __future__ import annotations
@@ -109,16 +113,23 @@ def quartiles(xs: list[float]) -> tuple[float, float]:
     return q[0], q[2]
 
 
+def incorrect(run: dict) -> bool:
+    """Whether a run's result line says it computed something wrong."""
+    return not run["correct"] or run["failed"] > 0
+
+
 def summarize(runs: list[dict]) -> dict:
-    """Per workload and seed, per metric: medians, the base's IQR and the
-    working tree's wins over the pairs."""
+    """Per workload and seed: the number of incorrect runs of each side
+    (``base_incorrect``, ``head_incorrect``), and per metric the medians,
+    the base's IQR and the working tree's wins over the pairs."""
     out: dict = {}
     keys = sorted({(r["workload"], r["seed"]) for r in runs})
     for workload, seed in keys:
         mine = [r for r in runs if (r["workload"], r["seed"]) == (workload, seed)]
         pairs = sorted({r["pair"] for r in mine})
         by = {(r["pair"], r["side"]): r["metrics"] for r in mine}
-        entry = {}
+        entry = {f"{side}_incorrect": sum(incorrect(r) for r in mine if r["side"] == side)
+                 for side in ("base", "head")}
         for metric, higher in HIGHER.items():
             both = [(by[p, "base"][metric], by[p, "head"][metric]) for p in pairs
                     if metric in by.get((p, "base"), {}) and metric in by.get((p, "head"), {})]
@@ -200,11 +211,22 @@ def main(argv=None) -> int:
                     path.write_text(json.dumps(doc, indent=1) + "\n")
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
+    return report(doc)
+
+
+def report(doc: dict) -> int:
+    """Print the summary's medians and each incorrect run; the exit code,
+    1 if any run is incorrect."""
     for key, entry in doc.get("summary", {}).items():
         for metric, s in entry.items():
-            print(f"{key:28s} {metric:24s} base {s['base_median']:.6g} head "
-                  f"{s['head_median']:.6g} wins {s['head_wins']}/{s['pairs']}")
-    return 0
+            if metric in HIGHER:
+                print(f"{key:28s} {metric:24s} base {s['base_median']:.6g} head "
+                      f"{s['head_median']:.6g} wins {s['head_wins']}/{s['pairs']}")
+    bad = [r for r in doc["runs"] if incorrect(r)]
+    for r in bad:
+        print(f"INCORRECT {r['side']} run {r['workload']}@{r['seed']} pair {r['pair']}: "
+              f"correct={r['correct']} failed={r['failed']}")
+    return 1 if bad else 0
 
 
 if __name__ == "__main__":
