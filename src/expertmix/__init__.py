@@ -33,7 +33,6 @@ from .losses import (
     realizability_constant,
 )
 from .aggregating import (
-    AAState,
     aa_mix,
     aa_start,
     aa_step,
@@ -41,12 +40,10 @@ from .aggregating import (
     retraction_F,
 )
 from .defensive import (
-    DFAState,
     dfa_solve_binary,
     dfa_solve_simplex,
     dfa_start,
     dfa_step,
-    q_term,
     supermartingale_property_check,
 )
 from .secondguess import SecondGuessExpert, sg_aa_step, sg_dfa_step, sg_fixed_point

@@ -12,8 +12,8 @@ import numpy as np
 
 from .core import (
     MEMBERSHIP_TOL,
+    NO_EARLIER,
     Game,
-    Proposal,
     Rounds,
     Session,
     as_losses,
@@ -26,7 +26,9 @@ from .core import (
 from .errors import AllExpertsDead, DimensionMismatch, NotRealizable, SubstitutionFailure
 
 
-def _advice_matrix(advice, m: int) -> np.ndarray:
+def _advice_matrix(advice, m: int, k: int) -> np.ndarray:
+    """The advice rows of ``k`` experts over ``m`` outcomes, (k, m), or of a
+    block of rounds, (B, k, m), validated unless already a float array."""
     if isinstance(advice, np.ndarray) and advice.ndim in (2, 3) and \
             advice.dtype == np.float64:
         A = advice
@@ -35,13 +37,9 @@ def _advice_matrix(advice, m: int) -> np.ndarray:
         A = np.stack(rows) if rows else np.empty((0, m))
     if A.shape[-1] != m:
         raise DimensionMismatch(f"advice over {A.shape[-1]} outcomes, game has {m}")
+    if A.shape[-2] != k:
+        raise DimensionMismatch(f"{A.shape[-2]} advice rows for {k} experts")
     return A
-
-
-#: A mixing session: weights are kept unnormalized in log space,
-#: ``log_weights[t] = ln P0(t) - eta * L_t`` where ``L_t`` is expert ``t``'s
-#: cumulative loss, so experts with infinite loss carry weight exactly zero.
-AAState = Session
 
 
 def aa_start(game: Game, *, eta: float, c: float = 1.0,
@@ -55,11 +53,7 @@ def aa_mix(state: Session, advice, log_posterior: np.ndarray | None = None) -> n
     ``g(w) = -(c/eta) ln sum_t wbar_t exp(-eta * advice_t(w))`` for the
     advice rows (k, m) under the session's posterior, or for a block of
     rounds, advice (B, k, m) under their ``log_posterior`` rows (B, k)."""
-    A = _advice_matrix(advice, state.game.m)
-    if A.shape[-2] != state.n_experts:
-        raise DimensionMismatch(
-            f"{A.shape[-2]} advice rows for {state.n_experts} experts"
-        )
+    A = _advice_matrix(advice, state.game.m, state.n_experts)
     lwn = state.log_posterior() if log_posterior is None else log_posterior
     logs = log_mix(lwn, state.eta, A)
     g = np.where(np.isneginf(logs), np.inf, -(state.c / state.eta) * logs)
@@ -90,71 +84,81 @@ def substitute(state: Session, g: np.ndarray,
     return decision, lv
 
 
-def aa_proposal(state: Session, advice,
-                *, substitution_tol: float = 1e-7) -> Proposal:
-    """Mix the advice and substitute a decision; the proposal's forecast is
-    the mixed vector.
+def picked_rounds(state: Session, lvs: np.ndarray, advice: np.ndarray, outcomes: np.ndarray,
+                  pick, log_weights: np.ndarray, log_value: np.ndarray, slack: np.ndarray,
+                  last=None, log_factors: np.ndarray | None = None):
+    """The end of a block of B rounds whose moves have the loss vectors
+    ``lvs`` (B, m): Reality picks the last round's outcome,
+    ``pick(lvs[-1])`` (``outcomes`` holds those of the B - 1 rounds
+    before it), ``last(w)`` gives that round's learner term and log factor
+    (zero and None for a mixing session), and the session takes its
+    reweigh from the weights before each round, ``log_weights`` (B, k) and
+    ``log_value`` (B,) (:meth:`Session.reweigh_last`).  ``log_factors``
+    holds the earlier rounds' log factors of a forecasting session.
+    Returns Learner's losses, the experts' losses (B, k), the rounds' slack
+    and their :class:`Rounds`."""
+    w = np.append(outcomes, pick(lvs[-1]))
+    rows = np.arange(len(w))
+    learner_losses, expert_losses = lvs[rows, w], advice[rows, :, w]
+    term, log_factor = (0.0, None) if last is None else last(w[-1])
+    lw, lv = state.reweigh_last(log_weights, log_value, term, expert_losses[-1], log_factor)
+    return learner_losses, expert_losses, slack, state.rounds(
+        lw, lv, learner_losses, expert_losses, slack,
+        None if last is None else np.append(log_factors, log_factor))
 
-    Raises :class:`SubstitutionFailure` when the mixed vector is not
-    dominated by the substituted decision's losses, i.e. when (c, eta) is
-    outside the game's realizability contract.
-    """
-    A = _advice_matrix(advice, state.game.m)
-    g = aa_mix(state, A)
-    decision, lv = substitute(state, g, substitution_tol)
-    return Proposal(decision, lv, 0.0, lambda w: (0.0, float(lv[w]), A[:, w], None), g)
 
-
-def substituted_rounds(state: Session, forecasts: np.ndarray, outcomes: np.ndarray,
-                       expert_losses: np.ndarray, log_weights: np.ndarray,
+def substituted_rounds(state: Session, forecasts: np.ndarray, advice: np.ndarray,
+                       outcomes: np.ndarray, pick, log_weights: np.ndarray,
                        log_value: np.ndarray, slack: np.ndarray,
-                       error: Exception | None = None, log_factors: np.ndarray | None = None,
-                       *, substitution_tol: float = 1e-7):
+                       error: Exception | None = None, last=None,
+                       log_factors: np.ndarray | None = None, *, substitution_tol: float = 1e-7):
     """The tail of a block of rounds: one batched substitution of the
-    rounds' ``forecasts`` (B', m), then the session's :meth:`Session.rounds`.
-    A block cut short by ``error`` in round B' < B substitutes the rounds
-    before it, so a :class:`SubstitutionFailure` among them comes first, as
-    round by round, then raises ``error``.  Returns the decisions, Learner's
-    losses, the experts' losses, the rounds' slack and their
-    :class:`Rounds`."""
+    rounds' ``forecasts`` (B', m), then :func:`picked_rounds`.  A block cut
+    short by ``error`` in round B' < B substitutes the rounds before it, so
+    a :class:`SubstitutionFailure` among them comes first, as round by
+    round, then raises ``error``; the last round's substitution comes
+    before Reality's pick.  Returns the decisions and what
+    :func:`picked_rounds` returns."""
     decisions, lvs = substitute(state, forecasts, substitution_tol)
     if error is not None:
         raise error
-    learner_losses = lvs[np.arange(len(outcomes)), outcomes]
-    return decisions, learner_losses, expert_losses, slack, state.rounds(
-        log_weights, log_value, learner_losses, expert_losses, slack, log_factors)
+    return (decisions, *picked_rounds(state, lvs, advice, outcomes, pick, log_weights,
+                                      log_value, slack, last, log_factors))
 
 
-def aa_rounds(state: Session, advice: np.ndarray, outcomes: np.ndarray,
+def aa_rounds(state: Session, advice: np.ndarray, outcomes: np.ndarray, pick,
               *, substitution_tol: float = 1e-7):
-    """Play a block of B rounds whose advice, shape (B, k, m), and outcomes,
-    shape (B,), do not depend on Learner's moves: one reweigh gives the
-    posterior before every round, one batched mix and substitution the
-    decisions.  Returns the decisions, Learner's losses, the experts'
-    losses, the rounds' (zero) slack and the session's :class:`Rounds`,
-    each row what :func:`aa_step` gives that round.  :class:`AllExpertsDead`
-    and :class:`SubstitutionFailure` are raised for the first round that
-    meets them, as round by round."""
-    rows = np.arange(len(advice))
-    expert_losses = advice[rows, :, outcomes]
-    lw, lv = state.reweigh(0.0, expert_losses)
-    # the posterior before each round: the session's, then each round's
-    lw_before = np.concatenate([state.log_weights[None], lw[:-1]])
-    lv_before = np.concatenate([[state.log_value], lv[:-1]])
-    dead = np.isneginf(lv_before)
-    live = int(np.argmax(dead)) if dead.any() else len(rows)
-    g = aa_mix(state, advice[:live], lw_before[:live] - lv_before[:live, None])
-    return substituted_rounds(state, g, outcomes, expert_losses, lw, lv,
-                              np.zeros(len(rows)),
-                              AllExpertsDead() if live < len(rows) else None,
+    """Play a block of B rounds whose advice, shape (B, k, m), does not
+    depend on Learner's moves: ``outcomes`` (B - 1,) are those of the
+    rounds before the last, and ``pick(loss_vector)`` gives the last
+    round's from Learner's loss vector there (a round that Reality or an
+    expert must see before it is decided is a block of one).  One reweigh
+    gives the posterior before every round, one batched mix and
+    substitution the decisions.  Returns the decisions, Learner's losses,
+    the experts' losses, the rounds' (zero) slack and the session's
+    :class:`Rounds`, each row what :func:`aa_step` gives that round.
+    :class:`AllExpertsDead` and :class:`SubstitutionFailure` are raised for
+    the first round that meets them, before Reality picks."""
+    lw, lv = state.reweigh(0.0, advice[np.arange(len(outcomes)), :, outcomes])
+    # the weights before each round: the session's, then each earlier round's
+    lw = np.concatenate([state.log_weights[None], lw])
+    lv = np.concatenate([[state.log_value], lv])
+    dead = np.isneginf(lv)
+    live = int(np.argmax(dead)) if dead.any() else len(lv)
+    g = aa_mix(state, advice[:live], lw[:live] - lv[:live, None])
+    return substituted_rounds(state, g, advice, outcomes, pick, lw, lv, np.zeros(len(lv)),
+                              AllExpertsDead() if live < len(lv) else None,
                               substitution_tol=substitution_tol)
 
 
 def aa_step(state: Session, advice, outcome: int,
             *, substitution_tol: float = 1e-7) -> tuple[np.ndarray, Session]:
-    """One protocol round: mix, substitute, observe, reweigh."""
-    p = aa_proposal(state, advice, substitution_tol=substitution_tol)
-    return p.decision, state.advance(*p.score(outcome))
+    """One protocol round: mix, substitute, observe, reweigh (a block of
+    one of :func:`aa_rounds`)."""
+    A = _advice_matrix(advice, state.game.m, state.n_experts)
+    decisions, *_, rounds = aa_rounds(state, A[None], NO_EARLIER, lambda lv: outcome,
+                                      substitution_tol=substitution_tol)
+    return decisions[0], state.after(rounds)
 
 
 def log_semi_invariant(state: Session, rounds: Rounds | None = None):
@@ -165,11 +169,6 @@ def log_semi_invariant(state: Session, rounds: Rounds | None = None):
         return float(state.eta * state.cumulative_loss / state.c + state.log_value)
     with np.errstate(invalid="ignore"):  # inf + -inf, as in float arithmetic
         return state.eta * rounds.cumulative_loss / state.c + rounds.log_value
-
-
-#: ``L_N - c L_N^theta - (c/eta) ln(1/P0(theta))`` for every theta;
-#: nonpositive entries mean the mixing-bound guarantee holds.
-theorem_bound_margins = Session.bound_margins
 
 
 # ---------------------------------------------------------------------------

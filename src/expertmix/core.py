@@ -479,26 +479,6 @@ def expected_factor(pi: np.ndarray, lam, g, c, eta) -> float:
     return float(np.dot(pi[live], np.exp(expo[live])))
 
 
-class Proposal(NamedTuple):
-    """Learner's move in one round, made before Reality's.
-
-    ``loss_vector`` is the decision's loss per outcome (what an adversarial
-    Reality looks at; None where the protocol has no single one), and
-    ``score(outcome)`` returns the arguments of :meth:`Session.advance`:
-    the learner term of the reweigh, Learner's loss, the experts' losses
-    and the round's log factor (None for mixing and evaluator sessions).
-    ``forecast`` is what the decision was substituted from: the mixed
-    superprediction for mixing sessions, the forecast distribution for
-    forecasting sessions.
-    """
-
-    decision: np.ndarray
-    loss_vector: np.ndarray | None
-    slack: float
-    score: Callable[[Any], tuple]
-    forecast: Any = None
-
-
 @dataclass(frozen=True, eq=False)
 class Session:
     """One session of any protocol: the paper's prior-weighted product of
@@ -617,6 +597,20 @@ class Session:
         lw[np.logical_or.accumulate(np.isneginf(lw), axis=0)] = -np.inf
         return lw, log_sum_exp(lw, axis=-1)
 
+    def reweigh_last(self, log_weights, log_value, learner_term, expert_losses,
+                     log_factor=None) -> tuple[np.ndarray, np.ndarray]:
+        """The log weights after each round of a block, shape (B, k), and
+        their log-sum-exps, shape (B,), from the weights before each round,
+        ``log_weights`` (B, k) and ``log_value`` (B,), the session's first:
+        the rows after the first, then the last round's :meth:`advance`
+        from the weights before it, which Reality picked after Learner's
+        move.  An infinite ``learner_term`` keeps its extended-real rule."""
+        before = self if len(log_value) == 1 else replace(
+            self, log_weights=log_weights[-1], log_value=float(log_value[-1]))
+        after = before.advance(learner_term, 0.0, expert_losses, log_factor)
+        return (np.concatenate([log_weights[1:], after.log_weights[None]]),
+                np.append(log_value[1:], after.log_value))
+
     def rounds(self, log_weights, log_value, learner_losses, expert_losses, slack,
                log_factors=None) -> "Rounds":
         """The session's fields after each round of a block that reweighed
@@ -662,6 +656,11 @@ class Session:
             penalty = -np.log(self.prior)
             rhs = self.c * per + (self.c / self.eta) * (penalty + slack)
             return np.where(np.isinf(rhs), -np.inf, cum - rhs)
+
+
+#: the outcomes of the rounds before the last of a block of one
+NO_EARLIER = np.empty(0, dtype=int)
+NO_EARLIER.setflags(write=False)
 
 
 class Rounds(NamedTuple):

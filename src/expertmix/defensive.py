@@ -32,19 +32,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .aggregating import (_advice_matrix, aa_mix, project_boundary, substitute,
-                          substituted_rounds)
-from .core import (Game, Proposal, Session, _batch_losses, as_losses, as_probs,
-                   log_mix, pair_exponent, simplex_grid, start_session)
+from .aggregating import _advice_matrix, aa_mix, project_boundary, substituted_rounds
+from .core import (NO_EARLIER, Game, Session, _batch_losses, log_mix, pair_exponent,
+                   simplex_grid, start_session)
 from .errors import AllExpertsDead, ContractViolation, SlackExceeded
 from .losses import ProperLoss, proper_loss_from_entropy
-
-
-def q_term(proper: ProperLoss, c: float, eta: float, g, pi, omega: int) -> float:
-    """One supermartingale factor ``exp(eta (lambda(pi, omega)/c - g(omega)))``."""
-    lam = proper(as_probs(pi))[omega]
-    gw = as_losses(g)[omega]
-    return float(np.exp(pair_exponent(np.array(lam), np.array(gw), c, eta)))
 
 
 def default_proper_loss(game: Game, c: float, eta: float) -> ProperLoss:
@@ -555,13 +547,6 @@ def dfa_solve_simplex(q: Callable[[np.ndarray], np.ndarray], C: float,
 # The forecasting protocol step
 
 
-#: A forecasting session: ``log_weights[t]`` tracks AA's ``ln P0(t) - eta
-#: sum_n g_n^t(w_n)``, and ``log_supermartingale = sum_n ln q(pi_n, w_n)``, the
-#: log of the prior-weighted supermartingale, never rises above the
-#: accumulated solver slack ``slack_log_total = sum_n ln(1 + s_n)``.
-DFAState = Session
-
-
 def dfa_start(game: Game, *, eta: float, c: float = 1.0,
               prior: Sequence[float] | np.ndarray | None = None,
               n_experts: int | None = None,
@@ -696,31 +681,6 @@ def _log_q(qpi: np.ndarray) -> np.ndarray:
         return np.log(qpi)
 
 
-def dfa_proposal(state: Session, advice, *, epsilon: float = 1e-6,
-                 tol: float = 1e-9, select: str = "midpoint",
-                 substitution_tol: float = 1e-7) -> Proposal:
-    """Choose the forecast pi for the given advice and substitute a
-    decision; the learner term is ``lambda(pi)`` and the round's log factor
-    ``ln q(pi, w)``, read from the solver's row at pi.
-
-    When the simplex search stalls, AA's substituted mix is taken as the
-    forecast if it keeps q under the same target (the two protocols make
-    the same prediction); otherwise :class:`SlackExceeded` propagates.
-    Raises :class:`SubstitutionFailure` when the loss parameterization's
-    value cannot be dominated by a legal decision; with the default
-    parameterizations that means (c, eta) violates the game's contract.
-    """
-    A = _advice_matrix(advice, state.game.m)
-    if A.shape[0] != state.n_experts:
-        raise ValueError(f"{A.shape[0]} advice rows for {state.n_experts} experts")
-    pi, slack, qpi = _forecast(state, state.log_posterior(), A, epsilon, tol, select)
-    lam = state.proper(pi)
-    decision, lv = substitute(state, lam, substitution_tol)
-    log_q = _log_q(qpi)
-    return Proposal(decision, lv, slack,
-                    lambda w: (lam[w], float(lv[w]), A[:, w], log_q[w]), pi)
-
-
 def _interval_hint(state: Session, A: np.ndarray, lwn: np.ndarray) -> np.ndarray | None:
     """AA's feasible interval for each round of a binary block, (B, 2),
     when the session's proper loss is its game's canonical one: there
@@ -767,94 +727,101 @@ def _block_forecasts(state: Session, lwn: np.ndarray, A: np.ndarray, epsilon: fl
 def forecast_rounds(state: Session, A: np.ndarray, expert_losses: np.ndarray, score,
                     *, epsilon: float, tol: float, select: str):
     """The solve of a block of B forecasting rounds whose advice ``A`` (B,
-    k, m) and experts' losses (B, k) do not depend on Learner's moves.
+    k, m) does not depend on Learner's moves, given the experts' losses
+    (B - 1, k) of the rounds before the last, whose outcome Reality has
+    not picked yet.
 
     The session's posterior is AA's, so one reweigh gives the posterior
     before every round.  One batch serves the rounds it can
     (:func:`_block_forecasts`); :func:`_forecast` gives each other round
     its forecast, slack and ``q(pi, .)`` row, one at a time on the same
     posteriors, with AA's mix as the fallback of a stalled simplex
-    search.  ``score(block, pi, qpi, lwn, lw)`` gives the
-    rounds ``block`` (a slice), played at the forecasts ``pi`` under the
-    log posteriors ``lwn`` and log weights ``lw``, their learner terms, log
-    factors and moves.  A round whose learner term is infinite keeps
-    weights that AA's posterior drops, so the rounds after it are solved
-    again from its weights.  Returns the moves, slack, learner terms, log
-    weights, log values and log factors of the rounds played, and the error
-    of the first round that raised (None when all B were played)."""
-    B = len(A)
-    lw, lv = np.empty(expert_losses.shape), np.empty(B)
-    slack, terms, log_factors = np.zeros(B), np.empty(B), np.empty(B)
-    moves, n, error, cur = [], 0, None, state
+    search.  ``score(block, pi, qpi, lwn, lw)`` gives the learner terms
+    and log factors of the rounds ``block`` (a slice of the rounds before
+    the last), played at the forecasts ``pi`` under the log posteriors
+    ``lwn`` and log weights ``lw``.  A round whose learner term is
+    infinite keeps weights that AA's posterior drops, so the rounds after
+    it are solved again from its weights.  Returns the forecasts, slack
+    and q rows of the rounds solved, the log weights and log values before
+    each, the learner terms and log factors of those before the last, and
+    the error of the first round that raised (None when all B were
+    solved)."""
+    B, k, m = A.shape
+    lw, lv = np.empty((B, k)), np.empty(B)  # before each round
+    pi, slack, qpi = np.empty((B, m)), np.zeros(B), np.empty((B, m))
+    terms, log_factors = np.empty(B - 1), np.empty(B - 1)
+    n, error, cur = 0, None, state
     while n < B and error is None:
-        lw[n:], lv[n:] = cur.reweigh(0.0, expert_losses[n:])
-        # the posterior before each round: the session's, then each round's
-        lw_before = np.concatenate([cur.log_weights[None], lw[n:-1]])
-        lv_before = np.concatenate([[cur.log_value], lv[n:-1]])
-        dead = np.isneginf(lv_before)
+        lw[n], lv[n] = cur.log_weights, cur.log_value
+        lw[n + 1:], lv[n + 1:] = cur.reweigh(0.0, expert_losses[n:])
+        dead = np.isneginf(lv[n:])
         live = int(np.argmax(dead)) if dead.any() else len(dead)
-        lwn = lw_before[:live] - lv_before[:live, None]
-        pi, s, qpi, served = _block_forecasts(cur, lwn, A[n:n + live], epsilon, tol, select)
+        lwn = lw[n:n + live] - lv[n:n + live, None]
+        p, s, q, served = _block_forecasts(cur, lwn, A[n:n + live], epsilon, tol, select)
         played = live
         for i in np.flatnonzero(~served):
             try:
-                pi[i], s[i], qpi[i] = _forecast(cur, lwn[i], A[n + i], epsilon, tol, select)
+                p[i], s[i], q[i] = _forecast(cur, lwn[i], A[n + i], epsilon, tol, select)
             except Exception as exc:  # raised once the rounds before it are played
                 error, played = exc, int(i)
                 break
         if error is None and live < len(dead):
             error = AllExpertsDead()
-        if not played:
-            break
-        block = slice(n, n + played)
-        terms[block], log_factors[block], move = score(block, pi[:played], qpi[:played],
-                                                       lwn[:played], lw_before[:played])
-        slack[block] = s[:played]
+        pi[n:n + played], slack[n:n + played], qpi[n:n + played] = \
+            p[:played], s[:played], q[:played]
+        block = slice(n, n + min(played, B - 1 - n))
+        if block.stop > n:
+            terms[block], log_factors[block] = score(block, p[:block.stop - n],
+                                                     q[:block.stop - n], lwn[:block.stop - n],
+                                                     lw[block])
         infinite = np.flatnonzero(np.isinf(terms[block]))
         if infinite.size:  # its weights by the extended-real rule; solve on from them
-            played = int(infinite[0]) + 1
-            i = n + played - 1
-            cur = replace(cur, log_weights=lw_before[played - 1],
-                          log_value=lv_before[played - 1]).advance(
+            i = n + int(infinite[0])
+            cur = replace(cur, log_weights=lw[i], log_value=lv[i]).advance(
                 terms[i], 0.0, expert_losses[i], log_factors[i])
-            lw[i], lv[i], error = cur.log_weights, cur.log_value, None
-        moves.append(move[:played])
+            played, error = i + 1 - n, None
         n += played
-    moves = np.concatenate(moves) if moves else np.empty((0, A.shape[-1]))
-    return moves, slack[:n], terms[:n], lw[:n], lv[:n], log_factors[:n], error
+    return pi[:n], slack[:n], qpi[:n], lw[:n], lv[:n], terms[:n], log_factors[:n], error
 
 
-def dfa_rounds(state: Session, advice: np.ndarray, outcomes: np.ndarray, *,
+def dfa_rounds(state: Session, advice: np.ndarray, outcomes: np.ndarray, pick, *,
                epsilon: float = 1e-6, tol: float = 1e-9, select: str = "midpoint",
                substitution_tol: float = 1e-7):
-    """Play a block of B rounds whose advice, shape (B, k, m), and outcomes,
-    shape (B,), do not depend on Learner's moves (:func:`forecast_rounds`):
-    one batch solves every binary midpoint round's admissible interval, or
-    takes the barycentre for every round with three or more outcomes whose
+    """Play a block of B rounds whose advice, shape (B, k, m), does not
+    depend on Learner's moves, from the outcomes (B - 1,) of the rounds
+    before the last and ``pick(loss_vector)``, the last round's
+    (:func:`aggregating.aa_rounds`; :func:`forecast_rounds`): one batch
+    solves every binary midpoint round's admissible interval, or takes the
+    barycentre for every round with three or more outcomes whose
     barycentre holds; the other rounds are solved one at a time, with AA's
-    mix as the fallback of a stalled simplex search, as in
-    :func:`dfa_proposal`.  The learner term is ``lambda(pi, w)``, the log
-    factor ``ln q(pi, w)``.  The substitution and the running sums are one
+    mix as the fallback of a stalled simplex search.  The learner term is
+    ``lambda(pi, w)``, the log factor ``ln q(pi, w)``, read from the
+    solver's row at pi.  The substitution and the running sums are one
     batch each.  Returns what :func:`aggregating.aa_rounds` returns, each
     row what :func:`dfa_step` gives that round; an error is raised for the
-    first round that meets it, as round by round."""
-    expert_losses = advice[np.arange(len(advice)), :, outcomes]
-
+    first round that meets it, as round by round, and before Reality picks.
+    :class:`SubstitutionFailure` means the loss parameterization's value
+    cannot be dominated by a legal decision; with the default
+    parameterizations, that (c, eta) violates the game's contract."""
     def score(block, pi, qpi, lwn, lw):
-        lam, rows = state.proper(pi), np.arange(len(pi))
-        return lam[rows, outcomes[block]], _log_q(qpi)[rows, outcomes[block]], lam
+        rows, w = np.arange(len(pi)), outcomes[block]
+        return state.proper(pi)[rows, w], _log_q(qpi)[rows, w]
 
-    lam, slack, _, lw, lv, log_factors, error = forecast_rounds(
-        state, advice, expert_losses, score, epsilon=epsilon, tol=tol, select=select)
-    return substituted_rounds(state, lam, outcomes, expert_losses, lw, lv, slack, error,
-                              log_factors, substitution_tol=substitution_tol)
+    pi, slack, qpi, lw, lv, _, log_factors, error = forecast_rounds(
+        state, advice, advice[np.arange(len(outcomes)), :, outcomes], score,
+        epsilon=epsilon, tol=tol, select=select)
+    lam = state.proper(pi) if len(pi) else pi
+    return substituted_rounds(state, lam, advice, outcomes, pick, lw, lv, slack, error,
+                              lambda w: (lam[-1, w], _log_q(qpi[-1])[w]), log_factors,
+                              substitution_tol=substitution_tol)
 
 
 def dfa_step(state: Session, advice, outcome: int, *,
              epsilon: float = 1e-6, tol: float = 1e-9,
              select: str = "midpoint",
              substitution_tol: float = 1e-7) -> tuple[np.ndarray, Session, float]:
-    """One forecasting round: choose pi, substitute, observe, reweigh.
+    """One forecasting round: choose pi, substitute, observe, reweigh (a
+    block of one of :func:`dfa_rounds`).
 
     Binary games default to the midpoint of the admissible interval (the
     same selection the midpoint substitution makes on the mixing side);
@@ -862,11 +829,8 @@ def dfa_step(state: Session, advice, outcome: int, *,
     Returns ``(decision, new_state, slack)`` where ``slack`` is the step's
     worst-case excess of q over 1 across outcomes.
     """
-    p = dfa_proposal(state, advice, epsilon=epsilon, tol=tol, select=select,
-                     substitution_tol=substitution_tol)
-    return p.decision, state.advance(*p.score(outcome), p.slack), p.slack
-
-
-#: ``L_N - c L_N^theta - (c/eta)(ln(1/P0) + slack allowance)`` per theta;
-#: nonpositive entries mean the guarantee holds.
-dfa_bound_margins = Session.bound_margins
+    A = _advice_matrix(advice, state.game.m, state.n_experts)
+    decisions, _, _, slack, rounds = dfa_rounds(
+        state, A[None], NO_EARLIER, lambda lv: outcome, epsilon=epsilon, tol=tol,
+        select=select, substitution_tol=substitution_tol)
+    return decisions[0], state.after(rounds), float(slack[0])

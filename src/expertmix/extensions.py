@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import (PROB_TOL, Game, Proposal, Session, as_probs, log_sum_exp, pair_exponent,
+from .core import (NO_EARLIER, PROB_TOL, Game, Session, as_probs, log_sum_exp, pair_exponent,
                    start_session)
 from .defensive import (
     _forecast,
@@ -48,10 +48,6 @@ class EvaluatedExpert:
     eta: float
     prior: float
     name: str = ""
-
-
-#: Evaluator and simplex-outcome sessions are the shared session type.
-MLState = SimplexState = Session
 
 
 def ml_dfa_start(experts: Sequence[EvaluatedExpert], m: int, *,
@@ -104,34 +100,23 @@ def _ml_forecast(state: Session, G: np.ndarray, epsilon: float, tol: float):
     return pi, slack, lam
 
 
-def ml_dfa_proposal(state: Session, advice, *, epsilon: float = 1e-6,
-                    tol: float = 1e-9) -> Proposal:
-    """Learner announces a distribution (the root selection for binary
-    outcomes); every party is then scored by each evaluator's own loss."""
-    adv = np.stack([as_probs(a) for a in advice])
-    m = state.proper[0].game.m
-    if adv.shape != (state.n_experts, m):
-        raise ValueError(f"advice shape {adv.shape}, expected "
-                         f"({state.n_experts}, {m})")
-    G = _advice_losses(state, adv)
-    pi, slack, lam = _ml_forecast(state, G, epsilon, tol)
-    return Proposal(pi, None, slack, lambda w: (lam[:, w], lam[:, w], G[:, w], None), pi)
-
-
-def ml_dfa_rounds(state: Session, advice: np.ndarray, outcomes: np.ndarray, *,
+def ml_dfa_rounds(state: Session, advice: np.ndarray, outcomes: np.ndarray, pick, *,
                   epsilon: float = 1e-6, tol: float = 1e-9):
     """Play a block of B evaluator rounds whose advice, distributions of
-    shape (B, k, m), and outcomes, shape (B,), do not depend on Learner's
-    moves: the advice is checked in one batch, and the records' columns
-    and running sums are built once.  Each expert's learner term
-    ``lambda_t / c_t`` differs, so the posterior is not AA's and is not one
-    cumulative sum: each round's chain stays round by round, as in
-    :func:`ml_dfa_proposal` (the advice losses, the q, its root, every
-    expert's loss at the forecast) and :meth:`Session.advance`.  Returns
-    the forecasts (B, m), Learner's losses and the experts' losses (B, k),
-    the slack and the session's :class:`~expertmix.core.Rounds`, each row
-    what :func:`ml_dfa_step` gives that round; an error is raised in the
-    first round that meets it, as round by round."""
+    shape (B, k, m), does not depend on Learner's moves, from the outcomes
+    (B - 1,) of the rounds before the last and ``pick(None)``, the last
+    round's (a forecast has no single loss vector): the advice is checked
+    in one batch, and the records' columns and running sums are built
+    once.  Each expert's learner term ``lambda_t / c_t`` differs, so the
+    posterior is not AA's and is not one cumulative sum: each round's
+    chain stays round by round (the advice losses, the q, its root, every
+    expert's loss at the forecast, then :meth:`Session.advance`).  Learner
+    announces a distribution (the root selection for binary outcomes), and
+    every party is scored by each evaluator's own loss.  Returns the
+    forecasts (B, m), Learner's losses and the experts' losses (B, k), the
+    slack and the session's :class:`~expertmix.core.Rounds`, each row what
+    :func:`ml_dfa_step` gives that round; an error is raised in the first
+    round that meets it, as round by round."""
     B, k, m = advice.shape
     if (k, m) != (state.n_experts, state.proper[0].game.m):
         raise ValueError(f"advice shape {advice.shape}, expected "
@@ -142,13 +127,14 @@ def ml_dfa_rounds(state: Session, advice: np.ndarray, outcomes: np.ndarray, *,
     pis, slack = np.empty((B, m)), np.zeros(B)
     learner, expert_losses, lw, lv = np.empty((B, k)), np.empty((B, k)), np.empty((B, k)), \
         np.empty(B)
-    cur = state
-    for i, w in enumerate(outcomes.tolist()):
+    ws, cur = outcomes.tolist(), state
+    for i in range(B):
         if doubtful[i]:
             for a in advice[i]:
                 as_probs(a)
         G = _advice_losses(cur, advice[i])
         pis[i], slack[i], lam = _ml_forecast(cur, G, epsilon, tol)
+        w = ws[i] if i < len(ws) else pick(None)
         learner[i], expert_losses[i] = lam[:, w], G[:, w]
         cur = cur.advance(learner[i], learner[i], expert_losses[i], None, slack[i])
         lw[i], lv[i] = cur.log_weights, cur.log_value
@@ -158,14 +144,11 @@ def ml_dfa_rounds(state: Session, advice: np.ndarray, outcomes: np.ndarray, *,
 def ml_dfa_step(state: Session, advice, outcome: int, *,
                 epsilon: float = 1e-6, tol: float = 1e-9,
                 ) -> tuple[np.ndarray, Session, float]:
-    """One evaluator round (see :func:`ml_dfa_proposal`)."""
-    p = ml_dfa_proposal(state, advice, epsilon=epsilon, tol=tol)
-    return p.decision, state.advance(*p.score(outcome), p.slack), p.slack
-
-
-#: Per-evaluator guarantee margins
-#: ``L^(t) - c_t L^t - (c_t/eta_t)(ln(1/P0) + slack)``.
-ml_bound_margins = Session.bound_margins
+    """One evaluator round (a block of one of :func:`ml_dfa_rounds`)."""
+    adv = np.stack([as_probs(a) for a in advice])
+    pis, *_, slack, rounds = ml_dfa_rounds(state, adv[None], NO_EARLIER, lambda _: outcome,
+                                           epsilon=epsilon, tol=tol)
+    return pis[0], state.after(rounds), float(slack[0])
 
 
 def duplicate_evaluators(specs: Sequence[tuple[ProperLoss, float, float]],
@@ -347,78 +330,66 @@ def _require_verified(state: Session) -> None:
         )
 
 
-def simplex_dfa_proposal(state: Session, advice, *, epsilon: float = 1e-6,
-                         tol: float = 1e-9, select: str = "midpoint") -> Proposal:
-    """Run the vertex solver on the restricted advice and substitute a
-    decision; the outcome scored later is a point of the simplex, at which
-    every party's decision is extended.  When the vertex search stalls,
-    AA's substituted mix is the forecast if it keeps q under the same
-    target, as in :func:`~expertmix.defensive.dfa_proposal`."""
-    _require_verified(state)
-    sg = state.game
-    decisions = [np.asarray(a, dtype=float) for a in advice]
-    vertex_advice = np.stack([sg.base.loss_vector(d) for d in decisions])
-    pi, slack, _ = _forecast(state, state.log_posterior(), vertex_advice, epsilon, tol, select)
-    decision = np.asarray(sg.base.substitution(state.proper(pi)), dtype=float)
-
-    def score(p_outcome):
-        # the factor at a point of the simplex, which relative
-        # exp-convexity bounds by the p-expectation of the vertex q
-        p = as_probs(p_outcome)
-        learner = sg.loss_on_simplex(decision, p)
-        g = np.array([sg.loss_on_simplex(d, p) for d in decisions])
-        log_factor = log_sum_exp(state.log_posterior() + state._log_factors(learner, g))
-        return learner, float(learner), g, log_factor
-
-    return Proposal(decision, None, slack, score, pi)
-
-
-def simplex_dfa_rounds(state: Session, advice: np.ndarray, outcomes: np.ndarray, *,
+def simplex_dfa_rounds(state: Session, advice: np.ndarray, outcomes: np.ndarray, pick, *,
                        epsilon: float = 1e-6, tol: float = 1e-9, select: str = "midpoint"):
     """Play a block of B simplex-outcome rounds whose advice, decisions of
-    shape (B, k, d), and outcomes, points of shape (B, m), do not depend on
-    Learner's moves (:func:`expertmix.defensive.forecast_rounds`): one
-    ``game.loss`` call for the vertex advice, one batched
+    shape (B, k, d), does not depend on Learner's moves, from the outcomes,
+    points (B - 1, m), of the rounds before the last and ``pick(None)``,
+    the last round's point (:func:`expertmix.defensive.forecast_rounds`):
+    one ``game.loss`` call for the vertex advice, one batched
     ``loss_on_simplex`` for the experts' losses, one q call at the
     barycentre for every round, and the vertex solver one round at a time
-    for the rounds whose barycentre misses its target.  Each round's
-    learner term is Learner's loss at the realized point and its log factor
-    ``ln sum_t wbar_t exp(eta (l/c - g_t))``, as in
-    :func:`simplex_dfa_proposal`: a stalled vertex search falls back to
-    AA's mix, as ``dfa``'s does, and there is no substitution check.  Returns
-    the decisions, Learner's losses, the experts' losses, the rounds' slack
-    and the session's :class:`~expertmix.core.Rounds`, each row what
+    for the rounds whose barycentre misses its target; a stalled vertex
+    search falls back to AA's mix, as ``dfa``'s does.  The outcome scored
+    is a point of the simplex, at which every party's decision is
+    extended: each round's learner term is Learner's loss at the realized
+    point, and its log factor ``ln sum_t wbar_t exp(eta (l/c - g_t))``,
+    which relative exp-convexity bounds by the point's expectation of the
+    vertex q; there is no substitution check.  Returns the decisions,
+    Learner's losses, the experts' losses, the rounds' slack and the
+    session's :class:`~expertmix.core.Rounds`, each row what
     :func:`simplex_dfa_step` gives that round; an error is raised for the
     first round that meets it."""
     _require_verified(state)
     sg = state.game
-    expert_losses = sg.loss_on_simplex(advice, outcomes[:, None])
+    known = sg.loss_on_simplex(advice[:len(outcomes)], outcomes[:, None])
 
-    def score(block, pi, qpi, lwn, lw):  # Session._log_factors of each round
-        decisions = np.asarray(sg.base.substitution(state.proper(pi)), dtype=float)
-        learner = sg.loss_on_simplex(decisions, outcomes[block])
-        expo = pair_exponent(learner[:, None], expert_losses[block], state.c, state.eta)
-        return learner, log_sum_exp(lwn + np.where(np.isneginf(lw), 0.0, expo), axis=-1), \
-            decisions
+    def play(pi):  # the substituted decisions at the forecasts
+        return np.asarray(sg.base.substitution(state.proper(pi)), dtype=float)
 
-    decisions, slack, learner, lw, lv, log_factors, error = forecast_rounds(
-        state, sg.base.loss_rows(advice), expert_losses, score, epsilon=epsilon,
-        tol=tol, select=select)
+    def score(decisions, points, expert_losses, lwn, lw):  # Session._log_factors of each round
+        learner = sg.loss_on_simplex(decisions, points)
+        expo = pair_exponent(learner[:, None], expert_losses, state.c, state.eta)
+        return learner, log_sum_exp(lwn + np.where(np.isneginf(lw), 0.0, expo), axis=-1)
+
+    pi, slack, _, lw, lv, learner, log_factors, error = forecast_rounds(
+        state, sg.base.loss_rows(advice), known,
+        lambda block, pi, qpi, lwn, lw: score(play(pi), outcomes[block], known[block], lwn, lw),
+        epsilon=epsilon, tol=tol, select=select)
     if error is not None:
         raise error
+    decisions = play(pi)
+    point = pick(None)
+    expert_losses = np.concatenate([known, sg.loss_on_simplex(advice[-1], point)[None]])
+    last, log_factor = score(decisions[-1:], point[None], expert_losses[-1:],
+                             lw[-1:] - lv[-1:, None], lw[-1:])
+    learner = np.append(learner, last)
+    lw, lv = state.reweigh_last(lw, lv, last[0], expert_losses[-1], log_factor[0])
     return decisions, learner, expert_losses, slack, state.rounds(
-        lw, lv, learner, expert_losses, slack, log_factors)
+        lw, lv, learner, expert_losses, slack, np.append(log_factors, log_factor))
 
 
 def simplex_dfa_step(state: Session, advice, p_outcome, *,
                      epsilon: float = 1e-6, tol: float = 1e-9,
                      select: str = "midpoint",
                      ) -> tuple[np.ndarray, Session, float]:
-    """One simplex-outcome round (see :func:`simplex_dfa_proposal`), scored
-    at the realized point ``p_outcome``."""
-    p = simplex_dfa_proposal(state, advice, epsilon=epsilon, tol=tol,
-                             select=select)
-    return p.decision, state.advance(*p.score(p_outcome), p.slack), p.slack
-
-
-simplex_bound_margins = Session.bound_margins
+    """One simplex-outcome round (a block of one of
+    :func:`simplex_dfa_rounds`), scored at the realized point
+    ``p_outcome``."""
+    _require_verified(state)
+    point = as_probs(p_outcome)
+    advice = np.stack([np.asarray(a, dtype=float) for a in advice])
+    decisions, _, _, slack, rounds = simplex_dfa_rounds(
+        state, advice[None], np.empty((0, state.game.m)), lambda _: point, epsilon=epsilon,
+        tol=tol, select=select)
+    return decisions[0], state.after(rounds), float(slack[0])

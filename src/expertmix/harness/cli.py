@@ -81,7 +81,11 @@ def _cmd_verify(args) -> int:
 def _cmd_check(args) -> int:
     which = args.which.split(",") if args.which else [
         "proper", "mixability", "supermartingale"]
-    game = builtin_game(args.game, args.m)
+    try:
+        game = builtin_game(args.game, args.m)
+    except ValueError as exc:
+        print(f"check: {exc}", file=sys.stderr)
+        return 2
     eta, c = args.eta, args.c
     rc = 0
     if "proper" in which:

@@ -17,9 +17,9 @@ from pathlib import Path
 
 import numpy as np
 
-from ..aggregating import aa_proposal, aa_rounds, aa_start, log_semi_invariant
+from ..aggregating import aa_rounds, aa_start, log_semi_invariant
 from ..core import Game
-from ..defensive import default_proper_loss, dfa_proposal, dfa_rounds, dfa_start
+from ..defensive import default_proper_loss, dfa_rounds, dfa_start
 from ..errors import ConfigError
 from ..extensions import (
     SIMPLEX_GAMES,
@@ -27,13 +27,12 @@ from ..extensions import (
     duplicate_evaluators,
     ml_dfa_rounds,
     ml_dfa_start,
-    simplex_dfa_proposal,
     simplex_dfa_rounds,
     simplex_dfa_start,
     tile_advice,
 )
 from ..losses import builtin_game
-from ..secondguess import sg_aa_proposal, sg_dfa_proposal
+from ..secondguess import sg_aa_rounds, sg_dfa_rounds
 from .config import ScenarioConfig
 from .strategies import build_reality, build_sg_expert, build_standard_expert
 
@@ -121,14 +120,16 @@ BLOCK_KINDS = ("constant", "iid-random", "trailing-average")
 
 def block_rounds(config: ScenarioConfig) -> int:
     """Rounds per block: ``BLOCK_ROUNDS`` when the experts and Reality of
-    every round are fixed before Learner moves, else one.  Mixing (``aa``)
-    and forecasting (``dfa``, and ``simplex-dfa`` on Dirichlet outcomes)
-    play such blocks, whose posteriors are one cumulative sum (a
-    forecasting session's weights are AA's); so do evaluator sessions
-    (``ml-dfa``), whose draws, advice check and records are batched while
-    the posterior-dependent chain stays round by round.  Adversarial
-    Reality, callback experts and the second-guessing protocols play one
-    round at a time."""
+    every round are fixed before Learner moves, else one.  Every protocol
+    plays its rounds in blocks through one loop (:func:`_block_play`).
+    Mixing (``aa``) and forecasting (``dfa``, and ``simplex-dfa`` on
+    Dirichlet outcomes) play long blocks, whose posteriors are one
+    cumulative sum (a forecasting session's weights are AA's); so do
+    evaluator sessions (``ml-dfa``), whose draws, advice check and records
+    are batched while the posterior-dependent chain stays round by round.
+    A round that Reality or an expert must see before it is decided is a
+    block of one: adversarial Reality, callback experts and the
+    second-guessing protocols."""
     if config.algorithm in ("aa", "dfa", "simplex-dfa", "ml-dfa") \
             and config.reality["kind"] in ("iid", "fixed", "dirichlet") \
             and all(e["kind"] in BLOCK_KINDS for e in config.experts):
@@ -138,13 +139,14 @@ def block_rounds(config: ScenarioConfig) -> int:
 
 # ---------------------------------------------------------------------------
 # Protocols.  Each opener starts the session and returns it with a ``play``
-# function for a block of rounds: ``play(state, n, size, outcomes)`` plays
-# rounds ``n .. n + size - 1``, appends their outcomes, and returns the
-# session after them, the columns of their step records in ``RECORD_KEYS``
-# order (from ``advice`` to ``slack_total``) and their bound margins,
-# shape (size, k).  Only the fixed-advice openers (mixing, forecasting,
-# simplex-outcome forecasting and evaluators) play blocks of more than one
-# round.
+# function for a block of rounds, made by :func:`_block_play`:
+# ``play(state, n, size, outcomes)`` plays rounds ``n .. n + size - 1``,
+# appends their outcomes, and returns the session after them, the columns
+# of their step records in ``RECORD_KEYS`` order (from ``advice`` to
+# ``slack_total``) and their bound margins, shape (size, k).  A protocol's
+# block function takes the outcomes of the block's rounds before the last
+# and ``pick(loss_vector)``, which gives the last round's once Learner has
+# moved; the second-guessing protocols play blocks of one.
 
 
 def _standard_experts(config: ScenarioConfig, game: Game, rngs):
@@ -161,63 +163,36 @@ def _standard_experts(config: ScenarioConfig, game: Game, rngs):
     return advise
 
 
-def _log_supermartingale(state, rounds=None):
-    """A forecasting session's log supermartingale, now or, shape (B,),
-    after each round of ``rounds``: the running sum of its log factors."""
-    return state.log_supermartingale if rounds is None else rounds.log_supermartingale
-
-
-def _log_value(state, rounds):
-    """An evaluator session's log supermartingale after each round of
-    ``rounds``: its weights' log-sum-exp."""
-    return rounds.log_value
-
-
-def _round_by_round(propose, reality, read):
-    """``play`` for a protocol that plays one round at a time:
-    ``propose(state, n, outcomes)`` returns the proposal, the advice as
-    recorded and the recorded ``learner_pi``; Reality then picks, seeing
-    the proposal's loss vector only when it depends on the prediction.
-    ``read(state)`` is the session's log supermartingale."""
-    def play(state, n, size, outcomes):
-        p, advice, learner_pi = propose(state, n, outcomes)
-        w = reality.pick(n, p.loss_vector if reality.depends_on_prediction else None)
-        outcomes.append(w)
-        learner_term, learner_loss, expert_losses, log_factor = p.score(w)
-        state = state.advance(learner_term, learner_loss, expert_losses, log_factor, p.slack)
-        cum = state.cumulative_loss
-        columns = (
-            [[[float(v) for v in row] for row in advice]],
-            [learner_pi],
-            [[float(v) for v in p.decision]],
-            [[float(v) for v in w] if isinstance(w, np.ndarray) else w],
-            [learner_loss.tolist() if isinstance(learner_loss, np.ndarray) else learner_loss],
-            [expert_losses.tolist()],
-            [list(cum) if isinstance(cum, np.ndarray) else cum],
-            [list(state.per_expert_loss)],
-            [read(state)],
-            [p.slack],
-            [state.slack_log_total],
-        )
-        return state, columns, state.bound_margins()[None]
-
-    return play
+def _listed(w: np.ndarray) -> list:
+    """Outcomes as the experts see them: ints, or points as arrays."""
+    return list(w) if w.ndim > 1 else w.tolist()
 
 
 def _block_play(reality, advise, rounds, learner_pi, read):
-    """``play`` for a block of rounds in one batch, against Reality that
-    does not look at the prediction: ``advise(n, size, outcomes)`` gives
-    the block's advice as recorded, ``rounds(state, advice, outcomes)`` its
-    moves, Learner's and the experts' losses, the slack and the
-    :class:`~expertmix.core.Rounds`, ``learner_pi(moves)`` the recorded
+    """``play`` for a block of rounds: ``advise(n, size, outcomes)`` gives
+    the block's advice, and ``rounds(state, advice, outcomes, pick)`` its
+    moves, Learner's and the experts' losses, the slack, the
+    :class:`~expertmix.core.Rounds` and the advice as recorded, from the
+    outcomes of the rounds before the last and ``pick(loss_vector)``, the
+    last round's.  Reality that does not look at the prediction draws the
+    block's outcomes in one call, and ``pick`` gives the last of them;
+    Reality that does plays blocks of one (:func:`block_rounds`) and picks
+    from Learner's loss vector.  ``learner_pi(moves)`` gives the recorded
     forecasts and ``read(state, rounds)`` the log supermartingale."""
     def play(state, n, size, outcomes):
-        w = reality.pick(n, None, size)
-        picks = list(w) if w.ndim > 1 else w.tolist()  # points stay arrays
-        outcomes.extend(picks[:-1])
-        advice = advise(n, size, outcomes)
-        outcomes.append(picks[-1])
-        moves, learner_losses, expert_losses, slack, played = rounds(state, advice, w)
+        if reality.depends_on_prediction:
+            w = np.zeros(size, dtype=int)
+
+            def pick(lv):
+                w[-1] = reality.pick(n, lv)
+                return w[-1]
+        else:
+            w = reality.pick(n, None, size)
+            pick = lambda lv: w[-1]  # noqa: E731
+        outcomes.extend(_listed(w[:-1]))
+        moves, learner_losses, expert_losses, slack, played, advice = rounds(
+            state, advise(n, size, outcomes), w[:-1], pick)
+        outcomes.extend(_listed(w[-1:]))
         columns = (advice.tolist(), learner_pi(moves), moves.tolist(),
                    w.tolist(), learner_losses.tolist(), expert_losses.tolist(),
                    played.cumulative_loss.tolist(), played.per_expert_loss.tolist(),
@@ -228,53 +203,48 @@ def _block_play(reality, advise, rounds, learner_pi, read):
     return play
 
 
-def _open_fixed_advice(start, propose, rounds, read, scored=builtin_game):
+def _open_fixed_advice(start, rounds, read, scored=builtin_game):
     """An opener for experts that advise before Learner moves, in the game
     ``scored(name, m)`` that the session scores or, for a simplex game, in
-    its base game.  Against Reality that looks at the prediction,
-    ``propose(state, decisions, eps, tol)`` plays round by round; otherwise
-    a block is played in one batch (:func:`_block_play`):
-    ``rounds(state, advice, outcomes, eps, tol)`` gives the decisions,
-    Learner's and the experts' losses, the slack and the
-    :class:`~expertmix.core.Rounds` of a block, and ``read(state, rounds)``
-    its log supermartingale."""
+    its base game: ``rounds(state, advice, outcomes, pick, eps, tol)``
+    plays a block (:func:`_block_play`), whose advice is recorded as the
+    experts gave it, and ``read(state, rounds)`` is its log
+    supermartingale."""
     def open_protocol(config: ScenarioConfig, rngs, reality, eps: float, tol: float):
         game = scored(config.game, config.m)
         state = start(game, eta=config.eta, c=config.c, prior=config.prior,
                       n_experts=len(config.experts))
         if isinstance(game, SimplexGame):
             game = game.base
-        advise = _standard_experts(config, game, rngs)
-        if reality.depends_on_prediction:
-            def propose_round(state, n, outcomes):
-                decisions = advise(n, 1, outcomes)[0]
-                p = propose(state, decisions, eps, tol)
-                return p, decisions, _learner_pi(game, p.decision[None])[0]
-
-            return state, _round_by_round(propose_round, reality, read)
-
         return state, _block_play(
-            reality, advise, lambda state, advice, w: rounds(state, advice, w, eps, tol),
+            reality, _standard_experts(config, game, rngs),
+            lambda state, advice, w, pick: (*rounds(state, advice, w, pick, eps, tol), advice),
             lambda decisions: _learner_pi(game, decisions), read)
 
     return open_protocol
 
 
-def _open_second_guess(start, propose, records_pi: bool, read):
+def _open_second_guess(start, rounds, records_pi: bool, read):
+    """An opener for second-guessing experts, whose blocks of one round
+    ``rounds(state, experts, outcomes, pick, eps, tol)`` plays and records
+    with the advice it scored; ``records_pi`` records the forecast of the
+    decision substituted for the announced loss vector."""
     def open_protocol(config: ScenarioConfig, rngs, reality, eps: float, tol: float):
         game = builtin_game(config.game, config.m)
         experts = [build_sg_expert(game, s) for s in config.experts]
         state = start(game, eta=config.eta, c=config.c, prior=config.prior,
                       n_experts=len(experts))
 
-        def propose_round(state, n, outcomes):
-            p = propose(state, experts, eps, tol)
-            gamma = p.decision
-            pi = _learner_pi(game, np.asarray(game.substitution(gamma), dtype=float)[None])[0] \
-                if records_pi else None
-            return p, [ex(gamma) for ex in experts], pi
+        def learner_pi(gammas):
+            if not records_pi:
+                return [None] * len(gammas)
+            return _learner_pi(game, np.stack(
+                [np.asarray(game.substitution(g), dtype=float) for g in gammas]))
 
-        return state, _round_by_round(propose_round, reality, read)
+        return state, _block_play(
+            reality, lambda n, size, outcomes: None,
+            lambda state, _, w, pick: rounds(state, experts, w, pick, eps, tol),
+            learner_pi, read)
 
     return open_protocol
 
@@ -301,35 +271,42 @@ def _open_evaluators(config: ScenarioConfig, rngs, reality, eps: float, tol: flo
         return tile_advice(base, len(specs))
 
     return state, _block_play(
-        reality, advise, lambda state, advice, w: ml_dfa_rounds(state, advice, w, epsilon=eps,
-                                                                  tol=tol),
-        lambda pi: pi.tolist(), _log_value)
+        reality, advise,
+        lambda state, advice, w, pick: (*ml_dfa_rounds(state, advice, w, pick, epsilon=eps,
+                                                       tol=tol), advice),
+        lambda pi: pi.tolist(), lambda state, rounds: rounds.log_value)
+
+
+def _log_supermartingale(state, rounds):
+    """A forecasting session's log supermartingale after each round of
+    ``rounds``: the running sum of its log factors."""
+    return rounds.log_supermartingale
 
 
 #: algorithm -> opener; mixing sessions read the semi-invariant as their
 #: log supermartingale, which is the same quantity
 PROTOCOLS = {
     "aa": _open_fixed_advice(
-        aa_start, lambda s, d, eps, tol: aa_proposal(s, s.game.loss_rows(d)),
-        lambda s, advice, w, eps, tol: aa_rounds(s, s.game.loss_rows(advice), w),
+        aa_start,
+        lambda s, advice, w, pick, eps, tol: aa_rounds(s, s.game.loss_rows(advice), w, pick),
         log_semi_invariant),
     "dfa": _open_fixed_advice(
         dfa_start,
-        lambda s, d, eps, tol: dfa_proposal(s, s.game.loss_rows(d), epsilon=eps, tol=tol),
-        lambda s, advice, w, eps, tol: dfa_rounds(s, s.game.loss_rows(advice), w,
-                                                  epsilon=eps, tol=tol),
+        lambda s, advice, w, pick, eps, tol: dfa_rounds(s, s.game.loss_rows(advice), w, pick,
+                                                        epsilon=eps, tol=tol),
         _log_supermartingale),
     "sg-dfa": _open_second_guess(
-        dfa_start, lambda s, ex, eps, tol: sg_dfa_proposal(s, ex, epsilon=eps, tol=tol),
+        dfa_start,
+        lambda s, ex, w, pick, eps, tol: sg_dfa_rounds(s, ex, w, pick, epsilon=eps, tol=tol),
         records_pi=True, read=_log_supermartingale),
     "sg-aa": _open_second_guess(
-        aa_start, lambda s, ex, eps, tol: sg_aa_proposal(s, ex, tol=tol),
+        aa_start, lambda s, ex, w, pick, eps, tol: sg_aa_rounds(s, ex, w, pick, tol=tol),
         records_pi=False, read=log_semi_invariant),
     "ml-dfa": _open_evaluators,
     "simplex-dfa": _open_fixed_advice(
         simplex_dfa_start,
-        lambda s, d, eps, tol: simplex_dfa_proposal(s, d, epsilon=eps, tol=tol),
-        lambda s, advice, w, eps, tol: simplex_dfa_rounds(s, advice, w, epsilon=eps, tol=tol),
+        lambda s, advice, w, pick, eps, tol: simplex_dfa_rounds(s, advice, w, pick,
+                                                                epsilon=eps, tol=tol),
         _log_supermartingale, scored=lambda name, m: SIMPLEX_GAMES[name](m)),
 }
 
@@ -338,18 +315,20 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
     """Execute a scenario and return its trajectory plus summary.
 
     Each round follows the protocol's move order: the experts advise,
-    Learner proposes, Reality picks the outcome (seeing the proposal's loss
-    vector only when it depends on the prediction), and the session
-    advances.  Rounds are played in blocks of :func:`block_rounds`; when
-    nothing in a round looks at Learner's move, a block's draws, advice
-    losses, reweighs, substitutions and records are each one batch, and so
-    are AA's mixes, DFA's admissible intervals and, for three or more
-    outcomes and simplex outcomes, one q call at the barycentre of every
-    round (DFA's weights are AA's posterior, and its log supermartingale
-    sums the rounds' log factors).  An evaluator block batches its draws,
-    advice check and records; its advice losses, q, root, learner losses
-    and reweigh run round by round, since each expert's learner term
-    differs.  All give the bytes of one round at a time.
+    Learner moves, Reality picks the outcome (seeing Learner's loss vector
+    only when it depends on the prediction), and the session reweighs.
+    Rounds are played in blocks of :func:`block_rounds`, each through one
+    loop (:func:`_block_play`); a round that Reality or an expert must see
+    before it is decided is a block of one.  A longer block's draws,
+    advice losses, reweighs, substitutions and records are each one batch,
+    and so are AA's mixes, DFA's admissible intervals and, for three or
+    more outcomes and simplex outcomes, one q call at the barycentre of
+    every round (DFA's weights are AA's posterior, and its log
+    supermartingale sums the rounds' log factors).  An evaluator block
+    batches its draws, advice check and records; its advice losses, q,
+    root, learner losses and reweigh run round by round, since each
+    expert's learner term differs.  All give the bytes of one round at a
+    time.
     """
     if config.algorithm not in PROTOCOLS:
         raise ConfigError(f"unknown algorithm {config.algorithm!r}")

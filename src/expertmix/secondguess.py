@@ -14,8 +14,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .aggregating import project_boundary, retraction_F
-from .core import Game, Proposal, Session, domination_gap, exp_mix, pair_exponent
+from .aggregating import picked_rounds, project_boundary, retraction_F
+from .core import NO_EARLIER, Game, Session, domination_gap, exp_mix, pair_exponent
 from .defensive import _log_q, choose_forecast
 from .errors import DomainError, NoConvergence
 
@@ -52,15 +52,35 @@ class SecondGuessExpert:
         return cls(fn=lambda g: g[::-1].copy(), name=name, lipschitz=1.0)
 
 
-def sg_dfa_proposal(state: Session, experts: Sequence[SecondGuessExpert], *,
-                    epsilon: float = 1e-6, tol: float = 1e-9,
-                    codomain_tol: float = 1e-7) -> Proposal:
-    """Forecast against second-guessing experts with the root selection.
+def _round_of_one(state: Session, gamma: np.ndarray, advice: np.ndarray, outcomes, pick,
+                  slack: float, last=None):
+    """A second-guessing round as a block of one (the advice depends on
+    Learner's move, so no round is fixed before it): Reality picks from
+    the announced loss vector ``gamma``, and the experts are scored by
+    their conditional ``advice`` (k, m) at it (:func:`picked_rounds`).
+    Returns what :func:`~expertmix.aggregating.aa_rounds` returns, plus the
+    advice scored, shape (1, k, m)."""
+    if len(outcomes):
+        raise ValueError("a second-guessing block holds one round")
+    return (gamma[None], *picked_rounds(
+        state, gamma[None], advice[None], outcomes, pick, state.log_weights[None],
+        np.array([state.log_value]), np.array([slack]), last,
+        None if last is None else np.empty(0)), advice[None])
+
+
+def sg_dfa_rounds(state: Session, experts: Sequence[SecondGuessExpert], outcomes, pick, *,
+                  epsilon: float = 1e-6, tol: float = 1e-9, codomain_tol: float = 1e-7):
+    """Forecast against second-guessing experts with the root selection, in
+    a block of one round (``outcomes`` is empty, and ``pick(gamma)`` gives
+    the round's outcome).
 
     Learner announces the loss parameterization's value ``gamma`` directly
     (its range is already inside the prediction set), so the decision is a
-    loss vector.  Raises :class:`DomainError` when an expert map leaves the
-    superprediction set at the announced prediction.
+    loss vector; the learner term is ``gamma[w]`` and the log factor ``ln
+    q(pi, w)``.  Returns what :func:`~expertmix.defensive.dfa_rounds`
+    returns, plus the advice scored, shape (1, k, m).  Raises
+    :class:`DomainError` when an expert map leaves the superprediction set
+    at the announced prediction, before Reality picks.
     """
     if len(experts) != state.n_experts:
         raise ValueError(f"{len(experts)} experts for {state.n_experts} weights")
@@ -87,18 +107,19 @@ def sg_dfa_proposal(state: Session, experts: Sequence[SecondGuessExpert], *,
                 f"expert {ex.name!r} returned {g_t}, outside the superprediction set"
             )
     log_q = _log_q(qpi)
-    return Proposal(gamma, gamma, slack,
-                    lambda w: (gamma[w], float(gamma[w]), advice[:, w], log_q[w]), pi)
+    return _round_of_one(state, gamma, advice, outcomes, pick, slack,
+                         lambda w: (gamma[w], log_q[w]))
 
 
 def sg_dfa_step(state: Session, experts: Sequence[SecondGuessExpert],
                 outcome: int, *, epsilon: float = 1e-6, tol: float = 1e-9,
                 codomain_tol: float = 1e-7) -> tuple[np.ndarray, Session, float]:
     """One round against second-guessing experts (see
-    :func:`sg_dfa_proposal`); the returned prediction is a loss vector."""
-    p = sg_dfa_proposal(state, experts, epsilon=epsilon, tol=tol,
-                        codomain_tol=codomain_tol)
-    return p.decision, state.advance(*p.score(outcome), p.slack), p.slack
+    :func:`sg_dfa_rounds`); the returned prediction is a loss vector."""
+    gammas, _, _, slack, rounds, _ = sg_dfa_rounds(
+        state, experts, NO_EARLIER, lambda gamma: outcome, epsilon=epsilon, tol=tol,
+        codomain_tol=codomain_tol)
+    return gammas[0], state.after(rounds), float(slack[0])
 
 
 # ---------------------------------------------------------------------------
@@ -195,19 +216,22 @@ def sg_fixed_point_residual(state: Session, experts: Sequence[SecondGuessExpert]
     return float(np.max(np.abs(transform(gamma) - gamma)))
 
 
-def sg_aa_proposal(state: Session, experts: Sequence[SecondGuessExpert],
-                   *, tol: float = 1e-10) -> Proposal:
-    """Fixed-point mixing: announce the solution ``gamma``; the experts are
-    scored by their conditional advice at it."""
+def sg_aa_rounds(state: Session, experts: Sequence[SecondGuessExpert], outcomes, pick,
+                 *, tol: float = 1e-10):
+    """Fixed-point mixing in a block of one round (``outcomes`` is empty,
+    and ``pick(gamma)`` gives the round's outcome): announce the solution
+    ``gamma``; the experts are scored by their conditional advice at it.
+    Returns what :func:`~expertmix.aggregating.aa_rounds` returns, plus the
+    advice scored, shape (1, k, m)."""
     gamma = sg_fixed_point(state, experts, tol=tol)
-    advice = np.stack([ex(gamma) for ex in experts])
-    return Proposal(gamma, gamma, 0.0,
-                    lambda w: (0.0, float(gamma[w]), advice[:, w], None))
+    return _round_of_one(state, gamma, np.stack([ex(gamma) for ex in experts]), outcomes,
+                         pick, 0.0)
 
 
 def sg_aa_step(state: Session, experts: Sequence[SecondGuessExpert],
                outcome: int, *, tol: float = 1e-10) -> tuple[np.ndarray, Session]:
     """Fixed-point mixing round: announce the solution, observe, reweigh
     with the experts' realized conditional losses."""
-    p = sg_aa_proposal(state, experts, tol=tol)
-    return p.decision, state.advance(*p.score(outcome))
+    gammas, *_, rounds, _ = sg_aa_rounds(state, experts, NO_EARLIER, lambda gamma: outcome,
+                                         tol=tol)
+    return gammas[0], state.after(rounds)

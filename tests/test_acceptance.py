@@ -8,7 +8,7 @@ import time
 
 import numpy as np
 
-from expertmix.aggregating import aa_proposal, aa_start, aa_step
+from expertmix.aggregating import aa_start, aa_step
 from expertmix.core import Game, OutcomeSpace
 from expertmix.defensive import (
     default_proper_loss,
@@ -85,10 +85,9 @@ def test_criterion_03_mixing_forecasting_equivalence():
         w_max = 0.0
         for _ in range(200):
             adv = advice_rows(game, rng.random(K))
-            da = aa_proposal(sa, adv).decision
             w = int(rng.integers(0, 2))
             dd, sd, _ = dfa_step(sd, adv, w)
-            _, sa = aa_step(sa, adv, w)
+            da, sa = aa_step(sa, adv, w)
             w_max = max(w_max, abs(float(da[0]) - float(dd[0])))
         worst[name] = w_max
     ok = all(v <= 1e-6 for v in worst.values())
@@ -247,10 +246,8 @@ def test_criterion_09_fixed_point_mixing():
         worst_dp = max(worst_dp, abs(float(g.substitution(gamma_a)[0])
                                      - float(g.substitution(gamma_d)[0])))
         _, sa = sg_aa_step(sa, experts, w, tol=1e-12)
-    from expertmix.aggregating import theorem_bound_margins
-
     ok = worst_resid <= 1e-8 and worst_dp <= 1e-4 \
-        and np.all(theorem_bound_margins(sa) <= 1e-7)
+        and np.all(sa.bound_margins() <= 1e-7)
     report(9, ok, f"fixed-point residual {worst_resid:.2e}; agreement with the "
                   f"forecasting variant {worst_dp:.2e}; bound holds")
 

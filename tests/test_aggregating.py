@@ -12,7 +12,6 @@ from expertmix.aggregating import (
     log_semi_invariant,
     project_boundary,
     retraction_F,
-    theorem_bound_margins,
 )
 from expertmix.core import domination_gap, hull_membership_gap, is_superprediction
 from expertmix.errors import NotRealizable, SubstitutionFailure
@@ -86,7 +85,7 @@ class TestStep:
             adv = advice_rows(g, [p])
             dec, state = aa_step(state, adv, int(rng.integers(0, 2)))
             assert dec[0] == pytest.approx(p, abs=1e-12)
-        assert theorem_bound_margins(state)[0] == pytest.approx(0.0, abs=1e-9)
+        assert state.bound_margins()[0] == pytest.approx(0.0, abs=1e-9)
 
     def test_absolute_bound_alternating_outcomes(self):
         g = builtin_game("absolute", 2)
@@ -98,7 +97,7 @@ class TestStep:
         # each expert errs on half the rounds
         assert np.allclose(state.per_expert_loss, 50.0)
         assert state.cumulative_loss <= c * 50.0 + c * np.log(2.0) + 1e-9
-        assert np.all(theorem_bound_margins(state) <= 1e-9)
+        assert np.all(state.bound_margins() <= 1e-9)
 
     def test_semi_invariant_never_increases(self):
         g = builtin_game("square", 2)

@@ -1,6 +1,9 @@
-"""``tools/bench_pairs.py`` counts and reports incorrect benchmark runs."""
+"""``tools/bench_pairs.py`` counts and reports incorrect benchmark runs,
+and records each side's ``src/`` line count with its tier-1 run."""
 
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -37,3 +40,33 @@ def test_report_fails_on_an_incorrect_run(bench_pairs, capsys):
     assert "INCORRECT head run forecast-binary@123 pair 1" in capsys.readouterr().out
     doc = {"runs": runs[:2], "summary": bench_pairs.summarize(runs[:2])}
     assert bench_pairs.report(doc) == 0
+
+
+def test_src_lines_counts_the_python_lines_under_src(bench_pairs, tmp_path):
+    (tmp_path / "src" / "pkg").mkdir(parents=True)
+    (tmp_path / "src" / "a.py").write_text("x = 1\ny = 2\n")
+    (tmp_path / "src" / "pkg" / "b.py").write_text("z = 3\n")
+    (tmp_path / "src" / "notes.txt").write_text("not\ncounted\n")
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_c.py").write_text("not counted\n")
+    assert bench_pairs.src_lines(tmp_path) == 3
+
+
+def test_src_lines_of_the_repo_is_the_git_count(bench_pairs):
+    root = TOOL.parent.parent
+    files = subprocess.run(["git", "ls-files", "src/*.py"], cwd=root, capture_output=True,
+                           text=True).stdout.split()
+    if subprocess.run(["git", "status", "--porcelain", "--", "src"], cwd=root,
+                      capture_output=True, text=True).stdout.strip() or not files:
+        pytest.skip("src/ differs from its committed files")
+    assert bench_pairs.src_lines(root) == sum(
+        (root / f).read_bytes().count(b"\n") for f in files)
+
+
+def test_tier1_records_the_src_lines(bench_pairs, tmp_path, monkeypatch):
+    (tmp_path / "src").mkdir()
+    (tmp_path / "src" / "a.py").write_text("x = 1\n")
+    done = subprocess.CompletedProcess([sys.executable], 0, "1 passed in 0.01s\n", "")
+    monkeypatch.setattr(bench_pairs.subprocess, "run", lambda *a, **k: done)
+    got = bench_pairs.tier1(tmp_path)
+    assert got["src_lines"] == 1 and got["result"] == "1 passed in 0.01s"

@@ -1,18 +1,23 @@
 """Rounds played in blocks replay rounds played one at a time.
 
-``reference_run`` is the per-round loop of the fixed-advice protocols: each
-round the experts advise, Learner proposes (AA mixes and substitutes; DFA
-and simplex DFA solve for the forecast and substitute; evaluators solve
-for the root), Reality picks, and the session takes one round's reweigh.
-The runner plays the same configs in blocks of rounds (one cumulative sum
-for the posterior path; AA: one batched mix; DFA: one batched solve of the
-binary admissible intervals, or one q call at the barycentre of every
-round with three or more outcomes, and the other rounds one at a time;
-evaluators: one proper-loss call per evaluator group for the block's
-advice, and the posterior-dependent chain round by round; all: records
-from columns); its JSONL and summary must be byte-identical, and it must
-raise the same error at the same round.  The block draws of the experts
-and of Reality must be the single-round draws.
+``reference_run`` is a per-round loop of every protocol, built from the
+library's primitives rather than from its block functions: each round the
+experts advise, Learner moves (AA mixes and substitutes; DFA and simplex
+DFA solve for the forecast, with AA's substituted mix as the fallback of
+a stalled simplex search, and substitute; evaluators solve for the root;
+second-guessing solves its fixed point or the root of its per-expert q),
+Reality picks (seeing Learner's loss vector when it looks at the
+prediction), and the session takes one round's reweigh.  The runner plays
+the same configs in blocks of rounds (one cumulative sum for the
+posterior path; AA: one batched mix; DFA: one batched solve of the binary
+admissible intervals, or one q call at the barycentre of every round with
+three or more outcomes, and the other rounds one at a time; evaluators:
+one proper-loss call per evaluator group for the block's advice, and the
+posterior-dependent chain round by round; all: records from columns), and
+a round that Reality or an expert must see first as a block of one; its
+JSONL and summary must be byte-identical, and it must raise the same error
+at the same round.  The block draws of the experts and of Reality must be
+the single-round draws.
 """
 
 import json
@@ -25,23 +30,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from expertmix import aggregating, defensive, extensions
-from expertmix.aggregating import aa_proposal, aa_start, log_semi_invariant
+from expertmix.aggregating import aa_mix, aa_start, log_semi_invariant, substitute
 from expertmix.core import log_sum_exp, pair_exponent
-from expertmix.defensive import default_proper_loss, dfa_proposal, dfa_start
+from expertmix.defensive import choose_forecast, default_proper_loss, dfa_start, evaluator_groups
 from expertmix.errors import (AllExpertsDead, ContractViolation, ExpertmixError,
                               InvalidDistribution, SlackExceeded, SubstitutionFailure)
-from expertmix.extensions import (SIMPLEX_GAMES, duplicate_evaluators, ml_dfa_proposal,
-                                  ml_dfa_start, simplex_dfa_proposal, simplex_dfa_start,
-                                  tile_advice)
+from expertmix.extensions import (SIMPLEX_GAMES, duplicate_evaluators, ml_dfa_start,
+                                  ml_dfa_step, simplex_dfa_start, tile_advice)
 from expertmix.harness import runner
 from expertmix.harness.config import parse_config
 from expertmix.harness.runner import (BLOCK_ROUNDS, StepRecord, _jsonable, _spawn_rngs,
                                       block_rounds, run_scenario, trajectory_lines)
 from expertmix.harness.strategies import (CALLBACK_REGISTRY, DirichletReality, FixedReality,
                                           IidRandomExpert, IidReality, TrailingAverageExpert,
-                                          build_reality, build_standard_expert)
+                                          build_reality, build_sg_expert,
+                                          build_standard_expert)
 from expertmix.harness.scenarios import builtin_scenario
 from expertmix.losses import ProperLoss, builtin_game, realizability_constant
+from expertmix.secondguess import sg_fixed_point
 
 
 def evaluator_specs(config):
@@ -53,30 +59,107 @@ def evaluator_specs(config):
     return specs
 
 
+def reference_forecast(state, game, q, A, eps, tol, select):
+    """A round's forecast, its slack and ``q(pi, .)``: the solve, or AA's
+    substituted mix in ``game`` when the simplex search stalls and the mix
+    keeps q under the same target."""
+    try:
+        return choose_forecast(q, game.m, epsilon=eps, tol=tol, select=select, full_output=True)
+    except SlackExceeded:
+        pi = np.asarray(game.substitution(aa_mix(state, A)), dtype=float)
+        qpi = q(pi)
+        if float(np.max(qpi)) > 1.0 + eps + tol:
+            raise
+        return pi, max(0.0, float(np.max(qpi)) - 1.0), qpi
+
+
+def reference_move(config, state, game, sg, experts, outcomes, n, eps, tol):
+    """Learner's move in round ``n``: the decision, its loss vector (None
+    where there is no single one), the slack, the advice as recorded and
+    ``score(w)``, which gives the learner term, Learner's loss, the
+    experts' losses and the log factor (None for mixing and evaluators)."""
+    algorithm = config.algorithm
+    if algorithm in ("sg-aa", "sg-dfa"):
+        if algorithm == "sg-aa":
+            gamma, slack, log_q = sg_fixed_point(state, experts, tol=tol), 0.0, None
+        else:  # the root of the per-expert q, whose advice depends on lambda
+            wbar = np.exp(state.log_posterior())
+
+            def q(P):
+                L = state.proper(P)
+                G = np.stack([[ex(lam) for lam in L] for ex in experts], axis=1)
+                return np.sum(np.where(wbar[:, None] > 0, wbar[:, None] * np.exp(
+                    pair_exponent(L[:, None, :], G, state.c, state.eta)), 0.0), axis=1)
+
+            pi, slack, qpi = choose_forecast(q, 2, tol=tol, select="root", full_output=True)
+            gamma = state.proper(pi)
+            with np.errstate(divide="ignore"):
+                log_q = np.log(qpi)
+        advice = np.stack([ex(gamma) for ex in experts])
+        return gamma, gamma, slack, advice, lambda w: (
+            0.0 if log_q is None else gamma[w], float(gamma[w]), advice[:, w],
+            None if log_q is None else log_q[w])
+    decisions = [s.advise(n, outcomes) for s in experts]
+    if algorithm == "ml-dfa":
+        base = [np.array([1.0 - d[0], d[0]]) if game.decision_kind == "box" else d
+                for d in decisions]
+        advice = tile_advice(np.stack(base), len(config.evaluators))
+        G = np.stack([proper(a) for proper, a in zip(state.proper, advice)])
+        # the evaluator q as the evaluator module finds it
+        pi, slack = choose_forecast(extensions.fixed_advice_q(state, G), config.m,
+                                    epsilon=eps, tol=tol, select="root")
+        lam = np.empty(G.shape)
+        for proper, _, _, idx in evaluator_groups(state):
+            lam[idx] = proper(pi)
+        return pi, None, slack, advice, lambda w: (lam[:, w], lam[:, w], G[:, w], None)
+    A = np.asarray(game.loss(np.stack(decisions)), dtype=float)
+    if algorithm == "aa":
+        decision, lv = substitute(state, aa_mix(state, A), 1e-7)
+        return decision, lv, 0.0, decisions, lambda w: (0.0, float(lv[w]), A[:, w], None)
+    q = defensive.fixed_advice_q(state, A)
+    pi, slack, qpi = reference_forecast(state, game, q, A, eps, tol, "midpoint")
+    with np.errstate(divide="ignore"):
+        log_q = np.log(qpi)
+    if algorithm == "simplex-dfa":
+        # the decision extended to a point of the simplex, with every expert's
+        decision = np.asarray(game.substitution(state.proper(pi)), dtype=float)
+
+        def score(point):
+            learner = sg.loss_on_simplex(decision, point)
+            g = np.array([sg.loss_on_simplex(d, point) for d in decisions])
+            factor = log_sum_exp(state.log_posterior() + state._log_factors(learner, g))
+            return learner, float(learner), g, factor
+
+        return decision, None, slack, decisions, score
+    lam = state.proper(pi)
+    decision, lv = substitute(state, lam, 1e-7)
+    return decision, lv, slack, decisions, lambda w: (lam[w], float(lv[w]), A[:, w], log_q[w])
+
+
 def reference_run(config):
     """The run round by round: its JSONL lines and its summary as JSON.
-    Mixing reweighs one round by hand; forecasting is the loop of
-    ``dfa_proposal`` (``simplex_dfa_proposal`` on simplex outcomes) and
-    ``Session.advance``, and evaluators the loop of ``ml_dfa_proposal`` on
-    each base expert's distribution entered once per evaluator and
-    ``Session.advance``.  A library error raised in a round carries that
-    round as ``step``; one raised opening the session carries None."""
-    simplex = config.algorithm == "simplex-dfa"
-    evaluators = config.algorithm == "ml-dfa"
-    forecasting = config.algorithm in ("dfa", "simplex-dfa", "ml-dfa")
+    Mixing (``aa``, ``sg-aa``) reweighs one round by hand; every other
+    protocol takes :meth:`Session.advance`.  A library error raised in a
+    round carries that round as ``step``; one raised opening the session
+    carries None."""
+    algorithm = config.algorithm
+    simplex, evaluators = algorithm == "simplex-dfa", algorithm == "ml-dfa"
+    second_guess = algorithm in ("sg-aa", "sg-dfa")
+    mixing = algorithm in ("aa", "sg-aa")
     eps, tol = float(config.solver["epsilon"]), float(config.solver["tol"])
     expert_rngs, reality_rng = _spawn_rngs(config.seed, len(config.experts))
     reality = build_reality(config.reality, config.m, reality_rng)
     sg = SIMPLEX_GAMES[config.game](config.m) if simplex else None
     game = sg.base if simplex else builtin_game(config.game, config.m)
-    experts = [build_standard_expert(game, s, r) for s, r in zip(config.experts, expert_rngs)]
+    experts = [build_sg_expert(game, s) for s in config.experts] if second_guess else \
+        [build_standard_expert(game, s, r) for s, r in zip(config.experts, expert_rngs)]
     n = None
     try:
         if evaluators:
-            specs = evaluator_specs(config)
-            state = ml_dfa_start(duplicate_evaluators(specs, len(experts)), config.m)
+            state = ml_dfa_start(duplicate_evaluators(evaluator_specs(config), len(experts)),
+                                 config.m)
         else:
-            start = (simplex_dfa_start if simplex else dfa_start if forecasting else aa_start)
+            start = simplex_dfa_start if simplex else aa_start if mixing else dfa_start
             state = start(sg if simplex else game, eta=config.eta, c=config.c,
                           prior=config.prior, n_experts=len(experts))
         meta = {"type": "meta", "format_version": 1, "config": config.to_jsonable()}
@@ -84,48 +167,44 @@ def reference_run(config):
         outcomes = []
         max_margin, worst_step = -np.inf, -1
         for n in range(config.horizon):
-            decisions = [s.advise(n, outcomes) for s in experts]
-            if evaluators:
-                base = [np.array([1.0 - d[0], d[0]]) if game.decision_kind == "box" else d
-                        for d in decisions]
-                decisions = tile_advice(np.stack(base), len(specs))
-                p = ml_dfa_proposal(state, decisions, epsilon=eps, tol=tol)
-            elif simplex:
-                p = simplex_dfa_proposal(state, decisions, epsilon=eps, tol=tol)
-            else:
-                A = np.asarray(game.loss(np.stack(decisions)), dtype=float)
-                p = dfa_proposal(state, A, epsilon=eps, tol=tol) if forecasting \
-                    else aa_proposal(state, A)
-            w = reality.pick(n, None)
-            learner_term, learner_loss, expert_losses, log_factor = p.score(w)
-            if forecasting:
-                state = state.advance(learner_term, learner_loss, expert_losses, log_factor,
-                                      p.slack)
-            else:  # one round's reweigh
+            d, lv, slack, advice, score = reference_move(config, state, game, sg, experts,
+                                                         outcomes, n, eps, tol)
+            w = reality.pick(n, lv if reality.depends_on_prediction else None)
+            learner_term, learner_loss, expert_losses, log_factor = score(w)
+            if mixing:  # one round's reweigh
                 expo = pair_exponent(0.0, expert_losses, state.c, state.eta)
                 lw = state.log_weights + np.where(np.isneginf(state.log_weights), 0.0, expo)
                 state = replace(state, log_weights=lw, log_value=log_sum_exp(lw),
                                 step_count=state.step_count + 1,
                                 cumulative_loss=state.cumulative_loss + learner_loss,
                                 per_expert_loss=state.per_expert_loss + expert_losses)
+            else:
+                state = state.advance(learner_term, learner_loss, expert_losses, log_factor,
+                                      slack)
             outcomes.append(w)
             margins = list(state.bound_margins())
             if max(margins) > max_margin:
                 max_margin, worst_step = max(margins), n
-            d = p.decision
+            if algorithm == "sg-aa":
+                pi = None
+            elif algorithm == "sg-dfa":
+                p = float(game.substitution(d)[0])
+                pi = [1.0 - p, p]
+            elif game.decision_kind == "box" and not evaluators:
+                pi = [1.0 - float(d[0]), float(d[0])]
+            else:
+                pi = [float(v) for v in d]
             rec = StepRecord(
-                step=n, advice=[[float(v) for v in row] for row in decisions],
-                learner_pi=[1.0 - float(d[0]), float(d[0])]
-                if game.decision_kind == "box" and not evaluators else [float(v) for v in d],
+                step=n, advice=[[float(v) for v in row] for row in advice], learner_pi=pi,
                 learner_decision=[float(v) for v in d],
                 outcome=[float(v) for v in w] if simplex else w, learner_loss=learner_loss,
                 expert_losses=expert_losses.tolist(),
                 cumulative_learner_loss=state.cumulative_loss,
                 cumulative_expert_losses=list(state.per_expert_loss),
                 log_supermartingale=(state.log_value if evaluators
-                                     else state.log_supermartingale if forecasting
-                                     else log_semi_invariant(state)),
-                slack=p.slack, slack_total=state.slack_log_total, bound_margins=margins)
+                                     else log_semi_invariant(state) if mixing
+                                     else state.log_supermartingale),
+                slack=slack, slack_total=state.slack_log_total, bound_margins=margins)
             lines.append(json.dumps(rec.to_obj(), separators=(",", ":")))
     except ExpertmixError as exc:
         exc.step = n
@@ -339,18 +418,19 @@ def test_simplex_callback_experts_play_blocks_of_one():
 
 
 def test_ml_rounds_check_each_rounds_advice():
-    """A block's advice is checked as ``ml_dfa_proposal`` checks a round's:
-    a row off the simplex raises its error in its round."""
+    """A block's advice is checked as ``ml_dfa_step`` checks a round's: a
+    row off the simplex raises its error in its round."""
     specs = [(default_proper_loss(builtin_game("log", 2), 1.0, 1.0), 1.0, 1.0)]
     state = ml_dfa_start(duplicate_evaluators(specs, 2), 2)
     advice, outcomes = np.full((5, 2, 2), 0.5), np.zeros(5, dtype=int)
     advice[3, 1] = [0.7, 0.4]
     with pytest.raises(InvalidDistribution) as want:
-        ml_dfa_proposal(state, advice[3])
+        ml_dfa_step(state, advice[3], 0)
     with pytest.raises(InvalidDistribution) as got:
-        extensions.ml_dfa_rounds(state, advice, outcomes)
+        extensions.ml_dfa_rounds(state, advice, outcomes[:-1], lambda _: outcomes[-1])
     assert str(got.value) == str(want.value)
-    assert len(extensions.ml_dfa_rounds(state, advice[:3], outcomes[:3])[0]) == 3
+    assert len(extensions.ml_dfa_rounds(state, advice[:3], outcomes[:2],
+                                        lambda _: outcomes[2])[0]) == 3
 
 
 class _Leaning:
@@ -750,6 +830,57 @@ def test_dead_and_unrealizable_runs_fail_at_their_round():
                 blocked_run(replace(config, horizon=horizon))
         assert blocked_run(replace(config, horizon=step)) == \
             reference_run(replace(config, horizon=step))
+
+
+#: binary games for adversarial Reality: name -> (c, eta), each realizable
+ADVERSARIAL_GAMES = {"log": (1.0, 1.0), "square": (1.0, 2.0),
+                     "absolute": (realizability_constant("absolute", 1.0), 1.0)}
+
+
+@pytest.mark.parametrize("algorithm", ["aa", "dfa"])
+@pytest.mark.parametrize("name", sorted(ADVERSARIAL_GAMES))
+def test_adversarial_rounds_play_blocks_of_one(algorithm, name):
+    """Reality that picks from Learner's loss vector: every round is a block
+    of one, with the bytes of the per-round oracle."""
+    c, eta = ADVERSARIAL_GAMES[name]
+    config = parse_config({
+        "game": {"name": name, "m": 2}, "algorithm": algorithm, "c": c, "eta": eta,
+        "horizon": 80, "seed": 7, "reality": {"kind": "adversarial"},
+        "experts": [{"kind": "constant", "value": 0.3}, {"kind": "iid-random"},
+                    {"kind": "trailing-average"}]})
+    assert_blocks_replay_rounds(config, 1)
+
+
+@pytest.mark.parametrize("name, values, error, step", [
+    # the only expert is certain of 1, so Reality's 0 leaves no weight
+    ("log", [1.0], AllExpertsDead, 1),
+    # c = 1 is below absolute loss's realizability constant
+    ("absolute", [0.0, 1.0], SubstitutionFailure, 0)])
+def test_adversarial_errors_come_at_their_round(name, values, error, step):
+    config = parse_config({
+        "game": {"name": name, "m": 2}, "algorithm": "aa", "horizon": 5, "seed": 1,
+        "reality": {"kind": "adversarial"},
+        "experts": [{"kind": "constant", "value": v} for v in values]})
+    with pytest.raises(error) as err:
+        reference_run(config)
+    assert err.value.step == step
+    assert_blocks_replay_rounds(config, 1)
+
+
+@pytest.mark.parametrize("algorithm", ["sg-aa", "sg-dfa"])
+@pytest.mark.parametrize("reality", [{"kind": "iid"}, {"kind": "fixed", "sequence": [0, 1, 1]}])
+def test_second_guessing_rounds_play_blocks_of_one(algorithm, reality):
+    """A contrarian and a constant 0.4, whose fixed point and root lie away
+    from 1/2: every round is a block of one, with the bytes of the
+    per-round oracle."""
+    config = parse_config({
+        "game": {"name": "log", "m": 2}, "algorithm": algorithm, "horizon": 60, "seed": 5,
+        "experts": [{"kind": "sg-contrarian"}, {"kind": "sg-constant", "value": 0.4}],
+        "reality": reality})
+    records = run_scenario(config).records
+    assert any(abs(r.learner_decision[0] - 0.5) > 0.01 for r in records) \
+        if algorithm == "sg-aa" else any(abs(r.learner_pi[1] - 0.5) > 0.01 for r in records)
+    assert_blocks_replay_rounds(config, 1)
 
 
 def test_rounds_that_look_at_learner_play_one_at_a_time():

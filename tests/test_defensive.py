@@ -3,22 +3,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from expertmix.aggregating import aa_mix, aa_proposal, aa_start, aa_step
+from expertmix.aggregating import aa_mix, aa_start, aa_step
 from expertmix.defensive import (
     admissible_interval,
     admissible_intervals,
     choose_forecast,
     default_proper_loss,
-    dfa_bound_margins,
     dfa_solve_binary,
     dfa_solve_simplex,
-    dfa_proposal,
     dfa_start,
     dfa_step,
     fixed_advice_q,
     interior_delta,
     pair_exponent,
-    q_term,
     supermartingale_property_check,
 )
 from expertmix.core import expected_factor, simplex_grid
@@ -39,14 +36,16 @@ class TestQTerm:
     def test_identical_losses_cancel(self):
         g = builtin_game("square", 2)
         lam = default_proper_loss(g, 1.0, 2.0)
-        assert q_term(lam, 1.0, 2.0, g.loss_vector([0.4]), [0.6, 0.4], 1) == 1.0
+        assert np.exp(pair_exponent(lam(np.array([0.6, 0.4]))[1], g.loss_vector([0.4])[1],
+                                    1.0, 2.0)) == 1.0
 
     def test_log_expert_certain(self):
         g = builtin_game("log", 2)
         lam = default_proper_loss(g, 1.0, 1.0)
         adv = g.loss_vector([1.0])  # (inf, 0)
-        assert q_term(lam, 1.0, 1.0, adv, [0.5, 0.5], 1) == pytest.approx(2.0)
-        assert q_term(lam, 1.0, 1.0, adv, [0.5, 0.5], 0) == 0.0
+        half = lam(np.array([0.5, 0.5]))
+        assert np.exp(pair_exponent(half[1], adv[1], 1.0, 1.0)) == pytest.approx(2.0)
+        assert np.exp(pair_exponent(half[0], adv[0], 1.0, 1.0)) == 0.0
 
     def test_product_of_terms_is_the_exponential_regret(self):
         # along a trajectory, prod q equals exp(eta (L/c - L^theta))
@@ -62,7 +61,7 @@ class TestQTerm:
             w = int(rng.integers(0, 2))
             pi = np.array([1 - p, p])
             gv = g.loss_vector([ptheta])
-            log_prod += np.log(q_term(lam, c, eta, gv, pi, w))
+            log_prod += np.log(np.exp(pair_exponent(lam(pi)[w], gv[w], c, eta)))
             L += lam(pi)[w]
             Lth += gv[w]
         assert log_prod == pytest.approx(eta * (L / c - Lth), rel=1e-9)
@@ -573,20 +572,20 @@ class TestDFAStep:
             p = rng.uniform(0.05, 0.95)
             dec, state, _ = dfa_step(state, advice_rows(g, [p]), int(rng.integers(0, 2)))
             assert dec[0] == pytest.approx(p, abs=1e-7)
-        assert dfa_bound_margins(state)[0] <= 1e-7
+        assert state.bound_margins()[0] <= 1e-7
 
     def test_square_adversarial_three_experts(self):
         g = builtin_game("square", 2)
         state = dfa_start(g, eta=2.0, n_experts=3)
         adv = advice_rows(g, [0.1, 0.5, 0.9])
         for n in range(500):
-            dec = dfa_proposal(state, adv).decision
+            dec = dfa_step(state, adv, 0)[0]
             w = 1 if dec[0] < 0.5 else 0
             _, state, _ = dfa_step(state, adv, w)
         best = float(np.min(state.per_expert_loss))
         bound = 0.5 * np.log(3.0) + (1.0 / 2.0) * state.slack_log_total
         assert state.cumulative_loss - best <= bound + 1e-7
-        assert np.all(dfa_bound_margins(state) <= 1e-7)
+        assert np.all(state.bound_margins() <= 1e-7)
 
     def test_supermartingale_never_increases(self):
         g = builtin_game("log", 2)
@@ -627,9 +626,8 @@ class TestEquivalenceWithMixing:
         worst = 0.0
         for _ in range(200):
             adv = advice_rows(game, rng.random(K))
-            da = aa_proposal(sa, adv).decision
             w = int(rng.integers(0, 2))
             dd, sd, _ = dfa_step(sd, adv, w)
-            _, sa = aa_step(sa, adv, w)
+            da, sa = aa_step(sa, adv, w)
             worst = max(worst, abs(float(da[0]) - float(dd[0])))
         assert worst <= 1e-6

@@ -11,10 +11,8 @@ from expertmix.extensions import (
     check_relative_exp_convexity,
     duplicate_evaluators,
     kl_simplex,
-    ml_bound_margins,
     ml_dfa_start,
     ml_dfa_step,
-    simplex_bound_margins,
     simplex_dfa_start,
     simplex_dfa_step,
     tile_advice,
@@ -87,7 +85,7 @@ class TestEvaluatorSessions:
             advice = tile_advice(base, 2)
             w = int(rng.integers(0, 2))
             _, state, _ = ml_dfa_step(state, advice, w)
-        margins = ml_bound_margins(state)
+        margins = state.bound_margins()
         assert np.all(margins <= 1e-7)
         regrets = state.learner_losses - state.expert_losses
         assert np.all(regrets[:K] <= np.log(2 * K) + 1e-7)
@@ -202,7 +200,7 @@ class TestSimplexSessions:
             _, state, slack = simplex_dfa_step(state, advice, p)
             assert state.log_supermartingale <= prev + np.log1p(slack) + 1e-9
             prev = state.log_supermartingale
-        assert np.all(simplex_bound_margins(state) <= 1e-7)
+        assert np.all(state.bound_margins() <= 1e-7)
 
     def test_kl_dirichlet_outcomes_bound(self):
         sg = kl_simplex(3)
@@ -212,7 +210,7 @@ class TestSimplexSessions:
         for _ in range(150):
             p = rng.dirichlet(np.ones(3))
             _, state, _ = simplex_dfa_step(state, advice, p)
-        assert np.all(simplex_bound_margins(state) <= 1e-7)
+        assert np.all(state.bound_margins() <= 1e-7)
 
     def test_unverified_state_refuses_to_step(self):
         sg = brier_simplex(3)

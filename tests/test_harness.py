@@ -358,6 +358,14 @@ class TestCLI:
         assert cli_main(["check", *args, "--samples", "200"]) == rc
         assert ("=False" in capsys.readouterr().out) == (rc == 2)
 
+    def test_check_refuses_an_unsupported_game(self, capsys):
+        """A game the library has no closed form for at this m ends with one
+        line on stderr and exit code 2, not a traceback."""
+        rc = cli_main(["check", "--game", "absolute", "--m", "3", "--which", "expconvexity"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "unsupported pair" in err
+
     def test_sweep(self, tmp_path, capsys):
         cfg = small_config(horizon=20)
         cfg_path = tmp_path / "cfg.json"

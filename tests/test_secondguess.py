@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from expertmix.aggregating import aa_start, theorem_bound_margins
-from expertmix.defensive import dfa_bound_margins, dfa_start, dfa_step
+from expertmix.aggregating import aa_start
+from expertmix.defensive import dfa_start, dfa_step
 from expertmix.errors import DomainError
 from expertmix.losses import builtin_game
 from expertmix.secondguess import (
@@ -70,7 +70,7 @@ class TestSgDFA:
             assert slack <= 1e-12
         # the expert copies Learner, so the regret is identically zero
         assert state.cumulative_loss == pytest.approx(state.per_expert_loss[0])
-        assert dfa_bound_margins(state)[0] <= 1e-9
+        assert state.bound_margins()[0] <= 1e-9
 
     def test_contrarian_plus_constant_bound(self):
         g = game_log()
@@ -80,7 +80,7 @@ class TestSgDFA:
         rng = np.random.default_rng(11)
         for _ in range(300):
             _, state, _ = sg_dfa_step(state, experts, int(rng.integers(0, 2)))
-        margins = dfa_bound_margins(state)
+        margins = state.bound_margins()
         assert np.all(margins <= 1e-7)
 
     def test_domain_error_on_bad_expert(self):
@@ -151,7 +151,7 @@ class TestFixedPoint:
         rng = np.random.default_rng(13)
         for _ in range(300):
             _, state = sg_aa_step(state, experts, int(rng.integers(0, 2)), tol=1e-12)
-        assert np.all(theorem_bound_margins(state) <= 1e-7)
+        assert np.all(state.bound_margins() <= 1e-7)
 
 
 class TestNonMixableVariant:

@@ -12,10 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from expertmix.aggregating import aa_mix, aa_proposal, aa_start, aa_step
+from expertmix.aggregating import aa_mix, aa_start, aa_step
 from expertmix.core import Session, log_sum_exp, pair_exponent
-from expertmix.defensive import (default_proper_loss, dfa_proposal, dfa_start, dfa_step,
-                                 fixed_advice_q)
+from expertmix.defensive import default_proper_loss, dfa_start, dfa_step, fixed_advice_q
 from expertmix.errors import AllExpertsDead, ExpertmixError, SubstitutionFailure
 from expertmix.harness import runner
 from expertmix.harness.config import parse_config
@@ -127,18 +126,17 @@ def test_aa_and_dfa_predict_alike_on_random_advice(run):
             # weights (its forecast gave the outcome no mass, so the
             # infinite losses cancelled); on the same weights it raises too
             with pytest.raises(AllExpertsDead):
-                aa_proposal(mix, advice)
+                aa_step(mix, advice, w)
             with pytest.raises(AllExpertsDead):
-                dfa_proposal(replace(forecast, log_weights=mix.log_weights,
-                                     log_value=None), advice)
+                dfa_step(replace(forecast, log_weights=mix.log_weights,
+                                 log_value=None), advice, w)
             return
         # AA's log mix gives some outcome a probability in (0, 1e-8)
         g = aa_mix(mix, advice)
         if name == "log" and np.any(np.isfinite(g) & (g > np.log(1e8))):
             return  # where its substitution loses precision: see the xfail below
-        aa, dfa = aa_proposal(mix, advice), dfa_proposal(forecast, advice)
-        assert abs(float(aa.decision[0]) - float(dfa.decision[0])) <= 1e-6
-        mix, forecast = mix.advance(*aa.score(w)), forecast.advance(*dfa.score(w))
+        (aa, mix), (dfa, forecast, _) = aa_step(mix, advice, w), dfa_step(forecast, advice, w)
+        assert abs(float(aa[0]) - float(dfa[0])) <= 1e-6
 
 
 @settings(max_examples=60, deadline=None)
@@ -162,13 +160,10 @@ def test_dfa_posterior_is_aa_posterior(run, absolute):
             return  # AA lost every expert: its posterior is undefined
         assert np.array_equal(forecast.log_posterior(), mix.log_posterior())
         advice = np.stack([game.loss_vector([p]) for p in decisions])
-        p = dfa_proposal(forecast, advice)
-        learner_term, learner_loss, expert_losses, log_factor = p.score(w)
-        forecast = forecast.advance(learner_term, learner_loss, expert_losses, log_factor,
-                                    p.slack)
-        if np.isinf(learner_term):
+        _, forecast, _ = dfa_step(forecast, advice, w)
+        if np.isinf(forecast.cumulative_loss):
             return  # its forecast gave w no mass: each weight infinite there is kept
-        mix = mix.advance(0.0, 0.0, expert_losses)
+        mix = mix.advance(0.0, 0.0, advice[:, w])
 
 
 #: DFA games with the c at which they are realizable and their etas
@@ -238,9 +233,9 @@ def test_log_supermartingale_never_increases_along_dfa_log_k10():
 def test_aa_substitutes_a_log_expert_near_the_boundary():
     g = builtin_game("log", 2)
     advice = np.stack([g.loss_vector([1e-12])])
-    dfa = dfa_proposal(dfa_start(g, eta=1.0, n_experts=1), advice)
-    aa = aa_proposal(aa_start(g, eta=1.0, n_experts=1), advice)
-    assert abs(float(aa.decision[0]) - float(dfa.decision[0])) <= 1e-6
+    dfa = dfa_step(dfa_start(g, eta=1.0, n_experts=1), advice, 0)[0]
+    aa = aa_step(aa_start(g, eta=1.0, n_experts=1), advice, 0)[0]
+    assert abs(float(aa[0]) - float(dfa[0])) <= 1e-6
 
 
 #: evaluator (loss, c, eta) triples; log's proper loss is infinite on the
@@ -300,11 +295,10 @@ def test_zero_prior_expert_keeps_zero_weight():
     # experts lose inf there, and the zero-prior expert's factor is infinite
     g = builtin_game("log", 2)
     state = dfa_start(g, eta=1.0, prior=[0.5, 0.5, 0.0])
-    p = dfa_proposal(state, np.stack([g.loss_vector([d]) for d in (1.0, 1.0, 0.3)]))
-    state = state.advance(*p.score(0), p.slack)
+    _, state, _ = dfa_step(state, np.stack([g.loss_vector([d]) for d in (1.0, 1.0, 0.3)]), 0)
     assert state.log_weights[2] == -INF and np.isfinite(state.log_value)
     advice = np.stack([g.loss_vector([d]) for d in (0.2, 0.2, 0.9)])
-    assert float(dfa_proposal(state, advice).decision[0]) == pytest.approx(0.2, abs=1e-6)
+    assert float(dfa_step(state, advice, 0)[0][0]) == pytest.approx(0.2, abs=1e-6)
 
 
 def test_all_dead_sessions_raise_the_named_error():

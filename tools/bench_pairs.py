@@ -26,7 +26,9 @@ are unchanged; otherwise the old runs are dropped.
 ``--tier1`` also runs the tier-1 suite once on each side, base first
 (``python -m pytest -q --continue-on-collection-errors --durations=5``),
 and records its wall time, its result line and its five slowest tests
-under ``tier1``.
+under ``tier1``, next to the side's ``src_lines``: the lines of the
+``.py`` files under ``src/`` (what ``cat $(git ls-files 'src/*.py') | wc
+-l`` counts in a checkout).
 
 Each incorrect run in the file is printed at the end, and the exit code is
 1 if there is any, since its timings measure a wrong program.
@@ -88,9 +90,15 @@ def bench(tree: Path, workload: str, seed: int, seconds: float | None) -> dict:
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors", "--durations=5"]
 
 
+def src_lines(tree: Path) -> int:
+    """The newlines of the ``.py`` files under ``tree/src``."""
+    return sum(path.read_bytes().count(b"\n") for path in (tree / "src").rglob("*.py"))
+
+
 def tier1(tree: Path) -> dict:
     """One run of the tier-1 suite in ``tree``: its wall time, its result
-    line and its five slowest tests (pytest's ``--durations`` lines)."""
+    line and its five slowest tests (pytest's ``--durations`` lines), and
+    the tree's :func:`src_lines`."""
     start = time.perf_counter()
     proc = subprocess.run([sys.executable, *TIER1], cwd=tree, capture_output=True, text=True,
                           timeout=3600)
@@ -103,7 +111,7 @@ def tier1(tree: Path) -> dict:
             slowest.append({"seconds": float(seconds), "test": rest.split()[-1]})
         except (ValueError, IndexError):
             break
-    return {"wall_s": wall, "exit_code": proc.returncode,
+    return {"wall_s": wall, "src_lines": src_lines(tree), "exit_code": proc.returncode,
             "result": lines[-1] if lines else proc.stderr.strip()[-200:],
             "slowest": slowest}
 
