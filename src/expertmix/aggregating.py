@@ -12,7 +12,6 @@ import numpy as np
 
 from .core import (
     MEMBERSHIP_TOL,
-    NO_EARLIER,
     Game,
     Rounds,
     Session,
@@ -84,46 +83,33 @@ def substitute(state: Session, g: np.ndarray,
     return decision, lv
 
 
-def picked_rounds(state: Session, lvs: np.ndarray, advice: np.ndarray, outcomes: np.ndarray,
-                  pick, log_weights: np.ndarray, log_value: np.ndarray, slack: np.ndarray,
-                  last=None, log_factors: np.ndarray | None = None):
-    """The end of a block of B rounds whose moves have the loss vectors
-    ``lvs`` (B, m): Reality picks the last round's outcome,
-    ``pick(lvs[-1])`` (``outcomes`` holds those of the B - 1 rounds
-    before it), ``last(w)`` gives that round's learner term and log factor
-    (zero and None for a mixing session), and the session takes its
-    reweigh from the weights before each round, ``log_weights`` (B, k) and
-    ``log_value`` (B,) (:meth:`Session.reweigh_last`).  ``log_factors``
-    holds the earlier rounds' log factors of a forecasting session.
-    Returns Learner's losses, the experts' losses (B, k), the rounds' slack
-    and their :class:`Rounds`."""
-    w = np.append(outcomes, pick(lvs[-1]))
-    rows = np.arange(len(w))
-    learner_losses, expert_losses = lvs[rows, w], advice[rows, :, w]
-    term, log_factor = (0.0, None) if last is None else last(w[-1])
-    lw, lv = state.reweigh_last(log_weights, log_value, term, expert_losses[-1], log_factor)
-    return learner_losses, expert_losses, slack, state.rounds(
-        lw, lv, learner_losses, expert_losses, slack,
-        None if last is None else np.append(log_factors, log_factor))
-
-
 def substituted_rounds(state: Session, forecasts: np.ndarray, advice: np.ndarray,
                        outcomes: np.ndarray, pick, log_weights: np.ndarray,
                        log_value: np.ndarray, slack: np.ndarray,
-                       error: Exception | None = None, last=None,
-                       log_factors: np.ndarray | None = None, *, substitution_tol: float = 1e-7):
-    """The tail of a block of rounds: one batched substitution of the
-    rounds' ``forecasts`` (B', m), then :func:`picked_rounds`.  A block cut
-    short by ``error`` in round B' < B substitutes the rounds before it, so
-    a :class:`SubstitutionFailure` among them comes first, as round by
-    round, then raises ``error``; the last round's substitution comes
-    before Reality's pick.  Returns the decisions and what
-    :func:`picked_rounds` returns."""
-    decisions, lvs = substitute(state, forecasts, substitution_tol)
+                       error: Exception | None = None, score=None, *, substitution_tol=1e-7):
+    """The tail of a block of B rounds: one batched substitution of the
+    rounds' ``forecasts`` (B', m) (none when ``substitution_tol`` is None:
+    the forecasts are the moves, loss vectors), then ``error``, raised for
+    a block cut short in round B' < B once the rounds before it are
+    substituted, as round by round.  Reality then picks the last round's
+    outcome, ``pick(loss_vector)``, after the others' ``outcomes``;
+    ``score(w)`` gives the last round's learner term and every round's log
+    factor (zero and None for mixing); and the weights before each round,
+    ``log_weights`` (B, k) and ``log_value`` (B,), give those after it.
+    Returns the decisions, Learner's and the experts' losses, the slack and
+    the :class:`Rounds`."""
+    decisions, lvs = (forecasts, forecasts) if substitution_tol is None else \
+        substitute(state, forecasts, substitution_tol)
     if error is not None:
         raise error
-    return (decisions, *picked_rounds(state, lvs, advice, outcomes, pick, log_weights,
-                                      log_value, slack, last, log_factors))
+    w = np.concatenate((outcomes, [pick(lvs[-1])]))
+    rows = np.arange(len(w))
+    learner_losses, expert_losses = lvs[rows, w], advice[rows, :, w]
+    term, log_factors = (0.0, None) if score is None else score(w)
+    lw, lv = state.reweigh(expert_losses[-1:], term, log_weights[-1])
+    lw, lv = np.concatenate((log_weights[1:], lw)), np.concatenate((log_value[1:], lv))
+    return decisions, learner_losses, expert_losses, slack, state.rounds(
+        lw, lv, learner_losses, expert_losses, slack, log_factors)
 
 
 def aa_rounds(state: Session, advice: np.ndarray, outcomes: np.ndarray, pick,
@@ -139,7 +125,7 @@ def aa_rounds(state: Session, advice: np.ndarray, outcomes: np.ndarray, pick,
     :class:`Rounds`, each row what :func:`aa_step` gives that round.
     :class:`AllExpertsDead` and :class:`SubstitutionFailure` are raised for
     the first round that meets them, before Reality picks."""
-    lw, lv = state.reweigh(0.0, advice[np.arange(len(outcomes)), :, outcomes])
+    lw, lv = state.reweigh(advice[np.arange(len(outcomes)), :, outcomes])
     # the weights before each round: the session's, then each earlier round's
     lw = np.concatenate([state.log_weights[None], lw])
     lv = np.concatenate([[state.log_value], lv])
@@ -156,7 +142,7 @@ def aa_step(state: Session, advice, outcome: int,
     """One protocol round: mix, substitute, observe, reweigh (a block of
     one of :func:`aa_rounds`)."""
     A = _advice_matrix(advice, state.game.m, state.n_experts)
-    decisions, *_, rounds = aa_rounds(state, A[None], NO_EARLIER, lambda lv: outcome,
+    decisions, *_, rounds = aa_rounds(state, A[None], np.empty(0, int), lambda lv: outcome,
                                       substitution_tol=substitution_tol)
     return decisions[0], state.after(rounds)
 

@@ -543,20 +543,13 @@ class Session:
             raise AllExpertsDead()
         return self.log_weights - self.log_value
 
-    @property
-    def learner_losses(self):
-        return self.cumulative_loss
-
-    @property
-    def expert_losses(self) -> np.ndarray:
-        return self.per_expert_loss
-
-    def _log_factors(self, learner_terms, expert_losses) -> np.ndarray:
+    def _log_factors(self, learner_terms, expert_losses, log_weights=None) -> np.ndarray:
         """Each round's log factor ``eta_t (learner_term / c_t - expert_loss
-        [t])``, zero for an expert of weight zero, even where its factor is
-        infinite."""
+        [t])``, zero for an expert of weight zero in ``log_weights`` (the
+        session's by default), even where its factor is infinite."""
         expo = pair_exponent(learner_terms, expert_losses, self.c, self.eta)
-        return np.where(np.isneginf(self.log_weights), 0.0, expo)
+        lw = self.log_weights if log_weights is None else log_weights
+        return np.where(np.isneginf(lw), 0.0, expo)
 
     def advance(self, learner_term, learner_loss, expert_losses,
                 log_factor: float | None = None, slack: float = 0.0) -> "Session":
@@ -584,32 +577,25 @@ class Session:
             log_supermartingale=self.log_supermartingale + log_factor if split else None,
         )
 
-    def reweigh(self, learner_terms, expert_losses) -> tuple[np.ndarray, np.ndarray]:
-        """The reweigh of a block of B rounds: the log weights after each
-        round, shape (B, k), and their log-sum-exps, shape (B,).
-        ``learner_terms`` is (B, 1), (B, k) for evaluator sessions, or one
-        scalar for every round (zero for mixing sessions).  The rows are one
-        cumulative sum of :meth:`advance`'s factors from the current
-        weights, so each holds the bits of advancing round by round."""
-        lw = np.concatenate([self.log_weights[None],
-                             self._log_factors(learner_terms, expert_losses)]).cumsum(axis=0)[1:]
+    def reweigh(self, expert_losses, learner_terms=0.0,
+                log_weights=None) -> tuple[np.ndarray, np.ndarray]:
+        """The reweigh of a block of B rounds of a session with scalar (c,
+        eta), from ``log_weights`` (the session's by default): the log
+        weights after each round, shape (B, k), and their log-sum-exps,
+        shape (B,).  The rounds' learner terms, shape (B,), stay out of the
+        weights unless infinite, as in :meth:`advance`; with none, the rows
+        are AA's posterior path.  The rows are one cumulative sum of
+        :meth:`advance`'s factors, so each holds the bits of advancing
+        round by round."""
+        if not len(expert_losses):
+            return np.empty((0, self.n_experts)), np.empty(0)
+        start = self.log_weights if log_weights is None else log_weights
+        terms = np.where(np.isinf(learner_terms), learner_terms, 0.0)[..., None]
+        lw = np.concatenate([start[None], self._log_factors(terms, expert_losses, start)]
+                            ).cumsum(axis=0)[1:]
         # a weight that reaches zero inside the block keeps it
         lw[np.logical_or.accumulate(np.isneginf(lw), axis=0)] = -np.inf
         return lw, log_sum_exp(lw, axis=-1)
-
-    def reweigh_last(self, log_weights, log_value, learner_term, expert_losses,
-                     log_factor=None) -> tuple[np.ndarray, np.ndarray]:
-        """The log weights after each round of a block, shape (B, k), and
-        their log-sum-exps, shape (B,), from the weights before each round,
-        ``log_weights`` (B, k) and ``log_value`` (B,), the session's first:
-        the rows after the first, then the last round's :meth:`advance`
-        from the weights before it, which Reality picked after Learner's
-        move.  An infinite ``learner_term`` keeps its extended-real rule."""
-        before = self if len(log_value) == 1 else replace(
-            self, log_weights=log_weights[-1], log_value=float(log_value[-1]))
-        after = before.advance(learner_term, 0.0, expert_losses, log_factor)
-        return (np.concatenate([log_weights[1:], after.log_weights[None]]),
-                np.append(log_value[1:], after.log_value))
 
     def rounds(self, log_weights, log_value, learner_losses, expert_losses, slack,
                log_factors=None) -> "Rounds":
@@ -620,6 +606,8 @@ class Session:
         supermartingale (from the rounds' ``log_factors``) as running sums,
         added in order as round by round."""
         def running(start, steps):
+            if len(steps) == 1:  # a block of one: its one sum, with no cumsum's overhead
+                return start + steps
             return np.concatenate(([start], steps)).cumsum(axis=0)[1:]
 
         return Rounds(
@@ -656,11 +644,6 @@ class Session:
             penalty = -np.log(self.prior)
             rhs = self.c * per + (self.c / self.eta) * (penalty + slack)
             return np.where(np.isinf(rhs), -np.inf, cum - rhs)
-
-
-#: the outcomes of the rounds before the last of a block of one
-NO_EARLIER = np.empty(0, dtype=int)
-NO_EARLIER.setflags(write=False)
 
 
 class Rounds(NamedTuple):

@@ -27,14 +27,14 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .aggregating import _advice_matrix, aa_mix, project_boundary, substituted_rounds
-from .core import (NO_EARLIER, Game, Session, _batch_losses, log_mix, pair_exponent,
-                   simplex_grid, start_session)
+from .core import (Game, Session, _batch_losses, log_mix, pair_exponent, simplex_grid,
+                   start_session)
 from .errors import AllExpertsDead, ContractViolation, SlackExceeded
 from .losses import ProperLoss, proper_loss_from_entropy
 
@@ -724,44 +724,42 @@ def _block_forecasts(state: Session, lwn: np.ndarray, A: np.ndarray, epsilon: fl
     return pi, np.where(excess > 0.0, excess, 0.0), qpi, served
 
 
-def forecast_rounds(state: Session, A: np.ndarray, expert_losses: np.ndarray, score,
+def forecast_rounds(state: Session, A: np.ndarray, expert_losses: np.ndarray, terms,
                     *, epsilon: float, tol: float, select: str):
     """The solve of a block of B forecasting rounds whose advice ``A`` (B,
-    k, m) does not depend on Learner's moves, given the experts' losses
-    (B - 1, k) of the rounds before the last, whose outcome Reality has
-    not picked yet.
+    k, m) does not depend on Learner's moves, from the experts' losses (B -
+    1, k) of the rounds before the last, whose outcome Reality picks later.
 
     The session's posterior is AA's, so one reweigh gives the posterior
     before every round.  One batch serves the rounds it can
-    (:func:`_block_forecasts`); :func:`_forecast` gives each other round
-    its forecast, slack and ``q(pi, .)`` row, one at a time on the same
-    posteriors, with AA's mix as the fallback of a stalled simplex
-    search.  ``score(block, pi, qpi, lwn, lw)`` gives the learner terms
-    and log factors of the rounds ``block`` (a slice of the rounds before
-    the last), played at the forecasts ``pi`` under the log posteriors
-    ``lwn`` and log weights ``lw``.  A round whose learner term is
-    infinite keeps weights that AA's posterior drops, so the rounds after
-    it are solved again from its weights.  Returns the forecasts, slack
-    and q rows of the rounds solved, the log weights and log values before
-    each, the learner terms and log factors of those before the last, and
-    the error of the first round that raised (None when all B were
-    solved)."""
+    (:func:`_block_forecasts`), and :func:`_forecast` each other round, one
+    at a time on the same posteriors.  ``terms(block, pi)`` gives the
+    learner terms of the rounds ``block`` before the last, played at the
+    forecasts ``pi``; a round whose learner term is infinite keeps weights
+    that AA's posterior drops, so the rounds after it are solved again from
+    its weights.  Returns the forecasts, slack and ``q(pi, .)`` rows of the
+    rounds solved, the log weights and values before each, and the error
+    of the first round that raised (None when all were solved; a block of
+    one raises it)."""
     B, k, m = A.shape
+    if B == 1:  # a block of one: the round's forecast, as :func:`_forecast` gives it
+        pi, s, qpi = _forecast(state, state.log_posterior(), A[0], epsilon, tol, select)
+        return (pi[None], np.array([s]), qpi[None], state.log_weights[None],
+                np.array([state.log_value]), None)
     lw, lv = np.empty((B, k)), np.empty(B)  # before each round
+    lw[0], lv[0] = state.log_weights, state.log_value
     pi, slack, qpi = np.empty((B, m)), np.zeros(B), np.empty((B, m))
-    terms, log_factors = np.empty(B - 1), np.empty(B - 1)
-    n, error, cur = 0, None, state
+    n, error = 0, None
     while n < B and error is None:
-        lw[n], lv[n] = cur.log_weights, cur.log_value
-        lw[n + 1:], lv[n + 1:] = cur.reweigh(0.0, expert_losses[n:])
+        lw[n + 1:], lv[n + 1:] = state.reweigh(expert_losses[n:], 0.0, lw[n])
         dead = np.isneginf(lv[n:])
         live = int(np.argmax(dead)) if dead.any() else len(dead)
         lwn = lw[n:n + live] - lv[n:n + live, None]
-        p, s, q, served = _block_forecasts(cur, lwn, A[n:n + live], epsilon, tol, select)
+        p, s, q, served = _block_forecasts(state, lwn, A[n:n + live], epsilon, tol, select)
         played = live
         for i in np.flatnonzero(~served):
             try:
-                p[i], s[i], q[i] = _forecast(cur, lwn[i], A[n + i], epsilon, tol, select)
+                p[i], s[i], q[i] = _forecast(state, lwn[i], A[n + i], epsilon, tol, select)
             except Exception as exc:  # raised once the rounds before it are played
                 error, played = exc, int(i)
                 break
@@ -769,19 +767,15 @@ def forecast_rounds(state: Session, A: np.ndarray, expert_losses: np.ndarray, sc
             error = AllExpertsDead()
         pi[n:n + played], slack[n:n + played], qpi[n:n + played] = \
             p[:played], s[:played], q[:played]
-        block = slice(n, n + min(played, B - 1 - n))
-        if block.stop > n:
-            terms[block], log_factors[block] = score(block, p[:block.stop - n],
-                                                     q[:block.stop - n], lwn[:block.stop - n],
-                                                     lw[block])
-        infinite = np.flatnonzero(np.isinf(terms[block]))
-        if infinite.size:  # its weights by the extended-real rule; solve on from them
+        known = min(played, B - 1 - n)  # the rounds whose outcome is picked
+        infinite = np.flatnonzero(np.isinf(terms(slice(n, n + known), p[:known]))) \
+            if known else ()
+        if len(infinite):  # its weights by the extended-real rule; solve on from them
             i = n + int(infinite[0])
-            cur = replace(cur, log_weights=lw[i], log_value=lv[i]).advance(
-                terms[i], 0.0, expert_losses[i], log_factors[i])
+            (lw[i + 1],), (lv[i + 1],) = state.reweigh(expert_losses[i:i + 1], np.inf, lw[i])
             played, error = i + 1 - n, None
         n += played
-    return pi[:n], slack[:n], qpi[:n], lw[:n], lv[:n], terms[:n], log_factors[:n], error
+    return pi[:n], slack[:n], qpi[:n], lw[:n], lv[:n], error
 
 
 def dfa_rounds(state: Session, advice: np.ndarray, outcomes: np.ndarray, pick, *,
@@ -790,29 +784,24 @@ def dfa_rounds(state: Session, advice: np.ndarray, outcomes: np.ndarray, pick, *
     """Play a block of B rounds whose advice, shape (B, k, m), does not
     depend on Learner's moves, from the outcomes (B - 1,) of the rounds
     before the last and ``pick(loss_vector)``, the last round's
-    (:func:`aggregating.aa_rounds`; :func:`forecast_rounds`): one batch
-    solves every binary midpoint round's admissible interval, or takes the
-    barycentre for every round with three or more outcomes whose
-    barycentre holds; the other rounds are solved one at a time, with AA's
-    mix as the fallback of a stalled simplex search.  The learner term is
-    ``lambda(pi, w)``, the log factor ``ln q(pi, w)``, read from the
-    solver's row at pi.  The substitution and the running sums are one
-    batch each.  Returns what :func:`aggregating.aa_rounds` returns, each
-    row what :func:`dfa_step` gives that round; an error is raised for the
-    first round that meets it, as round by round, and before Reality picks.
-    :class:`SubstitutionFailure` means the loss parameterization's value
-    cannot be dominated by a legal decision; with the default
-    parameterizations, that (c, eta) violates the game's contract."""
-    def score(block, pi, qpi, lwn, lw):
-        rows, w = np.arange(len(pi)), outcomes[block]
-        return state.proper(pi)[rows, w], _log_q(qpi)[rows, w]
-
-    pi, slack, qpi, lw, lv, _, log_factors, error = forecast_rounds(
-        state, advice, advice[np.arange(len(outcomes)), :, outcomes], score,
+    (:func:`forecast_rounds`): one batch solves every binary midpoint
+    round's admissible interval, or takes the barycentre for every round
+    with three or more outcomes whose barycentre holds; the others are
+    solved one at a time, with AA's mix as the fallback of a stalled
+    simplex search.  The learner term is ``lambda(pi, w)``, the log factor
+    ``ln q(pi, w)`` from the solver's row at pi.  Returns what
+    :func:`aggregating.aa_rounds` returns, each row what :func:`dfa_step`
+    gives that round; an error is raised for the first round that meets
+    it, before Reality picks.  With the default loss parameterizations,
+    :class:`SubstitutionFailure` means that (c, eta) violates the game's
+    contract."""
+    pi, slack, qpi, lw, lv, error = forecast_rounds(
+        state, advice, advice[np.arange(len(outcomes)), :, outcomes],
+        lambda block, pi: state.proper(pi)[np.arange(len(pi)), outcomes[block]],
         epsilon=epsilon, tol=tol, select=select)
     lam = state.proper(pi) if len(pi) else pi
     return substituted_rounds(state, lam, advice, outcomes, pick, lw, lv, slack, error,
-                              lambda w: (lam[-1, w], _log_q(qpi[-1])[w]), log_factors,
+                              lambda w: (lam[-1, w[-1]], _log_q(qpi)[np.arange(len(w)), w]),
                               substitution_tol=substitution_tol)
 
 
@@ -831,6 +820,6 @@ def dfa_step(state: Session, advice, outcome: int, *,
     """
     A = _advice_matrix(advice, state.game.m, state.n_experts)
     decisions, _, _, slack, rounds = dfa_rounds(
-        state, A[None], NO_EARLIER, lambda lv: outcome, epsilon=epsilon, tol=tol,
+        state, A[None], np.empty(0, int), lambda lv: outcome, epsilon=epsilon, tol=tol,
         select=select, substitution_tol=substitution_tol)
     return decisions[0], state.after(rounds), float(slack[0])

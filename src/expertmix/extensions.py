@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import (NO_EARLIER, PROB_TOL, Game, Session, as_probs, log_sum_exp, pair_exponent,
+from .core import (PROB_TOL, Game, Session, as_probs, log_sum_exp, pair_exponent,
                    start_session)
 from .defensive import (
     _forecast,
@@ -78,45 +78,22 @@ def ml_dfa_start(experts: Sequence[EvaluatedExpert], m: int, *,
     return session
 
 
-def _advice_losses(state: Session, advice: np.ndarray) -> np.ndarray:
-    """Each expert's own proper loss at its advice row, (k, m), each from a
-    one-row call: a batched call need not give a row's bits (the square
-    loss squares ``1 - p`` with ``pow`` in a one-row call, and by
-    multiplication in a batch)."""
-    return np.stack([proper(a) for proper, a in zip(state.proper, advice)])
-
-
-def _ml_forecast(state: Session, G: np.ndarray, epsilon: float, tol: float):
-    """The chain of one evaluator round: the forecast for the advice losses
-    ``G`` (k, m) under the session's posterior (the root selection for
-    binary outcomes), its slack and every expert's loss at it, (k, m), from
-    one proper-loss call per evaluator group
-    (:func:`~expertmix.defensive.evaluator_groups`)."""
-    pi, slack = choose_forecast(fixed_advice_q(state, G), G.shape[-1], epsilon=epsilon,
-                                tol=tol, select="root")
-    lam = np.empty(G.shape)
-    for proper, _, _, idx in evaluator_groups(state):
-        lam[idx] = proper(pi)
-    return pi, slack, lam
-
-
 def ml_dfa_rounds(state: Session, advice: np.ndarray, outcomes: np.ndarray, pick, *,
                   epsilon: float = 1e-6, tol: float = 1e-9):
     """Play a block of B evaluator rounds whose advice, distributions of
     shape (B, k, m), does not depend on Learner's moves, from the outcomes
     (B - 1,) of the rounds before the last and ``pick(None)``, the last
-    round's (a forecast has no single loss vector): the advice is checked
-    in one batch, and the records' columns and running sums are built
-    once.  Each expert's learner term ``lambda_t / c_t`` differs, so the
-    posterior is not AA's and is not one cumulative sum: each round's
-    chain stays round by round (the advice losses, the q, its root, every
-    expert's loss at the forecast, then :meth:`Session.advance`).  Learner
-    announces a distribution (the root selection for binary outcomes), and
-    every party is scored by each evaluator's own loss.  Returns the
-    forecasts (B, m), Learner's losses and the experts' losses (B, k), the
-    slack and the session's :class:`~expertmix.core.Rounds`, each row what
+    round's (a forecast has no single loss vector).  The advice is checked,
+    and the records' columns and running sums are built, once per block.
+    Each expert's learner term ``lambda_t / c_t`` differs, so the posterior
+    is not AA's: each round's chain stays round by round (the advice
+    losses, the q, its root, every expert's loss at the forecast from one
+    proper-loss call per evaluator group, then :meth:`Session.advance`),
+    and every party is scored by each evaluator's own loss.  Returns the
+    forecasts (B, m), Learner's and the experts' losses (B, k), the slack
+    and the session's :class:`~expertmix.core.Rounds`, each row what
     :func:`ml_dfa_step` gives that round; an error is raised in the first
-    round that meets it, as round by round."""
+    round that meets it."""
     B, k, m = advice.shape
     if (k, m) != (state.n_experts, state.proper[0].game.m):
         raise ValueError(f"advice shape {advice.shape}, expected "
@@ -132,8 +109,14 @@ def ml_dfa_rounds(state: Session, advice: np.ndarray, outcomes: np.ndarray, pick
         if doubtful[i]:
             for a in advice[i]:
                 as_probs(a)
-        G = _advice_losses(cur, advice[i])
-        pis[i], slack[i], lam = _ml_forecast(cur, G, epsilon, tol)
+        # one-row calls: a batch need not give a row's bits (the square loss
+        # squares 1 - p with pow in a one-row call, by multiplication in a batch)
+        G = np.stack([proper(a) for proper, a in zip(cur.proper, advice[i])])
+        pis[i], slack[i] = choose_forecast(fixed_advice_q(cur, G), m, epsilon=epsilon,
+                                           tol=tol, select="root")
+        lam = np.empty(G.shape)
+        for proper, _, _, idx in evaluator_groups(cur):
+            lam[idx] = proper(pis[i])
         w = ws[i] if i < len(ws) else pick(None)
         learner[i], expert_losses[i] = lam[:, w], G[:, w]
         cur = cur.advance(learner[i], learner[i], expert_losses[i], None, slack[i])
@@ -146,7 +129,7 @@ def ml_dfa_step(state: Session, advice, outcome: int, *,
                 ) -> tuple[np.ndarray, Session, float]:
     """One evaluator round (a block of one of :func:`ml_dfa_rounds`)."""
     adv = np.stack([as_probs(a) for a in advice])
-    pis, *_, slack, rounds = ml_dfa_rounds(state, adv[None], NO_EARLIER, lambda _: outcome,
+    pis, *_, slack, rounds = ml_dfa_rounds(state, adv[None], np.empty(0, int), lambda _: outcome,
                                            epsilon=epsilon, tol=tol)
     return pis[0], state.after(rounds), float(slack[0])
 
@@ -357,26 +340,23 @@ def simplex_dfa_rounds(state: Session, advice: np.ndarray, outcomes: np.ndarray,
     def play(pi):  # the substituted decisions at the forecasts
         return np.asarray(sg.base.substitution(state.proper(pi)), dtype=float)
 
-    def score(decisions, points, expert_losses, lwn, lw):  # Session._log_factors of each round
-        learner = sg.loss_on_simplex(decisions, points)
-        expo = pair_exponent(learner[:, None], expert_losses, state.c, state.eta)
-        return learner, log_sum_exp(lwn + np.where(np.isneginf(lw), 0.0, expo), axis=-1)
-
-    pi, slack, _, lw, lv, learner, log_factors, error = forecast_rounds(
+    pi, slack, _, lw, lv, error = forecast_rounds(
         state, sg.base.loss_rows(advice), known,
-        lambda block, pi, qpi, lwn, lw: score(play(pi), outcomes[block], known[block], lwn, lw),
+        lambda block, pi: sg.loss_on_simplex(play(pi), outcomes[block]),
         epsilon=epsilon, tol=tol, select=select)
     if error is not None:
         raise error
     decisions = play(pi)
-    point = pick(None)
-    expert_losses = np.concatenate([known, sg.loss_on_simplex(advice[-1], point)[None]])
-    last, log_factor = score(decisions[-1:], point[None], expert_losses[-1:],
-                             lw[-1:] - lv[-1:, None], lw[-1:])
-    learner = np.append(learner, last)
-    lw, lv = state.reweigh_last(lw, lv, last[0], expert_losses[-1], log_factor[0])
+    points = np.concatenate((outcomes, pick(None)[None]))
+    expert_losses = np.concatenate((known, sg.loss_on_simplex(advice[-1], points[-1])[None]))
+    learner = sg.loss_on_simplex(decisions, points)
+    # Session._log_factors of each round, under the posterior before it
+    expo = pair_exponent(learner[:, None], expert_losses, state.c, state.eta)
+    log_factors = log_sum_exp(lw - lv[:, None] + np.where(np.isneginf(lw), 0.0, expo), axis=-1)
+    after, after_v = state.reweigh(expert_losses[-1:], learner[-1:], lw[-1])
     return decisions, learner, expert_losses, slack, state.rounds(
-        lw, lv, learner, expert_losses, slack, np.append(log_factors, log_factor))
+        np.concatenate((lw[1:], after)), np.concatenate((lv[1:], after_v)), learner,
+        expert_losses, slack, log_factors)
 
 
 def simplex_dfa_step(state: Session, advice, p_outcome, *,
@@ -386,7 +366,6 @@ def simplex_dfa_step(state: Session, advice, p_outcome, *,
     """One simplex-outcome round (a block of one of
     :func:`simplex_dfa_rounds`), scored at the realized point
     ``p_outcome``."""
-    _require_verified(state)
     point = as_probs(p_outcome)
     advice = np.stack([np.asarray(a, dtype=float) for a in advice])
     decisions, _, _, slack, rounds = simplex_dfa_rounds(

@@ -235,16 +235,11 @@ def _open_second_guess(start, rounds, records_pi: bool, read):
         state = start(game, eta=config.eta, c=config.c, prior=config.prior,
                       n_experts=len(experts))
 
-        def learner_pi(gammas):
-            if not records_pi:
-                return [None] * len(gammas)
-            return _learner_pi(game, np.stack(
-                [np.asarray(game.substitution(g), dtype=float) for g in gammas]))
-
         return state, _block_play(
             reality, lambda n, size, outcomes: None,
             lambda state, _, w, pick: rounds(state, experts, w, pick, eps, tol),
-            learner_pi, read)
+            lambda gammas: _learner_pi(game, np.asarray(game.substitution(gammas), dtype=float))
+            if records_pi else [None] * len(gammas), read)
 
     return open_protocol
 

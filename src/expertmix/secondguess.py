@@ -14,8 +14,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .aggregating import picked_rounds, project_boundary, retraction_F
-from .core import NO_EARLIER, Game, Session, domination_gap, exp_mix, pair_exponent
+from .aggregating import project_boundary, retraction_F, substituted_rounds
+from .core import Game, Session, domination_gap, exp_mix, pair_exponent
 from .defensive import _log_q, choose_forecast
 from .errors import DomainError, NoConvergence
 
@@ -53,19 +53,18 @@ class SecondGuessExpert:
 
 
 def _round_of_one(state: Session, gamma: np.ndarray, advice: np.ndarray, outcomes, pick,
-                  slack: float, last=None):
+                  slack: float, score=None):
     """A second-guessing round as a block of one (the advice depends on
     Learner's move, so no round is fixed before it): Reality picks from
     the announced loss vector ``gamma``, and the experts are scored by
-    their conditional ``advice`` (k, m) at it (:func:`picked_rounds`).
-    Returns what :func:`~expertmix.aggregating.aa_rounds` returns, plus the
-    advice scored, shape (1, k, m)."""
-    if len(outcomes):
-        raise ValueError("a second-guessing block holds one round")
-    return (gamma[None], *picked_rounds(
-        state, gamma[None], advice[None], outcomes, pick, state.log_weights[None],
-        np.array([state.log_value]), np.array([slack]), last,
-        None if last is None else np.empty(0)), advice[None])
+    their conditional ``advice`` (k, m) at it
+    (:func:`~expertmix.aggregating.substituted_rounds`, with no
+    substitution).  Returns what :func:`~expertmix.aggregating.aa_rounds`
+    returns, plus the advice scored, shape (1, k, m)."""
+    return (*substituted_rounds(state, gamma[None], advice[None], outcomes, pick,
+                                state.log_weights[None], np.array([state.log_value]),
+                                np.array([slack]), None, score, substitution_tol=None),
+            advice[None])
 
 
 def sg_dfa_rounds(state: Session, experts: Sequence[SecondGuessExpert], outcomes, pick, *,
@@ -108,7 +107,7 @@ def sg_dfa_rounds(state: Session, experts: Sequence[SecondGuessExpert], outcomes
             )
     log_q = _log_q(qpi)
     return _round_of_one(state, gamma, advice, outcomes, pick, slack,
-                         lambda w: (gamma[w], log_q[w]))
+                         lambda w: (gamma[w[-1]], log_q[w]))
 
 
 def sg_dfa_step(state: Session, experts: Sequence[SecondGuessExpert],
@@ -117,7 +116,7 @@ def sg_dfa_step(state: Session, experts: Sequence[SecondGuessExpert],
     """One round against second-guessing experts (see
     :func:`sg_dfa_rounds`); the returned prediction is a loss vector."""
     gammas, _, _, slack, rounds, _ = sg_dfa_rounds(
-        state, experts, NO_EARLIER, lambda gamma: outcome, epsilon=epsilon, tol=tol,
+        state, experts, np.empty(0, int), lambda gamma: outcome, epsilon=epsilon, tol=tol,
         codomain_tol=codomain_tol)
     return gammas[0], state.after(rounds), float(slack[0])
 
@@ -232,6 +231,6 @@ def sg_aa_step(state: Session, experts: Sequence[SecondGuessExpert],
                outcome: int, *, tol: float = 1e-10) -> tuple[np.ndarray, Session]:
     """Fixed-point mixing round: announce the solution, observe, reweigh
     with the experts' realized conditional losses."""
-    gammas, *_, rounds, _ = sg_aa_rounds(state, experts, NO_EARLIER, lambda gamma: outcome,
+    gammas, *_, rounds, _ = sg_aa_rounds(state, experts, np.empty(0, int), lambda gamma: outcome,
                                          tol=tol)
     return gammas[0], state.after(rounds)

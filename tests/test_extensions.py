@@ -47,7 +47,7 @@ class TestEvaluatorSessions:
             dec, plain, _ = dfa_step(plain, np.stack([g.loss_vector([p])]), w,
                                      select="root")
             assert pi[1] == pytest.approx(float(dec[0]), abs=1e-9)
-        assert state.learner_losses[0] == pytest.approx(plain.cumulative_loss, abs=1e-9)
+        assert state.cumulative_loss[0] == pytest.approx(plain.cumulative_loss, abs=1e-9)
 
     def test_single_expert_zero_regret(self):
         state = ml_dfa_start([log_evaluator(1.0)], 2, verify=False)
@@ -55,7 +55,7 @@ class TestEvaluatorSessions:
         for _ in range(50):
             p = rng.uniform(0.1, 0.9)
             pi, state, _ = ml_dfa_step(state, [np.array([1 - p, p])], int(rng.integers(0, 2)))
-        assert state.learner_losses[0] == pytest.approx(state.expert_losses[0], abs=1e-7)
+        assert state.cumulative_loss[0] == pytest.approx(state.per_expert_loss[0], abs=1e-7)
 
     def test_bad_evaluator_rejected(self):
         g = builtin_game("square", 2)
@@ -87,7 +87,7 @@ class TestEvaluatorSessions:
             _, state, _ = ml_dfa_step(state, advice, w)
         margins = state.bound_margins()
         assert np.all(margins <= 1e-7)
-        regrets = state.learner_losses - state.expert_losses
+        regrets = state.cumulative_loss - state.per_expert_loss
         assert np.all(regrets[:K] <= np.log(2 * K) + 1e-7)
         assert np.all(regrets[K:] <= 0.5 * np.log(2 * K) + 1e-7)
 
