@@ -23,7 +23,6 @@ import numpy as np
 from .core import (PROB_TOL, Game, Session, as_probs, log_sum_exp, pair_exponent,
                    start_session)
 from .defensive import (
-    _forecast,
     choose_forecast,
     default_proper_loss,
     evaluator_groups,

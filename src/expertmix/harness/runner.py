@@ -180,8 +180,8 @@ def _block_play(reality, advise, rounds, learner_pi, read):
     from Learner's loss vector.  ``learner_pi(moves)`` gives the recorded
     forecasts and ``read(state, rounds)`` the log supermartingale."""
     def play(state, n, size, outcomes):
-        if reality.depends_on_prediction:
-            w = np.zeros(size, dtype=int)
+        if reality.depends_on_prediction:  # a block of one
+            w = np.zeros(1, dtype=int)
 
             def pick(lv):
                 w[-1] = reality.pick(n, lv)
