@@ -591,8 +591,11 @@ class Session:
             return np.empty((0, self.n_experts)), np.empty(0)
         start = self.log_weights if log_weights is None else log_weights
         terms = np.where(np.isinf(learner_terms), learner_terms, 0.0)[..., None]
-        lw = np.concatenate([start[None], self._log_factors(terms, expert_losses, start)]
-                            ).cumsum(axis=0)[1:]
+        factors = self._log_factors(terms, expert_losses, start)
+        if len(factors) == 1:  # one round: its one sum, with no cumsum's overhead
+            lw = start + factors
+            return lw, np.array([log_sum_exp(lw[0])])
+        lw = np.concatenate([start[None], factors]).cumsum(axis=0)[1:]
         # a weight that reaches zero inside the block keeps it
         lw[np.logical_or.accumulate(np.isneginf(lw), axis=0)] = -np.inf
         return lw, log_sum_exp(lw, axis=-1)

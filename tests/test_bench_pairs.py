@@ -53,12 +53,16 @@ def test_src_lines_counts_the_python_lines_under_src(bench_pairs, tmp_path):
 
 
 def test_src_lines_of_the_repo_is_the_git_count(bench_pairs):
+    """On a checkout, the count of ``cat $(git ls-files 'src/*.py') | wc -l``."""
     root = TOOL.parent.parent
-    files = subprocess.run(["git", "ls-files", "src/*.py"], cwd=root, capture_output=True,
-                           text=True).stdout.split()
-    if subprocess.run(["git", "status", "--porcelain", "--", "src"], cwd=root,
-                      capture_output=True, text=True).stdout.strip() or not files:
-        pytest.skip("src/ differs from its committed files")
+
+    def git(*args):
+        return subprocess.run(["git", *args], cwd=root, capture_output=True,
+                              text=True).stdout.split()
+
+    files = git("ls-files", "src/*.py")
+    if not files or git("ls-files", "--others", "--exclude-standard", "src/*.py"):
+        pytest.skip("not a git checkout, or src/ holds untracked .py files")
     assert bench_pairs.src_lines(root) == sum(
         (root / f).read_bytes().count(b"\n") for f in files)
 
