@@ -54,7 +54,12 @@ def aa_mix(state: Session, advice, log_posterior: np.ndarray | None = None) -> n
     rounds, advice (B, k, m) under their ``log_posterior`` rows (B, k)."""
     A = _advice_matrix(advice, state.game.m, state.n_experts)
     lwn = state.log_posterior() if log_posterior is None else log_posterior
-    logs = log_mix(lwn, state.eta, A)
+    return _scaled_mix(state, log_mix(lwn, state.eta, A))
+
+
+def _scaled_mix(state: Session, logs: np.ndarray) -> np.ndarray:
+    """AA's mix ``-(c/eta) logs`` from the log-mix ``logs`` (:func:`log_mix`),
+    infinite where it is ``-inf``."""
     g = np.where(np.isneginf(logs), np.inf, -(state.c / state.eta) * logs)
     return np.maximum(g, 0.0)
 
@@ -235,27 +240,29 @@ _EXPAND_CAP = 1e12
 
 
 def _retraction_hint(game: Game, eta: float | None):
-    """The closed-form least value of coordinate ``w`` of ``cur``, as
-    ``hint(cur, w)``, when the membership rule at ``eta`` is a binary box
-    game's closed-form gap in its base set: ``loss(p)[0]`` at the feasible
-    interval's lower end for coordinate 0, ``loss(p)[1]`` at its upper end
-    for coordinate 1, each end clipped to [0, 1].  None for every other
-    rule (hull gaps, the numeric search, three or more outcomes)."""
+    """The closed-form least value of coordinate ``w`` of each row of
+    ``rows`` (n, 2), as ``hint(rows, w)``, when the membership rule at
+    ``eta`` is a binary box game's closed-form gap in its base set:
+    ``loss(p)[0]`` at the feasible interval's lower end for coordinate 0,
+    ``loss(p)[1]`` at its upper end for coordinate 1, each end clipped to
+    [0, 1].  None for every other rule (hull gaps, the numeric search,
+    three or more outcomes)."""
     if game.membership_gap is None or game.feasible_interval is None or game.m != 2 \
             or (eta is not None and not game.mixable_at(eta)):
         return None
 
-    def hint(cur: np.ndarray, w: int) -> float:
-        p = min(max(float(game.feasible_interval(cur)[w]), 0.0), 1.0)
-        return float(game.loss(np.array([p]))[w])
+    def hint(rows: np.ndarray, w: int) -> np.ndarray:
+        p = np.minimum(np.maximum(game.feasible_interval(rows)[w], 0.0), 1.0)
+        return game.loss(p[:, None])[:, w]
 
     return hint
 
 
 def retraction_F(game: Game, g, *, eta: float | None = None,
                  tol: float = 1e-10) -> np.ndarray:
-    """Coordinatewise retraction onto the minimal elements: lower each
-    coordinate in ascending outcome order as far as membership permits.
+    """Coordinatewise retraction onto the minimal elements of ``g`` (m,), or
+    of each row of a batch (n, m): lower each coordinate in ascending
+    outcome order as far as membership permits.
 
     When ``eta`` is given, membership means the eta-hull of the
     superprediction set (identical to the base set whenever mixability is
@@ -263,45 +270,76 @@ def retraction_F(game: Game, g, *, eta: float | None = None,
     equally minimal points; ascending order is pinned here.
 
     Each coordinate is the bisection of ``[0, g_w]`` for the least member.
-    On a binary box game's closed-form gap the bisection first walks its
-    path against the closed-form boundary, making no gap call, and then
-    checks the path's two ends: a last ``lo`` that is not a member and a
-    last ``hi`` that is.  The gap is monotone along the path, so when both
-    hold every midpoint would have gone the same way, and the result is
-    the plain bisection's bit for bit; when either fails, the plain
-    bisection runs.  Raises ``ValueError`` for a negative or NaN ``tol``.
+    On a binary box game's closed-form gap, which takes every row at once,
+    one gap call per coordinate checks ``0`` for every row, and the
+    bisection of each other row with a finite coordinate walks its path
+    against the closed-form boundary, in Python floats, making no gap
+    call.  Then one more gap call checks the paths' two ends: a last
+    ``lo`` that is not a member and a last ``hi`` that is.  The gap is
+    monotone along the path, so when both hold every midpoint would have
+    gone the same way, and the result is the plain bisection's bit for
+    bit.  A row that fails either check, or whose coordinate is infinite
+    (its bisection first doubles a bound up from 1), runs the plain
+    bisection, as every row does under any other rule.  Each row is what
+    a one-row call gives it.  Raises ``ValueError`` when a row is not a
+    member, or for a negative or NaN ``tol``.
     """
     _check_tol(tol)
     cur = as_losses(g).copy()
+    if cur.shape[-1] != game.m:
+        raise DimensionMismatch(f"loss vector of size {cur.shape[-1]} for {game.m} outcomes")
+    rows = cur.reshape(-1, game.m)  # a view: the rows are retracted in place
+    n = len(rows)
     mtol = _membership_tol(game)
-    entry = domination_gap(game, cur) if eta is None else hull_membership_gap(game, cur, eta)
-    if entry > max(mtol, MEMBERSHIP_TOL):
-        raise ValueError("input is not a superprediction (or hull member)")
     gap = _gap_rule(game, eta)
     hint = _retraction_hint(game, eta)
+    if hint is not None:  # the closed form takes every row at once
+        gaps, entry = gap, gap(rows)
+    else:
+        def gaps(probes: np.ndarray) -> np.ndarray:
+            return np.array([gap(v) for v in probes])
+
+        entry = np.array([domination_gap(game, v) if eta is None
+                          else hull_membership_gap(game, v, eta) for v in rows])
+    if np.any(entry > max(mtol, MEMBERSHIP_TOL)):
+        raise ValueError("input is not a superprediction (or hull member)")
 
     for w in range(game.m):
-        probe = cur.copy()
-
-        def member(x: float) -> bool:
-            probe[w] = x
-            return gap(probe) <= mtol
-
-        if member(0.0):
-            cur[w] = 0.0
-            continue
-        hi = float(cur[w])
-        if not np.isfinite(hi):
-            hi = 1.0
-            while not member(hi) and hi < _EXPAND_CAP:
-                hi *= 2.0
-            if not member(hi):
-                continue  # no finite value restores membership
+        bound = rows[:, w].copy()
+        probes = rows.copy()
+        probes[:, w] = 0.0
+        zero = gaps(probes) <= mtol
+        plain = ~zero
         if hint is not None:
-            # the path of the test mid >= hint, checked at its two ends
-            lo, end = _bisect(hint(cur, w).__le__, hi, tol)
-            if (lo == 0.0 or not member(lo)) and (end == hi or member(end)):
-                cur[w] = end
-                continue
-        cur[w] = _bisect(member, hi, tol)[1]
+            # the path of the test mid >= hint for each other finite row
+            walk = plain & np.isfinite(bound)
+            lo, end, h, b = np.zeros(n), bound.copy(), hint(rows, w).tolist(), bound.tolist()
+            for r in np.flatnonzero(walk).tolist():
+                lo[r], end[r] = _bisect(h[r].__le__, b[r], tol)
+            # its two ends, by one call: a last lo that is no member (lo = 0
+            # is none where the walk ran), a last hi that is (or the bound,
+            # whose row probes 0, a point of every row's path, instead)
+            at_bound = end == bound
+            probes = np.concatenate([rows, rows])
+            probes[:n, w], probes[n:, w] = lo, np.where(at_bound, 0.0, end)
+            ends_in = gaps(probes) <= mtol
+            ok = walk & ~ends_in[:n] & (at_bound | ends_in[n:])
+            rows[ok, w] = end[ok]
+            plain &= ~ok
+        rows[zero, w] = 0.0
+        for r in np.flatnonzero(plain):
+            probe = rows[r].copy()
+
+            def member(x: float) -> bool:
+                probe[w] = x
+                return gap(probe) <= mtol
+
+            hi = float(bound[r])
+            if not np.isfinite(hi):
+                hi = 1.0
+                while not member(hi) and hi < _EXPAND_CAP:
+                    hi *= 2.0
+                if not member(hi):
+                    continue  # no finite value restores membership
+            rows[r, w] = _bisect(member, hi, tol)[1]
     return cur

@@ -71,9 +71,9 @@ def _check_probs(arr: np.ndarray) -> None:
 
 
 def _check_losses(arr: np.ndarray) -> None:
-    if np.any(np.isnan(arr)):
+    if np.isnan(arr).any():
         raise InvalidLossVector(f"NaN loss entry in {arr}")
-    if np.any(arr < 0):
+    if (arr < 0).any():
         raise InvalidLossVector(f"negative loss entry in {arr}")
 
 
@@ -251,7 +251,9 @@ class Game:
     superprediction (shape ``(m,)``, or a batch ``(n, m)``) to a decision
     whose loss vector minorizes it.  Optional
     closed forms (membership gap, entropy, proper loss, hull machinery)
-    override the generic numeric search where a game supplies them.
+    override the generic numeric search where a game supplies them.  A
+    binary game with both ``membership_gap`` and ``feasible_interval``
+    lets each take a batch (n, 2) as well as one ``g``.
     """
 
     name: str

@@ -32,7 +32,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .aggregating import _advice_matrix, aa_mix, project_boundary, substituted_rounds
+from .aggregating import (_advice_matrix, _scaled_mix, aa_mix, project_boundary,
+                          substituted_rounds)
 from .core import (Game, Session, _batch_losses, log_mix, pair_exponent, simplex_grid,
                    start_session)
 from .errors import AllExpertsDead, ContractViolation, SlackExceeded
@@ -189,6 +190,30 @@ def _q_at(q: Callable, p: np.ndarray, rows: np.ndarray | None = None) -> np.ndar
     return np.asarray(q(P) if rows is None else q(P, rows), dtype=float)
 
 
+def _node_bisection(f: Callable[[np.ndarray], np.ndarray], values: np.ndarray,
+                    left: Callable[[np.ndarray], np.ndarray], levels: int,
+                    depth: int = _BATCH_LEVELS):
+    """Bisect [0, 1] for at most ``levels`` levels over batched nodes:
+    ``values`` holds the value at 1/2 (the rest of the caller's first batch,
+    with ``p = 0, 1``), each later ``f(p)`` call the values at the ``2**depth
+    - 1`` interior :func:`_nodes` of the next ``depth`` levels of the
+    bracket (fewer where ``levels`` run out), and ``left(values)`` says,
+    node by node, whether the crossing lies left of it.  Yields each node
+    visited, level by level, as ``(p, value, lo, hi)``, with the bracket it
+    splits; the caller stops by leaving the loop.  The nodes are the
+    midpoints one level per call gives, bit for bit."""
+    x = _nodes(0.0, 1.0, 1)
+    while levels > 0:
+        i, j = 0, len(x) - 1
+        for k, ni, nj in _bisect(left(values)):
+            yield x[k], values[k - 1], x[i], x[j]
+            i, j = ni, nj
+        levels -= len(values).bit_length()  # the batch's depth
+        if levels > 0:
+            x = _nodes(x[i], x[j], min(levels, depth))
+            values = f(x[1:-1])
+
+
 def dfa_solve_binary(q: Callable[[np.ndarray], np.ndarray], C: float,
                      tol: float = 1e-9, max_iter: int = 200, *,
                      full_output: bool = False):
@@ -203,11 +228,11 @@ def dfa_solve_binary(q: Callable[[np.ndarray], np.ndarray], C: float,
     the first node with ``|h| <= tol``, which together with the expectation
     bound forces both coordinates under ``C + tol``.  The first q call
     holds ``p = 0, 1, 1/2``, each later one the ``2**6 - 1`` nodes of the
-    next six levels, and the bisection replays over their values: the same
-    root, bit for bit, as one level per call, from 6 q calls instead of 31
-    at ``tol = 1e-9``.  ``tol`` must be finite and at least ``2**-52``.
-    With ``full_output`` it returns ``(p, q row at p)``, the row its batch
-    already holds.
+    next six levels, and the bisection replays over their values
+    (:func:`_node_bisection`): the same root, bit for bit, as one level per
+    call, from 6 q calls instead of 31 at ``tol = 1e-9``.  ``tol`` must be
+    finite and at least ``2**-52``.  With ``full_output`` it returns ``(p,
+    q row at p)``, the row its batch already holds.
     """
     _require_tol(tol)
     qv = _q_at(q, np.array([0.0, 1.0, 0.5]))
@@ -223,20 +248,14 @@ def dfa_solve_binary(q: Callable[[np.ndarray], np.ndarray], C: float,
             f"endpoint analysis failed (h(0)={h0:.3e}, h(1)={h1:.3e}); "
             "the supplied q is not a supermartingale term"
         )
-    x, levels = _nodes(0.0, 1.0, 1), max_iter
-    while levels > 0:
-        h = qv[:, 1] - qv[:, 0]
-        for k, i, j in _bisect(~(h > 0.0)):  # a NaN h moves left, like h <= 0
-            if abs(h[k - 1]) <= tol:
-                return (float(x[k]), qv[k - 1]) if full_output else float(x[k])
-            if x[j] - x[i] <= 1e-17:
-                levels = 0
-                break
-        else:
-            levels -= len(h).bit_length()  # the batch's depth
-        if levels > 0:
-            x = _nodes(x[i], x[j], min(levels, _BATCH_LEVELS))
-            qv = _q_at(q, x[1:-1])
+    # the root lies left of a node where h <= 0 (a NaN h moves left too)
+    for p, row, lo, hi in _node_bisection(lambda p: _q_at(q, p), qv,
+                                          lambda qv: ~(qv[:, 1] - qv[:, 0] > 0.0), max_iter):
+        h = row[1] - row[0]
+        if abs(h) <= tol:
+            return (float(p), row) if full_output else float(p)
+        if (hi - p if h > 0.0 else p - lo) <= 1e-17:  # the bracket it leaves
+            break
     raise ContractViolation(
         "bisection failed to equalize the coordinates; q appears discontinuous"
     )
@@ -574,7 +593,8 @@ def evaluator_groups(state: Session) -> tuple:
     return _groups(state.proper, tuple(state.c.tolist()), tuple(state.eta.tolist()))
 
 
-def fixed_advice_q(state: Session, G: np.ndarray, log_posterior: np.ndarray | None = None):
+def fixed_advice_q(state: Session, G: np.ndarray, log_posterior: np.ndarray | None = None,
+                   log_a: np.ndarray | None = None):
     """The supermartingale factor
     ``q(pi, w) = sum_t wbar_t exp(eta_t (lambda_t(pi, w)/c_t - G_t(w)))``
     for advice ``G`` (one loss row per expert) that does not depend on pi,
@@ -587,12 +607,15 @@ def fixed_advice_q(state: Session, G: np.ndarray, log_posterior: np.ndarray | No
     case.  The returned q takes one distribution, shape
     (m,), or a batch, shape (n, m).  A standard session's q can also hold a
     block of B rounds, ``log_posterior`` (B, k) and ``G`` (B, k, m): it then
-    takes a batch and the round of each row, ``q(P, rows)``.
+    takes a batch and the round of each row, ``q(P, rows)``.  A standard
+    session's caller that already holds the log-mix ``log_mix(lwn, eta,
+    G)`` hands it over as ``log_a``.
     """
     lwn = state.log_posterior() if log_posterior is None else log_posterior
 
-    def group_q(proper, c, eta, lwn_g, G_g, mass):
-        log_a = log_mix(lwn_g, eta, G_g)
+    def group_q(proper, c, eta, lwn_g, G_g, mass, log_a=None):
+        if log_a is None:
+            log_a = log_mix(lwn_g, eta, G_g)
         # where every weighted expert is infinite, an infinite lam cancels
         # each factor to 1: the group contributes its posterior mass
         dead = np.isneginf(log_a)
@@ -614,7 +637,7 @@ def fixed_advice_q(state: Session, G: np.ndarray, log_posterior: np.ndarray | No
         return q
 
     if not isinstance(state.proper, tuple):
-        return group_q(state.proper, state.c, state.eta, lwn, G, 1.0)
+        return group_q(state.proper, state.c, state.eta, lwn, G, 1.0, log_a)
     groups = evaluator_groups(state)
     qs = [group_q(proper, c, eta, lwn[idx], G[idx],
                   1.0 if len(groups) == 1 else float(np.exp(lwn[idx]).sum()))
@@ -681,17 +704,18 @@ def _log_q(qpi: np.ndarray) -> np.ndarray:
         return np.log(qpi)
 
 
-def _interval_hint(state: Session, A: np.ndarray, lwn: np.ndarray) -> np.ndarray | None:
-    """AA's feasible interval for each round of a binary block, (B, 2),
-    when the session's proper loss is its game's canonical one: there
-    ``q(p, w) = exp(eta (lambda(p, w) - gamma_w) / c)`` for AA's mix
-    ``gamma``, so ``q(., 1) <= 1`` from the interval's lower end on and
-    ``q(., 0) <= 1`` up to its upper end, up to rounding, which the walk's
-    check catches.  None for any other session."""
+def _interval_hint(state: Session, logs: np.ndarray) -> np.ndarray | None:
+    """AA's feasible interval for each round of a binary block, (B, 2), from
+    the rounds' log-mix ``logs``, when the session's proper loss is its
+    game's canonical one: there ``q(p, w) = exp(eta (lambda(p, w) -
+    gamma_w) / c)`` for AA's mix ``gamma``, so ``q(., 1) <= 1`` from the
+    interval's lower end on and ``q(., 0) <= 1`` up to its upper end, up to
+    rounding, which the walk's check catches.  None for any other
+    session."""
     game = state.game
     if game.feasible_interval is None or getattr(state.proper, "fn", None) is not game.proper_loss:
         return None
-    return np.column_stack(game.feasible_interval(aa_mix(state, A, lwn)))
+    return np.column_stack(game.feasible_interval(_scaled_mix(state, logs)))
 
 
 def _block_forecasts(state: Session, lwn: np.ndarray, A: np.ndarray, epsilon: float,
@@ -699,10 +723,10 @@ def _block_forecasts(state: Session, lwn: np.ndarray, A: np.ndarray, epsilon: fl
     """The forecasts that one batch gives a block of B rounds under their
     log posteriors ``lwn`` (B, k), from one batched log-mix: every binary
     midpoint (:func:`admissible_intervals`, walked against AA's feasible
-    interval where :func:`_interval_hint` gives one), or for three or more
-    outcomes the barycentre wherever :func:`dfa_solve_simplex` takes it
-    (one q call for all rows, checked against its target ``(1 + epsilon) C
-    + tol``).
+    interval where :func:`_interval_hint` gives one, from q's own log-mix),
+    or for three or more outcomes the barycentre wherever
+    :func:`dfa_solve_simplex` takes it (one q call for all rows, checked
+    against its target ``(1 + epsilon) C + tol``).
     Returns the forecasts (B, m), their slack, the rows ``q(pi, .)`` and
     the mask of rounds served, each served row what :func:`choose_forecast`
     gives that round.  A block of one row, the binary root selection and a
@@ -711,9 +735,10 @@ def _block_forecasts(state: Session, lwn: np.ndarray, A: np.ndarray, epsilon: fl
     pi, qpi, served = np.full((B, m), 1.0 / m), np.zeros((B, m)), np.zeros(B, dtype=bool)
     if B > 1 and (m > 2 or select == "midpoint"):
         try:
-            q = fixed_advice_q(state, A, lwn)
+            logs = log_mix(lwn, state.eta, A)
+            q = fixed_advice_q(state, A, lwn, logs)
             if m == 2:
-                lo, hi = admissible_intervals(q, 1.0, tol, B, _interval_hint(state, A, lwn))
+                lo, hi = admissible_intervals(q, 1.0, tol, B, _interval_hint(state, logs))
                 p = 0.5 * (lo + hi)
                 pi = np.column_stack([1.0 - p, p])
             qpi = q(pi, np.arange(B))

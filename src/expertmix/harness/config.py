@@ -38,8 +38,8 @@ from ..losses import builtin_game
 SUPPORTED_REALITIES = {
     "aa": ("iid", "fixed", "adversarial"),
     "dfa": ("iid", "fixed", "adversarial"),
-    "sg-dfa": ("iid", "fixed"),
-    "sg-aa": ("iid", "fixed"),
+    "sg-dfa": ("iid", "fixed", "adversarial"),
+    "sg-aa": ("iid", "fixed", "adversarial"),
     "ml-dfa": ("iid", "fixed"),
     "simplex-dfa": ("dirichlet",),
 }

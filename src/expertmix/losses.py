@@ -29,12 +29,15 @@ BUILTIN_GAMES = ("log", "square", "brier", "hellinger", "kl", "absolute")
 
 def _safe_neg_log(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
-    return np.where(x > 0, -np.log(np.where(x > 0, x, 1.0)), np.inf)
+    pos = x > 0
+    return np.where(pos, -np.log(np.where(pos, x, 1.0)), np.inf)
 
 
-def _log_gap(g) -> float:
-    s = float(np.sum(np.exp(-np.where(np.isinf(g), np.inf, g))))
-    return -np.inf if s == 0.0 else float(np.log(s))
+def _log_gap(g):
+    """``ln sum_w exp(-g_w)``, of one ``g`` or of each row of a batch (n, m)."""
+    with np.errstate(divide="ignore"):  # ln 0 = -inf: every coordinate infinite
+        out = np.log(np.exp(np.negative(g)).sum(axis=-1))
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def _shannon(pi) -> float:
@@ -45,8 +48,17 @@ def _shannon(pi) -> float:
 
 def _equalizer_gap(l0, l1):
     """Membership gap of a binary game whose loss curves cross at the
-    decision ``p = (1 + g0 - g1) / 2`` (square and absolute loss)."""
+    decision ``p = (1 + g0 - g1) / 2`` (square and absolute loss), of one
+    ``g`` in Python floats or of each row of a batch (n, 2) in numpy, with
+    the same operations (``l0`` and ``l1`` use only ``+``, ``-`` and
+    ``*``), so each row's gap is its one-row gap."""
     def gap(g):
+        if np.ndim(g) == 2:
+            g0, g1 = g[:, 0], g[:, 1]
+            with np.errstate(invalid="ignore"):  # both infinite: a NaN p, replaced
+                p = np.minimum(np.maximum(0.5 * (1.0 + g0 - g1), 0.0), 1.0)
+                out = np.maximum(l0(p) - g0, l1(p) - g1)
+            return np.where(np.isinf(g0) & np.isinf(g1), -np.inf, out)
         g0, g1 = float(g[0]), float(g[1])
         if np.isinf(g0) and np.isinf(g1):
             return -np.inf
@@ -64,7 +76,8 @@ def _binary_box(name: str, l0, l1, feasible_interval, **closed_forms) -> Game:
     def loss(dec):
         dec = np.asarray(dec, dtype=float)
         p = dec[:, 0] if dec.ndim == 2 else np.atleast_1d(dec)
-        out = np.stack([l0(p), l1(p)], axis=-1)
+        out = np.empty((len(p), 2))
+        out[:, 0], out[:, 1] = l0(p), l1(p)
         return out if dec.ndim == 2 else out[0]
 
     def substitution(g):
@@ -127,7 +140,7 @@ def _square_binary() -> Game:
         p = float(np.asarray(pi, dtype=float)[1])
         return p * (1.0 - p)
 
-    l0, l1 = (lambda p: p**2), (lambda p: (1.0 - p) ** 2)
+    l0, l1 = (lambda p: p * p), (lambda p: (1.0 - p) * (1.0 - p))
     return _binary_box(
         "square", l0, l1, feasible_interval, eta_mixable_range=(0.0, 2.0),
         proper_loss=proper, membership_gap=_equalizer_gap(l0, l1), entropy=entropy)

@@ -2,9 +2,15 @@
 forthcoming prediction to a loss vector.
 
 The forecasting step is unchanged except that every candidate forecast
-re-evaluates the expert maps; the mixing side solves a fixed-point
-equation through the retraction onto minimal elements (composed with the
-radial projection for non-mixable games run with c > 1).
+re-evaluates the expert maps, each once per batch of candidates; the
+mixing side solves a fixed-point equation through the retraction onto
+minimal elements (composed with the radial projection for non-mixable
+games run with c > 1).  On a binary game the fixed point is bisected on
+the node batches of DFA's root bisection: one transform call for
+``p = 0, 1, 1/2`` and one for every later ``2**6 - 1`` nodes, each one
+mix and one retraction of all its rows.  A batch that raises is re-run
+row by row, and a row's error surfaces only when the bisection reaches
+its node, the node where one evaluation per level would have raised it.
 """
 
 from __future__ import annotations
@@ -14,10 +20,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .aggregating import project_boundary, retraction_F, substituted_rounds
-from .core import Game, Session, domination_gap, exp_mix, pair_exponent
-from .defensive import _log_q, choose_forecast
-from .errors import DomainError, NoConvergence
+from .aggregating import _retraction_hint, project_boundary, retraction_F, substituted_rounds
+from .core import Session, as_losses, domination_gap, pair_exponent
+from .defensive import _BATCH_LEVELS, _log_q, _node_bisection, choose_forecast
+from .errors import DimensionMismatch, DomainError, NoConvergence
 
 
 @dataclass(frozen=True, eq=False)
@@ -26,30 +32,41 @@ class SecondGuessExpert:
 
     ``fn`` maps Learner's loss vector to the expert's loss vector; it must
     be continuous on its declared domain for the guarantees to apply.
-    ``lipschitz`` is optional metadata for harness-side continuity probes.
+    With ``batched``, ``fn`` also maps a batch of loss vectors (n, m) to
+    theirs, row by row, as the built-in maps do.  ``lipschitz`` is
+    optional metadata for harness-side continuity probes.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
     name: str = "sg-expert"
     lipschitz: float | None = None
+    batched: bool = False
 
     def __call__(self, gamma: np.ndarray) -> np.ndarray:
         return np.asarray(self.fn(np.asarray(gamma, dtype=float)), dtype=float)
 
+    def rows(self, gammas: np.ndarray) -> np.ndarray:
+        """The expert's loss vectors at each row of ``gammas`` (n, m): one
+        call of a batched map, else one call per row."""
+        if self.batched:
+            return self(gammas)
+        return np.stack([self(g) for g in gammas])
+
     @classmethod
     def constant(cls, vector, name: str = "constant") -> "SecondGuessExpert":
         vec = np.asarray(vector, dtype=float)
-        return cls(fn=lambda _g: vec, name=name, lipschitz=0.0)
+        return cls(fn=lambda g: np.full(np.shape(g)[:-1] + vec.shape, vec), name=name,
+                   lipschitz=0.0, batched=True)
 
     @classmethod
     def identity(cls, name: str = "identity") -> "SecondGuessExpert":
-        return cls(fn=lambda g: g, name=name, lipschitz=1.0)
+        return cls(fn=lambda g: g, name=name, lipschitz=1.0, batched=True)
 
     @classmethod
     def coordinate_swap(cls, name: str = "contrarian") -> "SecondGuessExpert":
         """Binary contrarian: predicts 1-p when Learner's decision is p,
         which swaps the two loss coordinates.  Continuous."""
-        return cls(fn=lambda g: g[::-1].copy(), name=name, lipschitz=1.0)
+        return cls(fn=lambda g: g[..., ::-1].copy(), name=name, lipschitz=1.0, batched=True)
 
 
 def _round_of_one(state: Session, gamma: np.ndarray, advice: np.ndarray, outcomes, pick,
@@ -92,7 +109,7 @@ def sg_dfa_rounds(state: Session, experts: Sequence[SecondGuessExpert], outcomes
         # the advice depends on lambda, so q is a direct per-expert sum;
         # G[n, t] is expert t's advice at the forecast P[n]
         L = state.proper(P)
-        G = np.stack([np.stack([ex(lam) for lam in L]) for ex in live_experts], axis=1)
+        G = np.stack([ex.rows(L) for ex in live_experts], axis=1)
         return np.sum(w_live * np.exp(pair_exponent(L[:, None, :], G, c, eta)), axis=1)
 
     pi, slack, qpi = choose_forecast(q, state.game.m, epsilon=epsilon, tol=tol,
@@ -125,27 +142,40 @@ def sg_dfa_step(state: Session, experts: Sequence[SecondGuessExpert],
 # Fixed-point mixing
 
 
+def _mix_rows(G: np.ndarray, wbar: np.ndarray, eta: float) -> np.ndarray:
+    """:func:`~expertmix.core.exp_mix` of each row's points, ``G`` (n, k, m),
+    under the session's posterior ``wbar``, bit for bit (an infinite
+    entry's ``exp`` is the 0 that ``exp_mix`` puts there, and each row's
+    sum is the same matrix-vector product): one check of every point,
+    which raises ``exp_mix``'s error for the first bad one, and no other
+    validation."""
+    if not (G >= 0).all():  # a NaN or negative entry
+        points = G.reshape(-1, G.shape[-1])
+        as_losses(points[np.argmax(~(points >= 0).all(axis=1))])
+    s = np.matmul(wbar, np.exp(-eta * G))
+    with np.errstate(divide="ignore"):  # -ln 0 = inf: every point infinite there
+        return np.maximum(-np.log(s) / eta, 0.0)
+
+
 def _sg_transform(state: Session, experts: Sequence[SecondGuessExpert]):
     """gamma -> F(eta-mix of the experts' conditional advice), composed
-    with the radial projection when running with c > 1."""
+    with the radial projection (row by row) when running with c > 1, for
+    each row of a batch (n, m): one call of each expert map, one mix and
+    one retraction (:func:`~expertmix.aggregating.retraction_F`) for the
+    batch, each row what a one-row call gives it."""
     wbar = np.exp(state.log_posterior())
     game, eta, c = state.game, state.eta, state.c
+    if len(experts) != len(wbar):
+        raise DimensionMismatch(f"{len(experts)} points but weight shape {wbar.shape}")
 
-    def transform(gamma: np.ndarray) -> np.ndarray:
-        advice = [ex(gamma) for ex in experts]
-        mixed = exp_mix(advice, wbar, eta)
-        out = retraction_F(game, mixed, eta=eta)
+    def transform(gammas: np.ndarray) -> np.ndarray:
+        G = np.stack([ex.rows(gammas) for ex in experts], axis=1)
+        out = retraction_F(game, _mix_rows(G, wbar, eta), eta=eta)
         if c > 1.0:
-            out = project_boundary(game, out, c, eta)
+            out = np.stack([project_boundary(game, g, c, eta) for g in out])
         return out
 
     return transform
-
-
-def _decision_parameter(game: Game, gamma: np.ndarray) -> float:
-    """Recover the 1-d decision parameter of a binary boundary point."""
-    dec = np.asarray(game.substitution(gamma), dtype=float)
-    return float(dec[0])
 
 
 def sg_fixed_point(state: Session, experts: Sequence[SecondGuessExpert],
@@ -153,47 +183,77 @@ def sg_fixed_point(state: Session, experts: Sequence[SecondGuessExpert],
                    damping: float = 0.5) -> np.ndarray:
     """Solve ``gamma = F(mix(Gamma(gamma)))`` for the current posterior.
 
-    Binary games use bisection on the decision parameter (the minimal set
-    is a curve, so the equation is one-dimensional); larger games use
-    damped iteration in the ``exp(-eta x)`` chart, where the hull is
-    convex, retracting back onto the minimal set after each damped move.
-    Raises :class:`NoConvergence` when the iteration cap is exhausted.
+    Binary games bisect the decision parameter (the minimal set is a
+    curve, so the equation is one-dimensional): ``f(p) = p - (the
+    transform's decision parameter at p's loss vector)``.  Exits at p = 0
+    when ``f(0) >= -tol``, then at p = 1 when ``f(1) <= tol``; otherwise
+    stops at the first node with ``|f| <= min(tol, 1e-12)`` or whose
+    bracket is at most ``1e-14`` wide, within 200 levels (a NaN f moves
+    the upper end), and the midpoint of the last bracket when none does.
+    The nodes are the batches of DFA's root bisection
+    (:func:`~expertmix.defensive.dfa_solve_binary`): one transform call
+    for ``p = 0, 1, 1/2``, one for each later ``2**6 - 1`` (one node where
+    a row costs more than a call: a hull gap, or ``c > 1``), and the
+    bisection replays over their values, the root of one level per call
+    bit for bit.  A batch that raises is re-run one row at a time, and a
+    row's error is raised when the bisection reaches its node, so each
+    error comes at the node one level per call would meet it.
+
+    Larger games use damped iteration in the ``exp(-eta x)`` chart, where
+    the hull is convex, retracting back onto the minimal set after each
+    damped move.  Raises :class:`NoConvergence` when the iteration cap is
+    exhausted.
     """
     game = state.game
     transform = _sg_transform(state, experts)
 
     if game.m == 2:
-        def f(p: float) -> float:
-            gamma_p = game.loss_vector(np.array([p]))
-            return p - _decision_parameter(game, transform(gamma_p))
+        errors = {}  # node -> the error its one-row transform raised
 
-        lo, hi = 0.0, 1.0
-        f_lo, f_hi = f(lo), f(hi)
-        if f_lo >= -tol:
-            p_star = lo
-        elif f_hi <= tol:
-            p_star = hi
+        def f(p: np.ndarray) -> np.ndarray:
+            try:
+                dec = game.substitution(transform(game.loss_rows(p[:, None])))
+                return p - np.asarray(dec, dtype=float)[:, 0]
+            except Exception as exc:  # row by row, each error kept for its node
+                if len(p) == 1:
+                    errors[float(p[0])] = exc
+                    return np.full(1, np.nan)
+                return np.concatenate([f(p[r:r + 1]) for r in range(len(p))])
+
+        fv = f(np.array([0.0, 1.0, 0.5]))
+        for p in (0.0, 1.0):
+            if p in errors:
+                raise errors[p]
+        if fv[0] >= -tol:
+            p_star = 0.0
+        elif fv[1] <= tol:
+            p_star = 1.0
         else:
-            for _ in range(200):
-                mid = 0.5 * (lo + hi)
-                fm = f(mid)
-                if abs(fm) <= min(tol, 1e-12) or hi - lo <= 1e-14:
+            # six levels a call where a row costs little next to a call (the
+            # closed-form walk at c = 1); a hull gap's plain bisection or the
+            # projection at c > 1 costs more a row than a call, so one there
+            cheap = state.c == 1.0 and _retraction_hint(game, state.eta) is not None
+            for p_star, fp, lo, hi in _node_bisection(f, fv[2:], lambda v: ~(v < 0.0), 200,
+                                                      _BATCH_LEVELS if cheap else 1):
+                if p_star in errors:
+                    raise errors[p_star]
+                if abs(fp) <= min(tol, 1e-12) or hi - lo <= 1e-14:
                     break
-                if fm < 0:
-                    lo = mid
-                else:
-                    hi = mid
-            p_star = 0.5 * (lo + hi)
+            else:  # the midpoint of the bracket the last node leaves
+                p_star = 0.5 * (p_star + hi) if fp < 0.0 else 0.5 * (lo + p_star)
         return game.loss_vector(np.array([p_star]))
+
+    def step(gamma: np.ndarray) -> np.ndarray:
+        return transform(gamma[None])[0]
 
     if game.decision_kind == "simplex":
         central = np.full(game.decision_dim, 1.0 / game.decision_dim)
     else:
         central = np.full(game.decision_dim, 0.5)
-    gamma = transform(game.loss_vector(central))
+    gamma = step(game.loss_vector(central))
     eta = state.eta
     for _ in range(max_iter):
-        target = transform(gamma)
+        target = step(gamma)
         z = (1.0 - damping) * np.exp(-eta * gamma) + damping * np.exp(-eta * target)
         with np.errstate(divide="ignore"):
             mixed = np.where(z > 0, -np.log(np.where(z > 0, z, 1.0)) / eta, np.inf)
@@ -204,15 +264,15 @@ def sg_fixed_point(state: Session, experts: Sequence[SecondGuessExpert],
     raise NoConvergence(
         "fixed-point iteration exhausted its budget",
         last_iterate=gamma,
-        residual=float(np.max(np.abs(transform(gamma) - gamma))),
+        residual=float(np.max(np.abs(step(gamma) - gamma))),
     )
 
 
 def sg_fixed_point_residual(state: Session, experts: Sequence[SecondGuessExpert],
                             gamma: np.ndarray) -> float:
     """sup-norm residual of the fixed-point equation at ``gamma``."""
-    transform = _sg_transform(state, experts)
-    return float(np.max(np.abs(transform(gamma) - gamma)))
+    gamma = np.asarray(gamma, dtype=float)
+    return float(np.max(np.abs(_sg_transform(state, experts)(gamma[None])[0] - gamma)))
 
 
 def sg_aa_rounds(state: Session, experts: Sequence[SecondGuessExpert], outcomes, pick,

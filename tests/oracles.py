@@ -1,0 +1,178 @@
+"""Per-row oracles for the batched retraction and fixed point.
+
+``reference_retraction`` bisects every coordinate with the validating gap
+functions; ``one_row_retraction`` is the one-row retraction that walks a
+binary box game's closed-form path before it checks two probes, and
+``reference_fixed_point`` solves the second-guessing fixed point one
+transform call per bisection level (each call one row: the experts' maps,
+``exp_mix``, ``one_row_retraction`` and, at ``c > 1``, ``project_boundary``).
+The library's row-batched versions must return their bits.
+"""
+
+import numpy as np
+
+from expertmix.aggregating import project_boundary
+from expertmix.core import domination_gap, exp_mix, hull_membership_gap
+from expertmix.errors import NoConvergence
+
+
+def reference_retraction(game, g, eta=None, tol=1e-10):
+    """The retraction that validates every probe through ``domination_gap``
+    or ``hull_membership_gap``; ``retraction_F`` returns the same bits, from
+    the same probes or, where it walks a closed-form path, from a few of
+    them."""
+    cur = np.asarray(g, dtype=float).copy()
+    mtol = 0.0 if game.membership_gap is not None else 1e-9
+
+    def gap(v):
+        return domination_gap(game, v) if eta is None else hull_membership_gap(game, v, eta)
+
+    if gap(cur) > max(mtol, 1e-9):
+        raise ValueError("input is not a superprediction (or hull member)")
+    for w in range(game.m):
+        probe = cur.copy()
+        probe[w] = 0.0
+        if gap(probe) <= mtol:
+            cur[w] = 0.0
+            continue
+        hi = cur[w]
+        if not np.isfinite(hi):
+            hi = 1.0
+            probe[w] = hi
+            while not gap(probe) <= mtol and hi < 1e12:
+                hi *= 2.0
+                probe[w] = hi
+            if not gap(probe) <= mtol:
+                continue
+        lo = 0.0
+        while hi - lo > tol:
+            mid = 0.5 * (lo + hi)
+            probe[w] = mid
+            if gap(probe) <= mtol:
+                hi = mid
+            else:
+                lo = mid
+        cur[w] = hi
+    return cur
+
+
+def _bisect(member, hi, tol):
+    lo = 0.0
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if member(mid):
+            if mid == hi:
+                break
+            hi = mid
+        else:
+            if mid == lo:
+                break
+            lo = mid
+    return lo, hi
+
+
+def one_row_retraction(game, g, eta=None, tol=1e-10):
+    """The retraction of one loss vector: each coordinate's bisection walks
+    its path against the closed-form boundary where the game's gap is a
+    binary box game's closed form in its base set, and keeps the walk when
+    its last ``lo`` is no member and its last ``hi`` is one."""
+    cur = np.asarray(g, dtype=float).copy()
+    mtol = 0.0 if game.membership_gap is not None else 1e-9
+    if (domination_gap(game, cur) if eta is None else hull_membership_gap(game, cur, eta)) \
+            > max(mtol, 1e-9):
+        raise ValueError("input is not a superprediction (or hull member)")
+    if eta is not None and not game.mixable_at(eta):
+        def gap(v):
+            return game.hull_membership_gap(v, eta)
+    elif game.membership_gap is not None:
+        gap = game.membership_gap
+    else:
+        def gap(v):
+            return domination_gap(game, v)
+    walks = game.membership_gap is not None and game.feasible_interval is not None \
+        and game.m == 2 and (eta is None or game.mixable_at(eta))
+    for w in range(game.m):
+        probe = cur.copy()
+
+        def member(x):
+            probe[w] = x
+            return gap(probe) <= mtol
+
+        if member(0.0):
+            cur[w] = 0.0
+            continue
+        hi = float(cur[w])
+        if not np.isfinite(hi):
+            hi = 1.0
+            while not member(hi) and hi < 1e12:
+                hi *= 2.0
+            if not member(hi):
+                continue
+        if walks:
+            p = min(max(float(game.feasible_interval(cur)[w]), 0.0), 1.0)
+            lo, end = _bisect(float(game.loss(np.array([p]))[w]).__le__, hi, tol)
+            if (lo == 0.0 or not member(lo)) and (end == hi or member(end)):
+                cur[w] = end
+                continue
+        cur[w] = _bisect(member, hi, tol)[1]
+    return cur
+
+
+def reference_transform(state, experts):
+    """gamma -> F(eta-mix of the experts' advice at gamma), radially
+    projected at ``c > 1``, for one loss vector."""
+    wbar = np.exp(state.log_posterior())
+    game, eta, c = state.game, state.eta, state.c
+
+    def transform(gamma):
+        out = one_row_retraction(game, exp_mix([ex(gamma) for ex in experts], wbar, eta), eta)
+        return project_boundary(game, out, c, eta) if c > 1.0 else out
+
+    return transform
+
+
+def reference_fixed_point(state, experts, tol=1e-10, max_iter=10_000, damping=0.5):
+    """``gamma = F(mix(Gamma(gamma)))`` one transform call per bisection
+    level on a binary game, by damped iteration on a larger one."""
+    game = state.game
+    transform = reference_transform(state, experts)
+    if game.m == 2:
+        def f(p):
+            gamma_p = game.loss_vector(np.array([p]))
+            return p - float(np.asarray(game.substitution(transform(gamma_p)))[0])
+
+        lo, hi = 0.0, 1.0
+        f_lo, f_hi = f(lo), f(hi)
+        if f_lo >= -tol:
+            p_star = lo
+        elif f_hi <= tol:
+            p_star = hi
+        else:
+            for _ in range(200):
+                mid = 0.5 * (lo + hi)
+                fm = f(mid)
+                if abs(fm) <= min(tol, 1e-12) or hi - lo <= 1e-14:
+                    break
+                if fm < 0:
+                    lo = mid
+                else:
+                    hi = mid
+            p_star = 0.5 * (lo + hi)
+        return game.loss_vector(np.array([p_star]))
+    if game.decision_kind == "simplex":
+        central = np.full(game.decision_dim, 1.0 / game.decision_dim)
+    else:
+        central = np.full(game.decision_dim, 0.5)
+    gamma = transform(game.loss_vector(central))
+    eta = state.eta
+    for _ in range(max_iter):
+        target = transform(gamma)
+        z = (1.0 - damping) * np.exp(-eta * gamma) + damping * np.exp(-eta * target)
+        with np.errstate(divide="ignore"):
+            mixed = np.where(z > 0, -np.log(np.where(z > 0, z, 1.0)) / eta, np.inf)
+        new_gamma = one_row_retraction(game, mixed, eta)
+        if float(np.max(np.abs(new_gamma - gamma))) <= tol:
+            return new_gamma
+        gamma = new_gamma
+    raise NoConvergence("fixed-point iteration exhausted its budget", last_iterate=gamma,
+                        residual=float(np.max(np.abs(transform(gamma) - gamma))))

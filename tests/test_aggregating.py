@@ -16,6 +16,7 @@ from expertmix.aggregating import (
 from expertmix.core import domination_gap, hull_membership_gap, is_superprediction
 from expertmix.errors import NotRealizable, SubstitutionFailure
 from expertmix.losses import builtin_game, realizability_constant
+from oracles import reference_retraction
 
 INF = np.inf
 LN2 = np.log(2.0)
@@ -212,52 +213,12 @@ class TestRetraction:
             retraction_F(g, [0.2, 0.2])
 
 
-def reference_retraction(game, g, eta=None, tol=1e-10):
-    """The retraction that validates every probe through ``domination_gap``
-    or ``hull_membership_gap``; ``retraction_F`` returns the same bits, from
-    the same probes or, where it walks a closed-form path, from a few of
-    them."""
-    cur = np.asarray(g, dtype=float).copy()
-    mtol = 0.0 if game.membership_gap is not None else 1e-9
-
-    def gap(v):
-        return domination_gap(game, v) if eta is None else hull_membership_gap(game, v, eta)
-
-    if gap(cur) > max(mtol, 1e-9):
-        raise ValueError("input is not a superprediction (or hull member)")
-    for w in range(game.m):
-        probe = cur.copy()
-        probe[w] = 0.0
-        if gap(probe) <= mtol:
-            cur[w] = 0.0
-            continue
-        hi = cur[w]
-        if not np.isfinite(hi):
-            hi = 1.0
-            probe[w] = hi
-            while not gap(probe) <= mtol and hi < 1e12:
-                hi *= 2.0
-                probe[w] = hi
-            if not gap(probe) <= mtol:
-                continue
-        lo = 0.0
-        while hi - lo > tol:
-            mid = 0.5 * (lo + hi)
-            probe[w] = mid
-            if gap(probe) <= mtol:
-                hi = mid
-            else:
-                lo = mid
-        cur[w] = hi
-    return cur
-
-
 def recording(base, probes, **fields):
     """``base`` with its membership closed forms appending each probe to
-    ``probes``, and ``fields`` replaced."""
+    ``probes`` (each row of a batch in turn), and ``fields`` replaced."""
     def recorded(fn):
         def gap(v, *args):
-            probes.append(tuple(np.asarray(v).tolist()))
+            probes.extend(map(tuple, np.atleast_2d(v).tolist()))
             return fn(v, *args)
         return gap if fn is not None else None
 
@@ -328,6 +289,29 @@ def test_retraction_matches_the_validating_reference(game_eta, p, offsets, inf):
     if inf is not None:
         v[inf] = INF
     assert retraction_F(g, v, eta=eta).tolist() == reference_retraction(g, v, eta).tolist()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([(name, eta) for name, etas in ETAS.items() for eta in etas]),
+       st.lists(st.tuples(st.floats(0.0, 1.0),
+                          st.tuples(st.sampled_from(OFFSETS), st.sampled_from(OFFSETS)),
+                          st.sampled_from([None, 0, 1])), min_size=1, max_size=6))
+def test_rows_retraction_matches_the_reference_row_by_row(game_eta, rows):
+    """A batch's retraction is each row's, from the validating reference."""
+    name, eta = game_eta
+    g = builtin_game(name, 2)
+    V = np.stack([g.loss_vector([p]) + np.array(offsets) for p, offsets, _ in rows])
+    for r, (_, _, inf) in enumerate(rows):
+        if inf is not None:
+            V[r, inf] = INF
+    want = np.stack([reference_retraction(g, v, eta) for v in V])
+    assert np.array_equal(retraction_F(g, V, eta=eta), want)
+
+
+def test_rows_retraction_raises_for_a_non_member_row():
+    g = builtin_game("log", 2)
+    with pytest.raises(ValueError, match="not a superprediction"):
+        retraction_F(g, np.array([[1.2, 0.5], [0.2, 0.2]]))
 
 
 class TestBisectionEnds:

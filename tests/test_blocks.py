@@ -5,7 +5,8 @@ library's primitives rather than from its block functions: each round the
 experts advise, Learner moves (AA mixes and substitutes; DFA and simplex
 DFA solve for the forecast, with AA's substituted mix as the fallback of
 a stalled simplex search, and substitute; evaluators solve for the root;
-second-guessing solves its fixed point or the root of its per-expert q),
+second-guessing solves its fixed point one transform call per level, or
+the root of its per-expert q),
 Reality picks (seeing Learner's loss vector when it looks at the
 prediction), and the session takes one round's reweigh.  The runner plays
 the same configs in blocks of rounds (one cumulative sum for the
@@ -47,7 +48,7 @@ from expertmix.harness.strategies import (CALLBACK_REGISTRY, DirichletReality, F
                                           build_standard_expert)
 from expertmix.harness.scenarios import builtin_scenario
 from expertmix.losses import ProperLoss, builtin_game, realizability_constant
-from expertmix.secondguess import sg_fixed_point
+from oracles import reference_fixed_point
 
 
 def evaluator_specs(config):
@@ -81,7 +82,7 @@ def reference_move(config, state, game, sg, experts, outcomes, n, eps, tol):
     algorithm = config.algorithm
     if algorithm in ("sg-aa", "sg-dfa"):
         if algorithm == "sg-aa":
-            gamma, slack, log_q = sg_fixed_point(state, experts, tol=tol), 0.0, None
+            gamma, slack, log_q = reference_fixed_point(state, experts, tol=tol), 0.0, None
         else:  # the root of the per-expert q, whose advice depends on lambda
             wbar = np.exp(state.log_posterior())
 
@@ -837,17 +838,20 @@ ADVERSARIAL_GAMES = {"log": (1.0, 1.0), "square": (1.0, 2.0),
                      "absolute": (realizability_constant("absolute", 1.0), 1.0)}
 
 
-@pytest.mark.parametrize("algorithm", ["aa", "dfa"])
-@pytest.mark.parametrize("name", sorted(ADVERSARIAL_GAMES))
-def test_adversarial_rounds_play_blocks_of_one(algorithm, name):
+@pytest.mark.parametrize("name, algorithm", [
+    *((name, algorithm) for name in sorted(ADVERSARIAL_GAMES) for algorithm in ("aa", "dfa")),
+    ("log", "sg-aa"), ("log", "sg-dfa")])
+def test_adversarial_rounds_play_blocks_of_one(name, algorithm):
     """Reality that picks from Learner's loss vector: every round is a block
-    of one, with the bytes of the per-round oracle."""
+    of one, with the bytes of the per-round oracle (second-guessing: a
+    contrarian and a constant 0.4)."""
     c, eta = ADVERSARIAL_GAMES[name]
+    experts = [{"kind": "sg-contrarian"}, {"kind": "sg-constant", "value": 0.4}] \
+        if algorithm.startswith("sg-") else \
+        [{"kind": "constant", "value": 0.3}, {"kind": "iid-random"}, {"kind": "trailing-average"}]
     config = parse_config({
         "game": {"name": name, "m": 2}, "algorithm": algorithm, "c": c, "eta": eta,
-        "horizon": 80, "seed": 7, "reality": {"kind": "adversarial"},
-        "experts": [{"kind": "constant", "value": 0.3}, {"kind": "iid-random"},
-                    {"kind": "trailing-average"}]})
+        "horizon": 80, "seed": 7, "reality": {"kind": "adversarial"}, "experts": experts})
     assert_blocks_replay_rounds(config, 1)
 
 

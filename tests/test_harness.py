@@ -110,11 +110,12 @@ class TestRunner:
             assert res.summary["bound_ok"], name
             assert len(res.records) == 25
 
-    def test_sg_adversarial_not_wired(self):
-        with pytest.raises(ConfigError):
-            run_scenario(small_config(algorithm="sg-dfa",
-                                      experts=[{"kind": "sg-identity"}],
-                                      reality={"kind": "adversarial"}))
+    @pytest.mark.parametrize("algorithm", ["sg-dfa", "sg-aa"])
+    def test_sg_adversarial_runs(self, algorithm):
+        experts = [{"kind": "sg-contrarian"}, {"kind": "sg-constant", "value": 0.4}]
+        res = run_scenario(small_config(algorithm=algorithm, experts=experts,
+                                        reality={"kind": "adversarial"}))
+        assert res.summary["bound_ok"]
 
 
     @pytest.mark.parametrize("seed", [2, 5])

@@ -1,10 +1,14 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from expertmix.aggregating import aa_start
 from expertmix.defensive import dfa_start, dfa_step
-from expertmix.errors import DomainError
-from expertmix.losses import builtin_game
+from expertmix.errors import DomainError, InvalidLossVector
+from expertmix.losses import builtin_game, realizability_constant
 from expertmix.secondguess import (
     SecondGuessExpert,
     sg_aa_step,
@@ -12,6 +16,7 @@ from expertmix.secondguess import (
     sg_fixed_point,
     sg_fixed_point_residual,
 )
+from oracles import reference_fixed_point
 
 LN2 = np.log(2.0)
 
@@ -42,6 +47,15 @@ class TestExperts:
             a, b = g.loss_vector([p]), g.loss_vector([q])
             assert np.max(np.abs(ex(a) - ex(b))) <= \
                 ex.lipschitz * np.max(np.abs(a - b)) + 1e-12
+
+
+    def test_rows_map_each_row(self):
+        g = game_log()
+        rows = np.stack([g.loss_vector([p]) for p in (0.1, 0.6, 0.9)])
+        for ex in (SecondGuessExpert.coordinate_swap(), SecondGuessExpert.identity(),
+                   SecondGuessExpert.constant(g.loss_vector([0.4])),
+                   SecondGuessExpert(fn=lambda gamma: gamma[::-1] + 0.1)):  # no batch form
+            assert np.array_equal(ex.rows(rows), np.stack([ex(v) for v in rows]))
 
 
 class TestSgDFA:
@@ -171,3 +185,116 @@ class TestNonMixableVariant:
 
         mixed = exp_mix([ex(gamma) for ex in experts], [0.5, 0.5], state.eta)
         assert np.all(gamma <= c * mixed + 1e-8)
+
+
+def counted(expert, calls):
+    """``expert`` with each call of its map appended to ``calls``."""
+    def fn(gamma):
+        calls.append(np.shape(gamma))
+        return expert.fn(gamma)
+
+    return SecondGuessExpert(fn=fn, name=expert.name, batched=expert.batched)
+
+
+class TestNodeBatches:
+    def test_root_at_one_half_is_one_call_of_each_map(self):
+        g = game_log()
+        calls = []
+        experts = [counted(SecondGuessExpert.coordinate_swap(), calls),
+                   counted(SecondGuessExpert.constant(g.loss_vector([0.5])), calls)]
+        state = aa_start(g, eta=1.0, n_experts=2)
+        assert sg_fixed_point(state, experts).tolist() == g.loss_vector([0.5]).tolist()
+        assert calls == [(3, 2), (3, 2)]  # p = 0, 1 and 1/2 in one batch
+
+    def test_later_calls_hold_six_levels(self):
+        g = game_log()
+        calls = []
+        experts = [counted(SecondGuessExpert.coordinate_swap(), calls),
+                   SecondGuessExpert.constant(g.loss_vector([0.4]))]
+        state = aa_start(g, eta=1.0, n_experts=2)
+        gamma = sg_fixed_point(state, experts)
+        assert calls[0] == (3, 2) and set(calls[1:]) == {(63, 2)}
+        assert np.array_equal(gamma, reference_fixed_point(state, experts))
+
+    def test_sg_dfa_q_calls_each_map_once(self):
+        g = game_log()
+        calls = []
+        experts = [counted(SecondGuessExpert.coordinate_swap(), calls),
+                   SecondGuessExpert.constant(g.loss_vector([0.4]))]
+        sg_dfa_step(dfa_start(g, eta=1.0, n_experts=2), experts, 0)
+        # one call per q batch (3 nodes, then 63), then one at the forecast
+        assert calls[0] == (3, 2) and set(calls[1:-1]) == {(63, 2)} and calls[-1] == (2,)
+
+
+def patchy(region, name="patchy"):
+    """A map with no batch form that copies Learner's loss vector, except
+    that it leaves the superprediction set (a negative entry, 0.5 below
+    Learner's) where Learner's decision lies in ``region``."""
+    g = game_log()
+
+    def fn(gamma):
+        p = float(g.substitution(gamma)[0])
+        return gamma - 0.5 if region[0] <= p < region[1] else gamma.copy()
+
+    return SecondGuessExpert(fn=fn, name=name)
+
+
+def same_outcome(state, experts):
+    """Run the reference and the library; both return the same bits or
+    raise the same error with the same message."""
+    try:
+        want = reference_fixed_point(state, experts)
+    except Exception as exc:
+        with pytest.raises(type(exc), match=re.escape(str(exc))):
+            sg_fixed_point(state, experts)
+        return exc
+    assert np.array_equal(sg_fixed_point(state, experts), want)
+    return None
+
+
+class TestErrorPlacement:
+    def test_error_at_an_unvisited_node_does_not_surface(self):
+        # alone, the copying map gives f(0) = 0: the scalar path exits at
+        # p = 0 and never evaluates the failing node 1/2 of the first batch
+        g = game_log()
+        state = aa_start(g, eta=1.0, n_experts=1)
+        experts = [patchy((0.45, 0.55))]
+        assert same_outcome(state, experts) is None
+        assert sg_fixed_point(state, experts).tolist() == g.loss_vector([0.0]).tolist()
+
+    def test_error_comes_at_the_node_the_scalar_path_reaches(self):
+        # the fixed point is 0.4; the bisection visits 1/2, 1/4 and 3/8,
+        # where the map fails, while the batch of [0, 1/2] fails at other
+        # nodes of [0.3, 0.4) too, each with its own message
+        g = game_log()
+        state = aa_start(g, eta=1.0, n_experts=2)
+        experts = [patchy((0.3, 0.4)), SecondGuessExpert.constant(g.loss_vector([0.4]))]
+        err = same_outcome(state, experts)
+        assert isinstance(err, InvalidLossVector)
+        gamma = g.loss_vector([0.375])
+        assert str(err) == str(InvalidLossVector(f"negative loss entry in {gamma - 0.5}"))
+
+
+#: a game with the (c, eta) of a realizable sg-aa session on it
+SG_GAMES = {"log": (1.0, 1.0), "square": (1.0, 2.0),
+            "absolute": (realizability_constant("absolute", 1.0), 1.0)}
+EXPERTS = {
+    "contrarian": lambda g: SecondGuessExpert.coordinate_swap(),
+    "identity": lambda g: SecondGuessExpert.identity(),
+    "constant": lambda g: SecondGuessExpert.constant(g.loss_vector([0.4])),
+    "callback": lambda g: SecondGuessExpert(fn=lambda gamma: gamma[::-1] + 0.05),
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(sorted(SG_GAMES)),
+       st.lists(st.sampled_from(sorted(EXPERTS)), min_size=1, max_size=3),
+       st.lists(st.floats(0.01, 1.0), min_size=3, max_size=3))
+def test_fixed_point_matches_the_scalar_loop(name, kinds, weights):
+    """The node-batched fixed point is the one-call-per-level loop's, bit
+    for bit, under random priors."""
+    g = builtin_game(name, 2)
+    c, eta = SG_GAMES[name]
+    prior = np.array(weights[:len(kinds)]) / sum(weights[:len(kinds)])
+    state = aa_start(g, eta=eta, c=c, prior=prior, n_experts=len(kinds))
+    same_outcome(state, [EXPERTS[k](g) for k in kinds])
