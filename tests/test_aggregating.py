@@ -16,7 +16,7 @@ from expertmix.aggregating import (
 from expertmix.core import domination_gap, hull_membership_gap, is_superprediction
 from expertmix.errors import NotRealizable, SubstitutionFailure
 from expertmix.losses import builtin_game, realizability_constant
-from oracles import reference_retraction
+from oracles import one_row_retraction, reference_retraction
 
 INF = np.inf
 LN2 = np.log(2.0)
@@ -306,6 +306,8 @@ def test_rows_retraction_matches_the_reference_row_by_row(game_eta, rows):
             V[r, inf] = INF
     want = np.stack([reference_retraction(g, v, eta) for v in V])
     assert np.array_equal(retraction_F(g, V, eta=eta), want)
+    # the fixed point's oracle retracts one row at a time to the same bits
+    assert np.array_equal(np.stack([one_row_retraction(g, v, eta) for v in V]), want)
 
 
 def test_rows_retraction_raises_for_a_non_member_row():

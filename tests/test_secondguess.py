@@ -286,7 +286,7 @@ EXPERTS = {
 }
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(st.sampled_from(sorted(SG_GAMES)),
        st.lists(st.sampled_from(sorted(EXPERTS)), min_size=1, max_size=3),
        st.lists(st.floats(0.01, 1.0), min_size=3, max_size=3))
