@@ -253,7 +253,10 @@ class Game:
     closed forms (membership gap, entropy, proper loss, hull machinery)
     override the generic numeric search where a game supplies them.  A
     binary game with both ``membership_gap`` and ``feasible_interval``
-    lets each take a batch (n, 2) as well as one ``g``.
+    lets each take a batch (n, 2) as well as one ``g``.  ``forecast_of``
+    maps a simplex decision, or a batch (n, m), to the forecast whose
+    ``proper_loss`` vector is the decision's loss vector: the identity
+    where the proper loss is the game's loss (log, kl, brier).
     """
 
     name: str
@@ -270,6 +273,7 @@ class Game:
     boundary_proper_loss: Callable[[np.ndarray, float, float], np.ndarray] | None = None
     entropy: Callable[[np.ndarray], float] | None = None
     feasible_interval: Callable[[np.ndarray], tuple[float, float]] | None = None
+    forecast_of: Callable[[np.ndarray], np.ndarray] = np.asarray
 
     @property
     def m(self) -> int:

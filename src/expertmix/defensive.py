@@ -12,15 +12,17 @@ of ``h(p) = q(p, 1) - q(p, 0)``: each q call holds the nodes of the next
 six levels of every bracket, and the bisection replays over their values.
 A block of rounds with fixed advice solves all its admissible intervals in
 one batch (:func:`admissible_intervals`), or with three or more outcomes
-checks every round's barycentre in one q call (:func:`forecast_rounds`).
+checks every round's barycentre in one q call, then AA's point for the
+rounds it misses in one more (:func:`forecast_rounds`).
 Under the game's canonical proper loss, ``q(p, w) <= 1`` exactly where
 ``lambda(p, w) <= gamma_w`` for AA's mix ``gamma``, so the admissible
 interval is AA's feasible interval: a binary block walks its bisection
 against that closed form and checks every midpoint of the walk in one q
-call, and only the rows whose check fails are bisected on q.
-For three or more outcomes the solve runs on the delta-interior of the
-simplex with an explicit epsilon slack that is surfaced and accumulated
-into the regret audit instead of being ignored.
+call, and only the rows whose check fails are bisected on q; with three
+or more outcomes, AA's point keeps q under 1 the same way.
+The vertex search runs on the delta-interior of the simplex with an
+explicit epsilon slack that is surfaced and accumulated into the regret
+audit instead of being ignored.
 """
 
 from __future__ import annotations
@@ -32,8 +34,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .aggregating import (_advice_matrix, _scaled_mix, aa_mix, project_boundary,
-                          substituted_rounds)
+from .aggregating import _advice_matrix, _scaled_mix, project_boundary, substituted_rounds
 from .core import (Game, Session, _batch_losses, log_mix, pair_exponent, simplex_grid,
                    start_session)
 from .errors import AllExpertsDead, ContractViolation, SlackExceeded
@@ -503,6 +504,8 @@ def dfa_solve_simplex(q: Callable[[np.ndarray], np.ndarray], C: float,
     accepting the first point under the target (the barycenter is tried
     first, so trivially-satisfiable instances return it unchanged).
     Raises :class:`SlackExceeded` when the descent stalls above target.
+    A session with one mix reaches it only where the barycentre and AA's
+    point both miss the target (:func:`_block_forecasts`).
     """
     delta = interior_delta(epsilon, m)
     target = (1.0 + epsilon) * C + tol
@@ -678,24 +681,16 @@ def choose_forecast(q, m: int, *, C: float = 1.0, epsilon: float = 1e-6,
 def _forecast(state: Session, lwn: np.ndarray, A: np.ndarray, epsilon: float,
               tol: float, select: str) -> tuple[np.ndarray, float, np.ndarray]:
     """The forecast pi for the advice ``A`` under the log posterior
-    ``lwn``, its slack and the row ``q(pi, .)``.  When the simplex search
-    stalls, AA's substituted mix is taken as the forecast if it keeps q
-    under the same target (the two protocols make the same prediction);
-    otherwise :class:`SlackExceeded` propagates.  A simplex-outcome
-    session substitutes in its game's ``base`` game, whose losses ``A``
-    are."""
-    q = fixed_advice_q(state, A, lwn)
-    try:
-        return choose_forecast(q, state.game.m, epsilon=epsilon, tol=tol, select=select,
-                               full_output=True)
-    except SlackExceeded:
-        game = getattr(state.game, "base", state.game)
-        pi = np.asarray(game.substitution(aa_mix(state, A, lwn)), dtype=float)
-        qpi = q(pi)
-        top = float(np.max(qpi))
-        if top > 1.0 + epsilon + tol:
-            raise
-        return pi, max(0.0, top - 1.0), qpi
+    ``lwn``, its slack and the row ``q(pi, .)``: what
+    :func:`_block_forecasts` gives it as a block of one (with three or more
+    outcomes, the barycentre, then AA's point), else
+    :func:`choose_forecast`'s solve, whose :class:`SlackExceeded`
+    propagates."""
+    pi, slack, qpi, served = _block_forecasts(state, lwn[None], A[None], epsilon, tol, select)
+    if served[0]:
+        return pi[0], slack[0], qpi[0]
+    return choose_forecast(fixed_advice_q(state, A, lwn), state.game.m, epsilon=epsilon,
+                           tol=tol, select=select, full_output=True)
 
 
 def _log_q(qpi: np.ndarray) -> np.ndarray:
@@ -724,16 +719,21 @@ def _block_forecasts(state: Session, lwn: np.ndarray, A: np.ndarray, epsilon: fl
     log posteriors ``lwn`` (B, k), from one batched log-mix: every binary
     midpoint (:func:`admissible_intervals`, walked against AA's feasible
     interval where :func:`_interval_hint` gives one, from q's own log-mix),
-    or for three or more outcomes the barycentre wherever
-    :func:`dfa_solve_simplex` takes it (one q call for all rows, checked
-    against its target ``(1 + epsilon) C + tol``).
+    or for three or more outcomes the first of two points that keeps q
+    under :func:`dfa_solve_simplex`'s target ``(1 + epsilon) C + tol``:
+    the barycentre (one q call for all rows), then, for the rows it
+    misses, AA's point in forecast coordinates,
+    ``game.forecast_of(game.substitution(gamma))`` for AA's mix ``gamma``
+    (one batched substitution and one q call).  Under the game's proper
+    loss at ``c = 1``, ``q(pi, w) = exp(eta (lambda(pi, w) - gamma_w))``,
+    so that point keeps q under 1 up to rounding.
     Returns the forecasts (B, m), their slack, the rows ``q(pi, .)`` and
-    the mask of rounds served, each served row what :func:`choose_forecast`
-    gives that round.  A block of one row, the binary root selection and a
+    the mask of rounds served; each row's bits do not depend on the other
+    rows.  A binary block of one row, the binary root selection and a
     batch that raises serve none: those rounds are solved one at a time."""
     B, m = A.shape[0], A.shape[-1]
     pi, qpi, served = np.full((B, m), 1.0 / m), np.zeros((B, m)), np.zeros(B, dtype=bool)
-    if B > 1 and (m > 2 or select == "midpoint"):
+    if m > 2 or (B > 1 and select == "midpoint"):
         try:
             logs = log_mix(lwn, state.eta, A)
             q = fixed_advice_q(state, A, lwn, logs)
@@ -742,7 +742,14 @@ def _block_forecasts(state: Session, lwn: np.ndarray, A: np.ndarray, epsilon: fl
                 p = 0.5 * (lo + hi)
                 pi = np.column_stack([1.0 - p, p])
             qpi = q(pi, np.arange(B))
-            served = (m == 2) | (qpi.max(axis=1) <= (1.0 + epsilon) * 1.0 + tol)
+            target = (1.0 + epsilon) * 1.0 + tol
+            served = (m == 2) | (qpi.max(axis=1) <= target)
+            miss = np.flatnonzero(~served)
+            if miss.size:
+                game = getattr(state.game, "base", state.game)
+                pi[miss] = game.forecast_of(game.substitution(_scaled_mix(state, logs[miss])))
+                qpi[miss] = q(pi[miss], miss)
+                served[miss] = qpi[miss].max(axis=1) <= target
         except Exception:  # the rounds one at a time find the one that raises
             pass
     excess = qpi.max(axis=1) - 1.0
@@ -757,10 +764,12 @@ def forecast_rounds(state: Session, A: np.ndarray, expert_losses: np.ndarray, te
 
     The session's posterior is AA's, so one reweigh gives the posterior
     before every round.  One batch serves the rounds it can
-    (:func:`_block_forecasts`), and :func:`_forecast` each other round, one
-    at a time on the same posteriors.  ``terms(block, pi)`` gives the
-    learner terms of the rounds ``block`` before the last, played at the
-    forecasts ``pi``; a round whose learner term is infinite keeps weights
+    (:func:`_block_forecasts`: with three or more outcomes, each round's
+    barycentre or AA's point), and :func:`_forecast` each other round, one
+    at a time on the same posteriors, which takes the vertex search only
+    where both points miss.  ``terms(block, pi)`` gives the learner terms
+    of the rounds ``block`` before the last, played at the forecasts
+    ``pi``; a round whose learner term is infinite keeps weights
     that AA's posterior drops, so the rounds after it are solved again from
     its weights.  Returns the forecasts, slack and ``q(pi, .)`` rows of the
     rounds solved, the log weights and values before each, and the error
@@ -810,11 +819,11 @@ def dfa_rounds(state: Session, advice: np.ndarray, outcomes: np.ndarray, pick, *
     depend on Learner's moves, from the outcomes (B - 1,) of the rounds
     before the last and ``pick(loss_vector)``, the last round's
     (:func:`forecast_rounds`): one batch solves every binary midpoint
-    round's admissible interval, or takes the barycentre for every round
-    with three or more outcomes whose barycentre holds; the others are
-    solved one at a time, with AA's mix as the fallback of a stalled
-    simplex search.  The learner term is ``lambda(pi, w)``, the log factor
-    ``ln q(pi, w)`` from the solver's row at pi.  Returns what
+    round's admissible interval, or with three or more outcomes takes each
+    round's barycentre where it holds and AA's point in forecast
+    coordinates where that holds; the others are solved one at a time,
+    with the vertex search.  The learner term is ``lambda(pi, w)``, the
+    log factor ``ln q(pi, w)`` from the solver's row at pi.  Returns what
     :func:`aggregating.aa_rounds` returns, each row what :func:`dfa_step`
     gives that round; an error is raised for the first round that meets
     it, before Reality picks.  With the default loss parameterizations,

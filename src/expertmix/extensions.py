@@ -10,7 +10,7 @@ round by round, with one proper-loss call per evaluator group for the
 forecast (:func:`ml_dfa_rounds`).  A simplex session's weights
 are AA's posterior on the losses at the realized points, so its block is
 played from one reweigh, with one q call at the barycentre for every round
-(:func:`simplex_dfa_rounds`).
+and one at AA's point for the rounds it misses (:func:`simplex_dfa_rounds`).
 """
 
 from __future__ import annotations
@@ -320,12 +320,14 @@ def simplex_dfa_rounds(state: Session, advice: np.ndarray, outcomes: np.ndarray,
     the last round's point (:func:`expertmix.defensive.forecast_rounds`):
     one ``game.loss`` call for the vertex advice, one batched
     ``loss_on_simplex`` for the experts' losses, one q call at the
-    barycentre for every round, and the vertex solver one round at a time
-    for the rounds whose barycentre misses its target; a stalled vertex
-    search falls back to AA's mix, as ``dfa``'s does.  The outcome scored
-    is a point of the simplex, at which every party's decision is
-    extended: each round's learner term is Learner's loss at the realized
-    point, and its log factor ``ln sum_t wbar_t exp(eta (l/c - g_t))``,
+    barycentre for every round, one batched substitution of AA's mix and
+    one q call at its forecast-coordinate point for the rounds whose
+    barycentre misses its target, and the vertex solver one round at a
+    time for the rounds where both miss, as ``dfa``'s rounds do.  The
+    outcome scored is a point of the simplex, at which every party's
+    decision is extended: each round's learner term is Learner's loss at
+    the realized point, and its log factor ``ln sum_t wbar_t exp(eta (l/c
+    - g_t))``,
     which relative exp-convexity bounds by the point's expectation of the
     vertex q; there is no substitution check.  Returns the decisions,
     Learner's losses, the experts' losses, the rounds' slack and the

@@ -344,6 +344,11 @@ def _hellinger(m: int) -> Game:
         pi = np.asarray(pi, dtype=float)
         return float(1.0 - np.sqrt(np.sum(pi**2)))
 
+    def forecast_of(dec):
+        # pi proportional to sqrt(d) has pi / ||pi|| = sqrt(d): proper(pi) = loss(d)
+        root = np.sqrt(np.asarray(dec, dtype=float))
+        return root / root.sum(axis=-1, keepdims=True)
+
     return Game(
         name="hellinger",
         outcomes=OutcomeSpace.of(m),
@@ -355,6 +360,7 @@ def _hellinger(m: int) -> Game:
         proper_loss=proper,
         membership_gap=membership_gap,
         entropy=entropy,
+        forecast_of=forecast_of,
     )
 
 

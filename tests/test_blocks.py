@@ -3,17 +3,19 @@
 ``reference_run`` is a per-round loop of every protocol, built from the
 library's primitives rather than from its block functions: each round the
 experts advise, Learner moves (AA mixes and substitutes; DFA and simplex
-DFA solve for the forecast, with AA's substituted mix as the fallback of
-a stalled simplex search, and substitute; evaluators solve for the root;
+DFA solve for the forecast, with three or more outcomes trying the
+barycentre, then AA's substituted mix in forecast coordinates, before the
+simplex search, and substitute; evaluators solve for the root;
 second-guessing solves its fixed point one transform call per level, or
 the root of its per-expert q),
 Reality picks (seeing Learner's loss vector when it looks at the
 prediction), and the session takes one round's reweigh.  The runner plays
 the same configs in blocks of rounds (one cumulative sum for the
 posterior path; AA: one batched mix; DFA: one batched solve of the binary
-admissible intervals, or one q call at the barycentre of every round with
-three or more outcomes, and the other rounds one at a time; evaluators:
-one proper-loss call per evaluator group for the block's advice, and the
+admissible intervals, or with three or more outcomes one q call at the
+barycentre of every round and one batched substitution and q call at AA's
+point of the rounds it misses, and the other rounds one at a time;
+evaluators: one proper-loss call per evaluator group for the block's advice, and the
 posterior-dependent chain round by round; all: records from columns), and
 a round that Reality or an expert must see first as a block of one; its
 JSONL and summary must be byte-identical, and it must raise the same error
@@ -61,17 +63,20 @@ def evaluator_specs(config):
 
 
 def reference_forecast(state, game, q, A, eps, tol, select):
-    """A round's forecast, its slack and ``q(pi, .)``: the solve, or AA's
-    substituted mix in ``game`` when the simplex search stalls and the mix
-    keeps q under the same target."""
-    try:
-        return choose_forecast(q, game.m, epsilon=eps, tol=tol, select=select, full_output=True)
-    except SlackExceeded:
-        pi = np.asarray(game.substitution(aa_mix(state, A)), dtype=float)
-        qpi = q(pi)
-        if float(np.max(qpi)) > 1.0 + eps + tol:
-            raise
-        return pi, max(0.0, float(np.max(qpi)) - 1.0), qpi
+    """A round's forecast, its slack and ``q(pi, .)``.  With three or more
+    outcomes, the first point that keeps q under the solve's target: the
+    barycentre, then AA's substituted mix in ``game``, mapped to forecast
+    coordinates; otherwise, and for binary games, the solve."""
+    if game.m > 2:
+        def aa_point():
+            return game.forecast_of(game.substitution(aa_mix(state, A)[None]))[0]
+
+        for point in (lambda: np.full(game.m, 1.0 / game.m), aa_point):
+            pi = point()
+            qpi = q(pi[None])[0]
+            if float(np.max(qpi)) <= 1.0 + eps + tol:
+                return pi, max(0.0, float(np.max(qpi)) - 1.0), qpi
+    return choose_forecast(q, game.m, epsilon=eps, tol=tol, select=select, full_output=True)
 
 
 def reference_move(config, state, game, sg, experts, outcomes, n, eps, tol):
@@ -270,8 +275,8 @@ def configs(draw, algorithm="aa"):
             lambda seq: {"kind": "fixed", "sequence": seq}),
         st.lists(st.sampled_from([0, 1, 3]), min_size=m, max_size=m).filter(any).map(
             lambda w: {"kind": "iid", "probs": _normalized(w)})))
-    # DFA's simplex solve takes ~5-8 ms a round, so its m = 3 runs stay
-    # shorter, still past the edge of a block of 256
+    # DFA's m = 3 runs stay shorter, still past the edge of a block of 256:
+    # a round that reaches the vertex search takes ~5-8 ms
     longest = 300 if algorithm == "dfa" and m == 3 else 600
     return parse_config({
         "name": "blocks", "game": {"name": name, "m": m}, "algorithm": algorithm, "c": c,
@@ -316,8 +321,9 @@ def simplex_configs(draw):
     """Simplex-outcome DFA on brier or kl at m = 3 with Dirichlet outcomes,
     and a block size: kl experts at a vertex or on a face lose inf wherever
     the outcome gives their zeros mass, and priors may hold zeros.  A round
-    whose barycentre misses costs a vertex search of ~5-8 ms, so the runs
-    stay short, except that blocks of 256 run past their first edge."""
+    that misses both the barycentre and AA's point costs a vertex search of
+    ~5-8 ms, so the runs stay short, except that blocks of 256 run past
+    their first edge."""
     expert = st.one_of(
         st.sampled_from(SIMPLEX_VALUES).map(lambda v: {"kind": "constant", "value": v}),
         st.just({"kind": "iid-random"}),
@@ -355,8 +361,9 @@ EVALUATORS = {2: [{"loss": "log", "eta": 1.0, "c": 1.0}, {"loss": "log", "eta": 
 @st.composite
 def ml_configs(draw):
     """Evaluator runs and a block size: binary log and square evaluators,
-    or kl at m = 3, whose rounds run the simplex search (~5-8 ms a round
-    when the barycentre misses), so those runs stay short and take the
+    or kl at m = 3, whose rounds run the simplex search (~5-8 ms a round)
+    when the barycentre misses, since an evaluator session has no single
+    mix to take AA's point from, so those runs stay short and take the
     short blocks; binary runs go past the edge of a block of 256."""
     m = draw(st.sampled_from([2, 2, 3]))
     values = BOX_VALUES if m == 2 else SIMPLEX_VALUES
@@ -452,8 +459,8 @@ def test_ml_callback_experts_play_blocks_of_one():
 
 
 def simplex_stall(seed):
-    """A simplex-outcome brier run whose vertex search stalls in a few of
-    its 300 rounds (1 to 4 at seeds 1-4)."""
+    """A simplex-outcome brier run whose barycentre misses in some of its
+    300 rounds (a vertex search there stalls in 1 to 4 at seeds 1-4)."""
     return parse_config({
         "game": {"name": "brier", "m": 3}, "algorithm": "simplex-dfa", "horizon": 300,
         "seed": seed, "experts": [{"kind": "iid-random"}, {"kind": "trailing-average"}],
@@ -462,7 +469,7 @@ def simplex_stall(seed):
 
 @pytest.mark.parametrize("seed", range(1, 5))
 def test_simplex_stalls_take_the_aa_mix_fallback(seed):
-    """A round whose vertex search stalls takes AA's substituted mix, as
+    """A round whose barycentre misses takes AA's substituted mix, as
     ``dfa``'s rounds do, and the run keeps its bound."""
     assert run_scenario(simplex_stall(seed)).bound_ok
 
@@ -473,7 +480,7 @@ def test_simplex_blocks_replay_the_aa_mix_fallback():
 
 @pytest.mark.parametrize("seed", range(1, 7))
 def test_dfa_blocks_replay_the_aa_mix_fallback(seed):
-    """Brier DFA at m = 3 whose simplex search stalls in some rounds, which
+    """Brier DFA at m = 3 whose barycentre misses in some rounds, which
     then take AA's substituted mix, across the edges of blocks of 7."""
     config = parse_config({
         "game": {"name": "brier", "m": 3}, "algorithm": "dfa", "horizon": 30, "seed": seed,
@@ -482,10 +489,30 @@ def test_dfa_blocks_replay_the_aa_mix_fallback(seed):
     assert_blocks_replay_rounds(config, 7)
 
 
+@pytest.mark.parametrize("eta", [1.0, 0.5])
+@pytest.mark.parametrize("seed", range(1, 4))
+def test_hellinger_dfa_takes_aa_point_in_forecast_coordinates(seed, eta):
+    """Hellinger's decisions are not its forecasts: AA's substituted mix
+    ``d`` is served as the forecast ``pi`` proportional to ``sqrt(d)``,
+    whose proper loss is ``d``'s loss, so every barycentre miss keeps q
+    under target and the run keeps its bound (taking ``d`` itself as the
+    forecast leaves q up to ~1e-2 over it within 600 rounds); a block
+    batch serves each round with the bits of a block of one."""
+    config = parse_config({
+        "game": {"name": "hellinger", "m": 3}, "algorithm": "dfa", "eta": eta,
+        "horizon": 600, "seed": seed,
+        "experts": [{"kind": "constant", "value": [0.6, 0.3, 0.1]},
+                    {"kind": "constant", "value": [0.1, 0.2, 0.7]},
+                    {"kind": "trailing-average"}],
+        "reality": {"kind": "iid", "probs": [0.5, 0.3, 0.2]}})
+    assert run_scenario(config).bound_ok
+    assert_blocks_replay_rounds(config, BLOCK_ROUNDS)
+
+
 @pytest.mark.parametrize("block", [7, BLOCK_ROUNDS])
 def test_dfa_blocks_replay_a_stall_past_the_fallback(block):
-    """Brier DFA above its mixable eta: in round 23 neither the simplex
-    search nor AA's mix keeps q under target, so SlackExceeded ends the
+    """Brier DFA above its mixable eta: in round 23 neither AA's mix nor
+    the simplex search keeps q under target, so SlackExceeded ends the
     run inside a block."""
     config = parse_config({
         "game": {"name": "brier", "m": 3}, "algorithm": "dfa", "eta": 1.3, "horizon": 150,
@@ -599,8 +626,8 @@ def test_ml_error_in_the_chain_comes_at_its_round(at):
 
 @pytest.mark.parametrize("at", [0, 100, 255, 256])
 def test_simplex_error_comes_at_its_round(at):
-    """A simplex round whose q is raised by e^10 misses the barycentre, its
-    vertex search stalls and AA's mix misses the target too: SlackExceeded
+    """A simplex round whose q is raised by e^10 misses the barycentre, AA's
+    mix misses the target too and its vertex search stalls: SlackExceeded
     ends a blocked run at that round, after the rounds before it, with the
     message of the run round by round."""
     config = parse_config({

@@ -26,8 +26,8 @@ GOLDEN = {
                     "69ac7255ca409d8ffa45d6e5c43b786708fb7aa2281907d77619e7d2b11be085"),
     "absolute-dfa": ("90818a1f78bde81f4bcfcc2ebbc7b9ce651d420c29f7c4511b14a25aaee48939",
                      "9454d6c5edb1fcf69206bb7b36ebc103d8924410f9a0d1e893421c809e1cc41e"),
-    "brier-simplex": ("da7211d34060820b57174d749995fc766370a271450c03ef58bcf2f240ae6969",
-                      "5460b2e6a06f3bf9960166c59cea325a5457439e68e76aa296e6b77772ea67b9"),
+    "brier-simplex": ("186be3686c41ac5ca92cb5ff1ffa0bf27c6935cf6f5fc5b7e268e5429471d9b4",
+                      "fad861d93ec3954c2510c07ed428ef0a6d568e0ec81cc7e8b3dbab808cfc2885"),
     "dfa-log-k10": ("f5cb87e498a2876c1322517970d2617aa2ec3e9073e1237411848791e610c6fb",
                     "5e8dd1c04fba7ee4106273795074e33d4c551a563bd8dc62b6af5b29b789955e"),
     "kl-simplex": ("810381b99204066568ae7d669383d48013777baf312a2e1ebb95aab4a4b045d9",
@@ -88,8 +88,8 @@ GOLDEN_BLOCKS = {
         "cd773b31179395746be539266f0614380f4653b216c0bba916911bfb942a3c41"),
     "brier-simplex": (
         builtin_scenario("brier-simplex", horizon=1000),
-        "273716aa69737b4ec6e17fa106163e99e794b74e5ba18f6ef09489b25660db2f",
-        "63cb5c4bdff0c20d9c01e650778a2f4f1532b915253b01eda70fbb74d1ea7705"),
+        "f2ba654ca26f6cd816d7d341734f7f281a8a09df14df5e6e8e2450f8c7692bc2",
+        "f5979d6f5123ca6684d9999f9ed9d6e81b30a0879101731afd4dd4fb66927143"),
     "kl-simplex": (
         builtin_scenario("kl-simplex", horizon=1000),
         "99c91bb08d46476d6e2576d4fa289dc872401159dfddbf297d97c15ccce8c65f",

