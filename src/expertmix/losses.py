@@ -134,7 +134,7 @@ def _square_binary() -> Game:
     def proper(pi):
         pi = np.asarray(pi, dtype=float)
         p = pi[..., 1]
-        return np.stack([p**2, (1.0 - p) ** 2], axis=-1)
+        return np.stack([p * p, (1.0 - p) * (1.0 - p)], axis=-1)
 
     def entropy(pi):
         p = float(np.asarray(pi, dtype=float)[1])

@@ -32,7 +32,7 @@ GOLDEN = {
                     "5e8dd1c04fba7ee4106273795074e33d4c551a563bd8dc62b6af5b29b789955e"),
     "kl-simplex": ("810381b99204066568ae7d669383d48013777baf312a2e1ebb95aab4a4b045d9",
                    "c4b33f5429076b3128b687de05a09f3e88ee18116fc3524a30e19dc3af3adc43"),
-    "ml-log-square-k4": ("89a73d407969ad61a15b8065d7554fba66ecc50c9dfbfa1b304d9f4b7bb25ab4",
+    "ml-log-square-k4": ("61a8e87dae083acec9778657cdb5e3b228ff590ce2b8f5ba8e9735f375226a2a",
                          "ca1b3ac02b232207f6ebfe8f89c276f213742bc0efcd044e6274701fab4fdf23"),
     "sg-contrarian-log": ("e5a74a6a1093a36cb097eb15f6ba7fcc60737f3530435c871b7bf8cd53dca822",
                           "91fbe63335c3a75e70e227ebf7c3d9f5d8a589d197297a49b03452753064c7f2"),
@@ -96,7 +96,7 @@ GOLDEN_BLOCKS = {
         "b2499bda8edc9ebe86d62df323d7c5f2e37cadd15f7f499277fa46818531e756"),
     "ml-log-square-k4": (
         builtin_scenario("ml-log-square-k4", horizon=1000),
-        "9263822ab6ad95feaf6c4aafc6ce98c3e9bec7e1489dea9b571c38db30ae7f8e",
+        "36a1449d7497af075bbc684a5cb27124a23439ab5a3750b12503fe0c2cee0a38",
         "d13fb341b0c535d5425ea3dde10d3b746fc06c5462f1d0a504505c89eb123931"),
 }
 
