@@ -74,3 +74,34 @@ def test_tier1_records_the_src_lines(bench_pairs, tmp_path, monkeypatch):
     monkeypatch.setattr(bench_pairs.subprocess, "run", lambda *a, **k: done)
     got = bench_pairs.tier1(tmp_path)
     assert got["src_lines"] == 1 and got["result"] == "1 passed in 0.01s"
+
+
+def test_both_sides_run_from_exports(bench_pairs, tmp_path):
+    """The base is its commit's files; the head is the working tree as
+    committing it all would take it: edits and new files in, ignored files
+    and deleted ones out.  Neither side is the working tree itself."""
+    repo = tmp_path / "repo"
+    (repo / "src").mkdir(parents=True)
+
+    def git(*args):
+        subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args], cwd=repo,
+                       check=True, capture_output=True)
+
+    git("init", "-q")
+    (repo / ".gitignore").write_text("__pycache__/\n")
+    (repo / "src" / "a.py").write_text("old\n")
+    (repo / "src" / "gone.py").write_text("x\n")
+    git("add", "-A")
+    git("commit", "-q", "-m", "base")
+    (repo / "src" / "a.py").write_text("new\n")
+    (repo / "src" / "gone.py").unlink()
+    (repo / "src" / "b.py").write_text("added\n")
+    (repo / "src" / "__pycache__").mkdir()
+    (repo / "src" / "__pycache__" / "a.pyc").write_text("stale\n")
+    sha = bench_pairs.git("rev-parse", "HEAD", root=repo)
+    trees = bench_pairs.export_sides(sha, tmp_path / "sides", root=repo)
+    assert repo not in trees.values()
+    base, head = trees["base"], trees["head"]
+    assert (base / "src" / "a.py").read_text() == "old\n" and (base / "src" / "gone.py").exists()
+    assert (head / "src" / "a.py").read_text() == "new\n" and (head / "src" / "b.py").exists()
+    assert not (head / "src" / "gone.py").exists() and not (head / "src" / "__pycache__").exists()

@@ -6,11 +6,14 @@ Usage::
         --workload forecast-binary --seeds 123 9001 --pairs 10
     python3 tools/bench_pairs.py --label dfa_blocks --base <commit> --tier1
 
-Each pair runs ``perfbench/run.py --workload W --seed S --trace 0`` once in
-an export of the base commit's committed files (``git archive`` into a
-temporary directory, which is removed afterwards) and once in the working
-tree.  The side that runs first alternates from pair to pair, so a slow
-phase of a shared host falls on both sides alike.
+Each pair runs ``perfbench/run.py --workload W --seed S --trace 0`` once on
+each side, and both sides run from fresh exports in a temporary directory,
+which is removed afterwards: the base commit's committed files (``git
+archive``), and the working tree's files that committing them all would
+take (tracked files as they are on disk, and untracked ones that are not
+ignored).  So neither side runs where caches and build leftovers of
+earlier runs lie.  The side that runs first alternates from pair to pair,
+so a slow phase of a shared host falls on both sides alike.
 
 The results go to ``BENCH_<label>.json`` at the repo root: both SHAs, the
 Python and numpy versions, each run's ``host_slowdown``, correctness and
@@ -55,19 +58,40 @@ SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
 HIGHER = {m["name"]: m["better"] == "higher" for m in SPEC["end_to_end"]}
 
 
-def git(*args: str) -> str:
-    return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True,
+def git(*args: str, root: Path = ROOT) -> str:
+    return subprocess.run(["git", *args], cwd=root, check=True, capture_output=True,
                           text=True).stdout.strip()
 
 
-def export(sha: str, into: Path) -> None:
+def export(sha: str, into: Path, root: Path = ROOT) -> None:
     """The committed files of ``sha`` under ``into``."""
-    proc = subprocess.Popen(["git", "archive", "--format=tar", sha], cwd=ROOT,
+    proc = subprocess.Popen(["git", "archive", "--format=tar", sha], cwd=root,
                             stdout=subprocess.PIPE)
     with tarfile.open(fileobj=proc.stdout, mode="r|") as tar:
         tar.extractall(into, filter="data")
     if proc.wait() != 0:
         raise RuntimeError(f"git archive {sha} failed")
+
+
+def export_worktree(into: Path, root: Path = ROOT) -> None:
+    """The working tree's files under ``into``, as committing them all would
+    take them: tracked files as they are on disk (those deleted from it
+    left out) and untracked ones that are not ignored."""
+    names = git("ls-files", "-z", "--cached", "--others", "--exclude-standard", root=root)
+    for name in dict.fromkeys(filter(None, names.split("\0"))):
+        source = root / name
+        if source.is_file():
+            (into / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(source, into / name)
+
+
+def export_sides(base_sha: str, into: Path, root: Path = ROOT) -> dict[str, Path]:
+    """Both sides' trees under ``into``: ``base``, the committed files of
+    ``base_sha``, and ``head``, the working tree's (:func:`export_worktree`)."""
+    trees = {"base": into / "base", "head": into / "head"}
+    export(base_sha, trees["base"], root)
+    export_worktree(trees["head"], root)
+    return trees
 
 
 def bench(tree: Path, workload: str, seed: int, seconds: float | None) -> dict:
@@ -190,13 +214,13 @@ def main(argv=None) -> int:
                  "src_dirty": bool(git("status", "--porcelain", "--", "src")),
                  "src_diff_sha256": src_diff},
         "python": platform.python_version(), "numpy": numpy.__version__,
-        "protocol": "alternated pairs of perfbench/run.py --trace 0, base tree exported "
-                    "with git archive; host-adjusted end-to-end metrics",
+        "protocol": "alternated pairs of perfbench/run.py --trace 0, both sides run from "
+                    "exports (the base commit with git archive, the working tree's files "
+                    "git sees); host-adjusted end-to-end metrics",
     })
-    tmp = Path(tempfile.mkdtemp(prefix="bench-base-"))
+    tmp = Path(tempfile.mkdtemp(prefix="bench-sides-"))
     try:
-        export(base_sha, tmp)
-        trees = {"base": tmp, "head": ROOT}
+        trees = export_sides(base_sha, tmp)
         if args.tier1:
             doc["tier1"] = {"command": " ".join(["python", *TIER1])}
             for side in ("base", "head"):
