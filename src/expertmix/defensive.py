@@ -8,8 +8,11 @@ forecasting session's weights are AA's posterior, and its log
 supermartingale is the running sum of ``ln q(pi_n, w_n)``, read from the
 solver's q row at the forecast.  The binary solver is one bisection with
 two selection rules, the midpoint of the admissible interval and the root
-of ``h(p) = q(p, 1) - q(p, 0)``: each q call holds the nodes of the next
-six levels of every bracket, and the bisection replays over their values.
+of ``h(p) = q(p, 1) - q(p, 0)``: for the interval each q call holds the
+nodes of the next six levels of every bracket, and the bisection replays
+over their values; the root's calls hold six levels and the path that
+inverse interpolation predicts, after a first batch that an evaluator q
+reads from a table.
 A block of rounds with fixed advice solves all its admissible intervals in
 one batch (:func:`admissible_intervals`), or with three or more outcomes
 checks every round's barycentre in one q call, then AA's point for the
@@ -163,10 +166,26 @@ def _nodes(a: float, b: float, depth: int) -> np.ndarray:
     n = 2 ** depth
     step = (b - a) / n
     u = math.ulp(b)
-    if a % u == 0.0 and step % u == 0.0:
+    if a % u == 0.0 and step % u == 0.0 and step * n == b - a:
         # every node is a multiple of ulp(b) in [a, b]: exact, like each midpoint
-        return a + step * _RAMP[:n + 1]
+        # (subnormal brackets can round the step)
+        return a + step * (_RAMP[:n + 1] if n < len(_RAMP) else np.arange(n + 1.0))
     return _row_nodes(np.array([a]), np.array([b]), depth)[0]
+
+
+#: levels of dyadic nodes in the root's first batch when q reads it from a
+#: table (an evaluator group's plan, :func:`_groups`)
+_TABLE_LEVELS = 10
+#: the root's first batch: p = 0, 1, then the dyadic nodes of levels 1 to
+#: ``_TABLE_LEVELS``, level by level, so that its first three are 0, 1, 1/2
+_FIRST_NODES = np.concatenate([[0.0, 1.0], *(np.arange(1.0, 2.0 ** level, 2.0) / 2.0 ** level
+                                             for level in range(1, _TABLE_LEVELS + 1))])
+#: the first batch as forecasts ``(1 - p, p)``; a tabled q knows this array
+_FIRST_FORECASTS = np.column_stack([1.0 - _FIRST_NODES, _FIRST_NODES])
+_FIRST_FORECASTS.setflags(write=False)
+#: node -> its row of the first batch, all of it or its first three rows
+_FIRST_ROW = {p: i for i, p in enumerate(_FIRST_NODES.tolist())}
+_FIRST_ROW_UNTABLED = {p: i for p, i in _FIRST_ROW.items() if i < 3}
 
 
 def _bisect(left: np.ndarray):
@@ -215,9 +234,76 @@ def _node_bisection(f: Callable[[np.ndarray], np.ndarray], values: np.ndarray,
             values = f(x[1:-1])
 
 
+def _root_estimate(lo: float, hi: float, h_at) -> tuple[float, float, float] | None:
+    """The root of ``h(p) = q(p, 1) - q(p, 0)`` in the bracket [lo, hi] by
+    inverse interpolation (Neville's scheme for p as a polynomial in h, at
+    h = 0) over the known values ``h_at(p)`` at the bracket's ends and one
+    width beyond each: the estimate, its uncertainty (the scheme's last
+    correction) and the slope of h between the first two values.  None
+    when fewer than three of those values are finite, or the estimate
+    leaves the bracket."""
+    w = hi - lo
+    ps, hs = [], []
+    for p in (lo, hi, lo - w, hi + w):
+        h = h_at(p)
+        if h is not None and -math.inf < h < math.inf:
+            ps.append(p)
+            hs.append(float(h))
+    if len(ps) < 3:
+        return None
+    est, last = ps[:], ps[0]
+    for k in range(1, len(ps)):
+        last = est[0]
+        for i in range(len(ps) - k):
+            d = hs[i + k] - hs[i]
+            if d == 0.0:
+                return None
+            est[i] = (hs[i + k] * est[i] - hs[i] * est[i + 1]) / d
+    r = est[0]
+    slope = abs((hs[1] - hs[0]) / (ps[1] - ps[0]))
+    return (r, abs(r - last), slope) if lo <= r <= hi else None
+
+
+def _predicted_nodes(lo: float, hi: float, levels: int, tol: float, h_at) -> np.ndarray:
+    """The nodes of the root's next q call from the bracket [lo, hi], with
+    ``levels`` levels left: the ``2**6 - 1`` nodes of the next six levels
+    of [lo, hi], so that a wrong estimate still leaves six levels, then the
+    bisection path toward :func:`_root_estimate`'s root r, and, where the
+    path gets past those six levels, its end.  The path ends at the first
+    node whose ``|h|`` the estimate puts under ``tol / 2`` (within
+    ``tol / (2 slope) - uncertainty`` of r), or else before the first node
+    whose side the uncertainty leaves open, with the nodes of the next six
+    levels of the bracket there.  Each node is the bisection's ``0.5 * (lo
+    + hi)``, and none repeats."""
+    depth = min(levels, _BATCH_LEVELS)
+    here = _nodes(lo, hi, depth)[1:-1]
+    guess = _root_estimate(lo, hi, h_at)
+    if guess is None:
+        return here
+    r, u, slope = guess
+    reach = 0.5 * tol / slope - u if slope > 0.0 else -1.0
+    a, b, path, below = lo, hi, [], None
+    while len(path) < levels:
+        mid = 0.5 * (a + b)
+        if abs(mid - r) <= reach:
+            path.append(mid)
+            break
+        if abs(mid - r) <= u or mid == a or mid == b:
+            below = _nodes(a, b, min(levels - len(path), _BATCH_LEVELS))[1:-1]
+            break
+        path.append(mid)
+        if mid < r:
+            a = mid
+        else:
+            b = mid
+    if len(path) < depth:  # the path's nodes are among [lo, hi]'s
+        return here
+    return np.concatenate([here, path[depth:]] + ([] if below is None else [below]))
+
+
 def dfa_solve_binary(q: Callable[[np.ndarray], np.ndarray], C: float,
                      tol: float = 1e-9, max_iter: int = 200, *,
-                     full_output: bool = False):
+                     full_output: bool = False, table: bool = False):
     """Find p with ``q(p, 0) <= C + tol`` and ``q(p, 1) <= C + tol``.
 
     ``q`` maps a batch of forecasts ``(1 - p, p)``, shape (n, 2), to the
@@ -227,17 +313,25 @@ def dfa_solve_binary(q: Callable[[np.ndarray], np.ndarray], C: float,
     difference ``h(p) = q(p,1) - q(p,0)`` has a sign change and is bisected
     (at most ``max_iter`` levels, until the bracket is ``1e-17`` wide) to
     the first node with ``|h| <= tol``, which together with the expectation
-    bound forces both coordinates under ``C + tol``.  The first q call
-    holds ``p = 0, 1, 1/2``, each later one the ``2**6 - 1`` nodes of the
-    next six levels, and the bisection replays over their values
-    (:func:`_node_bisection`): the same root, bit for bit, as one level per
-    call, from 6 q calls instead of 31 at ``tol = 1e-9``.  ``tol`` must be
-    finite and at least ``2**-52``.  With ``full_output`` it returns ``(p,
-    q row at p)``, the row its batch already holds.
+    bound forces both coordinates under ``C + tol``.
+
+    The first q call holds ``p = 0, 1, 1/2``, or with ``table`` (a q that
+    reads them from a table, such as :func:`fixed_advice_q`'s evaluator q)
+    the first batch ``_FIRST_FORECASTS``, every dyadic node of the first
+    ``_TABLE_LEVELS`` levels.  Where the bisection meets a node no call
+    has held, the next call holds six levels of the bracket and the path
+    that inverse interpolation predicts (:func:`_predicted_nodes`).  The
+    bisection reads only real q values at its ``0.5 * (lo + hi)``, so it
+    gives the same root, bit for bit, as one level per call: a wrong
+    prediction costs a call, never a bit, and no more calls than six
+    levels a call.  An evaluator round at ``tol = 1e-9`` takes about one
+    call besides the table's, where one level per call takes 31.  ``tol``
+    must be finite and at least ``2**-52``.  With ``full_output`` it
+    returns ``(p, q row at p)``, the row its batch already holds.
     """
     _require_tol(tol)
-    qv = _q_at(q, np.array([0.0, 1.0, 0.5]))
-    (q0, q1), qv = qv[:2], qv[2:]
+    qv = np.asarray(q(_FIRST_FORECASTS if table else _FIRST_FORECASTS[:3]), dtype=float)
+    q0, q1 = qv[0], qv[1]
     if q0[1] <= C:
         return (0.0, q0) if full_output else 0.0
     if q1[0] <= C:
@@ -249,13 +343,36 @@ def dfa_solve_binary(q: Callable[[np.ndarray], np.ndarray], C: float,
             f"endpoint analysis failed (h(0)={h0:.3e}, h(1)={h1:.3e}); "
             "the supplied q is not a supermartingale term"
         )
-    # the root lies left of a node where h <= 0 (a NaN h moves left too)
-    for p, row, lo, hi in _node_bisection(lambda p: _q_at(q, p), qv,
-                                          lambda qv: ~(qv[:, 1] - qv[:, 0] > 0.0), max_iter):
-        h = row[1] - row[0]
+    # each call's (node -> row, h at its rows, rows), the latest first
+    index, hs, rows = _FIRST_ROW if table else _FIRST_ROW_UNTABLED, qv[:, 1] - qv[:, 0], qv
+    calls = [(index, hs, rows)]
+
+    def h_at(p: float):
+        for index, hs, _ in calls:
+            i = index.get(p)
+            if i is not None:
+                return hs[i]
+        return None
+
+    lo, hi = 0.0, 1.0
+    for level in range(max_iter):
+        mid = 0.5 * (lo + hi)
+        i = index.get(mid)
+        if i is None:  # the nodes of the latest call lie deepest
+            p = _predicted_nodes(lo, hi, max_iter - level, tol, h_at)
+            rows = _q_at(q, p)
+            index, hs = dict(zip(p.tolist(), range(len(p)))), (rows[:, 1] - rows[:, 0]).tolist()
+            calls.insert(0, (index, hs, rows))
+            i = index[mid]
+        h = hs[i]
         if abs(h) <= tol:
-            return (float(p), row) if full_output else float(p)
-        if (hi - p if h > 0.0 else p - lo) <= 1e-17:  # the bracket it leaves
+            return (mid, rows[i]) if full_output else mid
+        # the root lies left of a node where h <= 0 (a NaN h moves left too)
+        if h > 0.0:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= 1e-17:
             break
     raise ContractViolation(
         "bisection failed to equalize the coordinates; q appears discontinuous"
@@ -578,22 +695,42 @@ def dfa_start(game: Game, *, eta: float, c: float = 1.0,
         proper=default_proper_loss(game, c, eta) if proper is None else proper)
 
 
+def _table(proper: ProperLoss, c: float, eta: float) -> tuple:
+    """A binary group's proper loss at the root's first batch
+    ``_FIRST_FORECASTS``, as :func:`fixed_advice_q`'s group q scales it
+    before adding a round's log-mix: ``eta * lam / c``, with 0 where lam is
+    infinite, and the (row, outcome) indices of those entries."""
+    lam = proper(_FIRST_FORECASTS)
+    inf = np.isinf(lam)
+    scaled = np.multiply(eta, np.where(inf, 0.0, lam))
+    np.divide(scaled, c, out=scaled)
+    scaled.setflags(write=False)
+    return scaled, np.nonzero(inf)
+
+
 @functools.lru_cache(maxsize=16)
 def _groups(proper: tuple, c: tuple, eta: tuple) -> tuple:
+    """An evaluator session's plan: its groups, and each binary group's
+    :func:`_table` (None for three or more outcomes)."""
     keys = list(zip(proper, c, eta))
     groups = []
     for key in dict.fromkeys(keys):
         idx = np.array([t for t, k in enumerate(keys) if k == key])
         idx.setflags(write=False)
         groups.append((*key, idx))
-    return tuple(groups)
+    return tuple(groups), tuple(_table(*key) if key[0].game.m == 2 else None
+                                for key in dict.fromkeys(keys))
+
+
+def _plan(state: Session) -> tuple:
+    return _groups(state.proper, tuple(state.c.tolist()), tuple(state.eta.tolist()))
 
 
 def evaluator_groups(state: Session) -> tuple:
     """The groups of an evaluator session's experts that share (proper
     loss, c, eta), in the order first seen: ``(proper, c, eta, indices)``
     each, worked out once per session's constants."""
-    return _groups(state.proper, tuple(state.c.tolist()), tuple(state.eta.tolist()))
+    return _plan(state)[0]
 
 
 def fixed_advice_q(state: Session, G: np.ndarray, log_posterior: np.ndarray | None = None,
@@ -608,7 +745,10 @@ def fixed_advice_q(state: Session, G: np.ndarray, log_posterior: np.ndarray | No
     constants ``ln a_w = log_mix(...)``, AA's mix, so each candidate costs
     one proper-loss call per group.  A standard session is the one-group
     case.  The returned q takes one distribution, shape
-    (m,), or a batch, shape (n, m).  A standard session's q can also hold a
+    (m,), or a batch, shape (n, m).  A binary evaluator q reads the root's
+    first batch ``_FIRST_FORECASTS`` from its groups' tables (:func:`_table`)
+    with no proper-loss call, by the same ufuncs in the same order, so its
+    rows keep their bits.  A standard session's q can also hold a
     block of B rounds, ``log_posterior`` (B, k) and ``G`` (B, k, m): it then
     takes a batch and the round of each row, ``q(P, rows)``.  A standard
     session's caller that already holds the log-mix ``log_mix(lwn, eta,
@@ -616,7 +756,7 @@ def fixed_advice_q(state: Session, G: np.ndarray, log_posterior: np.ndarray | No
     """
     lwn = state.log_posterior() if log_posterior is None else log_posterior
 
-    def group_q(proper, c, eta, lwn_g, G_g, mass, log_a=None):
+    def group_q(proper, c, eta, lwn_g, G_g, mass, log_a=None, table=None):
         if log_a is None:
             log_a = log_mix(lwn_g, eta, G_g)
         # where every weighted expert is infinite, an infinite lam cancels
@@ -625,6 +765,13 @@ def fixed_advice_q(state: Session, G: np.ndarray, log_posterior: np.ndarray | No
 
         def q(P: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
             la = log_a if rows is None else log_a[rows]
+            if P is _FIRST_FORECASTS and table is not None:
+                scaled, (inf_rows, inf_cols) = table
+                out = np.add(scaled, la)
+                np.exp(out, out=out)
+                if inf_rows.size:
+                    out[inf_rows, inf_cols] = np.where(dead[inf_cols], mass, np.inf)
+                return out
             lam = proper(P)
             lam_inf = np.isinf(lam)
             if not lam_inf.any():  # the common case, in the general path's bits,
@@ -641,16 +788,16 @@ def fixed_advice_q(state: Session, G: np.ndarray, log_posterior: np.ndarray | No
 
     if not isinstance(state.proper, tuple):
         return group_q(state.proper, state.c, state.eta, lwn, G, 1.0, log_a)
-    groups = evaluator_groups(state)
+    groups, tables = _plan(state)
     qs = [group_q(proper, c, eta, lwn[idx], G[idx],
-                  1.0 if len(groups) == 1 else float(np.exp(lwn[idx]).sum()))
-          for proper, c, eta, idx in groups]
+                  1.0 if len(groups) == 1 else float(np.exp(lwn[idx]).sum()), table=table)
+          for (proper, c, eta, idx), table in zip(groups, tables)]
     return qs[0] if len(qs) == 1 else lambda P: sum(qg(P) for qg in qs)
 
 
 def choose_forecast(q, m: int, *, C: float = 1.0, epsilon: float = 1e-6,
                     tol: float = 1e-9, select: str = "midpoint",
-                    full_output: bool = False):
+                    full_output: bool = False, table: bool = False):
     """Pick a forecast distribution keeping every coordinate of q under C
     (up to the documented slack); returns (pi, slack), and with
     ``full_output`` also the row ``q(pi, .)``, shape (m,).
@@ -658,7 +805,8 @@ def choose_forecast(q, m: int, *, C: float = 1.0, epsilon: float = 1e-6,
     ``q`` maps a batch of distributions, shape (n, m), to its values, shape
     (n, m).  A binary forecast is the midpoint of the admissible interval
     (``select="midpoint"``) or the coordinate-equalizing root
-    (``select="root"``); larger outcome spaces run the simplex solver.
+    (``select="root"``, with ``table`` as :func:`dfa_solve_binary` takes
+    it); larger outcome spaces run the simplex solver.
     """
     qpi = None  # q at pi, when the solve already has it
     if m == 2:
@@ -666,7 +814,7 @@ def choose_forecast(q, m: int, *, C: float = 1.0, epsilon: float = 1e-6,
             lo, hi = admissible_interval(q, C, tol)
             p = 0.5 * (lo + hi)
         elif select == "root":
-            p, qpi = dfa_solve_binary(q, C, tol, full_output=True)
+            p, qpi = dfa_solve_binary(q, C, tol, full_output=True, table=table)
         else:
             raise ValueError(f"unknown selection rule {select!r}")
         pi = np.array([1.0 - p, p])

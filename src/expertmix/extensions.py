@@ -5,9 +5,10 @@ Evaluator sessions keep one supermartingale whose per-expert factors carry
 that expert's own (c, eta, loss); the simplex sessions run the vertex
 solver and transfer the guarantee through relative exp-convexity.  Both
 play a block of rounds whose advice and outcomes are fixed in advance.  An
-evaluator block's learner terms differ by expert, so its posterior stays
-round by round, with one proper-loss call per evaluator group for the
-forecast (:func:`ml_dfa_rounds`).  A simplex session's weights
+evaluator block scores its advice with one proper-loss call per evaluator
+group; its learner terms differ by expert, so its posterior stays round by
+round, each root reading its first batch from the groups' tables and
+taking about one q call more (:func:`ml_dfa_rounds`).  A simplex session's weights
 are AA's posterior on the losses at the realized points, so its block is
 played from one reweigh, with one q call at the barycentre for every round
 and one at AA's point for the rounds it misses (:func:`simplex_dfa_rounds`).
@@ -15,6 +16,7 @@ and one at AA's point for the rounds it misses (:func:`simplex_dfa_rounds`).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -30,7 +32,7 @@ from .defensive import (
     forecast_rounds,
     require_supermartingale,
 )
-from .errors import ContractViolation, PreconditionUnverified
+from .errors import AllExpertsDead, ContractViolation, PreconditionUnverified
 from .losses import ProperLoss, builtin_game
 
 
@@ -82,13 +84,16 @@ def ml_dfa_rounds(state: Session, advice: np.ndarray, outcomes: np.ndarray, pick
     """Play a block of B evaluator rounds whose advice, distributions of
     shape (B, k, m), does not depend on Learner's moves, from the outcomes
     (B - 1,) of the rounds before the last and ``pick(None)``, the last
-    round's (a forecast has no single loss vector).  The advice is checked,
-    and the records' columns and running sums are built, once per block.
-    Each expert's learner term ``lambda_t / c_t`` differs, so the posterior
-    is not AA's: each round's chain stays round by round (the advice
-    losses, the q, its root, every expert's loss at the forecast from one
-    proper-loss call per evaluator group, then :meth:`Session.advance`),
-    and every party is scored by each evaluator's own loss.  Returns the
+    round's (a forecast has no single loss vector).  The advice is checked
+    and scored (one proper-loss call per evaluator group), and the records'
+    columns and running sums are built, once per block; a round whose
+    advice might fail the check, and the rounds after it, are scored round
+    by round.  Each expert's learner term ``lambda_t / c_t`` differs, so
+    the posterior is not AA's: each round's chain stays round by round (the
+    q, its root, whose first batch the groups' tables hold, every expert's
+    loss at the forecast from one proper-loss call per evaluator group,
+    then :meth:`Session.advance`'s reweigh), and every party is scored by
+    each evaluator's own loss.  Returns the
     forecasts (B, m), Learner's and the experts' losses (B, k), the slack
     and the session's :class:`~expertmix.core.Rounds`, each row what
     :func:`ml_dfa_step` gives that round; an error is raised in the first
@@ -100,26 +105,37 @@ def ml_dfa_rounds(state: Session, advice: np.ndarray, outcomes: np.ndarray, pick
     # rounds whose rows might fail as_probs' check are checked row by row
     doubtful = ~((advice >= 0.0).all(axis=(1, 2))
                  & (np.abs(advice.sum(axis=-1) - 1.0) <= 0.5 * PROB_TOL).all(axis=1))
+    groups = evaluator_groups(state)
+    # the advice losses of the rounds before the first doubtful one, one call
+    # per group: a batch gives each row the bits of its one-row call
+    scored = int(np.argmax(doubtful)) if doubtful.any() else B
+    G = np.empty(advice.shape)
+    for proper, _, _, idx in groups:
+        G[:scored, idx] = proper(advice[:scored, idx].reshape(-1, m)).reshape(scored, len(idx), m)
     pis, slack = np.empty((B, m)), np.zeros(B)
     learner, expert_losses, lw, lv = np.empty((B, k)), np.empty((B, k)), np.empty((B, k)), \
         np.empty(B)
-    ws, cur = outcomes.tolist(), state
+    lam = np.empty((k, m))
+    ws, weights, value = outcomes.tolist(), state.log_weights, state.log_value
     for i in range(B):
         if doubtful[i]:
             for a in advice[i]:
                 as_probs(a)
-        # one-row calls: a batch need not give a row's bits (the square loss
-        # squares 1 - p with pow in a one-row call, by multiplication in a batch)
-        G = np.stack([proper(a) for proper, a in zip(cur.proper, advice[i])])
-        pis[i], slack[i] = choose_forecast(fixed_advice_q(cur, G), m, epsilon=epsilon,
-                                           tol=tol, select="root")
-        lam = np.empty(G.shape)
-        for proper, _, _, idx in evaluator_groups(cur):
+        if i >= scored:
+            for proper, _, _, idx in groups:
+                G[i, idx] = proper(advice[i, idx])
+        if value == -math.inf:  # as Session.log_posterior
+            raise AllExpertsDead()
+        pis[i], slack[i] = choose_forecast(fixed_advice_q(state, G[i], weights - value), m,
+                                           epsilon=epsilon, tol=tol, select="root", table=True)
+        for proper, _, _, idx in groups:
             lam[idx] = proper(pis[i])
         w = ws[i] if i < len(ws) else pick(None)
-        learner[i], expert_losses[i] = lam[:, w], G[:, w]
-        cur = cur.advance(learner[i], learner[i], expert_losses[i], None, slack[i])
-        lw[i], lv[i] = cur.log_weights, cur.log_value
+        learner[i], expert_losses[i] = lam[:, w], G[i, :, w]
+        # Session.advance's reweigh; the other running sums come once a block
+        weights = weights + state._log_factors(learner[i], expert_losses[i], weights)
+        lw[i], lv[i] = weights, log_sum_exp(weights)
+        value = lv[i]
     return pis, learner, expert_losses, slack, state.rounds(lw, lv, learner, expert_losses, slack)
 
 

@@ -320,7 +320,7 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
     more outcomes and simplex outcomes, one q call at the barycentre of
     every round (DFA's weights are AA's posterior, and its log
     supermartingale sums the rounds' log factors).  An evaluator block
-    batches its draws, advice check and records; its advice losses, q,
+    batches its draws, advice check, advice losses and records; its q,
     root, learner losses and reweigh run round by round, since each
     expert's learner term differs.  All give the bytes of one round at a
     time.

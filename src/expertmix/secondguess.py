@@ -6,7 +6,7 @@ re-evaluates the expert maps, each once per batch of candidates; the
 mixing side solves a fixed-point equation through the retraction onto
 minimal elements (composed with the radial projection for non-mixable
 games run with c > 1).  On a binary game the fixed point is bisected on
-the node batches of DFA's root bisection: one transform call for
+DFA's node batches of six levels: one transform call for
 ``p = 0, 1, 1/2`` and one for every later ``2**6 - 1`` nodes, each one
 mix and one retraction of all its rows.  A batch that raises is re-run
 row by row, and a row's error surfaces only when the bisection reaches
@@ -190,8 +190,8 @@ def sg_fixed_point(state: Session, experts: Sequence[SecondGuessExpert],
     stops at the first node with ``|f| <= min(tol, 1e-12)`` or whose
     bracket is at most ``1e-14`` wide, within 200 levels (a NaN f moves
     the upper end), and the midpoint of the last bracket when none does.
-    The nodes are the batches of DFA's root bisection
-    (:func:`~expertmix.defensive.dfa_solve_binary`): one transform call
+    The nodes come in DFA's batches of six levels
+    (:func:`~expertmix.defensive._node_bisection`): one transform call
     for ``p = 0, 1, 1/2``, one for each later ``2**6 - 1`` (one node where
     a row costs more than a call: a hull gap, or ``c > 1``), and the
     bisection replays over their values, the root of one level per call

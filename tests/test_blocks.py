@@ -780,21 +780,25 @@ def test_forecast_binary_blocks_cost_few_q_calls():
 
 def test_evaluator_blocks_cost_few_proper_calls():
     """``ml-log-square-k4`` enters 4 base experts under 2 evaluators: 8
-    experts in 2 groups.  A round makes the q calls of the root (6 in most
-    rounds, 7 where ``|h| <= tol`` needs more than 31 levels), each with
-    one proper-loss call per group, and scores the forecast with one call
-    per group, where it used one per expert.  Each expert's advice is
-    scored by its own one-row call, which alone gives that row's bits.  A
-    blocked round makes the calls of a round played alone."""
+    experts in 2 groups.  A round's root reads its first batch, every
+    dyadic node of the first ten levels, from the groups' tables (a q call
+    with no proper-loss call), then makes about one real q call, at most
+    1.5 a round on average where six levels a call took 6, each with one
+    proper-loss call per group; the forecast is scored with one call per
+    group.  A block scores its advice with one call per group, and the
+    session builds each group's table once, with one call per group."""
     config = builtin_scenario("ml-log-square-k4", horizon=2 * BLOCK_ROUNDS)
     fixed_advice_q, proper_call = extensions.fixed_advice_q, ProperLoss.__call__
-    q_calls, proper_calls = [0], [0]
+    table_calls, q_calls, proper_calls = [0], [0], [0]
 
     def counting_q(*args):
         q = fixed_advice_q(*args)
 
         def counted(P):
-            q_calls[0] += 1
+            if P is defensive._FIRST_FORECASTS:
+                table_calls[0] += 1
+            else:
+                q_calls[0] += 1
             return q(P)
         return counted
 
@@ -803,20 +807,18 @@ def test_evaluator_blocks_cost_few_proper_calls():
         return proper_call(self, P)
 
     def work(play):
-        q_calls[0] = proper_calls[0] = 0
+        table_calls[0] = q_calls[0] = proper_calls[0] = 0
         with mock.patch.object(extensions, "fixed_advice_q", counting_q), \
                 mock.patch.object(ProperLoss, "__call__", counting_proper):
             out = play(config)
-        return out, q_calls[0], proper_calls[0]
+        return out, table_calls[0], q_calls[0], proper_calls[0]
 
-    setup = work(lambda c: blocked_run(replace(c, horizon=0)))[2]  # the contract check
-    (blocked, q_blocked, p_blocked), (want, q_rounds, p_rounds) = work(blocked_run), \
-        work(reference_run)
-    n, experts, groups = config.horizon, 8, 2
-    assert blocked == want
-    assert q_blocked == q_rounds and 5 * n <= q_blocked <= 6.1 * n
-    assert p_blocked == p_rounds
-    assert p_blocked - setup == experts * n + groups * (q_blocked + n)
+    setup = work(lambda c: blocked_run(replace(c, horizon=0)))[3]  # the contract check
+    blocked, tables, real, proper = work(blocked_run)
+    n, blocks, groups = config.horizon, 2, 2
+    assert blocked == reference_run(config)
+    assert tables == n and n <= real <= 1.5 * n
+    assert proper - setup == groups * (1 + blocks + real + n)
 
 
 def test_rounds_of_one_row_take_the_scalar_interval():

@@ -1,8 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from expertmix import defensive
 from expertmix.aggregating import aa_mix, aa_start, aa_step
 from expertmix.defensive import (
     admissible_interval,
@@ -208,6 +211,18 @@ BINARY = {"log": (1.0, 1.0), "square": (1.0, 2.0),
           "absolute": (realizability_constant("absolute", 1.0), 1.0)}
 
 
+@pytest.mark.parametrize("depth", range(1, 13))
+def test_nodes_are_the_bisection_midpoints(depth):
+    """``_nodes`` gives all ``2**depth + 1`` nodes, each the bits of
+    :func:`defensive._row_nodes`' level-by-level midpoints, on brackets
+    whose nodes are exact (the ramp) and on ones where they are not."""
+    for a, b in [(0.0, 1.0), (0.25, 0.5), (0.5, 0.5 + 2.0 ** -40), (0.0, 2.0 ** -1000),
+                 (0.1, 0.7), (1.0 / 3.0, 0.5), (0.3, 0.3 + 1e-15), (1e-310, 3e-310)]:
+        got = defensive._nodes(a, b, depth)
+        want = defensive._row_nodes(np.array([a]), np.array([b]), depth)[0]
+        assert len(got) == 2 ** depth + 1 and got.tobytes() == want.tobytes(), (a, b)
+
+
 class TestBatchedBisection:
     @settings(max_examples=150, deadline=None)
     @given(name=st.sampled_from(sorted(BINARY)),
@@ -279,12 +294,15 @@ forecasts = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
 @st.composite
 def root_problems(draw):
     """A binary q for the root: a standard or an evaluator fixed-advice
-    session (priors with zeros; log advice at 0 or 1 is infinite), a step
-    in h that never gets under tol (NaN on a window after the step), or a
-    line h so steep that the bracket gets 1e-17 wide first near 0."""
-    kind = draw(st.sampled_from(["standard", "evaluator", "step", "steep"]))
+    session (priors with zeros; log advice at 0 or 1 is infinite; an
+    evaluator session of mirrored pairs has its root at 1/2), a step in h
+    that never gets under tol (NaN on a window after the step), or a line h
+    so steep that the bracket gets 1e-17 wide first near 0 (its root
+    anywhere, or at a dyadic node)."""
+    kind = draw(st.sampled_from(["standard", "evaluator", "mirrored", "step", "steep"]))
     if kind in ("step", "steep"):
-        a = draw(st.one_of(st.floats(0.0, 1.0), st.floats(0.0, 1e-15)))
+        a = draw(st.one_of(st.floats(0.0, 1.0), st.floats(0.0, 1e-15),
+                           st.integers(1, 2 ** 12 - 1).map(lambda k: k / 2 ** 12)))
         w, slope = draw(st.sampled_from([0.0, 0.1])), draw(st.sampled_from([1e3, 1e12, 1e20]))
 
         def q(P):
@@ -306,6 +324,8 @@ def root_problems(draw):
     rows = draw(st.lists(st.tuples(st.integers(0, 1), weights, forecasts),
                          min_size=1, max_size=6).filter(
         lambda rows: sum(w for _, w, _ in rows) > 0))
+    if kind == "mirrored":
+        rows += [(i, wt, 1.0 - p) for i, wt, p in rows]
     spec, w, ps = (np.array(col) for col in zip(*rows))
     experts = [EvaluatedExpert(EVALUATORS[i], 1.0, EVALUATORS[i].eta, wt)
                for i, wt in zip(spec, w / w.sum())]
@@ -314,31 +334,63 @@ def root_problems(draw):
     return fixed_advice_q(state, G)
 
 
-def outcome(solve, *args):
+def outcome(solve, *args, **kwargs):
     try:
-        return solve(*args)
+        return solve(*args, **kwargs)
     except ContractViolation as exc:
         return type(exc)
 
 
+def six_levels_a_call(levels):
+    """The q calls of a root that walks ``levels`` levels with six levels a
+    call after a first call of ``p = 0, 1, 1/2``."""
+    return 1 + -(-max(levels - 1, 0) // 6)
+
+
+def sabotaged(where):
+    """A :func:`defensive._root_estimate` that is always wrong: the mirror
+    image of the true estimate in the bracket, or one of the bracket's
+    ends, each claimed certain, so that its path turns the wrong way."""
+    estimate = defensive._root_estimate
+
+    def wrong(lo, hi, h_at):
+        got = estimate(lo, hi, h_at)
+        r = 0.5 * (lo + hi) if got is None else got[0]
+        return {"mirror": lo + (hi - r), "low end": lo, "high end": hi}[where], 0.0, 1.0
+    return wrong
+
+
 class TestBatchedRoot:
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=300, deadline=None)
     @given(q=root_problems(), tol=st.sampled_from([1e-9, 1e-12, 2.0 ** -52, 0.3]),
-           max_iter=st.sampled_from([0, 1, 7, 13, 200]))
-    def test_root_equals_the_reference_bisection(self, q, tol, max_iter):
-        seen = {dfa_solve_binary: set(), reference_root: set()}
+           max_iter=st.sampled_from([0, 1, 7, 13, 200]), table=st.booleans(),
+           sabotage=st.sampled_from([None, "mirror", "low end", "high end"]))
+    def test_root_equals_the_reference_bisection(self, q, tol, max_iter, table, sabotage):
+        """The root and its q row are the reference's, bit for bit, from a
+        first batch of ``p = 0, 1, 1/2`` or the whole table (read from the
+        evaluator groups' tables for an evaluator q), with the predicted
+        path or a predictor that is always wrong, and in no more q calls
+        than six levels a call."""
+        seen = {dfa_solve_binary: [], reference_root: []}
 
-        def run(solve):
+        def run(solve, **kwargs):
             def q_seen(P):
-                seen[solve].update(map(tuple, P.tolist()))
+                seen[solve].append(P.tolist())
                 return q(P)
-            return outcome(solve, q_seen, 1.0, tol, max_iter)
+            return outcome(solve, q_seen, 1.0, tol, max_iter, **kwargs)
 
-        root = run(dfa_solve_binary)
+        with mock.patch.object(defensive, "_root_estimate",
+                               sabotaged(sabotage) if sabotage else defensive._root_estimate):
+            got = run(dfa_solve_binary, full_output=True, table=table)
         want = run(reference_root)
+        root = got if isinstance(got, type) else got[0]
         assert root == want and type(root) is type(want)
+        if not isinstance(got, type):  # the row the root's batch holds is q's own at it
+            assert got[1].tobytes() == np.asarray(q(np.array([[1.0 - root, root]])))[0].tobytes()
         # every forecast the reference reads is among the batched nodes
-        assert seen[reference_root] <= seen[dfa_solve_binary]
+        batched = {tuple(x) for P in seen[dfa_solve_binary] for x in P}
+        assert {tuple(x) for P in seen[reference_root] for x in P} <= batched
+        assert len(seen[dfa_solve_binary]) <= six_levels_a_call(len(seen[reference_root]) - 1)
 
     def test_q_calls_per_root(self):
         g = builtin_game("log", 2)
