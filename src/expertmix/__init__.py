@@ -11,10 +11,7 @@ bound.
 
 from . import errors
 from .core import (
-    Distribution,
     Game,
-    LossVector,
-    OutcomeSpace,
     Session,
     domination_gap,
     exp_mix,
@@ -22,10 +19,8 @@ from .core import (
     is_superprediction,
 )
 from .losses import (
-    EntropySurface,
     ProperLoss,
     builtin_game,
-    entropy_surface,
     check_mixability,
     check_proper,
     generalized_entropy,

@@ -1,5 +1,5 @@
-"""Outcome spaces, probability vectors, extended-real loss vectors, the
-shared geometry of prediction games, and the session every protocol runs.
+"""Probability and extended-real loss vectors, the shared geometry of
+prediction games, and the session every protocol runs.
 
 A game is a finite outcome set together with a parametric decision domain
 and a loss map; every decision is identified with its per-outcome loss
@@ -34,31 +34,10 @@ MEMBERSHIP_TOL = 1e-9
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
 
-def _readonly(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, dtype=float, copy=True)
-    out.setflags(write=False)
-    return out
-
-
 def as_probs(pi) -> np.ndarray:
-    """Coerce a Distribution or array-like to a validated probability array."""
-    if isinstance(pi, Distribution):
-        return pi.probs
+    """Coerce an array-like to a validated probability vector: 1-d,
+    nonnegative, and summing to one within ``PROB_TOL``."""
     arr = np.asarray(pi, dtype=float)
-    _check_probs(arr)
-    return arr
-
-
-def as_losses(g) -> np.ndarray:
-    """Coerce a LossVector or array-like to a validated loss array."""
-    if isinstance(g, LossVector):
-        return g.values
-    arr = np.asarray(g, dtype=float)
-    _check_losses(arr)
-    return arr
-
-
-def _check_probs(arr: np.ndarray) -> None:
     if arr.ndim != 1:
         raise InvalidDistribution(f"expected 1-d probability vector, got shape {arr.shape}")
     if np.any(np.isnan(arr)) or np.any(arr < 0):
@@ -68,94 +47,17 @@ def _check_probs(arr: np.ndarray) -> None:
         raise InvalidDistribution(
             f"probabilities sum to {total!r}, outside tolerance {PROB_TOL}"
         )
+    return arr
 
 
-def _check_losses(arr: np.ndarray) -> None:
+def as_losses(g) -> np.ndarray:
+    """Coerce an array-like to a validated loss vector in ``[0, inf]^m``."""
+    arr = np.asarray(g, dtype=float)
     if np.isnan(arr).any():
         raise InvalidLossVector(f"NaN loss entry in {arr}")
     if (arr < 0).any():
         raise InvalidLossVector(f"negative loss entry in {arr}")
-
-
-@dataclass(frozen=True, eq=False)
-class OutcomeSpace:
-    """A finite outcome set; ``labels`` are used only in logs."""
-
-    size: int
-    labels: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        if self.size < 2:
-            raise ValueError("outcome space needs at least two outcomes")
-        labels = self.labels or tuple(str(i) for i in range(self.size))
-        if len(labels) != self.size or len(set(labels)) != self.size:
-            raise ValueError("labels must be distinct and match the size")
-        object.__setattr__(self, "labels", labels)
-
-    @classmethod
-    def of(cls, m: int) -> "OutcomeSpace":
-        return cls(size=m)
-
-
-@dataclass(frozen=True, eq=False)
-class Distribution:
-    """A probability vector over a finite outcome space.
-
-    Construction rejects vectors whose sum is off by more than
-    ``PROB_TOL``; nothing is renormalized on the caller's behalf.
-    """
-
-    probs: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.probs, dtype=float)
-        _check_probs(arr)
-        object.__setattr__(self, "probs", _readonly(arr))
-
-    @property
-    def size(self) -> int:
-        return self.probs.shape[0]
-
-    def is_interior(self, delta: float) -> bool:
-        """True iff every coordinate is at least ``delta`` (> 0)."""
-        if delta <= 0:
-            raise ValueError("delta must be positive")
-        return bool(np.all(self.probs >= delta))
-
-    @classmethod
-    def uniform(cls, m: int) -> "Distribution":
-        return cls(np.full(m, 1.0 / m))
-
-    @classmethod
-    def point_mass(cls, m: int, omega: int) -> "Distribution":
-        p = np.zeros(m)
-        p[omega] = 1.0
-        return cls(p)
-
-    @classmethod
-    def binary(cls, p: float) -> "Distribution":
-        """Binary convention: coordinate 1 carries probability ``p``."""
-        return cls(np.array([1.0 - p, p]))
-
-
-@dataclass(frozen=True, eq=False)
-class LossVector:
-    """An extended-real vector in ``[0, inf]^m``."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.values, dtype=float)
-        _check_losses(arr)
-        object.__setattr__(self, "values", _readonly(arr))
-
-    @property
-    def size(self) -> int:
-        return self.values.shape[0]
-
-    def dominates(self, other) -> bool:
-        """Pointwise ``self <= other`` with ``inf <= inf`` true."""
-        return bool(np.all(self.values <= as_losses(other)))
+    return arr
 
 
 def dominated_by(candidate, g, tol: float = 0.0) -> bool:
@@ -224,7 +126,7 @@ def exp_mix(points, weights, eta: float) -> np.ndarray:
     if not pts:
         raise ValueError("empty point list")
     G = np.stack(pts)
-    w = weights.probs if isinstance(weights, Distribution) else np.asarray(weights, dtype=float)
+    w = np.asarray(weights, dtype=float)
     if w.shape != (G.shape[0],):
         raise DimensionMismatch(f"{G.shape[0]} points but weight shape {w.shape}")
     if np.any(w < 0) or abs(w.sum() - 1.0) > PROB_TOL:
@@ -260,7 +162,7 @@ class Game:
     """
 
     name: str
-    outcomes: OutcomeSpace
+    m: int  # the number of outcomes
     decision_kind: str  # "box" ([0,1]^d) or "simplex" (P(Omega))
     decision_dim: int
     loss: Callable[[np.ndarray], np.ndarray]
@@ -275,9 +177,9 @@ class Game:
     feasible_interval: Callable[[np.ndarray], tuple[float, float]] | None = None
     forecast_of: Callable[[np.ndarray], np.ndarray] = np.asarray
 
-    @property
-    def m(self) -> int:
-        return self.outcomes.size
+    def __post_init__(self):
+        if self.m < 2:
+            raise ValueError("a game needs at least two outcomes")
 
     def mixable_at(self, eta: float) -> bool:
         """True iff mixability is asserted for this eta (False when the
@@ -557,42 +459,18 @@ class Session:
         lw = self.log_weights if log_weights is None else log_weights
         return np.where(np.isneginf(lw), 0.0, expo)
 
-    def advance(self, learner_term, learner_loss, expert_losses,
-                log_factor: float | None = None, slack: float = 0.0) -> "Session":
-        """The reweigh of one round: multiply expert ``t``'s factor by
-        ``exp(eta_t (learner_term / c_t - expert_losses[t]))``, and add the
-        round's losses and its solver slack ``ln(1 + slack)``.  A
-        forecasting session takes a finite learner term out of the weights
-        and adds ``log_factor``, the log of the round's factor
-        ``q(pi_n, w_n)``, to its log supermartingale."""
-        split = self.log_supermartingale is not None
-        if split and log_factor is None:
-            raise ValueError("a forecasting session's round needs its log factor")
-        if split and not math.isinf(learner_term):
-            learner_term = 0.0
-        lw = self.log_weights + self._log_factors(learner_term, expert_losses)
-        return replace(
-            self,
-            log_weights=lw,
-            log_value=log_sum_exp(lw),
-            step_count=self.step_count + 1,
-            cumulative_loss=self.cumulative_loss + learner_loss,
-            per_expert_loss=self.per_expert_loss + expert_losses,
-            slack_log_total=self.slack_log_total + float(np.log1p(slack))
-            if slack else self.slack_log_total,
-            log_supermartingale=self.log_supermartingale + log_factor if split else None,
-        )
-
     def reweigh(self, expert_losses, learner_terms=0.0,
                 log_weights=None) -> tuple[np.ndarray, np.ndarray]:
         """The reweigh of a block of B rounds of a session with scalar (c,
         eta), from ``log_weights`` (the session's by default): the log
         weights after each round, shape (B, k), and their log-sum-exps,
-        shape (B,).  The rounds' learner terms, shape (B,), stay out of the
-        weights unless infinite, as in :meth:`advance`; with none, the rows
-        are AA's posterior path.  The rows are one cumulative sum of
-        :meth:`advance`'s factors, so each holds the bits of advancing
-        round by round."""
+        shape (B,).  Round ``n`` adds expert ``t``'s log factor ``eta
+        (learner_terms[n] / c - expert_losses[n, t])``, zero for an expert
+        of weight zero.  The learner terms, shape (B,), stay out of the
+        weights unless infinite (finite, they add the same amount to every
+        expert); with none, the rows are AA's posterior path.  The rows
+        are one cumulative sum of the factors, so each holds the bits of
+        adding them round by round."""
         if not len(expert_losses):
             return np.empty((0, self.n_experts)), np.empty(0)
         start = self.log_weights if log_weights is None else log_weights
@@ -671,17 +549,17 @@ def start_session(game, prior=None, n_experts: int | None = None, *,
                   c=1.0, eta=1.0, **fields) -> Session:
     """Open a session with prior ``prior`` (uniform over ``n_experts`` when
     omitted).  Raises ``ValueError`` unless the prior is a probability
-    vector and, for scalar constants, ``c >= 1`` and ``eta > 0`` (per-expert
-    constants are checked by their evaluators' contract)."""
+    vector and ``1 <= c < inf`` and ``0 < eta < inf``, for scalar constants
+    or each entry of per-expert ones."""
     if prior is None:
         if n_experts is None:
             raise ValueError("need prior or n_experts")
         prior = np.full(n_experts, 1.0 / n_experts)
     prior = np.asarray(prior, dtype=float)
-    if np.any(prior < 0) or abs(prior.sum() - 1.0) > 1e-9:
+    if not (np.all(prior >= 0) and abs(prior.sum() - 1.0) <= 1e-9):  # NaN fails both
         raise ValueError("prior must be a probability vector")
-    if not isinstance(c, np.ndarray) and (c < 1.0 or eta <= 0.0):
-        raise ValueError("need c >= 1 and eta > 0")
+    if not (np.all((1.0 <= c) & (c < math.inf)) and np.all((0.0 < eta) & (eta < math.inf))):
+        raise ValueError("need 1 <= c < inf and 0 < eta < inf")
     with np.errstate(divide="ignore"):
         log_weights = np.log(prior)
     return Session(game=game, c=c, eta=eta, prior=prior,

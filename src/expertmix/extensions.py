@@ -92,7 +92,7 @@ def ml_dfa_rounds(state: Session, advice: np.ndarray, outcomes: np.ndarray, pick
     the posterior is not AA's: each round's chain stays round by round (the
     q, its root, whose first batch the groups' tables hold, every expert's
     loss at the forecast from one proper-loss call per evaluator group,
-    then :meth:`Session.advance`'s reweigh), and every party is scored by
+    then the round's reweigh), and every party is scored by
     each evaluator's own loss.  Returns the
     forecasts (B, m), Learner's and the experts' losses (B, k), the slack
     and the session's :class:`~expertmix.core.Rounds`, each row what
@@ -132,7 +132,8 @@ def ml_dfa_rounds(state: Session, advice: np.ndarray, outcomes: np.ndarray, pick
             lam[idx] = proper(pis[i])
         w = ws[i] if i < len(ws) else pick(None)
         learner[i], expert_losses[i] = lam[:, w], G[i, :, w]
-        # Session.advance's reweigh; the other running sums come once a block
+        # the round's reweigh, the learner terms kept in the weights as they
+        # differ by expert; the other running sums come once a block
         weights = weights + state._log_factors(learner[i], expert_losses[i], weights)
         lw[i], lv[i] = weights, log_sum_exp(weights)
         value = lv[i]
@@ -147,28 +148,6 @@ def ml_dfa_step(state: Session, advice, outcome: int, *,
     pis, *_, slack, rounds = ml_dfa_rounds(state, adv[None], np.empty(0, int), lambda _: outcome,
                                            epsilon=epsilon, tol=tol)
     return pis[0], state.after(rounds), float(slack[0])
-
-
-def duplicate_evaluators(specs: Sequence[tuple[ProperLoss, float, float]],
-                         n_base: int) -> list[EvaluatedExpert]:
-    """The several-losses reduction: each of ``n_base`` base predictions is
-    entered once per (loss, c, eta) spec, with equal priors over all
-    copies.  Advice rows must then be tiled spec-major (see
-    :func:`tile_advice`)."""
-    total = len(specs) * n_base
-    out = []
-    for s_idx, (proper, c, eta) in enumerate(specs):
-        for k in range(n_base):
-            out.append(EvaluatedExpert(
-                proper=proper, c=c, eta=eta, prior=1.0 / total,
-                name=f"{proper.label or proper.game.name}[{s_idx}]#{k}",
-            ))
-    return out
-
-
-def tile_advice(base_advice: np.ndarray, n_specs: int) -> np.ndarray:
-    """Repeat the base advice block once per evaluator spec (spec-major)."""
-    return np.tile(np.asarray(base_advice, dtype=float), (n_specs, 1))
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ Top-level keys (see README for the full schema):
 
     game        {"name": str, "m": int}
     algorithm   "aa" | "dfa" | "sg-dfa" | "sg-aa" | "ml-dfa" | "simplex-dfa"
-    c, eta      floats (ml-dfa uses per-evaluator values instead)
+    c, eta      finite, c >= 1 and eta > 0 (ml-dfa uses per-evaluator values)
     prior       probability vector, one entry per expert, or "uniform"
                 (default; the only choice for ml-dfa)
     experts     non-empty list of strategy specs, e.g.
@@ -199,8 +199,8 @@ def parse_config(doc: dict) -> ScenarioConfig:
                  f"no simplex extension for game {game['name']!r}; "
                  f"choose from {tuple(SIMPLEX_GAMES)}")
     c, eta = doc.get("c", 1.0), doc.get("eta", 1.0)
-    _require(isinstance(c, (int, float)) and isinstance(eta, (int, float)),
-             "c and eta must be numbers")
+    _require(_finite_number(c) and _finite_number(eta),
+             f"c and eta must be finite numbers, got c={c!r}, eta={eta!r}")
     _require(algorithm == "ml-dfa" or (c >= 1.0 and eta > 0.0),
              f"{algorithm} needs c >= 1 and eta > 0, got c={c!r}, eta={eta!r}")
     evaluators = doc.get("evaluators")
@@ -211,8 +211,10 @@ def parse_config(doc: dict) -> ScenarioConfig:
         for ev in evaluators:
             loss = _require_game(ev.get("loss"), m, "evaluator loss")
             ev_c, ev_eta = ev.get("c", 1.0), ev.get("eta", 1.0)
-            _require(_finite_number(ev_c) and _finite_number(ev_eta),
-                     f"evaluator c and eta must be finite numbers, got {ev!r}")
+            _require(_finite_number(ev_c) and _finite_number(ev_eta)
+                     and ev_c >= 1.0 and ev_eta > 0.0,
+                     f"evaluator c and eta must be finite numbers with c >= 1 and "
+                     f"eta > 0, got {ev!r}")
             _require_proper_loss(loss, ev_c, f"the {ev['loss']} evaluator")
     elif algorithm in ("dfa", "sg-dfa", "simplex-dfa"):
         _require_proper_loss(base, c, algorithm)

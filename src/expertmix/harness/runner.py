@@ -23,13 +23,12 @@ from ..defensive import default_proper_loss, dfa_rounds, dfa_start
 from ..errors import ConfigError
 from ..extensions import (
     SIMPLEX_GAMES,
+    EvaluatedExpert,
     SimplexGame,
-    duplicate_evaluators,
     ml_dfa_rounds,
     ml_dfa_start,
     simplex_dfa_rounds,
     simplex_dfa_start,
-    tile_advice,
 )
 from ..losses import builtin_game
 from ..secondguess import sg_aa_rounds, sg_dfa_rounds
@@ -245,25 +244,28 @@ def _open_second_guess(start, rounds, records_pi: bool, read):
 
 
 def _open_evaluators(config: ScenarioConfig, rngs, reality, eps: float, tol: float):
-    """The evaluator opener: each base expert's decision, as a distribution,
-    is entered once per evaluator (spec-major), and a block is played by
-    :func:`~expertmix.extensions.ml_dfa_rounds`; its records carry the
-    entered advice and the forecasts.  The config serves it only Reality
-    that does not look at the prediction."""
+    """The evaluator opener, the several-losses reduction: each base
+    expert's decision, as a distribution, is entered once per evaluator
+    (spec-major, copy ``{label}[s]#k``), with equal priors over all copies,
+    and a block is played by :func:`~expertmix.extensions.ml_dfa_rounds`;
+    its records carry the entered advice and the forecasts.  The config
+    serves it only Reality that does not look at the prediction."""
     game = builtin_game(config.game, config.m)  # the base experts' game
     decide = _standard_experts(config, game, rngs)
-    specs = []
-    for ev in config.evaluators:
+    n_specs, n_base = len(config.evaluators), len(config.experts)
+    experts = []
+    for s, ev in enumerate(config.evaluators):
         c, eta = float(ev.get("c", 1.0)), float(ev.get("eta", 1.0))
-        specs.append((default_proper_loss(builtin_game(ev["loss"], config.m), c, eta),
-                      c, eta))
-    state = ml_dfa_start(duplicate_evaluators(specs, len(config.experts)),
-                         config.m, verify=True)
+        proper = default_proper_loss(builtin_game(ev["loss"], config.m), c, eta)
+        experts += [EvaluatedExpert(proper, c, eta, 1.0 / (n_specs * n_base),
+                                    f"{proper.label or proper.game.name}[{s}]#{k}")
+                    for k in range(n_base)]
+    state = ml_dfa_start(experts, config.m, verify=True)
 
     def advise(n, size, outcomes):
         d = decide(n, size, outcomes)
         base = np.concatenate([1.0 - d, d], axis=-1) if game.decision_kind == "box" else d
-        return tile_advice(base, len(specs))
+        return np.tile(base, (n_specs, 1))
 
     return state, _block_play(
         reality, advise,

@@ -15,7 +15,6 @@ import numpy as np
 
 from .core import (
     Game,
-    OutcomeSpace,
     as_probs,
     domination_gap,
     exp_mix,
@@ -87,7 +86,7 @@ def _binary_box(name: str, l0, l1, feasible_interval, **closed_forms) -> Game:
         p = np.minimum(np.maximum(0.5 * (np.maximum(lo, 0.0) + np.minimum(hi, 1.0)), 0.0), 1.0)
         return p[..., None]
 
-    return Game(name=name, outcomes=OutcomeSpace.of(2), decision_kind="box",
+    return Game(name=name, m=2, decision_kind="box",
                 decision_dim=1, loss=loss, substitution=substitution,
                 feasible_interval=feasible_interval, **closed_forms)
 
@@ -115,7 +114,7 @@ def _log_simplex(m: int, name: str = "log") -> Game:
 
     return Game(
         name=name,
-        outcomes=OutcomeSpace.of(m),
+        m=m,
         decision_kind="simplex",
         decision_dim=m,
         loss=_safe_neg_log,
@@ -292,7 +291,7 @@ def _brier(m: int) -> Game:
 
     return Game(
         name="brier",
-        outcomes=OutcomeSpace.of(m),
+        m=m,
         decision_kind="simplex",
         decision_dim=m,
         loss=loss,
@@ -351,7 +350,7 @@ def _hellinger(m: int) -> Game:
 
     return Game(
         name="hellinger",
-        outcomes=OutcomeSpace.of(m),
+        m=m,
         decision_kind="simplex",
         decision_dim=m,
         loss=loss,
@@ -426,51 +425,6 @@ class EntropyResult:
     value: float
     exact: bool
     used_mixtures: bool
-
-
-@dataclass(frozen=True, eq=False)
-class EntropySurface:
-    """The generalized entropy of a game as a function on the simplex:
-    concave, nonnegative, with the canonical proper loss as its gradient."""
-
-    game: Game
-    eta: float
-    fn: Callable[[np.ndarray], float]
-
-    def __call__(self, pi) -> float:
-        return float(self.fn(as_probs(pi)))
-
-    def concavity_report(self, samples: int = 200, seed: int = 0) -> float:
-        """Smallest value of ``H(mix) - (a H(p1) + (1-a) H(p2))`` over
-        sampled triples; nonnegative (up to rounding) iff concave."""
-        rng = np.random.default_rng(seed)
-        m = self.game.m
-        worst = np.inf
-        for _ in range(samples):
-            p1 = rng.dirichlet(np.ones(m))
-            p2 = rng.dirichlet(np.ones(m))
-            a = rng.random()
-            mix = a * p1 + (1.0 - a) * p2
-            worst = min(worst, self(mix) - (a * self(p1) + (1.0 - a) * self(p2)))
-        return float(worst)
-
-    def min_report(self, samples: int = 200, seed: int = 0) -> float:
-        rng = np.random.default_rng(seed)
-        return float(min(self(rng.dirichlet(np.ones(self.game.m)))
-                         for _ in range(samples)))
-
-
-def entropy_surface(game: Game, eta: float, *, mixture_samples: int = 256,
-                    seed: int = 0) -> EntropySurface:
-    # the mixture sample set is a pure function of (game, eta, samples,
-    # seed), so the surface is an exact minimum over a fixed family of
-    # linear functionals and concavity holds by construction
-    return EntropySurface(
-        game=game, eta=eta,
-        fn=lambda p: generalized_entropy(game, p, eta,
-                                         mixture_samples=mixture_samples,
-                                         seed=seed),
-    )
 
 
 def _argmin_decision(game: Game, pi: np.ndarray) -> tuple[np.ndarray, float]:

@@ -1,4 +1,8 @@
-"""Per-row oracles for the batched retraction and fixed point.
+"""Per-row oracles for the batched reweigh, retraction and fixed point.
+
+``advance_reference`` reweighs a session by one round, the per-round
+reference for ``Session.reweigh``, ``Session.rounds`` and
+``Session.after``.
 
 ``reference_retraction`` bisects every coordinate with the validating gap
 functions; ``one_row_retraction`` is the one-row retraction that walks a
@@ -9,11 +13,37 @@ transform call per bisection level (each call one row: the experts' maps,
 The library's row-batched versions must return their bits.
 """
 
+import math
+from dataclasses import replace
+
 import numpy as np
 
 from expertmix.aggregating import project_boundary
-from expertmix.core import domination_gap, exp_mix, hull_membership_gap
+from expertmix.core import domination_gap, exp_mix, hull_membership_gap, log_sum_exp
 from expertmix.errors import NoConvergence
+
+
+def advance_reference(state, learner_term, learner_loss, expert_losses,
+                      log_factor=None, slack=0.0):
+    """``state`` after one round: expert ``t``'s factor times
+    ``exp(eta_t (learner_term / c_t - expert_losses[t]))``, and the round's
+    losses and its solver slack ``ln(1 + slack)`` added.  A forecasting
+    session takes a finite learner term out of the weights and adds
+    ``log_factor``, the log of the round's factor ``q(pi_n, w_n)``, to its
+    log supermartingale."""
+    split = state.log_supermartingale is not None
+    if split and log_factor is None:
+        raise ValueError("a forecasting session's round needs its log factor")
+    if split and not math.isinf(learner_term):
+        learner_term = 0.0
+    lw = state.log_weights + state._log_factors(learner_term, expert_losses)
+    return replace(
+        state, log_weights=lw, log_value=log_sum_exp(lw), step_count=state.step_count + 1,
+        cumulative_loss=state.cumulative_loss + learner_loss,
+        per_expert_loss=state.per_expert_loss + expert_losses,
+        slack_log_total=state.slack_log_total + float(np.log1p(slack))
+        if slack else state.slack_log_total,
+        log_supermartingale=state.log_supermartingale + log_factor if split else None)
 
 
 def reference_retraction(game, g, eta=None, tol=1e-10):

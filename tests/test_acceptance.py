@@ -9,7 +9,7 @@ import time
 import numpy as np
 
 from expertmix.aggregating import aa_start, aa_step
-from expertmix.core import Game, OutcomeSpace
+from expertmix.core import Game
 from expertmix.defensive import (
     default_proper_loss,
     dfa_solve_binary,
@@ -131,7 +131,7 @@ def log_with_dummy_game() -> Game:
         out = np.stack([l1, l2, np.ones_like(p)], axis=-1)
         return out if batched else out[0]
 
-    return Game(name="log-dummy", outcomes=OutcomeSpace.of(3),
+    return Game(name="log-dummy", m=3,
                 decision_kind="box", decision_dim=1, loss=loss,
                 substitution=lambda g: np.array([np.exp(-g[0])]),
                 eta_mixable_range=(0.0, 1.0))

@@ -1,5 +1,6 @@
 """``tools/bench_pairs.py`` counts and reports incorrect benchmark runs,
-and records each side's ``src/`` line count with its tier-1 run."""
+and records each side's ``src/`` line and code line counts with its tier-1
+run."""
 
 import importlib.util
 import subprocess
@@ -67,13 +68,22 @@ def test_src_lines_of_the_repo_is_the_git_count(bench_pairs):
         (root / f).read_bytes().count(b"\n") for f in files)
 
 
+def test_code_lines_skip_blanks_comments_and_docstrings(bench_pairs):
+    source = ('"""Module\ndocstring."""\n\nimport os  # a comment\n    # another\n'
+              'class A:\n    """Class docstring."""\n\n    def f(self):\n'
+              '        """Function\n        docstring."""\n        return """not a\n'
+              'docstring"""\n\n\nx = "a plain string"\n"after the first statement"\n')
+    assert bench_pairs.code_lines(source) == 7
+
+
 def test_tier1_records_the_src_lines(bench_pairs, tmp_path, monkeypatch):
     (tmp_path / "src").mkdir()
-    (tmp_path / "src" / "a.py").write_text("x = 1\n")
+    (tmp_path / "src" / "a.py").write_text('"""Doc."""\n\nx = 1\n')
     done = subprocess.CompletedProcess([sys.executable], 0, "1 passed in 0.01s\n", "")
     monkeypatch.setattr(bench_pairs.subprocess, "run", lambda *a, **k: done)
     got = bench_pairs.tier1(tmp_path)
-    assert got["src_lines"] == 1 and got["result"] == "1 passed in 0.01s"
+    assert got["src_lines"] == 3 and got["src_code_lines"] == 1
+    assert got["result"] == "1 passed in 0.01s"
 
 
 def test_both_sides_run_from_exports(bench_pairs, tmp_path):

@@ -38,8 +38,8 @@ from expertmix.core import log_sum_exp, pair_exponent
 from expertmix.defensive import choose_forecast, default_proper_loss, dfa_start, evaluator_groups
 from expertmix.errors import (AllExpertsDead, ContractViolation, ExpertmixError,
                               InvalidDistribution, SlackExceeded, SubstitutionFailure)
-from expertmix.extensions import (SIMPLEX_GAMES, duplicate_evaluators, ml_dfa_start,
-                                  ml_dfa_step, simplex_dfa_start, tile_advice)
+from expertmix.extensions import (SIMPLEX_GAMES, EvaluatedExpert, ml_dfa_start, ml_dfa_step,
+                                  simplex_dfa_start)
 from expertmix.harness import runner
 from expertmix.harness.config import parse_config
 from expertmix.harness.runner import (BLOCK_ROUNDS, StepRecord, _jsonable, _spawn_rngs,
@@ -50,16 +50,21 @@ from expertmix.harness.strategies import (CALLBACK_REGISTRY, DirichletReality, F
                                           build_standard_expert)
 from expertmix.harness.scenarios import builtin_scenario
 from expertmix.losses import ProperLoss, builtin_game, realizability_constant
-from oracles import reference_fixed_point
+from oracles import advance_reference, reference_fixed_point
 
 
-def evaluator_specs(config):
-    """The (proper loss, c, eta) of each evaluator of an ``ml-dfa`` config."""
-    specs = []
-    for ev in config.evaluators:
+def evaluated_experts(config):
+    """The experts of an ``ml-dfa`` config: each base expert entered once
+    per evaluator, spec-major, with equal priors over all copies."""
+    k = len(config.experts)
+    experts = []
+    for s, ev in enumerate(config.evaluators):
         c, eta = float(ev.get("c", 1.0)), float(ev.get("eta", 1.0))
-        specs.append((default_proper_loss(builtin_game(ev["loss"], config.m), c, eta), c, eta))
-    return specs
+        proper = default_proper_loss(builtin_game(ev["loss"], config.m), c, eta)
+        experts += [EvaluatedExpert(proper, c, eta, 1.0 / (len(config.evaluators) * k),
+                                    f"{proper.label or proper.game.name}[{s}]#{i}")
+                    for i in range(k)]
+    return experts
 
 
 def reference_forecast(state, game, q, A, eps, tol, select):
@@ -109,7 +114,7 @@ def reference_move(config, state, game, sg, experts, outcomes, n, eps, tol):
     if algorithm == "ml-dfa":
         base = [np.array([1.0 - d[0], d[0]]) if game.decision_kind == "box" else d
                 for d in decisions]
-        advice = tile_advice(np.stack(base), len(config.evaluators))
+        advice = np.concatenate([np.stack(base)] * len(config.evaluators))
         G = np.stack([proper(a) for proper, a in zip(state.proper, advice)])
         # the evaluator q as the evaluator module finds it
         pi, slack = choose_forecast(extensions.fixed_advice_q(state, G), config.m,
@@ -144,10 +149,10 @@ def reference_move(config, state, game, sg, experts, outcomes, n, eps, tol):
 
 def reference_run(config):
     """The run round by round: its JSONL lines and its summary as JSON.
-    Mixing (``aa``, ``sg-aa``) reweighs one round by hand; every other
-    protocol takes :meth:`Session.advance`.  A library error raised in a
-    round carries that round as ``step``; one raised opening the session
-    carries None."""
+    Every protocol reweighs one round at a time with
+    :func:`oracles.advance_reference`.  A library error raised in a round
+    carries that round as ``step``; one raised opening the session carries
+    None."""
     algorithm = config.algorithm
     simplex, evaluators = algorithm == "simplex-dfa", algorithm == "ml-dfa"
     second_guess = algorithm in ("sg-aa", "sg-dfa")
@@ -162,8 +167,7 @@ def reference_run(config):
     n = None
     try:
         if evaluators:
-            state = ml_dfa_start(duplicate_evaluators(evaluator_specs(config), len(experts)),
-                                 config.m)
+            state = ml_dfa_start(evaluated_experts(config), config.m)
         else:
             start = simplex_dfa_start if simplex else aa_start if mixing else dfa_start
             state = start(sg if simplex else game, eta=config.eta, c=config.c,
@@ -177,16 +181,8 @@ def reference_run(config):
                                                          outcomes, n, eps, tol)
             w = reality.pick(n, lv if reality.depends_on_prediction else None)
             learner_term, learner_loss, expert_losses, log_factor = score(w)
-            if mixing:  # one round's reweigh
-                expo = pair_exponent(0.0, expert_losses, state.c, state.eta)
-                lw = state.log_weights + np.where(np.isneginf(state.log_weights), 0.0, expo)
-                state = replace(state, log_weights=lw, log_value=log_sum_exp(lw),
-                                step_count=state.step_count + 1,
-                                cumulative_loss=state.cumulative_loss + learner_loss,
-                                per_expert_loss=state.per_expert_loss + expert_losses)
-            else:
-                state = state.advance(learner_term, learner_loss, expert_losses, log_factor,
-                                      slack)
+            state = advance_reference(state, learner_term, learner_loss, expert_losses,
+                                      log_factor, slack)
             outcomes.append(w)
             margins = list(state.bound_margins())
             if max(margins) > max_margin:
@@ -428,8 +424,8 @@ def test_simplex_callback_experts_play_blocks_of_one():
 def test_ml_rounds_check_each_rounds_advice():
     """A block's advice is checked as ``ml_dfa_step`` checks a round's: a
     row off the simplex raises its error in its round."""
-    specs = [(default_proper_loss(builtin_game("log", 2), 1.0, 1.0), 1.0, 1.0)]
-    state = ml_dfa_start(duplicate_evaluators(specs, 2), 2)
+    log = default_proper_loss(builtin_game("log", 2), 1.0, 1.0)
+    state = ml_dfa_start([EvaluatedExpert(log, 1.0, 1.0, 0.5)] * 2, 2)
     advice, outcomes = np.full((5, 2, 2), 0.5), np.zeros(5, dtype=int)
     advice[3, 1] = [0.7, 0.4]
     with pytest.raises(InvalidDistribution) as want:
@@ -555,8 +551,8 @@ def round_advice(config, at):
         decisions = [s.advise(n, outcomes) for s in experts]
         outcomes.append(reality.pick(n, None))
     if config.algorithm == "ml-dfa":
-        return evaluator_specs(config)[0][0](np.concatenate([1.0 - np.stack(decisions),
-                                                             np.stack(decisions)], axis=1))
+        d = np.stack(decisions)
+        return evaluated_experts(config)[0].proper(np.concatenate([1.0 - d, d], axis=1))
     return np.asarray(game.loss(np.stack(decisions)), dtype=float)
 
 

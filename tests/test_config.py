@@ -103,6 +103,10 @@ UNBUILDABLE = [
     ("sg-aa", {"eta": -1.0}),
     ("sg-dfa", {"c": 0.99}),
     ("simplex-dfa", {"c": 0.9}),
+    ("aa", {"eta": float("inf")}),
+    ("aa", {"c": float("inf")}),
+    ("aa", {"c": True}),
+    ("ml-dfa", {"eta": float("inf")}),
 ]
 
 
@@ -231,7 +235,9 @@ def test_forecasting_with_a_hull_proper_loss_accepted():
 
 
 @pytest.mark.parametrize("evaluator", [{"loss": "log", "c": "1.5"},
-                                       {"loss": "log", "eta": float("nan")}])
+                                       {"loss": "log", "eta": float("nan")},
+                                       {"loss": "log", "eta": 0.0},
+                                       {"loss": "absolute", "c": 0.5}])
 def test_bad_evaluator_constants_rejected(evaluator):
     with pytest.raises(ConfigError, match="evaluator c and eta"):
         parse_config(doc("ml-dfa", "iid", evaluators=[evaluator]))

@@ -4,9 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from expertmix.core import (
-    Distribution,
-    LossVector,
-    OutcomeSpace,
+    Game,
+    as_losses,
+    as_probs,
+    dominated_by,
     domination_gap,
     exp_mix,
     expected_loss,
@@ -21,35 +22,25 @@ INF = np.inf
 
 
 class TestTypes:
-    def test_outcome_space_labels(self):
-        sp = OutcomeSpace.of(3)
-        assert sp.labels == ("0", "1", "2")
-        with pytest.raises(ValueError):
-            OutcomeSpace(size=1)
-        with pytest.raises(ValueError):
-            OutcomeSpace(size=2, labels=("a", "a"))
+    def test_game_needs_two_outcomes(self):
+        game = builtin_game("log", 2)
+        with pytest.raises(ValueError, match="two outcomes"):
+            Game(name="one", m=1, decision_kind="box", decision_dim=1, loss=game.loss,
+                 substitution=game.substitution)
 
     def test_distribution_rejects_unnormalized(self):
-        with pytest.raises(InvalidDistribution):
-            Distribution(np.array([0.5, 0.5 + 1e-9]))
-        with pytest.raises(InvalidDistribution):
-            Distribution(np.array([-0.1, 1.1]))
+        for bad in ([0.5, 0.5 + 1e-9], [-0.1, 1.1], [np.nan, 1.0]):
+            with pytest.raises(InvalidDistribution):
+                as_probs(bad)
         # within tolerance is fine
-        Distribution(np.array([0.5, 0.5 + 1e-13]))
-
-    def test_distribution_interior(self):
-        d = Distribution(np.array([0.2, 0.8]))
-        assert d.is_interior(0.1)
-        assert not d.is_interior(0.3)
-        assert not Distribution(np.array([0.0, 1.0])).is_interior(1e-9)
+        as_probs([0.5, 0.5 + 1e-13])
 
     def test_loss_vector_invariants(self):
-        lv = LossVector(np.array([0.0, INF]))
-        assert lv.dominates([0.0, INF])  # inf <= inf
+        assert dominated_by(as_losses([0.0, INF]), [0.0, INF])  # inf <= inf
         with pytest.raises(InvalidLossVector):
-            LossVector(np.array([-1.0, 0.0]))
+            as_losses([-1.0, 0.0])
         with pytest.raises(InvalidLossVector):
-            LossVector(np.array([np.nan, 0.0]))
+            as_losses([np.nan, 0.0])
 
 
 class TestExpectedLoss:

@@ -9,13 +9,11 @@ from expertmix.extensions import (
     absolute_simplex,
     brier_simplex,
     check_relative_exp_convexity,
-    duplicate_evaluators,
     kl_simplex,
     ml_dfa_start,
     ml_dfa_step,
     simplex_dfa_start,
     simplex_dfa_step,
-    tile_advice,
 )
 from expertmix.losses import builtin_game
 
@@ -71,18 +69,12 @@ class TestEvaluatorSessions:
     def test_log_square_replication_bounds(self):
         # K base experts entered under both evaluators with weights 1/(2K)
         K = 2
-        evals = duplicate_evaluators(
-            [(default_proper_loss(builtin_game("log", 2), 1.0, 1.0), 1.0, 1.0),
-             (default_proper_loss(builtin_game("square", 2), 1.0, 2.0), 1.0, 2.0)],
-            K,
-        )
-        assert len(evals) == 2 * K
-        assert sum(e.prior for e in evals) == pytest.approx(1.0)
+        evals = [log_evaluator(1 / (2 * K))] * K + [square_evaluator(1 / (2 * K))] * K
         state = ml_dfa_start(evals, 2, verify=True, samples=400)
         rng = np.random.default_rng(5)
         for _ in range(300):
             base = np.stack([[1 - p, p] for p in rng.random(K)])
-            advice = tile_advice(base, 2)
+            advice = np.concatenate([base, base])
             w = int(rng.integers(0, 2))
             _, state, _ = ml_dfa_step(state, advice, w)
         margins = state.bound_margins()

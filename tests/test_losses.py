@@ -4,7 +4,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from expertmix.core import Game, OutcomeSpace, expected_loss
+from expertmix.core import Game, expected_loss
 from expertmix.defensive import default_proper_loss
 from expertmix.errors import NonExtendable
 from expertmix.losses import (
@@ -37,7 +37,7 @@ def log_with_dummy_game() -> Game:
 
     return Game(
         name="log-dummy",
-        outcomes=OutcomeSpace.of(3),
+        m=3,
         decision_kind="box",
         decision_dim=1,
         loss=loss,
@@ -170,12 +170,20 @@ class TestGeneralizedEntropy:
         assert not res.exact and res.used_mixtures
 
     def test_surface_concave_and_nonnegative(self):
-        from expertmix.losses import entropy_surface
-
+        # the mixtures drawn are a pure function of (game, eta, samples,
+        # seed), so H is a minimum of fixed linear functionals: concave
         for name, m in (("log", 2), ("brier", 3), ("hellinger", 2)):
-            surf = entropy_surface(builtin_game(name, m), 1.0, mixture_samples=48)
-            assert surf.concavity_report(samples=150, seed=0) >= -1e-9, name
-            assert surf.min_report(samples=150, seed=0) >= -1e-12, name
+            game, rng, worst = builtin_game(name, m), np.random.default_rng(0), np.inf
+
+            def H(p):
+                return generalized_entropy(game, p, 1.0, mixture_samples=48)
+
+            for _ in range(150):
+                p1, p2, a = rng.dirichlet(np.ones(m)), rng.dirichlet(np.ones(m)), rng.random()
+                worst = min(worst, H(a * p1 + (1.0 - a) * p2) - (a * H(p1) + (1.0 - a) * H(p2)))
+            assert worst >= -1e-9, name
+            rng = np.random.default_rng(0)
+            assert min(H(rng.dirichlet(np.ones(m))) for _ in range(150)) >= -1e-12, name
 
     def test_expected_proper_loss_equals_entropy(self):
         # the canonical loss's expectation at pi is the entropy at pi

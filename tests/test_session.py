@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from expertmix import defensive
 from expertmix.aggregating import aa_mix, aa_start, aa_step
-from expertmix.core import Session, log_sum_exp, pair_exponent
+from expertmix.core import Session, log_sum_exp, pair_exponent, start_session
 from expertmix.defensive import default_proper_loss, dfa_start, dfa_step, fixed_advice_q
 from expertmix.errors import AllExpertsDead, ExpertmixError, SubstitutionFailure
 from expertmix.harness import runner
@@ -24,6 +24,7 @@ from expertmix.harness.runner import run_scenario
 from expertmix.harness.scenarios import builtin_scenario
 from expertmix.losses import builtin_game, realizability_constant
 from expertmix.secondguess import SecondGuessExpert, sg_aa_step
+from oracles import advance_reference
 
 INF = np.inf
 
@@ -211,7 +212,14 @@ def test_dfa_posterior_is_aa_posterior(run, absolute):
         _, forecast, _ = dfa_step(forecast, advice, w)
         if np.isinf(forecast.cumulative_loss):
             return  # its forecast gave w no mass: each weight infinite there is kept
-        mix = mix.advance(0.0, 0.0, advice[:, w])
+        mix = advance_reference(mix, 0.0, 0.0, advice[:, w])
+
+
+@pytest.mark.parametrize("fields", [{"prior": [np.nan, 1.0]}, {"c": np.nan}, {"c": INF},
+                                    {"eta": np.nan}, {"eta": INF}])
+def test_start_session_refuses_nan_and_infinite_inputs(fields):
+    with pytest.raises(ValueError):
+        start_session(builtin_game("log", 2), **{"prior": [0.5, 0.5]} | fields)
 
 
 #: DFA games with the c at which they are realizable and their etas

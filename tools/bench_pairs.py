@@ -29,9 +29,10 @@ are unchanged; otherwise the old runs are dropped.
 ``--tier1`` also runs the tier-1 suite once on each side, base first
 (``python -m pytest -q --continue-on-collection-errors --durations=5``),
 and records its wall time, its result line and its five slowest tests
-under ``tier1``, next to the side's ``src_lines``: the lines of the
+under ``tier1``, next to the side's ``src_lines``, the lines of the
 ``.py`` files under ``src/`` (what ``cat $(git ls-files 'src/*.py') | wc
--l`` counts in a checkout).
+-l`` counts in a checkout), and its ``src_code_lines``, those of them that
+are not blank, not comments and not docstrings.
 
 Each incorrect run in the file is printed at the end, and the exit code is
 1 if there is any, since its timings measure a wrong program.
@@ -40,6 +41,7 @@ Each incorrect run in the file is printed at the end, and the exit code is
 from __future__ import annotations
 
 import argparse
+import ast
 import hashlib
 import json
 import platform
@@ -119,10 +121,31 @@ def src_lines(tree: Path) -> int:
     return sum(path.read_bytes().count(b"\n") for path in (tree / "src").rglob("*.py"))
 
 
+def code_lines(source: str) -> int:
+    """The lines of Python ``source`` that are not blank, not comments and
+    not docstrings (a module's, class's or function's first statement, if
+    it is a string)."""
+    docstrings = set()
+    for node in ast.walk(ast.parse(source)):
+        body = getattr(node, "body", None)
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)) \
+                and body and isinstance(body[0], ast.Expr) \
+                and isinstance(body[0].value, ast.Constant) and isinstance(body[0].value.value, str):
+            docstrings.update(range(body[0].lineno, body[0].end_lineno + 1))
+    return sum(1 for number, line in enumerate(source.splitlines(), 1)
+               if line.strip() and not line.lstrip().startswith("#")
+               and number not in docstrings)
+
+
+def src_code_lines(tree: Path) -> int:
+    """The :func:`code_lines` of the ``.py`` files under ``tree/src``."""
+    return sum(code_lines(path.read_text()) for path in (tree / "src").rglob("*.py"))
+
+
 def tier1(tree: Path) -> dict:
     """One run of the tier-1 suite in ``tree``: its wall time, its result
     line and its five slowest tests (pytest's ``--durations`` lines), and
-    the tree's :func:`src_lines`."""
+    the tree's :func:`src_lines` and :func:`src_code_lines`."""
     start = time.perf_counter()
     proc = subprocess.run([sys.executable, *TIER1], cwd=tree, capture_output=True, text=True,
                           timeout=3600)
@@ -135,7 +158,8 @@ def tier1(tree: Path) -> dict:
             slowest.append({"seconds": float(seconds), "test": rest.split()[-1]})
         except (ValueError, IndexError):
             break
-    return {"wall_s": wall, "src_lines": src_lines(tree), "exit_code": proc.returncode,
+    return {"wall_s": wall, "src_lines": src_lines(tree),
+            "src_code_lines": src_code_lines(tree), "exit_code": proc.returncode,
             "result": lines[-1] if lines else proc.stderr.strip()[-200:],
             "slowest": slowest}
 
