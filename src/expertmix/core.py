@@ -558,7 +558,8 @@ def start_session(game, prior=None, n_experts: int | None = None, *,
     prior = np.asarray(prior, dtype=float)
     if not (np.all(prior >= 0) and abs(prior.sum() - 1.0) <= 1e-9):  # NaN fails both
         raise ValueError("prior must be a probability vector")
-    if not (np.all((1.0 <= c) & (c < math.inf)) and np.all((0.0 < eta) & (eta < math.inf))):
+    if not (all(1.0 <= x < math.inf for x in np.atleast_1d(c))
+            and all(0.0 < x < math.inf for x in np.atleast_1d(eta))):
         raise ValueError("need 1 <= c < inf and 0 < eta < inf")
     with np.errstate(divide="ignore"):
         log_weights = np.log(prior)

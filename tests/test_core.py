@@ -36,7 +36,7 @@ class TestTypes:
         as_probs([0.5, 0.5 + 1e-13])
 
     def test_loss_vector_invariants(self):
-        assert dominated_by(as_losses([0.0, INF]), [0.0, INF])  # inf <= inf
+        assert dominated_by([0.0, INF], [0.0, INF])  # inf <= inf
         with pytest.raises(InvalidLossVector):
             as_losses([-1.0, 0.0])
         with pytest.raises(InvalidLossVector):
