@@ -129,7 +129,7 @@ def exp_mix(points, weights, eta: float) -> np.ndarray:
     w = np.asarray(weights, dtype=float)
     if w.shape != (G.shape[0],):
         raise DimensionMismatch(f"{G.shape[0]} points but weight shape {w.shape}")
-    if np.any(w < 0) or abs(w.sum() - 1.0) > PROB_TOL:
+    if not (np.all(w >= 0) and abs(w.sum() - 1.0) <= PROB_TOL):  # NaN fails too
         raise InvalidDistribution("weights must be a probability vector")
     E = np.where(np.isinf(G), 0.0, np.exp(-eta * np.where(np.isinf(G), 0.0, G)))
     s = w @ E

@@ -4,6 +4,9 @@ properness / mixability checkers.
 Built-in games carry closed forms (loss, membership gap, substitution,
 entropy, canonical proper loss) so membership and properness tests are
 exact; the generic numeric machinery is reserved for user-supplied games.
+scipy runs in one place, ``_argmin_decision``'s SLSQP on the simplex: the
+generalized entropy of a simplex game with no closed-form entropy, or at
+an eta outside its asserted mixable range.
 """
 
 from __future__ import annotations
@@ -195,95 +198,35 @@ def _brier(m: int) -> Game:
             return np.sum((pi[:, None, :] - eye[None, :, :]) ** 2, axis=-1)
         return np.sum((pi[None, :] - eye) ** 2, axis=-1)
 
+    def point(G):
+        """The water-filling point of each row of ``G`` (n, m):
+        ``pi_w = (t - g_w)^+ / 2`` with ``t`` such that ``sum pi = 1``, the
+        Euclidean projection of ``-g / 2`` onto the simplex and the minimiser
+        of ``max_w (loss(pi)_w - g_w)``.  One sort finds each row's active
+        outcomes; an infinite ``g_w`` gets 0, and an all-infinite row the
+        uniform distribution."""
+        # the level (2 + the sum of the k least g_w) / k falls while the next
+        # g_w is below it and rises after, so its least value is t
+        level = (2.0 + np.cumsum(np.sort(G, axis=1), axis=1)) / np.arange(1, m + 1)
+        active = G < level.min(axis=1, keepdims=True)
+        k = active.sum(axis=1, keepdims=True)
+        # t again, over the active outcomes, as the inversion of the standard
+        # form g = 1 - 2 pi + ||pi||^2 writes it: a row with every outcome
+        # active is that inversion bit for bit
+        with np.errstate(invalid="ignore", divide="ignore"):  # k = 0: replaced
+            t = 1.0 + (2.0 - k + np.where(active, G, 0.0).sum(axis=1, keepdims=True)) / k
+            pi = np.maximum(np.where(active, 0.5 * (t - G), 0.0), 0.0)
+            pi = pi / pi.sum(axis=1, keepdims=True)
+        return np.where(k == 0, 1.0 / m, pi)
+
     def membership_gap(g):
         g = np.asarray(g, dtype=float)
-        finite = np.isfinite(g)
-        if not finite.any():
-            return -np.inf
-        if m == 2:
-            g0, g1 = g
-            p = min(max(0.25 * (2.0 + g0 - g1), 0.0), 1.0)
-            lv = np.array([2.0 * p**2, 2.0 * (1.0 - p) ** 2])
-            return float(np.max((lv - g)[finite]))
-        idx = np.flatnonzero(finite)
-
-        def objective(x):
-            return x[-1]
-
-        def jac(x):
-            grad = np.zeros(m + 1)
-            grad[-1] = 1.0
-            return grad
-
-        cons = [{"type": "eq", "fun": lambda x: np.sum(x[:m]) - 1.0}]
-        for w in idx:
-            cons.append(
-                {
-                    "type": "ineq",
-                    # t - (||pi - e_w||^2 - g_w) >= 0
-                    "fun": lambda x, w=w: x[-1]
-                    - (np.sum(x[:m] ** 2) - 2.0 * x[w] + 1.0 - g[w]),
-                }
-            )
-        x0 = np.concatenate([np.full(m, 1.0 / m), [1.0]])
-        bounds = [(0.0, 1.0)] * m + [(None, None)]
-        # scipy is imported where a numeric fallback runs: importing it
-        # takes most of the package's import time
-        from scipy import optimize
-        res = optimize.minimize(
-            objective,
-            x0,
-            jac=jac,
-            bounds=bounds,
-            constraints=cons,
-            method="SLSQP",
-            options={"maxiter": 300, "ftol": 1e-14},
-        )
-        pi = np.clip(res.x[:m], 0.0, None)
-        pi = pi / pi.sum()
-        lv = loss(pi)
-        return float(np.max((lv - g)[finite]))
+        # an infinite g_w gives -inf, so a row of them gives -inf
+        return float(np.max(loss(point(g[None]))[0] - g))
 
     def substitution(g):
-        g = np.asarray(g, dtype=float)
-        G = np.atleast_2d(g)
-        # invert the standard form row by row, g = 1 - 2 pi + ||pi||^2 (a row
-        # with an infinite entry gets a NaN there); a row it does not serve
-        # goes to the numeric search
-        with np.errstate(invalid="ignore"):
-            s = (2.0 - m + G.sum(axis=1, keepdims=True)) / m
-            pi = 0.5 * (1.0 + s - G)
-            ok = (pi >= -1e-12).all(axis=1)
-            pi = np.maximum(pi, 0.0)
-            pi = pi / pi.sum(axis=1, keepdims=True)
-            ok &= (loss(pi) <= G + 1e-9).all(axis=1)
-        if not ok.all():
-            for i in np.flatnonzero(~ok):
-                pi[i] = search(G[i])
-        return pi if g.ndim == 2 else pi[0]
-
-    def search(g):
-        finite = np.isfinite(g)
-
-        def worst(pi):
-            lv = loss(pi)
-            return float(np.max((lv - g)[finite])) if finite.any() else -1.0
-
-        def objective(x):
-            x = np.clip(x, 0.0, None)
-            total = x.sum()
-            # a probe that clips to the zero vector is no distribution
-            return worst(x / total) if total > 0 else np.inf
-
-        from scipy import optimize  # imported only where it runs, as above
-        res = optimize.minimize(
-            objective,
-            np.full(m, 1.0 / m),
-            method="Nelder-Mead",
-            options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 4000},
-        )
-        pi = np.clip(res.x, 0.0, None)
-        return pi / pi.sum()
+        pi = point(np.atleast_2d(np.asarray(g, dtype=float)))
+        return pi if np.ndim(g) == 2 else pi[0]
 
     def entropy(pi):
         pi = np.asarray(pi, dtype=float)
@@ -310,15 +253,15 @@ def _hellinger(m: int) -> Game:
 
     def membership_gap(g):
         g = np.asarray(g, dtype=float)
-        if not np.isfinite(g).any():
+        top = float(np.max(1.0 - g))  # -inf when every g_w is infinite
+        if top == -np.inf:
             return -np.inf
 
         def mass(t):
             return float(np.sum(np.clip(1.0 - g - t, 0.0, None) ** 2))
 
-        lo, hi = -1.0, 1.0
-        if mass(lo) < 1.0:
-            return -1.0  # even shifting down by the full range stays feasible
+        # the mass is at least 1 at top - 1, where its largest term is 1, and 0 at top
+        lo, hi = top - 1.0, top
         for _ in range(80):
             mid = 0.5 * (lo + hi)
             if mass(mid) > 1.0:
@@ -451,7 +394,7 @@ def _argmin_decision(game: Game, pi: np.ndarray) -> tuple[np.ndarray, float]:
     m = game.decision_dim
     cons = [{"type": "eq", "fun": lambda x: np.sum(x) - 1.0}]
     best, best_val = None, np.inf
-    from scipy import optimize  # imported only where it runs, as above
+    from scipy import optimize  # imported where it runs: it is most of the import time
     for start in (np.full(m, 1.0 / m), np.clip(pi, 1e-9, None) / np.clip(pi, 1e-9, None).sum()):
         res = optimize.minimize(
             expect,

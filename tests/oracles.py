@@ -11,6 +11,9 @@ binary box game's closed-form path before it checks two probes, and
 transform call per bisection level (each call one row: the experts' maps,
 ``exp_mix``, ``one_row_retraction`` and, at ``c > 1``, ``project_boundary``).
 The library's row-batched versions must return their bits.
+
+``brier_gap_reference`` is brier's membership gap by a numeric program
+(SLSQP), the reference for the closed-form water-filling gap.
 """
 
 import math
@@ -206,3 +209,25 @@ def reference_fixed_point(state, experts, tol=1e-10, max_iter=10_000, damping=0.
         gamma = new_gamma
     raise NoConvergence("fixed-point iteration exhausted its budget", last_iterate=gamma,
                         residual=float(np.max(np.abs(transform(gamma) - gamma))))
+
+
+def brier_gap_reference(game, g):
+    """``min over pi of max over finite w of (loss(pi)_w - g_w)`` for brier
+    (``-inf`` when no entry is finite), by SLSQP on ``(pi, t)``: minimise
+    ``t`` subject to ``loss(pi)_w - g_w <= t`` and ``sum pi = 1``."""
+    from scipy import optimize
+
+    g = np.asarray(g, dtype=float)
+    m, finite = game.m, np.isfinite(g)
+    if not finite.any():
+        return -np.inf
+    cons = [{"type": "eq", "fun": lambda x: np.sum(x[:m]) - 1.0}]
+    cons += [{"type": "ineq",  # t - (||pi - e_w||^2 - g_w) >= 0
+              "fun": lambda x, w=w: x[-1] - (np.sum(x[:m] ** 2) - 2.0 * x[w] + 1.0 - g[w])}
+             for w in np.flatnonzero(finite)]
+    res = optimize.minimize(
+        lambda x: x[-1], np.concatenate([np.full(m, 1.0 / m), [1.0]]),
+        jac=lambda x: np.eye(m + 1)[-1], bounds=[(0.0, 1.0)] * m + [(None, None)],
+        constraints=cons, method="SLSQP", options={"maxiter": 300, "ftol": 1e-14})
+    pi = np.clip(res.x[:m], 0.0, None)
+    return float(np.max((game.loss(pi / pi.sum()) - g)[finite]))

@@ -251,10 +251,8 @@ def configs(draw, algorithm="aa"):
         # about 3 s per q call, so DFA runs absolute at its constant only)
         c, eta = draw(st.sampled_from([realizability_constant("absolute", 1.0)]
                                       + [1.0] * (algorithm == "aa"))), 1.0
-    else:  # brier at c > 1 sends most rows to its slow numeric search, and
-        # DFA refuses log and square at c > 1 when it opens the session
-        c = draw(st.sampled_from([1.0] if name == "brier" or algorithm == "dfa"
-                                 else [1.0, 1.5]))
+    else:  # DFA refuses log and square at c > 1 when it opens the session
+        c = draw(st.sampled_from([1.0] if algorithm == "dfa" else [1.0, 1.5]))
         eta = draw(st.sampled_from([0.5, 1.0, 2.0] if name == "square" else [0.5, 1.0]))
     values = BOX_VALUES if m == 2 else SIMPLEX_VALUES
     expert = st.one_of(

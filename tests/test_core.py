@@ -97,6 +97,11 @@ class TestExpMix:
         with pytest.raises(ValueError):
             exp_mix([], [], 1.0)
 
+    @pytest.mark.parametrize("weights", [[np.nan, 1.0], [0.5, np.nan], [-0.5, 1.5]])
+    def test_weights_off_the_simplex_rejected(self, weights):
+        with pytest.raises(InvalidDistribution):
+            exp_mix([[1.0, 2.0], [2.0, 1.0]], weights, 1.0)
+
     @settings(max_examples=50, deadline=None)
     @given(
         st.lists(st.lists(st.floats(0.0, 20.0), min_size=2, max_size=2),

@@ -289,12 +289,38 @@ class TestColumnarAudit:
                    for r in reports)
 
 
+BRIER_AA = {"game": {"name": "brier", "m": 3}, "algorithm": "aa", "c": 1.5, "eta": 1.0,
+            "horizon": 300, "seed": 1,
+            "experts": [{"kind": "constant", "value": [0.6, 0.3, 0.1]},
+                        {"kind": "constant", "value": [0.1, 0.2, 0.7]},
+                        {"kind": "trailing-average"}],
+            "reality": {"kind": "iid", "probs": [0.2, 0.3, 0.5]}}
+
+
 def test_import_does_not_load_scipy():
-    """scipy serves only numeric fallbacks, which import it when they run."""
+    """scipy serves only numeric fallbacks, which import it when they run:
+    importing the package does not, and neither do brier's closed-form gap
+    and substitution or an AA run on brier at c > 1."""
     src = str(Path(expertmix.__file__).parents[1])
     env = os.environ | {"PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = "import sys, expertmix.harness; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    code = f"""
+import sys, numpy as np, expertmix.harness
+from expertmix.harness.config import parse_config
+from expertmix.harness.runner import run_scenario
+from expertmix.losses import builtin_game
+rng = np.random.default_rng(0)
+for m in range(2, 7):
+    G = rng.exponential(1.0, (20, m))
+    G[rng.random((20, m)) < 0.3] = np.inf
+    G[0] = np.inf
+    game = builtin_game("brier", m)
+    game.substitution(G)
+    for g in G:
+        game.substitution(g), game.membership_gap(g)
+assert run_scenario(parse_config({BRIER_AA!r})).summary["bound_ok"]
+print(sorted(m for m in sys.modules if m.startswith('scipy')))
+"""
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "[]"

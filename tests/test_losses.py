@@ -1,10 +1,12 @@
+import functools
 import warnings
-from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from expertmix.core import Game, expected_loss
+from expertmix.core import Game, expected_loss, simplex_grid
 from expertmix.defensive import default_proper_loss
 from expertmix.errors import NonExtendable
 from expertmix.losses import (
@@ -17,6 +19,7 @@ from expertmix.losses import (
     proper_loss_from_entropy,
     realizability_constant,
 )
+from oracles import brier_gap_reference
 
 INF = np.inf
 
@@ -346,23 +349,66 @@ class TestCheckMixability:
         assert check_mixability(g, 1.0, samples=60, seed=0).mixable
 
 
-def test_brier_search_scores_a_zero_probe_as_infinite():
-    """A Nelder-Mead probe of brier's substitution search that clips to the
-    zero vector is no distribution: its objective is +inf, with no 0/0."""
-    from scipy import optimize
-    minimize, probes = optimize.minimize, []
+GRID_SIZE = {2: 4000, 3: 300, 4: 60, 5: 24, 6: 12}  # simplex_grid steps per m
 
-    def probing(fun, x0, **kwargs):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            probes.append(fun(-np.ones_like(x0)))
-        return minimize(fun, x0, **kwargs)
 
-    g = builtin_game("brier", 3)
-    with mock.patch.object(optimize, "minimize", probing):
-        pi = g.substitution(np.array([0.1, 3.0, 3.0]))  # outside the standard form
-    assert probes == [np.inf]
-    assert np.all(g.loss_vector(pi) <= np.array([0.1, 3.0, 3.0]) + 1e-7)
+@functools.cache
+def dense_grid(m):
+    return simplex_grid(m, GRID_SIZE[m])
+
+
+def grid_gap(game, g):
+    """``max_w (loss - g)`` at the best point of a dense simplex grid: an
+    infinite ``g_w`` gives ``-inf`` there, so it drops out of the max."""
+    return float(np.min(np.max(game.loss(dense_grid(game.m)) - g, axis=1)))
+
+
+def loss_rows(m):
+    return st.lists(st.one_of(st.floats(0.0, 4.0), st.just(INF)), min_size=m, max_size=m)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 6).flatmap(loss_rows))
+@example([0.1, 3.0, 3.0])
+@example([INF, INF, INF, INF])
+def test_brier_gap_is_the_min_max(g):
+    """Brier's closed-form gap is never above the SLSQP program's or a
+    dense grid's value."""
+    game, g = builtin_game("brier", len(g)), np.array(g)
+    gap = game.membership_gap(g)
+    assert gap <= brier_gap_reference(game, g) + 1e-12
+    assert gap <= grid_gap(game, g) + 1e-12
+
+
+@st.composite
+def brier_superpredictions(draw):
+    """A random decision's loss plus nonnegative noise, infinite at times."""
+    m = draw(st.integers(2, 6))
+    dec = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=m, max_size=m).filter(
+        lambda d: sum(d) > 0)))
+    noise = draw(st.lists(st.one_of(st.floats(0.0, 2.0), st.just(INF)),
+                          min_size=m, max_size=m))
+    return builtin_game("brier", m).loss(dec / dec.sum()) + noise
+
+
+@settings(max_examples=150, deadline=None)
+@given(brier_superpredictions())
+@example(np.array([0.1, 3.0, 3.0]))
+def test_brier_substitution_dominates_a_superprediction(g):
+    game = builtin_game("brier", len(g))
+    pi = game.substitution(g)
+    assert np.all(game.loss(pi) <= g + 1e-12)
+    assert np.array_equal(game.substitution(np.stack([g, g])), [pi, pi])
+
+
+@pytest.mark.parametrize("g", [[5.0, 5.0], [3.0, INF], [2.0, 7.0], [3.0, INF, 4.0],
+                               [5.0, 5.0, 5.0], [0.1, 0.2], [0.3, 0.0, 2.5]])
+def test_hellinger_gap_matches_a_dense_grid(g):
+    """Hellinger's gap is the min-max for every g, including those whose
+    finite entries are all at least 2 (the gap is then below -1)."""
+    game, g = builtin_game("hellinger", len(g)), np.array(g)
+    gap, grid = game.membership_gap(g), grid_gap(game, g)
+    assert grid - 0.02 <= gap <= grid + 1e-12
 
 
 def test_brier_mixing_above_c_one_runs_without_warnings():
