@@ -93,18 +93,16 @@ def substituted_rounds(state: Session, forecasts: np.ndarray, advice: np.ndarray
                        log_value: np.ndarray, slack: np.ndarray,
                        error: Exception | None = None, score=None, *, substitution_tol=1e-7):
     """The tail of a block of B rounds: one batched substitution of the
-    rounds' ``forecasts`` (B', m) (none when ``substitution_tol`` is None:
-    the forecasts are the moves, loss vectors), then ``error``, raised for
-    a block cut short in round B' < B once the rounds before it are
-    substituted, as round by round.  Reality then picks the last round's
+    rounds' ``forecasts`` (B', m), then ``error``, raised for a block cut
+    short in round B' < B once the rounds before it are substituted, as
+    round by round.  Reality then picks the last round's
     outcome, ``pick(loss_vector)``, after the others' ``outcomes``;
     ``score(w)`` gives the last round's learner term and every round's log
     factor (zero and None for mixing); and the weights before each round,
     ``log_weights`` (B, k) and ``log_value`` (B,), give those after it.
     Returns the decisions, Learner's and the experts' losses, the slack and
     the :class:`Rounds`."""
-    decisions, lvs = (forecasts, forecasts) if substitution_tol is None else \
-        substitute(state, forecasts, substitution_tol)
+    decisions, lvs = substitute(state, forecasts, substitution_tol)
     if error is not None:
         raise error
     w = np.concatenate((outcomes, [pick(lvs[-1])]))

@@ -106,34 +106,27 @@ def _learner_pi(game: Game, decisions: np.ndarray) -> list:
     return [None] * len(decisions)
 
 
-#: rounds per block of a run in which nothing looks at Learner's move:
-#: mixing, forecasting or evaluators (``aa``, ``dfa``, ``simplex-dfa``,
-#: ``ml-dfa``) with Reality that does not look at the prediction and
-#: experts of ``BLOCK_KINDS``.  Its arrays stay in the tens of kilobytes,
-#: far below the records' memory.
+#: rounds per block of a run with Reality that does not look at the
+#: prediction and no callback experts.  Its arrays stay in the tens of
+#: kilobytes, far below the records' memory.
 BLOCK_ROUNDS = 256
-
-#: expert kinds that advise a block of rounds in one call
-BLOCK_KINDS = ("constant", "iid-random", "trailing-average")
 
 
 def block_rounds(config: ScenarioConfig) -> int:
-    """Rounds per block: ``BLOCK_ROUNDS`` when the experts and Reality of
-    every round are fixed before Learner moves, else one.  Every protocol
-    plays its rounds in blocks through one loop (:func:`_block_play`).
-    Mixing (``aa``) and forecasting (``dfa``, and ``simplex-dfa`` on
-    Dirichlet outcomes) play long blocks, whose posteriors are one
-    cumulative sum (a forecasting session's weights are AA's); so do
-    evaluator sessions (``ml-dfa``), whose draws, advice check and records
-    are batched while the posterior-dependent chain stays round by round.
-    A round that Reality or an expert must see before it is decided is a
-    block of one: adversarial Reality, callback experts and the
-    second-guessing protocols."""
-    if config.algorithm in ("aa", "dfa", "simplex-dfa", "ml-dfa") \
-            and config.reality["kind"] in ("iid", "fixed", "dirichlet") \
-            and all(e["kind"] in BLOCK_KINDS for e in config.experts):
-        return BLOCK_ROUNDS
-    return 1
+    """Rounds per block: ``BLOCK_ROUNDS`` when Reality does not look at the
+    prediction and every expert is a built-in strategy, else one.  Every
+    protocol plays its rounds in blocks through one loop
+    (:func:`_block_play`), whose draws, running sums, margins and records
+    are batched.  Mixing (``aa``) and forecasting (``dfa``, and
+    ``simplex-dfa`` on Dirichlet outcomes) batch their posteriors too, one
+    cumulative sum (a forecasting session's weights are AA's); evaluator
+    sessions (``ml-dfa``) and the second-guessing protocols (``sg-aa``,
+    ``sg-dfa``, whose experts' advice depends on Learner's move) play each
+    round's posterior-dependent chain in turn.  A round that Reality or an
+    expert must see before it is decided is a block of one: adversarial
+    Reality and callback experts."""
+    return BLOCK_ROUNDS if config.reality["kind"] != "adversarial" \
+        and all(e["kind"] != "callback" for e in config.experts) else 1
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +138,9 @@ def block_rounds(config: ScenarioConfig) -> int:
 # ``slack_total``) and their bound margins, shape (size, k).  A protocol's
 # block function takes the outcomes of the block's rounds before the last
 # and ``pick(loss_vector)``, which gives the last round's once Learner has
-# moved; the second-guessing protocols play blocks of one.
+# moved; the second-guessing protocols solve each round's fixed point or
+# root in turn, and their blocks are as long as the others' under
+# Reality that does not look at the prediction.
 
 
 def _standard_experts(config: ScenarioConfig, game: Game, rngs):
@@ -224,10 +219,10 @@ def _open_fixed_advice(start, rounds, read, scored=builtin_game):
 
 
 def _open_second_guess(start, rounds, records_pi: bool, read):
-    """An opener for second-guessing experts, whose blocks of one round
-    ``rounds(state, experts, outcomes, pick, eps, tol)`` plays and records
-    with the advice it scored; ``records_pi`` records the forecast of the
-    decision substituted for the announced loss vector."""
+    """An opener for second-guessing experts, whose blocks
+    ``rounds(state, experts, outcomes, pick, eps, tol)`` plays round by
+    round and records with the advice it scored; ``records_pi`` records the
+    forecast of the decision substituted for each announced loss vector."""
     def open_protocol(config: ScenarioConfig, rngs, reality, eps: float, tol: float):
         game = builtin_game(config.game, config.m)
         experts = [build_sg_expert(game, s) for s in config.experts]
@@ -324,8 +319,10 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
     supermartingale sums the rounds' log factors).  An evaluator block
     batches its draws, advice check, advice losses and records; its q,
     root, learner losses and reweigh run round by round, since each
-    expert's learner term differs.  All give the bytes of one round at a
-    time.
+    expert's learner term differs.  A second-guessing block batches its
+    draws and records; its fixed point or root, advice and reweigh run
+    round by round, since the advice depends on Learner's move.  All give
+    the bytes of one round at a time.
     """
     if config.algorithm not in PROTOCOLS:
         raise ConfigError(f"unknown algorithm {config.algorithm!r}")

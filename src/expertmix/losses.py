@@ -206,9 +206,14 @@ def _brier(m: int) -> Game:
         outcomes; an infinite ``g_w`` gets 0, and an all-infinite row the
         uniform distribution."""
         # the level (2 + the sum of the k least g_w) / k falls while the next
-        # g_w is below it and rises after, so its least value is t
-        level = (2.0 + np.cumsum(np.sort(G, axis=1), axis=1)) / np.arange(1, m + 1)
-        active = G < level.min(axis=1, keepdims=True)
+        # g_w is below it and rises after, so its least value is t; the sums
+        # and the least level run column by column, in elementwise ufuncs
+        cols = np.sort(G, axis=1).T
+        running, least = cols[0], 2.0 + cols[0]
+        for j in range(1, m):
+            running = running + cols[j]
+            least = np.minimum(least, (2.0 + running) / (j + 1))
+        active = G < least[:, None]
         k = active.sum(axis=1, keepdims=True)
         # t again, over the active outcomes, as the inversion of the standard
         # form g = 1 - 2 pi + ||pi||^2 writes it: a row with every outcome

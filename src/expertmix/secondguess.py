@@ -11,6 +11,11 @@ DFA's node batches of six levels: one transform call for
 mix and one retraction of all its rows.  A batch that raises is re-run
 row by row, and a row's error surfaces only when the bisection reaches
 its node, the node where one evaluation per level would have raised it.
+
+Both protocols play blocks of rounds under Reality that does not look at
+the prediction: each round's fixed point or root (solved from the
+round's log posterior), the advice at it and the round's reweigh run in
+turn, and the running sums come once a block.
 """
 
 from __future__ import annotations
@@ -20,10 +25,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .aggregating import _retraction_hint, project_boundary, retraction_F, substituted_rounds
-from .core import Session, as_losses, domination_gap, pair_exponent
+from .aggregating import _retraction_hint, project_boundary, retraction_F
+from .core import Session, as_losses, domination_gap, log_sum_exp, pair_exponent
 from .defensive import _BATCH_LEVELS, _log_q, _node_bisection, choose_forecast
-from .errors import DimensionMismatch, DomainError, NoConvergence
+from .errors import AllExpertsDead, DimensionMismatch, DomainError, NoConvergence
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,62 +74,79 @@ class SecondGuessExpert:
         return cls(fn=lambda g: g[..., ::-1].copy(), name=name, lipschitz=1.0, batched=True)
 
 
-def _round_of_one(state: Session, gamma: np.ndarray, advice: np.ndarray, outcomes, pick,
-                  slack: float, score=None):
-    """A second-guessing round as a block of one (the advice depends on
-    Learner's move, so no round is fixed before it): Reality picks from
-    the announced loss vector ``gamma``, and the experts are scored by
-    their conditional ``advice`` (k, m) at it
-    (:func:`~expertmix.aggregating.substituted_rounds`, with no
-    substitution).  Returns what :func:`~expertmix.aggregating.aa_rounds`
-    returns, plus the advice scored, shape (1, k, m)."""
-    return (*substituted_rounds(state, gamma[None], advice[None], outcomes, pick,
-                                state.log_weights[None], np.array([state.log_value]),
-                                np.array([slack]), None, score, substitution_tol=None),
-            advice[None])
+def _sg_rounds(state: Session, experts: Sequence[SecondGuessExpert], outcomes, pick, solve,
+               codomain_tol: float | None = None):
+    """Play a block of B second-guessing rounds from the outcomes (B - 1,)
+    of the rounds before the last and ``pick(gamma)``, the last round's.
+    Each round's chain runs in turn: ``solve(log_posterior)`` gives its
+    loss vector ``gamma``, its slack and its log factors ``ln q(pi, .)``
+    (None for mixing); the experts' advice at ``gamma`` is scored and,
+    with ``codomain_tol``, checked against the superprediction set; then
+    Reality picks, and the round reweighs in
+    :meth:`~expertmix.core.Session.reweigh`'s one-round arithmetic.  The
+    running sums come once a block (:meth:`~expertmix.core.Session.rounds`).
+    Returns what :func:`~expertmix.aggregating.aa_rounds` returns, plus
+    the advice scored, shape (B, k, m); an error is raised in the round
+    that meets it."""
+    ws, weights, value, rows = outcomes.tolist(), state.log_weights, state.log_value, []
+    for i in range(len(ws) + 1):
+        if value == -np.inf:  # as Session.log_posterior
+            raise AllExpertsDead()
+        gamma, slack, log_q = solve(weights - value)
+        advice = np.stack([ex(gamma) for ex in experts])
+        for ex, g_t in zip(experts, advice) if codomain_tol is not None else ():
+            if not np.all(g_t >= -codomain_tol) \
+                    or domination_gap(state.game, np.clip(g_t, 0.0, None)) > codomain_tol:
+                raise DomainError(f"expert {ex.name!r} returned {g_t}, "
+                                  "outside the superprediction set")
+        w = ws[i] if i < len(ws) else pick(gamma)
+        # a mixing round's learner term is zero; a forecasting one's stays
+        # out of the weights unless infinite
+        term = gamma[w] if log_q is not None and np.isinf(gamma[w]) else 0.0
+        weights = weights + state._log_factors(term, advice[:, w], weights)
+        value = log_sum_exp(weights)
+        rows.append((gamma, gamma[w], advice[:, w], slack,
+                     0.0 if log_q is None else log_q[w], weights, value, advice))
+    gammas, learner, expert_losses, slack, log_factors, lw, lv, advice = map(np.array, zip(*rows))
+    return gammas, learner, expert_losses, slack, state.rounds(
+        lw, lv, learner, expert_losses, slack, None if log_q is None else log_factors), advice
 
 
 def sg_dfa_rounds(state: Session, experts: Sequence[SecondGuessExpert], outcomes, pick, *,
                   epsilon: float = 1e-6, tol: float = 1e-9, codomain_tol: float = 1e-7):
     """Forecast against second-guessing experts with the root selection, in
-    a block of one round (``outcomes`` is empty, and ``pick(gamma)`` gives
-    the round's outcome).
+    a block of rounds (:func:`_sg_rounds`: ``outcomes`` are those of the
+    rounds before the last, and ``pick(gamma)`` gives the last round's).
 
     Learner announces the loss parameterization's value ``gamma`` directly
     (its range is already inside the prediction set), so the decision is a
     loss vector; the learner term is ``gamma[w]`` and the log factor ``ln
     q(pi, w)``.  Returns what :func:`~expertmix.defensive.dfa_rounds`
-    returns, plus the advice scored, shape (1, k, m).  Raises
+    returns, plus the advice scored, shape (B, k, m).  Raises
     :class:`DomainError` when an expert map leaves the superprediction set
     at the announced prediction, before Reality picks.
     """
     if len(experts) != state.n_experts:
         raise ValueError(f"{len(experts)} experts for {state.n_experts} weights")
-    wbar = np.exp(state.log_posterior())
-    live = np.flatnonzero(wbar)
-    w_live, live_experts = wbar[live, None], [experts[t] for t in live]
     c, eta = state.c, state.eta
 
-    def q(P: np.ndarray) -> np.ndarray:
-        # the advice depends on lambda, so q is a direct per-expert sum;
-        # G[n, t] is expert t's advice at the forecast P[n]
-        L = state.proper(P)
-        G = np.stack([ex.rows(L) for ex in live_experts], axis=1)
-        return np.sum(w_live * np.exp(pair_exponent(L[:, None, :], G, c, eta)), axis=1)
+    def solve(log_posterior: np.ndarray):
+        wbar = np.exp(log_posterior)
+        live = np.flatnonzero(wbar)
+        w_live, live_experts = wbar[live, None], [experts[t] for t in live]
 
-    pi, slack, qpi = choose_forecast(q, state.game.m, epsilon=epsilon, tol=tol,
-                                     select="root", full_output=True)
-    gamma = state.proper(pi)
-    advice = np.stack([ex(gamma) for ex in experts])
-    for ex, g_t in zip(experts, advice):
-        if np.any(np.isnan(g_t)) or np.any(g_t < -codomain_tol) \
-                or domination_gap(state.game, np.clip(g_t, 0.0, None)) > codomain_tol:
-            raise DomainError(
-                f"expert {ex.name!r} returned {g_t}, outside the superprediction set"
-            )
-    log_q = _log_q(qpi)
-    return _round_of_one(state, gamma, advice, outcomes, pick, slack,
-                         lambda w: (gamma[w[-1]], log_q[w]))
+        def q(P: np.ndarray) -> np.ndarray:
+            # the advice depends on lambda, so q is a direct per-expert sum;
+            # G[n, t] is expert t's advice at the forecast P[n]
+            L = state.proper(P)
+            G = np.stack([ex.rows(L) for ex in live_experts], axis=1)
+            return np.sum(w_live * np.exp(pair_exponent(L[:, None, :], G, c, eta)), axis=1)
+
+        pi, slack, qpi = choose_forecast(q, state.game.m, epsilon=epsilon, tol=tol,
+                                         select="root", full_output=True)
+        return state.proper(pi), slack, _log_q(qpi)
+
+    return _sg_rounds(state, experts, outcomes, pick, solve, codomain_tol)
 
 
 def sg_dfa_step(state: Session, experts: Sequence[SecondGuessExpert],
@@ -157,13 +179,15 @@ def _mix_rows(G: np.ndarray, wbar: np.ndarray, eta: float) -> np.ndarray:
         return np.maximum(-np.log(s) / eta, 0.0)
 
 
-def _sg_transform(state: Session, experts: Sequence[SecondGuessExpert]):
+def _sg_transform(state: Session, experts: Sequence[SecondGuessExpert],
+                  log_posterior: np.ndarray | None = None):
     """gamma -> F(eta-mix of the experts' conditional advice), composed
     with the radial projection (row by row) when running with c > 1, for
-    each row of a batch (n, m): one call of each expert map, one mix and
-    one retraction (:func:`~expertmix.aggregating.retraction_F`) for the
+    each row of a batch (n, m), under the session's posterior or the given
+    ``log_posterior``: one call of each expert map, one mix and one
+    retraction (:func:`~expertmix.aggregating.retraction_F`) for the
     batch, each row what a one-row call gives it."""
-    wbar = np.exp(state.log_posterior())
+    wbar = np.exp(state.log_posterior() if log_posterior is None else log_posterior)
     game, eta, c = state.game, state.eta, state.c
     if len(experts) != len(wbar):
         raise DimensionMismatch(f"{len(experts)} points but weight shape {wbar.shape}")
@@ -180,8 +204,9 @@ def _sg_transform(state: Session, experts: Sequence[SecondGuessExpert]):
 
 def sg_fixed_point(state: Session, experts: Sequence[SecondGuessExpert],
                    *, tol: float = 1e-10, max_iter: int = 10_000,
-                   damping: float = 0.5) -> np.ndarray:
-    """Solve ``gamma = F(mix(Gamma(gamma)))`` for the current posterior.
+                   damping: float = 0.5, log_posterior: np.ndarray | None = None) -> np.ndarray:
+    """Solve ``gamma = F(mix(Gamma(gamma)))`` for the session's posterior, or
+    for the given ``log_posterior``.
 
     Binary games bisect the decision parameter (the minimal set is a
     curve, so the equation is one-dimensional): ``f(p) = p - (the
@@ -205,7 +230,7 @@ def sg_fixed_point(state: Session, experts: Sequence[SecondGuessExpert],
     exhausted.
     """
     game = state.game
-    transform = _sg_transform(state, experts)
+    transform = _sg_transform(state, experts, log_posterior)
 
     if game.m == 2:
         errors = {}  # node -> the error its one-row transform raised
@@ -277,14 +302,15 @@ def sg_fixed_point_residual(state: Session, experts: Sequence[SecondGuessExpert]
 
 def sg_aa_rounds(state: Session, experts: Sequence[SecondGuessExpert], outcomes, pick,
                  *, tol: float = 1e-10):
-    """Fixed-point mixing in a block of one round (``outcomes`` is empty,
-    and ``pick(gamma)`` gives the round's outcome): announce the solution
-    ``gamma``; the experts are scored by their conditional advice at it.
-    Returns what :func:`~expertmix.aggregating.aa_rounds` returns, plus the
-    advice scored, shape (1, k, m)."""
-    gamma = sg_fixed_point(state, experts, tol=tol)
-    return _round_of_one(state, gamma, np.stack([ex(gamma) for ex in experts]), outcomes,
-                         pick, 0.0)
+    """Fixed-point mixing in a block of rounds (:func:`_sg_rounds`:
+    ``outcomes`` are those of the rounds before the last, and
+    ``pick(gamma)`` gives the last round's): each round announces the
+    solution ``gamma`` for its posterior, and the experts are scored by
+    their conditional advice at it.  Returns what
+    :func:`~expertmix.aggregating.aa_rounds` returns, plus the advice
+    scored, shape (B, k, m)."""
+    return _sg_rounds(state, experts, outcomes, pick, lambda log_posterior: (
+        sg_fixed_point(state, experts, tol=tol, log_posterior=log_posterior), 0.0, None))
 
 
 def sg_aa_step(state: Session, experts: Sequence[SecondGuessExpert],

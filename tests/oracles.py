@@ -13,7 +13,10 @@ transform call per bisection level (each call one row: the experts' maps,
 The library's row-batched versions must return their bits.
 
 ``brier_gap_reference`` is brier's membership gap by a numeric program
-(SLSQP), the reference for the closed-form water-filling gap.
+(SLSQP), the reference for the closed-form water-filling gap, and
+``brier_point_reference`` the water-filling point with its level's sums
+and least value taken by reductions along the outcome axis; the
+library's column-by-column form must return its bits.
 """
 
 import math
@@ -231,3 +234,17 @@ def brier_gap_reference(game, g):
         constraints=cons, method="SLSQP", options={"maxiter": 300, "ftol": 1e-14})
     pi = np.clip(res.x[:m], 0.0, None)
     return float(np.max((game.loss(pi / pi.sum()) - g)[finite]))
+
+
+def brier_point_reference(G):
+    """Brier's water-filling point of each row of ``G`` (n, m), with the
+    level's running sums and least value taken along the outcome axis."""
+    m = G.shape[1]
+    level = (2.0 + np.cumsum(np.sort(G, axis=1), axis=1)) / np.arange(1, m + 1)
+    active = G < level.min(axis=1, keepdims=True)
+    k = active.sum(axis=1, keepdims=True)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        t = 1.0 + (2.0 - k + np.where(active, G, 0.0).sum(axis=1, keepdims=True)) / k
+        pi = np.maximum(np.where(active, 0.5 * (t - G), 0.0), 0.0)
+        pi = pi / pi.sum(axis=1, keepdims=True)
+    return np.where(k == 0, 1.0 / m, pi)

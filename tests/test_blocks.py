@@ -10,16 +10,19 @@ second-guessing solves its fixed point one transform call per level, or
 the root of its per-expert q),
 Reality picks (seeing Learner's loss vector when it looks at the
 prediction), and the session takes one round's reweigh.  The runner plays
-the same configs in blocks of rounds (one cumulative sum for the
-posterior path; AA: one batched mix; DFA: one batched solve of the binary
-admissible intervals, or with three or more outcomes one q call at the
-barycentre of every round and one batched substitution and q call at AA's
-point of the rounds it misses, and the other rounds one at a time;
-evaluators: one proper-loss call per evaluator group for the block's advice, and the
-posterior-dependent chain round by round; all: records from columns), and
-a round that Reality or an expert must see first as a block of one; its
-JSONL and summary must be byte-identical, and it must raise the same error
-at the same round.  The block draws of the experts and of Reality must be
+the same configs in blocks of rounds (AA: one cumulative sum for the
+posterior path and one batched mix; DFA: the same posterior path and one
+batched solve of the binary admissible intervals, or with three or more
+outcomes one q call at the barycentre of every round and one batched
+substitution and q call at AA's point of the rounds it misses, and the
+other rounds one at a time; evaluators: one proper-loss call per evaluator
+group for the block's advice, and the posterior-dependent chain round by
+round; second-guessing: each round's fixed point or root, its advice and
+its reweigh in turn; all: one block's running sums, and records from
+columns), and a round that Reality or an expert must see first
+(adversarial Reality, callback experts) as a block of one; its JSONL and
+summary must be byte-identical, and it must raise the same error at the
+same round.  The block draws of the experts and of Reality must be
 the single-round draws.
 """
 
@@ -278,23 +281,27 @@ def configs(draw, algorithm="aa"):
         "horizon": draw(st.integers(0, longest)), "seed": draw(st.integers(0, 2 ** 32))})
 
 
-def assert_blocks_replay_rounds(config, block):
+def assert_blocks_replay_rounds(config, block, want=None):
+    """The run in blocks of ``block`` rounds gives the bytes of the
+    per-round run, ``want`` when it is already at hand, or raises its
+    error in its round."""
     with mock.patch.object(runner, "BLOCK_ROUNDS", block):
         assert block_rounds(config) == block
-        try:
-            want = reference_run(config)
-        except ExpertmixError as exc:
-            # the same error, in the same round: a run through it raises,
-            # and every round before it plays through
-            opening = exc.step is None
-            for horizon in (config.horizon,) if opening else (config.horizon, exc.step + 1):
-                with pytest.raises(type(exc)) as got:
-                    blocked_run(replace(config, horizon=horizon))
-                assert str(got.value) == str(exc)
-            if not opening:
-                before = replace(config, horizon=exc.step)
-                assert blocked_run(before) == reference_run(before)
-            return
+        if want is None:
+            try:
+                want = reference_run(config)
+            except ExpertmixError as exc:
+                # the same error, in the same round: a run through it raises,
+                # and every round before it plays through
+                opening = exc.step is None
+                for horizon in (config.horizon,) if opening else (config.horizon, exc.step + 1):
+                    with pytest.raises(type(exc)) as got:
+                        blocked_run(replace(config, horizon=horizon))
+                    assert str(got.value) == str(exc)
+                if not opening:
+                    before = replace(config, horizon=exc.step)
+                    assert blocked_run(before) == reference_run(before)
+                return
         assert blocked_run(config) == want
 
 
@@ -896,18 +903,35 @@ def test_adversarial_errors_come_at_their_round(name, values, error, step):
 
 @pytest.mark.parametrize("algorithm", ["sg-aa", "sg-dfa"])
 @pytest.mark.parametrize("reality", [{"kind": "iid"}, {"kind": "fixed", "sequence": [0, 1, 1]}])
-def test_second_guessing_rounds_play_blocks_of_one(algorithm, reality):
+def test_second_guessing_blocks_replay_rounds(algorithm, reality):
     """A contrarian and a constant 0.4, whose fixed point and root lie away
-    from 1/2: every round is a block of one, with the bytes of the
-    per-round oracle."""
+    from 1/2, past the edge of a block of ``BLOCK_ROUNDS``: blocks of 1, 7
+    and ``BLOCK_ROUNDS`` rounds give the bytes of the per-round oracle."""
     config = parse_config({
-        "game": {"name": "log", "m": 2}, "algorithm": algorithm, "horizon": 60, "seed": 5,
-        "experts": [{"kind": "sg-contrarian"}, {"kind": "sg-constant", "value": 0.4}],
+        "game": {"name": "log", "m": 2}, "algorithm": algorithm, "horizon": BLOCK_ROUNDS + 4,
+        "seed": 5, "experts": [{"kind": "sg-contrarian"}, {"kind": "sg-constant", "value": 0.4}],
         "reality": reality})
-    records = run_scenario(config).records
-    assert any(abs(r.learner_decision[0] - 0.5) > 0.01 for r in records) \
-        if algorithm == "sg-aa" else any(abs(r.learner_pi[1] - 0.5) > 0.01 for r in records)
-    assert_blocks_replay_rounds(config, 1)
+    want = reference_run(config)
+    steps = [json.loads(line) for line in want[0][1:]]
+    assert any(abs(r["learner_decision"][0] - 0.5) > 0.01 for r in steps) \
+        if algorithm == "sg-aa" else any(abs(r["learner_pi"][1] - 0.5) > 0.01 for r in steps)
+    for block in (1, 7, BLOCK_ROUNDS):
+        assert_blocks_replay_rounds(config, block, want)
+
+
+@pytest.mark.parametrize("block", [1, 7, BLOCK_ROUNDS])
+def test_second_guessing_error_comes_at_its_round(block):
+    """A lone expert certain of 1 under log loss: Reality's 0 leaves no
+    weight, and the next round raises inside its block, as round by
+    round."""
+    config = parse_config({
+        "game": {"name": "log", "m": 2}, "algorithm": "sg-aa", "horizon": 12, "seed": 1,
+        "experts": [{"kind": "sg-constant", "value": 1.0}],
+        "reality": {"kind": "fixed", "sequence": [1, 1, 1, 0]}})
+    with pytest.raises(AllExpertsDead) as err:
+        reference_run(config)
+    assert err.value.step == 4
+    assert_blocks_replay_rounds(config, block)
 
 
 def test_rounds_that_look_at_learner_play_one_at_a_time():
@@ -928,9 +952,12 @@ def test_rounds_that_look_at_learner_play_one_at_a_time():
     assert block_rounds(parse_config(evaluators)) == BLOCK_ROUNDS
     assert block_rounds(parse_config(
         evaluators | {"experts": [{"kind": "callback", "name": "x"}]})) == 1
-    for change in ({"algorithm": "sg-aa", "experts": [{"kind": "sg-identity"}]},
-                   {"algorithm": "sg-dfa", "experts": [{"kind": "sg-identity"}]}):
-        assert block_rounds(parse_config(base | change)) == 1
+    for algorithm in ("sg-aa", "sg-dfa"):
+        second_guess = base | {"algorithm": algorithm, "experts": [{"kind": "sg-identity"}]}
+        assert block_rounds(parse_config(second_guess)) == BLOCK_ROUNDS
+        for change in ({"reality": {"kind": "adversarial"}},
+                       {"experts": [{"kind": "callback", "name": "x"}]}):
+            assert block_rounds(parse_config(second_guess | change)) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -41,9 +41,10 @@ GOLDEN = {
 }
 
 
-#: runs of several blocks of mixing, forecasting or evaluator rounds,
-#: simplex outcomes included (the runner plays them in blocks of
-#: ``BLOCK_ROUNDS``), pinned by the hashes the round-by-round runner gave:
+#: runs of several blocks of mixing, forecasting, evaluator or
+#: second-guessing rounds, simplex outcomes included (the runner plays them
+#: in blocks of ``BLOCK_ROUNDS``), pinned by the hashes the round-by-round
+#: runner gave (second-guessing: the runner's blocks of one round):
 #: name -> (config, sha256 of the JSONL, sha256 of the CSV)
 GOLDEN_BLOCKS = {
     "aa-log-k10": (
@@ -98,6 +99,14 @@ GOLDEN_BLOCKS = {
         builtin_scenario("ml-log-square-k4", horizon=1000),
         "36a1449d7497af075bbc684a5cb27124a23439ab5a3750b12503fe0c2cee0a38",
         "d13fb341b0c535d5425ea3dde10d3b746fc06c5462f1d0a504505c89eb123931"),
+    "sg-contrarian-log": (
+        builtin_scenario("sg-contrarian-log", horizon=1000),
+        "fdcdecd1e42fe79c6428fceb975aafbc54ef9c6f2f8a49045485f40563ad1bbb",
+        "dbfd3e820ff0f281f89336842c8e3e48fe690220ab622d439817f92d825d3f81"),
+    "sg-contrarian-log-aa": (
+        builtin_scenario("sg-contrarian-log-aa", horizon=1000),
+        "b8297b38cbfd74af6faf57d37c367502d9bd2f8c499613f0ce39683ef1d79f67",
+        "153e2642c35eb88565ea23bcda21a2edf6428ee015ab066ddc27067a628f3918"),
 }
 
 

@@ -19,7 +19,7 @@ from expertmix.losses import (
     proper_loss_from_entropy,
     realizability_constant,
 )
-from oracles import brier_gap_reference
+from oracles import brier_gap_reference, brier_point_reference
 
 INF = np.inf
 
@@ -399,6 +399,18 @@ def test_brier_substitution_dominates_a_superprediction(g):
     pi = game.substitution(g)
     assert np.all(game.loss(pi) <= g + 1e-12)
     assert np.array_equal(game.substitution(np.stack([g, g])), [pi, pi])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 10).flatmap(
+    lambda m: st.lists(loss_rows(m), min_size=1, max_size=30)))
+@example([[0.1, 3.0, 3.0], [INF, INF, INF], [0.5, 0.5, 0.5]])
+def test_brier_point_is_the_reductions_form(rows):
+    """Brier's substitution of a batch, its sums and least level taken
+    column by column, gives the bits of the reductions along the outcome
+    axis, for m past numpy's eight-term unrolled sums too."""
+    game, G = builtin_game("brier", len(rows[0])), np.array(rows)
+    assert game.substitution(G).tobytes() == brier_point_reference(G).tobytes()
 
 
 @pytest.mark.parametrize("g", [[5.0, 5.0], [3.0, INF], [2.0, 7.0], [3.0, INF, 4.0],
