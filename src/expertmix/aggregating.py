@@ -188,12 +188,13 @@ def _check_tol(tol: float) -> None:
         raise ValueError(f"tol must be a nonnegative number, got {tol!r}")
 
 
-def _bisect(member: Callable[[float], bool], hi: float, tol: float) -> tuple[float, float]:
-    """The bracket ``(lo, hi)`` that bisection of ``[0, hi]`` leaves around
-    the least ``x`` with ``member(x)``, for a member ``hi``: both boundary
-    searches' loop.  It halves until the bracket is at most ``tol`` wide,
-    or until a midpoint leaves the bracket unchanged (its ends are then
-    adjacent floats, which no ``tol`` below their distance could split)."""
+def _bisect(member: Callable[[float], bool], hi: float, tol: float) -> float:
+    """The upper end of the bracket that bisection of ``[0, hi]`` leaves
+    around the least ``x`` with ``member(x)``, for a member ``hi``: both
+    boundary searches' loop.  It halves until the bracket is at most
+    ``tol`` wide, or until a midpoint leaves the bracket unchanged (its ends
+    are then adjacent floats, which no ``tol`` below their distance could
+    split)."""
     lo = 0.0
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
@@ -205,7 +206,7 @@ def _bisect(member: Callable[[float], bool], hi: float, tol: float) -> tuple[flo
             if mid == lo:
                 break
             lo = mid
-    return lo, hi
+    return hi
 
 
 def project_boundary(game: Game, g, c: float, eta: float,
@@ -231,29 +232,34 @@ def project_boundary(game: Game, g, c: float, eta: float,
         raise NotRealizable(
             f"{c} * g is not a superprediction of {game.name!r} (gap {c_gap:.3e})"
         )
-    return _bisect(lambda r: gap(r * arr) <= mtol, float(c), tol)[1] * arr
+    return _bisect(lambda r: gap(r * arr) <= mtol, float(c), tol) * arr
 
 
 _EXPAND_CAP = 1e12
 
 
-def _retraction_hint(game: Game, eta: float | None):
-    """The closed-form least value of coordinate ``w`` of each row of
-    ``rows`` (n, 2), as ``hint(rows, w)``, when the membership rule at
-    ``eta`` is a binary box game's closed-form gap in its base set:
-    ``loss(p)[0]`` at the feasible interval's lower end for coordinate 0,
-    ``loss(p)[1]`` at its upper end for coordinate 1, each end clipped to
-    [0, 1].  None for every other rule (hull gaps, the numeric search,
-    three or more outcomes)."""
+def _closed_form_retraction(game: Game, eta: float):
+    """The retraction of each row of a batch (n, 2) in the ``eta``-hull, when
+    that is a binary box game's base set with a closed-form gap (log, and
+    square at a mixable ``eta``): ``loss(p)`` at the lower end ``p`` of the
+    row's feasible interval, clipped to [0, 1].  Coordinate 0 drops to
+    ``loss(p)[0]``, the least value that keeps the row a member, and
+    coordinate 1 then to ``loss(p)[1]``, the least that keeps
+    ``loss(p)[0]`` one.  A row whose interval is empty by more than
+    ``MEMBERSHIP_TOL`` is not a member and raises ``ValueError``.  None
+    for every other rule (hull gaps, the numeric search, three or more
+    outcomes)."""
     if game.membership_gap is None or game.feasible_interval is None or game.m != 2 \
-            or (eta is not None and not game.mixable_at(eta)):
+            or not game.mixable_at(eta):
         return None
 
-    def hint(rows: np.ndarray, w: int) -> np.ndarray:
-        p = np.minimum(np.maximum(game.feasible_interval(rows)[w], 0.0), 1.0)
-        return game.loss(p[:, None])[:, w]
+    def retract(rows: np.ndarray) -> np.ndarray:
+        lo, hi = game.feasible_interval(rows)
+        if np.any(lo - hi > MEMBERSHIP_TOL):
+            raise ValueError("input is not a superprediction (or hull member)")
+        return game.loss(np.minimum(np.maximum(lo, 0.0), 1.0)[:, None])
 
-    return hint
+    return retract
 
 
 def retraction_F(game: Game, g, *, eta: float | None = None,
@@ -267,77 +273,40 @@ def retraction_F(game: Game, g, *, eta: float | None = None,
     asserted at that eta).  Different coordinate orders yield different,
     equally minimal points; ascending order is pinned here.
 
-    Each coordinate is the bisection of ``[0, g_w]`` for the least member.
-    On a binary box game's closed-form gap, which takes every row at once,
-    one gap call per coordinate checks ``0`` for every row, and the
-    bisection of each other row with a finite coordinate walks its path
-    against the closed-form boundary, in Python floats, making no gap
-    call.  Then one more gap call checks the paths' two ends: a last
-    ``lo`` that is not a member and a last ``hi`` that is.  The gap is
-    monotone along the path, so when both hold every midpoint would have
-    gone the same way, and the result is the plain bisection's bit for
-    bit.  A row that fails either check, or whose coordinate is infinite
-    (its bisection first doubles a bound up from 1), runs the plain
-    bisection, as every row does under any other rule.  Each row is what
-    a one-row call gives it.  Raises ``ValueError`` when a row is not a
-    member, or for a negative or NaN ``tol``.
+    Each coordinate of each row is the bisection of ``[0, g_w]`` for the
+    least member, to width ``tol``, after one probe of 0; an infinite
+    coordinate first doubles a finite bound up from 1.  Raises
+    ``ValueError`` when a row is not a member, or for a negative or NaN
+    ``tol``.  The second-guessing fixed point retracts a binary box game's
+    mixes in closed form instead (:func:`_closed_form_retraction`).
     """
     _check_tol(tol)
     cur = as_losses(g).copy()
     if cur.shape[-1] != game.m:
         raise DimensionMismatch(f"loss vector of size {cur.shape[-1]} for {game.m} outcomes")
     rows = cur.reshape(-1, game.m)  # a view: the rows are retracted in place
-    n = len(rows)
     mtol = _membership_tol(game)
     gap = _gap_rule(game, eta)
-    hint = _retraction_hint(game, eta)
-    if hint is not None:  # the closed form takes every row at once
-        gaps, entry = gap, gap(rows)
-    else:
-        def gaps(probes: np.ndarray) -> np.ndarray:
-            return np.array([gap(v) for v in probes])
-
-        entry = np.array([domination_gap(game, v) if eta is None
-                          else hull_membership_gap(game, v, eta) for v in rows])
-    if np.any(entry > max(mtol, MEMBERSHIP_TOL)):
-        raise ValueError("input is not a superprediction (or hull member)")
-
-    for w in range(game.m):
-        bound = rows[:, w].copy()
-        probes = rows.copy()
-        probes[:, w] = 0.0
-        zero = gaps(probes) <= mtol
-        plain = ~zero
-        if hint is not None:
-            # the path of the test mid >= hint for each other finite row
-            walk = plain & np.isfinite(bound)
-            lo, end, h, b = np.zeros(n), bound.copy(), hint(rows, w).tolist(), bound.tolist()
-            for r in np.flatnonzero(walk).tolist():
-                lo[r], end[r] = _bisect(h[r].__le__, b[r], tol)
-            # its two ends, by one call: a last lo that is no member (lo = 0
-            # is none where the walk ran), a last hi that is (or the bound,
-            # whose row probes 0, a point of every row's path, instead)
-            at_bound = end == bound
-            probes = np.concatenate([rows, rows])
-            probes[:n, w], probes[n:, w] = lo, np.where(at_bound, 0.0, end)
-            ends_in = gaps(probes) <= mtol
-            ok = walk & ~ends_in[:n] & (at_bound | ends_in[n:])
-            rows[ok, w] = end[ok]
-            plain &= ~ok
-        rows[zero, w] = 0.0
-        for r in np.flatnonzero(plain):
-            probe = rows[r].copy()
+    for row in rows:
+        entry = domination_gap(game, row) if eta is None else hull_membership_gap(game, row, eta)
+        if entry > max(mtol, MEMBERSHIP_TOL):
+            raise ValueError("input is not a superprediction (or hull member)")
+        for w in range(game.m):
+            probe = row.copy()
 
             def member(x: float) -> bool:
                 probe[w] = x
                 return gap(probe) <= mtol
 
-            hi = float(bound[r])
+            if member(0.0):
+                row[w] = 0.0
+                continue
+            hi = float(row[w])
             if not np.isfinite(hi):
                 hi = 1.0
                 while not member(hi) and hi < _EXPAND_CAP:
                     hi *= 2.0
                 if not member(hi):
                     continue  # no finite value restores membership
-            rows[r, w] = _bisect(member, hi, tol)[1]
+            row[w] = _bisect(member, hi, tol)
     return cur

@@ -5,12 +5,15 @@ The forecasting step is unchanged except that every candidate forecast
 re-evaluates the expert maps, each once per batch of candidates; the
 mixing side solves a fixed-point equation through the retraction onto
 minimal elements (composed with the radial projection for non-mixable
-games run with c > 1).  On a binary game the fixed point is bisected on
-DFA's node batches of six levels: one transform call for
-``p = 0, 1, 1/2`` and one for every later ``2**6 - 1`` nodes, each one
-mix and one retraction of all its rows.  A batch that raises is re-run
-row by row, and a row's error surfaces only when the bisection reaches
-its node, the node where one evaluation per level would have raised it.
+games run with c > 1).  On log, and square at a mixable eta, that
+retraction is the loss at the lower end of the mix's feasible interval;
+under every other membership rule it is a bisection.  On a binary game
+the fixed point is bisected on DFA's node batches of six levels: one
+transform call for ``p = 0, 1, 1/2`` and one for every later
+``2**6 - 1`` nodes, each one mix and one retraction of all its rows.  A
+batch that raises is re-run row by row, and a row's error surfaces only
+when the bisection reaches its node, the node where one evaluation per
+level would have raised it.
 
 Both protocols play blocks of rounds under Reality that does not look at
 the prediction: each round's fixed point or root (solved from the
@@ -25,10 +28,18 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .aggregating import _retraction_hint, project_boundary, retraction_F
+from .aggregating import _closed_form_retraction, project_boundary, retraction_F
 from .core import Session, as_losses, domination_gap, log_sum_exp, pair_exponent
 from .defensive import _BATCH_LEVELS, _log_q, _node_bisection, choose_forecast
 from .errors import AllExpertsDead, DimensionMismatch, DomainError, NoConvergence
+
+#: how far an expert's advice may stray below the superprediction set in
+#: ``sg-dfa`` before :class:`DomainError`
+CODOMAIN_TOL = 1e-7
+#: the damped fixed-point iteration of three or more outcomes: its budget
+#: of moves, and the share of each move taken toward the transform's value
+FIXED_POINT_MAX_ITER = 10_000
+FIXED_POINT_DAMPING = 0.5
 
 
 @dataclass(frozen=True, eq=False)
@@ -38,13 +49,11 @@ class SecondGuessExpert:
     ``fn`` maps Learner's loss vector to the expert's loss vector; it must
     be continuous on its declared domain for the guarantees to apply.
     With ``batched``, ``fn`` also maps a batch of loss vectors (n, m) to
-    theirs, row by row, as the built-in maps do.  ``lipschitz`` is
-    optional metadata for harness-side continuity probes.
+    theirs, row by row, as the built-in maps do.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
     name: str = "sg-expert"
-    lipschitz: float | None = None
     batched: bool = False
 
     def __call__(self, gamma: np.ndarray) -> np.ndarray:
@@ -61,28 +70,28 @@ class SecondGuessExpert:
     def constant(cls, vector, name: str = "constant") -> "SecondGuessExpert":
         vec = np.asarray(vector, dtype=float)
         return cls(fn=lambda g: np.full(np.shape(g)[:-1] + vec.shape, vec), name=name,
-                   lipschitz=0.0, batched=True)
+                   batched=True)
 
     @classmethod
     def identity(cls, name: str = "identity") -> "SecondGuessExpert":
-        return cls(fn=lambda g: g, name=name, lipschitz=1.0, batched=True)
+        return cls(fn=lambda g: g, name=name, batched=True)
 
     @classmethod
     def coordinate_swap(cls, name: str = "contrarian") -> "SecondGuessExpert":
         """Binary contrarian: predicts 1-p when Learner's decision is p,
         which swaps the two loss coordinates.  Continuous."""
-        return cls(fn=lambda g: g[..., ::-1].copy(), name=name, lipschitz=1.0, batched=True)
+        return cls(fn=lambda g: g[..., ::-1].copy(), name=name, batched=True)
 
 
 def _sg_rounds(state: Session, experts: Sequence[SecondGuessExpert], outcomes, pick, solve,
-               codomain_tol: float | None = None):
+               check_codomain: bool = False):
     """Play a block of B second-guessing rounds from the outcomes (B - 1,)
     of the rounds before the last and ``pick(gamma)``, the last round's.
     Each round's chain runs in turn: ``solve(log_posterior)`` gives its
     loss vector ``gamma``, its slack and its log factors ``ln q(pi, .)``
     (None for mixing); the experts' advice at ``gamma`` is scored and,
-    with ``codomain_tol``, checked against the superprediction set; then
-    Reality picks, and the round reweighs in
+    with ``check_codomain``, checked against the superprediction set up to
+    :data:`CODOMAIN_TOL`; then Reality picks, and the round reweighs in
     :meth:`~expertmix.core.Session.reweigh`'s one-round arithmetic.  The
     running sums come once a block (:meth:`~expertmix.core.Session.rounds`).
     Returns what :func:`~expertmix.aggregating.aa_rounds` returns, plus
@@ -94,9 +103,9 @@ def _sg_rounds(state: Session, experts: Sequence[SecondGuessExpert], outcomes, p
             raise AllExpertsDead()
         gamma, slack, log_q = solve(weights - value)
         advice = np.stack([ex(gamma) for ex in experts])
-        for ex, g_t in zip(experts, advice) if codomain_tol is not None else ():
-            if not np.all(g_t >= -codomain_tol) \
-                    or domination_gap(state.game, np.clip(g_t, 0.0, None)) > codomain_tol:
+        for ex, g_t in zip(experts, advice) if check_codomain else ():
+            if not np.all(g_t >= -CODOMAIN_TOL) \
+                    or domination_gap(state.game, np.clip(g_t, 0.0, None)) > CODOMAIN_TOL:
                 raise DomainError(f"expert {ex.name!r} returned {g_t}, "
                                   "outside the superprediction set")
         w = ws[i] if i < len(ws) else pick(gamma)
@@ -113,7 +122,7 @@ def _sg_rounds(state: Session, experts: Sequence[SecondGuessExpert], outcomes, p
 
 
 def sg_dfa_rounds(state: Session, experts: Sequence[SecondGuessExpert], outcomes, pick, *,
-                  epsilon: float = 1e-6, tol: float = 1e-9, codomain_tol: float = 1e-7):
+                  epsilon: float = 1e-6, tol: float = 1e-9):
     """Forecast against second-guessing experts with the root selection, in
     a block of rounds (:func:`_sg_rounds`: ``outcomes`` are those of the
     rounds before the last, and ``pick(gamma)`` gives the last round's).
@@ -146,17 +155,16 @@ def sg_dfa_rounds(state: Session, experts: Sequence[SecondGuessExpert], outcomes
                                          select="root", full_output=True)
         return state.proper(pi), slack, _log_q(qpi)
 
-    return _sg_rounds(state, experts, outcomes, pick, solve, codomain_tol)
+    return _sg_rounds(state, experts, outcomes, pick, solve, check_codomain=True)
 
 
 def sg_dfa_step(state: Session, experts: Sequence[SecondGuessExpert],
-                outcome: int, *, epsilon: float = 1e-6, tol: float = 1e-9,
-                codomain_tol: float = 1e-7) -> tuple[np.ndarray, Session, float]:
+                outcome: int, *, epsilon: float = 1e-6,
+                tol: float = 1e-9) -> tuple[np.ndarray, Session, float]:
     """One round against second-guessing experts (see
     :func:`sg_dfa_rounds`); the returned prediction is a loss vector."""
     gammas, _, _, slack, rounds, _ = sg_dfa_rounds(
-        state, experts, np.empty(0, int), lambda gamma: outcome, epsilon=epsilon, tol=tol,
-        codomain_tol=codomain_tol)
+        state, experts, np.empty(0, int), lambda gamma: outcome, epsilon=epsilon, tol=tol)
     return gammas[0], state.after(rounds), float(slack[0])
 
 
@@ -185,16 +193,24 @@ def _sg_transform(state: Session, experts: Sequence[SecondGuessExpert],
     with the radial projection (row by row) when running with c > 1, for
     each row of a batch (n, m), under the session's posterior or the given
     ``log_posterior``: one call of each expert map, one mix and one
-    retraction (:func:`~expertmix.aggregating.retraction_F`) for the
-    batch, each row what a one-row call gives it."""
+    retraction for the batch, each row what a one-row call gives it.  On a
+    binary box game whose membership rule at the session's ``eta`` is its
+    closed-form gap in the base set (log, and square at a mixable
+    ``eta``), the retraction of a mix is the loss at the lower end of its
+    feasible interval
+    (:func:`~expertmix.aggregating._closed_form_retraction`); under
+    every other rule it is :func:`~expertmix.aggregating.retraction_F`'s
+    bisection."""
     wbar = np.exp(state.log_posterior() if log_posterior is None else log_posterior)
     game, eta, c = state.game, state.eta, state.c
     if len(experts) != len(wbar):
         raise DimensionMismatch(f"{len(experts)} points but weight shape {wbar.shape}")
+    closed_form = _closed_form_retraction(game, eta)
 
     def transform(gammas: np.ndarray) -> np.ndarray:
         G = np.stack([ex.rows(gammas) for ex in experts], axis=1)
-        out = retraction_F(game, _mix_rows(G, wbar, eta), eta=eta)
+        mix = _mix_rows(G, wbar, eta)
+        out = retraction_F(game, mix, eta=eta) if closed_form is None else closed_form(mix)
         if c > 1.0:
             out = np.stack([project_boundary(game, g, c, eta) for g in out])
         return out
@@ -203,8 +219,8 @@ def _sg_transform(state: Session, experts: Sequence[SecondGuessExpert],
 
 
 def sg_fixed_point(state: Session, experts: Sequence[SecondGuessExpert],
-                   *, tol: float = 1e-10, max_iter: int = 10_000,
-                   damping: float = 0.5, log_posterior: np.ndarray | None = None) -> np.ndarray:
+                   *, tol: float = 1e-10,
+                   log_posterior: np.ndarray | None = None) -> np.ndarray:
     """Solve ``gamma = F(mix(Gamma(gamma)))`` for the session's posterior, or
     for the given ``log_posterior``.
 
@@ -217,17 +233,19 @@ def sg_fixed_point(state: Session, experts: Sequence[SecondGuessExpert],
     the upper end), and the midpoint of the last bracket when none does.
     The nodes come in DFA's batches of six levels
     (:func:`~expertmix.defensive._node_bisection`): one transform call
-    for ``p = 0, 1, 1/2``, one for each later ``2**6 - 1`` (one node where
-    a row costs more than a call: a hull gap, or ``c > 1``), and the
+    for ``p = 0, 1, 1/2``, one for each later ``2**6 - 1`` where the
+    retraction has its closed form at ``c = 1`` (one node where a row
+    costs more than a call: a hull gap's bisection, or ``c > 1``), and the
     bisection replays over their values, the root of one level per call
     bit for bit.  A batch that raises is re-run one row at a time, and a
     row's error is raised when the bisection reaches its node, so each
     error comes at the node one level per call would meet it.
 
     Larger games use damped iteration in the ``exp(-eta x)`` chart, where
-    the hull is convex, retracting back onto the minimal set after each
-    damped move.  Raises :class:`NoConvergence` when the iteration cap is
-    exhausted.
+    the hull is convex, retracting back onto the minimal set
+    (:func:`~expertmix.aggregating.retraction_F`) after each move of
+    :data:`FIXED_POINT_DAMPING` toward the transform's value.  Raises
+    :class:`NoConvergence` after :data:`FIXED_POINT_MAX_ITER` moves.
     """
     game = state.game
     transform = _sg_transform(state, experts, log_posterior)
@@ -255,9 +273,9 @@ def sg_fixed_point(state: Session, experts: Sequence[SecondGuessExpert],
             p_star = 1.0
         else:
             # six levels a call where a row costs little next to a call (the
-            # closed-form walk at c = 1); a hull gap's plain bisection or the
+            # closed-form retraction at c = 1); a hull gap's bisection or the
             # projection at c > 1 costs more a row than a call, so one there
-            cheap = state.c == 1.0 and _retraction_hint(game, state.eta) is not None
+            cheap = state.c == 1.0 and _closed_form_retraction(game, state.eta) is not None
             for p_star, fp, lo, hi in _node_bisection(f, fv[2:], lambda v: ~(v < 0.0), 200,
                                                       _BATCH_LEVELS if cheap else 1):
                 if p_star in errors:
@@ -277,9 +295,10 @@ def sg_fixed_point(state: Session, experts: Sequence[SecondGuessExpert],
         central = np.full(game.decision_dim, 0.5)
     gamma = step(game.loss_vector(central))
     eta = state.eta
-    for _ in range(max_iter):
+    for _ in range(FIXED_POINT_MAX_ITER):
         target = step(gamma)
-        z = (1.0 - damping) * np.exp(-eta * gamma) + damping * np.exp(-eta * target)
+        z = (1.0 - FIXED_POINT_DAMPING) * np.exp(-eta * gamma) \
+            + FIXED_POINT_DAMPING * np.exp(-eta * target)
         with np.errstate(divide="ignore"):
             mixed = np.where(z > 0, -np.log(np.where(z > 0, z, 1.0)) / eta, np.inf)
         new_gamma = retraction_F(game, mixed, eta=eta)
@@ -295,9 +314,13 @@ def sg_fixed_point(state: Session, experts: Sequence[SecondGuessExpert],
 
 def sg_fixed_point_residual(state: Session, experts: Sequence[SecondGuessExpert],
                             gamma: np.ndarray) -> float:
-    """sup-norm residual of the fixed-point equation at ``gamma``."""
+    """sup-norm residual of the fixed-point equation at ``gamma``; a
+    coordinate where the transform's value equals ``gamma``'s (an infinite
+    one too) counts 0."""
     gamma = np.asarray(gamma, dtype=float)
-    return float(np.max(np.abs(_sg_transform(state, experts)(gamma[None])[0] - gamma)))
+    out = _sg_transform(state, experts)(gamma[None])[0]
+    with np.errstate(invalid="ignore"):  # inf - inf where both are infinite, replaced
+        return float(np.max(np.where(out == gamma, 0.0, np.abs(out - gamma))))
 
 
 def sg_aa_rounds(state: Session, experts: Sequence[SecondGuessExpert], outcomes, pick,

@@ -5,12 +5,13 @@ reference for ``Session.reweigh``, ``Session.rounds`` and
 ``Session.after``.
 
 ``reference_retraction`` bisects every coordinate with the validating gap
-functions; ``one_row_retraction`` is the one-row retraction that walks a
-binary box game's closed-form path before it checks two probes, and
-``reference_fixed_point`` solves the second-guessing fixed point one
-transform call per bisection level (each call one row: the experts' maps,
-``exp_mix``, ``one_row_retraction`` and, at ``c > 1``, ``project_boundary``).
-The library's row-batched versions must return their bits.
+functions, and ``reference_fixed_point`` solves the second-guessing fixed
+point one transform call per bisection level (each call one row: the
+experts' maps, ``exp_mix``, the retraction and, at ``c > 1``,
+``project_boundary``; on log, and square at a mixable ``eta``, the
+retraction is the loss at the lower end of the mix's feasible interval).
+The library's row-batched versions must return their bits.  ``recording``
+wraps a game's membership gaps to count their probes.
 
 ``brier_gap_reference`` is brier's membership gap by a numeric program
 (SLSQP), the reference for the closed-form water-filling gap, and
@@ -54,9 +55,8 @@ def advance_reference(state, learner_term, learner_loss, expert_losses,
 
 def reference_retraction(game, g, eta=None, tol=1e-10):
     """The retraction that validates every probe through ``domination_gap``
-    or ``hull_membership_gap``; ``retraction_F`` returns the same bits, from
-    the same probes or, where it walks a closed-form path, from a few of
-    them."""
+    or ``hull_membership_gap``; ``retraction_F`` returns the same bits from
+    the same probes."""
     cur = np.asarray(g, dtype=float).copy()
     mtol = 0.0 if game.membership_gap is not None else 1e-9
 
@@ -92,66 +92,30 @@ def reference_retraction(game, g, eta=None, tol=1e-10):
     return cur
 
 
-def _bisect(member, hi, tol):
-    lo = 0.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if member(mid):
-            if mid == hi:
-                break
-            hi = mid
-        else:
-            if mid == lo:
-                break
-            lo = mid
-    return lo, hi
+def recording(base, probes, **fields):
+    """``base`` with its membership closed forms appending each probe to
+    ``probes`` (each row of a batch in turn), and ``fields`` replaced."""
+    def recorded(fn):
+        def gap(v, *args):
+            probes.extend(map(tuple, np.atleast_2d(v).tolist()))
+            return fn(v, *args)
+        return gap if fn is not None else None
+
+    return replace(base, membership_gap=recorded(base.membership_gap),
+                   hull_membership_gap=recorded(base.hull_membership_gap), **fields)
 
 
-def one_row_retraction(game, g, eta=None, tol=1e-10):
-    """The retraction of one loss vector: each coordinate's bisection walks
-    its path against the closed-form boundary where the game's gap is a
-    binary box game's closed form in its base set, and keeps the walk when
-    its last ``lo`` is no member and its last ``hi`` is one."""
-    cur = np.asarray(g, dtype=float).copy()
-    mtol = 0.0 if game.membership_gap is not None else 1e-9
-    if (domination_gap(game, cur) if eta is None else hull_membership_gap(game, cur, eta)) \
-            > max(mtol, 1e-9):
-        raise ValueError("input is not a superprediction (or hull member)")
-    if eta is not None and not game.mixable_at(eta):
-        def gap(v):
-            return game.hull_membership_gap(v, eta)
-    elif game.membership_gap is not None:
-        gap = game.membership_gap
-    else:
-        def gap(v):
-            return domination_gap(game, v)
-    walks = game.membership_gap is not None and game.feasible_interval is not None \
-        and game.m == 2 and (eta is None or game.mixable_at(eta))
-    for w in range(game.m):
-        probe = cur.copy()
-
-        def member(x):
-            probe[w] = x
-            return gap(probe) <= mtol
-
-        if member(0.0):
-            cur[w] = 0.0
-            continue
-        hi = float(cur[w])
-        if not np.isfinite(hi):
-            hi = 1.0
-            while not member(hi) and hi < 1e12:
-                hi *= 2.0
-            if not member(hi):
-                continue
-        if walks:
-            p = min(max(float(game.feasible_interval(cur)[w]), 0.0), 1.0)
-            lo, end = _bisect(float(game.loss(np.array([p]))[w]).__le__, hi, tol)
-            if (lo == 0.0 or not member(lo)) and (end == hi or member(end)):
-                cur[w] = end
-                continue
-        cur[w] = _bisect(member, hi, tol)[1]
-    return cur
+def reference_retract(game, g, eta):
+    """The retraction of one mix in the fixed point: on a binary box game
+    whose rule at ``eta`` is its base set's closed-form gap, the loss at the
+    lower end of ``g``'s feasible interval, clipped to [0, 1] (a non-member
+    beyond 1e-9 raises); else the validating bisection."""
+    if game.name in ("log", "square") and game.m == 2 and game.mixable_at(eta):
+        lo, hi = (float(e) for e in game.feasible_interval(g))
+        if lo - hi > 1e-9:
+            raise ValueError("input is not a superprediction (or hull member)")
+        return game.loss(np.array([min(max(lo, 0.0), 1.0)]))
+    return reference_retraction(game, g, eta)
 
 
 def reference_transform(state, experts):
@@ -161,7 +125,7 @@ def reference_transform(state, experts):
     game, eta, c = state.game, state.eta, state.c
 
     def transform(gamma):
-        out = one_row_retraction(game, exp_mix([ex(gamma) for ex in experts], wbar, eta), eta)
+        out = reference_retract(game, exp_mix([ex(gamma) for ex in experts], wbar, eta), eta)
         return project_boundary(game, out, c, eta) if c > 1.0 else out
 
     return transform
@@ -206,7 +170,7 @@ def reference_fixed_point(state, experts, tol=1e-10, max_iter=10_000, damping=0.
         z = (1.0 - damping) * np.exp(-eta * gamma) + damping * np.exp(-eta * target)
         with np.errstate(divide="ignore"):
             mixed = np.where(z > 0, -np.log(np.where(z > 0, z, 1.0)) / eta, np.inf)
-        new_gamma = one_row_retraction(game, mixed, eta)
+        new_gamma = reference_retraction(game, mixed, eta)
         if float(np.max(np.abs(new_gamma - gamma))) <= tol:
             return new_gamma
         gamma = new_gamma

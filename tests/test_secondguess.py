@@ -6,17 +6,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from expertmix.aggregating import aa_start
+from expertmix.core import domination_gap, exp_mix, is_superprediction
 from expertmix.defensive import dfa_start, dfa_step
 from expertmix.errors import DomainError, InvalidLossVector
 from expertmix.losses import builtin_game, realizability_constant
 from expertmix.secondguess import (
     SecondGuessExpert,
+    _sg_transform,
     sg_aa_step,
     sg_dfa_step,
     sg_fixed_point,
     sg_fixed_point_residual,
 )
-from oracles import reference_fixed_point
+from oracles import recording, reference_fixed_point
 
 LN2 = np.log(2.0)
 
@@ -45,8 +47,8 @@ class TestExperts:
         for _ in range(100):
             p, q = rng.uniform(0.2, 0.8, size=2)
             a, b = g.loss_vector([p]), g.loss_vector([q])
-            assert np.max(np.abs(ex(a) - ex(b))) <= \
-                ex.lipschitz * np.max(np.abs(a - b)) + 1e-12
+            # the swap's Lipschitz constant is 1
+            assert np.max(np.abs(ex(a) - ex(b))) <= np.max(np.abs(a - b)) + 1e-12
 
 
     def test_rows_map_each_row(self):
@@ -127,6 +129,16 @@ class TestFixedPoint:
                    SecondGuessExpert.constant(g.loss_vector([0.5]))]
         gamma = sg_fixed_point(state, experts, tol=1e-12)
         assert sg_fixed_point_residual(state, experts, gamma) <= 1e-8
+
+    def test_residual_of_an_infinite_coordinate(self):
+        # a lone copying expert's fixed point is loss(0) = (0, inf), which
+        # the transform maps to itself
+        g = game_log()
+        state = aa_start(g, eta=1.0, n_experts=1)
+        experts = [SecondGuessExpert.identity()]
+        gamma = sg_fixed_point(state, experts)
+        assert gamma.tolist() == [0.0, np.inf]
+        assert sg_fixed_point_residual(state, experts, gamma) == 0.0
 
     def test_domination_by_the_posterior_mix(self):
         g = game_log()
@@ -301,3 +313,44 @@ def test_fixed_point_matches_the_scalar_loop(name, kinds, weights):
     prior = np.array(weights[:len(kinds)]) / sum(weights[:len(kinds)])
     state = aa_start(g, eta=eta, c=c, prior=prior, n_experts=len(kinds))
     same_outcome(state, [EXPERTS[k](g) for k in kinds])
+
+
+class TestClosedFormRetraction:
+    @pytest.mark.parametrize("name,eta", [("log", 1.0), ("square", 2.0)])
+    def test_binary_fixed_point_makes_no_gap_call(self, name, eta):
+        probes = []
+        g = recording(builtin_game(name, 2), probes)
+        state = aa_start(g, eta=eta, n_experts=2)
+        experts = [SecondGuessExpert.coordinate_swap(),
+                   SecondGuessExpert.constant(g.loss_vector([0.4]))]
+        sg_fixed_point(state, experts)
+        assert probes == []
+
+    @pytest.mark.parametrize("name,eta", [("log", 0.5), ("log", 1.0), ("square", 1.0),
+                                          ("square", 2.0)])
+    def test_rows_are_minimal_members_below_the_mix(self, name, eta):
+        g = builtin_game(name, 2)
+        rng = np.random.default_rng(17)
+        for _ in range(200):
+            k = int(rng.integers(1, 4))
+            prior = rng.dirichlet(np.ones(k))
+            # points on the boundary or above it, some coordinates unmoved
+            points = [g.loss_vector([p]) + rng.uniform(0.0, 1.0, 2) * rng.integers(0, 2, 2)
+                      for p in rng.uniform(0.05, 0.95, k)]
+            state = aa_start(g, eta=eta, prior=prior, n_experts=k)
+            out = _sg_transform(state, [SecondGuessExpert.constant(v) for v in points])(
+                np.zeros((1, 2)))[0]
+            mix = exp_mix(points, prior, eta)
+            assert np.all(out <= mix * (1.0 + 1e-12)), (out, mix)
+            assert is_superprediction(g, out, tol=1e-15), out
+            for w in np.flatnonzero(np.isfinite(out) & (out > 0.0)):
+                lowered = out.copy()
+                lowered[w] *= 1.0 - 1e-12
+                assert domination_gap(g, lowered) > 0.0, (out, w)
+
+    def test_non_member_mix_raises(self):
+        # advice that is no superprediction of log loss, so neither is the mix
+        g = game_log()
+        state = aa_start(g, eta=1.0, n_experts=1)
+        err = same_outcome(state, [SecondGuessExpert(fn=lambda gamma: np.full(2, 0.1))])
+        assert isinstance(err, ValueError) and "not a superprediction" in str(err)
