@@ -12,7 +12,9 @@ of ``h(p) = q(p, 1) - q(p, 0)``: for the interval each q call holds the
 nodes of the next six levels of every bracket, and the bisection replays
 over their values; the root's calls hold six levels and the path that
 inverse interpolation predicts, after a first batch that an evaluator q
-reads from a table.
+reads from a table.  That root engine (:func:`_bisection`) is the one
+binary bisection for a sign change: the second-guessing fixed point runs
+it too.
 A block of rounds with fixed advice solves all its admissible intervals in
 one batch (:func:`admissible_intervals`), or with three or more outcomes
 checks every round's barycentre in one q call, then AA's point for the
@@ -210,32 +212,8 @@ def _q_at(q: Callable, p: np.ndarray, rows: np.ndarray | None = None) -> np.ndar
     return np.asarray(q(P) if rows is None else q(P, rows), dtype=float)
 
 
-def _node_bisection(f: Callable[[np.ndarray], np.ndarray], values: np.ndarray,
-                    left: Callable[[np.ndarray], np.ndarray], levels: int,
-                    depth: int = _BATCH_LEVELS):
-    """Bisect [0, 1] for at most ``levels`` levels over batched nodes:
-    ``values`` holds the value at 1/2 (the rest of the caller's first batch,
-    with ``p = 0, 1``), each later ``f(p)`` call the values at the ``2**depth
-    - 1`` interior :func:`_nodes` of the next ``depth`` levels of the
-    bracket (fewer where ``levels`` run out), and ``left(values)`` says,
-    node by node, whether the crossing lies left of it.  Yields each node
-    visited, level by level, as ``(p, value, lo, hi)``, with the bracket it
-    splits; the caller stops by leaving the loop.  The nodes are the
-    midpoints one level per call gives, bit for bit."""
-    x = _nodes(0.0, 1.0, 1)
-    while levels > 0:
-        i, j = 0, len(x) - 1
-        for k, ni, nj in _bisect(left(values)):
-            yield x[k], values[k - 1], x[i], x[j]
-            i, j = ni, nj
-        levels -= len(values).bit_length()  # the batch's depth
-        if levels > 0:
-            x = _nodes(x[i], x[j], min(levels, depth))
-            values = f(x[1:-1])
-
-
 def _root_estimate(lo: float, hi: float, h_at) -> tuple[float, float, float] | None:
-    """The root of ``h(p) = q(p, 1) - q(p, 0)`` in the bracket [lo, hi] by
+    """The root of :func:`_bisection`'s ``h`` in the bracket [lo, hi] by
     inverse interpolation (Neville's scheme for p as a polynomial in h, at
     h = 0) over the known values ``h_at(p)`` at the bracket's ends and one
     width beyond each: the estimate, its uncertainty (the scheme's last
@@ -265,16 +243,16 @@ def _root_estimate(lo: float, hi: float, h_at) -> tuple[float, float, float] | N
 
 
 def _predicted_nodes(lo: float, hi: float, levels: int, tol: float, h_at) -> np.ndarray:
-    """The nodes of the root's next q call from the bracket [lo, hi], with
-    ``levels`` levels left: the ``2**6 - 1`` nodes of the next six levels
-    of [lo, hi], so that a wrong estimate still leaves six levels, then the
-    bisection path toward :func:`_root_estimate`'s root r, and, where the
-    path gets past those six levels, its end.  The path ends at the first
-    node whose ``|h|`` the estimate puts under ``tol / 2`` (within
-    ``tol / (2 slope) - uncertainty`` of r), or else before the first node
-    whose side the uncertainty leaves open, with the nodes of the next six
-    levels of the bracket there.  Each node is the bisection's ``0.5 * (lo
-    + hi)``, and none repeats."""
+    """The nodes of :func:`_bisection`'s next call from the bracket [lo,
+    hi], with ``levels`` levels left: the ``2**6 - 1`` nodes of the next
+    six levels of [lo, hi], so that a wrong estimate still leaves six
+    levels, then the bisection path toward :func:`_root_estimate`'s root
+    r, and, where the path gets past those six levels, its end.  The path
+    ends at the first node whose ``|h|`` the estimate puts under ``tol /
+    2`` (within ``tol / (2 slope) - uncertainty`` of r), or else before the
+    first node whose side the uncertainty leaves open, with the nodes of
+    the next six levels of the bracket there.  Each node is the
+    bisection's ``0.5 * (lo + hi)``, and none repeats."""
     depth = min(levels, _BATCH_LEVELS)
     here = _nodes(lo, hi, depth)[1:-1]
     guess = _root_estimate(lo, hi, h_at)
@@ -301,6 +279,52 @@ def _predicted_nodes(lo: float, hi: float, levels: int, tol: float, h_at) -> np.
     return np.concatenate([here, path[depth:]] + ([] if below is None else [below]))
 
 
+def _bisection(values: Callable[[np.ndarray], np.ndarray], index: dict, rows: np.ndarray,
+               levels: int, tol: float, batched: bool = True):
+    """Bisect [0, 1] for a sign change of ``h(p) = row[1] - row[0]`` over
+    rows that come in batches, for at most ``levels`` levels and until the
+    bracket is ``1e-17`` wide: ``values(p)`` gives the rows (n, 2) at the
+    nodes ``p``, and ``index`` (node -> row) and ``rows`` are the first
+    call's.  Each node is the bisection's ``0.5 * (lo + hi)``; where no
+    call has held it, the next call holds :func:`_predicted_nodes` toward
+    ``|h| <= tol``, or with ``batched`` false the node alone.  The root
+    lies left of a node where ``h <= 0`` (a NaN h moves left too).  Yields
+    each node, level by level, as ``(p, h, row, width)`` with the width of
+    the bracket it splits; the caller stops by leaving the loop.  The
+    bisection reads only real values, so its nodes and rows are those of
+    one level per call, bit for bit: a wrong prediction costs a call, never
+    a bit, and no more calls than six levels a call."""
+    hs = rows[:, 1] - rows[:, 0]
+    calls = [(index, hs)]  # each call's (node -> row, h at its rows), the latest first
+
+    def h_at(p: float):
+        for index, hs in calls:
+            i = index.get(p)
+            if i is not None:
+                return hs[i]
+        return None
+
+    lo, hi = 0.0, 1.0
+    for level in range(levels):
+        mid = 0.5 * (lo + hi)
+        i = index.get(mid)
+        if i is None:  # the nodes of the latest call lie deepest
+            p = (_predicted_nodes(lo, hi, levels - level, tol, h_at) if batched
+                 else np.array([mid]))
+            rows = values(p)
+            index, hs = dict(zip(p.tolist(), range(len(p)))), (rows[:, 1] - rows[:, 0]).tolist()
+            calls.insert(0, (index, hs))
+            i = index[mid]
+        h = hs[i]
+        yield mid, h, rows[i], hi - lo
+        if h > 0.0:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= 1e-17:
+            return
+
+
 def dfa_solve_binary(q: Callable[[np.ndarray], np.ndarray], C: float,
                      tol: float = 1e-9, max_iter: int = 200, *,
                      full_output: bool = False, table: bool = False):
@@ -318,16 +342,16 @@ def dfa_solve_binary(q: Callable[[np.ndarray], np.ndarray], C: float,
     The first q call holds ``p = 0, 1, 1/2``, or with ``table`` (a q that
     reads them from a table, such as :func:`fixed_advice_q`'s evaluator q)
     the first batch ``_FIRST_FORECASTS``, every dyadic node of the first
-    ``_TABLE_LEVELS`` levels.  Where the bisection meets a node no call
-    has held, the next call holds six levels of the bracket and the path
-    that inverse interpolation predicts (:func:`_predicted_nodes`).  The
-    bisection reads only real q values at its ``0.5 * (lo + hi)``, so it
-    gives the same root, bit for bit, as one level per call: a wrong
-    prediction costs a call, never a bit, and no more calls than six
-    levels a call.  An evaluator round at ``tol = 1e-9`` takes about one
-    call besides the table's, where one level per call takes 31.  ``tol``
-    must be finite and at least ``2**-52``.  With ``full_output`` it
-    returns ``(p, q row at p)``, the row its batch already holds.
+    ``_TABLE_LEVELS`` levels.  The rest is :func:`_bisection`, the binary
+    engine :func:`~expertmix.secondguess.sg_fixed_point` runs too: where
+    it meets a node no call has held, the next call holds six levels of
+    the bracket and the path that inverse interpolation predicts, and it
+    gives the same root, bit for bit, as one level per call, in no more
+    calls than six levels a call.  An evaluator round at ``tol = 1e-9``
+    takes about one call besides the table's, where one level per call
+    takes 31.  ``tol`` must be finite and at least ``2**-52``.  With
+    ``full_output`` it returns ``(p, q row at p)``, the row its batch
+    already holds.
     """
     _require_tol(tol)
     qv = np.asarray(q(_FIRST_FORECASTS if table else _FIRST_FORECASTS[:3]), dtype=float)
@@ -343,37 +367,10 @@ def dfa_solve_binary(q: Callable[[np.ndarray], np.ndarray], C: float,
             f"endpoint analysis failed (h(0)={h0:.3e}, h(1)={h1:.3e}); "
             "the supplied q is not a supermartingale term"
         )
-    # each call's (node -> row, h at its rows, rows), the latest first
-    index, hs, rows = _FIRST_ROW if table else _FIRST_ROW_UNTABLED, qv[:, 1] - qv[:, 0], qv
-    calls = [(index, hs, rows)]
-
-    def h_at(p: float):
-        for index, hs, _ in calls:
-            i = index.get(p)
-            if i is not None:
-                return hs[i]
-        return None
-
-    lo, hi = 0.0, 1.0
-    for level in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        i = index.get(mid)
-        if i is None:  # the nodes of the latest call lie deepest
-            p = _predicted_nodes(lo, hi, max_iter - level, tol, h_at)
-            rows = _q_at(q, p)
-            index, hs = dict(zip(p.tolist(), range(len(p)))), (rows[:, 1] - rows[:, 0]).tolist()
-            calls.insert(0, (index, hs, rows))
-            i = index[mid]
-        h = hs[i]
+    index = _FIRST_ROW if table else _FIRST_ROW_UNTABLED
+    for p, h, row, _ in _bisection(functools.partial(_q_at, q), index, qv, max_iter, tol):
         if abs(h) <= tol:
-            return (mid, rows[i]) if full_output else mid
-        # the root lies left of a node where h <= 0 (a NaN h moves left too)
-        if h > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-17:
-            break
+            return (p, row) if full_output else p
     raise ContractViolation(
         "bisection failed to equalize the coordinates; q appears discontinuous"
     )

@@ -8,12 +8,13 @@ minimal elements (composed with the radial projection for non-mixable
 games run with c > 1).  On log, and square at a mixable eta, that
 retraction is the loss at the lower end of the mix's feasible interval;
 under every other membership rule it is a bisection.  On a binary game
-the fixed point is bisected on DFA's node batches of six levels: one
-transform call for ``p = 0, 1, 1/2`` and one for every later
-``2**6 - 1`` nodes, each one mix and one retraction of all its rows.  A
-batch that raises is re-run row by row, and a row's error surfaces only
-when the bisection reaches its node, the node where one evaluation per
-level would have raised it.
+the fixed point is bisected on the root's engine
+(:func:`~expertmix.defensive._bisection`): one transform call for ``p =
+0, 1, 1/2``, and one for each later six levels of the bracket with the
+path that inverse interpolation predicts, each one mix and one
+retraction of all its rows.  A batch that raises is re-run row by row,
+and a row's error surfaces only when the bisection reaches its node, the
+node where one evaluation per level would have raised it.
 
 Both protocols play blocks of rounds under Reality that does not look at
 the prediction: each round's fixed point or root (solved from the
@@ -30,7 +31,7 @@ import numpy as np
 
 from .aggregating import _closed_form_retraction, project_boundary, retraction_F
 from .core import Session, as_losses, domination_gap, log_sum_exp, pair_exponent
-from .defensive import _BATCH_LEVELS, _log_q, _node_bisection, choose_forecast
+from .defensive import _FIRST_ROW_UNTABLED, _bisection, _log_q, choose_forecast
 from .errors import AllExpertsDead, DimensionMismatch, DomainError, NoConvergence
 
 #: how far an expert's advice may stray below the superprediction set in
@@ -225,21 +226,21 @@ def sg_fixed_point(state: Session, experts: Sequence[SecondGuessExpert],
     for the given ``log_posterior``.
 
     Binary games bisect the decision parameter (the minimal set is a
-    curve, so the equation is one-dimensional): ``f(p) = p - (the
-    transform's decision parameter at p's loss vector)``.  Exits at p = 0
-    when ``f(0) >= -tol``, then at p = 1 when ``f(1) <= tol``; otherwise
-    stops at the first node with ``|f| <= min(tol, 1e-12)`` or whose
-    bracket is at most ``1e-14`` wide, within 200 levels (a NaN f moves
-    the upper end), and the midpoint of the last bracket when none does.
-    The nodes come in DFA's batches of six levels
-    (:func:`~expertmix.defensive._node_bisection`): one transform call
-    for ``p = 0, 1, 1/2``, one for each later ``2**6 - 1`` where the
-    retraction has its closed form at ``c = 1`` (one node where a row
-    costs more than a call: a hull gap's bisection, or ``c > 1``), and the
-    bisection replays over their values, the root of one level per call
-    bit for bit.  A batch that raises is re-run one row at a time, and a
-    row's error is raised when the bisection reaches its node, so each
-    error comes at the node one level per call would meet it.
+    curve, so the equation is one-dimensional) for a sign change of ``h(p)
+    = (the transform's decision parameter at p's loss vector) - p``.
+    Exits at p = 0 when ``h(0) <= tol``, then at p = 1 when ``h(1) >=
+    -tol``; otherwise stops at the first node with ``|h| <= min(tol,
+    1e-12)`` or whose bracket is at most ``1e-14`` wide (a NaN h moves the
+    upper end).  The bisection is
+    :func:`~expertmix.defensive.dfa_solve_binary`'s engine
+    (:func:`~expertmix.defensive._bisection`): one transform call for ``p
+    = 0, 1, 1/2``, then, where the retraction has its closed form at ``c =
+    1``, one for each later six levels of the bracket with the path that
+    inverse interpolation predicts (one node where a row costs more than a
+    call: a hull gap's bisection, or ``c > 1``), the root of one level per
+    call bit for bit.  A batch that raises is re-run one row at a time,
+    and a row's error is raised when the bisection reaches its node, so
+    each error comes at the node one level per call would meet it.
 
     Larger games use damped iteration in the ``exp(-eta x)`` chart, where
     the hull is convex, retracting back onto the minimal set
@@ -253,37 +254,41 @@ def sg_fixed_point(state: Session, experts: Sequence[SecondGuessExpert],
     if game.m == 2:
         errors = {}  # node -> the error its one-row transform raised
 
-        def f(p: np.ndarray) -> np.ndarray:
+        def rows(p: np.ndarray) -> np.ndarray:
+            """The rows ``(p, the transform's decision parameter at p's loss
+            vector)``, NaN for a node whose transform raised."""
             try:
                 dec = game.substitution(transform(game.loss_rows(p[:, None])))
-                return p - np.asarray(dec, dtype=float)[:, 0]
+                return np.column_stack([p, np.asarray(dec, dtype=float)[:, 0]])
             except Exception as exc:  # row by row, each error kept for its node
                 if len(p) == 1:
                     errors[float(p[0])] = exc
-                    return np.full(1, np.nan)
-                return np.concatenate([f(p[r:r + 1]) for r in range(len(p))])
+                    return np.array([[p[0], np.nan]])
+                return np.concatenate([rows(p[r:r + 1]) for r in range(len(p))])
 
-        fv = f(np.array([0.0, 1.0, 0.5]))
+        first = rows(np.array([0.0, 1.0, 0.5]))
         for p in (0.0, 1.0):
             if p in errors:
                 raise errors[p]
-        if fv[0] >= -tol:
+        h0, h1 = first[:2, 1] - first[:2, 0]
+        if h0 <= tol:
             p_star = 0.0
-        elif fv[1] <= tol:
+        elif h1 >= -tol:
             p_star = 1.0
         else:
-            # six levels a call where a row costs little next to a call (the
-            # closed-form retraction at c = 1); a hull gap's bisection or the
-            # projection at c > 1 costs more a row than a call, so one there
+            # the predicted path where a row costs little next to a call
+            # (the closed-form retraction at c = 1); a hull gap's bisection
+            # or the projection at c > 1 costs more a row than a call, so
+            # one node a call there
             cheap = state.c == 1.0 and _closed_form_retraction(game, state.eta) is not None
-            for p_star, fp, lo, hi in _node_bisection(f, fv[2:], lambda v: ~(v < 0.0), 200,
-                                                      _BATCH_LEVELS if cheap else 1):
+            stop = min(tol, 1e-12)
+            # the width stop ends the walk by level 48, long before the engine's own
+            for p_star, h, _, width in _bisection(rows, _FIRST_ROW_UNTABLED, first, 200, stop,
+                                                  cheap):
                 if p_star in errors:
                     raise errors[p_star]
-                if abs(fp) <= min(tol, 1e-12) or hi - lo <= 1e-14:
+                if abs(h) <= stop or width <= 1e-14:
                     break
-            else:  # the midpoint of the bracket the last node leaves
-                p_star = 0.5 * (p_star + hi) if fp < 0.0 else 0.5 * (lo + p_star)
         return game.loss_vector(np.array([p_star]))
 
     def step(gamma: np.ndarray) -> np.ndarray:

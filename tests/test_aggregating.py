@@ -228,7 +228,7 @@ class TestMembershipRulePickedOnce:
             assert retraction_F(g, v, eta=eta).tolist() == want.tolist()
             assert probes == seen
 
-    def test_wrong_hint_falls_back_to_the_plain_bisection(self):
+    def test_retraction_ignores_the_feasible_interval(self):
         # the retraction never reads the feasible interval, so one that is
         # off leaves its probes and bits as they are
         base = builtin_game("log", 2)

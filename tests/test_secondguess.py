@@ -1,14 +1,20 @@
+import contextlib
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from expertmix.aggregating import aa_start
+import oracles
+from expertmix import defensive, secondguess
+from expertmix.aggregating import _closed_form_retraction, aa_start
 from expertmix.core import domination_gap, exp_mix, is_superprediction
 from expertmix.defensive import dfa_start, dfa_step
 from expertmix.errors import DomainError, InvalidLossVector
+from expertmix.harness.config import parse_config
+from expertmix.harness.runner import run_scenario
 from expertmix.losses import builtin_game, realizability_constant
 from expertmix.secondguess import (
     SecondGuessExpert,
@@ -19,6 +25,7 @@ from expertmix.secondguess import (
     sg_fixed_point_residual,
 )
 from oracles import recording, reference_fixed_point
+from test_defensive import sabotaged, six_levels_a_call
 
 LN2 = np.log(2.0)
 
@@ -199,6 +206,20 @@ class TestNonMixableVariant:
         assert np.all(gamma <= c * mixed + 1e-8)
 
 
+@contextlib.contextmanager
+def counting_transform():
+    """Patch :func:`secondguess._sg_transform` so that each call of a
+    transform it builds appends its batch size to the yielded list."""
+    calls, build = [], secondguess._sg_transform
+
+    def counted_build(*args, **kwargs):
+        transform = build(*args, **kwargs)
+        return lambda gammas: calls.append(len(gammas)) or transform(gammas)
+
+    with mock.patch.object(secondguess, "_sg_transform", counted_build):
+        yield calls
+
+
 def counted(expert, calls):
     """``expert`` with each call of its map appended to ``calls``."""
     def fn(gamma):
@@ -218,15 +239,29 @@ class TestNodeBatches:
         assert sg_fixed_point(state, experts).tolist() == g.loss_vector([0.5]).tolist()
         assert calls == [(3, 2), (3, 2)]  # p = 0, 1 and 1/2 in one batch
 
-    def test_later_calls_hold_six_levels(self):
+    def test_later_calls_hold_six_levels_and_the_predicted_path(self):
         g = game_log()
         calls = []
         experts = [counted(SecondGuessExpert.coordinate_swap(), calls),
                    SecondGuessExpert.constant(g.loss_vector([0.4]))]
         state = aa_start(g, eta=1.0, n_experts=2)
         gamma = sg_fixed_point(state, experts)
-        assert calls[0] == (3, 2) and set(calls[1:]) == {(63, 2)}
+        # 3 nodes, then the 63 of six levels of the bracket with the path
+        assert calls[0] == (3, 2) and all(n >= 63 and d == 2 for n, d in calls[1:])
         assert np.array_equal(gamma, reference_fixed_point(state, experts))
+
+    def test_an_off_centre_root_takes_at_most_three_calls_a_round(self):
+        # the 0.4 root of contrarian + constant 0.4 on log: 7.8 transform
+        # calls a round at six levels a call, 2 on the predicted path
+        config = parse_config({"name": "sg-aa-0.4", "game": {"name": "log", "m": 2},
+                               "algorithm": "sg-aa", "c": 1.0, "eta": 1.0,
+                               "experts": [{"kind": "sg-contrarian"},
+                                           {"kind": "sg-constant", "value": 0.4}],
+                               "reality": {"kind": "iid", "probs": [0.5, 0.5]},
+                               "horizon": 120, "seed": 5})
+        with counting_transform() as calls:
+            run_scenario(config)
+        assert len(calls) <= 3 * config.horizon
 
     def test_sg_dfa_q_calls_each_map_once(self):
         g = game_log()
@@ -304,15 +339,36 @@ EXPERTS = {
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(sorted(SG_GAMES)),
        st.lists(st.sampled_from(sorted(EXPERTS)), min_size=1, max_size=3),
-       st.lists(st.floats(0.01, 1.0), min_size=3, max_size=3))
-def test_fixed_point_matches_the_scalar_loop(name, kinds, weights):
+       st.lists(st.floats(0.01, 1.0), min_size=3, max_size=3),
+       st.sampled_from([None, "mirror", "low end", "high end"]))
+def test_fixed_point_matches_the_scalar_loop(name, kinds, weights, sabotage):
     """The node-batched fixed point is the one-call-per-level loop's, bit
-    for bit, under random priors."""
+    for bit, under random priors, with the predicted path or a predictor
+    that is always wrong, and in no more transform calls than six levels a
+    call where a row costs little next to a call (one level a call where
+    it costs more)."""
     g = builtin_game(name, 2)
     c, eta = SG_GAMES[name]
     prior = np.array(weights[:len(kinds)]) / sum(weights[:len(kinds)])
     state = aa_start(g, eta=eta, c=c, prior=prior, n_experts=len(kinds))
-    same_outcome(state, [EXPERTS[k](g) for k in kinds])
+    experts = [EXPERTS[k](g) for k in kinds]
+    levels = []  # the reference's transform calls: f(0), f(1), then one a level
+    build = oracles.reference_transform
+
+    def counted_build(*args):
+        transform = build(*args)
+        return lambda gamma: levels.append(1) or transform(gamma)
+
+    with mock.patch.object(oracles, "reference_transform", counted_build), \
+            mock.patch.object(defensive, "_root_estimate",
+                              sabotaged(sabotage) if sabotage else defensive._root_estimate), \
+            counting_transform() as calls:
+        err = same_outcome(state, experts)
+    cheap = c == 1.0 and _closed_form_retraction(g, eta) is not None
+    if err is None and len(levels) > 2:
+        # same_outcome runs the library twice on the error path, once here
+        n = len(levels) - 2
+        assert len(calls) <= (six_levels_a_call(n) if cheap else n)
 
 
 class TestClosedFormRetraction:
