@@ -207,16 +207,17 @@ class TestNonMixableVariant:
 
 
 @contextlib.contextmanager
-def counting_transform():
-    """Patch :func:`secondguess._sg_transform` so that each call of a
-    transform it builds appends its batch size to the yielded list."""
-    calls, build = [], secondguess._sg_transform
+def counting(module, builder="_sg_transform"):
+    """Patch ``module.builder``, which builds a transform, so that each call
+    of a transform it builds appends its argument's length to the yielded
+    list."""
+    calls, build = [], getattr(module, builder)
 
     def counted_build(*args, **kwargs):
         transform = build(*args, **kwargs)
         return lambda gammas: calls.append(len(gammas)) or transform(gammas)
 
-    with mock.patch.object(secondguess, "_sg_transform", counted_build):
+    with mock.patch.object(module, builder, counted_build):
         yield calls
 
 
@@ -259,7 +260,7 @@ class TestNodeBatches:
                                            {"kind": "sg-constant", "value": 0.4}],
                                "reality": {"kind": "iid", "probs": [0.5, 0.5]},
                                "horizon": 120, "seed": 5})
-        with counting_transform() as calls:
+        with counting(secondguess) as calls:
             run_scenario(config)
         assert len(calls) <= 3 * config.horizon
 
@@ -352,23 +353,16 @@ def test_fixed_point_matches_the_scalar_loop(name, kinds, weights, sabotage):
     prior = np.array(weights[:len(kinds)]) / sum(weights[:len(kinds)])
     state = aa_start(g, eta=eta, c=c, prior=prior, n_experts=len(kinds))
     experts = [EXPERTS[k](g) for k in kinds]
-    levels = []  # the reference's transform calls: f(0), f(1), then one a level
-    build = oracles.reference_transform
-
-    def counted_build(*args):
-        transform = build(*args)
-        return lambda gamma: levels.append(1) or transform(gamma)
-
-    with mock.patch.object(oracles, "reference_transform", counted_build), \
+    # the reference's calls: f(0), f(1), then one a level
+    with counting(oracles, "reference_transform") as reference_calls, \
             mock.patch.object(defensive, "_root_estimate",
                               sabotaged(sabotage) if sabotage else defensive._root_estimate), \
-            counting_transform() as calls:
+            counting(secondguess) as calls:
         err = same_outcome(state, experts)
     cheap = c == 1.0 and _closed_form_retraction(g, eta) is not None
-    if err is None and len(levels) > 2:
-        # same_outcome runs the library twice on the error path, once here
-        n = len(levels) - 2
-        assert len(calls) <= (six_levels_a_call(n) if cheap else n)
+    if err is None and len(reference_calls) > 2:  # one library run, past the endpoints
+        levels = len(reference_calls) - 2
+        assert len(calls) <= (six_levels_a_call(levels) if cheap else levels)
 
 
 class TestClosedFormRetraction:
