@@ -12,6 +12,7 @@ import numpy as np
 
 from .core import (
     MEMBERSHIP_TOL,
+    SUBSTITUTION_TOL,
     Game,
     Rounds,
     Session,
@@ -91,7 +92,7 @@ def substitute(state: Session, g: np.ndarray,
 def substituted_rounds(state: Session, forecasts: np.ndarray, advice: np.ndarray,
                        outcomes: np.ndarray, pick, log_weights: np.ndarray,
                        log_value: np.ndarray, slack: np.ndarray,
-                       error: Exception | None = None, score=None, *, substitution_tol=1e-7):
+                       error: Exception | None = None, score=None):
     """The tail of a block of B rounds: one batched substitution of the
     rounds' ``forecasts`` (B', m), then ``error``, raised for a block cut
     short in round B' < B once the rounds before it are substituted, as
@@ -102,7 +103,7 @@ def substituted_rounds(state: Session, forecasts: np.ndarray, advice: np.ndarray
     ``log_weights`` (B, k) and ``log_value`` (B,), give those after it.
     Returns the decisions, Learner's and the experts' losses, the slack and
     the :class:`Rounds`."""
-    decisions, lvs = substitute(state, forecasts, substitution_tol)
+    decisions, lvs = substitute(state, forecasts, SUBSTITUTION_TOL)
     if error is not None:
         raise error
     w = np.concatenate((outcomes, [pick(lvs[-1])]))
@@ -115,8 +116,7 @@ def substituted_rounds(state: Session, forecasts: np.ndarray, advice: np.ndarray
         lw, lv, learner_losses, expert_losses, slack, log_factors)
 
 
-def aa_rounds(state: Session, advice: np.ndarray, outcomes: np.ndarray, pick,
-              *, substitution_tol: float = 1e-7):
+def aa_rounds(state: Session, advice: np.ndarray, outcomes: np.ndarray, pick):
     """Play a block of B rounds whose advice, shape (B, k, m), does not
     depend on Learner's moves: ``outcomes`` (B - 1,) are those of the
     rounds before the last, and ``pick(loss_vector)`` gives the last
@@ -136,17 +136,14 @@ def aa_rounds(state: Session, advice: np.ndarray, outcomes: np.ndarray, pick,
     live = int(np.argmax(dead)) if dead.any() else len(lv)
     g = aa_mix(state, advice[:live], lw[:live] - lv[:live, None])
     return substituted_rounds(state, g, advice, outcomes, pick, lw, lv, np.zeros(len(lv)),
-                              AllExpertsDead() if live < len(lv) else None,
-                              substitution_tol=substitution_tol)
+                              AllExpertsDead() if live < len(lv) else None)
 
 
-def aa_step(state: Session, advice, outcome: int,
-            *, substitution_tol: float = 1e-7) -> tuple[np.ndarray, Session]:
+def aa_step(state: Session, advice, outcome: int) -> tuple[np.ndarray, Session]:
     """One protocol round: mix, substitute, observe, reweigh (a block of
     one of :func:`aa_rounds`)."""
     A = _advice_matrix(advice, state.game.m, state.n_experts)
-    decisions, *_, rounds = aa_rounds(state, A[None], np.empty(0, int), lambda lv: outcome,
-                                      substitution_tol=substitution_tol)
+    decisions, *_, rounds = aa_rounds(state, A[None], np.empty(0, int), lambda lv: outcome)
     return decisions[0], state.after(rounds)
 
 

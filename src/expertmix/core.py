@@ -31,6 +31,10 @@ PROB_TOL = 1e-12
 #: Default one-sided slack for superprediction membership tests.
 MEMBERSHIP_TOL = 1e-9
 
+#: How far a substituted decision's loss may exceed the prediction it
+#: substitutes, coordinate by coordinate.
+SUBSTITUTION_TOL = 1e-7
+
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
 

@@ -25,14 +25,18 @@ interval is AA's feasible interval: a binary block walks its bisection
 against that closed form and checks every midpoint of the walk in one q
 call, and only the rows whose check fails are bisected on q; with three
 or more outcomes, AA's point keeps q under 1 the same way.
-The vertex search runs on the delta-interior of the simplex with an
-explicit epsilon slack that is surfaced and accumulated into the regret
-audit instead of being ignored.
+With three or more outcomes, a round that both points miss takes the
+labelled-grid search (:func:`dfa_solve_simplex`), Sperner's constructive
+proof of Levin's lemma: levels of one q call on a Kuhn-triangulated grid,
+each zooming in on a cell whose vertices carry every label.  It runs on the
+delta-interior of the simplex with an explicit epsilon slack that is
+surfaced and accumulated into the regret audit instead of being ignored.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -289,8 +293,9 @@ def _bisection(values: Callable[[np.ndarray], np.ndarray], index: dict, rows: np
     call has held it, the next call holds :func:`_predicted_nodes` toward
     ``|h| <= tol``, or with ``batched`` false the node alone.  The root
     lies left of a node where ``h <= 0`` (a NaN h moves left too).  Yields
-    each node, level by level, as ``(p, h, row, width)`` with the width of
-    the bracket it splits; the caller stops by leaving the loop.  The
+    each node, level by level, as ``(p, h, width, rows, i)``: the width of
+    the bracket it splits, and its row ``rows[i]``, which only a caller that
+    stops there takes; the caller stops by leaving the loop.  The
     bisection reads only real values, so its nodes and rows are those of
     one level per call, bit for bit: a wrong prediction costs a call, never
     a bit, and no more calls than six levels a call."""
@@ -316,7 +321,7 @@ def _bisection(values: Callable[[np.ndarray], np.ndarray], index: dict, rows: np
             calls.insert(0, (index, hs))
             i = index[mid]
         h = hs[i]
-        yield mid, h, rows[i], hi - lo
+        yield mid, h, hi - lo, rows, i
         if h > 0.0:
             lo = mid
         else:
@@ -368,9 +373,9 @@ def dfa_solve_binary(q: Callable[[np.ndarray], np.ndarray], C: float,
             "the supplied q is not a supermartingale term"
         )
     index = _FIRST_ROW if table else _FIRST_ROW_UNTABLED
-    for p, h, row, _ in _bisection(functools.partial(_q_at, q), index, qv, max_iter, tol):
+    for p, h, _, rows, i in _bisection(functools.partial(_q_at, q), index, qv, max_iter, tol):
         if abs(h) <= tol:
-            return (p, row) if full_output else p
+            return (p, rows[i]) if full_output else p
     raise ContractViolation(
         "bisection failed to equalize the coordinates; q appears discontinuous"
     )
@@ -587,91 +592,98 @@ def interior_delta(epsilon: float, m: int) -> float:
     return epsilon / ((1.0 + epsilon) * (m - 1))
 
 
+#: levels of :func:`dfa_solve_simplex` before it gives up
+_LEVELS = 40
+
+
 @functools.lru_cache(maxsize=None)
-def _centred_grid(m: int, n: int) -> np.ndarray:
-    """``simplex_grid(m, n)`` less the barycentre, built once per ``(m, n)``."""
-    out = simplex_grid(m, n) - 1.0 / m
-    out.setflags(write=False)
-    return out
+def _kuhn_grid(m: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """A level's grid over the simplex: its subdivisions n (at most 32, and
+    as many as keep it to 1,024 points: 32, 16 and 10 at m = 3, 4 and 5),
+    its points as compositions k of n into m parts, (P, m), and the cells
+    of the Kuhn (Freudenthal) triangulation as rows of m point indices.  A
+    point is held as the cumulative sums ``0 <= y_1 <= ... <= y_{m-1} <= n``
+    of its k, in lexicographic order; a cell is a base y and a step order
+    that raises each ``y_j`` by 1 once, kept where every vertex stays
+    ordered."""
+    n = 32
+    while n > 5 and math.comb(n + m - 1, m - 1) > 1024:
+        n -= 1
+    y = np.array(list(itertools.combinations_with_replacement(range(n + 1), m - 1)))
+    path = np.array(list(itertools.combinations_with_replacement(range(n), m - 1)))[:, None]
+    for _ in range(m - 1):  # each step raises a y_j not yet raised that stays <= y_{j+1}
+        last = path[:, -1]
+        free = (last == path[:, 0]) & np.column_stack(
+            [last[:, :-1] < last[:, 1:], np.ones(len(last), dtype=bool)])
+        c, j = np.nonzero(free)
+        step = path[c, -1] + (np.arange(m - 1) == j[:, None])
+        path = np.concatenate([path[c], step[:, None]], axis=1)
+    code = (n + 1) ** np.arange(m - 2, -1, -1)  # y's rank in lexicographic order is its code's
+    k = np.diff(y, axis=1, prepend=0, append=n)
+    cells = np.searchsorted(y @ code, path @ code)
+    k.setflags(write=False)
+    cells.setflags(write=False)
+    return n, k, cells
 
 
-def _local_simplex_points(center: np.ndarray, radius: float, delta: float,
-                          n: int) -> np.ndarray:
-    pts = center[None, :] + radius * _centred_grid(len(center), n)
-    pts = np.clip(pts, delta, None)
-    pts /= pts.sum(axis=1, keepdims=True)
-    # renormalizing can re-violate the floor by rounding; push back once
-    pts = np.clip(pts, delta, None)
-    pts /= pts.sum(axis=1, keepdims=True)
-    return pts
+def _labels(k: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """Each grid point's Sperner label ``argmin_{w: k_w > 0} q(pi, w)`` from
+    its composition ``k`` and its values ``vals`` (P, m): a point on the
+    face ``k_w = 0`` never takes label w, even where q is infinite or NaN."""
+    return np.argmin(np.where(k > 0, np.minimum(vals, np.finfo(float).max), np.inf), axis=1)
 
 
 def dfa_solve_simplex(q: Callable[[np.ndarray], np.ndarray], C: float,
-                      m: int, epsilon: float = 1e-6, tol: float = 1e-9,
-                      *, subdiv: int = 24, pair_sweeps: int = 60) -> np.ndarray:
+                      m: int, epsilon: float = 1e-6, tol: float = 1e-9) -> np.ndarray:
     """Find pi on the delta-interior of the simplex with
     ``max_w q(pi, w) <= (1+epsilon) C + tol``.
 
     ``q`` accepts a batch of distributions, shape (n, m), and returns
-    the per-outcome values, shape (n, m).  The search is a three-level
-    barycentric grid refinement followed by pairwise-exchange descent,
-    accepting the first point under the target (the barycenter is tried
-    first, so trivially-satisfiable instances return it unchanged).
-    Raises :class:`SlackExceeded` when the descent stalls above target.
-    A session with one mix reaches it only where the barycentre and AA's
-    point both miss the target (:func:`_block_forecasts`).
+    the per-outcome values, shape (n, m); the caller's contract is
+    ``E_pi q(pi, .) <= C`` for every pi.  The barycentre is tried first, so
+    trivially-satisfiable instances return it unchanged.  The search is
+    then the constructive proof of Levin's lemma by Sperner labels (Scarf
+    1967; Kuhn 1968), in levels of one q call each on :func:`_kuhn_grid`'s
+    grid over a sub-simplex, the whole delta-interior first; a level
+    returns its first point under target.  Otherwise each point takes the
+    label :func:`_labels`, ``argmin_{w: k_w > 0} q(pi, w)``, which no point
+    on the face ``k_w = 0`` takes, so Sperner's lemma leaves a cell whose
+    vertices carry every label.  On the whole delta-interior, whose face
+    ``k_w = 0`` is ``pi_w = delta``, the vertex labelled w has ``q(pi, w)
+    <= (1 + epsilon) C``, so such cells close in on a solution as the grid
+    refines.  The next level
+    zooms in on the fully labelled cell whose worst vertex value is least:
+    its sub-simplex is the least one that holds that cell and the level's
+    best point, half a cell wider on each face inside the current one.
+    After ``_LEVELS`` levels :class:`SlackExceeded` is raised with the best
+    point seen.  A session with one mix reaches the search only where the
+    barycentre and AA's point both miss the target
+    (:func:`_block_forecasts`).
     """
     delta = interior_delta(epsilon, m)
     target = (1.0 + epsilon) * C + tol
-
-    def f_batch(P: np.ndarray) -> np.ndarray:
-        vals = np.asarray(q(P), dtype=float)
-        return vals.max(axis=1)
-
-    center = np.full(m, 1.0 / m)
-    f_center = float(f_batch(center[None, :])[0])
-    if f_center <= target:
-        return center
-    best, best_val = center, f_center
-    radius = 1.0
-    for _ in range(3):
-        pts = _local_simplex_points(best, radius, delta, subdiv)
-        vals = f_batch(pts)
-        i = int(np.argmin(vals))
-        if vals[i] < best_val:
-            best, best_val = pts[i], float(vals[i])
-        if best_val <= target:
-            return best
-        radius /= subdiv / 2.0
-
-    # pairwise mass-exchange descent with a shrinking step ladder
-    step = 2.0 / subdiv
-    for _ in range(pair_sweeps):
-        improved = False
-        for i in range(m):
-            for j in range(m):
-                if i == j:
-                    continue
-                t_max = min(best[j] - delta, step)
-                if t_max <= 0:
-                    continue
-                ts = np.linspace(0.0, t_max, 9)[1:]
-                cands = np.repeat(best[None, :], len(ts), axis=0)
-                cands[:, i] += ts
-                cands[:, j] -= ts
-                vals = f_batch(cands)
-                k = int(np.argmin(vals))
-                if vals[k] < best_val - 1e-15:
-                    best, best_val = cands[k], float(vals[k])
-                    improved = True
-        if best_val <= target:
-            return best
-        if not improved:
-            step /= 4.0
-            if step < 1e-14:
-                break
+    best = np.full(m, 1.0 / m)
+    best_val = float(np.max(q(best[None, :])))
     if best_val <= target:
         return best
+    n, k, cells = _kuhn_grid(m)
+    corner, width = np.zeros(m), 1.0  # the level's sub-simplex: corner + width * x
+    for _ in range(_LEVELS):
+        pts = delta + (1.0 - m * delta) * (corner + (width / n) * k)
+        vals = np.asarray(q(pts), dtype=float)
+        worst = vals.max(axis=1)
+        hit = np.flatnonzero(worst <= target)
+        if hit.size:
+            return pts[hit[0]]
+        i = int(np.argmin(worst))
+        if worst[i] < best_val:
+            best, best_val = pts[i], float(worst[i])
+        full = cells[np.bitwise_or.reduce(1 << _labels(k, vals)[cells], axis=1) == (1 << m) - 1]
+        cell = full[np.argmin(worst[full].max(axis=1))]
+        # the least sub-simplex holding the cell and the best point, half a cell wider
+        lower = np.maximum(np.minimum(k[cell].min(axis=0), k[i]) - 0.5, 0.0)
+        corner = corner + (width / n) * lower
+        width -= (width / n) * lower.sum()
     raise SlackExceeded(
         f"interior solve stalled at max_w q = {best_val:.6e} > target {target:.6e}",
         best_point=best,
@@ -911,8 +923,8 @@ def forecast_rounds(state: Session, A: np.ndarray, expert_losses: np.ndarray, te
     before every round.  One batch serves the rounds it can
     (:func:`_block_forecasts`: with three or more outcomes, each round's
     barycentre or AA's point), and :func:`_forecast` each other round, one
-    at a time on the same posteriors, which takes the vertex search only
-    where both points miss.  ``terms(block, pi)`` gives the learner terms
+    at a time on the same posteriors, which takes the labelled-grid search
+    only where both points miss.  ``terms(block, pi)`` gives the learner terms
     of the rounds ``block`` before the last, played at the forecasts
     ``pi``; a round whose learner term is infinite keeps weights
     that AA's posterior drops, so the rounds after it are solved again from
@@ -958,8 +970,7 @@ def forecast_rounds(state: Session, A: np.ndarray, expert_losses: np.ndarray, te
 
 
 def dfa_rounds(state: Session, advice: np.ndarray, outcomes: np.ndarray, pick, *,
-               epsilon: float = 1e-6, tol: float = 1e-9, select: str = "midpoint",
-               substitution_tol: float = 1e-7):
+               epsilon: float = 1e-6, tol: float = 1e-9, select: str = "midpoint"):
     """Play a block of B rounds whose advice, shape (B, k, m), does not
     depend on Learner's moves, from the outcomes (B - 1,) of the rounds
     before the last and ``pick(loss_vector)``, the last round's
@@ -967,8 +978,8 @@ def dfa_rounds(state: Session, advice: np.ndarray, outcomes: np.ndarray, pick, *
     round's admissible interval, or with three or more outcomes takes each
     round's barycentre where it holds and AA's point in forecast
     coordinates where that holds; the others are solved one at a time,
-    with the vertex search.  The learner term is ``lambda(pi, w)``, the
-    log factor ``ln q(pi, w)`` from the solver's row at pi.  Returns what
+    with the labelled-grid search.  The learner term is ``lambda(pi, w)``,
+    the log factor ``ln q(pi, w)`` from the solver's row at pi.  Returns what
     :func:`aggregating.aa_rounds` returns, each row what :func:`dfa_step`
     gives that round; an error is raised for the first round that meets
     it, before Reality picks.  With the default loss parameterizations,
@@ -980,14 +991,12 @@ def dfa_rounds(state: Session, advice: np.ndarray, outcomes: np.ndarray, pick, *
         epsilon=epsilon, tol=tol, select=select)
     lam = state.proper(pi) if len(pi) else pi
     return substituted_rounds(state, lam, advice, outcomes, pick, lw, lv, slack, error,
-                              lambda w: (lam[-1, w[-1]], _log_q(qpi)[np.arange(len(w)), w]),
-                              substitution_tol=substitution_tol)
+                              lambda w: (lam[-1, w[-1]], _log_q(qpi)[np.arange(len(w)), w]))
 
 
 def dfa_step(state: Session, advice, outcome: int, *,
              epsilon: float = 1e-6, tol: float = 1e-9,
-             select: str = "midpoint",
-             substitution_tol: float = 1e-7) -> tuple[np.ndarray, Session, float]:
+             select: str = "midpoint") -> tuple[np.ndarray, Session, float]:
     """One forecasting round: choose pi, substitute, observe, reweigh (a
     block of one of :func:`dfa_rounds`).
 
@@ -1000,5 +1009,5 @@ def dfa_step(state: Session, advice, outcome: int, *,
     A = _advice_matrix(advice, state.game.m, state.n_experts)
     decisions, _, _, slack, rounds = dfa_rounds(
         state, A[None], np.empty(0, int), lambda lv: outcome, epsilon=epsilon, tol=tol,
-        select=select, substitution_tol=substitution_tol)
+        select=select)
     return decisions[0], state.after(rounds), float(slack[0])

@@ -283,8 +283,8 @@ def sg_fixed_point(state: Session, experts: Sequence[SecondGuessExpert],
             cheap = state.c == 1.0 and _closed_form_retraction(game, state.eta) is not None
             stop = min(tol, 1e-12)
             # the width stop ends the walk by level 48, long before the engine's own
-            for p_star, h, _, width in _bisection(rows, _FIRST_ROW_UNTABLED, first, 200, stop,
-                                                  cheap):
+            for p_star, h, width, _, _ in _bisection(rows, _FIRST_ROW_UNTABLED, first, 200, stop,
+                                                     cheap):
                 if p_star in errors:
                     raise errors[p_star]
                 if abs(h) <= stop or width <= 1e-14:

@@ -561,9 +561,87 @@ class TestSimplexSolver:
         assert abs(out[1] - 0.5) <= delta + 1e-6
 
     def test_stall_raises_slack_exceeded(self):
-        with pytest.raises(SlackExceeded) as err:
+        with pytest.raises(SlackExceeded, match="interior solve stalled") as err:
             dfa_solve_simplex(lambda P: np.full((len(P), 3), 2.0), 1.0, 3)
-        assert err.value.best_value == pytest.approx(2.0)
+        assert err.value.best_value == 2.0
+        np.testing.assert_array_equal(err.value.best_point, np.full(3, 1 / 3))
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    def test_labels_keep_off_their_faces(self, m):
+        """Sperner's boundary condition, whatever q's values: no point on the
+        face ``k_w = 0`` takes label w, so the Kuhn triangulation (n**(m-1)
+        cells) holds an odd number of fully labelled cells."""
+        n, k, cells = defensive._kuhn_grid(m)
+        assert len(cells) == n ** (m - 1) and np.all(k.sum(axis=1) == n)
+        rng = np.random.default_rng(m)
+        for _ in range(20):
+            vals = rng.choice([0.5, 1.0, 2.0, INF, np.nan], size=k.shape)
+            labels = defensive._labels(k, vals)
+            assert np.all(k[np.arange(len(k)), labels] > 0)
+            full = np.bitwise_or.reduce(1 << labels[cells], axis=1) == (1 << m) - 1
+            assert full.sum() % 2 == 1
+
+    @pytest.mark.parametrize("loss, m", [("log", 3), ("brier", 3), ("hellinger", 4)])
+    def test_one_q_call_per_level(self, loss, m):
+        """The barycentre, then one q call of the whole grid per level."""
+        proper = default_proper_loss(builtin_game(loss, m), 1.0, 1.0)
+        rng = np.random.default_rng(1)
+        state = ml_dfa_start([EvaluatedExpert(proper, 1.0, 1.0, 0.5)] * 2, m, verify=False)
+        q = fixed_advice_q(state, proper(rng.dirichlet(np.ones(m), size=2)))
+        calls = []
+
+        def counted(P):
+            calls.append(len(P))
+            return q(P)
+
+        pi = dfa_solve_simplex(counted, 1.0, m)
+        assert np.max(q(pi[None])) <= 1.0 + 1e-6 + 1e-9
+        assert calls[0] == 1 and 1 < len(calls) <= 1 + defensive._LEVELS
+        assert calls[1:] == [len(defensive._kuhn_grid(m)[1])] * (len(calls) - 1)
+        with pytest.raises(SlackExceeded):
+            dfa_solve_simplex(lambda P: counted(P) + 1.0, 1.0, m)
+        assert len(calls) - calls.index(1, 1) == 1 + defensive._LEVELS
+
+
+#: the evaluator losses of the solver's property test
+SOLVER_LOSSES = ["log", "brier", "kl", "hellinger"]
+#: dense grid subdivisions for the property test, by outcome count
+DENSE = {3: 150, 4: 40}
+
+
+@st.composite
+def evaluator_qs(draw):
+    """An evaluator q at m = 3 or 4 from :func:`fixed_advice_q`: one to
+    four experts, each judged by its own loss, with random advice and a
+    random posterior."""
+    m = draw(st.sampled_from([3, 4]))
+    losses = draw(st.lists(st.sampled_from(SOLVER_LOSSES), min_size=1, max_size=4))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    propers = {loss: default_proper_loss(builtin_game(loss, m), 1.0, 1.0) for loss in losses}
+    state = ml_dfa_start([EvaluatedExpert(propers[loss], 1.0, 1.0, 1 / len(losses))
+                          for loss in losses], m, verify=False)
+    advice = rng.dirichlet(np.full(m, draw(st.sampled_from([0.3, 1.0, 3.0]))), size=len(losses))
+    G = np.stack([propers[loss](d) for loss, d in zip(losses, advice)])
+    posterior = rng.dirichlet(np.ones(len(losses)))
+    with np.errstate(divide="ignore"):
+        return fixed_advice_q(state, G, np.log(posterior)), m
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=evaluator_qs())
+def test_simplex_solver_finds_what_a_dense_grid_finds(case):
+    """Wherever a dense grid holds a point with room to spare under the
+    target, the solver returns a delta-interior point under it."""
+    q, m = case
+    eps, tol = 1e-6, 1e-9
+    target = (1.0 + eps) + tol
+    with np.errstate(invalid="ignore"):
+        dense = np.max(q(simplex_grid(m, DENSE[m])), axis=1)
+    if not np.any(dense <= target - 1e-4):
+        return
+    pi = dfa_solve_simplex(q, 1.0, m, eps, tol)
+    assert np.all(pi >= interior_delta(eps, m)) and abs(pi.sum() - 1.0) <= 1e-12
+    assert np.max(q(pi[None])) <= target
 
 
 class TestOracleAgreement:

@@ -15,6 +15,8 @@ from expertmix.extensions import (
     simplex_dfa_start,
     simplex_dfa_step,
 )
+from expertmix.harness.config import parse_config
+from expertmix.harness.runner import run_scenario
 from expertmix.losses import builtin_game
 
 LN2 = np.log(2.0)
@@ -214,3 +216,24 @@ class TestSimplexSessions:
         with pytest.raises(ContractViolation):
             simplex_dfa_start(absolute_simplex(), eta=1.0, c=1.0, n_experts=1,
                               verify=True, samples=400)
+
+
+class TestEvaluatorSimplexSearch:
+    """Evaluator runs at m >= 3 have no AA point to take where the
+    barycentre misses, so the simplex search serves those rounds."""
+
+    @pytest.mark.parametrize("m, horizon, evaluators, second, probs", [
+        (3, 300, ["log", "brier"], "iid-random", None),
+        (3, 300, ["hellinger"], "iid-random", None),
+        (3, 300, ["brier"], "iid-random", None),
+        (3, 300, ["log", "brier"], "trailing-average", [0.5, 0.3, 0.2]),
+        (4, 100, ["log", "brier"], "trailing-average", None)])
+    def test_runs_keep_their_bound(self, m, horizon, evaluators, second, probs):
+        config = parse_config({
+            "game": {"name": "log", "m": m}, "algorithm": "ml-dfa", "horizon": horizon,
+            "seed": 3, "experts": [{"kind": "iid-random"}, {"kind": second}],
+            "evaluators": [{"loss": loss} for loss in evaluators],
+            "reality": {"kind": "iid", **({} if probs is None else {"probs": probs})}})
+        result = run_scenario(config)
+        assert len(result.records) == horizon
+        assert result.bound_ok

@@ -106,6 +106,30 @@ class TestSgDFA:
         margins = state.bound_margins()
         assert np.all(margins <= 1e-7)
 
+    @pytest.mark.parametrize("eta", [1.0, 2.0])
+    def test_hellinger_simplex_search_keeps_the_bound(self, eta):
+        config = parse_config({
+            "game": {"name": "hellinger", "m": 3}, "algorithm": "sg-dfa", "eta": eta,
+            "horizon": 120, "seed": 3, "reality": {"kind": "iid"},
+            "experts": [{"kind": "sg-identity"},
+                        {"kind": "sg-constant", "value": [0.6, 0.3, 0.1]}]})
+        result = run_scenario(config)
+        assert len(result.records) == 120
+        assert result.bound_ok
+
+    def test_cyclic_shift_on_brier_keeps_the_bound(self):
+        """The m-outcome contrarian, a cyclic shift of the loss coordinates,
+        against a constant: the rounds that the simplex search serves keep
+        the bound."""
+        g = builtin_game("brier", 3)
+        state = dfa_start(g, eta=1.0, n_experts=2)
+        experts = [SecondGuessExpert(fn=lambda gamma: np.roll(gamma, 1, -1), batched=True),
+                   SecondGuessExpert.constant(g.loss_vector(np.array([0.6, 0.3, 0.1])))]
+        w = np.random.default_rng(0).integers(0, 3, size=120)
+        *_, rounds, _ = secondguess.sg_dfa_rounds(state, experts, w[:-1], lambda _: int(w[-1]))
+        assert len(rounds.log_value) == 120
+        assert np.all(state.bound_margins(rounds) <= 1e-7)
+
     def test_domain_error_on_bad_expert(self):
         g = game_log()
         state = dfa_start(g, eta=1.0, n_experts=1)
