@@ -19,11 +19,11 @@ from .core import (
     as_losses,
     dominated_by,
     domination_gap,
-    hull_membership_gap,
     log_mix,
     start_session,
 )
 from .errors import AllExpertsDead, DimensionMismatch, NotRealizable, SubstitutionFailure
+from .losses import _brier_loss, _brier_retraction, _log_retraction, _safe_neg_log
 
 
 def _advice_matrix(advice, m: int, k: int) -> np.ndarray:
@@ -167,17 +167,20 @@ def _membership_tol(game: Game) -> float:
     return 0.0 if game.membership_gap is not None else MEMBERSHIP_TOL
 
 
-def _gap_rule(game: Game, eta: float | None = None) -> Callable[[np.ndarray], float]:
+def _gap_rule(game: Game, eta: float | None = None) -> Callable[[np.ndarray], np.ndarray]:
     """The gap that :func:`domination_gap` (``eta`` None) or
-    :func:`hull_membership_gap` at ``eta`` computes, picked once for the
-    probes of a boundary search, whose points are validated loss vectors
-    of the game's size: the game's closed form, its hull closed form, or
-    the numeric search."""
+    :func:`hull_membership_gap` at ``eta`` computes, of each row of a batch
+    (n, m) of validated loss vectors of the game's size, picked once for
+    the probes of a boundary search: the game's closed form or its hull
+    closed form, each one call a batch, or the numeric search, one call a
+    row.  Raises ``ValueError`` when ``eta`` has no hull membership rule."""
     if eta is not None and not game.mixable_at(eta):
-        return lambda v: game.hull_membership_gap(v, eta)
+        if game.hull_membership_gap is None:
+            raise ValueError(f"game {game.name!r} has no hull membership rule at eta={eta}")
+        return lambda V: game.hull_membership_gap(V, eta)
     if game.membership_gap is not None:
         return game.membership_gap
-    return lambda v: domination_gap(game, v)
+    return lambda V: np.array([domination_gap(game, v) for v in V])
 
 
 def _check_tol(tol: float) -> None:
@@ -185,78 +188,95 @@ def _check_tol(tol: float) -> None:
         raise ValueError(f"tol must be a nonnegative number, got {tol!r}")
 
 
-def _bisect(member: Callable[[float], bool], hi: float, tol: float) -> float:
-    """The upper end of the bracket that bisection of ``[0, hi]`` leaves
-    around the least ``x`` with ``member(x)``, for a member ``hi``: both
-    boundary searches' loop.  It halves until the bracket is at most
+def _loss_rows(game: Game, g) -> tuple[np.ndarray, np.ndarray]:
+    """A validated copy of ``g`` (m,) or (n, m), and its rows as a view (n, m)."""
+    cur = as_losses(g).copy()
+    if cur.shape[-1] != game.m:
+        raise DimensionMismatch(f"loss vector of size {cur.shape[-1]} for {game.m} outcomes")
+    return cur, cur.reshape(-1, game.m)
+
+
+def _bisect(member: Callable[[np.ndarray, np.ndarray], np.ndarray], hi: np.ndarray,
+            tol: float) -> np.ndarray:
+    """The upper ends of the brackets that bisection of each ``[0, hi_r]``
+    leaves around the least ``x`` with ``member``, for members ``hi`` (n,):
+    both boundary searches' loop.  Each level is one call ``member(rows,
+    x)`` on the rows still open and their midpoints, each row's midpoints
+    those of a one-row bisection.  A row halves until its bracket is at most
     ``tol`` wide, or until a midpoint leaves the bracket unchanged (its ends
     are then adjacent floats, which no ``tol`` below their distance could
     split)."""
-    lo = 0.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if member(mid):
-            if mid == hi:
-                break
-            hi = mid
-        else:
-            if mid == lo:
-                break
-            lo = mid
+    hi, lo = np.array(hi, dtype=float), np.zeros(len(hi))
+    rows = np.flatnonzero(hi > tol)
+    while rows.size:
+        mid = 0.5 * (lo[rows] + hi[rows])
+        ok = member(rows, mid)
+        stuck = mid == np.where(ok, hi[rows], lo[rows])
+        hi[rows] = np.where(ok, mid, hi[rows])
+        lo[rows] = np.where(ok, lo[rows], mid)
+        rows = rows[~stuck & (hi[rows] - lo[rows] > tol)]
     return hi
 
 
 def project_boundary(game: Game, g, c: float, eta: float,
                      tol: float = 1e-10) -> np.ndarray:
     """Radial projection ``V(g) = R(g) g`` with
-    ``R(g) = min{r in (0, c] : r g in Sigma}``.
+    ``R(g) = min{r in (0, c] : r g in Sigma}``, of ``g`` (m,) or of each
+    row of a batch (n, m), each row bisected as a one-row call bisects it
+    (:func:`_bisect`).
 
     Returns the zero vector when it is itself a superprediction.  Raises
-    :class:`NotRealizable` when even ``r = c`` misses the superprediction
-    set (the scaling constant is too small for this game), and
-    ``ValueError`` for a negative or NaN ``tol``.
+    :class:`NotRealizable`, for the first such row, when even ``r = c``
+    misses the superprediction set (the scaling constant is too small for
+    this game), and ``ValueError`` for a negative or NaN ``tol``.
     """
     _check_tol(tol)
-    arr = as_losses(g)
+    cur, rows = _loss_rows(game, g)
     # the gap is locally linear in r, so a tiny slack costs ~nothing in R
     # but absorbs rounding at an exactly-critical scaling constant
     mtol = max(_membership_tol(game), 1e-12)
     gap = _gap_rule(game)
-    if gap(np.zeros(game.m)) <= mtol:
-        return np.zeros(game.m)
-    c_gap = domination_gap(game, c * arr)
-    if not c_gap <= mtol:
-        raise NotRealizable(
-            f"{c} * g is not a superprediction of {game.name!r} (gap {c_gap:.3e})"
-        )
-    return _bisect(lambda r: gap(r * arr) <= mtol, float(c), tol) * arr
+    if gap(np.zeros((1, game.m)))[0] <= mtol:
+        return np.zeros_like(cur)
+    c_gap = gap(c * rows)
+    if not np.all(c_gap <= mtol):
+        raise NotRealizable(f"{c} * g is not a superprediction of {game.name!r} "
+                            f"(gap {c_gap[np.argmin(c_gap <= mtol)]:.3e})")
+    r = _bisect(lambda i, r: gap(r[:, None] * rows[i]) <= mtol, np.full(len(rows), float(c)),
+                tol)
+    return (r[:, None] * rows).reshape(cur.shape)
 
 
 _EXPAND_CAP = 1e12
 
 
 def _closed_form_retraction(game: Game, eta: float):
-    """The retraction of each row of a batch (n, 2) in the ``eta``-hull, when
-    that is a binary box game's base set with a closed-form gap (log, and
-    square at a mixable ``eta``): ``loss(p)`` at the lower end ``p`` of the
-    row's feasible interval, clipped to [0, 1].  Coordinate 0 drops to
-    ``loss(p)[0]``, the least value that keeps the row a member, and
-    coordinate 1 then to ``loss(p)[1]``, the least that keeps
-    ``loss(p)[0]`` one.  A row whose interval is empty by more than
-    ``MEMBERSHIP_TOL`` is not a member and raises ``ValueError``.  None
-    for every other rule (hull gaps, the numeric search, three or more
-    outcomes)."""
-    if game.membership_gap is None or game.feasible_interval is None or game.m != 2 \
-            or not game.mixable_at(eta):
+    """The retraction of each row of a batch (n, m) in the ``eta``-hull, in
+    closed form where the game has one at a mixable ``eta``:
+
+    - a binary box game with a closed-form gap (log, and square): ``loss(p)``
+      at the lower end ``p`` of the row's feasible interval, clipped to
+      [0, 1].  Coordinate 0 drops to ``loss(p)[0]``, the least value that
+      keeps the row a member, and coordinate 1 then to ``loss(p)[1]``, the
+      least that keeps ``loss(p)[0]`` one.  A row whose interval is empty
+      by more than ``MEMBERSHIP_TOL`` is not a member.
+    - log and kl with simplex decisions
+      (:func:`~expertmix.losses._log_retraction`), and brier
+      (:func:`~expertmix.losses._brier_retraction`).
+
+    A row that is not a member raises ``ValueError``, and no form probes
+    the game's gap.  None for every other rule (hull gaps, the numeric
+    search)."""
+    if game.membership_gap is None or not game.mixable_at(eta):
         return None
-
-    def retract(rows: np.ndarray) -> np.ndarray:
-        lo, hi = game.feasible_interval(rows)
-        if np.any(lo - hi > MEMBERSHIP_TOL):
-            raise ValueError("input is not a superprediction (or hull member)")
-        return game.loss(np.minimum(np.maximum(lo, 0.0), 1.0)[:, None])
-
-    return retract
+    if game.m == 2 and game.feasible_interval is not None:
+        def retract(rows: np.ndarray) -> np.ndarray:
+            lo, hi = game.feasible_interval(rows)
+            if np.any(lo - hi > MEMBERSHIP_TOL):
+                raise ValueError("input is not a superprediction (or hull member)")
+            return game.loss(np.minimum(np.maximum(lo, 0.0), 1.0)[:, None])
+        return retract
+    return {_safe_neg_log: _log_retraction, _brier_loss: _brier_retraction}.get(game.loss)
 
 
 def retraction_F(game: Game, g, *, eta: float | None = None,
@@ -272,38 +292,35 @@ def retraction_F(game: Game, g, *, eta: float | None = None,
 
     Each coordinate of each row is the bisection of ``[0, g_w]`` for the
     least member, to width ``tol``, after one probe of 0; an infinite
-    coordinate first doubles a finite bound up from 1.  Raises
-    ``ValueError`` when a row is not a member, or for a negative or NaN
-    ``tol``.  The second-guessing fixed point retracts a binary box game's
-    mixes in closed form instead (:func:`_closed_form_retraction`).
+    coordinate first doubles a finite bound up from 1.  A coordinate is
+    lowered in all rows together: one gap call a level on the rows still
+    open (:func:`_bisect`), each row with the probes and bits of a one-row
+    call.  Raises ``ValueError`` when a row is not a member, or for a
+    negative or NaN ``tol``.  The second-guessing fixed point retracts in
+    closed form where the game has one (:func:`_closed_form_retraction`).
     """
     _check_tol(tol)
-    cur = as_losses(g).copy()
-    if cur.shape[-1] != game.m:
-        raise DimensionMismatch(f"loss vector of size {cur.shape[-1]} for {game.m} outcomes")
-    rows = cur.reshape(-1, game.m)  # a view: the rows are retracted in place
+    cur, rows = _loss_rows(game, g)  # the rows are retracted in place
     mtol = _membership_tol(game)
     gap = _gap_rule(game, eta)
-    for row in rows:
-        entry = domination_gap(game, row) if eta is None else hull_membership_gap(game, row, eta)
-        if entry > max(mtol, MEMBERSHIP_TOL):
-            raise ValueError("input is not a superprediction (or hull member)")
-        for w in range(game.m):
-            probe = row.copy()
+    if np.any(gap(rows) > max(mtol, MEMBERSHIP_TOL)):
+        raise ValueError("input is not a superprediction (or hull member)")
+    for w in range(game.m):
+        def member(i: np.ndarray, x) -> np.ndarray:
+            probes = rows[i]
+            probes[:, w] = x
+            return gap(probes) <= mtol
 
-            def member(x: float) -> bool:
-                probe[w] = x
-                return gap(probe) <= mtol
-
-            if member(0.0):
-                row[w] = 0.0
-                continue
-            hi = float(row[w])
-            if not np.isfinite(hi):
-                hi = 1.0
-                while not member(hi) and hi < _EXPAND_CAP:
-                    hi *= 2.0
-                if not member(hi):
-                    continue  # no finite value restores membership
-            row[w] = _bisect(member, hi, tol)
+        zero = member(np.arange(len(rows)), 0.0)
+        rows[zero, w] = 0.0
+        i = np.flatnonzero(~zero & np.isfinite(rows[:, w]))
+        for j in np.flatnonzero(~zero & ~np.isfinite(rows[:, w])):
+            # an infinite coordinate doubles a finite bound up from 1, row by
+            # row; it stays where no finite value restores membership
+            hi = 1.0
+            while not member([j], hi)[0] and hi < _EXPAND_CAP:
+                hi *= 2.0
+            if member([j], hi)[0]:
+                rows[j, w], i = hi, np.append(i, j)
+        rows[i, w] = _bisect(lambda j, x: member(i[j], x), rows[i, w], tol)
     return cur

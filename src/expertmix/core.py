@@ -157,9 +157,10 @@ class Game:
     superprediction (shape ``(m,)``, or a batch ``(n, m)``) to a decision
     whose loss vector minorizes it.  Optional
     closed forms (membership gap, entropy, proper loss, hull machinery)
-    override the generic numeric search where a game supplies them.  A
-    binary game with both ``membership_gap`` and ``feasible_interval``
-    lets each take a batch (n, 2) as well as one ``g``.  ``forecast_of``
+    override the generic numeric search where a game supplies them.
+    ``membership_gap`` and ``hull_membership_gap`` take a batch (n, m) as
+    well as one ``g``, and so do ``hull_proper_loss`` and, on a binary
+    game, ``feasible_interval``.  ``forecast_of``
     maps a simplex decision, or a batch (n, m), to the forecast whose
     ``proper_loss`` vector is the decision's loss vector: the identity
     where the proper loss is the game's loss (log, kl, brier).

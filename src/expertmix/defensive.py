@@ -66,11 +66,8 @@ def default_proper_loss(game: Game, c: float, eta: float) -> ProperLoss:
             return game.boundary_proper_loss(np.asarray(pi, dtype=float), c, eta)
     elif game.hull_proper_loss is not None:
         def fn(pi: np.ndarray) -> np.ndarray:
-            pi = np.asarray(pi, dtype=float)
-            if pi.ndim == 2:
-                return np.stack([fn(row) for row in pi])
-            lam_hull = game.hull_proper_loss(pi, eta)
-            return project_boundary(game, lam_hull, c, eta)
+            return project_boundary(game, game.hull_proper_loss(np.asarray(pi, dtype=float), eta),
+                                    c, eta)
     else:
         raise ValueError(
             f"game {game.name!r} supplies no hull proper loss; "

@@ -61,15 +61,6 @@ class DomainError(ExpertmixError):
     codomain."""
 
 
-class NoConvergence(ExpertmixError):
-    """Fixed-point iteration did not converge within the iteration cap."""
-
-    def __init__(self, message: str, last_iterate=None, residual=None):
-        super().__init__(message)
-        self.last_iterate = last_iterate
-        self.residual = residual
-
-
 class PreconditionUnverified(ExpertmixError):
     """A protocol step ran on a state whose preconditions were skipped."""
 

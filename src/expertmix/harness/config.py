@@ -218,6 +218,10 @@ def parse_config(doc: dict) -> ScenarioConfig:
             _require_proper_loss(loss, ev_c, f"the {ev['loss']} evaluator")
     elif algorithm in ("dfa", "sg-dfa", "simplex-dfa"):
         _require_proper_loss(base, c, algorithm)
+    elif algorithm == "sg-aa":
+        _require(base.mixable_at(eta) or base.hull_membership_gap is not None,
+                 f"sg-aa needs a retraction rule: game {base.name!r} is not mixable at "
+                 f"eta={eta!r} and supplies no hull membership rule")
     prior = doc.get("prior")
     if prior == "uniform":
         prior = None

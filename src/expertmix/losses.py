@@ -17,6 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .core import (
+    MEMBERSHIP_TOL,
     Game,
     as_probs,
     domination_gap,
@@ -156,8 +157,10 @@ def _absolute_binary() -> Game:
         # exp(-eta * Sigma) has convex hull {u + v <= 1 + e^(-eta)} in the
         # unit square, so hull membership is a one-line test.
         beta = np.exp(-eta)
-        s = float(np.sum(np.exp(-eta * np.where(np.isinf(g), np.inf, g))))
-        return -np.inf if s == 0.0 else float(np.log(s / (1.0 + beta)) / eta)
+        s = np.sum(np.exp(-eta * np.where(np.isinf(g), np.inf, g)), axis=-1)
+        with np.errstate(divide="ignore"):  # ln 0 = -inf: every coordinate infinite
+            out = np.log(s / (1.0 + beta)) / eta
+        return out if np.ndim(out) else float(out)
 
     def hull_proper(pi, eta):
         # argmin of the expected loss over the hull boundary; clipping keeps
@@ -187,50 +190,56 @@ def _absolute_binary() -> Game:
         entropy=entropy)
 
 
+def _brier_loss(dec):
+    """``sum_o (delta_w(o) - pi(o))^2``, kept in this exact form so vertex
+    evaluations of the simplex extension agree bit for bit."""
+    pi = np.asarray(dec, dtype=float)
+    eye = np.eye(pi.shape[-1])
+    if pi.ndim == 2:
+        return np.sum((pi[:, None, :] - eye[None, :, :]) ** 2, axis=-1)
+    return np.sum((pi[None, :] - eye) ** 2, axis=-1)
+
+
+def _brier_point(G):
+    """The water-filling point of each row of ``G`` (n, m):
+    ``pi_w = (t - g_w)^+ / 2`` with ``t`` such that ``sum pi = 1``, the
+    Euclidean projection of ``-g / 2`` onto the simplex and the minimiser
+    of ``max_w (loss(pi)_w - g_w)``.  One sort finds each row's active
+    outcomes; an infinite ``g_w`` gets 0, and an all-infinite row the
+    uniform distribution."""
+    m = G.shape[1]
+    # the level (2 + the sum of the k least g_w) / k falls while the next
+    # g_w is below it and rises after, so its least value is t; the sums
+    # and the least level run column by column, in elementwise ufuncs
+    cols = np.sort(G, axis=1).T
+    running, least = cols[0], 2.0 + cols[0]
+    for j in range(1, m):
+        running = running + cols[j]
+        least = np.minimum(least, (2.0 + running) / (j + 1))
+    active = G < least[:, None]
+    k = active.sum(axis=1, keepdims=True)
+    # t again, over the active outcomes, as the inversion of the standard
+    # form g = 1 - 2 pi + ||pi||^2 writes it: a row with every outcome
+    # active is that inversion bit for bit
+    with np.errstate(invalid="ignore", divide="ignore"):  # k = 0: replaced
+        t = 1.0 + (2.0 - k + np.where(active, G, 0.0).sum(axis=1, keepdims=True)) / k
+        pi = np.maximum(np.where(active, 0.5 * (t - G), 0.0), 0.0)
+        pi = pi / pi.sum(axis=1, keepdims=True)
+    return np.where(k == 0, 1.0 / m, pi)
+
+
+def _brier_gap(g):
+    """Brier's membership gap ``max_w (loss(pi)_w - g_w)`` at the
+    water-filling point, of one ``g`` or of each row of a batch (n, m); an
+    infinite ``g_w`` gives -inf, so a row of them gives -inf."""
+    g = np.asarray(g, dtype=float)
+    out = np.max(_brier_loss(_brier_point(np.atleast_2d(g))) - g, axis=-1)
+    return out if g.ndim == 2 else float(out[0])
+
+
 def _brier(m: int) -> Game:
-    eye = np.eye(m)
-
-    def loss(dec):
-        # sum_o (delta_w(o) - pi(o))^2, kept in this exact form so vertex
-        # evaluations of the simplex extension agree bit for bit
-        pi = np.asarray(dec, dtype=float)
-        if pi.ndim == 2:
-            return np.sum((pi[:, None, :] - eye[None, :, :]) ** 2, axis=-1)
-        return np.sum((pi[None, :] - eye) ** 2, axis=-1)
-
-    def point(G):
-        """The water-filling point of each row of ``G`` (n, m):
-        ``pi_w = (t - g_w)^+ / 2`` with ``t`` such that ``sum pi = 1``, the
-        Euclidean projection of ``-g / 2`` onto the simplex and the minimiser
-        of ``max_w (loss(pi)_w - g_w)``.  One sort finds each row's active
-        outcomes; an infinite ``g_w`` gets 0, and an all-infinite row the
-        uniform distribution."""
-        # the level (2 + the sum of the k least g_w) / k falls while the next
-        # g_w is below it and rises after, so its least value is t; the sums
-        # and the least level run column by column, in elementwise ufuncs
-        cols = np.sort(G, axis=1).T
-        running, least = cols[0], 2.0 + cols[0]
-        for j in range(1, m):
-            running = running + cols[j]
-            least = np.minimum(least, (2.0 + running) / (j + 1))
-        active = G < least[:, None]
-        k = active.sum(axis=1, keepdims=True)
-        # t again, over the active outcomes, as the inversion of the standard
-        # form g = 1 - 2 pi + ||pi||^2 writes it: a row with every outcome
-        # active is that inversion bit for bit
-        with np.errstate(invalid="ignore", divide="ignore"):  # k = 0: replaced
-            t = 1.0 + (2.0 - k + np.where(active, G, 0.0).sum(axis=1, keepdims=True)) / k
-            pi = np.maximum(np.where(active, 0.5 * (t - G), 0.0), 0.0)
-            pi = pi / pi.sum(axis=1, keepdims=True)
-        return np.where(k == 0, 1.0 / m, pi)
-
-    def membership_gap(g):
-        g = np.asarray(g, dtype=float)
-        # an infinite g_w gives -inf, so a row of them gives -inf
-        return float(np.max(loss(point(g[None]))[0] - g))
-
     def substitution(g):
-        pi = point(np.atleast_2d(np.asarray(g, dtype=float)))
+        pi = _brier_point(np.atleast_2d(np.asarray(g, dtype=float)))
         return pi if np.ndim(g) == 2 else pi[0]
 
     def entropy(pi):
@@ -242,11 +251,11 @@ def _brier(m: int) -> Game:
         m=m,
         decision_kind="simplex",
         decision_dim=m,
-        loss=loss,
+        loss=_brier_loss,
         substitution=substitution,
         eta_mixable_range=(0.0, 1.0),
-        proper_loss=loss,
-        membership_gap=membership_gap,
+        proper_loss=_brier_loss,
+        membership_gap=_brier_gap,
         entropy=entropy,
     )
 
@@ -258,22 +267,16 @@ def _hellinger(m: int) -> Game:
 
     def membership_gap(g):
         g = np.asarray(g, dtype=float)
-        top = float(np.max(1.0 - g))  # -inf when every g_w is infinite
-        if top == -np.inf:
-            return -np.inf
-
-        def mass(t):
-            return float(np.sum(np.clip(1.0 - g - t, 0.0, None) ** 2))
-
-        # the mass is at least 1 at top - 1, where its largest term is 1, and 0 at top
+        top = np.max(1.0 - g, axis=-1)  # -inf when every g_w is infinite
+        # the mass sum_w ((1 - g_w - t)^+)^2 is at least 1 at top - 1, where
+        # its largest term is 1, and 0 at top; a row of each is bisected alike
         lo, hi = top - 1.0, top
         for _ in range(80):
             mid = 0.5 * (lo + hi)
-            if mass(mid) > 1.0:
-                lo = mid
-            else:
-                hi = mid
-        return float(hi)
+            with np.errstate(invalid="ignore"):  # inf - inf in a -inf row, which stays -inf
+                over = np.sum(np.clip(1.0 - g - mid[..., None], 0.0, None) ** 2, axis=-1) > 1.0
+            lo, hi = np.where(over, mid, lo), np.where(over, hi, mid)
+        return hi if g.ndim == 2 else float(hi)
 
     def substitution(g):
         a = np.clip(1.0 - np.asarray(g, dtype=float), 0.0, None) ** 2
@@ -309,6 +312,46 @@ def _hellinger(m: int) -> Game:
         entropy=entropy,
         forecast_of=forecast_of,
     )
+
+
+def _log_retraction(rows: np.ndarray) -> np.ndarray:
+    """The retraction of each member row (n, m) of the log (and kl) game:
+    coordinate 0 drops to ``-log1p(-sum_{w>0} e^{-g_w})``, which puts the
+    row on the boundary ``sum_w e^{-g_w} = 1``, so no later coordinate can
+    drop.  A row whose gap is above ``MEMBERSHIP_TOL`` raises ``ValueError``."""
+    tail = np.exp(-rows[:, 1:]).sum(axis=1)
+    if np.any(_log_gap(rows) > MEMBERSHIP_TOL):
+        raise ValueError("input is not a superprediction (or hull member)")
+    with np.errstate(divide="ignore"):  # log1p(-1) = -inf: the tail fills the boundary
+        return np.column_stack([np.minimum(rows[:, 0], -np.log1p(-np.minimum(tail, 1.0))),
+                                rows[:, 1:]])
+
+
+def _brier_retraction(rows: np.ndarray) -> np.ndarray:
+    """The retraction of each member row (n, m) of the brier game:
+    ``loss(pi*)`` for the ``pi*`` of least ``loss_0`` with ``loss_w(pi*) <=
+    g_w`` for every ``w > 0`` (unique, as ``loss_0`` is strictly convex), so
+    coordinate 0 drops to ``loss_0(pi*)`` and each later one to
+    ``loss_w(pi*)``.  ``pi*`` is the water-filling point of ``(s, g_1, ...)``
+    at the least member ``s``: ``pi_w = (t - g_w)^+ / 2`` for ``w > 0`` and
+    ``pi_0`` the rest, where ``t`` is the root of ``||pi||^2 + 1 - t``, a
+    quadratic in ``t`` once the outcomes active at it are known.  It falls
+    as ``t`` rises while ``pi_0 >= 0``, so ``g_w`` is active (below ``t``)
+    exactly where it is positive at ``t = g_w`` with ``pi_0 >= 0`` there.
+    A row whose gap is above ``MEMBERSHIP_TOL`` raises ``ValueError``."""
+    if np.any(_brier_gap(rows) > MEMBERSHIP_TOL):
+        raise ValueError("input is not a superprediction (or hull member)")
+    tail = rows[:, 1:]
+    with np.errstate(invalid="ignore"):  # inf - inf at an infinite g_w, never active
+        share = np.maximum(tail[:, :, None] - tail[:, None, :], 0.0) / 2.0  # pi at t = g_w
+        rest = 1.0 - share.sum(axis=2)
+        active = (rest >= 0.0) & ((share ** 2).sum(axis=2) + rest ** 2 + 1.0 - tail > 0.0)
+    k = active.sum(axis=1)
+    s, q = (np.where(active, tail ** p, 0.0).sum(axis=1) for p in (1, 2))
+    b, c = s / 2.0 + (1.0 + s / 2.0) * k + 1.0, q / 4.0 + (1.0 + s / 2.0) ** 2 + 1.0
+    t = 2.0 * c / (b + np.sqrt(np.maximum(b * b - k * (k + 1) * c, 0.0)))
+    pi = np.where(active, (t[:, None] - tail) / 2.0, 0.0)
+    return _brier_loss(np.column_stack([np.maximum(1.0 - pi.sum(axis=1), 0.0), pi]))
 
 
 def builtin_game(name: str, m: int) -> Game:

@@ -5,16 +5,19 @@ The forecasting step is unchanged except that every candidate forecast
 re-evaluates the expert maps, each once per batch of candidates; the
 mixing side solves a fixed-point equation through the retraction onto
 minimal elements (composed with the radial projection for non-mixable
-games run with c > 1).  On log, and square at a mixable eta, that
-retraction is the loss at the lower end of the mix's feasible interval;
-under every other membership rule it is a bisection.  On a binary game
-the fixed point is bisected on the root's engine
-(:func:`~expertmix.defensive._bisection`): one transform call for ``p =
-0, 1, 1/2``, and one for each later six levels of the bracket with the
-path that inverse interpolation predicts, each one mix and one
-retraction of all its rows.  A batch that raises is re-run row by row,
-and a row's error surfaces only when the bisection reaches its node, the
-node where one evaluation per level would have raised it.
+games run with c > 1).  On log, kl, brier, and square at a mixable eta,
+that retraction is in closed form; under every other membership rule it
+is a bisection.  On a binary game the fixed point is bisected on the
+root's engine (:func:`~expertmix.defensive._bisection`): one transform
+call for ``p = 0, 1, 1/2``, and one for each later six levels of the
+bracket with the path that inverse interpolation predicts, each one mix
+and one retraction of all its rows.  A batch that raises is re-run row
+by row, and a row's error surfaces only when the bisection reaches its
+node, the node where one evaluation per level would have raised it.  On
+the simplex the fixed point is the forecasts' Sperner search
+(:func:`~expertmix.defensive.dfa_solve_simplex`), one transform call a
+level, with the label ``1 + D(x)_w - x_w`` for the decision ``D(x)``
+that the transform gives at ``x``.
 
 Both protocols play blocks of rounds under Reality that does not look at
 the prediction: each round's fixed point or root (solved from the
@@ -31,16 +34,12 @@ import numpy as np
 
 from .aggregating import _closed_form_retraction, project_boundary, retraction_F
 from .core import Session, as_losses, domination_gap, log_sum_exp, pair_exponent
-from .defensive import _FIRST_ROW_UNTABLED, _bisection, _log_q, choose_forecast
-from .errors import AllExpertsDead, DimensionMismatch, DomainError, NoConvergence
+from .defensive import _FIRST_ROW_UNTABLED, _bisection, _log_q, choose_forecast, dfa_solve_simplex
+from .errors import AllExpertsDead, DimensionMismatch, DomainError
 
 #: how far an expert's advice may stray below the superprediction set in
 #: ``sg-dfa`` before :class:`DomainError`
 CODOMAIN_TOL = 1e-7
-#: the damped fixed-point iteration of three or more outcomes: its budget
-#: of moves, and the share of each move taken toward the transform's value
-FIXED_POINT_MAX_ITER = 10_000
-FIXED_POINT_DAMPING = 0.5
 
 
 @dataclass(frozen=True, eq=False)
@@ -191,17 +190,14 @@ def _mix_rows(G: np.ndarray, wbar: np.ndarray, eta: float) -> np.ndarray:
 def _sg_transform(state: Session, experts: Sequence[SecondGuessExpert],
                   log_posterior: np.ndarray | None = None):
     """gamma -> F(eta-mix of the experts' conditional advice), composed
-    with the radial projection (row by row) when running with c > 1, for
-    each row of a batch (n, m), under the session's posterior or the given
-    ``log_posterior``: one call of each expert map, one mix and one
-    retraction for the batch, each row what a one-row call gives it.  On a
-    binary box game whose membership rule at the session's ``eta`` is its
-    closed-form gap in the base set (log, and square at a mixable
-    ``eta``), the retraction of a mix is the loss at the lower end of its
-    feasible interval
-    (:func:`~expertmix.aggregating._closed_form_retraction`); under
-    every other rule it is :func:`~expertmix.aggregating.retraction_F`'s
-    bisection."""
+    with the radial projection when running with c > 1, for each row of a
+    batch (n, m), under the session's posterior or the given
+    ``log_posterior``: one call of each expert map, one mix, one retraction
+    and one projection for the batch, each row what a one-row call gives
+    it.  The retraction is in closed form where the game has one at the
+    session's ``eta`` (:func:`~expertmix.aggregating._closed_form_retraction`:
+    log, kl, brier, and square at a mixable ``eta``); under every other
+    rule it is :func:`~expertmix.aggregating.retraction_F`'s bisection."""
     wbar = np.exp(state.log_posterior() if log_posterior is None else log_posterior)
     game, eta, c = state.game, state.eta, state.c
     if len(experts) != len(wbar):
@@ -212,9 +208,7 @@ def _sg_transform(state: Session, experts: Sequence[SecondGuessExpert],
         G = np.stack([ex.rows(gammas) for ex in experts], axis=1)
         mix = _mix_rows(G, wbar, eta)
         out = retraction_F(game, mix, eta=eta) if closed_form is None else closed_form(mix)
-        if c > 1.0:
-            out = np.stack([project_boundary(game, g, c, eta) for g in out])
-        return out
+        return project_boundary(game, out, c, eta) if c > 1.0 else out
 
     return transform
 
@@ -225,7 +219,21 @@ def sg_fixed_point(state: Session, experts: Sequence[SecondGuessExpert],
     """Solve ``gamma = F(mix(Gamma(gamma)))`` for the session's posterior, or
     for the given ``log_posterior``.
 
-    Binary games bisect the decision parameter (the minimal set is a
+    A game whose decisions are the simplex is solved in decision
+    coordinates, for a fixed point of ``D(x) = game.substitution(F(x))``,
+    where ``F(x)`` is the transform at ``x``'s loss vector: one transform
+    call a batch of points.  The search is Sperner's
+    (:func:`~expertmix.defensive.dfa_solve_simplex` with ``C = 1`` and
+    ``epsilon = 0``, so its grid covers the closed simplex and reaches
+    fixed points on a face) with the label ``q(x, w) = 1 + D(x)_w - x_w``.
+    Both ``D(x)`` and ``x`` sum to 1, so some ``w`` in ``x``'s support has
+    ``q(x, w) <= 1``, which is all its Sperner argument needs.  It returns
+    ``x``'s loss vector for the first ``x`` with ``D(x)_w - x_w <=
+    min(tol, 1e-12)`` for every ``w``, in at most 41 transform calls, and
+    otherwise raises :class:`~expertmix.errors.SlackExceeded` with the
+    best point.
+
+    Binary box games bisect the decision parameter (the minimal set is a
     curve, so the equation is one-dimensional) for a sign change of ``h(p)
     = (the transform's decision parameter at p's loss vector) - p``.
     Exits at p = 0 when ``h(0) <= tol``, then at p = 1 when ``h(1) >=
@@ -242,79 +250,58 @@ def sg_fixed_point(state: Session, experts: Sequence[SecondGuessExpert],
     and a row's error is raised when the bisection reaches its node, so
     each error comes at the node one level per call would meet it.
 
-    Larger games use damped iteration in the ``exp(-eta x)`` chart, where
-    the hull is convex, retracting back onto the minimal set
-    (:func:`~expertmix.aggregating.retraction_F`) after each move of
-    :data:`FIXED_POINT_DAMPING` toward the transform's value.  Raises
-    :class:`NoConvergence` after :data:`FIXED_POINT_MAX_ITER` moves.
+    Any other game raises ``ValueError``.
     """
     game = state.game
     transform = _sg_transform(state, experts, log_posterior)
 
-    if game.m == 2:
-        errors = {}  # node -> the error its one-row transform raised
-
-        def rows(p: np.ndarray) -> np.ndarray:
-            """The rows ``(p, the transform's decision parameter at p's loss
-            vector)``, NaN for a node whose transform raised."""
-            try:
-                dec = game.substitution(transform(game.loss_rows(p[:, None])))
-                return np.column_stack([p, np.asarray(dec, dtype=float)[:, 0]])
-            except Exception as exc:  # row by row, each error kept for its node
-                if len(p) == 1:
-                    errors[float(p[0])] = exc
-                    return np.array([[p[0], np.nan]])
-                return np.concatenate([rows(p[r:r + 1]) for r in range(len(p))])
-
-        first = rows(np.array([0.0, 1.0, 0.5]))
-        for p in (0.0, 1.0):
-            if p in errors:
-                raise errors[p]
-        h0, h1 = first[:2, 1] - first[:2, 0]
-        if h0 <= tol:
-            p_star = 0.0
-        elif h1 >= -tol:
-            p_star = 1.0
-        else:
-            # the predicted path where a row costs little next to a call
-            # (the closed-form retraction at c = 1); a hull gap's bisection
-            # or the projection at c > 1 costs more a row than a call, so
-            # one node a call there
-            cheap = state.c == 1.0 and _closed_form_retraction(game, state.eta) is not None
-            stop = min(tol, 1e-12)
-            # the width stop ends the walk by level 48, long before the engine's own
-            for p_star, h, width, _, _ in _bisection(rows, _FIRST_ROW_UNTABLED, first, 200, stop,
-                                                     cheap):
-                if p_star in errors:
-                    raise errors[p_star]
-                if abs(h) <= stop or width <= 1e-14:
-                    break
-        return game.loss_vector(np.array([p_star]))
-
-    def step(gamma: np.ndarray) -> np.ndarray:
-        return transform(gamma[None])[0]
-
     if game.decision_kind == "simplex":
-        central = np.full(game.decision_dim, 1.0 / game.decision_dim)
+        def q(x: np.ndarray) -> np.ndarray:
+            return 1.0 + np.asarray(game.substitution(transform(game.loss_rows(x))),
+                                    dtype=float) - x
+
+        return game.loss_vector(dfa_solve_simplex(q, 1.0, game.m, 0.0, min(tol, 1e-12)))
+    if game.m != 2:
+        raise ValueError(f"no fixed-point solver for game {game.name!r}: "
+                         f"{game.m} outcomes and decisions off the simplex")
+    errors = {}  # node -> the error its one-row transform raised
+
+    def rows(p: np.ndarray) -> np.ndarray:
+        """The rows ``(p, the transform's decision parameter at p's loss
+        vector)``, NaN for a node whose transform raised."""
+        try:
+            dec = game.substitution(transform(game.loss_rows(p[:, None])))
+            return np.column_stack([p, np.asarray(dec, dtype=float)[:, 0]])
+        except Exception as exc:  # row by row, each error kept for its node
+            if len(p) == 1:
+                errors[float(p[0])] = exc
+                return np.array([[p[0], np.nan]])
+            return np.concatenate([rows(p[r:r + 1]) for r in range(len(p))])
+
+    first = rows(np.array([0.0, 1.0, 0.5]))
+    for p in (0.0, 1.0):
+        if p in errors:
+            raise errors[p]
+    h0, h1 = first[:2, 1] - first[:2, 0]
+    if h0 <= tol:
+        p_star = 0.0
+    elif h1 >= -tol:
+        p_star = 1.0
     else:
-        central = np.full(game.decision_dim, 0.5)
-    gamma = step(game.loss_vector(central))
-    eta = state.eta
-    for _ in range(FIXED_POINT_MAX_ITER):
-        target = step(gamma)
-        z = (1.0 - FIXED_POINT_DAMPING) * np.exp(-eta * gamma) \
-            + FIXED_POINT_DAMPING * np.exp(-eta * target)
-        with np.errstate(divide="ignore"):
-            mixed = np.where(z > 0, -np.log(np.where(z > 0, z, 1.0)) / eta, np.inf)
-        new_gamma = retraction_F(game, mixed, eta=eta)
-        if float(np.max(np.abs(new_gamma - gamma))) <= tol:
-            return new_gamma
-        gamma = new_gamma
-    raise NoConvergence(
-        "fixed-point iteration exhausted its budget",
-        last_iterate=gamma,
-        residual=float(np.max(np.abs(step(gamma) - gamma))),
-    )
+        # the predicted path where a row costs little next to a call
+        # (the closed-form retraction at c = 1); a hull gap's bisection
+        # or the projection at c > 1 costs more a row than a call, so
+        # one node a call there
+        cheap = state.c == 1.0 and _closed_form_retraction(game, state.eta) is not None
+        stop = min(tol, 1e-12)
+        # the width stop ends the walk by level 48, long before the engine's own
+        for p_star, h, width, _, _ in _bisection(rows, _FIRST_ROW_UNTABLED, first, 200, stop,
+                                                 cheap):
+            if p_star in errors:
+                raise errors[p_star]
+            if abs(h) <= stop or width <= 1e-14:
+                break
+    return game.loss_vector(np.array([p_star]))
 
 
 def sg_fixed_point_residual(state: Session, experts: Sequence[SecondGuessExpert],

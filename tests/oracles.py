@@ -5,8 +5,8 @@ reference for ``Session.reweigh``, ``Session.rounds`` and
 ``Session.after``.
 
 ``reference_retraction`` bisects every coordinate with the validating gap
-functions, and ``reference_fixed_point`` solves the second-guessing fixed
-point one transform call per bisection level (each call one row: the
+functions, and ``reference_fixed_point`` solves the binary second-guessing
+fixed point one transform call per bisection level (each call one row: the
 experts' maps, ``exp_mix``, the retraction and, at ``c > 1``,
 ``project_boundary``; on log, and square at a mixable ``eta``, the
 retraction is the loss at the lower end of the mix's feasible interval).
@@ -27,7 +27,6 @@ import numpy as np
 
 from expertmix.aggregating import project_boundary
 from expertmix.core import domination_gap, exp_mix, hull_membership_gap, log_sum_exp
-from expertmix.errors import NoConvergence
 
 
 def advance_reference(state, learner_term, learner_loss, expert_losses,
@@ -131,51 +130,34 @@ def reference_transform(state, experts):
     return transform
 
 
-def reference_fixed_point(state, experts, tol=1e-10, max_iter=10_000, damping=0.5):
-    """``gamma = F(mix(Gamma(gamma)))`` one transform call per bisection
-    level on a binary game, by damped iteration on a larger one."""
+def reference_fixed_point(state, experts, tol=1e-10):
+    """``gamma = F(mix(Gamma(gamma)))`` on a binary game, one transform call
+    per bisection level."""
     game = state.game
     transform = reference_transform(state, experts)
-    if game.m == 2:
-        def f(p):
-            gamma_p = game.loss_vector(np.array([p]))
-            return p - float(np.asarray(game.substitution(transform(gamma_p)))[0])
 
-        lo, hi = 0.0, 1.0
-        f_lo, f_hi = f(lo), f(hi)
-        if f_lo >= -tol:
-            p_star = lo
-        elif f_hi <= tol:
-            p_star = hi
-        else:
-            for _ in range(200):
-                mid = 0.5 * (lo + hi)
-                fm = f(mid)
-                if abs(fm) <= min(tol, 1e-12) or hi - lo <= 1e-14:
-                    break
-                if fm < 0:
-                    lo = mid
-                else:
-                    hi = mid
-            p_star = 0.5 * (lo + hi)
-        return game.loss_vector(np.array([p_star]))
-    if game.decision_kind == "simplex":
-        central = np.full(game.decision_dim, 1.0 / game.decision_dim)
+    def f(p):
+        gamma_p = game.loss_vector(np.array([p]))
+        return p - float(np.asarray(game.substitution(transform(gamma_p)))[0])
+
+    lo, hi = 0.0, 1.0
+    f_lo, f_hi = f(lo), f(hi)
+    if f_lo >= -tol:
+        p_star = lo
+    elif f_hi <= tol:
+        p_star = hi
     else:
-        central = np.full(game.decision_dim, 0.5)
-    gamma = transform(game.loss_vector(central))
-    eta = state.eta
-    for _ in range(max_iter):
-        target = transform(gamma)
-        z = (1.0 - damping) * np.exp(-eta * gamma) + damping * np.exp(-eta * target)
-        with np.errstate(divide="ignore"):
-            mixed = np.where(z > 0, -np.log(np.where(z > 0, z, 1.0)) / eta, np.inf)
-        new_gamma = reference_retraction(game, mixed, eta)
-        if float(np.max(np.abs(new_gamma - gamma))) <= tol:
-            return new_gamma
-        gamma = new_gamma
-    raise NoConvergence("fixed-point iteration exhausted its budget", last_iterate=gamma,
-                        residual=float(np.max(np.abs(transform(gamma) - gamma))))
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            fm = f(mid)
+            if abs(fm) <= min(tol, 1e-12) or hi - lo <= 1e-14:
+                break
+            if fm < 0:
+                lo = mid
+            else:
+                hi = mid
+        p_star = 0.5 * (lo + hi)
+    return game.loss_vector(np.array([p_star]))
 
 
 def brier_gap_reference(game, g):

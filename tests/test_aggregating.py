@@ -273,18 +273,32 @@ def test_retraction_matches_the_validating_reference(game_eta, p, offsets, inf):
     assert retraction_F(g, v, eta=eta).tolist() == reference_retraction(g, v, eta).tolist()
 
 
+#: the binary games of ETAS, and brier at m = 3 and 4 in its base set and
+#: at a mixable eta
+ROW_GAMES = [(name, 2, eta) for name, etas in ETAS.items() for eta in etas] + \
+    [("brier", m, eta) for m in (3, 4) for eta in (None, 1.0)]
+
+
 @settings(max_examples=200, deadline=None)
-@given(st.sampled_from([(name, eta) for name, etas in ETAS.items() for eta in etas]),
-       st.lists(st.tuples(st.floats(0.0, 1.0),
-                          st.tuples(st.sampled_from(OFFSETS), st.sampled_from(OFFSETS)),
-                          st.sampled_from([None, 0, 1])), min_size=1, max_size=6))
-def test_rows_retraction_matches_the_reference_row_by_row(game_eta, rows):
-    """A batch's retraction is each row's, from the validating reference."""
-    name, eta = game_eta
-    g = builtin_game(name, 2)
-    V = np.stack([g.loss_vector([p]) + np.array(offsets) for p, offsets, _ in rows])
+@given(st.sampled_from(ROW_GAMES),
+       st.lists(st.tuples(st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4),
+                          st.lists(st.sampled_from(OFFSETS), min_size=4, max_size=4),
+                          st.sampled_from([None, 0, 1, 2, 3])), min_size=1, max_size=6))
+def test_rows_retraction_matches_the_reference_row_by_row(game, rows):
+    """A batch's retraction is each row's, from the validating reference.
+    A row is the loss vector of a decision (``p`` on a binary game, the
+    normalised weights on the simplex) plus offsets, an entry maybe
+    infinite."""
+    name, m, eta = game
+    g = builtin_game(name, m)
+
+    def decision(x):
+        x = np.array(x[:g.decision_dim])
+        return x if m == 2 else x / x.sum() if x.sum() > 0 else np.full(m, 1.0 / m)
+
+    V = np.stack([g.loss_vector(decision(x)) + np.array(offsets[:m]) for x, offsets, _ in rows])
     for r, (_, _, inf) in enumerate(rows):
-        if inf is not None:
+        if inf is not None and inf < m:
             V[r, inf] = INF
     want = np.stack([reference_retraction(g, v, eta) for v in V])
     assert np.array_equal(retraction_F(g, V, eta=eta), want)

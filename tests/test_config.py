@@ -31,7 +31,7 @@ SETUPS = {
 }
 
 
-def doc(algorithm: str, reality: str, **overrides) -> dict:
+def doc(algorithm: str, reality: str, /, **overrides) -> dict:
     out = {"name": "pair", "game": {"name": "log", "m": 2}, "algorithm": algorithm,
            "reality": REALITIES[reality], "horizon": 4, "seed": 3}
     out.update(SETUPS[algorithm])
@@ -107,6 +107,10 @@ UNBUILDABLE = [
     ("aa", {"c": float("inf")}),
     ("aa", {"c": True}),
     ("ml-dfa", {"eta": float("inf")}),
+    ("sg-aa", {"eta": 2.0}),
+    ("sg-aa", {"game": {"name": "hellinger", "m": 3}, "reality": {"kind": "iid"},
+               "experts": [{"kind": "sg-identity"},
+                           {"kind": "sg-constant", "value": [0.6, 0.3, 0.1]}]}),
 ]
 
 
@@ -115,6 +119,14 @@ def test_unbuildable_config_rejected_at_parse_time(algorithm, overrides):
     reality = SUPPORTED_REALITIES[algorithm][0]
     with pytest.raises(ConfigError):
         parse_config(doc(algorithm, reality, **overrides))
+
+
+@pytest.mark.parametrize("algorithm,overrides", UNBUILDABLE[-2:],
+                         ids=["log-eta-2", "hellinger-m3"])
+def test_sg_aa_without_a_retraction_rule_refused(algorithm, overrides):
+    # log is mixable up to eta 1, and hellinger at no eta; neither has a hull rule
+    with pytest.raises(ConfigError, match="needs a retraction rule"):
+        parse_config(doc(algorithm, "iid", **overrides))
 
 
 def test_ml_constants_live_on_the_evaluators():

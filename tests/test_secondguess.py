@@ -389,31 +389,51 @@ def test_fixed_point_matches_the_scalar_loop(name, kinds, weights, sabotage):
         assert len(calls) <= (six_levels_a_call(levels) if cheap else levels)
 
 
+def cyclic_shift():
+    """The m-outcome contrarian: a cyclic shift of the loss coordinates."""
+    return SecondGuessExpert(fn=lambda gamma: np.roll(gamma, 1, -1), name="cyclic-shift",
+                             batched=True)
+
+
+#: log and kl on the simplex, where the fixed point retracts in closed form
+SIMPLEX_CASES = [pytest.param(name, m, 1.0, id=f"{name}-m{m}")
+                 for name in ("log", "kl") for m in (3, 4)]
+
+
 class TestClosedFormRetraction:
-    @pytest.mark.parametrize("name,eta", [("log", 1.0), ("square", 2.0)])
-    def test_binary_fixed_point_makes_no_gap_call(self, name, eta):
+    @pytest.mark.parametrize("name,m,eta", [pytest.param("log", 2, 1.0, id="log-1.0"),
+                                            pytest.param("square", 2, 2.0, id="square-2.0"),
+                                            *SIMPLEX_CASES])
+    def test_binary_fixed_point_makes_no_gap_call(self, name, m, eta):
         probes = []
-        g = recording(builtin_game(name, 2), probes)
+        g = recording(builtin_game(name, m), probes)
         state = aa_start(g, eta=eta, n_experts=2)
-        experts = [SecondGuessExpert.coordinate_swap(),
-                   SecondGuessExpert.constant(g.loss_vector([0.4]))]
+        decision = [0.4] if m == 2 else np.arange(m, 0, -1) / (m * (m + 1) / 2)
+        experts = [SecondGuessExpert.coordinate_swap() if m == 2 else cyclic_shift(),
+                   SecondGuessExpert.constant(g.loss_vector(decision))]
         sg_fixed_point(state, experts)
         assert probes == []
 
-    @pytest.mark.parametrize("name,eta", [("log", 0.5), ("log", 1.0), ("square", 1.0),
-                                          ("square", 2.0)])
-    def test_rows_are_minimal_members_below_the_mix(self, name, eta):
-        g = builtin_game(name, 2)
+    @pytest.mark.parametrize("name,m,eta", [
+        *(pytest.param(name, 2, eta, id=f"{name}-{eta}")
+          for name, eta in [("log", 0.5), ("log", 1.0), ("square", 1.0), ("square", 2.0)]),
+        *SIMPLEX_CASES])
+    def test_rows_are_minimal_members_below_the_mix(self, name, m, eta):
+        g = builtin_game(name, m)
         rng = np.random.default_rng(17)
         for _ in range(200):
             k = int(rng.integers(1, 4))
             prior = rng.dirichlet(np.ones(k))
+            # decisions off the faces: p in [0.05, 0.95], or every coordinate
+            # at least 0.05 / m
+            decisions = rng.uniform(0.05, 0.95, (k, 1)) if m == 2 else \
+                rng.dirichlet(np.ones(m), k) * 0.95 + 0.05 / m
             # points on the boundary or above it, some coordinates unmoved
-            points = [g.loss_vector([p]) + rng.uniform(0.0, 1.0, 2) * rng.integers(0, 2, 2)
-                      for p in rng.uniform(0.05, 0.95, k)]
+            points = [g.loss_vector(d) + rng.uniform(0.0, 1.0, m) * rng.integers(0, 2, m)
+                      for d in decisions]
             state = aa_start(g, eta=eta, prior=prior, n_experts=k)
             out = _sg_transform(state, [SecondGuessExpert.constant(v) for v in points])(
-                np.zeros((1, 2)))[0]
+                np.zeros((1, m)))[0]
             mix = exp_mix(points, prior, eta)
             assert np.all(out <= mix * (1.0 + 1e-12)), (out, mix)
             assert is_superprediction(g, out, tol=1e-15), out
@@ -428,3 +448,79 @@ class TestClosedFormRetraction:
         state = aa_start(g, eta=1.0, n_experts=1)
         err = same_outcome(state, [SecondGuessExpert(fn=lambda gamma: np.full(2, 0.1))])
         assert isinstance(err, ValueError) and "not a superprediction" in str(err)
+
+
+def sharp_contrarian():
+    """A log m = 3 contrarian that puts its decision where Learner's loss is
+    high, ``d ∝ exp(10 gamma)`` mixed 2% with uniform (a loss above 50
+    counts as 50, so a face's infinite loss stays a decision)."""
+    def fn(gamma):
+        d = np.exp(10.0 * (np.minimum(gamma, 50.0) - 50.0))
+        d = 0.98 * d / d.sum(axis=-1, keepdims=True) + 0.02 / gamma.shape[-1]
+        return -np.log(d)
+
+    return SecondGuessExpert(fn=fn, name="sharp-contrarian", batched=True)
+
+
+SIMPLEX_EXPERTS = {
+    "identity": lambda g, d: SecondGuessExpert.identity(),
+    "cyclic-shift": lambda g, d: cyclic_shift(),
+    "constant": lambda g, d: SecondGuessExpert.constant(g.loss_vector(d)),
+}
+
+
+class TestSimplexFixedPoint:
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(["log", "kl", "brier"]), st.sampled_from([3, 4]),
+           st.lists(st.sampled_from(sorted(SIMPLEX_EXPERTS)), min_size=1, max_size=3),
+           st.lists(st.floats(0.01, 1.0), min_size=3, max_size=3),
+           st.lists(st.floats(0.05, 1.0), min_size=4, max_size=4))
+    def test_fixed_point_on_the_simplex(self, name, m, kinds, weights, point):
+        """The Sperner fixed point: the decision residual ``max_w (D(x)_w -
+        x_w)`` is at most 1e-12 (the search's ``1 + D(x)_w - x_w <= 1 +
+        1e-12``, in floats), gamma exceeds the mix of the advice at gamma
+        by at most 1e-10, and each transform call is one level of the search
+        (the barycentre, then the grid), at most 41 of them."""
+        g = builtin_game(name, m)
+        prior = np.array(weights[:len(kinds)]) / sum(weights[:len(kinds)])
+        state = aa_start(g, eta=1.0, prior=prior, n_experts=len(kinds))
+        constant = np.array(point[:m]) / sum(point[:m])
+        experts = [SIMPLEX_EXPERTS[k](g, constant) for k in kinds]
+        with counting(secondguess) as calls:
+            gamma = sg_fixed_point(state, experts)
+        grid = len(defensive._kuhn_grid(m)[1])
+        assert len(calls) <= 41 and calls[0] == 1 and all(n == grid for n in calls[1:])
+        x = g.substitution(gamma)
+        d = g.substitution(_sg_transform(state, experts)(gamma[None]))[0]
+        assert np.max(1.0 + d - x) <= 1.0 + 1e-12, (x, d)  # in the label's arithmetic
+        mix = exp_mix([ex(gamma) for ex in experts], prior, 1.0)
+        with np.errstate(invalid="ignore"):  # inf - inf where both are infinite, replaced
+            assert np.max(np.where(gamma == mix, 0.0, gamma - mix)) <= 1e-10, (gamma, mix)
+
+    def test_sharp_contrarian_fixed_point_returns(self):
+        # damped iteration cycled here: a residual of 1.38 after 2,000 moves
+        g = builtin_game("log", 3)
+        state = aa_start(g, eta=1.0, n_experts=2)
+        experts = [sharp_contrarian(),
+                   SecondGuessExpert.constant(g.loss_vector(np.array([0.7, 0.2, 0.1])))]
+        with counting(secondguess) as calls:
+            gamma = sg_fixed_point(state, experts)
+        assert len(calls) <= 41
+        x = g.substitution(gamma)
+        d = g.substitution(_sg_transform(state, experts)(gamma[None]))[0]
+        assert np.max(1.0 + d - x) <= 1.0 + 1e-12
+
+    @pytest.mark.parametrize("seed", [3, 4])
+    @pytest.mark.parametrize("name,m", [("log", 3), ("kl", 3), ("brier", 3),
+                                        ("kl", 2), ("brier", 2)])  # simplex decisions at m = 2
+    def test_runs_keep_their_bound(self, name, m, seed):
+        values = {3: ([0.6, 0.3, 0.1], [0.2, 0.3, 0.5]), 2: ([0.7, 0.3], [0.2, 0.8])}[m]
+        config = parse_config({
+            "game": {"name": name, "m": m}, "algorithm": "sg-aa", "eta": 1.0,
+            "horizon": 120, "seed": seed, "reality": {"kind": "iid"},
+            "experts": [{"kind": "sg-identity"},
+                        *({"kind": "sg-constant", "value": v} for v in values)]})
+        with counting(secondguess) as calls:
+            result = run_scenario(config)
+        assert len(result.records) == 120 and result.bound_ok
+        assert len(calls) <= 41 * 120
