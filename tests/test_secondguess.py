@@ -498,7 +498,8 @@ class TestSimplexFixedPoint:
             assert np.max(np.where(gamma == mix, 0.0, gamma - mix)) <= 1e-10, (gamma, mix)
 
     def test_sharp_contrarian_fixed_point_returns(self):
-        # damped iteration cycled here: a residual of 1.38 after 2,000 moves
+        # the contrarian's decision moves by e^10 a unit of loss, so iterating
+        # the transform cycles; the search's labels need no contraction
         g = builtin_game("log", 3)
         state = aa_start(g, eta=1.0, n_experts=2)
         experts = [sharp_contrarian(),
