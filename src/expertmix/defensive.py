@@ -53,29 +53,31 @@ from .losses import ProperLoss, proper_loss_from_entropy
 def default_proper_loss(game: Game, c: float, eta: float) -> ProperLoss:
     """The loss parameterization used by the forecasting step.
 
-    With ``c == 1`` this is the game's canonical proper loss (or the
-    entropy-gradient construction when no closed form exists).  With
+    With ``c == 1`` this is the game's canonical proper loss, else its
+    hull proper loss in closed form (absolute's, labelled
+    ``absolute-hull``), else the entropy-gradient construction.  With
     ``c > 1`` it is the hull proper loss pushed to the boundary of the
-    superprediction set by the radial projection, which is what makes the
+    superprediction set by the radial projection (the game's
+    ``boundary_proper_loss`` where it has one), which is what makes the
     factors supermartingales for non-mixable games.
     """
-    if c == 1.0:
+    if c == 1.0 and (game.proper_loss is not None or game.hull_proper_loss is None):
         return proper_loss_from_entropy(game, eta)
-    if game.boundary_proper_loss is not None:
-        def fn(pi: np.ndarray) -> np.ndarray:
-            return game.boundary_proper_loss(np.asarray(pi, dtype=float), c, eta)
-    elif game.hull_proper_loss is not None:
-        def fn(pi: np.ndarray) -> np.ndarray:
-            return project_boundary(game, game.hull_proper_loss(np.asarray(pi, dtype=float), eta),
-                                    c, eta)
-    else:
+    if game.hull_proper_loss is None and game.boundary_proper_loss is None:
         raise ValueError(
             f"game {game.name!r} supplies no hull proper loss; "
             "a c > 1 session needs one"
         )
 
+    def fn(pi: np.ndarray) -> np.ndarray:  # a float array: ProperLoss.__call__ makes it one
+        if c == 1.0:
+            return game.hull_proper_loss(pi, eta)
+        if game.boundary_proper_loss is not None:
+            return game.boundary_proper_loss(pi, c, eta)
+        return project_boundary(game, game.hull_proper_loss(pi, eta), c, eta)
+
     return ProperLoss(game=game, eta=eta, fn=fn, domain_flag="whole-simplex",
-                      label=f"{game.name}-boundary(c={c})")
+                      label=f"{game.name}-hull" if c == 1.0 else f"{game.name}-boundary(c={c})")
 
 
 # ---------------------------------------------------------------------------
@@ -281,21 +283,21 @@ def _predicted_nodes(lo: float, hi: float, levels: int, tol: float, h_at) -> np.
 
 
 def _bisection(values: Callable[[np.ndarray], np.ndarray], index: dict, rows: np.ndarray,
-               levels: int, tol: float, batched: bool = True):
+               levels: int, tol: float):
     """Bisect [0, 1] for a sign change of ``h(p) = row[1] - row[0]`` over
     rows that come in batches, for at most ``levels`` levels and until the
     bracket is ``1e-17`` wide: ``values(p)`` gives the rows (n, 2) at the
     nodes ``p``, and ``index`` (node -> row) and ``rows`` are the first
     call's.  Each node is the bisection's ``0.5 * (lo + hi)``; where no
     call has held it, the next call holds :func:`_predicted_nodes` toward
-    ``|h| <= tol``, or with ``batched`` false the node alone.  The root
-    lies left of a node where ``h <= 0`` (a NaN h moves left too).  Yields
-    each node, level by level, as ``(p, h, width, rows, i)``: the width of
-    the bracket it splits, and its row ``rows[i]``, which only a caller that
-    stops there takes; the caller stops by leaving the loop.  The
-    bisection reads only real values, so its nodes and rows are those of
-    one level per call, bit for bit: a wrong prediction costs a call, never
-    a bit, and no more calls than six levels a call."""
+    ``|h| <= tol``.  The root lies left of a node where ``h <= 0`` (a NaN
+    h moves left too).  Yields each node, level by level, as ``(p, h,
+    width, rows, i)``: the width of the bracket it splits, and its row
+    ``rows[i]``, which only a caller that stops there takes; the caller
+    stops by leaving the loop.  The bisection reads only real values, so
+    its nodes and rows are those of one level per call, bit for bit: a
+    wrong prediction costs a call, never a bit, and no more calls than six
+    levels a call."""
     hs = rows[:, 1] - rows[:, 0]
     calls = [(index, hs)]  # each call's (node -> row, h at its rows), the latest first
 
@@ -311,8 +313,7 @@ def _bisection(values: Callable[[np.ndarray], np.ndarray], index: dict, rows: np
         mid = 0.5 * (lo + hi)
         i = index.get(mid)
         if i is None:  # the nodes of the latest call lie deepest
-            p = (_predicted_nodes(lo, hi, levels - level, tol, h_at) if batched
-                 else np.array([mid]))
+            p = _predicted_nodes(lo, hi, levels - level, tol, h_at)
             rows = values(p)
             index, hs = dict(zip(p.tolist(), range(len(p)))), (rows[:, 1] - rows[:, 0]).tolist()
             calls.insert(0, (index, hs))

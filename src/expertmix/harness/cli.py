@@ -81,6 +81,9 @@ def _cmd_verify(args) -> int:
 def _cmd_check(args) -> int:
     which = args.which.split(",") if args.which else [
         "proper", "mixability", "supermartingale"]
+    if set(which) - {"proper", "mixability", "supermartingale", "expconvexity"}:
+        print(f"check: unknown suite in --which {args.which!r}", file=sys.stderr)
+        return 2
     try:
         game = builtin_game(args.game, args.m)
     except ValueError as exc:

@@ -4,14 +4,15 @@ forthcoming prediction to a loss vector.
 The forecasting step is unchanged except that every candidate forecast
 re-evaluates the expert maps, each once per batch of candidates; the
 mixing side solves a fixed-point equation through the retraction onto
-minimal elements (composed with the radial projection for non-mixable
-games run with c > 1).  On log, kl, brier, and square at a mixable eta,
-that retraction is in closed form; under every other membership rule it
-is a bisection.  On a binary game the fixed point is bisected on the
-root's engine (:func:`~expertmix.defensive._bisection`): one transform
-call for ``p = 0, 1, 1/2``, and one for each later six levels of the
-bracket with the path that inverse interpolation predicts, each one mix
-and one retraction of all its rows.  A batch that raises is re-run row
+minimal elements, composed with the radial projection at c > 1 and for
+games that are not mixable at the session's eta.  On log, kl, brier, and
+square at a mixable eta, that retraction is in closed form; under every
+other membership rule it is a bisection.  On a binary game the fixed
+point is bisected on the root's engine
+(:func:`~expertmix.defensive._bisection`): one transform call for ``p =
+0, 1, 1/2``, and one for each later six levels of the bracket with the
+path that inverse interpolation predicts, each one mix, one retraction
+and one projection of all its rows.  A batch that raises is re-run row
 by row, and a row's error surfaces only when the bisection reaches its
 node, the node where one evaluation per level would have raised it.  On
 the simplex the fixed point is the forecasts' Sperner search
@@ -190,25 +191,29 @@ def _mix_rows(G: np.ndarray, wbar: np.ndarray, eta: float) -> np.ndarray:
 def _sg_transform(state: Session, experts: Sequence[SecondGuessExpert],
                   log_posterior: np.ndarray | None = None):
     """gamma -> F(eta-mix of the experts' conditional advice), composed
-    with the radial projection when running with c > 1, for each row of a
-    batch (n, m), under the session's posterior or the given
-    ``log_posterior``: one call of each expert map, one mix, one retraction
-    and one projection for the batch, each row what a one-row call gives
-    it.  The retraction is in closed form where the game has one at the
-    session's ``eta`` (:func:`~expertmix.aggregating._closed_form_retraction`:
-    log, kl, brier, and square at a mixable ``eta``); under every other
-    rule it is :func:`~expertmix.aggregating.retraction_F`'s bisection."""
+    with the radial projection when running with c > 1 or at an ``eta``
+    where the game is not mixable, for each row of a batch (n, m), under
+    the session's posterior or the given ``log_posterior``: one call of
+    each expert map, one mix, one retraction and one projection for the
+    batch, each row what a one-row call gives it.  The retraction is in
+    closed form where the game has one at the session's ``eta``
+    (:func:`~expertmix.aggregating._closed_form_retraction`: log, kl,
+    brier, and square at a mixable ``eta``); under every other rule it is
+    :func:`~expertmix.aggregating.retraction_F`'s bisection.  A hull
+    retraction's point that even ``c`` times it misses the superprediction
+    set (absolute at ``c = 1``, say) makes the projection raise
+    :class:`~expertmix.errors.NotRealizable`."""
     wbar = np.exp(state.log_posterior() if log_posterior is None else log_posterior)
     game, eta, c = state.game, state.eta, state.c
     if len(experts) != len(wbar):
         raise DimensionMismatch(f"{len(experts)} points but weight shape {wbar.shape}")
-    closed_form = _closed_form_retraction(game, eta)
+    closed_form, mixable = _closed_form_retraction(game, eta), game.mixable_at(eta)
 
     def transform(gammas: np.ndarray) -> np.ndarray:
         G = np.stack([ex.rows(gammas) for ex in experts], axis=1)
         mix = _mix_rows(G, wbar, eta)
         out = retraction_F(game, mix, eta=eta) if closed_form is None else closed_form(mix)
-        return project_boundary(game, out, c, eta) if c > 1.0 else out
+        return project_boundary(game, out, c, eta) if c > 1.0 or not mixable else out
 
     return transform
 
@@ -242,11 +247,9 @@ def sg_fixed_point(state: Session, experts: Sequence[SecondGuessExpert],
     upper end).  The bisection is
     :func:`~expertmix.defensive.dfa_solve_binary`'s engine
     (:func:`~expertmix.defensive._bisection`): one transform call for ``p
-    = 0, 1, 1/2``, then, where the retraction has its closed form at ``c =
-    1``, one for each later six levels of the bracket with the path that
-    inverse interpolation predicts (one node where a row costs more than a
-    call: a hull gap's bisection, or ``c > 1``), the root of one level per
-    call bit for bit.  A batch that raises is re-run one row at a time,
+    = 0, 1, 1/2``, then one for each later six levels of the bracket with
+    the path that inverse interpolation predicts, the root of one level
+    per call bit for bit.  A batch that raises is re-run one row at a time,
     and a row's error is raised when the bisection reaches its node, so
     each error comes at the node one level per call would meet it.
 
@@ -288,15 +291,9 @@ def sg_fixed_point(state: Session, experts: Sequence[SecondGuessExpert],
     elif h1 >= -tol:
         p_star = 1.0
     else:
-        # the predicted path where a row costs little next to a call
-        # (the closed-form retraction at c = 1); a hull gap's bisection
-        # or the projection at c > 1 costs more a row than a call, so
-        # one node a call there
-        cheap = state.c == 1.0 and _closed_form_retraction(game, state.eta) is not None
         stop = min(tol, 1e-12)
         # the width stop ends the walk by level 48, long before the engine's own
-        for p_star, h, width, _, _ in _bisection(rows, _FIRST_ROW_UNTABLED, first, 200, stop,
-                                                 cheap):
+        for p_star, h, width, _, _ in _bisection(rows, _FIRST_ROW_UNTABLED, first, 200, stop):
             if p_star in errors:
                 raise errors[p_star]
             if abs(h) <= stop or width <= 1e-14:

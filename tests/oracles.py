@@ -119,13 +119,15 @@ def reference_retract(game, g, eta):
 
 def reference_transform(state, experts):
     """gamma -> F(eta-mix of the experts' advice at gamma), radially
-    projected at ``c > 1``, for one loss vector."""
+    projected at ``c > 1`` or where the game is not mixable at ``eta``,
+    for one loss vector."""
     wbar = np.exp(state.log_posterior())
     game, eta, c = state.game, state.eta, state.c
 
     def transform(gamma):
         out = reference_retract(game, exp_mix([ex(gamma) for ex in experts], wbar, eta), eta)
-        return project_boundary(game, out, c, eta) if c > 1.0 else out
+        return project_boundary(game, out, c, eta) if c > 1.0 or not game.mixable_at(eta) \
+            else out
 
     return transform
 

@@ -40,7 +40,8 @@ from expertmix.aggregating import aa_mix, aa_start, log_semi_invariant, substitu
 from expertmix.core import log_sum_exp, pair_exponent
 from expertmix.defensive import choose_forecast, default_proper_loss, dfa_start, evaluator_groups
 from expertmix.errors import (AllExpertsDead, ContractViolation, ExpertmixError,
-                              InvalidDistribution, SlackExceeded, SubstitutionFailure)
+                              InvalidDistribution, NotRealizable, SlackExceeded,
+                              SubstitutionFailure)
 from expertmix.extensions import (SIMPLEX_GAMES, EvaluatedExpert, ml_dfa_start, ml_dfa_step,
                                   simplex_dfa_start)
 from expertmix.harness import runner
@@ -250,8 +251,8 @@ def _normalized(weights):
 def configs(draw, algorithm="aa"):
     name, m = draw(st.sampled_from(GAMES))
     if name == "absolute":  # c = 1 is not realizable: SubstitutionFailure
-        # (DFA's proper loss at c = 1 is the entropy-gradient construction,
-        # about 3 s per q call, so DFA runs absolute at its constant only)
+        # (DFA at c = 1 meets that failure in its first round too, a case
+        # the AA draws already cover, so DFA runs absolute at its constant only)
         c, eta = draw(st.sampled_from([realizability_constant("absolute", 1.0)]
                                       + [1.0] * (algorithm == "aa"))), 1.0
     else:  # DFA refuses log and square at c > 1 when it opens the session
@@ -930,6 +931,22 @@ def test_second_guessing_error_comes_at_its_round(block):
     with pytest.raises(AllExpertsDead) as err:
         reference_run(config)
     assert err.value.step == 4
+    assert_blocks_replay_rounds(config, block)
+
+
+@pytest.mark.parametrize("block", [1, 7, BLOCK_ROUNDS])
+def test_second_guessing_below_the_constant_raises_in_round_0(block):
+    """``sg-aa`` on absolute at ``c = 1``, below its realizability
+    constant: the hull retraction's point is no superprediction, so the
+    projection raises in round 0 in every block size, where the run once
+    ended with its bound broken."""
+    config = parse_config({
+        "game": {"name": "absolute", "m": 2}, "algorithm": "sg-aa", "c": 1.0, "horizon": 12,
+        "seed": 3, "experts": [{"kind": "sg-contrarian"}, {"kind": "sg-constant", "value": 0.4}],
+        "reality": {"kind": "iid"}})
+    with pytest.raises(NotRealizable) as err:
+        reference_run(config)
+    assert err.value.step == 0
     assert_blocks_replay_rounds(config, block)
 
 

@@ -393,6 +393,14 @@ class TestCLI:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "unsupported pair" in err
 
+    def test_check_refuses_an_unknown_suite(self, capsys):
+        """A misspelt suite name is refused, not skipped into a silent pass."""
+        rc = cli_main(["check", "--game", "log", "--which", "mixability,supermartingle"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "supermartingle" in captured.err
+
     def test_sweep(self, tmp_path, capsys):
         cfg = small_config(horizon=20)
         cfg_path = tmp_path / "cfg.json"

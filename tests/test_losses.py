@@ -273,18 +273,28 @@ class TestProperLossConstruction:
         """A batch gives each row the bits its one-row call gives, so a
         block's advice can be scored in one call.  (Squaring by ``pow`` in
         a one-row call and by multiplication in a batch parted about one
-        row in 1,300, 0.94093... among them.)  The entropy-gradient loss
-        (absolute at c = 1) costs ~25 ms a row, so it gets few rows."""
+        row in 1,300, 0.94093... among them.)"""
         pl = default_proper_loss(builtin_game(name, 2), c, eta)
         p = np.array([0.0, 1.0, 0.5, 0.1, 0.3, 1.0 / 3.0, 0.77, 1e-9, 1.0 - 1e-9,
                       0.9409341711576957, *np.random.default_rng(11).random(2000)])
-        if name == "absolute" and c == 1.0:
-            p = p[[2, 4, 6]]
         P = np.column_stack([1.0 - p, p])
         batch = pl(P)
         rows = np.stack([pl(row) for row in P])
         assert batch.shape == rows.shape == P.shape
         assert batch.tobytes() == rows.tobytes()
+
+    @pytest.mark.parametrize("eta", [0.5, 1.0, 2.0])
+    def test_absolute_hull_loss_is_the_entropy_gradient(self, eta):
+        """Absolute has no canonical proper loss: at c = 1 it scores with
+        its hull proper loss in closed form, the entropy gradient's values
+        on the grid, endpoints included."""
+        game = builtin_game("absolute", 2)
+        pl, gradient = default_proper_loss(game, 1.0, eta), proper_loss_from_entropy(game, eta)
+        assert pl.label == "absolute-hull"
+        for p in np.linspace(0.0, 1.0, 21):
+            pi = np.array([1.0 - p, p])
+            assert np.all(np.isfinite(pl(pi)))
+            assert np.allclose(pl(pi), gradient(pi), rtol=0.0, atol=1e-8), pi
 
     def test_homogeneous_extension_scales(self):
         game = builtin_game("brier", 3)

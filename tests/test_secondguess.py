@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 
 import oracles
 from expertmix import defensive, secondguess
-from expertmix.aggregating import _closed_form_retraction, aa_start
+from expertmix.aggregating import aa_start
 from expertmix.core import domination_gap, exp_mix, is_superprediction
 from expertmix.defensive import dfa_start, dfa_step
-from expertmix.errors import DomainError, InvalidLossVector
+from expertmix.errors import DomainError, InvalidLossVector, NotRealizable
 from expertmix.harness.config import parse_config
 from expertmix.harness.runner import run_scenario
 from expertmix.losses import builtin_game, realizability_constant
@@ -229,6 +229,17 @@ class TestNonMixableVariant:
         mixed = exp_mix([ex(gamma) for ex in experts], [0.5, 0.5], state.eta)
         assert np.all(gamma <= c * mixed + 1e-8)
 
+    @pytest.mark.parametrize("eta", [1.0, 2.0])
+    def test_absolute_below_its_constant_raises(self, eta):
+        # at c = 1 the hull retraction's point lies outside the
+        # superprediction set, and the projection refuses it
+        g = builtin_game("absolute", 2)
+        state = aa_start(g, eta=eta, n_experts=2)
+        experts = [SecondGuessExpert.coordinate_swap(),
+                   SecondGuessExpert.constant(g.loss_vector([0.4]))]
+        with pytest.raises(NotRealizable, match="1.0 \\* g is not a superprediction"):
+            sg_aa_step(state, experts, 0)
+
 
 @contextlib.contextmanager
 def counting(module, builder="_sg_transform"):
@@ -287,6 +298,20 @@ class TestNodeBatches:
         with counting(secondguess) as calls:
             run_scenario(config)
         assert len(calls) <= 3 * config.horizon
+
+    @pytest.mark.parametrize("name, c", [("absolute", realizability_constant("absolute", 1.0)),
+                                         ("log", 1.316), ("square", 1.316)])
+    def test_hull_and_projected_rounds_take_at_most_six_calls(self, name, c):
+        # the hull retraction and the projection bisect every row of a call
+        # together, so their rounds take the predicted path too: 2-4.5
+        # transform calls a round, where one node a call took 38-39
+        config = parse_config({"game": {"name": name, "m": 2}, "algorithm": "sg-aa", "c": c,
+                               "eta": 1.0, "experts": [{"kind": "sg-contrarian"},
+                                                       {"kind": "sg-constant", "value": 0.4}],
+                               "reality": {"kind": "iid"}, "horizon": 60, "seed": 5})
+        with counting(secondguess) as calls:
+            assert run_scenario(config).bound_ok
+        assert len(calls) <= 6 * config.horizon
 
     def test_sg_dfa_q_calls_each_map_once(self):
         g = game_log()
@@ -370,8 +395,8 @@ def test_fixed_point_matches_the_scalar_loop(name, kinds, weights, sabotage):
     """The node-batched fixed point is the one-call-per-level loop's, bit
     for bit, under random priors, with the predicted path or a predictor
     that is always wrong, and in no more transform calls than six levels a
-    call where a row costs little next to a call (one level a call where
-    it costs more)."""
+    call, under the closed-form retraction, the hull retraction and the
+    projection at ``c > 1`` alike."""
     g = builtin_game(name, 2)
     c, eta = SG_GAMES[name]
     prior = np.array(weights[:len(kinds)]) / sum(weights[:len(kinds)])
@@ -383,10 +408,8 @@ def test_fixed_point_matches_the_scalar_loop(name, kinds, weights, sabotage):
                               sabotaged(sabotage) if sabotage else defensive._root_estimate), \
             counting(secondguess) as calls:
         err = same_outcome(state, experts)
-    cheap = c == 1.0 and _closed_form_retraction(g, eta) is not None
     if err is None and len(reference_calls) > 2:  # one library run, past the endpoints
-        levels = len(reference_calls) - 2
-        assert len(calls) <= (six_levels_a_call(levels) if cheap else levels)
+        assert len(calls) <= six_levels_a_call(len(reference_calls) - 2)
 
 
 def cyclic_shift():
