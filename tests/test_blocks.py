@@ -938,8 +938,8 @@ def test_second_guessing_error_comes_at_its_round(block):
 def test_second_guessing_below_the_constant_raises_in_round_0(block):
     """``sg-aa`` on absolute at ``c = 1``, below its realizability
     constant: the hull retraction's point is no superprediction, so the
-    projection raises in round 0 in every block size, where the run once
-    ended with its bound broken."""
+    projection raises in round 0 in every block size, rather than the run
+    ending with its bound broken."""
     config = parse_config({
         "game": {"name": "absolute", "m": 2}, "algorithm": "sg-aa", "c": 1.0, "horizon": 12,
         "seed": 3, "experts": [{"kind": "sg-contrarian"}, {"kind": "sg-constant", "value": 0.4}],

@@ -304,7 +304,7 @@ class TestNodeBatches:
     def test_hull_and_projected_rounds_take_at_most_six_calls(self, name, c):
         # the hull retraction and the projection bisect every row of a call
         # together, so their rounds take the predicted path too: 2-4.5
-        # transform calls a round, where one node a call took 38-39
+        # transform calls a round, where one node a call would take 38-39
         config = parse_config({"game": {"name": name, "m": 2}, "algorithm": "sg-aa", "c": c,
                                "eta": 1.0, "experts": [{"kind": "sg-contrarian"},
                                                        {"kind": "sg-constant", "value": 0.4}],
