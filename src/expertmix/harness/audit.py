@@ -103,22 +103,37 @@ def read_trajectory(path: str | Path) -> tuple[dict, list[dict]]:
     return meta, steps
 
 
+def _constants(config: dict) -> list[tuple[float, float, float]]:
+    """Every expert's ``(c, eta, P0)`` from a run's config as JSON."""
+    k = len(config.get("experts", []))
+    if config.get("algorithm") == "ml-dfa":
+        # each base expert once per evaluator, equal priors (as the runner does)
+        evaluators = config.get("evaluators", [])
+        return [(float(ev.get("c", 1.0)), float(ev.get("eta", 1.0)),
+                 1.0 / (len(evaluators) * k)) for ev in evaluators for _ in range(k)]
+    prior = config.get("prior")
+    return [(float(config.get("c", 1.0)), float(config.get("eta", 1.0)),
+             (1.0 / k) if prior in (None, "uniform") else float(prior[t]))
+            for t in range(k)]
+
+
+def _audit(columns, config: dict, strict: bool, margin_tol: float) -> list[BoundReport]:
+    constants = _constants(config)
+    return _reports(columns, list(range(len(constants))), constants, strict, margin_tol)
+
+
 def verify_all(meta: dict, steps: list[dict], *, strict: bool = False,
                margin_tol: float = 1e-7) -> list[BoundReport]:
     """Audit every expert of a recorded run using the constants echoed in
     its meta line.  The records are read into columns once, and every
     expert's prefix margins are computed together."""
-    config = meta.get("config", {})
-    k = len(config.get("experts", []))
-    if config.get("algorithm") == "ml-dfa":
-        # each base expert once per evaluator, equal priors (as the runner does)
-        evaluators = config.get("evaluators", [])
-        constants = [(float(ev.get("c", 1.0)), float(ev.get("eta", 1.0)),
-                      1.0 / (len(evaluators) * k)) for ev in evaluators for _ in range(k)]
-    else:
-        prior = config.get("prior")
-        constants = [(float(config.get("c", 1.0)), float(config.get("eta", 1.0)),
-                      (1.0 / k) if prior in (None, "uniform") else float(prior[t]))
-                     for t in range(k)]
-    return _reports(_columns(steps), list(range(len(constants))), constants,
-                    strict, margin_tol)
+    return _audit(_columns(steps), meta.get("config", {}), strict, margin_tol)
+
+
+def verify_run(result, *, strict: bool = False, margin_tol: float = 1e-7) -> list[BoundReport]:
+    """:func:`verify_all` on a run in memory: its columns hold the floats
+    its trajectory records, so the reports are those of the written file."""
+    columns = result.columns
+    return _audit((range(len(result.records)), columns["cumulative_learner_loss"],
+                   columns["cumulative_expert_losses"], columns["slack_total"]),
+                  result.config.to_jsonable(), strict, margin_tol)

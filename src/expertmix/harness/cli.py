@@ -18,7 +18,7 @@ from pathlib import Path
 from ..defensive import default_proper_loss, supermartingale_property_check
 from ..extensions import SIMPLEX_GAMES, absolute_simplex, check_relative_exp_convexity
 from ..losses import builtin_game, check_mixability, check_proper
-from .audit import read_trajectory, verify_all
+from .audit import read_trajectory, verify_all, verify_run
 from .config import load_config, parse_config
 from .runner import run_scenario, write_outputs
 from .scenarios import SCENARIOS, builtin_scenario, run_disconnected_flip
@@ -49,8 +49,7 @@ def _cmd_run(args) -> int:
             config.horizon = args.horizon
     result = run_scenario(config)
     paths = write_outputs(result, args.out, args.format)
-    meta, steps = ({"config": config.to_jsonable()}, [r.to_obj() for r in result.records])
-    reports = verify_all(meta, steps, strict=args.strict)
+    reports = verify_run(result, strict=args.strict)
     ok = True
     for rep in reports:
         status = "ok" if rep.ok else "VIOLATED"

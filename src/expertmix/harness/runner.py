@@ -5,6 +5,11 @@ Every run is a pure function of its config: randomness flows from one
 ``SeedSequence`` (child 0 -> experts, one grandchild each; child 1 ->
 reality), and records are serialized with a fixed key order, so identical
 configs produce byte-identical JSONL.
+
+A run keeps its step records as numpy columns, one row per step
+(:attr:`RunResult.columns`).  Serialization encodes from them, and
+:attr:`RunResult.records` builds :class:`StepRecord` objects from them only
+when they are read.
 """
 
 from __future__ import annotations
@@ -12,7 +17,9 @@ from __future__ import annotations
 import csv
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, fields
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -74,13 +81,58 @@ class StepRecord:
 
 #: the step record's keys in their serialized order
 RECORD_KEYS = tuple(f.name for f in fields(StepRecord))
+#: the keys a run keeps a column for: every key but ``step``, the row's index
+COLUMN_KEYS = RECORD_KEYS[1:]
+
+
+class _Records(Sequence):
+    """A run's step records, read-only: each :class:`StepRecord` is built
+    from the run's columns when it is read, holding Python numbers, lists
+    and None.  A slice is a list of records."""
+
+    def __init__(self, columns: dict) -> None:
+        self._columns = columns
+        self._n = len(columns["advice"])
+
+    def __len__(self) -> int:
+        return self._n
+
+    def _build(self, lo: int, hi: int) -> list[StepRecord]:
+        """The records of steps ``lo .. hi - 1``, one ``tolist`` a column."""
+        lists = [repeat(None) if column is None else column[lo:hi].tolist()
+                 for column in map(self._columns.get, COLUMN_KEYS)]
+        return [StepRecord(*row) for row in zip(range(lo, hi), *lists)]
+
+    def __getitem__(self, i):
+        rows = range(self._n)[i]  # the steps of a slice, or one step
+        if isinstance(rows, int):
+            return self._build(rows, rows + 1)[0]
+        return self._build(rows.start, rows.stop) if rows.step == 1 else [self[j] for j in rows]
+
+    def __iter__(self):
+        for lo in range(0, self._n, _CHUNK_ROWS):
+            yield from self._build(lo, min(lo + _CHUNK_ROWS, self._n))
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (_Records, list)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"<{self._n} step records>"
 
 
 @dataclass
 class RunResult:
     config: ScenarioConfig
-    records: list[StepRecord]
+    #: the step records' fields by key (``COLUMN_KEYS``), one row per step;
+    #: ``learner_pi`` is None for a run that records no forecast
+    columns: dict
     summary: dict
+
+    @property
+    def records(self) -> Sequence[StepRecord]:
+        return _Records(self.columns)
 
     @property
     def bound_ok(self) -> bool:
@@ -96,20 +148,23 @@ def _spawn_rngs(seed: int, k: int):
     return expert_rngs, reality_rng
 
 
-def _learner_pi(game: Game, decisions: np.ndarray) -> list:
+def _learner_pi(game: Game, decisions: np.ndarray) -> np.ndarray | None:
     """The recorded forecast of each decision row: ``[1 - p, p]`` for a
     binary box game, the decision for a simplex game, else None."""
     if game.m == 2 and game.decision_kind == "box":
-        return np.concatenate([1.0 - decisions, decisions], axis=1).tolist()
+        return np.concatenate([1.0 - decisions, decisions], axis=1)
     if game.decision_kind == "simplex":
-        return decisions.tolist()
-    return [None] * len(decisions)
+        return decisions
+    return None
 
 
 #: rounds per block of a run with Reality that does not look at the
 #: prediction and no callback experts.  Its arrays stay in the tens of
-#: kilobytes, far below the records' memory.
+#: kilobytes.
 BLOCK_ROUNDS = 256
+#: rows per encoded chunk of a trajectory and per batch of built records,
+#: whose Python lists are what a run no longer holds
+_CHUNK_ROWS = BLOCK_ROUNDS
 
 
 def block_rounds(config: ScenarioConfig) -> int:
@@ -133,9 +188,9 @@ def block_rounds(config: ScenarioConfig) -> int:
 # Protocols.  Each opener starts the session and returns it with a ``play``
 # function for a block of rounds, made by :func:`_block_play`:
 # ``play(state, n, size, outcomes)`` plays rounds ``n .. n + size - 1``,
-# appends their outcomes, and returns the session after them, the columns
-# of their step records in ``RECORD_KEYS`` order (from ``advice`` to
-# ``slack_total``) and their bound margins, shape (size, k).  A protocol's
+# appends their outcomes, and returns the session after them and the
+# columns of their step records in ``COLUMN_KEYS`` order, one row per
+# round, the bound margins last, shape (size, k).  A protocol's
 # block function takes the outcomes of the block's rounds before the last
 # and ``pick(loss_vector)``, which gives the last round's once Learner has
 # moved; the second-guessing protocols solve each round's fixed point or
@@ -187,12 +242,10 @@ def _block_play(reality, advise, rounds, learner_pi, read):
         moves, learner_losses, expert_losses, slack, played, advice = rounds(
             state, advise(n, size, outcomes), w[:-1], pick)
         outcomes.extend(_listed(w[-1:]))
-        columns = (advice.tolist(), learner_pi(moves), moves.tolist(),
-                   w.tolist(), learner_losses.tolist(), expert_losses.tolist(),
-                   played.cumulative_loss.tolist(), played.per_expert_loss.tolist(),
-                   read(state, played).tolist(), slack.tolist(),
-                   played.slack_log_total.tolist())
-        return state.after(played), columns, state.bound_margins(played)
+        columns = (advice, learner_pi(moves), moves, w, learner_losses, expert_losses,
+                   played.cumulative_loss, played.per_expert_loss, read(state, played),
+                   slack, played.slack_log_total, state.bound_margins(played))
+        return state.after(played), columns
 
     return play
 
@@ -233,7 +286,7 @@ def _open_second_guess(start, rounds, records_pi: bool, read):
             reality, lambda n, size, outcomes: None,
             lambda state, _, w, pick: rounds(state, experts, w, pick, eps, tol),
             lambda gammas: _learner_pi(game, np.asarray(game.substitution(gammas), dtype=float))
-            if records_pi else [None] * len(gammas), read)
+            if records_pi else None, read)
 
     return open_protocol
 
@@ -266,7 +319,7 @@ def _open_evaluators(config: ScenarioConfig, rngs, reality, eps: float, tol: flo
         reality, advise,
         lambda state, advice, w, pick: (*ml_dfa_rounds(state, advice, w, pick, epsilon=eps,
                                                        tol=tol), advice),
-        lambda pi: pi.tolist(), lambda state, rounds: rounds.log_value)
+        lambda pi: pi, lambda state, rounds: rounds.log_value)
 
 
 def _log_supermartingale(state, rounds):
@@ -332,20 +385,19 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
         config, expert_rngs, reality, float(config.solver["epsilon"]),
         float(config.solver["tol"]))
 
-    records: list[StepRecord] = []
+    blocks: list[tuple] = []
     outcomes: list = []
     max_margin = -np.inf
     worst_step = -1
     block = block_rounds(config)
     for n in range(0, config.horizon, block):
         size = min(block, config.horizon - n)
-        state, columns, margins = play(state, n, size, outcomes)
-        worst = margins.max(axis=1)
+        state, columns = play(state, n, size, outcomes)
+        worst = columns[-1].max(axis=1)
         i = int(worst.argmax())
         if worst[i] > max_margin:
             max_margin, worst_step = worst[i], n + i
-        records.extend(StepRecord(n + j, *row) for j, row in
-                       enumerate(zip(*columns, margins.tolist())))
+        blocks.append(columns)
 
     k = state.n_experts
     evaluators = isinstance(state.c, np.ndarray)  # per-expert (c, eta)
@@ -365,34 +417,58 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
         # evaluators' allowances differ; their summary carries the raw total
         "slack_allowance": _jsonable(
             (1.0 if evaluators else state.c / state.eta) * state.slack_log_total),
-        "max_bound_margin": _jsonable(max_margin if records else 0.0),
+        "max_bound_margin": _jsonable(max_margin if blocks else 0.0),
         "worst_margin_step": worst_step,
-        "bound_ok": bool((max_margin if records else 0.0) <= 1e-7),
+        "bound_ok": bool((max_margin if blocks else 0.0) <= 1e-7),
         "expected_failure": False,
     }
-    return RunResult(config=config, records=records, summary=summary)
+    if blocks:
+        columns = {key: None if col[0] is None else np.concatenate(col)
+                   for key, col in zip(COLUMN_KEYS, zip(*blocks))}
+    else:
+        columns = dict.fromkeys(COLUMN_KEYS, np.empty(0))
+    return RunResult(config=config, columns=columns, summary=summary)
 
 
 # ---------------------------------------------------------------------------
 # Serialization
 
 
-_encode = json.JSONEncoder(separators=(",", ":")).encode
+_encode = json.JSONEncoder(separators=(",", ":"), check_circular=False).encode
+#: a step line, each field's JSON in ``RECORD_KEYS`` order
+_STEP_LINE = '{"type":"step",' + ",".join(f'"{key}":%s' for key in RECORD_KEYS) + "}"
+
+
+def _rows_json(column: np.ndarray | None, lo: int, hi: int) -> list[str]:
+    """The JSON of rows ``lo .. hi - 1`` of a column, one string per row,
+    from one encoder call on them: in an array with ``d + 1`` axes, only
+    the end of a row puts a comma after ``d`` closing brackets.  A column
+    holds numbers, never a string, so the encoder's ``Infinity`` can only
+    be an infinite value, which ``to_obj`` writes as ``"inf"``."""
+    if column is None:
+        return ["null"] * (hi - lo)
+    text = _encode(column[lo:hi].tolist())[1:-1]
+    if "Infinity" in text:
+        text = text.replace("-Infinity", '"-inf"').replace("Infinity", '"inf"')
+    d = column.ndim - 1
+    if d == 0:
+        return text.split(",")
+    return text.replace("]" * d + ",[", "]" * d + "\n[").split("\n")
 
 
 def trajectory_lines(result: RunResult) -> list[str]:
     """The meta line and one line per step record, each ``to_obj``'s JSON.
-    A step is encoded in one call on its fields: they hold numbers, lists
-    and None, never a string, so the encoder's ``Infinity`` on the line
-    can only be an infinite value, which ``to_obj`` writes as ``"inf"``."""
+    The steps are encoded from the run's columns ``BLOCK_ROUNDS`` rows at
+    a time, with one encoder call per column, whatever blocks the run
+    played."""
     meta = {"type": "meta", "format_version": 1,
             "config": result.config.to_jsonable()}
     lines = [json.dumps(meta, separators=(",", ":"))]
-    for rec in result.records:
-        line = _encode({"type": "step", **vars(rec)})
-        if "Infinity" in line:
-            line = line.replace("-Infinity", '"-inf"').replace("Infinity", '"inf"')
-        lines.append(line)
+    columns, n = result.columns, len(result.records)
+    for lo in range(0, n, _CHUNK_ROWS):
+        hi = min(lo + _CHUNK_ROWS, n)
+        lines += [_STEP_LINE % row for row in zip(
+            range(lo, hi), *(_rows_json(columns[key], lo, hi) for key in COLUMN_KEYS))]
     return lines
 
 

@@ -8,7 +8,7 @@ import numpy as np
 
 from ..losses import realizability_constant
 from .config import ScenarioConfig, parse_config
-from .runner import RunResult, StepRecord
+from .runner import COLUMN_KEYS, RunResult
 
 
 def builtin_scenario(name: str, **overrides) -> ScenarioConfig:
@@ -147,36 +147,23 @@ def run_disconnected_flip(horizon: int) -> RunResult:
     expected failure, demonstrating that the continuity hypothesis cannot
     be dropped.
     """
-    points = (np.array([0.0, 1.0]), np.array([1.0, 0.0]))  # "predict 0" / "predict 1"
-    learner_cum = 0.0
-    expert_cum = 0.0
+    points = np.array([[0.0, 1.0], [1.0, 0.0]])  # "predict 0" / "predict 1"
     totals = np.zeros(2)  # cumulative loss of each fixed point
-    records = []
+    picks = np.zeros(horizon, dtype=int)
     for n in range(horizon):
-        pick = int(np.argmin(totals))  # follow the leader, ties to 0
-        gamma = points[pick]
-        flip = points[1 - pick]  # the expert's conditional advice
-        w = int(np.argmin(flip))  # Reality agrees with the expert
-        learner_loss = float(gamma[w])
-        expert_loss = float(flip[w])
-        learner_cum += learner_loss
-        expert_cum += expert_loss
-        totals += np.stack(points)[:, w]
-        records.append(StepRecord(
-            step=n,
-            advice=[[float(v) for v in flip]],
-            learner_pi=None,
-            learner_decision=[float(v) for v in gamma],
-            outcome=w,
-            learner_loss=learner_loss,
-            expert_losses=[expert_loss],
-            cumulative_learner_loss=learner_cum,
-            cumulative_expert_losses=[expert_cum],
-            log_supermartingale=0.0,
-            slack=0.0,
-            slack_total=0.0,
-            bound_margins=[learner_cum - expert_cum],
-        ))
+        picks[n] = np.argmin(totals)  # follow the leader, ties to 0
+        totals += points[:, 1 - picks[n]]
+    w = 1 - picks  # Reality agrees with the expert, who flips Learner's point
+    gamma, flip = points[picks], points[w]
+    rows = np.arange(horizon)
+    learner_loss, expert_loss = gamma[rows, w], flip[rows, w][:, None]
+    learner_cum, expert_cum = np.cumsum(learner_loss), np.cumsum(expert_loss, axis=0)
+    zeros = np.zeros(horizon)
+    columns = dict(zip(COLUMN_KEYS, (
+        flip[:, None], None, gamma, w, learner_loss, expert_loss, learner_cum, expert_cum,
+        zeros, zeros, zeros, learner_cum[:, None] - expert_cum)))
+    learner_cum = float(learner_cum[-1]) if horizon else 0.0
+    expert_cum = float(expert_cum[-1, 0]) if horizon else 0.0
     config = parse_config({
         "name": "disconnected-flip",
         "game": {"name": "absolute", "m": 2},  # placeholder; the run is bespoke
@@ -203,4 +190,4 @@ def run_disconnected_flip(horizon: int) -> RunResult:
         "expected_failure": True,
         "regret": learner_cum - expert_cum,
     }
-    return RunResult(config=config, records=records, summary=summary)
+    return RunResult(config=config, columns=columns, summary=summary)

@@ -32,7 +32,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from expertmix import aggregating, defensive, extensions
@@ -151,12 +151,13 @@ def reference_move(config, state, game, sg, experts, outcomes, n, eps, tol):
     return decision, lv, slack, decisions, lambda w: (lam[w], float(lv[w]), A[:, w], log_q[w])
 
 
-def reference_run(config):
+def reference_run(config, records=None):
     """The run round by round: its JSONL lines and its summary as JSON.
     Every protocol reweighs one round at a time with
-    :func:`oracles.advance_reference`.  A library error raised in a round
-    carries that round as ``step``; one raised opening the session carries
-    None."""
+    :func:`oracles.advance_reference`; each round's :class:`StepRecord`
+    is appended to ``records`` when it is given.  A library error raised in
+    a round carries that round as ``step``; one raised opening the session
+    carries None."""
     algorithm = config.algorithm
     simplex, evaluators = algorithm == "simplex-dfa", algorithm == "ml-dfa"
     second_guess = algorithm in ("sg-aa", "sg-dfa")
@@ -212,6 +213,8 @@ def reference_run(config):
                                      else state.log_supermartingale),
                 slack=slack, slack_total=state.slack_log_total, bound_margins=margins)
             lines.append(json.dumps(rec.to_obj(), separators=(",", ":")))
+            if records is not None:
+                records.append(rec)
     except ExpertmixError as exc:
         exc.step = n
         raise
@@ -306,8 +309,24 @@ def assert_blocks_replay_rounds(config, block, want=None):
         assert blocked_run(config) == want
 
 
+def chunk_edge_config(horizon):
+    """Log-loss mixing whose trajectory is encoded in chunks of
+    ``BLOCK_ROUNDS`` rows: at these horizons a run has no chunk, one, one
+    full one, or two and one row, and in blocks of 7 rounds a chunk ends
+    inside a block."""
+    return parse_config({
+        "game": {"name": "log", "m": 2}, "algorithm": "aa", "horizon": horizon, "seed": 3,
+        "experts": [{"kind": "iid-random"}, {"kind": "constant", "value": 0.3},
+                    {"kind": "trailing-average"}], "reality": {"kind": "iid"}})
+
+
 @settings(max_examples=40, deadline=None)
 @given(config=configs(), block=st.sampled_from([1, 2, 7, 64, BLOCK_ROUNDS]))
+@example(config=chunk_edge_config(0), block=7)
+@example(config=chunk_edge_config(1), block=7)
+@example(config=chunk_edge_config(BLOCK_ROUNDS), block=7)
+@example(config=chunk_edge_config(2 * BLOCK_ROUNDS + 1), block=7)
+@example(config=chunk_edge_config(2 * BLOCK_ROUNDS + 1), block=BLOCK_ROUNDS)
 def test_blocks_replay_rounds(config, block):
     assert_blocks_replay_rounds(config, block)
 
@@ -349,6 +368,11 @@ def simplex_configs(draw):
 
 @settings(max_examples=8, deadline=None)
 @given(case=simplex_configs())
+@example(case=(parse_config({  # simplex outcomes across a chunk edge inside a block of 7
+    "game": {"name": "brier", "m": 3}, "algorithm": "simplex-dfa", "horizon": BLOCK_ROUNDS + 4,
+    "seed": 2, "experts": [{"kind": "constant", "value": [0.2, 0.3, 0.5]},
+                           {"kind": "trailing-average"}],
+    "reality": {"kind": "dirichlet", "alpha": 1.0}}), 7))
 def test_simplex_blocks_replay_rounds(case):
     assert_blocks_replay_rounds(*case)
 
@@ -696,9 +720,11 @@ SOLVER_EDGES = {
 
 @pytest.mark.parametrize("name", sorted(SOLVER_EDGES))
 def test_dfa_blocks_replay_the_solver_edges(name):
+    """Each edge, in blocks of 7 and of ``BLOCK_ROUNDS`` rounds, past the
+    first chunk of the encoded trajectory."""
     spec, seen = SOLVER_EDGES[name]
     config = parse_config({"game": {"name": "log", "m": 2}, "algorithm": "dfa",
-                           "horizon": 40, "seed": 5, **spec})
+                           "horizon": BLOCK_ROUNDS + 4, "seed": 5, **spec})
     intervals, endpoints = defensive.admissible_intervals, []
 
     def recorded(*args):
@@ -706,13 +732,17 @@ def test_dfa_blocks_replay_the_solver_edges(name):
         return endpoints[-1]
 
     with mock.patch.object(defensive, "admissible_intervals", recorded):
-        records = run_scenario(config).records
+        result = run_scenario(config)
     lo, hi = (np.concatenate(col) for col in zip(*endpoints))
     assert seen(lo, hi)
     if name.startswith("certain"):  # an infinite lambda inside the block
-        assert any(np.isinf(r.learner_loss) for r in records[1:-1])
+        assert any(np.isinf(r.learner_loss) for r in result.records[1:-1])
+        # and infinities on both sides of the first chunk's end
+        edge = result.columns["cumulative_learner_loss"][BLOCK_ROUNDS - 1:BLOCK_ROUNDS + 1]
+        assert np.isinf(edge).all()
+    want = reference_run(config)
     for block in (7, BLOCK_ROUNDS):
-        assert_blocks_replay_rounds(config, block)
+        assert_blocks_replay_rounds(config, block, want)
 
 
 def test_dfa_blocks_replay_rounds_the_hint_misleads():
@@ -874,15 +904,19 @@ ADVERSARIAL_GAMES = {"log": (1.0, 1.0), "square": (1.0, 2.0),
 def test_adversarial_rounds_play_blocks_of_one(name, algorithm):
     """Reality that picks from Learner's loss vector: every round is a block
     of one, with the bytes of the per-round oracle (second-guessing: a
-    contrarian and a constant 0.4)."""
+    contrarian and a constant 0.4), also when the trajectory is encoded in
+    chunks of ``BLOCK_ROUNDS`` rows over those blocks."""
     c, eta = ADVERSARIAL_GAMES[name]
     experts = [{"kind": "sg-contrarian"}, {"kind": "sg-constant", "value": 0.4}] \
         if algorithm.startswith("sg-") else \
         [{"kind": "constant", "value": 0.3}, {"kind": "iid-random"}, {"kind": "trailing-average"}]
     config = parse_config({
         "game": {"name": name, "m": 2}, "algorithm": algorithm, "c": c, "eta": eta,
-        "horizon": 80, "seed": 7, "reality": {"kind": "adversarial"}, "experts": experts})
-    assert_blocks_replay_rounds(config, 1)
+        "horizon": BLOCK_ROUNDS + 4, "seed": 7, "reality": {"kind": "adversarial"},
+        "experts": experts})
+    want = reference_run(config)
+    assert_blocks_replay_rounds(config, 1, want)
+    assert blocked_run(config) == want
 
 
 @pytest.mark.parametrize("name, values, error, step", [

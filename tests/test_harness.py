@@ -13,8 +13,10 @@ from expertmix.errors import ConfigError
 from expertmix.harness.audit import BoundReport, read_trajectory, verify_all, verify_bound
 from expertmix.harness.cli import main as cli_main
 from expertmix.harness.config import load_config, parse_config
-from expertmix.harness.runner import run_scenario, trajectory_lines, write_outputs
-from expertmix.harness.scenarios import builtin_scenario, run_disconnected_flip
+from expertmix.harness.runner import (BLOCK_ROUNDS, RECORD_KEYS, StepRecord, run_scenario,
+                                      trajectory_lines, write_outputs)
+from expertmix.harness.scenarios import SCENARIOS, builtin_scenario, run_disconnected_flip
+from test_blocks import reference_run
 
 
 def small_config(**overrides):
@@ -125,6 +127,63 @@ class TestRunner:
                            reality={"kind": "iid", "probs": [0.2, 0.3, 0.5]},
                            horizon=30, seed=seed)
         assert run_scenario(cfg).bound_ok
+
+
+def plain(x):
+    """``x`` with numpy arrays and scalars as Python lists and numbers."""
+    if isinstance(x, (np.ndarray, np.generic)):
+        return x.tolist()
+    return [plain(v) for v in x] if isinstance(x, list) else x
+
+
+def python_typed(x) -> bool:
+    """``x`` is None, a Python int or float, or a list of such values."""
+    if isinstance(x, list):
+        return all(python_typed(v) for v in x)
+    return x is None or type(x) in (int, float)
+
+
+class TestRecordsView:
+    def test_sequence_of_the_steps(self):
+        n = 2 * BLOCK_ROUNDS + 1  # past the end of a chunk of built records
+        res = run_scenario(small_config(horizon=n))
+        records = res.records
+        everything = list(records)
+        assert len(records) == n and [r.step for r in everything] == list(range(n))
+        assert records[-1] == records[n - 1] == everything[-1]
+        assert records[-n] == everything[0]
+        for index in (n, -n - 1):
+            with pytest.raises(IndexError):
+                records[index]
+        for cut in (slice(BLOCK_ROUNDS - 2, BLOCK_ROUNDS + 3), slice(None, None, 7),
+                    slice(-3, None), slice(5, 2), slice(None, None, -50)):
+            assert records[cut] == everything[cut]
+        assert records == everything and records != everything[:-1]
+        assert run_scenario(small_config(horizon=0)).records == []
+
+    @pytest.mark.parametrize("name", sorted(SCENARIOS) + ["disconnected-flip"])
+    def test_fields_are_python_values(self, name):
+        res = run_disconnected_flip(5) if name == "disconnected-flip" \
+            else run_scenario(builtin_scenario(name, horizon=5))
+        for rec in res.records:
+            assert type(rec.step) is int
+            for key in RECORD_KEYS:
+                assert python_typed(getattr(rec, key)), (name, key)
+
+    @pytest.mark.parametrize("cfg", [
+        small_config(horizon=BLOCK_ROUNDS + 4),
+        builtin_scenario("brier-simplex", horizon=40),
+        builtin_scenario("sg-contrarian-log-aa", horizon=40),
+        builtin_scenario("ml-log-square-k4", horizon=40),
+    ], ids=["aa", "simplex-dfa", "sg-aa", "ml-dfa"])
+    def test_records_are_the_oracles(self, cfg):
+        want: list[StepRecord] = []
+        reference_run(cfg, want)
+        got = run_scenario(cfg).records
+        assert len(got) == len(want) == cfg.horizon
+        for a, b in zip(got, want):
+            for key in RECORD_KEYS:
+                assert getattr(a, key) == plain(getattr(b, key)), (a.step, key)
 
 
 class TestAudit:
@@ -345,6 +404,17 @@ class TestCLI:
         assert "worst margin" in out and "ok" in out
         rc = cli_main(["verify", "--trajectory", str(tmp_path / "t.jsonl")])
         assert rc == 0
+
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    def test_run_audits_as_verify_does(self, name, tmp_path, capsys):
+        """``run`` audits the run in memory; ``verify`` on the file it wrote
+        prints the same report lines."""
+        rc = cli_main(["run", "--builtin", name, "--horizon", "30", "--out", str(tmp_path),
+                       "--format", "jsonl"])
+        ran = [line.removeprefix(f"[{name}] ") for line in
+               capsys.readouterr().out.splitlines() if line.startswith(f"[{name}] ")]
+        assert rc == cli_main(["verify", "--trajectory", str(tmp_path / f"{name}.jsonl")])
+        assert ran and ran == capsys.readouterr().out.splitlines()
 
     def test_run_builtin_override(self, tmp_path):
         rc = cli_main(["run", "--builtin", "aa-log-k10", "--horizon", "20",
