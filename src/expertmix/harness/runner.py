@@ -122,7 +122,7 @@ class _Records(Sequence):
         return f"<{self._n} step records>"
 
 
-@dataclass
+@dataclass(eq=False)
 class RunResult:
     config: ScenarioConfig
     #: the step records' fields by key (``COLUMN_KEYS``), one row per step;
