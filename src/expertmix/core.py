@@ -161,9 +161,10 @@ class Game:
     ``membership_gap`` and ``hull_membership_gap`` take a batch (n, m) as
     well as one ``g``, and so do ``hull_proper_loss`` and, on a binary
     game, ``feasible_interval``.  ``forecast_of``
-    maps a simplex decision, or a batch (n, m), to the forecast whose
-    ``proper_loss`` vector is the decision's loss vector: the identity
-    where the proper loss is the game's loss (log, kl, brier).
+    maps a decision, or a batch, to the forecast whose ``proper_loss``
+    vector is the decision's loss vector: the identity where the proper
+    loss is the game's loss (log, kl, brier with simplex decisions), and
+    ``(1 - p, p)`` for a binary box decision ``p``.
     """
 
     name: str

@@ -6,25 +6,24 @@ these factors cannot grow, whatever the outcome.  With scalar (c, eta)
 the learner's share of a factor is common to every expert, so a
 forecasting session's weights are AA's posterior, and its log
 supermartingale is the running sum of ``ln q(pi_n, w_n)``, read from the
-solver's q row at the forecast.  The binary solver is one bisection with
-two selection rules, the midpoint of the admissible interval and the root
-of ``h(p) = q(p, 1) - q(p, 0)``: for the interval each q call holds the
-nodes of the next six levels of every bracket, and the bisection replays
-over their values; the root's calls hold six levels and the path that
-inverse interpolation predicts, after a first batch that an evaluator q
-reads from a table.  That root engine (:func:`_bisection`) is the one
-binary bisection for a sign change: the second-guessing fixed point runs
-it too.
-A block of rounds with fixed advice solves all its admissible intervals in
-one batch (:func:`admissible_intervals`), or with three or more outcomes
-checks every round's barycentre in one q call, then AA's point for the
-rounds it misses in one more (:func:`forecast_rounds`).
+solver's q row at the forecast.
 Under the game's canonical proper loss, ``q(p, w) <= 1`` exactly where
 ``lambda(p, w) <= gamma_w`` for AA's mix ``gamma``, so the admissible
-interval is AA's feasible interval: a binary block walks its bisection
-against that closed form and checks every midpoint of the walk in one q
-call, and only the rows whose check fails are bisected on q; with three
-or more outcomes, AA's point keeps q under 1 the same way.
+interval is AA's feasible interval, and DFA's binary midpoint forecast is
+AA's decision (the source paper's identity): a block of rounds with fixed
+advice takes AA's point in forecast coordinates for every round, from one
+batched substitution, and checks it in one q call
+(:func:`_block_forecasts`); with three or more outcomes it tries every
+round's barycentre first.  Any other binary round, and one whose check
+fails, is solved one at a time by a bisection with two selection rules,
+the midpoint of the admissible interval (:func:`admissible_interval`) and
+the root of ``h(p) = q(p, 1) - q(p, 0)``: for the interval each q call
+holds the nodes of the next six levels of both brackets, and the bisection
+replays over their values; the root's calls hold six levels and the path
+that inverse interpolation predicts, after a first batch that an evaluator
+q reads from a table.  That root engine (:func:`_bisection`) is the one
+binary bisection for a sign change: the second-guessing fixed point runs
+it too.
 With three or more outcomes, a round that both points miss takes the
 labelled-grid search (:func:`dfa_solve_simplex`), Sperner's constructive
 proof of Levin's lemma: levels of one q call on a Kuhn-triangulated grid,
@@ -379,18 +378,6 @@ def dfa_solve_binary(q: Callable[[np.ndarray], np.ndarray], C: float,
     )
 
 
-def _replay(left: np.ndarray, depth: int) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_bisect` for every row of ``left``, shape (N, 2**depth - 1),
-    at once: the bracket ``(i, j)`` of node indices each row leaves."""
-    rows = np.arange(len(left))
-    i, j = np.zeros(len(left), dtype=np.intp), np.full(len(left), left.shape[1] + 1)
-    for _ in range(depth):
-        k = (i + j) // 2
-        go_left = left[rows, k - 1]
-        i, j = np.where(go_left, i, k), np.where(go_left, k, j)
-    return i, j
-
-
 def _row_nodes(a: np.ndarray, b: np.ndarray, depth: int) -> np.ndarray:
     """:func:`_nodes` of each bracket ``[a[r], b[r]]``, shape (N, 2**depth
     + 1), built level by level: each node the midpoint the bisection gives."""
@@ -402,137 +389,6 @@ def _row_nodes(a: np.ndarray, b: np.ndarray, depth: int) -> np.ndarray:
         x[:, h::n] = 0.5 * (x[:, :-h:n] + x[:, n::n])
         n = h
     return x
-
-
-def _bisected_intervals(q, C: float, levels: int, rows: int) -> tuple[np.ndarray, np.ndarray]:
-    """The crossings ``lo, hi`` of :func:`admissible_intervals` bisected
-    for ``levels`` levels with no hint, not yet collapsed: each q call
-    holds the nodes of the next six levels of every bracket still open in
-    any row (the first call also ``p = 0, 1`` of every row), and one replay
-    walks all brackets at once."""
-    depth = min(levels, _BATCH_LEVELS)
-    x = _nodes(0.0, 1.0, depth)
-    p = np.concatenate([[0.0, 1.0], x[1:-1]])
-    qv = _q_at(q, np.tile(p, rows), np.repeat(np.arange(rows), len(p))).reshape(rows, len(p), 2)
-    q0, q1 = qv[:, 0], qv[:, 1]
-    _require_expectation_bound(q0, q1, C)
-    # bracket (r, 0) holds the crossing of row r's q(., 1), (r, 1) that of
-    # its q(., 0); one whose endpoint already holds is not bisected
-    r, side = np.nonzero(~_endpoints_hold(q0, q1, C))
-    nodes, vals = np.broadcast_to(x, (len(r), len(x))), qv[r, 2:]  # the first nodes serve both
-    del qv, q0, q1  # the first call's rows go once their brackets are drawn
-    brackets = np.arange(len(r))
-    while True:
-        ok = np.where(side[:, None] == 0, vals[..., 1], vals[..., 0]) <= C
-        i, j = _replay(np.where(side[:, None] == 0, ok, ~ok), depth)
-        a, b = nodes[brackets, i], nodes[brackets, j]
-        levels -= depth
-        depth = min(levels, _BATCH_LEVELS)
-        if not (len(r) and depth):
-            break
-        nodes = _row_nodes(a, b, depth)
-        vals = _q_at(q, nodes[:, 1:-1].ravel(),
-                     np.repeat(r, nodes.shape[1] - 2)).reshape(len(r), -1, 2)
-    lo, hi = np.zeros(rows), np.ones(rows)
-    lo[r[side == 0]] = b[side == 0]
-    hi[r[side == 1]] = a[side == 1]
-    return lo, hi
-
-
-def _require_expectation_bound(q0: np.ndarray, q1: np.ndarray, C: float) -> None:
-    """Raise :class:`ContractViolation` unless every row's ``q(0, 0)`` and
-    ``q(1, 1)`` keep the expectation bound."""
-    bound = C * (1.0 + 1e-9) + 1e-12
-    if np.any(q0[:, 0] > bound) or np.any(q1[:, 1] > bound):
-        raise ContractViolation("expectation bound fails at an endpoint")
-
-
-def _endpoints_hold(q0: np.ndarray, q1: np.ndarray, C: float) -> np.ndarray:
-    """Per row, whether ``q(0, 1) <= C`` (its lower end is 0) and whether
-    ``q(1, 0) <= C`` (its upper end is 1), shape (n, 2)."""
-    return np.column_stack([q0[:, 1] <= C, q1[:, 0] <= C])
-
-
-#: the sign that makes each bracket's test ``mid * sign >= hint * sign``
-_SIDE_SIGN = np.array([1.0, -1.0])
-#: bracket 0 turns left where its test holds, bracket 1 where it fails
-_TURN_FLIP = np.array([False, True])
-
-
-def _walk(hint: np.ndarray, levels: int):
-    """Bisect both brackets of every row of ``hint`` (n, 2) for ``levels``
-    levels with no q call, ``mid >= hint[r, 0]`` standing in for ``q_r(mid,
-    1) <= C`` and ``mid <= hint[r, 1]`` for ``q_r(mid, 0) <= C``.  Returns
-    the midpoints (n, 2, levels), the test's answer at each, and the last
-    brackets ``a, b`` (n, 2)."""
-    a, b = np.zeros(hint.shape), np.ones(hint.shape)
-    mids = np.empty((levels, *hint.shape))
-    holds = np.empty(mids.shape, dtype=bool)
-    signed = hint * _SIDE_SIGN
-    for mid, ok in zip(mids, holds):
-        np.add(a, b, out=mid)
-        mid *= 0.5  # the bisection's 0.5 * (lo + hi), in place
-        np.greater_equal(mid * _SIDE_SIGN, signed, out=ok)
-        left = ok ^ _TURN_FLIP
-        a, b = np.where(left, a, mid), np.where(left, mid, b)
-    return mids.transpose(1, 2, 0), holds.transpose(1, 2, 0), a, b
-
-
-def _walked_intervals(q, C: float, levels: int, hint: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The crossings of :func:`_bisected_intervals`, from one q call: the
-    bisection walks against ``hint`` (:func:`_walk`), and the call holds
-    every row's ``p = 0, 1`` and its ``2 levels`` midpoints.  A bracket
-    whose every real decision ``q(mid) <= C`` is the walked one is the one
-    the plain bisection leaves, which reads the same midpoints and turns the
-    same way at each; the rows with any other bracket are bisected with no
-    hint."""
-    rows = len(hint)
-    mids, holds, a, b = _walk(hint, levels)
-    p = np.concatenate([np.tile([0.0, 1.0], (rows, 1)), mids.reshape(rows, -1)], axis=1)
-    qv = _q_at(q, p.ravel(), np.repeat(np.arange(rows), p.shape[1])).reshape(*p.shape, 2)
-    q0, q1 = qv[:, 0], qv[:, 1]
-    _require_expectation_bound(q0, q1, C)
-    done = _endpoints_hold(q0, q1, C)
-    real = np.stack([qv[:, 2:levels + 2, 1], qv[:, levels + 2:, 0]], axis=1) <= C
-    lo = np.where(done[:, 0], 0.0, b[:, 0])
-    hi = np.where(done[:, 1], 1.0, a[:, 1])
-    missed = np.flatnonzero(~np.all(done | np.all(real == holds, axis=-1), axis=1))
-    if missed.size:
-        lo[missed], hi[missed] = _bisected_intervals(
-            lambda P, r: q(P, missed[r]), C, levels, len(missed))
-    return lo, hi
-
-
-def admissible_intervals(q, C: float, tol: float, rows: int,
-                         hint: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`admissible_interval` for ``rows`` binary q's at once: ``q(P,
-    r)`` maps forecasts ``P``, shape (n, 2), each of row ``r[i]``, to their
-    values ``(q_r(p, 0), q_r(p, 1))``.  Each row's endpoints are those
-    :func:`admissible_interval` gives it, bit for bit.  (That one-row call
-    keeps its own replay: on one row, numpy's per-call cost would double a
-    round-by-round step, so a block of one row takes it too.)
-
-    With no ``hint``, each q call holds the nodes of the next six levels of
-    every bracket still open in any row (the first call also ``p = 0, 1``
-    of every row), and one replay walks all brackets at once: 5 q calls at
-    ``tol = 1e-9``.  A ``hint`` (rows, 2) is a guess at each row's
-    crossings, such as AA's feasible interval, which is the admissible
-    interval at ``c = 1`` under the game's canonical proper loss: both
-    brackets of every row are bisected against it with no q call, and one
-    q call checks every midpoint of the path (:func:`_walked_intervals`).
-    A row whose real decisions differ anywhere from the walked ones is
-    bisected with no hint, so a wrong hint costs q calls, never bits.
-
-    Returns the arrays ``lo`` and ``hi``; raises
-    :class:`ContractViolation` when the expectation bound fails at an
-    endpoint of any row."""
-    _require_tol(tol)
-    levels = max(0, 1 - math.frexp(tol)[1])  # the smallest L with 2**-L <= tol
-    lo, hi = (_bisected_intervals(q, C, levels, rows) if hint is None
-              else _walked_intervals(q, C, levels, np.asarray(hint, dtype=float)))
-    mid = 0.5 * (lo + hi)
-    collapsed = hi < lo  # crossings that pass each other collapse to their midpoint
-    return np.where(collapsed, mid, lo), np.where(collapsed, mid, hi)
 
 
 def admissible_interval(q: Callable[[np.ndarray], np.ndarray], C: float,
@@ -854,54 +710,39 @@ def _log_q(qpi: np.ndarray) -> np.ndarray:
         return np.log(qpi)
 
 
-def _interval_hint(state: Session, logs: np.ndarray) -> np.ndarray | None:
-    """AA's feasible interval for each round of a binary block, (B, 2), from
-    the rounds' log-mix ``logs``, when the session's proper loss is its
-    game's canonical one: there ``q(p, w) = exp(eta (lambda(p, w) -
-    gamma_w) / c)`` for AA's mix ``gamma``, so ``q(., 1) <= 1`` from the
-    interval's lower end on and ``q(., 0) <= 1`` up to its upper end, up to
-    rounding, which the walk's check catches.  None for any other
-    session."""
-    game = state.game
-    if game.feasible_interval is None or getattr(state.proper, "fn", None) is not game.proper_loss:
-        return None
-    return np.column_stack(game.feasible_interval(_scaled_mix(state, logs)))
-
-
 def _block_forecasts(state: Session, lwn: np.ndarray, A: np.ndarray, epsilon: float,
                      tol: float, select: str):
     """The forecasts that one batch gives a block of B rounds under their
-    log posteriors ``lwn`` (B, k), from one batched log-mix: every binary
-    midpoint (:func:`admissible_intervals`, walked against AA's feasible
-    interval where :func:`_interval_hint` gives one, from q's own log-mix),
-    or for three or more outcomes the first of two points that keeps q
-    under :func:`dfa_solve_simplex`'s target ``(1 + epsilon) C + tol``:
-    the barycentre (one q call for all rows), then, for the rows it
-    misses, AA's point in forecast coordinates,
-    ``game.forecast_of(game.substitution(gamma))`` for AA's mix ``gamma``
-    (one batched substitution and one q call).  Under the game's proper
-    loss at ``c = 1``, ``q(pi, w) = exp(eta (lambda(pi, w) - gamma_w))``,
-    so that point keeps q under 1 up to rounding.
+    log posteriors ``lwn`` (B, k), from one batched log-mix: the first
+    point that keeps q under :func:`dfa_solve_simplex`'s target ``(1 +
+    epsilon) C + tol``.  With three or more outcomes that is the barycentre
+    (one q call for all rows), then, for the rows it misses, AA's point in
+    forecast coordinates, ``game.forecast_of(game.substitution(gamma))``
+    for AA's mix ``gamma`` (one batched substitution and one q call).  A
+    binary midpoint round takes AA's point alone, and only under the
+    game's canonical proper loss.  There ``q(pi, w) = exp(eta (lambda(pi,
+    w) - gamma_w) / c)`` with ``lambda(pi) = loss(p)`` at ``pi = (1 - p,
+    p)``, so the admissible interval is ``game.feasible_interval(gamma)``
+    and its midpoint is AA's decision, which keeps q under 1 up to
+    rounding.
     Returns the forecasts (B, m), their slack, the rows ``q(pi, .)`` and
     the mask of rounds served; each row's bits do not depend on the other
-    rows.  A binary block of one row, the binary root selection and a
-    batch that raises serve none: those rounds are solved one at a time."""
+    rows.  A round that misses, every binary round of any other session
+    or of the root selection, and every round of a batch that raises are
+    served none: those rounds are solved one at a time."""
     B, m = A.shape[0], A.shape[-1]
+    game = getattr(state.game, "base", state.game)
     pi, qpi, served = np.full((B, m), 1.0 / m), np.zeros((B, m)), np.zeros(B, dtype=bool)
-    if m > 2 or (B > 1 and select == "midpoint"):
+    if m > 2 or (select == "midpoint" and state.proper.fn is game.proper_loss):
         try:
             logs = log_mix(lwn, state.eta, A)
             q = fixed_advice_q(state, A, lwn, logs)
-            if m == 2:
-                lo, hi = admissible_intervals(q, 1.0, tol, B, _interval_hint(state, logs))
-                p = 0.5 * (lo + hi)
-                pi = np.column_stack([1.0 - p, p])
-            qpi = q(pi, np.arange(B))
             target = (1.0 + epsilon) * 1.0 + tol
-            served = (m == 2) | (qpi.max(axis=1) <= target)
+            if m > 2:
+                qpi = q(pi, np.arange(B))
+                served = qpi.max(axis=1) <= target
             miss = np.flatnonzero(~served)
             if miss.size:
-                game = getattr(state.game, "base", state.game)
                 pi[miss] = game.forecast_of(game.substitution(_scaled_mix(state, logs[miss])))
                 qpi[miss] = q(pi[miss], miss)
                 served[miss] = qpi[miss].max(axis=1) <= target
@@ -919,13 +760,14 @@ def forecast_rounds(state: Session, A: np.ndarray, expert_losses: np.ndarray, te
 
     The session's posterior is AA's, so one reweigh gives the posterior
     before every round.  One batch serves the rounds it can
-    (:func:`_block_forecasts`: with three or more outcomes, each round's
-    barycentre or AA's point), and :func:`_forecast` each other round, one
-    at a time on the same posteriors, which takes the labelled-grid search
-    only where both points miss.  ``terms(block, pi)`` gives the learner terms
-    of the rounds ``block`` before the last, played at the forecasts
-    ``pi``; a round whose learner term is infinite keeps weights
-    that AA's posterior drops, so the rounds after it are solved again from
+    (:func:`_block_forecasts`: each round's barycentre or AA's point), and
+    :func:`_forecast` each other round, one at a time on the same
+    posteriors, which takes :func:`admissible_interval` for a binary
+    midpoint and the labelled-grid search only where both points miss.
+    ``terms(block, pi)`` gives the learner terms of the rounds ``block``
+    before the last, played at the forecasts ``pi``; a round whose
+    learner term is infinite keeps weights that AA's posterior drops, so
+    the rounds after it are solved again from
     its weights.  Returns the forecasts, slack and ``q(pi, .)`` rows of the
     rounds solved, the log weights and values before each, and the error
     of the first round that raised (None when all were solved; a block of
@@ -972,22 +814,30 @@ def dfa_rounds(state: Session, advice: np.ndarray, outcomes: np.ndarray, pick, *
     """Play a block of B rounds whose advice, shape (B, k, m), does not
     depend on Learner's moves, from the outcomes (B - 1,) of the rounds
     before the last and ``pick(loss_vector)``, the last round's
-    (:func:`forecast_rounds`): one batch solves every binary midpoint
-    round's admissible interval, or with three or more outcomes takes each
-    round's barycentre where it holds and AA's point in forecast
-    coordinates where that holds; the others are solved one at a time,
-    with the labelled-grid search.  The learner term is ``lambda(pi, w)``,
-    the log factor ``ln q(pi, w)`` from the solver's row at pi.  Returns what
+    (:func:`forecast_rounds`): one batch takes each round's barycentre
+    where it holds (three or more outcomes) and AA's point in forecast
+    coordinates where that holds, which under the game's canonical proper
+    loss is every binary midpoint round's; the others are solved one at a
+    time.  The learner term is ``lambda(pi, w)``, from one proper-loss
+    pass over the block's forecasts, and the log factor ``ln q(pi, w)``
+    from the solver's row at pi.  Returns what
     :func:`aggregating.aa_rounds` returns, each row what :func:`dfa_step`
     gives that round; an error is raised for the first round that meets
     it, before Reality picks.  With the default loss parameterizations,
     :class:`SubstitutionFailure` means that (c, eta) violates the game's
     contract."""
+    lam = np.empty((len(advice), advice.shape[-1]))  # lambda at each round's forecast
+
+    def terms(block, pi):
+        lam[block] = state.proper(pi)
+        return lam[block][np.arange(len(pi)), outcomes[block]]
+
     pi, slack, qpi, lw, lv, error = forecast_rounds(
-        state, advice, advice[np.arange(len(outcomes)), :, outcomes],
-        lambda block, pi: state.proper(pi)[np.arange(len(pi)), outcomes[block]],
+        state, advice, advice[np.arange(len(outcomes)), :, outcomes], terms,
         epsilon=epsilon, tol=tol, select=select)
-    lam = state.proper(pi) if len(pi) else pi
+    if len(pi) == len(advice):  # the last round, whose outcome no term has scored
+        lam[-1] = state.proper(pi[-1:])[0]
+    lam = lam[:len(pi)]
     return substituted_rounds(state, lam, advice, outcomes, pick, lw, lv, slack, error,
                               lambda w: (lam[-1, w[-1]], _log_q(qpi)[np.arange(len(w)), w]))
 

@@ -90,9 +90,14 @@ def _binary_box(name: str, l0, l1, feasible_interval, **closed_forms) -> Game:
         p = np.minimum(np.maximum(0.5 * (np.maximum(lo, 0.0) + np.minimum(hi, 1.0)), 0.0), 1.0)
         return p[..., None]
 
+    def forecast_of(dec):
+        # the forecast (1 - p, p), at which a proper loss that reads p is loss(p)
+        dec = np.asarray(dec, dtype=float)
+        return np.concatenate([1.0 - dec, dec], axis=-1)
+
     return Game(name=name, m=2, decision_kind="box",
                 decision_dim=1, loss=loss, substitution=substitution,
-                feasible_interval=feasible_interval, **closed_forms)
+                feasible_interval=feasible_interval, forecast_of=forecast_of, **closed_forms)
 
 
 # ---------------------------------------------------------------------------
@@ -100,12 +105,30 @@ def _binary_box(name: str, l0, l1, feasible_interval, **closed_forms) -> Game:
 
 
 def _log_binary() -> Game:
+    # log1p and expm1 keep a relative precision near p = 0 that 1 - p and
+    # 1 - exp(-g0) lose; log1p(-1) and log(0) are -inf
+    def l0(p):
+        with np.errstate(divide="ignore"):
+            return -np.log1p(-p)
+
+    def l1(p):
+        with np.errstate(divide="ignore"):
+            return -np.log(p)
+
     def feasible_interval(g):
-        return np.exp(-g[..., 1]), 1.0 - np.exp(-g[..., 0])
+        return np.exp(-g[..., 1]), -np.expm1(-g[..., 0])
+
+    def proper(pi):
+        # the loss at the decision p = pi[1], bit for bit, as square's
+        p = np.asarray(pi, dtype=float)[..., 1]
+        out = np.empty(p.shape + (2,))
+        with np.errstate(divide="ignore"):
+            np.log1p(-p, out=out[..., 0])
+            np.log(p, out=out[..., 1])
+        return np.negative(out, out=out)
 
     return _binary_box(
-        "log", lambda p: _safe_neg_log(1.0 - p), _safe_neg_log, feasible_interval,
-        eta_mixable_range=(0.0, 1.0), proper_loss=_safe_neg_log,
+        "log", l0, l1, feasible_interval, eta_mixable_range=(0.0, 1.0), proper_loss=proper,
         membership_gap=_log_gap, entropy=_shannon)
 
 

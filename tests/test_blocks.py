@@ -5,17 +5,19 @@ library's primitives rather than from its block functions: each round the
 experts advise, Learner moves (AA mixes and substitutes; DFA and simplex
 DFA solve for the forecast, with three or more outcomes trying the
 barycentre, then AA's substituted mix in forecast coordinates, before the
-simplex search, and substitute; evaluators solve for the root;
+simplex search, and for a binary midpoint under the game's canonical
+proper loss trying AA's point before the admissible interval, and
+substitute; evaluators solve for the root;
 second-guessing solves its fixed point one transform call per level, or
 the root of its per-expert q),
 Reality picks (seeing Learner's loss vector when it looks at the
 prediction), and the session takes one round's reweigh.  The runner plays
 the same configs in blocks of rounds (AA: one cumulative sum for the
-posterior path and one batched mix; DFA: the same posterior path and one
-batched solve of the binary admissible intervals, or with three or more
-outcomes one q call at the barycentre of every round and one batched
-substitution and q call at AA's point of the rounds it misses, and the
-other rounds one at a time; evaluators: one proper-loss call per evaluator
+posterior path and one batched mix; DFA: the same posterior path, with three
+or more outcomes one q call at the barycentre of every round, and one
+batched substitution and q call at AA's point of the rounds it misses
+(every round of a binary midpoint under the canonical proper loss), and
+the other rounds one at a time; evaluators: one proper-loss call per evaluator
 group for the block's advice, and the posterior-dependent chain round by
 round; second-guessing: each round's fixed point or root, its advice and
 its reweigh in turn; all: one block's running sums, and records from
@@ -72,19 +74,22 @@ def evaluated_experts(config):
 
 
 def reference_forecast(state, game, q, A, eps, tol, select):
-    """A round's forecast, its slack and ``q(pi, .)``.  With three or more
-    outcomes, the first point that keeps q under the solve's target: the
+    """A round's forecast, its slack and ``q(pi, .)``: the first point that
+    keeps q under the solve's target, with three or more outcomes the
     barycentre, then AA's substituted mix in ``game``, mapped to forecast
-    coordinates; otherwise, and for binary games, the solve."""
-    if game.m > 2:
-        def aa_point():
-            return game.forecast_of(game.substitution(aa_mix(state, A)[None]))[0]
+    coordinates, and for a binary midpoint under the game's canonical
+    proper loss AA's point alone; otherwise the solve."""
+    def aa_point():
+        return game.forecast_of(game.substitution(aa_mix(state, A)[None]))[0]
 
-        for point in (lambda: np.full(game.m, 1.0 / game.m), aa_point):
-            pi = point()
-            qpi = q(pi[None])[0]
-            if float(np.max(qpi)) <= 1.0 + eps + tol:
-                return pi, max(0.0, float(np.max(qpi)) - 1.0), qpi
+    points = [lambda: np.full(game.m, 1.0 / game.m), aa_point] if game.m > 2 else \
+        [aa_point] if select == "midpoint" and game.proper_loss is not None and \
+        getattr(state.proper, "fn", None) is game.proper_loss else []
+    for point in points:
+        pi = point()
+        qpi = q(pi[None])[0]
+        if float(np.max(qpi)) <= 1.0 + eps + tol:
+            return pi, max(0.0, float(np.max(qpi)) - 1.0), qpi
     return choose_forecast(q, game.m, epsilon=eps, tol=tol, select=select, full_output=True)
 
 
@@ -696,45 +701,45 @@ def test_dfa_blocks_substitute_before_a_later_chain_error():
             blocked_run(config)
 
 
-#: runs at the edges of the interval solve: name -> (config, the edge seen
-#: in some row's endpoints ``lo, hi``)
+#: binary ``dfa`` runs at the edges of the forecast: spec -> a test that
+#: holds for the forecasts ``p`` the batch serves
 SOLVER_EDGES = {
-    # all weight on a log expert certain of 1: q(1, 0) holds (hi = 1), the
-    # forecast is p = 1, and each outcome 0 is a round whose lambda is
-    # infinite there, inside the block
+    # all weight on a log expert certain of 1: q(1, 0) holds, the forecast
+    # is p = 1, and each outcome 0 is a round whose lambda is infinite
+    # there, inside the block
     "certain-of-one": (
         {"experts": [{"kind": "constant", "value": 1.0}, {"kind": "iid-random"}],
          "prior": [1.0, 0.0], "reality": {"kind": "fixed", "sequence": [1, 1, 0, 1, 0, 0, 1]}},
-        lambda lo, hi: np.any(hi == 1.0) and np.any(0.5 * (lo + hi) == 1.0)),
+        lambda p: np.any(p == 1.0)),
     "certain-of-zero": (
         {"experts": [{"kind": "constant", "value": 0.0}, {"kind": "trailing-average"}],
          "prior": [1.0, 0.0], "reality": {"kind": "fixed", "sequence": [0, 1, 1, 0]}},
-        lambda lo, hi: np.any(lo == 0.0) and np.any(0.5 * (lo + hi) == 0.0)),
-    # one log expert: the admissible interval is its point, and the two
-    # crossings pass each other
+        lambda p: np.any(p == 0.0)),
+    # one log expert: the admissible interval is its point
     "collapsed": (
         {"experts": [{"kind": "constant", "value": 0.3}], "reality": {"kind": "iid"}},
-        lambda lo, hi: np.any((lo == hi) & (lo > 0.0) & (hi < 1.0))),
+        lambda p: len(p) and np.all(np.abs(p - 0.3) <= 2.0 ** -53)),
 }
 
 
 @pytest.mark.parametrize("name", sorted(SOLVER_EDGES))
 def test_dfa_blocks_replay_the_solver_edges(name):
-    """Each edge, in blocks of 7 and of ``BLOCK_ROUNDS`` rounds, past the
-    first chunk of the encoded trajectory."""
+    """Each edge, served by the batch, in blocks of 7 and of
+    ``BLOCK_ROUNDS`` rounds, past the first chunk of the encoded
+    trajectory."""
     spec, seen = SOLVER_EDGES[name]
     config = parse_config({"game": {"name": "log", "m": 2}, "algorithm": "dfa",
                            "horizon": BLOCK_ROUNDS + 4, "seed": 5, **spec})
-    intervals, endpoints = defensive.admissible_intervals, []
+    batch, forecasts = defensive._block_forecasts, []
 
     def recorded(*args):
-        endpoints.append(intervals(*args))
-        return endpoints[-1]
+        pi, slack, qpi, served = batch(*args)
+        forecasts.append(pi[served, 1])
+        return pi, slack, qpi, served
 
-    with mock.patch.object(defensive, "admissible_intervals", recorded):
+    with mock.patch.object(defensive, "_block_forecasts", recorded):
         result = run_scenario(config)
-    lo, hi = (np.concatenate(col) for col in zip(*endpoints))
-    assert seen(lo, hi)
+    assert seen(np.concatenate(forecasts))
     if name.startswith("certain"):  # an infinite lambda inside the block
         assert any(np.isinf(r.learner_loss) for r in result.records[1:-1])
         # and infinities on both sides of the first chunk's end
@@ -745,39 +750,47 @@ def test_dfa_blocks_replay_the_solver_edges(name):
         assert_blocks_replay_rounds(config, block, want)
 
 
-def test_dfa_blocks_replay_rounds_the_hint_misleads():
-    """One square expert at 0: ``q(p, 1) = exp(eta p^2)`` rounds to 1.0
-    for ``p`` below ~1e-8, so the real crossing is not AA's feasible
-    interval's end, and every row of every block is bisected again with
-    no hint, with the same bytes."""
-    config = parse_config({
+def test_binary_blocks_solve_rows_one_at_a_time_off_the_canonical_loss():
+    """Under the game's canonical proper loss every round takes AA's point
+    and no block solves an admissible interval: one square expert at 0,
+    where ``q(p, 1) = exp(eta p^2)`` rounds to 1.0 for ``p`` below ~1e-8,
+    and all prior weight on a log expert certain of 1 with Reality always
+    0, whose infinite lambda cuts every batch to one row.  Absolute loss
+    at ``c(1)`` (its boundary proper loss) under iid Reality plays blocks
+    of many rounds, each row solved one at a time by
+    ``admissible_interval``.  Every run has the bytes of its rounds."""
+    canonical = [parse_config({
         "game": {"name": "square", "m": 2}, "algorithm": "dfa", "eta": 2.0, "horizon": 300,
         "seed": 5, "experts": [{"kind": "constant", "value": 0.0}],
-        "reality": {"kind": "iid"}})
-    walked, bisected = defensive._walked_intervals, defensive._bisected_intervals
-    hinted, again = [], []
+        "reality": {"kind": "iid"}}), parse_config({
+        "game": {"name": "log", "m": 2}, "algorithm": "dfa", "horizon": BLOCK_ROUNDS,
+        "seed": 1, "prior": [1.0, 0.0], "reality": {"kind": "fixed", "sequence": [0]},
+        "experts": [{"kind": "constant", "value": 1.0}, {"kind": "iid-random"}]})]
+    absolute = parse_config({
+        "game": {"name": "absolute", "m": 2}, "algorithm": "dfa",
+        "c": realizability_constant("absolute", 1.0), "eta": 1.0, "horizon": 300, "seed": 5,
+        "experts": [{"kind": "iid-random"}, {"kind": "constant", "value": 0.2},
+                    {"kind": "trailing-average"}], "reality": {"kind": "iid"}})
+    interval, solves = defensive.admissible_interval, []
 
-    def walked_rows(q, C, levels, hint):
-        hinted.append(len(hint))
-        return walked(q, C, levels, hint)
+    def counted(*args, **kwargs):
+        solves.append(1)
+        return interval(*args, **kwargs)
 
-    def bisected_rows(q, C, levels, rows):
-        again.append(rows)
-        return bisected(q, C, levels, rows)
-
-    with mock.patch.object(defensive, "_walked_intervals", walked_rows), \
-            mock.patch.object(defensive, "_bisected_intervals", bisected_rows):
-        run_scenario(config)
-    assert hinted == again == [BLOCK_ROUNDS, config.horizon - BLOCK_ROUNDS]
-    assert_blocks_replay_rounds(config, BLOCK_ROUNDS)
+    for config, want in [(c, 0) for c in canonical] + [(absolute, absolute.horizon)]:
+        solves.clear()
+        with mock.patch.object(defensive, "admissible_interval", counted):
+            blocked = blocked_run(config)
+        assert len(solves) == want
+        assert block_rounds(config) == BLOCK_ROUNDS
+        assert blocked == reference_run(config)
 
 
 def test_forecast_binary_blocks_cost_few_q_calls():
     """A block of 256 ``dfa-log-k10`` rounds (the ``forecast-binary``
-    workload) makes at most 2 q calls (one holds every midpoint that the
-    walk against AA's feasible interval visits, one the forecasts), and
-    passes the proper loss no more rows than the same rounds played one at
-    a time."""
+    workload) makes one q call, at AA's point of every round, and passes
+    the proper loss no more rows than the same rounds played one at a
+    time."""
     config = builtin_scenario("dfa-log-k10", horizon=2 * BLOCK_ROUNDS)
     fixed_advice_q, proper_call = defensive.fixed_advice_q, ProperLoss.__call__
     calls, rows = [], []
@@ -805,7 +818,7 @@ def test_forecast_binary_blocks_cost_few_q_calls():
     (blocked, q_calls, blocked_rows), (want, _, round_rows) = work(blocked_run), \
         work(reference_run)
     assert blocked == want
-    assert q_calls <= 2 * 2
+    assert q_calls <= 2
     assert blocked_rows <= round_rows
 
 
@@ -850,28 +863,6 @@ def test_evaluator_blocks_cost_few_proper_calls():
     assert blocked == reference_run(config)
     assert tables == n and n <= real <= 1.5 * n
     assert proper - setup == groups * (1 + blocks + real + n)
-
-
-def test_rounds_of_one_row_take_the_scalar_interval():
-    """All prior weight on a log expert certain of 1, and Reality always 0:
-    every round's lambda is infinite on its outcome and AA's path loses the
-    expert after it, so each batch is one row, which the scalar
-    ``admissible_interval`` solves (no batched replay), with the same
-    bytes."""
-    config = parse_config({
-        "game": {"name": "log", "m": 2}, "algorithm": "dfa", "horizon": BLOCK_ROUNDS,
-        "seed": 1, "prior": [1.0, 0.0], "reality": {"kind": "fixed", "sequence": [0]},
-        "experts": [{"kind": "constant", "value": 1.0}, {"kind": "iid-random"}]})
-    replay, replays = defensive._replay, []
-
-    def counting_replay(*args):
-        replays.append(len(args[0]))
-        return replay(*args)
-
-    with mock.patch.object(defensive, "_replay", counting_replay):
-        blocked = blocked_run(config)
-    assert replays == []
-    assert blocked == reference_run(config)
 
 
 def test_dead_and_unrealizable_runs_fail_at_their_round():

@@ -9,7 +9,6 @@ from expertmix import defensive
 from expertmix.aggregating import aa_mix, aa_start, aa_step
 from expertmix.defensive import (
     admissible_interval,
-    admissible_intervals,
     choose_forecast,
     default_proper_loss,
     dfa_solve_binary,
@@ -424,22 +423,6 @@ class TestBatchedRoot:
         assert slack == max(0.0, float(np.max(q(pi[None, :]))) - 1.0)
 
 
-def reference_walk(q, C, tol, hint_lo, hint_hi):
-    """The endpoints that trusting the hint would give: ``reference_interval``
-    with ``mid >= hint_lo`` standing in for ``q(mid, 1) <= C`` and ``mid <=
-    hint_hi`` for ``q(mid, 0) <= C``."""
-    q0, q1 = np.asarray(q(np.eye(2)), dtype=float)
-    a_lo, b_lo, a_hi, b_hi = 0.0, 1.0, 0.0, 1.0
-    while b_lo - a_lo > tol:
-        m_lo, m_hi = 0.5 * (a_lo + b_lo), 0.5 * (a_hi + b_hi)
-        a_lo, b_lo = (a_lo, m_lo) if m_lo >= hint_lo else (m_lo, b_lo)
-        a_hi, b_hi = (m_hi, b_hi) if m_hi <= hint_hi else (a_hi, m_hi)
-    lo, hi = (0.0 if q0[1] <= C else b_lo), (1.0 if q1[0] <= C else a_hi)
-    if hi < lo:
-        lo = hi = 0.5 * (lo + hi)
-    return lo, hi
-
-
 @st.composite
 def interval_blocks(draw):
     """A block of 1-8 rows of one binary game's fixed-advice q, each row
@@ -451,11 +434,17 @@ def interval_blocks(draw):
     return name, rows
 
 
-class TestHintedIntervals:
+class TestAAPointForecasts:
     @settings(max_examples=150, deadline=None)
-    @given(block=interval_blocks(), tol=st.sampled_from([1e-9, 1e-12, 2.0 ** -52, 0.3, 2.0]),
-           shift=st.sampled_from([0.0, 1e-12, -1e-12, 1e-6, -1e-6, np.nan]))
-    def test_hinted_endpoints_equal_the_reference_bisection(self, block, tol, shift):
+    @given(block=interval_blocks())
+    def test_forecasts_are_aa_decisions_at_the_admissible_midpoint(self, block):
+        """At c = 1 under the canonical proper loss a block's forecast is
+        AA's substituted decision, bit for bit, and lies within ``2**-30``
+        of the bisected admissible interval's midpoint.  (Square's ``q(p,
+        0) = exp(eta (p^2 - gamma_0))`` is flat near ``p = 0``, and ``q(p,
+        1)`` near ``p = 1``: where the closed-form interval ends within
+        1e-7 of there, q rounds to 1.0 a little past that end, so the
+        bisection's interval is wider, and the forecast lies in it.)"""
         # log advice at decision 0 or 1 has an infinite entry
         name, rows = block
         game = builtin_game(name, 2)
@@ -465,23 +454,24 @@ class TestHintedIntervals:
             lwn = np.log(w / w.sum(axis=1, keepdims=True))
         A = np.stack([advice_rows(game, [d for _, d in row]) for row in rows])
         state = dfa_start(game, eta=eta, c=c, n_experts=A.shape[1])
+        pi, _, qpi, served = defensive._block_forecasts(state, lwn, A, 1e-6, 1e-9, "midpoint")
+        gamma = aa_mix(state, A, lwn)
+        decisions = game.substitution(gamma)
+        ends = game.feasible_interval(gamma)
+        flat = (name == "square") & ((ends[1] < 1e-7) | (ends[0] > 1.0 - 1e-7))
+        assert pi[:, 1].tobytes() == decisions[:, 0].tobytes()
+        assert pi[:, 0].tobytes() == (1.0 - decisions[:, 0]).tobytes()
         q = fixed_advice_q(state, A, lwn)
-        hint = np.column_stack(game.feasible_interval(aa_mix(state, A, lwn))) + shift
-        calls = []
-
-        def counted(P, r):
-            calls.append(len(P))
-            return q(P, r)
-
-        lo, hi = admissible_intervals(counted, 1.0, tol, len(rows), hint)
-        row_qs = [lambda P, r=r: q(P, np.full(len(P), r)) for r in range(len(rows))]
-        want = [reference_interval(q_r, 1.0, tol) for q_r in row_qs]
-        assert list(zip(lo.tolist(), hi.tolist())) == want
-        # a hint that would lead the walk astray is caught: its rows are
-        # bisected again, in more q calls
-        trusted = [reference_walk(q_r, 1.0, tol, *row) for q_r, row in zip(row_qs, hint.tolist())]
-        if trusted != want:
-            assert len(calls) > 1
+        assert qpi.tobytes() == q(pi, np.arange(len(rows))).tobytes()
+        # a row that AA's point misses is one whose mix rounds past the
+        # closed form (an expert within ~1e-16 of another: log_mix rounds
+        # exp(-1e-17) to 1), and is solved on its own
+        assert np.all(served == (qpi.max(axis=1) <= 1.0 + 1e-6 + 1e-9))
+        for r in np.flatnonzero(served):
+            p = pi[r, 1]
+            lo, hi = reference_interval(lambda P: q(P, np.full(len(P), r)), 1.0, 1e-9)
+            assert lo - 2.0 ** -30 <= p <= hi + 2.0 ** -30
+            assert flat[r] or abs(p - 0.5 * (lo + hi)) <= 2.0 ** -30
 
 
 def reference_check(proper, c, eta, game, samples=2000, seed=0, grid=25):

@@ -20,7 +20,7 @@ HORIZON = 200
 
 #: scenario -> (sha256 of the JSONL trajectory, sha256 of the CSV summary)
 GOLDEN = {
-    "aa-log-k10": ("19e781181a66e0abf89df8c2fe271737c686e8cb57f801a589658f80508d9bdb",
+    "aa-log-k10": ("3f63972e1c3193a78a8e3a93fff0101bda4bdc03b8492dd26b50b5491352758a",
                    "70c32a827d6eb73ae62518bb843ad05455195c3a4f132df73c3a0d514f0c65be"),
     "absolute-aa": ("173830aa37c7fc6f04d9effd7ba0a99c70bcc94604cdea1c8bb20e69aac59719",
                     "69ac7255ca409d8ffa45d6e5c43b786708fb7aa2281907d77619e7d2b11be085"),
@@ -28,8 +28,8 @@ GOLDEN = {
                      "9454d6c5edb1fcf69206bb7b36ebc103d8924410f9a0d1e893421c809e1cc41e"),
     "brier-simplex": ("186be3686c41ac5ca92cb5ff1ffa0bf27c6935cf6f5fc5b7e268e5429471d9b4",
                       "fad861d93ec3954c2510c07ed428ef0a6d568e0ec81cc7e8b3dbab808cfc2885"),
-    "dfa-log-k10": ("f5cb87e498a2876c1322517970d2617aa2ec3e9073e1237411848791e610c6fb",
-                    "5e8dd1c04fba7ee4106273795074e33d4c551a563bd8dc62b6af5b29b789955e"),
+    "dfa-log-k10": ("961a2605501dd8dda143c994900eea6b268727896b7c8d62ef8d68f5d46cf7c9",
+                    "1c02e9296c71ffc3a53727630ecbabe934b817c8a65bd74a651d1aa6db970709"),
     "kl-simplex": ("810381b99204066568ae7d669383d48013777baf312a2e1ebb95aab4a4b045d9",
                    "c4b33f5429076b3128b687de05a09f3e88ee18116fc3524a30e19dc3af3adc43"),
     "ml-log-square-k4": ("61a8e87dae083acec9778657cdb5e3b228ff590ce2b8f5ba8e9735f375226a2a",
@@ -49,7 +49,7 @@ GOLDEN = {
 GOLDEN_BLOCKS = {
     "aa-log-k10": (
         builtin_scenario("aa-log-k10", horizon=1500),
-        "61a19568d7c24e6b8ab50bff857e98f0ebd76461bd6159afb48ce69ba39295c7",
+        "502263c6b5cc043afa8d5437601a358d2dc612530dd8cc385ed430c55272842a",
         "71fe78fd3a2540a11bb5ceb617b4e3acfb73d4df0f76cd0e8ff6c18473578580"),
     "aa-mixed-fixed": (
         parse_config({
@@ -65,12 +65,12 @@ GOLDEN_BLOCKS = {
             "horizon": 1000,
             "seed": 17,
         }),
-        "77a52aec3a4f66cf513586cf1d88711744cedfebfe0325be57260b12c4ae9fd8",
+        "261b7b2b9224ca639a68f2376538b8d14f73bb3fbab4592c45e762ba8f734c5c",
         "5334d58f6645b46603b26d0b3dc2082c56bebf7715c6d85778ba4f0862be6fe3"),
     "dfa-log-k10": (
         builtin_scenario("dfa-log-k10", horizon=1000),
-        "4e3b716a523eb5c6e169bbe74da19d8bb144fb1ea2d9ce989132bd9220648ccb",
-        "2fa7fdc39a3896398f62aaf45a9fd03fdc02665e92acb5b46bb29df81a473966"),
+        "a2d7878c577d8cc50c3c09ea5ccdf9a64238d286b42f52aa6c2114d01fcce029",
+        "f14af7f14c2efd15e8c57f1f758cdc6a38af4737a722545cd11b69ab6b1461ad"),
     "dfa-mixed-fixed": (
         parse_config({
             "name": "dfa-mixed-fixed",
@@ -85,8 +85,8 @@ GOLDEN_BLOCKS = {
             "horizon": 1000,
             "seed": 17,
         }),
-        "f59ac484825433130a87584fd922b95efe5979e6aa2b050bb333fcd15cb94c9d",
-        "cd773b31179395746be539266f0614380f4653b216c0bba916911bfb942a3c41"),
+        "54e0a1d9d58d61798de2a6535f8e07502039f8599d92620fa836da0517798939",
+        "421b5219a4c818bef1c015e1a6de2c552baf8aa054c0ae1716f8949d22f6ed50"),
     "brier-simplex": (
         builtin_scenario("brier-simplex", horizon=1000),
         "f2ba654ca26f6cd816d7d341734f7f281a8a09df14df5e6e8e2450f8c7692bc2",

@@ -137,9 +137,9 @@ def test_aa_and_dfa_predict_alike_on_random_advice(run):
         # AA's log mix gives some outcome a probability in (0, 1e-8)
         g = aa_mix(mix, advice)
         if name == "log" and np.any(np.isfinite(g) & (g > np.log(1e8))):
-            return  # where its substitution loses precision: see the xfail below
+            return  # where log_mix can round a loss of ~1e-17 away (ROADMAP item 15)
         (aa, mix), (dfa, forecast, _) = aa_step(mix, advice, w), dfa_step(forecast, advice, w)
-        assert abs(float(aa[0]) - float(dfa[0])) <= 1e-6
+        assert abs(float(aa[0]) - float(dfa[0])) <= 1e-15
 
 
 @st.composite
@@ -282,16 +282,57 @@ def test_log_supermartingale_never_increases_along_dfa_log_k10():
     assert_never_increases(builtin_scenario("dfa-log-k10", horizon=10_000))
 
 
-@pytest.mark.xfail(raises=SubstitutionFailure, strict=True,
-                   reason="near or below a mixed probability of 1e-9, rounding in "
-                          "1 - p and 1 - exp(-g0) inverts AA's log feasible interval "
-                          "and its midpoint misses g by more than 1e-7; DFA runs")
 def test_aa_substitutes_a_log_expert_near_the_boundary():
     g = builtin_game("log", 2)
     advice = np.stack([g.loss_vector([1e-12])])
     dfa = dfa_step(dfa_start(g, eta=1.0, n_experts=1), advice, 0)[0]
     aa = aa_step(aa_start(g, eta=1.0, n_experts=1), advice, 0)[0]
     assert abs(float(aa[0]) - float(dfa[0])) <= 1e-6
+
+
+@pytest.mark.parametrize("p", [1e-8, 5.8e-10, 1e-12])
+@pytest.mark.parametrize("w", [0, 1])
+def test_one_log_expert_near_zero_is_followed(p, w):
+    """With all weight on one log expert at decision ``p``, DFA's and AA's
+    decisions are ``p`` up to the precision the expert's loss ``-ln p``
+    keeps as a float (``-ln 1e-8`` is off by 1.8e-15, so ``exp`` of it is
+    off by a relative 1.8e-15), and DFA's step has no slack."""
+    g = builtin_game("log", 2)
+    advice = np.stack([g.loss_vector([p])])
+    dfa, _, slack = dfa_step(dfa_start(g, eta=1.0, n_experts=1), advice, w)
+    aa = aa_step(aa_start(g, eta=1.0, n_experts=1), advice, w)[0]
+    assert abs(float(dfa[0]) - p) <= 2e-15 * p and slack == 0.0
+    assert abs(float(aa[0]) - p) <= 1e-15 * p
+
+
+@pytest.mark.parametrize("name,eta", [("log", 1.0), ("square", 2.0)])
+@pytest.mark.parametrize("block", [1, runner.BLOCK_ROUNDS])
+def test_dfa_forecasts_are_aa_decisions(name, eta, block):
+    """The source paper's identity: at c = 1 under the canonical proper
+    loss, DFA's forecast in every round of a seeded run is AA's decision,
+    bit for bit, in blocks of rounds and one round at a time, and DFA's
+    decision is AA's within 1e-15."""
+    spec = {"game": {"name": name, "m": 2}, "c": 1.0, "eta": eta, "horizon": 600, "seed": 11,
+            "experts": [{"kind": "iid-random"}] * 6 + [{"kind": "trailing-average"},
+                                                        {"kind": "constant", "value": 0.3}],
+            "reality": {"kind": "iid"}}
+    solve, forecasts = defensive.forecast_rounds, []
+
+    def recorded(*args, **kwargs):
+        out = solve(*args, **kwargs)
+        forecasts.append(out[0])
+        return out
+
+    with mock.patch.object(runner, "BLOCK_ROUNDS", block), \
+            mock.patch.object(defensive, "forecast_rounds", recorded):
+        aa, dfa = (run_scenario(parse_config({**spec, "algorithm": algorithm})).columns
+                   for algorithm in ("aa", "dfa"))
+    decisions = np.asarray(aa["learner_decision"], dtype=float)[:, 0]
+    pi = np.concatenate(forecasts)
+    assert pi[:, 1].tobytes() == decisions.tobytes()
+    assert pi[:, 0].tobytes() == (1.0 - decisions).tobytes()
+    dfa_decisions = np.asarray(dfa["learner_decision"], dtype=float)[:, 0]
+    assert np.max(np.abs(dfa_decisions - decisions)) <= 1e-15
 
 
 #: evaluator (loss, c, eta) triples; log's proper loss is infinite on the
