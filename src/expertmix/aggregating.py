@@ -14,7 +14,6 @@ from .core import (
     MEMBERSHIP_TOL,
     SUBSTITUTION_TOL,
     Game,
-    Rounds,
     Session,
     as_losses,
     dominated_by,
@@ -110,7 +109,7 @@ def substituted_rounds(state: Session, forecasts: np.ndarray, advice: np.ndarray
     rows = np.arange(len(w))
     learner_losses, expert_losses = lvs[rows, w], advice[rows, :, w]
     term, log_factors = (0.0, None) if score is None else score(w)
-    lw, lv = state.reweigh(expert_losses[-1:], term, log_weights[-1])
+    lw, lv, _ = state.reweigh(expert_losses[-1:], term, log_weights[-1])
     lw, lv = np.concatenate((log_weights[1:], lw)), np.concatenate((log_value[1:], lv))
     return decisions, learner_losses, expert_losses, slack, state.rounds(
         lw, lv, learner_losses, expert_losses, slack, log_factors)
@@ -128,15 +127,10 @@ def aa_rounds(state: Session, advice: np.ndarray, outcomes: np.ndarray, pick):
     :class:`Rounds`, each row what :func:`aa_step` gives that round.
     :class:`AllExpertsDead` and :class:`SubstitutionFailure` are raised for
     the first round that meets them, before Reality picks."""
-    lw, lv = state.reweigh(advice[np.arange(len(outcomes)), :, outcomes])
-    # the weights before each round: the session's, then each earlier round's
-    lw = np.concatenate([state.log_weights[None], lw])
-    lv = np.concatenate([[state.log_value], lv])
-    dead = np.isneginf(lv)
-    live = int(np.argmax(dead)) if dead.any() else len(lv)
-    g = aa_mix(state, advice[:live], lw[:live] - lv[:live, None])
+    lw, lv, lwn = state.before(advice[np.arange(len(outcomes)), :, outcomes])
+    g = aa_mix(state, advice[:len(lwn)], lwn)
     return substituted_rounds(state, g, advice, outcomes, pick, lw, lv, np.zeros(len(lv)),
-                              AllExpertsDead() if live < len(lv) else None)
+                              AllExpertsDead() if len(lwn) < len(lv) else None)
 
 
 def aa_step(state: Session, advice, outcome: int) -> tuple[np.ndarray, Session]:
@@ -147,14 +141,12 @@ def aa_step(state: Session, advice, outcome: int) -> tuple[np.ndarray, Session]:
     return decisions[0], state.after(rounds)
 
 
-def log_semi_invariant(state: Session, rounds: Rounds | None = None):
-    """ln of ``sum_t P0(t) exp(eta (L_N / c - L_N^t))``, now or, shape (B,),
-    after each round of ``rounds``; never increases along a realizable
-    run."""
-    if rounds is None:
-        return float(state.eta * state.cumulative_loss / state.c + state.log_value)
-    with np.errstate(invalid="ignore"):  # inf + -inf, as in float arithmetic
-        return state.eta * rounds.cumulative_loss / state.c + rounds.log_value
+def log_semi_invariant(state: Session) -> float:
+    """ln of ``sum_t P0(t) exp(eta (L_N / c - L_N^t))``; never increases
+    along a realizable run.  :meth:`~expertmix.core.Session.rounds` gives it
+    after each round of a block as the mixing session's
+    ``log_supermartingale``."""
+    return float(state.eta * state.cumulative_loss / state.c + state.log_value)
 
 
 # ---------------------------------------------------------------------------

@@ -92,6 +92,28 @@ def log_sum_exp(a: np.ndarray, axis: int | None = None):
     return out if axis is not None else float(out)
 
 
+def log_normalise(log_weights: np.ndarray):
+    """The log-sum-exp of log weights, one row (k,) or rows (B, k), and the
+    normalised log weights (the log posterior) of each row, from one pass.
+    A row whose weights are all zero has log value ``-inf`` and a posterior
+    of NaN, which no caller reads."""
+    if log_weights.ndim == 1 and math.isfinite(top := log_weights.max()):  # one live row
+        value = np.log(np.exp(log_weights - top).sum()) + top
+        return value, log_weights - value
+    with np.errstate(invalid="ignore"):  # a row with no weight: -inf - -inf
+        value = log_sum_exp(log_weights, axis=-1)
+        return value, log_weights - value[..., None]
+
+
+def live_posterior(log_value, log_posterior: np.ndarray) -> np.ndarray:
+    """``log_posterior``, a row's normalised log weights from
+    :func:`log_normalise`; raises :class:`AllExpertsDead` when every
+    expert carries zero weight (``log_value`` is ``-inf``)."""
+    if log_value == -math.inf:
+        raise AllExpertsDead()
+    return log_posterior
+
+
 def log_mix(lwn: np.ndarray, eta, A: np.ndarray) -> np.ndarray:
     """``ln sum_t exp(lwn_t - eta A_t(w))`` for every outcome ``w``: the log
     of the weighted exponential mix of the advice rows ``A``, shape (k, m),
@@ -407,8 +429,10 @@ class Session:
     session (scalar ``proper``) carries its log supermartingale apart, as
     ``log_supermartingale = ln sum P0 + sum_n ln q(pi_n, w_n)``, each term
     the log of the factor the solver bounded; a mixing session (no
-    ``proper``) reads its learner's share when the semi-invariant is read
-    (:func:`expertmix.aggregating.log_semi_invariant`).  A round whose
+    ``proper``) adds its learner's share when it reads the semi-invariant
+    (:meth:`rounds`).  This class alone does the product's arithmetic:
+    reweighing (:meth:`reweigh`), normalising (:func:`log_normalise`) and
+    reading its log after each round (:meth:`rounds`).  A round whose
     learner term is infinite keeps the extended-real rule of
     :func:`pair_exponent` (an expert infinite there too keeps its weight),
     where AA's posterior would lose every such expert.
@@ -451,63 +475,83 @@ class Session:
         return len(self.prior)
 
     def log_posterior(self) -> np.ndarray:
-        """Normalized log weights ``ln wbar_t``; raises
-        :class:`AllExpertsDead` when every expert carries zero weight."""
-        if self.log_value == -math.inf:
-            raise AllExpertsDead()
-        return self.log_weights - self.log_value
+        """Normalized log weights ``ln wbar_t`` (:func:`log_normalise`);
+        raises :class:`AllExpertsDead` when every expert carries zero
+        weight."""
+        return live_posterior(*log_normalise(self.log_weights))
 
     def _log_factors(self, learner_terms, expert_losses, log_weights=None) -> np.ndarray:
         """Each round's log factor ``eta_t (learner_term / c_t - expert_loss
         [t])``, zero for an expert of weight zero in ``log_weights`` (the
         session's by default), even where its factor is infinite."""
+        if math.isfinite(learner_terms) if isinstance(learner_terms, float) \
+                else np.isfinite(learner_terms).all():  # no factor is NaN or +inf
+            return self.eta * (learner_terms / self.c - expert_losses)
         expo = pair_exponent(learner_terms, expert_losses, self.c, self.eta)
         lw = self.log_weights if log_weights is None else log_weights
         return np.where(np.isneginf(lw), 0.0, expo)
 
-    def reweigh(self, expert_losses, learner_terms=0.0,
-                log_weights=None) -> tuple[np.ndarray, np.ndarray]:
-        """The reweigh of a block of B rounds of a session with scalar (c,
-        eta), from ``log_weights`` (the session's by default): the log
-        weights after each round, shape (B, k), and their log-sum-exps,
-        shape (B,).  Round ``n`` adds expert ``t``'s log factor ``eta
-        (learner_terms[n] / c - expert_losses[n, t])``, zero for an expert
-        of weight zero.  The learner terms, shape (B,), stay out of the
-        weights unless infinite (finite, they add the same amount to every
-        expert); with none, the rows are AA's posterior path.  The rows
-        are one cumulative sum of the factors, so each holds the bits of
-        adding them round by round."""
-        if not len(expert_losses):
-            return np.empty((0, self.n_experts)), np.empty(0)
+    def reweigh(self, expert_losses, learner_terms=0.0, log_weights=None):
+        """The reweigh of a block of B rounds from ``log_weights`` (the
+        session's by default): the log weights after each round, shape (B,
+        k), and their log-sum-exps (B,) and log posteriors (B, k) from
+        :func:`log_normalise`.  Round ``n`` adds expert ``t``'s log factor
+        ``eta_t (learner_terms[n] / c_t - expert_losses[n, t])``, zero for
+        an expert of weight zero.  With scalar (c, eta) the learner terms,
+        shape (B,), stay out of the weights unless infinite (finite, they
+        add the same amount to every expert), and with none the rows are
+        AA's posterior path; an evaluator session's, shape (B, k), differ
+        by expert and stay in.  The rows are one cumulative sum of the
+        factors, so each holds the bits of adding them round by round."""
         start = self.log_weights if log_weights is None else log_weights
-        terms = np.where(np.isinf(learner_terms), learner_terms, 0.0)[..., None]
-        factors = self._log_factors(terms, expert_losses, start)
+        if not isinstance(self.c, np.ndarray):  # a finite term adds alike to every weight
+            learner_terms = np.where(np.isinf(learner_terms), learner_terms, 0.0)[..., None] \
+                if np.ndim(learner_terms) else learner_terms if math.isinf(learner_terms) else 0.0
+        factors = self._log_factors(learner_terms, expert_losses, start)
         if len(factors) == 1:  # one round: its one sum, with no cumsum's overhead
             lw = start + factors
-            return lw, np.array([log_sum_exp(lw[0])])
+            value, posterior = log_normalise(lw[0])
+            return lw, value[None], posterior[None]
         lw = np.concatenate([start[None], factors]).cumsum(axis=0)[1:]
         # a weight that reaches zero inside the block keeps it
         lw[np.logical_or.accumulate(np.isneginf(lw), axis=0)] = -np.inf
-        return lw, log_sum_exp(lw, axis=-1)
+        return (lw, *log_normalise(lw))
+
+    def before(self, expert_losses, log_weights=None):
+        """The log weights (B, k) and log values (B,) before each of B rounds
+        whose first B - 1 rounds the experts lost ``expert_losses`` (B - 1,
+        k), from ``log_weights`` (the session's by default; the learner
+        terms stay out), and the log posteriors of the rounds before the
+        first whose weights are all zero, (live, k)."""
+        start = self.log_weights if log_weights is None else log_weights
+        lw, lv, lwn = (np.concatenate((first[None], rest)) for first, rest in
+                       zip((start, *log_normalise(start)), self.reweigh(expert_losses, 0.0, start)))
+        dead = np.isneginf(lv)
+        return lw, lv, lwn[:int(np.argmax(dead)) if dead.any() else len(lv)]
 
     def rounds(self, log_weights, log_value, learner_losses, expert_losses, slack,
                log_factors=None) -> "Rounds":
         """The session's fields after each round of a block that reweighed
         to ``log_weights`` (B, k) and ``log_value`` (B,): Learner's losses
-        ((B, k) for an evaluator session), the experts' losses (B, k), the
-        slack totals and, for a forecasting session, the log
-        supermartingale (from the rounds' ``log_factors``) as running sums,
-        added in order as round by round."""
+        ((B, k) for an evaluator session), the experts' losses (B, k) and
+        the slack totals as running sums, added in order as round by round,
+        and the log of the paper's product: for a forecasting session the
+        running sum of the rounds' ``log_factors``, for an evaluator session
+        ``log_value``, and for a mixing session the semi-invariant ``eta
+        L / c + log_value`` (:func:`expertmix.aggregating.log_semi_invariant`)."""
         def running(start, steps):
             if len(steps) == 1:  # a block of one: its one sum, with no cumsum's overhead
                 return start + steps
             return np.concatenate(([start], steps)).cumsum(axis=0)[1:]
 
-        return Rounds(
-            log_weights, log_value, running(self.cumulative_loss, learner_losses),
-            running(self.per_expert_loss, expert_losses),
-            running(self.slack_log_total, np.log1p(slack)),
-            None if log_factors is None else running(self.log_supermartingale, log_factors))
+        cumulative = running(self.cumulative_loss, learner_losses)
+        with np.errstate(invalid="ignore"):  # inf + -inf, as in float arithmetic
+            product = running(self.log_supermartingale, log_factors) \
+                if self.log_supermartingale is not None else log_value \
+                if isinstance(self.c, np.ndarray) else self.eta * cumulative / self.c + log_value
+        return Rounds(log_weights, log_value, cumulative,
+                      running(self.per_expert_loss, expert_losses),
+                      running(self.slack_log_total, np.log1p(slack)), product)
 
     def after(self, rounds: "Rounds") -> "Session":
         """The session after the last of ``rounds``."""
@@ -520,7 +564,7 @@ class Session:
             cumulative_loss=float(cum) if cum.ndim == 0 else cum,
             per_expert_loss=rounds.per_expert_loss[-1],
             slack_log_total=float(rounds.slack_log_total[-1]),
-            log_supermartingale=None if rounds.log_supermartingale is None
+            log_supermartingale=None if self.log_supermartingale is None
             else float(rounds.log_supermartingale[-1]),
         )
 
@@ -548,7 +592,7 @@ class Rounds(NamedTuple):
     cumulative_loss: np.ndarray  # (B,), or (B, k) for evaluator sessions
     per_expert_loss: np.ndarray  # (B, k)
     slack_log_total: np.ndarray  # (B,)
-    log_supermartingale: np.ndarray | None = None  # (B,), forecasting sessions
+    log_supermartingale: np.ndarray  # (B,), the log of the paper's product
 
 
 def start_session(game, prior=None, n_experts: int | None = None, *,

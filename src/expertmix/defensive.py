@@ -759,8 +759,9 @@ def forecast_rounds(state: Session, A: np.ndarray, expert_losses: np.ndarray, te
     1, k) of the rounds before the last, whose outcome Reality picks later.
 
     The session's posterior is AA's, so one reweigh gives the posterior
-    before every round.  One batch serves the rounds it can
-    (:func:`_block_forecasts`: each round's barycentre or AA's point), and
+    before every round (:meth:`~expertmix.core.Session.before`).  One batch
+    serves the rounds it can (:func:`_block_forecasts`: each round's
+    barycentre or AA's point), and
     :func:`_forecast` each other round, one at a time on the same
     posteriors, which takes :func:`admissible_interval` for a binary
     midpoint and the labelled-grid search only where both points miss.
@@ -769,32 +770,25 @@ def forecast_rounds(state: Session, A: np.ndarray, expert_losses: np.ndarray, te
     learner term is infinite keeps weights that AA's posterior drops, so
     the rounds after it are solved again from
     its weights.  Returns the forecasts, slack and ``q(pi, .)`` rows of the
-    rounds solved, the log weights and values before each, and the error
-    of the first round that raised (None when all were solved; a block of
-    one raises it)."""
+    rounds solved, the log weights, values and posteriors before each, and
+    the error of the first round that raised (None when all were solved)."""
     B, k, m = A.shape
-    if B == 1:  # a block of one: the round's forecast, as :func:`_forecast` gives it
-        pi, s, qpi = _forecast(state, state.log_posterior(), A[0], epsilon, tol, select)
-        return (pi[None], np.array([s]), qpi[None], state.log_weights[None],
-                np.array([state.log_value]), None)
-    lw, lv = np.empty((B, k)), np.empty(B)  # before each round
-    lw[0], lv[0] = state.log_weights, state.log_value
+    lw, lv, lwn = np.empty((B, k)), np.empty(B), np.empty((B, k))  # before each round
+    lw[0] = state.log_weights
     pi, slack, qpi = np.empty((B, m)), np.zeros(B), np.empty((B, m))
     n, error = 0, None
     while n < B and error is None:
-        lw[n + 1:], lv[n + 1:] = state.reweigh(expert_losses[n:], 0.0, lw[n])
-        dead = np.isneginf(lv[n:])
-        live = int(np.argmax(dead)) if dead.any() else len(dead)
-        lwn = lw[n:n + live] - lv[n:n + live, None]
-        p, s, q, served = _block_forecasts(state, lwn, A[n:n + live], epsilon, tol, select)
-        played = live
+        lw[n:], lv[n:], post = state.before(expert_losses[n:], lw[n])
+        lwn[n:n + len(post)] = post
+        p, s, q, served = _block_forecasts(state, post, A[n:n + len(post)], epsilon, tol, select)
+        played = len(post)
         for i in np.flatnonzero(~served):
             try:
-                p[i], s[i], q[i] = _forecast(state, lwn[i], A[n + i], epsilon, tol, select)
+                p[i], s[i], q[i] = _forecast(state, post[i], A[n + i], epsilon, tol, select)
             except Exception as exc:  # raised once the rounds before it are played
                 error, played = exc, int(i)
                 break
-        if error is None and live < len(dead):
+        if error is None and len(post) < B - n:
             error = AllExpertsDead()
         pi[n:n + played], slack[n:n + played], qpi[n:n + played] = \
             p[:played], s[:played], q[:played]
@@ -803,10 +797,10 @@ def forecast_rounds(state: Session, A: np.ndarray, expert_losses: np.ndarray, te
             if known else ()
         if len(infinite):  # its weights by the extended-real rule; solve on from them
             i = n + int(infinite[0])
-            (lw[i + 1],), (lv[i + 1],) = state.reweigh(expert_losses[i:i + 1], np.inf, lw[i])
+            (lw[i + 1],), _, _ = state.reweigh(expert_losses[i:i + 1], np.inf, lw[i])
             played, error = i + 1 - n, None
         n += played
-    return pi[:n], slack[:n], qpi[:n], lw[:n], lv[:n], error
+    return pi[:n], slack[:n], qpi[:n], lw[:n], lv[:n], lwn[:n], error
 
 
 def dfa_rounds(state: Session, advice: np.ndarray, outcomes: np.ndarray, pick, *,
@@ -832,7 +826,7 @@ def dfa_rounds(state: Session, advice: np.ndarray, outcomes: np.ndarray, pick, *
         lam[block] = state.proper(pi)
         return lam[block][np.arange(len(pi)), outcomes[block]]
 
-    pi, slack, qpi, lw, lv, error = forecast_rounds(
+    pi, slack, qpi, lw, lv, _, error = forecast_rounds(
         state, advice, advice[np.arange(len(outcomes)), :, outcomes], terms,
         epsilon=epsilon, tol=tol, select=select)
     if len(pi) == len(advice):  # the last round, whose outcome no term has scored

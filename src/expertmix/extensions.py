@@ -16,14 +16,13 @@ and one at AA's point for the rounds it misses (:func:`simplex_dfa_rounds`).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import (PROB_TOL, Game, Session, as_probs, log_sum_exp, pair_exponent,
-                   start_session)
+from .core import (PROB_TOL, Game, Session, as_probs, live_posterior, log_normalise,
+                   log_sum_exp, pair_exponent, start_session)
 from .defensive import (
     choose_forecast,
     default_proper_loss,
@@ -32,7 +31,7 @@ from .defensive import (
     forecast_rounds,
     require_supermartingale,
 )
-from .errors import AllExpertsDead, ContractViolation, PreconditionUnverified
+from .errors import ContractViolation, PreconditionUnverified
 from .losses import ProperLoss, builtin_game
 
 
@@ -116,7 +115,8 @@ def ml_dfa_rounds(state: Session, advice: np.ndarray, outcomes: np.ndarray, pick
     learner, expert_losses, lw, lv = np.empty((B, k)), np.empty((B, k)), np.empty((B, k)), \
         np.empty(B)
     lam = np.empty((k, m))
-    ws, weights, value = outcomes.tolist(), state.log_weights, state.log_value
+    ws, weights = outcomes.tolist(), state.log_weights
+    value, posterior = log_normalise(weights)
     for i in range(B):
         if doubtful[i]:
             for a in advice[i]:
@@ -124,19 +124,18 @@ def ml_dfa_rounds(state: Session, advice: np.ndarray, outcomes: np.ndarray, pick
         if i >= scored:
             for proper, _, _, idx in groups:
                 G[i, idx] = proper(advice[i, idx])
-        if value == -math.inf:  # as Session.log_posterior
-            raise AllExpertsDead()
-        pis[i], slack[i] = choose_forecast(fixed_advice_q(state, G[i], weights - value), m,
-                                           epsilon=epsilon, tol=tol, select="root", table=True)
+        pis[i], slack[i] = choose_forecast(
+            fixed_advice_q(state, G[i], live_posterior(value, posterior)), m, epsilon=epsilon,
+            tol=tol, select="root", table=True)
         for proper, _, _, idx in groups:
             lam[idx] = proper(pis[i])
         w = ws[i] if i < len(ws) else pick(None)
         learner[i], expert_losses[i] = lam[:, w], G[i, :, w]
-        # the round's reweigh, the learner terms kept in the weights as they
-        # differ by expert; the other running sums come once a block
-        weights = weights + state._log_factors(learner[i], expert_losses[i], weights)
-        lw[i], lv[i] = weights, log_sum_exp(weights)
-        value = lv[i]
+        # the round's reweigh, whose learner terms differ by expert; the
+        # other running sums come once a block
+        (weights,), (value,), (posterior,) = state.reweigh(expert_losses[i:i + 1],
+                                                           learner[i:i + 1], weights)
+        lw[i], lv[i] = weights, value
     return pis, learner, expert_losses, slack, state.rounds(lw, lv, learner, expert_losses, slack)
 
 
@@ -308,7 +307,7 @@ def _require_verified(state: Session) -> None:
 
 
 def simplex_dfa_rounds(state: Session, advice: np.ndarray, outcomes: np.ndarray, pick, *,
-                       epsilon: float = 1e-6, tol: float = 1e-9, select: str = "midpoint"):
+                       epsilon: float = 1e-6, tol: float = 1e-9):
     """Play a block of B simplex-outcome rounds whose advice, decisions of
     shape (B, k, d), does not depend on Learner's moves, from the outcomes,
     points (B - 1, m), of the rounds before the last and ``pick(None)``,
@@ -336,20 +335,20 @@ def simplex_dfa_rounds(state: Session, advice: np.ndarray, outcomes: np.ndarray,
     def play(pi):  # the substituted decisions at the forecasts
         return np.asarray(sg.base.substitution(state.proper(pi)), dtype=float)
 
-    pi, slack, _, lw, lv, error = forecast_rounds(
+    pi, slack, _, lw, lv, lwn, error = forecast_rounds(
         state, sg.base.loss_rows(advice), known,
         lambda block, pi: sg.loss_on_simplex(play(pi), outcomes[block]),
-        epsilon=epsilon, tol=tol, select=select)
+        epsilon=epsilon, tol=tol, select="midpoint")
     if error is not None:
         raise error
     decisions = play(pi)
     points = np.concatenate((outcomes, pick(None)[None]))
     expert_losses = np.concatenate((known, sg.loss_on_simplex(advice[-1], points[-1])[None]))
     learner = sg.loss_on_simplex(decisions, points)
-    # Session._log_factors of each round, under the posterior before it
-    expo = pair_exponent(learner[:, None], expert_losses, state.c, state.eta)
-    log_factors = log_sum_exp(lw - lv[:, None] + np.where(np.isneginf(lw), 0.0, expo), axis=-1)
-    after, after_v = state.reweigh(expert_losses[-1:], learner[-1:], lw[-1])
+    # each round's log factor, its factors under the posterior before it
+    log_factors = log_sum_exp(lwn + state._log_factors(learner[:, None], expert_losses, lw),
+                              axis=-1)
+    after, after_v, _ = state.reweigh(expert_losses[-1:], learner[-1:], lw[-1])
     return decisions, learner, expert_losses, slack, state.rounds(
         np.concatenate((lw[1:], after)), np.concatenate((lv[1:], after_v)), learner,
         expert_losses, slack, log_factors)
@@ -357,7 +356,6 @@ def simplex_dfa_rounds(state: Session, advice: np.ndarray, outcomes: np.ndarray,
 
 def simplex_dfa_step(state: Session, advice, p_outcome, *,
                      epsilon: float = 1e-6, tol: float = 1e-9,
-                     select: str = "midpoint",
                      ) -> tuple[np.ndarray, Session, float]:
     """One simplex-outcome round (a block of one of
     :func:`simplex_dfa_rounds`), scored at the realized point
@@ -366,5 +364,5 @@ def simplex_dfa_step(state: Session, advice, p_outcome, *,
     advice = np.stack([np.asarray(a, dtype=float) for a in advice])
     decisions, _, _, slack, rounds = simplex_dfa_rounds(
         state, advice[None], np.empty((0, state.game.m)), lambda _: point, epsilon=epsilon,
-        tol=tol, select=select)
+        tol=tol)
     return decisions[0], state.after(rounds), float(slack[0])

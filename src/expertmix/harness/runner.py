@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..aggregating import aa_rounds, aa_start, log_semi_invariant
+from ..aggregating import aa_rounds, aa_start
 from ..core import Game
 from ..defensive import default_proper_loss, dfa_rounds, dfa_start
 from ..errors import ConfigError
@@ -110,8 +110,8 @@ class _Records(Sequence):
         return self._build(rows.start, rows.stop) if rows.step == 1 else [self[j] for j in rows]
 
     def __iter__(self):
-        for lo in range(0, self._n, _CHUNK_ROWS):
-            yield from self._build(lo, min(lo + _CHUNK_ROWS, self._n))
+        for lo in range(0, self._n, BLOCK_ROUNDS):
+            yield from self._build(lo, min(lo + BLOCK_ROUNDS, self._n))
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (_Records, list)):
@@ -159,12 +159,10 @@ def _learner_pi(game: Game, decisions: np.ndarray) -> np.ndarray | None:
 
 
 #: rounds per block of a run with Reality that does not look at the
-#: prediction and no callback experts.  Its arrays stay in the tens of
-#: kilobytes.
+#: prediction and no callback experts, and rows per encoded chunk of a
+#: trajectory and per batch of built records.  Its arrays stay in the tens
+#: of kilobytes.
 BLOCK_ROUNDS = 256
-#: rows per encoded chunk of a trajectory and per batch of built records,
-#: whose Python lists are what a run no longer holds
-_CHUNK_ROWS = BLOCK_ROUNDS
 
 
 def block_rounds(config: ScenarioConfig) -> int:
@@ -217,7 +215,7 @@ def _listed(w: np.ndarray) -> list:
     return list(w) if w.ndim > 1 else w.tolist()
 
 
-def _block_play(reality, advise, rounds, learner_pi, read):
+def _block_play(reality, advise, rounds, learner_pi):
     """``play`` for a block of rounds: ``advise(n, size, outcomes)`` gives
     the block's advice, and ``rounds(state, advice, outcomes, pick)`` its
     moves, Learner's and the experts' losses, the slack, the
@@ -227,7 +225,7 @@ def _block_play(reality, advise, rounds, learner_pi, read):
     block's outcomes in one call, and ``pick`` gives the last of them;
     Reality that does plays blocks of one (:func:`block_rounds`) and picks
     from Learner's loss vector.  ``learner_pi(moves)`` gives the recorded
-    forecasts and ``read(state, rounds)`` the log supermartingale."""
+    forecasts."""
     def play(state, n, size, outcomes):
         if reality.depends_on_prediction:  # a block of one
             w = np.zeros(1, dtype=int)
@@ -243,20 +241,19 @@ def _block_play(reality, advise, rounds, learner_pi, read):
             state, advise(n, size, outcomes), w[:-1], pick)
         outcomes.extend(_listed(w[-1:]))
         columns = (advice, learner_pi(moves), moves, w, learner_losses, expert_losses,
-                   played.cumulative_loss, played.per_expert_loss, read(state, played),
+                   played.cumulative_loss, played.per_expert_loss, played.log_supermartingale,
                    slack, played.slack_log_total, state.bound_margins(played))
         return state.after(played), columns
 
     return play
 
 
-def _open_fixed_advice(start, rounds, read, scored=builtin_game):
+def _open_fixed_advice(start, rounds, scored=builtin_game):
     """An opener for experts that advise before Learner moves, in the game
     ``scored(name, m)`` that the session scores or, for a simplex game, in
     its base game: ``rounds(state, advice, outcomes, pick, eps, tol)``
     plays a block (:func:`_block_play`), whose advice is recorded as the
-    experts gave it, and ``read(state, rounds)`` is its log
-    supermartingale."""
+    experts gave it."""
     def open_protocol(config: ScenarioConfig, rngs, reality, eps: float, tol: float):
         game = scored(config.game, config.m)
         state = start(game, eta=config.eta, c=config.c, prior=config.prior,
@@ -266,12 +263,12 @@ def _open_fixed_advice(start, rounds, read, scored=builtin_game):
         return state, _block_play(
             reality, _standard_experts(config, game, rngs),
             lambda state, advice, w, pick: (*rounds(state, advice, w, pick, eps, tol), advice),
-            lambda decisions: _learner_pi(game, decisions), read)
+            lambda decisions: _learner_pi(game, decisions))
 
     return open_protocol
 
 
-def _open_second_guess(start, rounds, records_pi: bool, read):
+def _open_second_guess(start, rounds, records_pi: bool):
     """An opener for second-guessing experts, whose blocks
     ``rounds(state, experts, outcomes, pick, eps, tol)`` plays round by
     round and records with the advice it scored; ``records_pi`` records the
@@ -286,7 +283,7 @@ def _open_second_guess(start, rounds, records_pi: bool, read):
             reality, lambda n, size, outcomes: None,
             lambda state, _, w, pick: rounds(state, experts, w, pick, eps, tol),
             lambda gammas: _learner_pi(game, np.asarray(game.substitution(gammas), dtype=float))
-            if records_pi else None, read)
+            if records_pi else None)
 
     return open_protocol
 
@@ -319,40 +316,31 @@ def _open_evaluators(config: ScenarioConfig, rngs, reality, eps: float, tol: flo
         reality, advise,
         lambda state, advice, w, pick: (*ml_dfa_rounds(state, advice, w, pick, epsilon=eps,
                                                        tol=tol), advice),
-        lambda pi: pi, lambda state, rounds: rounds.log_value)
+        lambda pi: pi)
 
 
-def _log_supermartingale(state, rounds):
-    """A forecasting session's log supermartingale after each round of
-    ``rounds``: the running sum of its log factors."""
-    return rounds.log_supermartingale
-
-
-#: algorithm -> opener; mixing sessions read the semi-invariant as their
-#: log supermartingale, which is the same quantity
+#: algorithm -> opener
 PROTOCOLS = {
     "aa": _open_fixed_advice(
         aa_start,
-        lambda s, advice, w, pick, eps, tol: aa_rounds(s, s.game.loss_rows(advice), w, pick),
-        log_semi_invariant),
+        lambda s, advice, w, pick, eps, tol: aa_rounds(s, s.game.loss_rows(advice), w, pick)),
     "dfa": _open_fixed_advice(
         dfa_start,
         lambda s, advice, w, pick, eps, tol: dfa_rounds(s, s.game.loss_rows(advice), w, pick,
-                                                        epsilon=eps, tol=tol),
-        _log_supermartingale),
+                                                        epsilon=eps, tol=tol)),
     "sg-dfa": _open_second_guess(
         dfa_start,
         lambda s, ex, w, pick, eps, tol: sg_dfa_rounds(s, ex, w, pick, epsilon=eps, tol=tol),
-        records_pi=True, read=_log_supermartingale),
+        records_pi=True),
     "sg-aa": _open_second_guess(
         aa_start, lambda s, ex, w, pick, eps, tol: sg_aa_rounds(s, ex, w, pick, tol=tol),
-        records_pi=False, read=log_semi_invariant),
+        records_pi=False),
     "ml-dfa": _open_evaluators,
     "simplex-dfa": _open_fixed_advice(
         simplex_dfa_start,
         lambda s, advice, w, pick, eps, tol: simplex_dfa_rounds(s, advice, w, pick,
                                                                 epsilon=eps, tol=tol),
-        _log_supermartingale, scored=lambda name, m: SIMPLEX_GAMES[name](m)),
+        scored=lambda name, m: SIMPLEX_GAMES[name](m)),
 }
 
 
@@ -366,10 +354,14 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
     loop (:func:`_block_play`); a round that Reality or an expert must see
     before it is decided is a block of one.  A longer block's draws,
     advice losses, reweighs, substitutions and records are each one batch,
-    and so are AA's mixes, DFA's admissible intervals and, for three or
-    more outcomes and simplex outcomes, one q call at the barycentre of
-    every round (DFA's weights are AA's posterior, and its log
-    supermartingale sums the rounds' log factors).  An evaluator block
+    and so are AA's mixes and DFA's forecasts where AA's point serves them
+    (every binary midpoint round under the game's canonical proper loss)
+    and, for three or more outcomes and simplex outcomes, one q call at
+    the barycentre of every round; DFA's weights are AA's posterior, and a
+    round that no batch serves (a binary admissible interval under any
+    other proper loss, the root, the labelled-grid search) is solved one
+    at a time.  Every session reads its log supermartingale from
+    :meth:`~expertmix.core.Session.rounds`.  An evaluator block
     batches its draws, advice check, advice losses and records; its q,
     root, learner losses and reweigh run round by round, since each
     expert's learner term differs.  A second-guessing block batches its
@@ -465,8 +457,8 @@ def trajectory_lines(result: RunResult) -> list[str]:
             "config": result.config.to_jsonable()}
     lines = [json.dumps(meta, separators=(",", ":"))]
     columns, n = result.columns, len(result.records)
-    for lo in range(0, n, _CHUNK_ROWS):
-        hi = min(lo + _CHUNK_ROWS, n)
+    for lo in range(0, n, BLOCK_ROUNDS):
+        hi = min(lo + BLOCK_ROUNDS, n)
         lines += [_STEP_LINE % row for row in zip(
             range(lo, hi), *(_rows_json(columns[key], lo, hi) for key in COLUMN_KEYS))]
     return lines

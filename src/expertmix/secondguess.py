@@ -34,9 +34,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .aggregating import _closed_form_retraction, project_boundary, retraction_F
-from .core import Session, as_losses, domination_gap, log_sum_exp, pair_exponent
+from .core import (Session, as_losses, domination_gap, live_posterior, log_normalise,
+                   pair_exponent)
 from .defensive import _FIRST_ROW_UNTABLED, _bisection, _log_q, choose_forecast, dfa_solve_simplex
-from .errors import AllExpertsDead, DimensionMismatch, DomainError
+from .errors import DimensionMismatch, DomainError
 
 #: how far an expert's advice may stray below the superprediction set in
 #: ``sg-dfa`` before :class:`DomainError`
@@ -98,11 +99,10 @@ def _sg_rounds(state: Session, experts: Sequence[SecondGuessExpert], outcomes, p
     Returns what :func:`~expertmix.aggregating.aa_rounds` returns, plus
     the advice scored, shape (B, k, m); an error is raised in the round
     that meets it."""
-    ws, weights, value, rows = outcomes.tolist(), state.log_weights, state.log_value, []
+    ws, weights, rows = outcomes.tolist(), state.log_weights, []
+    value, posterior = log_normalise(weights)
     for i in range(len(ws) + 1):
-        if value == -np.inf:  # as Session.log_posterior
-            raise AllExpertsDead()
-        gamma, slack, log_q = solve(weights - value)
+        gamma, slack, log_q = solve(live_posterior(value, posterior))
         advice = np.stack([ex(gamma) for ex in experts])
         for ex, g_t in zip(experts, advice) if check_codomain else ():
             if not np.all(g_t >= -CODOMAIN_TOL) \
@@ -110,11 +110,9 @@ def _sg_rounds(state: Session, experts: Sequence[SecondGuessExpert], outcomes, p
                 raise DomainError(f"expert {ex.name!r} returned {g_t}, "
                                   "outside the superprediction set")
         w = ws[i] if i < len(ws) else pick(gamma)
-        # a mixing round's learner term is zero; a forecasting one's stays
-        # out of the weights unless infinite
-        term = gamma[w] if log_q is not None and np.isinf(gamma[w]) else 0.0
-        weights = weights + state._log_factors(term, advice[:, w], weights)
-        value = log_sum_exp(weights)
+        # a mixing round's learner term is zero
+        (weights,), (value,), (posterior,) = state.reweigh(
+            advice[None, :, w], 0.0 if log_q is None else float(gamma[w]), weights)
         rows.append((gamma, gamma[w], advice[:, w], slack,
                      0.0 if log_q is None else log_q[w], weights, value, advice))
     gammas, learner, expert_losses, slack, log_factors, lw, lv, advice = map(np.array, zip(*rows))

@@ -411,3 +411,74 @@ def test_all_dead_sessions_raise_the_named_error():
     with pytest.raises(AllExpertsDead):
         sg_aa_step(dead, [SecondGuessExpert.identity(),
                           SecondGuessExpert.coordinate_swap()], 0)
+
+
+@pytest.mark.parametrize("block", [1, 5])
+@pytest.mark.parametrize("seed", range(6))
+def test_evaluator_reweigh_is_the_one_round_reference(seed, block):
+    """An evaluator session's learner terms differ by expert and stay in
+    its weights: ``Session.reweigh`` over blocks of ``block`` rounds gives
+    each row the bits of ``advance_reference`` round by round, an expert
+    killed inside a block included."""
+    rng = np.random.default_rng(seed)
+    k, n = int(rng.integers(2, 7)), 20
+    prior = rng.dirichlet(np.ones(k))
+    prior[0] = 0.0
+    state = start_session(None, prior / prior.sum(), c=rng.uniform(1.0, 2.0, k),
+                          eta=rng.uniform(0.2, 2.0, k), cumulative_loss=np.zeros(k))
+    expert_losses = rng.exponential(1.0, (n, k))
+    expert_losses[rng.random((n, k)) < 0.05] = INF
+    learner_terms = rng.exponential(1.0, (n, k))
+    ref, lw = state, state.log_weights
+    for lo in range(0, n, block):
+        rows, values, posteriors = state.reweigh(expert_losses[lo:lo + block],
+                                                 learner_terms[lo:lo + block], lw)
+        for i in range(len(rows)):
+            ref = advance_reference(ref, learner_terms[lo + i], learner_terms[lo + i],
+                                    expert_losses[lo + i])
+            assert rows[i].tobytes() == ref.log_weights.tobytes()
+            assert values[i] == ref.log_value
+            if np.isfinite(ref.log_value):
+                assert posteriors[i].tobytes() == ref.log_posterior().tobytes()
+        lw = rows[-1]
+
+
+def test_rounds_read_the_log_product_of_every_kind():
+    """``Rounds.log_supermartingale`` after each round of a block is the
+    semi-invariant of the session after it for mixing (``aa``, ``sg-aa``)
+    and its ``log_value`` for evaluators (``ml-dfa``)."""
+    from expertmix.aggregating import aa_rounds, log_semi_invariant
+    from expertmix.core import Rounds
+    from expertmix.extensions import EvaluatedExpert, ml_dfa_rounds, ml_dfa_start
+    from expertmix.secondguess import sg_aa_rounds
+
+    rng = np.random.default_rng(7)
+    g, n = builtin_game("log", 2), 12
+    outcomes = rng.integers(0, 2, n)
+    advice = g.loss_rows(rng.uniform(0.05, 0.95, (n, 3, 1)))
+    square = default_proper_loss(builtin_game("square", 2), 1.0, 2.0)
+    log = default_proper_loss(g, 1.0, 1.0)
+    evaluators = ml_dfa_start([EvaluatedExpert(log, 1.0, 1.0, 0.5),
+                               EvaluatedExpert(square, 1.0, 2.0, 0.5)], 2, verify=False)
+    p = rng.uniform(0.05, 0.95, (n, 1))
+    plays = {
+        "aa": (aa_start(g, eta=1.0, n_experts=3),
+               lambda s: aa_rounds(s, advice, outcomes[:-1], lambda lv: outcomes[-1])[-1],
+               log_semi_invariant),
+        "sg-aa": (aa_start(g, eta=1.0, n_experts=2),
+                  lambda s: sg_aa_rounds(s, [SecondGuessExpert.identity(),
+                                             SecondGuessExpert.coordinate_swap()],
+                                         outcomes[:-1], lambda gamma: outcomes[-1])[-2],
+                  log_semi_invariant),
+        "ml-dfa": (evaluators,
+                   lambda s: ml_dfa_rounds(s, np.stack([np.hstack([1 - p, p])] * 2, axis=1),
+                                           outcomes[:-1], lambda _: outcomes[-1])[-1],
+                   lambda s: s.log_value),
+    }
+    for name, (state, play, read) in plays.items():
+        rounds = play(state)
+        assert len(rounds.log_supermartingale) == n, name
+        for i in range(n):
+            after = state.after(Rounds(*(field[:i + 1] for field in rounds)))
+            assert rounds.log_supermartingale[i] == read(after), (name, i)
+            assert after.log_supermartingale is None, name
