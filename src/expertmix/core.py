@@ -94,15 +94,23 @@ def log_sum_exp(a: np.ndarray, axis: int | None = None):
 
 def log_normalise(log_weights: np.ndarray):
     """The log-sum-exp of log weights, one row (k,) or rows (B, k), and the
-    normalised log weights (the log posterior) of each row, from one pass.
-    A row whose weights are all zero has log value ``-inf`` and a posterior
-    of NaN, which no caller reads."""
+    normalised log weights (the log posterior) of each row, from one exp
+    pass.  The posterior is centred (Blanchard, Higham & Higham 2021): each
+    row less its largest entry, which is exact for the leading expert, less
+    the log of the small sum that is left, so it sums to one within a few
+    ulps however far the weights have drifted.  A row whose weights are all
+    zero has log value ``-inf`` and a posterior of NaN, which no caller
+    reads."""
     if log_weights.ndim == 1 and math.isfinite(top := log_weights.max()):  # one live row
-        value = np.log(np.exp(log_weights - top).sum()) + top
-        return value, log_weights - value
-    with np.errstate(invalid="ignore"):  # a row with no weight: -inf - -inf
-        value = log_sum_exp(log_weights, axis=-1)
-        return value, log_weights - value[..., None]
+        shifted = log_weights - top
+        log_s = np.log(np.exp(shifted).sum())
+        return log_s + top, shifted - log_s
+    top = log_weights.max(axis=-1, keepdims=True)
+    safe = np.where(np.isfinite(top), top, 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):  # a row with no weight
+        shifted = log_weights - safe
+        log_s = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+        return np.where(np.isfinite(top), log_s + safe, top)[..., 0], shifted - log_s
 
 
 def live_posterior(log_value, log_posterior: np.ndarray) -> np.ndarray:

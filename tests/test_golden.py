@@ -20,22 +20,22 @@ HORIZON = 200
 
 #: scenario -> (sha256 of the JSONL trajectory, sha256 of the CSV summary)
 GOLDEN = {
-    "aa-log-k10": ("3f63972e1c3193a78a8e3a93fff0101bda4bdc03b8492dd26b50b5491352758a",
-                   "70c32a827d6eb73ae62518bb843ad05455195c3a4f132df73c3a0d514f0c65be"),
-    "absolute-aa": ("173830aa37c7fc6f04d9effd7ba0a99c70bcc94604cdea1c8bb20e69aac59719",
+    "aa-log-k10": ("3658395997636fe5bf52f19a150d7a29e6eb79a4674647a9452e29ddf473c8b2",
+                   "69432f8e64ce0a9188d601b56a9a8209abbd4b8d6dc20a2178b20721e0010a65"),
+    "absolute-aa": ("ba43c2e1c67f9a0e5117fa8add83e6fd260af267dab017758b004a26ded7a6f6",
                     "69ac7255ca409d8ffa45d6e5c43b786708fb7aa2281907d77619e7d2b11be085"),
-    "absolute-dfa": ("90818a1f78bde81f4bcfcc2ebbc7b9ce651d420c29f7c4511b14a25aaee48939",
-                     "9454d6c5edb1fcf69206bb7b36ebc103d8924410f9a0d1e893421c809e1cc41e"),
-    "brier-simplex": ("186be3686c41ac5ca92cb5ff1ffa0bf27c6935cf6f5fc5b7e268e5429471d9b4",
-                      "fad861d93ec3954c2510c07ed428ef0a6d568e0ec81cc7e8b3dbab808cfc2885"),
-    "dfa-log-k10": ("961a2605501dd8dda143c994900eea6b268727896b7c8d62ef8d68f5d46cf7c9",
-                    "1c02e9296c71ffc3a53727630ecbabe934b817c8a65bd74a651d1aa6db970709"),
+    "absolute-dfa": ("c4700fdb6d3c59da74eca0b9ec0c2aca6bdd7a56a80169d135240e9230566a15",
+                     "ad4b9e2089e6093fe810f28fec6f265d1f43c67a4a5b183b29f243aa677766ce"),
+    "brier-simplex": ("96655bd2e1dde2f52bb193ae5188a1dfa33064eb33a981027de384fbad529b11",
+                      "f3d71553b0af4621eba4ebc45d37dc9365101ef61a0749a5902aa51d14693c34"),
+    "dfa-log-k10": ("f9b180cccaa6859f02328b83d690dd010a744ceff30edf3784821d0382e08507",
+                    "574034435a310bce3d30ecd97f7cbbba86539360695b36e7a40653bc21aa29c3"),
     "kl-simplex": ("810381b99204066568ae7d669383d48013777baf312a2e1ebb95aab4a4b045d9",
                    "c4b33f5429076b3128b687de05a09f3e88ee18116fc3524a30e19dc3af3adc43"),
     "ml-log-square-k4": ("61a8e87dae083acec9778657cdb5e3b228ff590ce2b8f5ba8e9735f375226a2a",
                          "ca1b3ac02b232207f6ebfe8f89c276f213742bc0efcd044e6274701fab4fdf23"),
-    "sg-contrarian-log": ("e5a74a6a1093a36cb097eb15f6ba7fcc60737f3530435c871b7bf8cd53dca822",
-                          "91fbe63335c3a75e70e227ebf7c3d9f5d8a589d197297a49b03452753064c7f2"),
+    "sg-contrarian-log": ("0f1ebd94024eae173beb52367b54b2c9dfd7d991bff33a1d7cd510d58199d724",
+                          "c7038a61d6d0735fc82c180d65533c1e2b1948fb334ef18303dfc731dddfd868"),
     "sg-contrarian-log-aa": ("10ad21cf90b5b0dd97956899aaab7848950efc9916bf9633de751c024424873e",
                              "c7038a61d6d0735fc82c180d65533c1e2b1948fb334ef18303dfc731dddfd868"),
 }
@@ -49,8 +49,8 @@ GOLDEN = {
 GOLDEN_BLOCKS = {
     "aa-log-k10": (
         builtin_scenario("aa-log-k10", horizon=1500),
-        "502263c6b5cc043afa8d5437601a358d2dc612530dd8cc385ed430c55272842a",
-        "71fe78fd3a2540a11bb5ceb617b4e3acfb73d4df0f76cd0e8ff6c18473578580"),
+        "5657d9a8b0e278091018520746d26180e49435945704488fb3604cb4098bf48a",
+        "891990966b89e0f1131221ed69176b11d72bb481db9eb0382cdb9de65fb9356d"),
     "aa-mixed-fixed": (
         parse_config({
             "name": "aa-mixed-fixed",
@@ -65,12 +65,12 @@ GOLDEN_BLOCKS = {
             "horizon": 1000,
             "seed": 17,
         }),
-        "261b7b2b9224ca639a68f2376538b8d14f73bb3fbab4592c45e762ba8f734c5c",
+        "19a828479684f758cfc9dba49745d8df373c2b0b49a7383e07b74227b8fd66dc",
         "5334d58f6645b46603b26d0b3dc2082c56bebf7715c6d85778ba4f0862be6fe3"),
     "dfa-log-k10": (
         builtin_scenario("dfa-log-k10", horizon=1000),
-        "a2d7878c577d8cc50c3c09ea5ccdf9a64238d286b42f52aa6c2114d01fcce029",
-        "f14af7f14c2efd15e8c57f1f758cdc6a38af4737a722545cd11b69ab6b1461ad"),
+        "c24e8043c3ae2ed0abae21f997da79d27d23944e9957e6ee97a8d4794f4c77b2",
+        "63314e68a7fbb224b55d74782a631104ee7bfbdf9a240758ed0de872c2caa28f"),
     "dfa-mixed-fixed": (
         parse_config({
             "name": "dfa-mixed-fixed",
@@ -85,24 +85,24 @@ GOLDEN_BLOCKS = {
             "horizon": 1000,
             "seed": 17,
         }),
-        "54e0a1d9d58d61798de2a6535f8e07502039f8599d92620fa836da0517798939",
-        "421b5219a4c818bef1c015e1a6de2c552baf8aa054c0ae1716f8949d22f6ed50"),
+        "eeb03c4986d2566a3ef84c72ddb6da58b237408c738426efa4dd167fd3b88ad1",
+        "b30bd321699f7eb255b5b32786c9641f307530453038e28c75419bf3aa090e8e"),
     "brier-simplex": (
         builtin_scenario("brier-simplex", horizon=1000),
-        "f2ba654ca26f6cd816d7d341734f7f281a8a09df14df5e6e8e2450f8c7692bc2",
-        "f5979d6f5123ca6684d9999f9ed9d6e81b30a0879101731afd4dd4fb66927143"),
+        "9aca970b88ca99ab594bc4ba519246e3fd45f0e414f9478b5f458c24c39fc4dc",
+        "516fb95929758cdbbf14ed1ec03d378611e91b3b8bd1e6dd14974b2a22c6b287"),
     "kl-simplex": (
         builtin_scenario("kl-simplex", horizon=1000),
         "99c91bb08d46476d6e2576d4fa289dc872401159dfddbf297d97c15ccce8c65f",
         "b2499bda8edc9ebe86d62df323d7c5f2e37cadd15f7f499277fa46818531e756"),
     "ml-log-square-k4": (
         builtin_scenario("ml-log-square-k4", horizon=1000),
-        "36a1449d7497af075bbc684a5cb27124a23439ab5a3750b12503fe0c2cee0a38",
-        "d13fb341b0c535d5425ea3dde10d3b746fc06c5462f1d0a504505c89eb123931"),
+        "605201913a8d0e6acc8bdbeac92a12c10fb35de2ef0df40c0092697523adf092",
+        "a32385c0ad222d6d6b7d1a0da931cecb78e83753a9fb8e2a349617f27d50a77d"),
     "sg-contrarian-log": (
         builtin_scenario("sg-contrarian-log", horizon=1000),
-        "fdcdecd1e42fe79c6428fceb975aafbc54ef9c6f2f8a49045485f40563ad1bbb",
-        "dbfd3e820ff0f281f89336842c8e3e48fe690220ab622d439817f92d825d3f81"),
+        "32ff1ed85fbee805ec19701c0f228aad693e3f6643e6f19db792a60561ea6554",
+        "153e2642c35eb88565ea23bcda21a2edf6428ee015ab066ddc27067a628f3918"),
     "sg-contrarian-log-aa": (
         builtin_scenario("sg-contrarian-log-aa", horizon=1000),
         "b8297b38cbfd74af6faf57d37c367502d9bd2f8c499613f0ce39683ef1d79f67",
