@@ -534,8 +534,8 @@ class Session:
         start = self.log_weights if log_weights is None else log_weights
         lw, lv, lwn = (np.concatenate((first[None], rest)) for first, rest in
                        zip((start, *log_normalise(start)), self.reweigh(expert_losses, 0.0, start)))
-        dead = np.isneginf(lv)
-        return lw, lv, lwn[:int(np.argmax(dead)) if dead.any() else len(lv)]
+        # a row with no weight leaves none to the rows after it
+        return lw, lv, lwn[:len(lv) - int(np.isneginf(lv).sum())]
 
     def rounds(self, log_weights, log_value, learner_losses, expert_losses, slack,
                log_factors=None) -> "Rounds":

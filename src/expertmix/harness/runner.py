@@ -31,7 +31,6 @@ from ..errors import ConfigError
 from ..extensions import (
     SIMPLEX_GAMES,
     EvaluatedExpert,
-    SimplexGame,
     ml_dfa_rounds,
     ml_dfa_start,
     simplex_dfa_rounds,
@@ -255,11 +254,9 @@ def _open_fixed_advice(start, rounds, scored=builtin_game):
     plays a block (:func:`_block_play`), whose advice is recorded as the
     experts gave it."""
     def open_protocol(config: ScenarioConfig, rngs, reality, eps: float, tol: float):
-        game = scored(config.game, config.m)
-        state = start(game, eta=config.eta, c=config.c, prior=config.prior,
-                      n_experts=len(config.experts))
-        if isinstance(game, SimplexGame):
-            game = game.base
+        state = start(scored(config.game, config.m), eta=config.eta, c=config.c,
+                      prior=config.prior, n_experts=len(config.experts))
+        game = getattr(state.game, "base", state.game)  # a simplex game's base game
         return state, _block_play(
             reality, _standard_experts(config, game, rngs),
             lambda state, advice, w, pick: (*rounds(state, advice, w, pick, eps, tol), advice),

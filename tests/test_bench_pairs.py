@@ -1,6 +1,6 @@
 """``tools/bench_pairs.py`` counts and reports incorrect benchmark runs,
-and records each side's ``src/`` line and code line counts with its tier-1
-run."""
+marks the end-to-end metrics over their bounds, and records each side's
+``src/`` line and code line counts with its tier-1 run."""
 
 import importlib.util
 import subprocess
@@ -41,6 +41,23 @@ def test_report_fails_on_an_incorrect_run(bench_pairs, capsys):
     assert "INCORRECT head run forecast-binary@123 pair 1" in capsys.readouterr().out
     doc = {"runs": runs[:2], "summary": bench_pairs.summarize(runs[:2])}
     assert bench_pairs.report(doc) == 0
+
+
+def test_report_marks_a_metric_over_its_bound(bench_pairs, capsys):
+    """The head/base ratio of each end-to-end metric is printed, marked
+    where the head is worse than the bound in ``BENCHMARK.json`` allows; the
+    exit code still counts incorrect runs only."""
+    def side(pair, name, steps, rss):
+        return {**run(pair, name), "metrics": {"steps_per_s": steps, "peak_rss_mb": rss}}
+
+    runs = [side(p, "base", 100.0, 100.0) for p in range(3)] + \
+        [side(p, "head", 70.0, 105.0) for p in range(3)]
+    assert bench_pairs.BOUND["steps_per_s"] < 0.3 and bench_pairs.BOUND["peak_rss_mb"] > 0.05
+    doc = {"runs": runs, "summary": bench_pairs.summarize(runs)}
+    assert bench_pairs.report(doc) == 0
+    lines = {line.split()[1]: line for line in capsys.readouterr().out.splitlines()}
+    assert "ratio 0.700" in lines["steps_per_s"] and lines["steps_per_s"].endswith("OVER BOUND")
+    assert "ratio 1.050" in lines["peak_rss_mb"] and "OVER BOUND" not in lines["peak_rss_mb"]
 
 
 def test_src_lines_counts_the_python_lines_under_src(bench_pairs, tmp_path):

@@ -34,8 +34,12 @@ under ``tier1``, next to the side's ``src_lines``, the lines of the
 -l`` counts in a checkout), and its ``src_code_lines``, those of them that
 are not blank, not comments and not docstrings.
 
-Each incorrect run in the file is printed at the end, and the exit code is
-1 if there is any, since its timings measure a wrong program.
+The report prints each end-to-end metric's medians and their head/base
+ratio, marked ``OVER BOUND`` where the head's median is worse than the
+base's by more than the metric's ``bound`` in ``BENCHMARK.json``.  Each
+incorrect run in the file is printed at the end, and the exit code is 1 if
+there is any, since its timings measure a wrong program; a metric over
+its bound does not change the exit code.
 """
 
 from __future__ import annotations
@@ -58,6 +62,9 @@ ROOT = Path(__file__).resolve().parent.parent
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
 #: end-to-end metric -> True when higher is better
 HIGHER = {m["name"]: m["better"] == "higher" for m in SPEC["end_to_end"]}
+#: end-to-end metric -> the largest relative worsening of its median the
+#: benchmark allows
+BOUND = {m["name"]: m["bound"] for m in SPEC["end_to_end"]}
 
 
 def git(*args: str, root: Path = ROOT) -> str:
@@ -270,14 +277,25 @@ def main(argv=None) -> int:
     return report(doc)
 
 
+def over_bound(metric: str, s: dict) -> bool:
+    """Whether the head's median of ``metric`` is worse than the base's by
+    more than the metric's bound in ``BENCHMARK.json``."""
+    if s["ratio"] is None:
+        return False
+    return s["ratio"] < 1.0 - BOUND[metric] if HIGHER[metric] else s["ratio"] > 1.0 + BOUND[metric]
+
+
 def report(doc: dict) -> int:
-    """Print the summary's medians and each incorrect run; the exit code,
-    1 if any run is incorrect."""
+    """Print the summary's medians, the head/base ratio of each, marked
+    ``OVER BOUND`` where the head is worse than the metric's bound allows,
+    and each incorrect run; the exit code, 1 if any run is incorrect."""
     for key, entry in doc.get("summary", {}).items():
         for metric, s in entry.items():
             if metric in HIGHER:
+                ratio = "n/a" if s["ratio"] is None else f"{s['ratio']:.3f}"
                 print(f"{key:28s} {metric:24s} base {s['base_median']:.6g} head "
-                      f"{s['head_median']:.6g} wins {s['head_wins']}/{s['pairs']}")
+                      f"{s['head_median']:.6g} ratio {ratio} wins {s['head_wins']}/"
+                      f"{s['pairs']}" + ("  OVER BOUND" if over_bound(metric, s) else ""))
     bad = [r for r in doc["runs"] if incorrect(r)]
     for r in bad:
         print(f"INCORRECT {r['side']} run {r['workload']}@{r['seed']} pair {r['pair']}: "
